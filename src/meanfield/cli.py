@@ -5,12 +5,13 @@ Usage:
     meanfield check <suite>
 
 Config files are flat key=value text; unknown keys are errors.  Data files
-are plain CSV, one observation per row.  Traces are line-delimited records
-with a fixed field order and 17-significant-digit floats, so two runs with
-the same config and seed produce byte-identical files.
+are plain CSV, one observation per row, every cell a finite number.  Traces
+are line-delimited records with a fixed field order and 17-significant-digit
+floats, so two runs with the same config and seed produce byte-identical files.
 
-Exit codes: 0 converged / all checks pass, 1 input error, 2 hit max_iter
-without converging, 64 usage error.
+Exit codes: 0 converged / all checks pass, 1 input error (non-finite data
+included) or numerical failure, 2 hit max_iter without converging, 64 usage
+error.
 
 The MEANFIELD_LOG env var ("debug", "info", "warning") controls verbosity.
 """
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checks, engine, models
+from .expfam import NumericalError
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -169,6 +171,8 @@ def load_csv(path: str, expected_cols: int | None = None) -> np.ndarray:
             rows.append([float(c) for c in cells])
         except ValueError as exc:
             raise InputError(f"{path}: row {lineno}: {exc}") from exc
+        if not np.all(np.isfinite(rows[-1])):
+            raise InputError(f"{path}: row {lineno}: every cell must be a finite number")
     if not rows:
         raise InputError(f"{path}: no data rows")
     return np.array(rows)
@@ -238,7 +242,7 @@ def cmd_fit(args) -> int:
         )
         trace = engine.fit(model, data, schedule, tol=cfg.tol, max_iter=cfg.max_iter)
         write_trace(cfg.output_path, trace)
-    except (InputError, ValueError) as exc:
+    except (InputError, ValueError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     log.info("finished: converged=%s iterations=%d", trace.converged, trace.records[-1].iteration)

@@ -150,7 +150,6 @@ class Schedule:
     rho_local: float = 1.0
     kappa: float = 0.7
     tau: float = 1.0
-    sweep_order: tuple[str, ...] | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -178,7 +177,6 @@ class TraceRecord:
 @dataclass
 class FitTrace:
     records: list[TraceRecord] = field(default_factory=list)
-    lambdas: list[dict[str, np.ndarray]] = field(default_factory=list)
     converged: bool = False
     state: dict[str, NodeState] = field(default_factory=dict)
 
@@ -206,11 +204,14 @@ def delta_moment(node: NodeState) -> ExpectationParam:
     return ExpectationParam(node.family, np.concatenate([m, np.outer(m, m).reshape(-1)]))
 
 
+def _moments(node: NodeState) -> np.ndarray:
+    """The expectation vector other nodes see: delta-substituted where flagged."""
+    return (delta_moment(node) if node.delta_mode else node.mu).values
+
+
 def mu_snapshot(state: dict[str, NodeState]) -> dict[str, np.ndarray]:
     """Flat expectation vectors per node, delta-substituted where flagged."""
-    return {
-        nid: (delta_moment(n) if n.delta_mode else n.mu).values for nid, n in state.items()
-    }
+    return {nid: _moments(n) for nid, n in state.items()}
 
 
 def blr_step(node: NodeState, g: np.ndarray, rho: float, base_grad=None) -> NodeState:
@@ -224,10 +225,17 @@ def blr_step(node: NodeState, g: np.ndarray, rho: float, base_grad=None) -> Node
     return node.with_lambda(NaturalParam(node.family, new_values))
 
 
-def _step_with_backoff(node: NodeState, g: np.ndarray, rho: float, base_grad=None) -> NodeState:
+def _target(model: ModelSpec, nid: str, snap: dict[str, np.ndarray], data) -> np.ndarray:
+    """Where a full step lands node nid: its coefficient minus the base-measure gradient."""
+    target = np.asarray(model.provider.coefficient(nid, snap, data), dtype=float)
+    base = model.provider.base_measure_grad(nid)
+    return target if base is None else target - np.asarray(base, dtype=float)
+
+
+def _step_with_backoff(node: NodeState, target: np.ndarray, rho: float) -> NodeState:
     for _ in range(_MAX_RATE_HALVINGS):
         try:
-            return blr_step(node, g, rho, base_grad)
+            return blr_step(node, target, rho)
         except DomainError:
             rho *= 0.5
     raise DomainError(
@@ -241,18 +249,26 @@ def _step_with_backoff(node: NodeState, g: np.ndarray, rho: float, base_grad=Non
 # --------------------------------------------------------------------------
 
 
+def _sweep(model: ModelSpec, state: dict[str, NodeState], data, steps, frozen: bool = False):
+    """Damped steps, one per (node id, rate) in order: the single update path.
+
+    Each target reads the expectation snapshot, which is refreshed after
+    every step unless ``frozen`` holds it at its pre-sweep value.
+    """
+    snap = mu_snapshot(state)
+    for nid, rho in steps:
+        state[nid] = _step_with_backoff(state[nid], _target(model, nid, snap, data), rho)
+        if not frozen:
+            snap[nid] = _moments(state[nid])
+    return state
+
+
 def cavi_sweep(
     model: ModelSpec, state: dict[str, NodeState], data, order=None
 ) -> dict[str, NodeState]:
     """One full sweep with rho = 1, each node seeing the freshest expectations."""
-    snap = mu_snapshot(state)
-    for nid in order or model.sweep_order or (model.local_ids + model.global_ids):
-        node = state[nid]
-        g = model.provider.coefficient(nid, snap, data)
-        node = _step_with_backoff(node, g, 1.0, model.provider.base_measure_grad(nid))
-        state[nid] = node
-        snap[nid] = (delta_moment(node) if node.delta_mode else node.mu).values
-    return state
+    order = order or model.sweep_order or (model.local_ids + model.global_ids)
+    return _sweep(model, state, data, [(nid, 1.0) for nid in order])
 
 
 def svi_step(
@@ -264,31 +280,12 @@ def svi_step(
         raise ConfigurationError(f"SVI requires exactly one global node, model has {len(globals_)}")
     if i not in model.local_ids:
         raise ConfigurationError(f"SVI local update target {i!r} is not a local node")
-    snap = mu_snapshot(state)
-    node = _step_with_backoff(
-        state[i], model.provider.coefficient(i, snap, data), 1.0, model.provider.base_measure_grad(i)
-    )
-    state[i] = node
-    snap[i] = (delta_moment(node) if node.delta_mode else node.mu).values
-    gid = globals_[0]
-    gnode = _step_with_backoff(
-        state[gid],
-        model.provider.coefficient(gid, snap, data),
-        rho_t,
-        model.provider.base_measure_grad(gid),
-    )
-    state[gid] = gnode
-    return state
+    return _sweep(model, state, data, [(i, 1.0), (globals_[0], rho_t)])
 
 
 def _parallel_step(model: ModelSpec, state: dict[str, NodeState], data, rho: float):
-    snap = mu_snapshot(state)  # frozen snapshot for the whole iteration
-    updates = {}
-    for nid, node in state.items():
-        g = model.provider.coefficient(nid, snap, data)
-        updates[nid] = _step_with_backoff(node, g, rho, model.provider.base_measure_grad(nid))
-    state.update(updates)
-    return state
+    """Every node steps toward its target on the pre-iteration snapshot."""
+    return _sweep(model, state, data, [(nid, rho) for nid in state], frozen=True)
 
 
 # --------------------------------------------------------------------------
@@ -311,11 +308,8 @@ def fixed_point_residual(model: ModelSpec, state: dict[str, NodeState], data) ->
     snap = mu_snapshot(state)
     worst = 0.0
     for nid, node in state.items():
-        target = np.asarray(model.provider.coefficient(nid, snap, data), dtype=float)
-        base = model.provider.base_measure_grad(nid)
-        if base is not None:
-            target = target - np.asarray(base, dtype=float)
-        worst = max(worst, float(np.max(np.abs(node.lam.values - target))))
+        gap = np.abs(node.lam.values - _target(model, nid, snap, data))
+        worst = max(worst, float(np.max(gap)))
     return worst
 
 
@@ -346,7 +340,6 @@ def fit(
         trace.records.append(
             TraceRecord(it, elbo(model, state, data), res, time.perf_counter() - start)
         )
-        trace.lambdas.append({nid: n.lam.values.copy() for nid, n in state.items()})
         return res
 
     residual = record(0)
@@ -354,7 +347,7 @@ def fit(
         if residual < tol:
             break
         if schedule.kind == CAVI:
-            cavi_sweep(model, state, data, schedule.sweep_order)
+            cavi_sweep(model, state, data)
         elif schedule.kind == SVI:
             i = model.local_ids[int(rng.integers(len(model.local_ids)))]
             svi_step(model, state, data, i, schedule.global_rate(t - 1))

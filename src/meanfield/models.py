@@ -10,7 +10,7 @@ and prior normalizers), so ELBO values are absolute.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -44,6 +44,18 @@ LOG_2PI = math.log(2.0 * math.pi)
 # Symmetry-breaking perturbation applied to Bernoulli initial means.
 _INIT_JITTER = 0.05
 
+# Gauss-Legendre nodes per panel of the Beta quadrature; doubling them must
+# move the natural gradient by less than _QUAD_CHECK_TOL.
+_QUAD_ORDER = 40
+_QUAD_CHECK_TOL = 1e-6
+
+
+def _require_finite(data) -> None:
+    """Reject NaN and infinite values in a data container, naming the field."""
+    for f in fields(data):
+        if not np.all(np.isfinite(np.asarray(getattr(data, f.name), dtype=float))):
+            raise ValueError(f"{f.name} must be finite")
+
 
 # --------------------------------------------------------------------------
 # data containers
@@ -59,6 +71,7 @@ class SimpleMixtureData:
     pb: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not 0.0 < self.pi0 < 1.0:
             raise ValueError(f"pi0 must lie in (0,1), got {self.pi0}")
         if self.pa <= 0.0 or self.pb <= 0.0:
@@ -66,27 +79,37 @@ class SimpleMixtureData:
 
 
 @dataclass(frozen=True)
-class TwoLevelMixtureData:
-    """Per-observation component log-likelihoods plus a Beta prior on the weight."""
+class _MixtureLogLiks:
+    """Per-observation log-likelihoods under components a and b."""
 
     log_pa: np.ndarray
     log_pb: np.ndarray
-    alpha0: float
-    beta0: float
 
     def __post_init__(self):
+        _require_finite(self)
         la = np.asarray(self.log_pa, dtype=float).reshape(-1)
         lb = np.asarray(self.log_pb, dtype=float).reshape(-1)
         if la.size < 1 or la.size != lb.size:
             raise ValueError("log_pa and log_pb must be equal-length, nonempty vectors")
-        if self.alpha0 <= 0.0 or self.beta0 <= 0.0:
-            raise ValueError("Beta prior parameters must be positive")
         object.__setattr__(self, "log_pa", la)
         object.__setattr__(self, "log_pb", lb)
 
     @property
     def n(self) -> int:
         return self.log_pa.size
+
+
+@dataclass(frozen=True)
+class TwoLevelMixtureData(_MixtureLogLiks):
+    """Per-observation component log-likelihoods plus a Beta prior on the weight."""
+
+    alpha0: float
+    beta0: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.alpha0 <= 0.0 or self.beta0 <= 0.0:
+            raise ValueError("Beta prior parameters must be positive")
 
 
 @dataclass(frozen=True)
@@ -101,6 +124,7 @@ class GMMData:
     w0: np.ndarray
 
     def __post_init__(self):
+        _require_finite(self)
         y = np.atleast_2d(np.asarray(self.y, dtype=float))
         if y.shape[0] < 2:
             raise ValueError("GMM needs at least two observations")
@@ -137,6 +161,7 @@ class MatrixFactorizationData:
     delta_v: float
 
     def __post_init__(self):
+        _require_finite(self)
         y = np.atleast_2d(np.asarray(self.y, dtype=float))
         if self.k < 1:
             raise ValueError("number of factors must be >= 1")
@@ -154,24 +179,53 @@ class MatrixFactorizationData:
 
 
 @dataclass(frozen=True)
-class LogitNormalMixtureData:
+class LogitNormalMixtureData(_MixtureLogLiks):
     """Two-level mixture data with a logit-normal prior on the weight."""
 
-    log_pa: np.ndarray
-    log_pb: np.ndarray
     m: float
 
-    def __post_init__(self):
-        la = np.asarray(self.log_pa, dtype=float).reshape(-1)
-        lb = np.asarray(self.log_pb, dtype=float).reshape(-1)
-        if la.size < 1 or la.size != lb.size:
-            raise ValueError("log_pa and log_pb must be equal-length, nonempty vectors")
-        object.__setattr__(self, "log_pa", la)
-        object.__setattr__(self, "log_pb", lb)
 
-    @property
-    def n(self) -> int:
-        return self.log_pa.size
+# --------------------------------------------------------------------------
+# Bernoulli indicators shared by the two-level, GMM and logit-normal models:
+# z_i ~ Bernoulli(pi) picks component a (z_i = 1) or b for observation i,
+# and log_a, log_b are the (expected) component log-likelihoods.
+# --------------------------------------------------------------------------
+
+
+def _z_ids(n: int) -> list[str]:
+    return [f"z{i}" for i in range(n)]
+
+
+def _indicator_nodes(ids, rng) -> list[NodeState]:
+    """Local Bernoulli nodes whose initial means are jittered around 1/2."""
+    nodes = []
+    for nid in ids:
+        p = 0.5 + rng.uniform(-_INIT_JITTER, _INIT_JITTER)
+        nodes.append(NodeState.make(nid, bernoulli_natural(math.log(p / (1 - p))), role=LOCAL))
+    return nodes
+
+
+def _responsibilities(mus, n: int) -> np.ndarray:
+    """q(z_i = 1) for every indicator."""
+    return np.array([float(mus[z][0]) for z in _z_ids(n)])
+
+
+def _indicator_coefficient(mus, log_a, log_b) -> np.ndarray:
+    """Log odds of one indicator, with E[log pi] and E[log(1 - pi)] read off mus["pi"]."""
+    mu0 = mus["pi"]
+    return np.array([(mu0[0] + log_a) - (mu0[1] + log_b)])
+
+
+def _weight_coefficient(a: float, b: float, mus, n: int) -> np.ndarray:
+    """Coefficient of the weight node pi when its prior has Beta exponents (a, b)."""
+    s = float(_responsibilities(mus, n).sum())
+    return np.array([a - 1.0 + s, n + b - 1.0 - s])
+
+
+def _indicator_log_joint(mus, n: int, log_a, log_b) -> float:
+    """Sum over i of E_q[log p(z_i | pi) + log p(y_i | z_i)]."""
+    r, mu0 = _responsibilities(mus, n), mus["pi"]
+    return float(r @ (log_a + mu0[0]) + (1.0 - r) @ (log_b + mu0[1]))
 
 
 # --------------------------------------------------------------------------
@@ -200,19 +254,13 @@ class SimpleMixtureProvider(CoefficientProvider):
 
 
 def build_simple_mixture(data: SimpleMixtureData, seed: int = 0) -> ModelSpec:
-    rng = np.random.default_rng(seed)
-    p = 0.5 + rng.uniform(-_INIT_JITTER, _INIT_JITTER)
-    node = NodeState.make("z", bernoulli_natural(math.log(p / (1 - p))), role=LOCAL)
-    return ModelSpec((node,), SimpleMixtureProvider())
+    nodes = _indicator_nodes(["z"], np.random.default_rng(seed))
+    return ModelSpec(tuple(nodes), SimpleMixtureProvider())
 
 
 # --------------------------------------------------------------------------
 # Model: two-level mixture with a Beta-distributed weight
 # --------------------------------------------------------------------------
-
-
-def _z_ids(n: int) -> list[str]:
-    return [f"z{i}" for i in range(n)]
 
 
 class TwoLevelProvider(CoefficientProvider):
@@ -228,25 +276,16 @@ class TwoLevelProvider(CoefficientProvider):
         self.shifted_beta = shifted_beta
 
     def coefficient(self, node_id, mus, data: TwoLevelMixtureData):
-        mu0 = mus["pi"]
         if node_id == "pi":
-            s = sum(float(mus[z][0]) for z in _z_ids(self.n))
-            return np.array(
-                [data.alpha0 - 1.0 + s, data.n + data.beta0 - 1.0 - s]
-            )
+            return _weight_coefficient(data.alpha0, data.beta0, mus, self.n)
         i = int(node_id[1:])
-        return np.array(
-            [(mu0[0] + data.log_pa[i]) - (mu0[1] + data.log_pb[i])]
-        )
+        return _indicator_coefficient(mus, data.log_pa[i], data.log_pb[i])
 
     def expected_log_joint(self, mus, data: TwoLevelMixtureData):
         mu0 = mus["pi"]
         total = (data.alpha0 - 1.0) * mu0[0] + (data.beta0 - 1.0) * mu0[1]
         total -= betaln(data.alpha0, data.beta0)
-        for i, z in enumerate(_z_ids(self.n)):
-            mu = float(mus[z][0])
-            total += mu * (data.log_pa[i] + mu0[0]) + (1.0 - mu) * (data.log_pb[i] + mu0[1])
-        return float(total)
+        return float(total + _indicator_log_joint(mus, self.n, data.log_pa, data.log_pb))
 
     def base_measure_grad(self, node_id):
         if self.shifted_beta and node_id == "pi":
@@ -261,17 +300,10 @@ class TwoLevelProvider(CoefficientProvider):
 def build_two_level(
     data: TwoLevelMixtureData, seed: int = 0, shifted_beta: bool = False
 ) -> ModelSpec:
-    rng = np.random.default_rng(seed)
-    nodes = []
-    for i in range(data.n):
-        p = 0.5 + rng.uniform(-_INIT_JITTER, _INIT_JITTER)
-        nodes.append(NodeState.make(f"z{i}", bernoulli_natural(math.log(p / (1 - p))), role=LOCAL))
+    nodes = _indicator_nodes(_z_ids(data.n), np.random.default_rng(seed))
     base = "reciprocal" if shifted_beta else "constant"
-    nodes.append(
-        NodeState.make(
-            "pi", beta_natural(data.alpha0, data.beta0, base_measure=base), role=GLOBAL
-        )
-    )
+    lam = beta_natural(data.alpha0, data.beta0, base_measure=base)
+    nodes.append(NodeState.make("pi", lam, role=GLOBAL))
     return ModelSpec(tuple(nodes), TwoLevelProvider(data.n, shifted_beta))
 
 
@@ -280,13 +312,13 @@ def build_two_level(
 # --------------------------------------------------------------------------
 
 
-def expected_log_component(mu_gw: np.ndarray, y: np.ndarray, d: int) -> float:
-    """E_q[log N(y | m, S^-1)] from a Gaussian-Wishart node's expectations."""
+def expected_log_component(mu_gw: np.ndarray, y: np.ndarray, d: int):
+    """E_q[log N(y | m, S^-1)] for one observation y of shape (D,) or per row of (N, D)."""
     mu1 = float(mu_gw[0])
     e_s = mu_gw[1 : 1 + d * d].reshape(d, d)
     e_sm = mu_gw[1 + d * d : 1 + d * d + d]
     mu4 = float(mu_gw[-1])
-    return 0.5 * mu1 - 0.5 * float(y @ e_s @ y) + float(y @ e_sm) - 0.5 * mu4 - 0.5 * d * LOG_2PI
+    return 0.5 * mu1 - 0.5 * ((y @ e_s) * y).sum(-1) + y @ e_sm - 0.5 * mu4 - 0.5 * d * LOG_2PI
 
 
 class GMMProvider(CoefficientProvider):
@@ -295,8 +327,8 @@ class GMMProvider(CoefficientProvider):
     def __init__(self, data: GMMData):
         self.n = data.n
         self.d = data.dim
-        self._w0_inv = np.linalg.inv(data.w0)
-        self._w0_inv = 0.5 * (self._w0_inv + self._w0_inv.T)
+        # The conjugate prior's term in a component's coefficient is its natural parameter.
+        self._prior = gw_natural(data.nu0, data.gamma0, np.zeros(self.d), data.w0).values
         self._yy = np.einsum("ni,nj->nij", data.y, data.y)
         # Wishart prior log-normalizer, plus the Gaussian layer's constants.
         d = self.d
@@ -308,48 +340,29 @@ class GMMProvider(CoefficientProvider):
         )
         self._prior_const = 0.5 * d * math.log(data.gamma0) - 0.5 * d * LOG_2PI + log_b
 
-    def _resp_sums(self, mus):
-        r = np.array([float(mus[z][0]) for z in _z_ids(self.n)])
-        return r
-
     def coefficient(self, node_id, mus, data: GMMData):
         if node_id == "pi":
-            s = float(self._resp_sums(mus).sum())
-            return np.array([data.alpha0 - 1.0 + s, data.n + data.beta0 - 1.0 - s])
+            return _weight_coefficient(data.alpha0, data.beta0, mus, self.n)
         if node_id in ("comp_a", "comp_b"):
-            r = self._resp_sums(mus)
+            r = _responsibilities(mus, self.n)
             w = r if node_id == "comp_a" else 1.0 - r
             s = float(w.sum())
-            return np.concatenate(
-                [
-                    [0.5 * s + 0.5 * (data.nu0 - self.d)],
-                    (-0.5 * np.einsum("n,nij->ij", w, self._yy) - 0.5 * self._w0_inv).reshape(-1),
-                    w @ data.y,
-                    [-0.5 * s - 0.5 * data.gamma0],
-                ]
-            )
+            yy = -0.5 * np.einsum("n,nij->ij", w, self._yy).reshape(-1)
+            return self._prior + np.concatenate([[0.5 * s], yy, w @ data.y, [-0.5 * s]])
         i = int(node_id[1:])
-        mu0 = mus["pi"]
         ea = expected_log_component(mus["comp_a"], data.y[i], self.d)
         eb = expected_log_component(mus["comp_b"], data.y[i], self.d)
-        return np.array([(mu0[0] + ea) - (mu0[1] + eb)])
+        return _indicator_coefficient(mus, ea, eb)
 
     def expected_log_joint(self, mus, data: GMMData):
         mu0 = mus["pi"]
-        r = self._resp_sums(mus)
         total = (data.alpha0 - 1.0) * mu0[0] + (data.beta0 - 1.0) * mu0[1]
         total -= betaln(data.alpha0, data.beta0)
-        total += float(r.sum()) * mu0[0] + float((1.0 - r).sum()) * mu0[1]
-        for i in range(self.n):
-            total += r[i] * expected_log_component(mus["comp_a"], data.y[i], self.d)
-            total += (1.0 - r[i]) * expected_log_component(mus["comp_b"], data.y[i], self.d)
+        ea = expected_log_component(mus["comp_a"], data.y, self.d)
+        eb = expected_log_component(mus["comp_b"], data.y, self.d)
+        total += _indicator_log_joint(mus, self.n, ea, eb)
         for comp in ("comp_a", "comp_b"):
-            mu = mus[comp]
-            e_s = mu[1 : 1 + self.d * self.d].reshape(self.d, self.d)
-            total += 0.5 * (data.nu0 - self.d) * float(mu[0])
-            total -= 0.5 * float(np.sum(self._w0_inv * e_s))
-            total -= 0.5 * data.gamma0 * float(mu[-1])
-            total += self._prior_const
+            total += float(self._prior @ mus[comp]) + self._prior_const
         return float(total)
 
     @property
@@ -358,11 +371,7 @@ class GMMProvider(CoefficientProvider):
 
 
 def build_gmm2(data: GMMData, seed: int = 0) -> ModelSpec:
-    rng = np.random.default_rng(seed)
-    nodes = []
-    for i in range(data.n):
-        p = 0.5 + rng.uniform(-_INIT_JITTER, _INIT_JITTER)
-        nodes.append(NodeState.make(f"z{i}", bernoulli_natural(math.log(p / (1 - p))), role=LOCAL))
+    nodes = _indicator_nodes(_z_ids(data.n), np.random.default_rng(seed))
     nodes.append(NodeState.make("pi", beta_natural(data.alpha0, data.beta0), role=GLOBAL))
     prior = gw_natural(data.nu0, data.gamma0, np.zeros(data.dim), data.w0)
     nodes.append(NodeState.make("comp_a", prior, role=GLOBAL))
@@ -503,23 +512,29 @@ def _beta_logit_rule(a: float, b: float, nodes_per_panel: int):
     return t, wq / wq.sum()
 
 
-def _sigmoid_open(t: np.ndarray) -> np.ndarray:
-    """Sigmoid clamped into the open interval so f(z) stays finite at tail nodes.
+def _f_at_nodes(f, t: np.ndarray) -> np.ndarray:
+    """f(z) at the quadrature nodes z = sigmoid(t), clamped into the open interval.
 
     Beyond |t| ~ 37 the float sigmoid rounds onto {0, 1}; the quadrature
-    weight there is below e^-37, so the clamp is invisible in the integrals.
+    weight there is below e^-37, so the clamp is invisible in the integrals
+    and only keeps f(z) finite at the tail nodes.
     """
-    z = 1.0 / (1.0 + np.exp(-t))
-    return np.clip(z, 1e-300, 1.0 - 1e-16)
+    z = np.clip(1.0 / (1.0 + np.exp(-t)), 1e-300, 1.0 - 1e-16)
+    return np.array([f(zi) for zi in z], dtype=float)
 
 
-def beta_natural_gradient(lam, f, order: int = 40, check_tol: float = 1e-6) -> np.ndarray:
+def _beta_from_mean(mu0: np.ndarray):
+    """Beta natural parameters of the weight node's expectations (E[log z], E[log(1-z)])."""
+    return expfam.mean_to_nat(expfam.ExpectationParam(expfam.FamilyDescriptor(expfam.BETA), mu0))
+
+
+def beta_natural_gradient(lam, f) -> np.ndarray:
     """Natural gradient of E_q[f(z)] w.r.t. the Beta expectation parameters.
 
     Computed as F^-1 Cov_q(T, f) with T = (log z, log(1-z)) and F = Cov(T, T)
-    the Fisher matrix, all moments by quadrature; ``order`` counts nodes per
-    panel.  Doubling the node count must change the result by less than
-    check_tol, else the failure is reported.
+    the Fisher matrix, all moments by quadrature.  Doubling the nodes per
+    panel must change the result by less than _QUAD_CHECK_TOL, else the
+    failure is reported.
     """
     a, b = expfam.beta_ab(lam)
     if a < 1e-2 or b < 1e-2:
@@ -528,21 +543,26 @@ def beta_natural_gradient(lam, f, order: int = 40, check_tol: float = 1e-6) -> n
     def estimate(nodes_per_panel):
         t, wq = _beta_logit_rule(a, b, nodes_per_panel)
         t_stats = np.stack([-np.log1p(np.exp(-t)), -np.log1p(np.exp(t))])  # (log z, log(1-z))
-        z = _sigmoid_open(t)
-        fx = np.array([f(zi) for zi in z], dtype=float)
+        fx = _f_at_nodes(f, t)
         t_mean = t_stats @ wq
         tc = t_stats - t_mean[:, None]
         fisher = (tc * wq) @ tc.T
         cov_tf = (tc * wq) @ (fx - fx @ wq)
         return np.linalg.solve(fisher, cov_tf)
 
-    g1 = estimate(order)
-    g2 = estimate(2 * order)
-    if float(np.max(np.abs(g1 - g2))) > check_tol:
+    g1 = estimate(_QUAD_ORDER)
+    g2 = estimate(2 * _QUAD_ORDER)
+    if float(np.max(np.abs(g1 - g2))) > _QUAD_CHECK_TOL:
         raise NumericalError(
             f"quadrature for the natural gradient did not converge: {g1} vs {g2}"
         )
     return g2
+
+
+def _beta_expect(lam, f) -> float:
+    """E_q[f(z)] under the Beta natural parameters lam."""
+    t, wq = _beta_logit_rule(*expfam.beta_ab(lam), _QUAD_ORDER)
+    return float(_f_at_nodes(f, t) @ wq)
 
 
 class LogitNormalProvider(CoefficientProvider):
@@ -555,10 +575,9 @@ class LogitNormalProvider(CoefficientProvider):
     the conjugate cross-checks).
     """
 
-    def __init__(self, n: int, log_prior_core=None, quad_order: int = 40):
+    def __init__(self, n: int, log_prior_core=None):
         self.n = n
         self.log_prior_core = log_prior_core
-        self.quad_order = quad_order
 
     def _f(self, data: LogitNormalMixtureData):
         if self.log_prior_core is not None:
@@ -568,48 +587,30 @@ class LogitNormalProvider(CoefficientProvider):
 
     def pseudo_prior(self, mu0: np.ndarray, data: LogitNormalMixtureData) -> np.ndarray:
         """(alpha_hat, beta_hat): natural gradient of the non-conjugate term."""
-        lam = expfam.mean_to_nat(expfam.ExpectationParam(expfam.FamilyDescriptor(expfam.BETA), mu0))
-        return beta_natural_gradient(lam, self._f(data), self.quad_order)
+        return beta_natural_gradient(_beta_from_mean(mu0), self._f(data))
 
     def coefficient(self, node_id, mus, data: LogitNormalMixtureData):
-        mu0 = mus["pi"]
         if node_id == "pi":
-            s = sum(float(mus[z][0]) for z in _z_ids(self.n))
-            ab_hat = self.pseudo_prior(mu0, data)
-            # base measure of the prior contributes (-1, -1); likelihood
-            # contributes (sum mu_i, N - sum mu_i)
-            return np.array([ab_hat[0] - 1.0 + s, data.n + ab_hat[1] - 1.0 - s])
+            # the prior's base measure contributes (-1, -1) and the pseudo
+            # prior (alpha_hat, beta_hat): Beta exponents of a conjugate term
+            ab_hat = self.pseudo_prior(mus["pi"], data)
+            return _weight_coefficient(ab_hat[0], ab_hat[1], mus, self.n)
         i = int(node_id[1:])
-        return np.array([(mu0[0] + data.log_pa[i]) - (mu0[1] + data.log_pb[i])])
+        return _indicator_coefficient(mus, data.log_pa[i], data.log_pb[i])
 
     def expected_log_joint(self, mus, data: LogitNormalMixtureData):
         mu0 = mus["pi"]
         total = -float(mu0[0]) - float(mu0[1])  # prior base measure 1/(z(1-z))
         total -= 0.5 * LOG_2PI  # logit-normal (sigma = 1) normalizer
-        lam = expfam.mean_to_nat(expfam.ExpectationParam(expfam.FamilyDescriptor(expfam.BETA), mu0))
-        total += _beta_expect(lam, self._f(data), self.quad_order)
-        for i, z in enumerate(_z_ids(self.n)):
-            mu = float(mus[z][0])
-            total += mu * (data.log_pa[i] + mu0[0]) + (1.0 - mu) * (data.log_pb[i] + mu0[1])
-        return float(total)
+        total += _beta_expect(_beta_from_mean(mu0), self._f(data))
+        return float(total + _indicator_log_joint(mus, self.n, data.log_pa, data.log_pb))
 
     @property
     def conjugate_node_ids(self):
         return tuple(_z_ids(self.n))  # the weight node is non-conjugate
 
 
-def _beta_expect(lam, f, order: int) -> float:
-    a, b = expfam.beta_ab(lam)
-    t, wq = _beta_logit_rule(a, b, order)
-    z = _sigmoid_open(t)
-    return float(np.array([f(zi) for zi in z]) @ wq)
-
-
 def build_logitnormal(data: LogitNormalMixtureData, seed: int = 0) -> ModelSpec:
-    rng = np.random.default_rng(seed)
-    nodes = []
-    for i in range(data.n):
-        p = 0.5 + rng.uniform(-_INIT_JITTER, _INIT_JITTER)
-        nodes.append(NodeState.make(f"z{i}", bernoulli_natural(math.log(p / (1 - p))), role=LOCAL))
+    nodes = _indicator_nodes(_z_ids(data.n), np.random.default_rng(seed))
     nodes.append(NodeState.make("pi", beta_natural(1.0, 1.0), role=GLOBAL))
     return ModelSpec(tuple(nodes), LogitNormalProvider(data.n))

@@ -1,8 +1,14 @@
 """The batch front end: config parsing, CSV loading, trace output, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import meanfield
 from meanfield import cli
 
 
@@ -72,9 +78,35 @@ def test_malformed_row_names_row_and_arity(tmp_path, capsys):
 
 
 def test_non_numeric_cell_rejected(tmp_path, capsys):
-    cfg, _ = _fit_config(tmp_path, "0.1,oops\n")
-    assert cli.main(["fit", "--config", cfg]) == cli.EXIT_INPUT
-    assert "row 1" in capsys.readouterr().err
+    cases = [
+        ("0.1,oops\n", 1),
+        ("0.1,0.4\n0.2,nan\n", 2),
+        ("0.1,0.4\n0.2,0.3\ninf,0.5\n", 3),
+        ("-inf,0.4\n", 1),
+    ]
+    for rows, bad_row in cases:
+        cfg, _ = _fit_config(tmp_path, rows)
+        assert cli.main(["fit", "--config", cfg]) == cli.EXIT_INPUT
+        assert f"row {bad_row}" in capsys.readouterr().err
+
+
+def test_numerical_failure_exits_1_without_traceback(tmp_path):
+    """A quadrature that does not converge is reported, not raised."""
+    rng = np.random.default_rng(0)
+    rows = "\n".join(f"{a},{b}" for a, b in rng.normal(size=(10, 2)))
+    cfg, _ = _fit_config(tmp_path, rows + "\n", extra="m=30\n", model="logitnormal")
+    src = str(Path(meanfield.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "meanfield.cli", "fit", "--config", cfg],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == cli.EXIT_INPUT
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: quadrature for the natural gradient did not converge")
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

@@ -1,0 +1,141 @@
+"""Differential test of whole fits against recorded golden outputs.
+
+Each case fits one model under one schedule on a small fixed input for at
+most ``MAX_ITER`` iterations and compares, with the recorded run: the
+number of trace records, the ``converged`` flag, every per-iteration ELBO
+and fixed-point residual, and the final lambda of every node.  Values
+agree to ``RTOL`` relative, measured against max(|recorded|, 1) so that
+residuals near zero are compared on the scale of the lambdas they are
+differences of.
+
+The fixture file was written by the engine as it stood before the update
+path and the mixture providers were refactored.  Regenerate it only for a
+change that is meant to alter results:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from meanfield import engine, models
+
+FIXTURE = Path(__file__).resolve().parent / "golden" / "engine_fits.json"
+MAX_ITER = 60
+TOL = 1e-10
+RTOL = 1e-12
+
+SCHEDULES = {
+    "cavi": engine.Schedule(engine.CAVI),
+    "parallel": engine.Schedule(engine.PARALLEL_BLR, rho_local=0.5),
+    "svi": engine.Schedule(engine.SVI, kappa=0.7, tau=1.0, seed=3),
+}
+
+
+def _mixture_log_liks(seed: int, n: int):
+    rng = np.random.default_rng(seed)
+    y = np.where(rng.random(n) < 0.6, rng.normal(-1.5, 1.0, n), rng.normal(1.5, 1.0, n))
+    log_pa = -0.5 * (y + 1.5) ** 2 - 0.5 * math.log(2.0 * math.pi)
+    log_pb = -0.5 * (y - 1.5) ** 2 - 0.5 * math.log(2.0 * math.pi)
+    return log_pa, log_pb
+
+
+def _simple():
+    data = models.SimpleMixtureData(0.3, 0.8, 0.2)
+    return models.build_simple_mixture(data, seed=1), data
+
+
+def _two_level(shifted: bool):
+    def build():
+        data = models.TwoLevelMixtureData(*_mixture_log_liks(11, 9), 2.0, 3.0)
+        return models.build_two_level(data, seed=2, shifted_beta=shifted), data
+
+    return build
+
+
+def _gmm2():
+    rng = np.random.default_rng(12)
+    labels = rng.integers(0, 2, size=12)
+    y = np.array([[-2.0, 0.0], [2.0, 0.0]])[labels] + rng.standard_normal((12, 2))
+    data = models.GMMData(y, 1.0, 1.0, 1.0, 3.0, np.eye(2))
+    return models.build_gmm2(data, seed=3), data
+
+
+def _matfac(mode: str):
+    def build():
+        rng = np.random.default_rng(13)
+        y = rng.standard_normal((6, 2)) @ rng.standard_normal((4, 2)).T
+        data = models.MatrixFactorizationData(y + 0.3 * rng.standard_normal((6, 4)), 2, 1.0, 1.0)
+        return models.build_matfac(data, mode, seed=4), data
+
+    return build
+
+
+def _logitnormal():
+    data = models.LogitNormalMixtureData(*_mixture_log_liks(14, 8), 0.4)
+    return models.build_logitnormal(data, seed=5), data
+
+
+BUILDERS = {
+    "simple": (_simple, ("cavi", "parallel")),
+    "two_level_constant": (_two_level(False), ("cavi", "parallel", "svi")),
+    "two_level_reciprocal": (_two_level(True), ("cavi", "parallel", "svi")),
+    "gmm2": (_gmm2, ("cavi", "parallel")),
+    "matfac_vmp": (_matfac("vmp"), ("cavi", "parallel")),
+    "matfac_ppca": (_matfac("ppca"), ("cavi", "parallel")),
+    "matfac_als": (_matfac("als"), ("cavi", "parallel")),
+    "logitnormal": (_logitnormal, ("cavi", "parallel", "svi")),
+}
+CASES = [f"{model}/{sched}" for model, (_, scheds) in BUILDERS.items() for sched in scheds]
+
+
+def run_case(case: str) -> dict:
+    model_name, sched = case.split("/")
+    model, data = BUILDERS[model_name][0]()
+    trace = engine.fit(model, data, SCHEDULES[sched], tol=TOL, max_iter=MAX_ITER)
+    return {
+        "converged": trace.converged,
+        "elbo": [r.elbo for r in trace.records],
+        "residual": [r.residual for r in trace.records],
+        "lambda": {nid: node.lam.values.tolist() for nid, node in trace.state.items()},
+    }
+
+
+def _assert_close(got, want, what: str):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape, f"{what}: shape {got.shape} != {want.shape}"
+    gap = np.abs(got - want) / np.maximum(np.abs(want), 1.0)
+    assert np.all(gap <= RTOL), f"{what}: relative gap {gap.max():.3g} > {RTOL:g}"
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(FIXTURE.read_text())
+
+
+def test_golden_covers_every_case(golden):
+    assert sorted(golden) == sorted(CASES)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_fit_matches_golden(case, golden):
+    want = golden[case]
+    got = run_case(case)
+    assert len(got["elbo"]) == len(want["elbo"])
+    assert got["converged"] == want["converged"]
+    _assert_close(got["elbo"], want["elbo"], f"{case} elbo")
+    _assert_close(got["residual"], want["residual"], f"{case} residual")
+    assert list(got["lambda"]) == list(want["lambda"])
+    for nid, lam in want["lambda"].items():
+        _assert_close(got["lambda"][nid], lam, f"{case} lambda of {nid}")
+
+
+if __name__ == "__main__":
+    FIXTURE.parent.mkdir(exist_ok=True)
+    FIXTURE.write_text(json.dumps({case: run_case(case) for case in CASES}, indent=1) + "\n")

@@ -31,6 +31,25 @@ def test_data_classes_reject_bad_inputs():
         models.MatrixFactorizationData(np.ones((2, 2)), 0, 1.0, 1.0)
     with pytest.raises(ValueError):
         models.MatrixFactorizationData(np.ones((2, 2)), 1, -1.0, 1.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="log_pb must be finite"):
+            models.TwoLevelMixtureData([0.0, 1.0], [0.0, bad], 1.0, 1.0)
+        with pytest.raises(ValueError, match="beta0 must be finite"):
+            models.TwoLevelMixtureData([0.0], [0.0], 1.0, bad)
+        with pytest.raises(ValueError, match="y must be finite"):
+            models.GMMData([[0.0, bad], [1.0, 1.0]], 1.0, 1.0, 1.0, 3.0, np.eye(2))
+        with pytest.raises(ValueError, match="nu0 must be finite"):
+            models.GMMData(np.zeros((3, 2)), 1.0, 1.0, 1.0, bad, np.eye(2))
+        with pytest.raises(ValueError, match="w0 must be finite"):
+            models.GMMData(np.zeros((3, 2)), 1.0, 1.0, 1.0, 3.0, [[1.0, 0.0], [0.0, bad]])
+        with pytest.raises(ValueError, match="y must be finite"):
+            models.MatrixFactorizationData([[1.0, bad]], 1, 1.0, 1.0)
+        with pytest.raises(ValueError, match="delta_v must be finite"):
+            models.MatrixFactorizationData(np.ones((2, 2)), 1, 1.0, bad)
+        with pytest.raises(ValueError, match="log_pa must be finite"):
+            models.LogitNormalMixtureData([bad], [0.0], 0.0)
+        with pytest.raises(ValueError, match="m must be finite"):
+            models.LogitNormalMixtureData([0.0], [0.0], bad)
 
 
 # ---------------------------------------------------------------------------
