@@ -9,8 +9,10 @@ residuals near zero are compared on the scale of the lambdas they are
 differences of.
 
 The fixture file was written by the engine as it stood before the update
-path and the mixture providers were refactored.  Regenerate it only for a
-change that is meant to alter results:
+path and the mixture providers were refactored; the three plate-sized
+cases (``gmm2_n60``, ``matfac_ppca_12x8``, ``two_level_n50``) were added
+by the engine as it stood before nodes were grouped into plates.
+Regenerate it only for a change that is meant to alter results:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -51,27 +53,30 @@ def _simple():
     return models.build_simple_mixture(data, seed=1), data
 
 
-def _two_level(shifted: bool):
+def _two_level(shifted: bool, n: int = 9):
     def build():
-        data = models.TwoLevelMixtureData(*_mixture_log_liks(11, 9), 2.0, 3.0)
+        data = models.TwoLevelMixtureData(*_mixture_log_liks(11, n), 2.0, 3.0)
         return models.build_two_level(data, seed=2, shifted_beta=shifted), data
 
     return build
 
 
-def _gmm2():
-    rng = np.random.default_rng(12)
-    labels = rng.integers(0, 2, size=12)
-    y = np.array([[-2.0, 0.0], [2.0, 0.0]])[labels] + rng.standard_normal((12, 2))
-    data = models.GMMData(y, 1.0, 1.0, 1.0, 3.0, np.eye(2))
-    return models.build_gmm2(data, seed=3), data
+def _gmm2(n: int = 12):
+    def build():
+        rng = np.random.default_rng(12)
+        labels = rng.integers(0, 2, size=n)
+        y = np.array([[-2.0, 0.0], [2.0, 0.0]])[labels] + rng.standard_normal((n, 2))
+        data = models.GMMData(y, 1.0, 1.0, 1.0, 3.0, np.eye(2))
+        return models.build_gmm2(data, seed=3), data
+
+    return build
 
 
-def _matfac(mode: str):
+def _matfac(mode: str, n: int = 6, d: int = 4):
     def build():
         rng = np.random.default_rng(13)
-        y = rng.standard_normal((6, 2)) @ rng.standard_normal((4, 2)).T
-        data = models.MatrixFactorizationData(y + 0.3 * rng.standard_normal((6, 4)), 2, 1.0, 1.0)
+        y = rng.standard_normal((n, 2)) @ rng.standard_normal((d, 2)).T
+        data = models.MatrixFactorizationData(y + 0.3 * rng.standard_normal((n, d)), 2, 1.0, 1.0)
         return models.build_matfac(data, mode, seed=4), data
 
     return build
@@ -86,11 +91,15 @@ BUILDERS = {
     "simple": (_simple, ("cavi", "parallel")),
     "two_level_constant": (_two_level(False), ("cavi", "parallel", "svi")),
     "two_level_reciprocal": (_two_level(True), ("cavi", "parallel", "svi")),
-    "gmm2": (_gmm2, ("cavi", "parallel")),
+    "gmm2": (_gmm2(), ("cavi", "parallel")),
     "matfac_vmp": (_matfac("vmp"), ("cavi", "parallel")),
     "matfac_ppca": (_matfac("ppca"), ("cavi", "parallel")),
     "matfac_als": (_matfac("als"), ("cavi", "parallel")),
     "logitnormal": (_logitnormal, ("cavi", "parallel", "svi")),
+    # Plate-sized groups of locals, where the order of block sums can matter.
+    "gmm2_n60": (_gmm2(60), ("cavi",)),
+    "matfac_ppca_12x8": (_matfac("ppca", 12, 8), ("cavi", "parallel")),
+    "two_level_n50": (_two_level(False, 50), ("svi",)),
 }
 CASES = [f"{model}/{sched}" for model, (_, scheds) in BUILDERS.items() for sched in scheds]
 
