@@ -70,33 +70,47 @@ def _random_mean(rng, family: expfam.FamilyDescriptor) -> np.ndarray:
 
 
 def suite_multilinearity(seed: int = 0, pairs: int = 10, tol: float = 1e-9):
+    """Affine-slope identity for every row of every conjugate plate.
+
+    Moving one row's expectations from mu_b to mu_a changes the expected
+    log-joint by exactly that row's coefficient times (mu_a - mu_b), and no
+    coefficient of the plate moves: a row reads neither its own
+    expectations nor those of its plate mates.
+    """
     rng = np.random.default_rng(seed)
     passed = failed = 0
     msgs = []
     for name, model, data in _model_instances(seed):
-        state = {n.id: n for n in model.nodes}
-        snap = engine.mu_snapshot(state)
-        for nid in model.provider.conjugate_node_ids:
-            fam = state[nid].family
-            for _ in range(pairs):
-                mu_a = _random_mean(rng, fam)
-                mu_b = _random_mean(rng, fam)
-                coeff = model.provider.coefficient(nid, snap, data)
-                snap_a = dict(snap, **{nid: mu_a})
-                snap_b = dict(snap, **{nid: mu_b})
-                lhs = model.provider.expected_log_joint(
-                    snap_a, data
-                ) - model.provider.expected_log_joint(snap_b, data)
-                rhs = float(coeff @ (mu_a - mu_b))
-                coeff_a = model.provider.coefficient(nid, snap_a, data)
-                scale = max(1.0, abs(lhs))
-                ok = abs(lhs - rhs) <= tol * scale and np.allclose(coeff, coeff_a, atol=tol)
-                if ok:
-                    passed += 1
-                else:
-                    failed += 1
-                    msgs.append(f"multilinearity {name}/{nid}: gap {abs(lhs - rhs):g}")
+        snap = engine.mu_snapshot(model.plates)
+        for plate in model.provider.conjugate_plates:
+            fam = model.plates[plate].family
+            for row, nid in enumerate(model.plates[plate].ids):
+                for _ in range(pairs):
+                    mu_a = _random_mean(rng, fam)
+                    mu_b = _random_mean(rng, fam)
+                    coeff = model.provider.coefficient(plate, snap, data)
+                    snap_a = _with_row(snap, plate, row, mu_a)
+                    snap_b = _with_row(snap, plate, row, mu_b)
+                    lhs = model.provider.expected_log_joint(
+                        snap_a, data
+                    ) - model.provider.expected_log_joint(snap_b, data)
+                    rhs = float(coeff[row] @ (mu_a - mu_b))
+                    coeff_a = model.provider.coefficient(plate, snap_a, data)
+                    scale = max(1.0, abs(lhs))
+                    ok = abs(lhs - rhs) <= tol * scale and np.allclose(coeff, coeff_a, atol=tol)
+                    if ok:
+                        passed += 1
+                    else:
+                        failed += 1
+                        msgs.append(f"multilinearity {name}/{nid}: gap {abs(lhs - rhs):g}")
     return passed, failed, msgs
+
+
+def _with_row(snap: dict, plate: str, row: int, mu: np.ndarray) -> dict:
+    """The snapshot with one row of a plate replaced."""
+    rows = snap[plate].copy()
+    rows[row] = mu
+    return dict(snap, **{plate: rows})
 
 
 def suite_monotonicity(seed: int = 0, slack: float = 1e-10):

@@ -5,6 +5,15 @@ Gaussian-Wishart.  Parameters are stored as flat vectors; symmetric matrix
 blocks are stored as full D x D (row-major) and symmetrized on ingestion.
 Domain violations are construction-time errors.
 
+A parameter may also hold a (G, flat) array: one row per node of a plate.
+Validation, ``nat_to_mean``, ``log_partition``, ``entropy`` and
+``gaussian_mean_precision`` take all rows at once; ``mean_to_nat``,
+``kl_divergence`` and the conventional-parameter extractors take one
+vector.  Bernoulli and Gaussian rows are handled as whole arrays; Beta and
+Gaussian-Wishart rows one at a time (their plates hold a single row), so
+the special functions stay scalar.  A domain error lists the offending
+rows.
+
 Flat layouts
 ------------
 Bernoulli           (lam,)                                length 1
@@ -47,6 +56,7 @@ __all__ = [
     "beta_ab",
     "gaussian_mean_precision",
     "gw_params",
+    "split_rows",
 ]
 
 BERNOULLI = "bernoulli"
@@ -62,7 +72,15 @@ _PSD_SLACK = 1e-10
 
 
 class DomainError(ValueError):
-    """A parameter vector violates its family's domain constraints."""
+    """A parameter vector violates its family's domain constraints.
+
+    ``rows`` holds the indices of the offending rows (row 0 for a single
+    vector), or None when the error is not tied to rows.
+    """
+
+    def __init__(self, message: str, rows=None):
+        super().__init__(message)
+        self.rows = rows
 
 
 class NumericalError(RuntimeError):
@@ -108,19 +126,45 @@ class FamilyDescriptor:
         return 2 + d + d * d  # gaussian_wishart
 
 
+def _check_rows(ok: np.ndarray, message) -> None:
+    """Raise DomainError unless every row is ok; message(r) describes the first bad row r."""
+    if not ok.all():
+        bad = np.flatnonzero(~ok)
+        raise DomainError(message(int(bad[0])), rows=bad)
+
+
+def _each_row(check, rows: np.ndarray) -> None:
+    """Run a one-vector check on every row, tagging a failure with its row."""
+    for r, row in enumerate(rows):
+        try:
+            check(row)
+        except DomainError as exc:
+            raise DomainError(str(exc), rows=np.array([r])) from None
+
+
+def _map_rows(fn, arr: np.ndarray):
+    """fn of a flat vector, applied per row of a (G, flat) array."""
+    return fn(arr) if arr.ndim == 1 else np.stack([fn(row) for row in arr])
+
+
 def _as_flat(family: FamilyDescriptor, values) -> np.ndarray:
-    arr = np.asarray(values, dtype=float).reshape(-1)
-    if arr.size != family.flat_size:
+    """A flat vector, or (G, flat) rows when values is two-dimensional; always a view or a copy."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 2:
+        arr = arr.reshape(-1)
+    if arr.shape[-1] != family.flat_size:
         raise DomainError(
-            f"{family.kind} dim={family.dim} expects {family.flat_size} values, got {arr.size}"
+            f"{family.kind} dim={family.dim} expects {family.flat_size} values, got {arr.shape[-1]}"
         )
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{family.kind} parameters must be finite")
-    return arr
+    _check_rows(
+        np.isfinite(arr.reshape(-1, family.flat_size)).all(axis=1),
+        lambda r: f"{family.kind} parameters must be finite",
+    )
+    return arr.reshape(arr.shape)
 
 
 def _symmetrize_block(family: FamilyDescriptor, arr: np.ndarray) -> np.ndarray:
-    """Replace the D x D block with its symmetric part, in a copy."""
+    """Replace the D x D block (of every row) with its symmetric part, in a copy."""
     d = family.dim
     if family.kind == GAUSSIAN:
         lo = d
@@ -128,9 +172,10 @@ def _symmetrize_block(family: FamilyDescriptor, arr: np.ndarray) -> np.ndarray:
         lo = 1
     else:
         return arr
-    block = arr[lo : lo + d * d].reshape(d, d)
+    lead = arr.shape[:-1]
+    block = arr[..., lo : lo + d * d].reshape(lead + (d, d))
     arr = arr.copy()
-    arr[lo : lo + d * d] = (0.5 * (block + block.T)).reshape(-1)
+    arr[..., lo : lo + d * d] = (0.5 * (block + np.swapaxes(block, -1, -2))).reshape(lead + (d * d,))
     return arr
 
 
@@ -142,20 +187,15 @@ def _chol_or_none(mat: np.ndarray):
 
 
 def _require_spd(mat: np.ndarray, what: str) -> np.ndarray:
-    chol = _chol_or_none(mat)
-    if chol is None:
-        raise DomainError(f"{what} must be symmetric positive-definite")
-    return chol
+    """Cholesky factor of a matrix, or of each matrix of a (G, D, D) stack."""
+    try:
+        return np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        bad = [_chol_or_none(m) is None for m in mat.reshape((-1,) + mat.shape[-2:])]
+        raise DomainError(f"{what} must be symmetric positive-definite", rows=np.flatnonzero(bad)) from None
 
 
-def _require_psd(mat: np.ndarray, what: str) -> None:
-    eigmin = float(np.linalg.eigvalsh(mat)[0])
-    scale = max(1.0, float(np.abs(mat).max()))
-    if eigmin < -_PSD_SLACK * scale:
-        raise DomainError(f"{what} must be positive semidefinite (min eigenvalue {eigmin:g})")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NaturalParam:
     """A point in the natural-parameter domain of one family."""
 
@@ -164,12 +204,12 @@ class NaturalParam:
 
     def __post_init__(self):
         arr = _symmetrize_block(self.family, _as_flat(self.family, self.values))
-        _validate_natural(self.family, arr)
+        _validate_natural(self.family, arr.reshape(-1, self.family.flat_size))
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExpectationParam:
     """Expected sufficient statistics E_q[T(z)] of one family."""
 
@@ -178,9 +218,24 @@ class ExpectationParam:
 
     def __post_init__(self):
         arr = _symmetrize_block(self.family, _as_flat(self.family, self.values))
-        _validate_mean(self.family, arr)
+        _validate_mean(self.family, arr.reshape(-1, self.family.flat_size))
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
+
+
+def split_rows(param):
+    """The one-node parameters of a row-stacked parameter, in row order.
+
+    Each one is a read-only view of its row of the already validated
+    values, so nothing is converted or validated again.
+    """
+    out = []
+    for row in param.values:
+        one = object.__new__(type(param))
+        object.__setattr__(one, "family", param.family)
+        object.__setattr__(one, "values", row)
+        out.append(one)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -188,18 +243,27 @@ class ExpectationParam:
 # --------------------------------------------------------------------------
 
 
+def _beta_shift(family: FamilyDescriptor) -> float:
+    """(alpha, beta) minus the Beta natural parameters: 1 for the constant base measure, 0 for the reciprocal."""
+    return 0.0 if family.base_measure == "reciprocal" else 1.0
+
+
 def _beta_ab_from_flat(family: FamilyDescriptor, arr: np.ndarray) -> tuple[float, float]:
-    if family.base_measure == "reciprocal":
-        return float(arr[0]), float(arr[1])
-    return float(arr[0]) + 1.0, float(arr[1]) + 1.0
+    shift = _beta_shift(family)
+    return float(arr[0]) + shift, float(arr[1]) + shift
 
 
 def _gauss_unpack(family: FamilyDescriptor, arr: np.ndarray):
-    """Return (h, S) with h = S m and S the precision matrix."""
+    """Return (h, S) with h = S m and S the precision matrix, per row of a (G, flat) array."""
     d = family.dim
-    h = arr[:d]
-    s_mat = -2.0 * arr[d:].reshape(d, d)
+    h = arr[..., :d]
+    s_mat = -2.0 * arr[..., d:].reshape(arr.shape[:-1] + (d, d))
     return h, s_mat
+
+
+def _gauss_mean(s_mat: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """m = S^-1 h for one (S, h) pair or per row of stacked ones."""
+    return np.linalg.solve(s_mat, h[..., None])[..., 0]
 
 
 def _gw_unpack(family: FamilyDescriptor, arr: np.ndarray):
@@ -216,47 +280,68 @@ def _gw_unpack(family: FamilyDescriptor, arr: np.ndarray):
     return nu, gamma, m, w_inv
 
 
-def _validate_natural(family: FamilyDescriptor, arr: np.ndarray) -> None:
+def _validate_natural(family: FamilyDescriptor, rows: np.ndarray) -> None:
+    """Domain check of (G, flat) natural parameters."""
     kind = family.kind
     if kind == BERNOULLI:
         return  # finiteness already checked
     if kind == BETA:
-        a, b = _beta_ab_from_flat(family, arr)
-        if a <= 0.0 or b <= 0.0:
-            raise DomainError(f"Beta requires alpha > 0 and beta > 0, got ({a:g}, {b:g})")
+        shift = _beta_shift(family)
+        a, b = rows[:, 0] + shift, rows[:, 1] + shift
+        _check_rows(
+            (a > 0.0) & (b > 0.0),
+            lambda r: f"Beta requires alpha > 0 and beta > 0, got ({a[r]:g}, {b[r]:g})",
+        )
         return
     if kind == GAUSSIAN:
-        _, s_mat = _gauss_unpack(family, arr)
+        _, s_mat = _gauss_unpack(family, rows)
         _require_spd(s_mat, "Gaussian precision S")
         return
-    nu, gamma, _, w_inv = _gw_unpack(family, arr)
-    if nu <= family.dim - 1:
-        raise DomainError(f"Gaussian-Wishart requires nu > D-1, got nu={nu:g}")
-    _require_spd(w_inv, "Gaussian-Wishart W^-1")
+
+    def check_gw(arr):
+        nu, _, _, w_inv = _gw_unpack(family, arr)
+        if nu <= family.dim - 1:
+            raise DomainError(f"Gaussian-Wishart requires nu > D-1, got nu={nu:g}")
+        _require_spd(w_inv, "Gaussian-Wishart W^-1")
+
+    _each_row(check_gw, rows)
 
 
-def _validate_mean(family: FamilyDescriptor, arr: np.ndarray) -> None:
+def _validate_mean(family: FamilyDescriptor, rows: np.ndarray) -> None:
+    """Domain check of (G, flat) expectation parameters."""
     kind = family.kind
     d = family.dim
     if kind == BERNOULLI:
-        if not 0.0 < arr[0] < 1.0:
-            raise DomainError(f"Bernoulli mean must lie in (0,1), got {arr[0]:g}")
+        p = rows[:, 0]
+        _check_rows((0.0 < p) & (p < 1.0), lambda r: f"Bernoulli mean must lie in (0,1), got {p[r]:g}")
         return
     if kind == BETA:
-        if arr[0] >= 0.0 or arr[1] >= 0.0:
-            raise DomainError("Beta expectation components E[log z], E[log(1-z)] must be negative")
+        _check_rows(
+            (rows[:, 0] < 0.0) & (rows[:, 1] < 0.0),
+            lambda r: "Beta expectation components E[log z], E[log(1-z)] must be negative",
+        )
         return
     if kind == GAUSSIAN:
-        m = arr[:d]
-        ezz = arr[d:].reshape(d, d)
-        _require_psd(ezz - np.outer(m, m), "Gaussian second-moment slack E[zz^T]-E[z]E[z]^T")
+        m = rows[:, :d]
+        slack = rows[:, d:].reshape(-1, d, d) - m[:, :, None] * m[:, None, :]
+        eigmin = np.linalg.eigvalsh(slack)[:, 0]
+        scale = np.maximum(1.0, np.abs(slack).max(axis=(1, 2)))
+        _check_rows(
+            ~(eigmin < -_PSD_SLACK * scale),
+            lambda r: "Gaussian second-moment slack E[zz^T]-E[z]E[z]^T must be positive "
+            f"semidefinite (min eigenvalue {eigmin[r]:g})",
+        )
         return
-    ez2 = arr[1 : 1 + d * d].reshape(d, d)
-    _require_spd(ez2, "Gaussian-Wishart E[Z2]")
-    mu3 = arr[1 + d * d : 1 + d * d + d]
-    slack = arr[-1] - float(mu3 @ np.linalg.solve(ez2, mu3))
-    if slack < -_PSD_SLACK * max(1.0, abs(arr[-1])):
-        raise DomainError(f"Gaussian-Wishart quadratic-form slack must be nonnegative, got {slack:g}")
+
+    def check_gw(arr):
+        ez2 = arr[1 : 1 + d * d].reshape(d, d)
+        _require_spd(ez2, "Gaussian-Wishart E[Z2]")
+        mu3 = arr[1 + d * d : 1 + d * d + d]
+        slack = arr[-1] - float(mu3 @ np.linalg.solve(ez2, mu3))
+        if slack < -_PSD_SLACK * max(1.0, abs(arr[-1])):
+            raise DomainError(f"Gaussian-Wishart quadratic-form slack must be nonnegative, got {slack:g}")
+
+    _each_row(check_gw, rows)
 
 
 # --------------------------------------------------------------------------
@@ -309,9 +394,10 @@ def beta_ab(lam: NaturalParam) -> tuple[float, float]:
 
 
 def gaussian_mean_precision(lam: NaturalParam) -> tuple[np.ndarray, np.ndarray]:
+    """(m, S), per row for a row-stacked parameter."""
     _expect_kind(lam, GAUSSIAN)
     h, s_mat = _gauss_unpack(lam.family, lam.values)
-    return np.linalg.solve(s_mat, h), s_mat
+    return _gauss_mean(s_mat, h), s_mat
 
 
 def gw_params(lam: NaturalParam) -> tuple[float, float, np.ndarray, np.ndarray]:
@@ -333,27 +419,33 @@ def _expect_kind(param, kind: str) -> None:
 
 
 def nat_to_mean(lam: NaturalParam) -> ExpectationParam:
-    """Map natural parameters to expected sufficient statistics."""
+    """Map natural parameters to expected sufficient statistics, row by row if stacked."""
     fam = lam.family
     kind = fam.kind
+    arr = lam.values
     if kind == BERNOULLI:
-        lv = float(lam.values[0])
-        p = 1.0 / (1.0 + math.exp(-lv)) if lv >= 0 else math.exp(lv) / (1.0 + math.exp(lv))
+        lv = arr[..., 0]
+        e = np.exp(-np.abs(lv))
+        p = np.where(lv >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
         # Large |lambda| rounds the sigmoid onto the boundary; keep the mean
         # inside the open interval the invariants (and the inverse) require.
-        p = min(max(p, 1e-300), 1.0 - 1e-16)
-        return ExpectationParam(fam, np.array([p]))
+        return ExpectationParam(fam, np.clip(p, 1e-300, 1.0 - 1e-16)[..., None])
     if kind == BETA:
-        a, b = _beta_ab_from_flat(fam, lam.values)
-        psum = digamma(a + b)
-        return ExpectationParam(fam, np.array([digamma(a) - psum, digamma(b) - psum]))
+
+        def beta_mean(row):
+            a, b = _beta_ab_from_flat(fam, row)
+            psum = digamma(a + b)
+            return np.array([digamma(a) - psum, digamma(b) - psum])
+
+        return ExpectationParam(fam, _map_rows(beta_mean, arr))
     if kind == GAUSSIAN:
-        h, s_mat = _gauss_unpack(fam, lam.values)
+        h, s_mat = _gauss_unpack(fam, arr)
         chol = _require_spd(s_mat, "Gaussian precision S")
-        m = np.linalg.solve(s_mat, h)
-        cov = np.linalg.solve(chol.T, np.linalg.solve(chol, np.eye(fam.dim)))
-        return ExpectationParam(fam, np.concatenate([m, (cov + np.outer(m, m)).reshape(-1)]))
-    return gw_moments(lam)
+        m = _gauss_mean(s_mat, h)
+        cov = np.linalg.solve(np.swapaxes(chol, -1, -2), np.linalg.solve(chol, np.eye(fam.dim)))
+        second = cov + m[..., :, None] * m[..., None, :]
+        return ExpectationParam(fam, np.concatenate([m, second.reshape(m.shape[:-1] + (-1,))], axis=-1))
+    return ExpectationParam(fam, _map_rows(lambda row: _gw_mean(fam, row), arr))
 
 
 def gw_moments(lam: NaturalParam) -> ExpectationParam:
@@ -362,9 +454,12 @@ def gw_moments(lam: NaturalParam) -> ExpectationParam:
     Returns (E[log|Z2|], E[Z2], E[Z2 z1], E[z1^T Z2 z1]) laid out flat.
     """
     _expect_kind(lam, GAUSSIAN_WISHART)
-    fam = lam.family
+    return ExpectationParam(lam.family, _gw_mean(lam.family, lam.values))
+
+
+def _gw_mean(fam: FamilyDescriptor, arr: np.ndarray) -> np.ndarray:
     d = fam.dim
-    nu, gamma, m, w_inv = _gw_unpack(fam, lam.values)
+    nu, gamma, m, w_inv = _gw_unpack(fam, arr)
     w = np.linalg.inv(w_inv)
     w = 0.5 * (w + w.T)
     sign, logdet_w = np.linalg.slogdet(w)
@@ -374,7 +469,7 @@ def gw_moments(lam: NaturalParam) -> ExpectationParam:
     e_z2 = nu * w
     e_z2z1 = e_z2 @ m
     e_quad = float(nu * m @ w @ m) + d / gamma
-    return ExpectationParam(fam, np.concatenate([[e_logdet], e_z2.reshape(-1), e_z2z1, [e_quad]]))
+    return np.concatenate([[e_logdet], e_z2.reshape(-1), e_z2z1, [e_quad]])
 
 
 def mean_to_nat(mu: ExpectationParam) -> NaturalParam:
@@ -535,25 +630,30 @@ def _invert_gw_moments(mu: ExpectationParam, max_iter: int = 200, tol: float = 1
     return gw_natural(nu, gamma, m, w)
 
 
-def log_partition(lam: NaturalParam) -> float:
-    """Log normalizer A(lam): q(z) = h(z) exp(<T(z), lam> - A(lam))."""
+def log_partition(lam: NaturalParam):
+    """Log normalizer A(lam): q(z) = h(z) exp(<T(z), lam> - A(lam)); one value per row if stacked."""
     fam = lam.family
     kind = fam.kind
+    arr = lam.values
     if kind == BERNOULLI:
-        lv = float(lam.values[0])
-        return max(lv, 0.0) + math.log1p(math.exp(-abs(lv)))
-    if kind == BETA:
-        a, b = _beta_ab_from_flat(fam, lam.values)
-        return betaln(a, b)
-    if kind == GAUSSIAN:
-        d = fam.dim
-        h, s_mat = _gauss_unpack(fam, lam.values)
+        lv = arr[..., 0]
+        out = np.maximum(lv, 0.0) + np.log1p(np.exp(-np.abs(lv)))
+    elif kind == BETA:
+        out = _map_rows(lambda row: betaln(*_beta_ab_from_flat(fam, row)), arr)
+    elif kind == GAUSSIAN:
+        h, s_mat = _gauss_unpack(fam, arr)
         chol = _require_spd(s_mat, "Gaussian precision S")
-        logdet_s = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        m = np.linalg.solve(s_mat, h)
-        return 0.5 * float(h @ m) - 0.5 * logdet_s + 0.5 * d * math.log(2.0 * math.pi)
+        logdet_s = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+        hm = np.sum(h * _gauss_mean(s_mat, h), axis=-1)
+        out = 0.5 * hm - 0.5 * logdet_s + 0.5 * fam.dim * math.log(2.0 * math.pi)
+    else:
+        out = _map_rows(lambda row: _gw_log_partition(fam, row), arr)
+    return float(out) if arr.ndim == 1 else out
+
+
+def _gw_log_partition(fam: FamilyDescriptor, arr: np.ndarray) -> float:
     d = fam.dim
-    nu, gamma, _, w_inv = _gw_unpack(fam, lam.values)
+    nu, gamma, _, w_inv = _gw_unpack(fam, arr)
     sign, logdet_winv = np.linalg.slogdet(w_inv)
     if sign <= 0:
         raise DomainError("Gaussian-Wishart W^-1 must be positive-definite")
@@ -567,16 +667,17 @@ def log_partition(lam: NaturalParam) -> float:
     )
 
 
-def _expected_log_base(lam: NaturalParam, mu: ExpectationParam) -> float:
+def entropy(lam: NaturalParam, mu: ExpectationParam | None = None):
+    """Differential (or discrete) entropy of q_lam; one value per row if stacked.
+
+    ``mu`` may pass the expectations already known to match lam.
+    """
+    if mu is None:
+        mu = nat_to_mean(lam)
+    out = log_partition(lam) - np.sum(lam.values * mu.values, axis=-1)
     if lam.family.base_measure == "reciprocal":
-        return -float(mu.values[0]) - float(mu.values[1])
-    return 0.0
-
-
-def entropy(lam: NaturalParam) -> float:
-    """Differential (or discrete) entropy of q_lam."""
-    mu = nat_to_mean(lam)
-    return log_partition(lam) - float(lam.values @ mu.values) - _expected_log_base(lam, mu)
+        out = out - (-mu.values[..., 0] - mu.values[..., 1])  # minus E[log h]
+    return float(out) if lam.values.ndim == 1 else out
 
 
 def kl_divergence(lam1: NaturalParam, lam2: NaturalParam) -> float:

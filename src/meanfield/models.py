@@ -5,6 +5,11 @@ every node's expectation vector, so the engine can read the update target
 for node i straight off the terms multiplying that node's expectations.
 All expected-log-joint values include their additive constants (Gaussian
 and prior normalizers), so ELBO values are absolute.
+
+Every provider declares its plates: the indicators z0..z{N-1} form plate
+"z", the factor rows and columns plates "u" and "v", and each global is a
+plate of its own.  Snapshots hold one (G, flat) array per plate, and every
+coefficient is returned for a whole plate as a (G, flat) array.
 """
 
 from __future__ import annotations
@@ -15,8 +20,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import expfam
-from .engine import GLOBAL, LOCAL, CoefficientProvider, ModelSpec, NodeState
-from .expfam import NumericalError, beta_natural, bernoulli_natural, gaussian_natural, gw_natural
+from .engine import GLOBAL, LOCAL, CoefficientProvider, ModelSpec, Plate
+from .expfam import NaturalParam, NumericalError, beta_natural, gw_natural
 from .specfun import betaln, gammaln
 
 __all__ = [
@@ -188,43 +193,54 @@ class LogitNormalMixtureData(_MixtureLogLiks):
 # --------------------------------------------------------------------------
 # Bernoulli indicators shared by the two-level, GMM and logit-normal models:
 # z_i ~ Bernoulli(pi) picks component a (z_i = 1) or b for observation i,
-# and log_a, log_b are the (expected) component log-likelihoods.
+# and log_a, log_b are the (expected) component log-likelihoods.  The
+# indicators form plate "z" and the weight is plate "pi".
 # --------------------------------------------------------------------------
 
 
-def _z_ids(n: int) -> list[str]:
-    return [f"z{i}" for i in range(n)]
+def _z_ids(n: int) -> tuple[str, ...]:
+    return tuple(f"z{i}" for i in range(n))
 
 
-def _indicator_nodes(ids, rng) -> list[NodeState]:
-    """Local Bernoulli nodes whose initial means are jittered around 1/2."""
-    nodes = []
-    for nid in ids:
-        p = 0.5 + rng.uniform(-_INIT_JITTER, _INIT_JITTER)
-        nodes.append(NodeState.make(nid, bernoulli_natural(math.log(p / (1 - p))), role=LOCAL))
-    return nodes
+def _indicator_plate(ids, rng) -> Plate:
+    """Local Bernoulli plate whose initial means are jittered around 1/2."""
+    p = 0.5 + rng.uniform(-_INIT_JITTER, _INIT_JITTER, size=len(ids))
+    lam = NaturalParam(expfam.FamilyDescriptor(expfam.BERNOULLI), np.log(p / (1 - p))[:, None])
+    return Plate.make(ids, lam, role=LOCAL)
 
 
-def _responsibilities(mus, n: int) -> np.ndarray:
-    """q(z_i = 1) for every indicator."""
-    return np.array([float(mus[z][0]) for z in _z_ids(n)])
+def _global(node_id: str, lam) -> Plate:
+    """A plate of one global node."""
+    return Plate.make((node_id,), NaturalParam(lam.family, lam.values[None, :]), role=GLOBAL)
+
+
+def _model_spec(plates: dict[str, Plate], provider, sweep_order=None) -> ModelSpec:
+    """The model whose per-id nodes are the rows of the initial plates."""
+    nodes = tuple(node for plate in plates.values() for node in plate.nodes())
+    return ModelSpec(nodes, provider, sweep_order)
 
 
 def _indicator_coefficient(mus, log_a, log_b) -> np.ndarray:
-    """Log odds of one indicator, with E[log pi] and E[log(1 - pi)] read off mus["pi"]."""
-    mu0 = mus["pi"]
-    return np.array([(mu0[0] + log_a) - (mu0[1] + log_b)])
+    """Log odds of every indicator, with E[log pi] and E[log(1 - pi)] read off plate "pi".
+
+    Log-likelihoods near the float limit overflow to an infinite target,
+    which the engine reports; the overflow itself is not a warning.
+    """
+    mu0 = mus["pi"][0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ((mu0[0] + log_a) - (mu0[1] + log_b))[:, None]
 
 
-def _weight_coefficient(a: float, b: float, mus, n: int) -> np.ndarray:
-    """Coefficient of the weight node pi when its prior has Beta exponents (a, b)."""
-    s = float(_responsibilities(mus, n).sum())
-    return np.array([a - 1.0 + s, n + b - 1.0 - s])
+def _weight_coefficient(a: float, b: float, mus) -> np.ndarray:
+    """Coefficient of the weight plate pi when its prior has Beta exponents (a, b)."""
+    r = mus["z"][:, 0]
+    s = float(r.sum())
+    return np.array([[a - 1.0 + s, r.size + b - 1.0 - s]])
 
 
-def _indicator_log_joint(mus, n: int, log_a, log_b) -> float:
+def _indicator_log_joint(mus, log_a, log_b) -> float:
     """Sum over i of E_q[log p(z_i | pi) + log p(y_i | z_i)]."""
-    r, mu0 = _responsibilities(mus, n), mus["pi"]
+    r, mu0 = mus["z"][:, 0], mus["pi"][0]
     return float(r @ (log_a + mu0[0]) + (1.0 - r) @ (log_b + mu0[1]))
 
 
@@ -236,26 +252,28 @@ def _indicator_log_joint(mus, n: int, log_a, log_b) -> float:
 class SimpleMixtureProvider(CoefficientProvider):
     """Single Bernoulli indicator; its coefficient is the prior-weighted log odds."""
 
-    def coefficient(self, node_id, mus, data: SimpleMixtureData):
-        if node_id != "z":
-            raise KeyError(node_id)
+    plates = {"z": ("z",)}
+
+    def coefficient(self, plate, mus, data: SimpleMixtureData):
+        if plate != "z":
+            raise KeyError(plate)
         return np.array(
-            [math.log(data.pi0 * data.pa) - math.log((1.0 - data.pi0) * data.pb)]
+            [[math.log(data.pi0 * data.pa) - math.log((1.0 - data.pi0) * data.pb)]]
         )
 
     def expected_log_joint(self, mus, data: SimpleMixtureData):
-        mu = float(mus["z"][0])
+        mu = float(mus["z"][0, 0])
         odds = math.log(data.pi0 * data.pa) - math.log((1.0 - data.pi0) * data.pb)
         return mu * odds + math.log((1.0 - data.pi0) * data.pb)
 
     @property
-    def conjugate_node_ids(self):
+    def conjugate_plates(self):
         return ("z",)
 
 
 def build_simple_mixture(data: SimpleMixtureData, seed: int = 0) -> ModelSpec:
-    nodes = _indicator_nodes(["z"], np.random.default_rng(seed))
-    return ModelSpec(tuple(nodes), SimpleMixtureProvider())
+    plates = {"z": _indicator_plate(("z",), np.random.default_rng(seed))}
+    return _model_spec(plates, SimpleMixtureProvider())
 
 
 # --------------------------------------------------------------------------
@@ -272,39 +290,40 @@ class TwoLevelProvider(CoefficientProvider):
     """
 
     def __init__(self, n: int, shifted_beta: bool = False):
-        self.n = n
         self.shifted_beta = shifted_beta
+        self.plates = {"z": _z_ids(n), "pi": ("pi",)}
 
-    def coefficient(self, node_id, mus, data: TwoLevelMixtureData):
-        if node_id == "pi":
-            return _weight_coefficient(data.alpha0, data.beta0, mus, self.n)
-        i = int(node_id[1:])
-        return _indicator_coefficient(mus, data.log_pa[i], data.log_pb[i])
+    def coefficient(self, plate, mus, data: TwoLevelMixtureData):
+        if plate == "pi":
+            return _weight_coefficient(data.alpha0, data.beta0, mus)
+        return _indicator_coefficient(mus, data.log_pa, data.log_pb)
 
     def expected_log_joint(self, mus, data: TwoLevelMixtureData):
-        mu0 = mus["pi"]
+        mu0 = mus["pi"][0]
         total = (data.alpha0 - 1.0) * mu0[0] + (data.beta0 - 1.0) * mu0[1]
         total -= betaln(data.alpha0, data.beta0)
-        return float(total + _indicator_log_joint(mus, self.n, data.log_pa, data.log_pb))
+        return float(total + _indicator_log_joint(mus, data.log_pa, data.log_pb))
 
-    def base_measure_grad(self, node_id):
-        if self.shifted_beta and node_id == "pi":
-            return np.array([-1.0, -1.0])
+    def base_measure_grad(self, plate):
+        if self.shifted_beta and plate == "pi":
+            return np.array([[-1.0, -1.0]])
         return None
 
     @property
-    def conjugate_node_ids(self):
-        return tuple(_z_ids(self.n)) + ("pi",)
+    def conjugate_plates(self):
+        return ("z", "pi")
 
 
 def build_two_level(
     data: TwoLevelMixtureData, seed: int = 0, shifted_beta: bool = False
 ) -> ModelSpec:
-    nodes = _indicator_nodes(_z_ids(data.n), np.random.default_rng(seed))
+    provider = TwoLevelProvider(data.n, shifted_beta)
     base = "reciprocal" if shifted_beta else "constant"
-    lam = beta_natural(data.alpha0, data.beta0, base_measure=base)
-    nodes.append(NodeState.make("pi", lam, role=GLOBAL))
-    return ModelSpec(tuple(nodes), TwoLevelProvider(data.n, shifted_beta))
+    plates = {
+        "z": _indicator_plate(provider.plates["z"], np.random.default_rng(seed)),
+        "pi": _global("pi", beta_natural(data.alpha0, data.beta0, base_measure=base)),
+    }
+    return _model_spec(plates, provider)
 
 
 # --------------------------------------------------------------------------
@@ -325,8 +344,8 @@ class GMMProvider(CoefficientProvider):
     """Bernoulli responsibilities, a Beta weight, and two Gaussian-Wishart components."""
 
     def __init__(self, data: GMMData):
-        self.n = data.n
         self.d = data.dim
+        self.plates = {"z": _z_ids(data.n), "pi": ("pi",), "comp_a": ("comp_a",), "comp_b": ("comp_b",)}
         # The conjugate prior's term in a component's coefficient is its natural parameter.
         self._prior = gw_natural(data.nu0, data.gamma0, np.zeros(self.d), data.w0).values
         self._yy = np.einsum("ni,nj->nij", data.y, data.y)
@@ -340,47 +359,49 @@ class GMMProvider(CoefficientProvider):
         )
         self._prior_const = 0.5 * d * math.log(data.gamma0) - 0.5 * d * LOG_2PI + log_b
 
-    def coefficient(self, node_id, mus, data: GMMData):
-        if node_id == "pi":
-            return _weight_coefficient(data.alpha0, data.beta0, mus, self.n)
-        if node_id in ("comp_a", "comp_b"):
-            r = _responsibilities(mus, self.n)
-            w = r if node_id == "comp_a" else 1.0 - r
+    def coefficient(self, plate, mus, data: GMMData):
+        if plate == "pi":
+            return _weight_coefficient(data.alpha0, data.beta0, mus)
+        if plate in ("comp_a", "comp_b"):
+            r = mus["z"][:, 0]
+            w = r if plate == "comp_a" else 1.0 - r
             s = float(w.sum())
             yy = -0.5 * np.einsum("n,nij->ij", w, self._yy).reshape(-1)
-            return self._prior + np.concatenate([[0.5 * s], yy, w @ data.y, [-0.5 * s]])
-        i = int(node_id[1:])
-        ea = expected_log_component(mus["comp_a"], data.y[i], self.d)
-        eb = expected_log_component(mus["comp_b"], data.y[i], self.d)
+            return (self._prior + np.concatenate([[0.5 * s], yy, w @ data.y, [-0.5 * s]]))[None, :]
+        ea = expected_log_component(mus["comp_a"][0], data.y, self.d)
+        eb = expected_log_component(mus["comp_b"][0], data.y, self.d)
         return _indicator_coefficient(mus, ea, eb)
 
     def expected_log_joint(self, mus, data: GMMData):
-        mu0 = mus["pi"]
+        mu0 = mus["pi"][0]
         total = (data.alpha0 - 1.0) * mu0[0] + (data.beta0 - 1.0) * mu0[1]
         total -= betaln(data.alpha0, data.beta0)
-        ea = expected_log_component(mus["comp_a"], data.y, self.d)
-        eb = expected_log_component(mus["comp_b"], data.y, self.d)
-        total += _indicator_log_joint(mus, self.n, ea, eb)
+        ea = expected_log_component(mus["comp_a"][0], data.y, self.d)
+        eb = expected_log_component(mus["comp_b"][0], data.y, self.d)
+        total += _indicator_log_joint(mus, ea, eb)
         for comp in ("comp_a", "comp_b"):
-            total += float(self._prior @ mus[comp]) + self._prior_const
+            total += float(self._prior @ mus[comp][0]) + self._prior_const
         return float(total)
 
     @property
-    def conjugate_node_ids(self):
-        return tuple(_z_ids(self.n)) + ("pi", "comp_a", "comp_b")
+    def conjugate_plates(self):
+        return ("z", "pi", "comp_a", "comp_b")
 
 
 def build_gmm2(data: GMMData, seed: int = 0) -> ModelSpec:
-    nodes = _indicator_nodes(_z_ids(data.n), np.random.default_rng(seed))
-    nodes.append(NodeState.make("pi", beta_natural(data.alpha0, data.beta0), role=GLOBAL))
+    provider = GMMProvider(data)
     prior = gw_natural(data.nu0, data.gamma0, np.zeros(data.dim), data.w0)
-    nodes.append(NodeState.make("comp_a", prior, role=GLOBAL))
-    nodes.append(NodeState.make("comp_b", prior, role=GLOBAL))
+    plates = {
+        "z": _indicator_plate(provider.plates["z"], np.random.default_rng(seed)),
+        "pi": _global("pi", beta_natural(data.alpha0, data.beta0)),
+        "comp_a": _global("comp_a", prior),
+        "comp_b": _global("comp_b", prior),
+    }
     # Globals first: a locals-first sweep would overwrite the perturbed
     # responsibilities while the components are still identical, freezing the
     # model at the symmetric fixed point.
-    order = ("pi", "comp_a", "comp_b") + tuple(_z_ids(data.n))
-    return ModelSpec(tuple(nodes), GMMProvider(data), sweep_order=order)
+    order = ("pi", "comp_a", "comp_b", "z")
+    return _model_spec(plates, provider, sweep_order=order)
 
 
 # --------------------------------------------------------------------------
@@ -388,48 +409,42 @@ def build_gmm2(data: GMMData, seed: int = 0) -> ModelSpec:
 # --------------------------------------------------------------------------
 
 
-def _u_ids(n: int) -> list[str]:
-    return [f"u{i}" for i in range(n)]
-
-
-def _v_ids(d: int) -> list[str]:
-    return [f"v{j}" for j in range(d)]
-
-
 def _split_gauss(mu: np.ndarray, k: int):
-    return mu[:k], mu[k:].reshape(k, k)
+    """(E[x], E[x x^T]) per row of a (G, K + K^2) Gaussian plate."""
+    return mu[:, :k], mu[:, k:].reshape(-1, k, k)
 
 
 class MatrixFactorizationProvider(CoefficientProvider):
-    """Gaussian row/column factors under an i.i.d. unit-noise likelihood."""
+    """Gaussian row/column factors under an i.i.d. unit-noise likelihood.
+
+    The row factors u0..u{N-1} form plate "u" and the column factors
+    v0..v{D-1} plate "v"; each reads only the other plate.
+    """
 
     def __init__(self, data: MatrixFactorizationData):
         self.n = data.n
         self.d = data.d
         self.k = data.k
+        self.plates = {
+            "u": tuple(f"u{i}" for i in range(self.n)),
+            "v": tuple(f"v{j}" for j in range(self.d)),
+        }
 
-    def coefficient(self, node_id, mus, data: MatrixFactorizationData):
+    def coefficient(self, plate, mus, data: MatrixFactorizationData):
         k = self.k
-        if node_id.startswith("u"):
-            i = int(node_id[1:])
-            other_ids, weights, delta = _v_ids(self.d), data.y[i, :], data.delta_u
+        if plate == "u":
+            other, weights, delta = mus["v"], data.y, data.delta_u
         else:
-            j = int(node_id[1:])
-            other_ids, weights, delta = _u_ids(self.n), data.y[:, j], data.delta_v
-        lin = np.zeros(k)
-        prec = delta * np.eye(k)
-        for w, oid in zip(weights, other_ids):
-            m1, m2 = _split_gauss(mus[oid], k)
-            lin += w * m1
-            prec += m2
-        return np.concatenate([lin, (-0.5 * prec).reshape(-1)])
+            other, weights, delta = mus["u"], data.y.T, data.delta_v
+        m1, m2 = _split_gauss(other, k)
+        prec = delta * np.eye(k) + m2.sum(axis=0)
+        quad = np.broadcast_to((-0.5 * prec).reshape(-1), (weights.shape[0], k * k))
+        return np.concatenate([weights @ m1, quad], axis=1)
 
     def expected_log_joint(self, mus, data: MatrixFactorizationData):
         k = self.k
-        u1 = np.stack([_split_gauss(mus[uid], k)[0] for uid in _u_ids(self.n)])
-        u2 = np.stack([_split_gauss(mus[uid], k)[1] for uid in _u_ids(self.n)])
-        v1 = np.stack([_split_gauss(mus[vid], k)[0] for vid in _v_ids(self.d)])
-        v2 = np.stack([_split_gauss(mus[vid], k)[1] for vid in _v_ids(self.d)])
+        u1, u2 = _split_gauss(mus["u"], k)
+        v1, v2 = _split_gauss(mus["v"], k)
         total = -0.5 * float(np.sum(data.y * data.y))
         total += float(np.sum(data.y * (u1 @ v1.T)))
         total -= 0.5 * float(np.einsum("nab,dab->", u2, v2))
@@ -441,8 +456,8 @@ class MatrixFactorizationProvider(CoefficientProvider):
         return total
 
     @property
-    def conjugate_node_ids(self):
-        return tuple(_u_ids(self.n)) + tuple(_v_ids(self.d))
+    def conjugate_plates(self):
+        return ("u", "v")
 
 
 def build_matfac(
@@ -452,24 +467,29 @@ def build_matfac(
     if mode not in ("vmp", "ppca", "als"):
         raise ValueError(f"unknown matrix-factorization mode {mode!r}")
     rng = np.random.default_rng(seed)
-    delta_u_nodes = mode == "als"
-    delta_v_nodes = mode in ("ppca", "als")
-    nodes = []
-    # Zero means are a stationary point of every variant, so initial means
-    # get a small seeded perturbation; precisions start at the prior.
-    for i in range(data.n):
-        lam = gaussian_natural(0.1 * rng.standard_normal(data.k), data.delta_u * np.eye(data.k))
-        nodes.append(NodeState.make(f"u{i}", lam, role=LOCAL, delta_mode=delta_u_nodes))
-    for j in range(data.d):
-        lam = gaussian_natural(0.1 * rng.standard_normal(data.k), data.delta_v * np.eye(data.k))
-        nodes.append(NodeState.make(f"v{j}", lam, role=LOCAL, delta_mode=delta_v_nodes))
-    return ModelSpec(tuple(nodes), MatrixFactorizationProvider(data))
+    provider = MatrixFactorizationProvider(data)
+    fam = expfam.FamilyDescriptor(expfam.GAUSSIAN, dim=data.k)
+
+    def factors(name: str, delta: float, delta_mode: bool) -> Plate:
+        # Zero means are a stationary point of every variant, so initial means
+        # get a small seeded perturbation; precisions start at the prior.
+        m = 0.1 * rng.standard_normal((len(provider.plates[name]), data.k))
+        prec = delta * np.eye(data.k)
+        quad = np.broadcast_to((-0.5 * prec).reshape(-1), (m.shape[0], data.k * data.k))
+        lam = NaturalParam(fam, np.concatenate([m @ prec.T, quad], axis=1))
+        return Plate.make(provider.plates[name], lam, role=LOCAL, delta_mode=delta_mode)
+
+    plates = {
+        "u": factors("u", data.delta_u, mode == "als"),
+        "v": factors("v", data.delta_v, mode in ("ppca", "als")),
+    }
+    return _model_spec(plates, provider)
 
 
 def als_objective(state, data: MatrixFactorizationData) -> float:
-    """Regularized squared loss at the current factor means."""
-    u = np.stack([expfam.gaussian_mean_precision(state[uid].lam)[0] for uid in _u_ids(data.n)])
-    v = np.stack([expfam.gaussian_mean_precision(state[vid].lam)[0] for vid in _v_ids(data.d)])
+    """Regularized squared loss at the current factor means of a per-id state."""
+    u = np.stack([expfam.gaussian_mean_precision(state[f"u{i}"].lam)[0] for i in range(data.n)])
+    v = np.stack([expfam.gaussian_mean_precision(state[f"v{j}"].lam)[0] for j in range(data.d)])
     resid = data.y - u @ v.T
     return 0.5 * float(np.sum(resid * resid)) + 0.5 * data.delta_u * float(
         np.sum(u * u)
@@ -492,7 +512,7 @@ def _beta_logit_rule(a: float, b: float, nodes_per_panel: int):
     """
 
     def logdens(t):
-        return -a * np.log1p(np.exp(-t)) - b * np.log1p(np.exp(t)) - betaln(a, b)
+        return a * _log_sigmoid(t) + b * _log_sigmoid(-t) - betaln(a, b)
 
     mode = math.log(a / b)
     peak = logdens(mode)
@@ -512,6 +532,11 @@ def _beta_logit_rule(a: float, b: float, nodes_per_panel: int):
     return t, wq / wq.sum()
 
 
+def _log_sigmoid(t):
+    """log sigmoid(t) = -log(1 + e^-t), without overflow for any t."""
+    return -np.logaddexp(0.0, -t)
+
+
 def _f_at_nodes(f, t: np.ndarray) -> np.ndarray:
     """f(z) at the quadrature nodes z = sigmoid(t), clamped into the open interval.
 
@@ -519,7 +544,7 @@ def _f_at_nodes(f, t: np.ndarray) -> np.ndarray:
     weight there is below e^-37, so the clamp is invisible in the integrals
     and only keeps f(z) finite at the tail nodes.
     """
-    z = np.clip(1.0 / (1.0 + np.exp(-t)), 1e-300, 1.0 - 1e-16)
+    z = np.clip(np.exp(_log_sigmoid(t)), 1e-300, 1.0 - 1e-16)
     return np.array([f(zi) for zi in z], dtype=float)
 
 
@@ -542,7 +567,7 @@ def beta_natural_gradient(lam, f) -> np.ndarray:
 
     def estimate(nodes_per_panel):
         t, wq = _beta_logit_rule(a, b, nodes_per_panel)
-        t_stats = np.stack([-np.log1p(np.exp(-t)), -np.log1p(np.exp(t))])  # (log z, log(1-z))
+        t_stats = np.stack([_log_sigmoid(t), _log_sigmoid(-t)])  # (log z, log(1-z))
         fx = _f_at_nodes(f, t)
         t_mean = t_stats @ wq
         tc = t_stats - t_mean[:, None]
@@ -552,7 +577,7 @@ def beta_natural_gradient(lam, f) -> np.ndarray:
 
     g1 = estimate(_QUAD_ORDER)
     g2 = estimate(2 * _QUAD_ORDER)
-    if float(np.max(np.abs(g1 - g2))) > _QUAD_CHECK_TOL:
+    if not float(np.max(np.abs(g1 - g2))) <= _QUAD_CHECK_TOL:  # a NaN fails too
         raise NumericalError(
             f"quadrature for the natural gradient did not converge: {g1} vs {g2}"
         )
@@ -576,8 +601,8 @@ class LogitNormalProvider(CoefficientProvider):
     """
 
     def __init__(self, n: int, log_prior_core=None):
-        self.n = n
         self.log_prior_core = log_prior_core
+        self.plates = {"z": _z_ids(n), "pi": ("pi",)}
 
     def _f(self, data: LogitNormalMixtureData):
         if self.log_prior_core is not None:
@@ -589,28 +614,30 @@ class LogitNormalProvider(CoefficientProvider):
         """(alpha_hat, beta_hat): natural gradient of the non-conjugate term."""
         return beta_natural_gradient(_beta_from_mean(mu0), self._f(data))
 
-    def coefficient(self, node_id, mus, data: LogitNormalMixtureData):
-        if node_id == "pi":
+    def coefficient(self, plate, mus, data: LogitNormalMixtureData):
+        if plate == "pi":
             # the prior's base measure contributes (-1, -1) and the pseudo
             # prior (alpha_hat, beta_hat): Beta exponents of a conjugate term
-            ab_hat = self.pseudo_prior(mus["pi"], data)
-            return _weight_coefficient(ab_hat[0], ab_hat[1], mus, self.n)
-        i = int(node_id[1:])
-        return _indicator_coefficient(mus, data.log_pa[i], data.log_pb[i])
+            ab_hat = self.pseudo_prior(mus["pi"][0], data)
+            return _weight_coefficient(ab_hat[0], ab_hat[1], mus)
+        return _indicator_coefficient(mus, data.log_pa, data.log_pb)
 
     def expected_log_joint(self, mus, data: LogitNormalMixtureData):
-        mu0 = mus["pi"]
+        mu0 = mus["pi"][0]
         total = -float(mu0[0]) - float(mu0[1])  # prior base measure 1/(z(1-z))
         total -= 0.5 * LOG_2PI  # logit-normal (sigma = 1) normalizer
         total += _beta_expect(_beta_from_mean(mu0), self._f(data))
-        return float(total + _indicator_log_joint(mus, self.n, data.log_pa, data.log_pb))
+        return float(total + _indicator_log_joint(mus, data.log_pa, data.log_pb))
 
     @property
-    def conjugate_node_ids(self):
-        return tuple(_z_ids(self.n))  # the weight node is non-conjugate
+    def conjugate_plates(self):
+        return ("z",)  # the weight node is non-conjugate
 
 
 def build_logitnormal(data: LogitNormalMixtureData, seed: int = 0) -> ModelSpec:
-    nodes = _indicator_nodes(_z_ids(data.n), np.random.default_rng(seed))
-    nodes.append(NodeState.make("pi", beta_natural(1.0, 1.0), role=GLOBAL))
-    return ModelSpec(tuple(nodes), LogitNormalProvider(data.n))
+    provider = LogitNormalProvider(data.n)
+    plates = {
+        "z": _indicator_plate(provider.plates["z"], np.random.default_rng(seed)),
+        "pi": _global("pi", beta_natural(1.0, 1.0)),
+    }
+    return _model_spec(plates, provider)

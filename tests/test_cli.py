@@ -90,23 +90,38 @@ def test_non_numeric_cell_rejected(tmp_path, capsys):
         assert f"row {bad_row}" in capsys.readouterr().err
 
 
-def test_numerical_failure_exits_1_without_traceback(tmp_path):
-    """A quadrature that does not converge is reported, not raised."""
-    rng = np.random.default_rng(0)
-    rows = "\n".join(f"{a},{b}" for a, b in rng.normal(size=(10, 2)))
-    cfg, _ = _fit_config(tmp_path, rows + "\n", extra="m=30\n", model="logitnormal")
+def _run_cli(cfg: str) -> subprocess.CompletedProcess:
+    """meanfield fit as a subprocess, so that stderr holds everything a user would see."""
     src = str(Path(meanfield.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "meanfield.cli", "fit", "--config", cfg],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
+
+
+def test_numerical_failure_exits_1_without_traceback(tmp_path):
+    """A quadrature that does not converge is reported, not raised."""
+    rng = np.random.default_rng(0)
+    rows = "\n".join(f"{a},{b}" for a, b in rng.normal(size=(10, 2)))
+    cfg, _ = _fit_config(tmp_path, rows + "\n", extra="m=30\n", model="logitnormal")
+    proc = _run_cli(cfg)
     assert proc.returncode == cli.EXIT_INPUT
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: quadrature for the natural gradient did not converge")
+
+
+def test_non_finite_target_names_node_without_warning(tmp_path):
+    """Finite log-likelihoods whose difference overflows fail fast on the node they feed."""
+    cfg, _ = _fit_config(tmp_path, "1e308,-1e308\n")
+    proc = _run_cli(cfg)
+    assert proc.returncode == cli.EXIT_INPUT
+    assert "'z0'" in proc.stderr
+    assert "Warning" not in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

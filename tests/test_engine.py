@@ -121,6 +121,11 @@ def test_model_spec_rejects_duplicates_and_bad_order():
         engine.ModelSpec((n1, n2), provider)
     with pytest.raises(engine.ConfigurationError):
         engine.ModelSpec((n1,), provider, sweep_order=("z", "ghost"))
+    two_level = models.build_two_level(make_two_level(seed=2, n=3))
+    for order in (("pi",), ("z", "z", "pi"), ("z", "z0", "pi"), ("z0", "z1", "pi")):
+        with pytest.raises(engine.ConfigurationError, match="sweep_order"):
+            engine.ModelSpec(two_level.nodes, two_level.provider, sweep_order=order)
+    engine.ModelSpec(two_level.nodes, two_level.provider, sweep_order=("pi", "z2", "z0", "z1"))
 
 
 def test_schedule_validation():
@@ -301,10 +306,10 @@ def test_parallel_step_reads_frozen_snapshot(two_level_data):
     """Every node's target must come from the pre-iteration state."""
     model = models.build_two_level(two_level_data, seed=7)
     state = {n.id: n for n in model.nodes}
-    snap_before = engine.mu_snapshot(state)
+    snap_before = engine.mu_snapshot(model.plates)
     expected = {
-        nid: model.provider.coefficient(nid, snap_before, two_level_data)
-        for nid in state
+        nid: model.provider.coefficient(plate, snap_before, two_level_data)[row]
+        for nid, (plate, row) in model.row_of.items()
     }
     engine._parallel_step(model, state, two_level_data, 1.0)
     for nid, node in state.items():

@@ -1,6 +1,7 @@
 """Per-model coefficient read-offs against hand-derived values and oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -60,15 +61,15 @@ def test_data_classes_reject_bad_inputs():
 def test_simple_mixture_coefficient_is_prior_weighted_log_odds():
     data = models.SimpleMixtureData(0.3, 0.8, 0.2)
     provider = models.SimpleMixtureProvider()
-    g = provider.coefficient("z", {"z": np.array([0.5])}, data)
-    assert g[0] == pytest.approx(math.log((0.3 * 0.8) / (0.7 * 0.2)), rel=1e-14)
+    g = provider.coefficient("z", {"z": np.array([[0.5]])}, data)
+    assert g[0, 0] == pytest.approx(math.log((0.3 * 0.8) / (0.7 * 0.2)), rel=1e-14)
 
 
 def test_simple_mixture_expected_log_joint():
     data = models.SimpleMixtureData(0.3, 0.8, 0.2)
     provider = models.SimpleMixtureProvider()
     for mu in (0.1, 0.5, 0.9):
-        got = provider.expected_log_joint({"z": np.array([mu])}, data)
+        got = provider.expected_log_joint({"z": np.array([[mu]])}, data)
         want = mu * math.log(0.3 * 0.8) + (1.0 - mu) * math.log(0.7 * 0.2)
         assert got == pytest.approx(want, rel=1e-13)
 
@@ -81,19 +82,19 @@ def test_simple_mixture_expected_log_joint():
 def test_two_level_local_coefficient_symmetry():
     data = models.TwoLevelMixtureData([0.3, -1.0], [0.3, -1.0], 1.0, 1.0)
     provider = models.TwoLevelProvider(2)
-    snap = {"pi": np.array([-1.0, -1.0]), "z0": np.array([0.5]), "z1": np.array([0.5])}
-    assert provider.coefficient("z0", snap, data) == pytest.approx([0.0], abs=1e-15)
+    snap = {"pi": np.array([[-1.0, -1.0]]), "z": np.array([[0.5], [0.5]])}
+    assert provider.coefficient("z", snap, data)[0] == pytest.approx([0.0], abs=1e-15)
 
 
 def test_two_level_global_coefficient_hand_values():
     data = models.TwoLevelMixtureData([0.0, 0.0], [0.0, 0.0], 1.0, 1.0)
     provider = models.TwoLevelProvider(2)
-    snap = {"pi": np.array([-1.0, -1.0]), "z0": np.array([0.25]), "z1": np.array([0.75])}
-    g = provider.coefficient("pi", snap, data)
+    snap = {"pi": np.array([[-1.0, -1.0]]), "z": np.array([[0.25], [0.75]])}
+    g = provider.coefficient("pi", snap, data)[0]
     # Beta posterior (alpha1, beta1) = (2, 2) in natural coordinates (1, 1)
     assert g == pytest.approx([1.0, 1.0], abs=1e-14)
-    snap_all_one = {"pi": snap["pi"], "z0": np.array([1.0]), "z1": np.array([1.0])}
-    g = provider.coefficient("pi", snap_all_one, data)
+    snap_all_one = {"pi": snap["pi"], "z": np.array([[1.0], [1.0]])}
+    g = provider.coefficient("pi", snap_all_one, data)[0]
     assert g == pytest.approx([data.alpha0 + 2 - 1.0, data.beta0 - 1.0], abs=1e-14)
 
 
@@ -104,11 +105,11 @@ def test_two_level_n1_reduces_to_simple_mixture():
     pa, pb = 0.8, 0.2
     data = models.TwoLevelMixtureData([math.log(pa)], [math.log(pb)], 1.0, 1.0)
     provider = models.TwoLevelProvider(1)
-    snap = {"pi": np.array([math.log(pi0), math.log(1.0 - pi0)]), "z0": np.array([0.5])}
-    g = provider.coefficient("z0", snap, data)
+    snap = {"pi": np.array([[math.log(pi0), math.log(1.0 - pi0)]]), "z": np.array([[0.5]])}
+    g = provider.coefficient("z", snap, data)[0]
     simple = models.SimpleMixtureProvider().coefficient(
-        "z", {"z": np.array([0.5])}, models.SimpleMixtureData(pi0, pa, pb)
-    )
+        "z", {"z": np.array([[0.5]])}, models.SimpleMixtureData(pi0, pa, pb)
+    )[0]
     assert g == pytest.approx(simple, rel=1e-13)
 
 
@@ -132,14 +133,14 @@ def test_gmm_component_coefficient_hand_arithmetic():
     y = np.array([[1.0], [3.0]])
     data = models.GMMData(y, 1.0, 1.0, 1.0, 1.0, np.eye(1))
     provider = models.GMMProvider(data)
+    gw_mu = expfam.nat_to_mean(expfam.gw_natural(1.0, 1.0, np.zeros(1), np.eye(1))).values
     snap = {
-        "z0": np.array([1.0]),
-        "z1": np.array([1.0]),
-        "pi": np.array([-1.0, -1.0]),
-        "comp_a": expfam.nat_to_mean(expfam.gw_natural(1.0, 1.0, np.zeros(1), np.eye(1))).values,
-        "comp_b": expfam.nat_to_mean(expfam.gw_natural(1.0, 1.0, np.zeros(1), np.eye(1))).values,
+        "z": np.array([[1.0], [1.0]]),
+        "pi": np.array([[-1.0, -1.0]]),
+        "comp_a": gw_mu[None, :],
+        "comp_b": gw_mu[None, :],
     }
-    g = provider.coefficient("comp_a", snap, data)
+    g = provider.coefficient("comp_a", snap, data)[0]
     lam = expfam.NaturalParam(expfam.FamilyDescriptor(expfam.GAUSSIAN_WISHART, dim=1), g)
     nu, gamma, m, w = expfam.gw_params(lam)
     assert nu == pytest.approx(3.0, rel=1e-12)
@@ -153,12 +154,12 @@ def test_gmm_component_with_zero_responsibility_returns_prior():
     data = models.GMMData(y, 1.0, 1.0, 0.7, 3.5, 2.0 * np.eye(2))
     provider = models.GMMProvider(data)
     prior = expfam.gw_natural(data.nu0, data.gamma0, np.zeros(2), data.w0)
-    snap = {f"z{i}": np.array([0.0 + 1e-300]) for i in range(3)}
-    snap["pi"] = np.array([-1.0, -1.0])
-    gw_mu = expfam.nat_to_mean(prior).values
+    snap = {"z": np.full((3, 1), 0.0 + 1e-300)}
+    snap["pi"] = np.array([[-1.0, -1.0]])
+    gw_mu = expfam.nat_to_mean(prior).values[None, :]
     snap["comp_a"] = gw_mu
     snap["comp_b"] = gw_mu
-    g = provider.coefficient("comp_a", snap, data)
+    g = provider.coefficient("comp_a", snap, data)[0]
     assert g == pytest.approx(prior.values, abs=1e-10)
 
 
@@ -167,18 +168,18 @@ def test_gmm_identical_components_reduce_to_two_level():
     provider = models.GMMProvider(data)
     gw = expfam.gw_natural(4.0, 2.0, np.array([0.3, -0.2]), np.eye(2))
     gw_mu = expfam.nat_to_mean(gw).values
-    snap = {f"z{i}": np.array([0.4]) for i in range(6)}
-    snap["pi"] = np.array([-0.6, -0.9])
-    snap["comp_a"] = gw_mu
-    snap["comp_b"] = gw_mu
+    snap = {"z": np.full((6, 1), 0.4)}
+    snap["pi"] = np.array([[-0.6, -0.9]])
+    snap["comp_a"] = gw_mu[None, :]
+    snap["comp_b"] = gw_mu[None, :]
     log_p = np.array(
         [models.expected_log_component(gw_mu, data.y[i], 2) for i in range(6)]
     )
     tl_data = models.TwoLevelMixtureData(log_p, log_p, data.alpha0, data.beta0)
     tl = models.TwoLevelProvider(6)
     for i in range(6):
-        assert provider.coefficient(f"z{i}", snap, data) == pytest.approx(
-            tl.coefficient(f"z{i}", snap, tl_data), rel=1e-12
+        assert provider.coefficient("z", snap, data)[i] == pytest.approx(
+            tl.coefficient("z", snap, tl_data)[i], rel=1e-12
         )
 
 
@@ -219,12 +220,12 @@ def test_matfac_zero_data_coefficient():
     data = models.MatrixFactorizationData(np.zeros((2, 3)), 2, 0.5, 0.8)
     provider = models.MatrixFactorizationProvider(data)
     model = models.build_matfac(data, "vmp", seed=1)
-    snap = engine.mu_snapshot({n.id: n for n in model.nodes})
-    g = provider.coefficient("u0", snap, data)
+    snap = engine.mu_snapshot(model.plates)
+    g = provider.coefficient("u", snap, data)[0]
     assert g[:2] == pytest.approx(np.zeros(2), abs=1e-15)
     prec = -2.0 * g[2:].reshape(2, 2)
     expected = data.delta_u * np.eye(2) + sum(
-        snap[f"v{j}"][2:].reshape(2, 2) for j in range(3)
+        snap["v"][j, 2:].reshape(2, 2) for j in range(3)
     )
     assert np.allclose(prec, expected, atol=1e-12)
 
@@ -233,8 +234,8 @@ def test_als_scalar_fixed_point():
     """y=2, delta_u=delta_v=1, K=1: u=v=1 is stationary for the ALS objective."""
     data = models.MatrixFactorizationData(np.array([[2.0]]), 1, 1.0, 1.0)
     provider = models.MatrixFactorizationProvider(data)
-    one = np.array([1.0, 1.0])  # mean 1, delta second moment 1
-    g_u = provider.coefficient("u0", {"v0": one, "u0": one}, data)
+    one = np.array([[1.0, 1.0]])  # mean 1, delta second moment 1
+    g_u = provider.coefficient("u", {"v": one, "u": one}, data)[0]
     # coefficient (h, -S/2) with h = 2*1, S = 1 + 1 -> mean h/S = 1
     mean = g_u[0] / (-2.0 * g_u[1])
     assert mean == pytest.approx(1.0, rel=1e-14)
@@ -276,16 +277,16 @@ def test_ppca_vs_vmp_second_moment_substitution():
     ppca_state = {n.id: n for n in ppca.nodes}
     for nid in vmp_state:  # identical lambdas by construction (same seed)
         assert np.allclose(vmp_state[nid].lam.values, ppca_state[nid].lam.values)
-    snap_vmp = engine.mu_snapshot(vmp_state)
-    snap_ppca = engine.mu_snapshot(ppca_state)
+    snap_vmp = engine.mu_snapshot(engine.to_plates(vmp, vmp_state))
+    snap_ppca = engine.mu_snapshot(engine.to_plates(ppca, ppca_state))
     k = data.k
     cov_sum = np.zeros((k, k))
     for j in range(data.d):
         _, prec = expfam.gaussian_mean_precision(vmp_state[f"v{j}"].lam)
         cov_sum += np.linalg.inv(prec)
     for i in range(data.n):
-        g_vmp = vmp.provider.coefficient(f"u{i}", snap_vmp, data)
-        g_ppca = ppca.provider.coefficient(f"u{i}", snap_ppca, data)
+        g_vmp = vmp.provider.coefficient("u", snap_vmp, data)[i]
+        g_ppca = ppca.provider.coefficient("u", snap_ppca, data)[i]
         gap = (g_vmp - g_ppca)[k:].reshape(k, k)
         assert np.allclose(gap, -0.5 * cov_sum, atol=1e-12)
         assert np.allclose(g_vmp[:k], g_ppca[:k], atol=1e-12)
@@ -358,14 +359,14 @@ def test_logitnormal_beta_core_matches_two_level_coefficients(two_level_data):
     # the reciprocal base measure 1/(z(1-z)) folds (-1,-1) into the read-off,
     # so the core above carries exponents (a0, b0): h(z) exp(core) = Beta density
     tl = models.TwoLevelProvider(n)
-    snap = {f"z{i}": np.array([0.3 + 0.05 * i]) for i in range(n)}
-    snap["pi"] = expfam.nat_to_mean(expfam.beta_natural(2.0, 3.0)).values
-    got = provider.coefficient("pi", snap, ln_data)
-    want = tl.coefficient("pi", snap, two_level_data)
+    snap = {"z": np.array([[0.3 + 0.05 * i] for i in range(n)])}
+    snap["pi"] = expfam.nat_to_mean(expfam.beta_natural(2.0, 3.0)).values[None, :]
+    got = provider.coefficient("pi", snap, ln_data)[0]
+    want = tl.coefficient("pi", snap, two_level_data)[0]
     assert got == pytest.approx(want, abs=1e-8)
     for i in range(n):
-        assert provider.coefficient(f"z{i}", snap, ln_data) == pytest.approx(
-            tl.coefficient(f"z{i}", snap, two_level_data), rel=1e-12
+        assert provider.coefficient("z", snap, ln_data)[i] == pytest.approx(
+            tl.coefficient("z", snap, two_level_data)[i], rel=1e-12
         )
 
 
@@ -385,6 +386,19 @@ def test_quadrature_natural_gradient_rejects_tiny_beta():
     lam = expfam.beta_natural(0.005, 1.0)
     with pytest.raises(expfam.DomainError):
         models.beta_natural_gradient(lam, lambda z: z)
+
+
+def test_quadrature_natural_gradient_small_alpha_is_finite_or_raises():
+    """alpha = 0.02 spreads the logit-domain nodes thousands of units into the
+    left tail; no overflow may turn the gradient into NaN there."""
+    lam = expfam.beta_natural(0.02, 5.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            g = models.beta_natural_gradient(lam, lambda z: -0.5 * (math.log(z / (1.0 - z)) - 0.3) ** 2)
+        except expfam.NumericalError:
+            return
+    assert np.all(np.isfinite(g))
 
 
 # ---------------------------------------------------------------------------
