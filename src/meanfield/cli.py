@@ -9,9 +9,9 @@ are plain CSV, one observation per row, every cell a finite number.  Traces
 are line-delimited records with a fixed field order and 17-significant-digit
 floats, so two runs with the same config and seed produce byte-identical files.
 
-Exit codes: 0 converged / all checks pass, 1 input error (non-finite data
-included) or numerical failure, 2 hit max_iter without converging, 64 usage
-error.
+Exit codes: 0 converged / all checks pass, 1 input error (non-finite data,
+or Gaussian observations whose squares overflow, included) or numerical
+failure, 2 hit max_iter without converging, 64 usage error.
 
 The MEANFIELD_LOG env var ("debug", "info", "warning") controls verbosity.
 """

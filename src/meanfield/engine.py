@@ -17,12 +17,13 @@ role and delta mode whose rows do not read each other's expectations, so
 one block step of the whole plate gives the same values as stepping its
 nodes one after another.  Its lam and mu are (G, flat) arrays; a single
 global node is a plate with G = 1.  The provider declares the plates and
-reads every coefficient off per plate, as a (G, flat) array, so a sweep
-does a fixed amount of Python work per plate whatever the number of data.
+reads every coefficient off per plate, so a sweep does a fixed amount of
+Python work per plate whatever the number of data.
 
-The per-node view stays: ``ModelSpec`` takes one ``NodeState`` per id and
-groups them, ``FitTrace.state`` maps every id to its ``NodeState``, and
-the diagnostics and sweeps accept a per-id state as well as a plate state.
+Plates are the only state the sweeps address and move: orders name plates,
+and the SVI local step is one row of the local plate.  Per-id ``NodeState``s
+appear only where a model enters (``ModelSpec``) and where a fit leaves
+(``FitTrace.state``); ``to_plates`` and ``to_nodes`` convert between them.
 """
 
 from __future__ import annotations
@@ -192,38 +193,31 @@ def _group(layout: dict[str, tuple[str, ...]], nodes: dict[str, NodeState]) -> d
 class ModelSpec:
     """Initial node states plus the coefficient provider driving them.
 
-    The nodes are grouped once into the provider's plates.  ``sweep_order``
-    overrides the default locals-then-globals order of the CAVI sweep; each
-    entry names a plate (all of its rows step at once) or a node id (its row
-    steps alone), and together they must name every node exactly once.
+    The nodes are grouped once into the provider's plates, which are the
+    model's working state.  ``sweep_order`` overrides the default
+    locals-then-globals order of the CAVI sweep; it must name every plate
+    exactly once.
     """
 
     nodes: tuple[NodeState, ...]
     provider: CoefficientProvider
     sweep_order: tuple[str, ...] | None = None
     plates: dict[str, Plate] = field(init=False, repr=False, compare=False)
-    local_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    global_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    row_of: dict[str, tuple[str, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         by_id = {n.id: n for n in self.nodes}
         if len(by_id) != len(self.nodes):
             raise ConfigurationError("duplicate node ids in model")
         plates = _group(self.provider.plates, by_id)
-        row_of = {nid: (name, r) for name, p in plates.items() for r, nid in enumerate(p.ids)}
-        if len(row_of) != len(self.nodes):
-            stray = next(nid for nid in by_id if nid not in row_of)
+        if sum(len(p.ids) for p in plates.values()) != len(self.nodes):
+            grouped = {nid for p in plates.values() for nid in p.ids}
+            stray = next(nid for nid in by_id if nid not in grouped)
             raise ConfigurationError(f"node {stray!r} is in none of the provider's plates")
-        if self.sweep_order is not None:
-            named = [nid for key in self.sweep_order for nid in (plates[key].ids if key in plates else (key,))]
-            if sorted(named) != sorted(row_of):
-                raise ConfigurationError("sweep_order must name every node once, by plate or by node id")
+        if self.sweep_order is not None and sorted(self.sweep_order) != sorted(plates):
+            raise ConfigurationError(
+                f"sweep_order must name every plate once ({', '.join(plates)}), got {self.sweep_order}"
+            )
         object.__setattr__(self, "plates", plates)
-        object.__setattr__(self, "row_of", row_of)
-        for role, attr in ((LOCAL, "local_ids"), (GLOBAL, "global_ids")):
-            ids = tuple(nid for p in plates.values() if p.role == role for nid in p.ids)
-            object.__setattr__(self, attr, ids)
 
     def default_order(self) -> tuple[str, ...]:
         """Local plates, then global plates."""
@@ -287,7 +281,7 @@ class FitTrace:
 
 
 def to_plates(model: ModelSpec, state: dict) -> dict[str, Plate]:
-    """The plate state of a per-id state (one NodeState per id); a plate state is returned as is."""
+    """The plate state of a per-id state such as ``FitTrace.state``; a plate state is returned as is."""
     if all(isinstance(v, Plate) for v in state.values()):
         return state
     return _group({name: p.ids for name, p in model.plates.items()}, state)
@@ -315,21 +309,19 @@ def _moments(node) -> np.ndarray:
 
 
 def mu_snapshot(state: dict) -> dict[str, np.ndarray]:
-    """Expectation arrays per plate (or per node id), delta-substituted where flagged."""
+    """Expectation arrays per plate, delta-substituted where flagged."""
     return {key: _moments(n) for key, n in state.items()}
 
 
-def blr_step(node, g: np.ndarray, rho, base_grad=None):
-    """One damped natural-parameter step of a node or plate toward the coefficient.
+def blr_step(node, target: np.ndarray, rho):
+    """One damped natural-parameter step of a node or plate toward its target.
 
     ``rho`` is one rate, or one rate per row of a plate.
     """
     rate = np.asarray(rho, dtype=float)
     if not np.all((0.0 < rate) & (rate <= 1.0)):
         raise ConfigurationError(f"rho must lie in (0, 1], got {rho}")
-    target = np.asarray(g, dtype=float)
-    if base_grad is not None:
-        target = target - np.asarray(base_grad, dtype=float)
+    target = np.asarray(target, dtype=float)
     if rate.ndim:
         rate = rate[:, None]
     new_values = (1.0 - rate) * node.lam.values + rate * target
@@ -380,66 +372,58 @@ def _step_with_backoff(node, target: np.ndarray, rho: float, rows=None):
 # --------------------------------------------------------------------------
 
 
-def _runs(model: ModelSpec, plates: dict, steps):
-    """(plate, rows, rate) per step; consecutive node ids of one plate at one rate merge into one step.
+def _sweep(model: ModelSpec, plates: dict, data, steps, frozen: bool = False):
+    """Damped steps of the plate state, one per (plate, rate, rows) in order: the single update path.
 
-    Rows of a plate do not read each other, so stepping a run of them at once
-    gives the values of stepping them one after another.  A run takes rows in
-    increasing order only, so a repeated row still steps twice.
+    ``rows`` None steps every row, a list those rows alone.  Each target reads
+    the expectation snapshot, refreshed after every step unless ``frozen``
+    holds it at its pre-sweep value.  The state is updated in place.
     """
-    out = []
-    for key, rho in steps:
-        if key in plates:
-            out.append((key, None, rho))
-            continue
-        name, row = model.row_of[key]
-        last = out[-1] if out else None
-        if last and last[0] == name and last[1] and last[1][-1] < row and last[2] == rho:
-            last[1].append(row)
-        else:
-            out.append((name, [row], rho))
-    return out
-
-
-def _sweep(model: ModelSpec, state: dict, data, steps, frozen: bool = False):
-    """Damped steps, one per (plate or node id, rate) in order: the single update path.
-
-    A plate name steps all of its rows; a node id steps its row alone.  Each
-    target reads the expectation snapshot, which is refreshed after every
-    step unless ``frozen`` holds it at its pre-sweep value.  A per-id state
-    is grouped first and its moved nodes are written back.
-    """
-    plates = to_plates(model, state)
+    for name in model.plates:
+        if not isinstance(plates.get(name), Plate):
+            raise ConfigurationError(
+                f"state has no plate {name!r}: sweeps take dict(model.plates) or to_plates(model, state)"
+            )
     snap = mu_snapshot(plates)
-    for name, rows, rho in _runs(model, plates, steps):
+    for name, rho, rows in steps:
         target = _target(model, name, snap, data)
         plates[name] = _step_with_backoff(plates[name], target, rho, rows)
         if not frozen:
             snap[name] = _moments(plates[name])
-    if plates is not state:
-        state.update(to_nodes(plates))
-    return state
+    return plates
 
 
-def cavi_sweep(model: ModelSpec, state: dict, data, order=None) -> dict:
-    """One full sweep with rho = 1, each plate seeing the freshest expectations."""
+def cavi_sweep(model: ModelSpec, plates: dict, data, order=None) -> dict:
+    """One rho = 1 sweep over the named plates (default: all), each seeing the freshest expectations."""
     order = order or model.sweep_order or model.default_order()
-    return _sweep(model, state, data, [(key, 1.0) for key in order])
+    unknown = [name for name in order if name not in model.plates]
+    if unknown:
+        raise ConfigurationError(f"sweep order names {unknown[0]!r}, which is not a plate of the model")
+    return _sweep(model, plates, data, [(name, 1.0, None) for name in order])
 
 
-def svi_step(model: ModelSpec, state: dict, data, i: str, rho_t: float) -> dict:
-    """Full step on local node i (its row alone), then a damped step on the single global node."""
-    globals_ = model.global_ids
-    if len(globals_) != 1:
-        raise ConfigurationError(f"SVI requires exactly one global node, model has {len(globals_)}")
-    if i not in model.row_of or model.plates[model.row_of[i][0]].role != LOCAL:
-        raise ConfigurationError(f"SVI local update target {i!r} is not a local node")
-    return _sweep(model, state, data, [(i, 1.0), (model.row_of[globals_[0]][0], rho_t)])
+def _svi_plates(model: ModelSpec) -> tuple[str, str]:
+    """The names of the one local plate and the one single-node global plate SVI steps."""
+    local = [name for name, p in model.plates.items() if p.role == LOCAL]
+    global_ = [name for name, p in model.plates.items() if p.role == GLOBAL]
+    if len(local) != 1 or len(global_) != 1 or len(model.plates[global_[0]].ids) != 1:
+        raise ConfigurationError(
+            f"SVI requires one local plate and one single-node global plate, got {local} and {global_}"
+        )
+    return local[0], global_[0]
 
 
-def _parallel_step(model: ModelSpec, state: dict, data, rho: float):
+def svi_step(model: ModelSpec, plates: dict, data, row: int, rho_t: float) -> dict:
+    """Full step on one row of the local plate, then a damped step on the global node."""
+    local, global_ = _svi_plates(model)
+    if not 0 <= row < len(model.plates[local].ids):
+        raise ConfigurationError(f"SVI row {row} is outside local plate {local!r}")
+    return _sweep(model, plates, data, [(local, 1.0, [row]), (global_, rho_t, None)])
+
+
+def _parallel_step(model: ModelSpec, plates: dict, data, rho: float):
     """Every plate steps toward its target on the pre-iteration snapshot."""
-    return _sweep(model, state, data, [(name, rho) for name in model.plates], frozen=True)
+    return _sweep(model, plates, data, [(name, rho, None) for name in model.plates], frozen=True)
 
 
 # --------------------------------------------------------------------------
@@ -505,8 +489,8 @@ def fit(
         if schedule.kind == CAVI:
             cavi_sweep(model, state, data)
         elif schedule.kind == SVI:
-            i = model.local_ids[int(rng.integers(len(model.local_ids)))]
-            svi_step(model, state, data, i, schedule.global_rate(t - 1))
+            local = model.plates[_svi_plates(model)[0]]
+            svi_step(model, state, data, int(rng.integers(len(local.ids))), schedule.global_rate(t - 1))
         else:
             _parallel_step(model, state, data, schedule.rho_local)
         residual = record(t)

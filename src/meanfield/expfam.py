@@ -48,7 +48,6 @@ __all__ = [
     "log_partition",
     "entropy",
     "kl_divergence",
-    "gw_moments",
     "bernoulli_natural",
     "beta_natural",
     "gaussian_natural",
@@ -448,15 +447,6 @@ def nat_to_mean(lam: NaturalParam) -> ExpectationParam:
     return ExpectationParam(fam, _map_rows(lambda row: _gw_mean(fam, row), arr))
 
 
-def gw_moments(lam: NaturalParam) -> ExpectationParam:
-    """Gaussian-Wishart sufficient-statistic expectations.
-
-    Returns (E[log|Z2|], E[Z2], E[Z2 z1], E[z1^T Z2 z1]) laid out flat.
-    """
-    _expect_kind(lam, GAUSSIAN_WISHART)
-    return ExpectationParam(lam.family, _gw_mean(lam.family, lam.values))
-
-
 def _gw_mean(fam: FamilyDescriptor, arr: np.ndarray) -> np.ndarray:
     d = fam.dim
     nu, gamma, m, w_inv = _gw_unpack(fam, arr)
@@ -494,7 +484,7 @@ def mean_to_nat(mu: ExpectationParam) -> NaturalParam:
         s_mat = np.linalg.solve(chol.T, np.linalg.solve(chol, np.eye(d)))
         s_mat = 0.5 * (s_mat + s_mat.T)
         return NaturalParam(fam, np.concatenate([s_mat @ m, (-0.5 * s_mat).reshape(-1)]))
-    return _invert_gw_moments(mu)
+    return _gw_mean_to_nat(mu)
 
 
 def _invert_beta_moments(mu1: float, mu2: float, max_iter: int = 200, tol: float = 1e-12):
@@ -577,7 +567,7 @@ def _digamma_inverse(y: float, iters: int = 40) -> float:
     return x
 
 
-def _invert_gw_moments(mu: ExpectationParam, max_iter: int = 200, tol: float = 1e-12) -> NaturalParam:
+def _gw_mean_to_nat(mu: ExpectationParam, max_iter: int = 200, tol: float = 1e-12) -> NaturalParam:
     fam = mu.family
     d = fam.dim
     mu1 = float(mu.values[0])

@@ -62,6 +62,14 @@ def _require_finite(data) -> None:
             raise ValueError(f"{f.name} must be finite")
 
 
+def _require_square_summable(y: np.ndarray) -> None:
+    """Reject Gaussian observations whose sum of squares overflows; the log-joint squares them."""
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.sum(y * y)):
+            largest = float(np.max(np.abs(y)))
+            raise ValueError(f"y is too large: its sum of squares overflows (largest |y| is {largest:g})")
+
+
 # --------------------------------------------------------------------------
 # data containers
 # --------------------------------------------------------------------------
@@ -131,6 +139,7 @@ class GMMData:
     def __post_init__(self):
         _require_finite(self)
         y = np.atleast_2d(np.asarray(self.y, dtype=float))
+        _require_square_summable(y)
         if y.shape[0] < 2:
             raise ValueError("GMM needs at least two observations")
         d = y.shape[1]
@@ -168,6 +177,7 @@ class MatrixFactorizationData:
     def __post_init__(self):
         _require_finite(self)
         y = np.atleast_2d(np.asarray(self.y, dtype=float))
+        _require_square_summable(y)
         if self.k < 1:
             raise ValueError("number of factors must be >= 1")
         if self.delta_u <= 0.0 or self.delta_v <= 0.0:
@@ -486,10 +496,10 @@ def build_matfac(
     return _model_spec(plates, provider)
 
 
-def als_objective(state, data: MatrixFactorizationData) -> float:
-    """Regularized squared loss at the current factor means of a per-id state."""
-    u = np.stack([expfam.gaussian_mean_precision(state[f"u{i}"].lam)[0] for i in range(data.n)])
-    v = np.stack([expfam.gaussian_mean_precision(state[f"v{j}"].lam)[0] for j in range(data.d)])
+def als_objective(plates, data: MatrixFactorizationData) -> float:
+    """Regularized squared loss at the factor means of the "u" and "v" plates."""
+    u = expfam.gaussian_mean_precision(plates["u"].lam)[0]
+    v = expfam.gaussian_mean_precision(plates["v"].lam)[0]
     resid = data.y - u @ v.T
     return 0.5 * float(np.sum(resid * resid)) + 0.5 * data.delta_u * float(
         np.sum(u * u)

@@ -24,7 +24,7 @@ __all__ = [
     "enumerate_two_level",
     "quadrature_expect",
     "ridge_solve",
-    "mc_gw_moments",
+    "mc_gw_expectations",
 ]
 
 _ENUMERATION_LIMIT = 20
@@ -123,7 +123,7 @@ def ridge_solve(rows, targets, delta: float) -> np.ndarray:
     return sla.cho_solve(chol, a.T @ t)
 
 
-def mc_gw_moments(nu: float, gamma: float, m, w, n_samples: int = 10**6, seed: int = 0):
+def mc_gw_expectations(nu: float, gamma: float, m, w, n_samples: int = 10**6, seed: int = 0):
     """Monte-Carlo estimates of the Gaussian-Wishart sufficient-statistic means.
 
     Returns (flat_estimates, flat_standard_errors) in the layout

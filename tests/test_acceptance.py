@@ -28,9 +28,9 @@ def test_criterion_01_bayes_rule_recovery():
             rng.uniform(0.05, 0.95), rng.uniform(0.05, 5.0), rng.uniform(0.05, 5.0)
         )
         model = models.build_simple_mixture(data, seed=int(rng.integers(1 << 16)))
-        state = {n.id: n for n in model.nodes}
+        state = dict(model.plates)
         engine.cavi_sweep(model, state, data)
-        gap = abs(state["z"].mu.values[0] - oracle.exact_simple_posterior(data))
+        gap = abs(state["z"].mu.values[0, 0] - oracle.exact_simple_posterior(data))
         worst = max(worst, gap)
     ok = worst < 1e-12
     _report(1, ok, f"max |q(z=1) - Bayes posterior| = {worst:.3g} over 100 draws (tol 1e-12)")
@@ -115,15 +115,15 @@ def test_criterion_06_svi_consistency():
     data = make_two_level(seed=606, n=10)
     cavi = engine.fit(models.build_two_level(data, seed=4), data, tol=1e-13, max_iter=500)
     model = models.build_two_level(data, seed=4)
-    state = {n.id: n for n in model.nodes}
+    state = dict(model.plates)
     sched = engine.Schedule(kind="svi", kappa=0.7, tau=1.0)
     rng = np.random.default_rng(606)
     for t in range(2000):
-        i = model.local_ids[int(rng.integers(len(model.local_ids)))]
-        engine.svi_step(model, state, data, i, sched.global_rate(t))
+        engine.svi_step(model, state, data, int(rng.integers(data.n)), sched.global_rate(t))
+    svi = engine.to_nodes(state)
     worst = max(
-        float(np.max(np.abs(state[nid].lam.values - cavi.state[nid].lam.values)))
-        for nid in state
+        float(np.max(np.abs(svi[nid].lam.values - cavi.state[nid].lam.values)))
+        for nid in svi
     )
     ok = worst < 1e-4
     _report(6, ok, f"max |lambda_svi - lambda_cavi| = {worst:.3g} after 2000 steps (tol 1e-4)")
@@ -138,22 +138,20 @@ def test_criterion_07_delta_method_chain():
 
     # (a) ALS half-steps equal ridge solves
     model = models.build_matfac(data, "als", seed=5)
-    state = {n.id: n for n in model.nodes}
+    state = dict(model.plates)
     ridge_gap = 0.0
     for _ in range(3):
-        v_hat = np.stack(
-            [expfam.gaussian_mean_precision(state[f"v{j}"].lam)[0] for j in range(data.d)]
-        )
-        engine.cavi_sweep(model, state, data, order=tuple(f"u{i}" for i in range(data.n)))
+        v_hat, _ = expfam.gaussian_mean_precision(state["v"].lam)
+        engine.cavi_sweep(model, state, data, order=("u",))
+        u_hat, _ = expfam.gaussian_mean_precision(state["u"].lam)
         for i in range(data.n):
-            got, _ = expfam.gaussian_mean_precision(state[f"u{i}"].lam)
             want = oracle.ridge_solve(v_hat, data.y[i], data.delta_u)
-            ridge_gap = max(ridge_gap, float(np.max(np.abs(got - want))))
-        engine.cavi_sweep(model, state, data, order=tuple(f"v{j}" for j in range(data.d)))
+            ridge_gap = max(ridge_gap, float(np.max(np.abs(u_hat[i] - want))))
+        engine.cavi_sweep(model, state, data, order=("v",))
 
     # (b) regularized objective nonincreasing over 50 alternations
     model2 = models.build_matfac(data, "als", seed=6)
-    state2 = {n.id: n for n in model2.nodes}
+    state2 = dict(model2.plates)
     objs = [models.als_objective(state2, data)]
     for _ in range(50):
         engine.cavi_sweep(model2, state2, data)
@@ -163,14 +161,10 @@ def test_criterion_07_delta_method_chain():
     # (c) PPCA vs VMP u-updates differ exactly by sum_j Cov(v_j)
     vmp = models.build_matfac(data, "vmp", seed=7)
     ppca = models.build_matfac(data, "ppca", seed=7)
-    vmp_state = {n.id: n for n in vmp.nodes}
     snap_vmp = engine.mu_snapshot(vmp.plates)
     snap_ppca = engine.mu_snapshot(ppca.plates)
     k = data.k
-    cov_sum = sum(
-        np.linalg.inv(expfam.gaussian_mean_precision(vmp_state[f"v{j}"].lam)[1])
-        for j in range(data.d)
-    )
+    cov_sum = np.linalg.inv(expfam.gaussian_mean_precision(vmp.plates["v"].lam)[1]).sum(axis=0)
     sub_gap = 0.0
     diffs = vmp.provider.coefficient("u", snap_vmp, data) - ppca.provider.coefficient(
         "u", snap_ppca, data

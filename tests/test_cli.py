@@ -90,17 +90,25 @@ def test_non_numeric_cell_rejected(tmp_path, capsys):
         assert f"row {bad_row}" in capsys.readouterr().err
 
 
-def _run_cli(cfg: str) -> subprocess.CompletedProcess:
-    """meanfield fit as a subprocess, so that stderr holds everything a user would see."""
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports this package, so its output holds everything a user would see."""
     src = str(Path(meanfield.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run(
-        [sys.executable, "-m", "meanfield.cli", "fit", "--config", cfg],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+
+
+def _run_cli(cfg: str) -> subprocess.CompletedProcess:
+    """meanfield fit as a subprocess."""
+    return _run_python("-m", "meanfield.cli", "fit", "--config", cfg)
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy serves the oracle cross-checks only; importing it would slow every CLI start."""
+    proc = _run_python(
+        "-c", "import sys, meanfield.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_numerical_failure_exits_1_without_traceback(tmp_path):
@@ -120,6 +128,23 @@ def test_non_finite_target_names_node_without_warning(tmp_path):
     proc = _run_cli(cfg)
     assert proc.returncode == cli.EXIT_INPUT
     assert "'z0'" in proc.stderr
+    assert "Warning" not in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "model, rows",
+    [
+        ("gmm2", "0.5,0.2\n1e200,1e200\n-0.3,0.1\n1.0,-0.5\n"),
+        ("matfac_vmp", "0.5,0.2,0.1\n1e200,0.3,0.2\n-0.3,0.1,0.4\n"),
+    ],
+)
+def test_huge_finite_gaussian_data_rejected_without_warning(tmp_path, model, rows):
+    """Observations whose squares overflow are rejected on entry, naming the field."""
+    cfg, _ = _fit_config(tmp_path, rows, extra="k=1\n" if model.startswith("matfac") else "", model=model)
+    proc = _run_cli(cfg)
+    assert proc.returncode == cli.EXIT_INPUT
+    assert proc.stderr.startswith("error: y is too large")
     assert "Warning" not in proc.stderr
     assert "Traceback" not in proc.stderr
 

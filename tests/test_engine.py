@@ -72,10 +72,15 @@ def test_blr_step_domain_exit_raises():
 
 
 def test_base_measure_correction_subtracted():
-    node = engine.NodeState.make("pi", expfam.beta_natural(2.0, 2.0))
-    plain = engine.blr_step(node, np.array([3.0, 4.0]), 1.0)
-    corrected = engine.blr_step(node, np.array([3.0, 4.0]), 1.0, base_grad=np.array([-1.0, -1.0]))
-    assert corrected.lam.values == pytest.approx(plain.lam.values + 1.0)
+    """A reciprocal-base Beta global lands one above the coefficient in each coordinate."""
+    data = make_two_level(seed=8, n=4)
+    plain, shifted = (models.build_two_level(data, seed=8, shifted_beta=s) for s in (False, True))
+    coefficient = shifted.provider.coefficient("pi", engine.mu_snapshot(shifted.plates), data)
+    plain_state, shifted_state = dict(plain.plates), dict(shifted.plates)
+    engine.cavi_sweep(plain, plain_state, data, order=("pi",))
+    engine.cavi_sweep(shifted, shifted_state, data, order=("pi",))
+    assert plain_state["pi"].lam.values == pytest.approx(coefficient)
+    assert shifted_state["pi"].lam.values == pytest.approx(plain_state["pi"].lam.values + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -122,10 +127,11 @@ def test_model_spec_rejects_duplicates_and_bad_order():
     with pytest.raises(engine.ConfigurationError):
         engine.ModelSpec((n1,), provider, sweep_order=("z", "ghost"))
     two_level = models.build_two_level(make_two_level(seed=2, n=3))
-    for order in (("pi",), ("z", "z", "pi"), ("z", "z0", "pi"), ("z0", "z1", "pi")):
+    bad = (("pi",), ("z", "z", "pi"), ("z", "z0", "pi"), ("z0", "z1", "pi"), ("pi", "z2", "z0", "z1"))
+    for order in bad:
         with pytest.raises(engine.ConfigurationError, match="sweep_order"):
             engine.ModelSpec(two_level.nodes, two_level.provider, sweep_order=order)
-    engine.ModelSpec(two_level.nodes, two_level.provider, sweep_order=("pi", "z2", "z0", "z1"))
+    engine.ModelSpec(two_level.nodes, two_level.provider, sweep_order=("pi", "z"))
 
 
 def test_schedule_validation():
@@ -149,9 +155,9 @@ def test_schedule_validation():
 def test_single_sweep_recovers_bayes_posterior():
     data = models.SimpleMixtureData(0.3, 0.8, 0.2)
     model = models.build_simple_mixture(data, seed=5)
-    state = {n.id: n for n in model.nodes}
+    state = dict(model.plates)
     engine.cavi_sweep(model, state, data)
-    assert state["z"].mu.values[0] == pytest.approx(
+    assert state["z"].mu.values[0, 0] == pytest.approx(
         oracle.exact_simple_posterior(data), abs=1e-14
     )
 
@@ -160,10 +166,10 @@ def test_sweep_at_fixed_point_is_identity(two_level_data):
     model = models.build_two_level(two_level_data, seed=1)
     trace = engine.fit(model, two_level_data, tol=1e-13, max_iter=300)
     assert trace.converged
-    before = {nid: n.lam.values.copy() for nid, n in trace.state.items()}
-    engine.cavi_sweep(model, trace.state, two_level_data)
-    for nid, lam in before.items():
-        assert np.max(np.abs(trace.state[nid].lam.values - lam)) < 1e-12
+    state = engine.to_plates(model, trace.state)
+    after = engine.to_nodes(engine.cavi_sweep(model, dict(state), two_level_data))
+    for nid, node in trace.state.items():
+        assert np.max(np.abs(after[nid].lam.values - node.lam.values)) < 1e-12
 
 
 def test_empty_model_sweep_is_noop():
@@ -181,42 +187,38 @@ def test_empty_model_sweep_is_noop():
 def test_svi_full_rate_matches_cavi_global(two_level_data):
     model = models.build_two_level(two_level_data, seed=2)
     # move locals to their fixed point first
-    state = {n.id: n for n in model.nodes}
+    state = dict(model.plates)
     for _ in range(60):
         engine.cavi_sweep(model, state, two_level_data)
-    cavi_state = {nid: n for nid, n in state.items()}
     svi_state = dict(state)
-    engine.svi_step(model, svi_state, two_level_data, "z0", 1.0)
-    engine.cavi_sweep(model, cavi_state, two_level_data, order=("z0", "pi"))
+    engine.svi_step(model, svi_state, two_level_data, 0, 1.0)
+    cavi_state = dict(state, z=svi_state["z"])
+    engine.cavi_sweep(model, cavi_state, two_level_data, order=("pi",))
     assert svi_state["pi"].lam.values == pytest.approx(cavi_state["pi"].lam.values, abs=1e-12)
 
 
 def test_svi_half_rate_moves_halfway():
     data = make_two_level(seed=3, n=3)
     model = models.build_two_level(data, seed=3)
-    state = {n.id: n for n in model.nodes}
-    snap = engine.mu_snapshot(state)
-    s = sum(snap[f"z{i}"][0] for i in range(3))
-    target = np.array([data.alpha0 - 1.0 + s, 3 + data.beta0 - 1.0 - s])
-    start = state["pi"].lam.values.copy()
+    state = dict(model.plates)
+    start = state["pi"].lam.values[0].copy()
     # update only the global at rate 0.5 by passing a local already at its target
-    engine.cavi_sweep(model, state, data, order=("z0",))
-    snap = engine.mu_snapshot(state)
-    s = sum(snap[f"z{i}"][0] for i in range(3))
+    engine.cavi_sweep(model, state, data, order=("z",))
+    s = engine.mu_snapshot(state)["z"][:, 0].sum()
     target = np.array([data.alpha0 - 1.0 + s, 3 + data.beta0 - 1.0 - s])
-    engine.svi_step(model, state, data, "z0", 0.5)
-    assert state["pi"].lam.values == pytest.approx(0.5 * start + 0.5 * target, abs=1e-12)
+    engine.svi_step(model, state, data, 0, 0.5)
+    assert state["pi"].lam.values[0] == pytest.approx(0.5 * start + 0.5 * target, abs=1e-12)
 
 
 def test_svi_requires_single_global_and_local_target(two_level_data):
     model = models.build_two_level(two_level_data)
-    state = {n.id: n for n in model.nodes}
+    state = dict(model.plates)
     with pytest.raises(engine.ConfigurationError):
-        engine.svi_step(model, state, two_level_data, "pi", 0.5)  # not a local node
+        engine.svi_step(model, state, two_level_data, two_level_data.n, 0.5)  # not a local row
     mf = models.build_matfac(models.MatrixFactorizationData(np.ones((2, 2)), 1, 1.0, 1.0))
-    mf_state = {n.id: n for n in mf.nodes}
+    mf_state = dict(mf.plates)
     with pytest.raises(engine.ConfigurationError):
-        engine.svi_step(mf, mf_state, None, "u0", 0.5)  # zero globals
+        engine.svi_step(mf, mf_state, None, 0, 0.5)  # two local plates, zero globals
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +272,7 @@ def test_fit_rejects_bad_arguments(two_level_data):
 def test_residual_zero_after_full_step():
     data = models.SimpleMixtureData(0.42, 1.3, 0.5)
     model = models.build_simple_mixture(data)
-    state = {n.id: n for n in model.nodes}
+    state = dict(model.plates)
     engine.cavi_sweep(model, state, data)
     assert engine.fixed_point_residual(model, state, data) == pytest.approx(0.0, abs=1e-14)
 
@@ -305,15 +307,12 @@ def test_parallel_damped_matches_cavi_fixed_point(two_level_data):
 def test_parallel_step_reads_frozen_snapshot(two_level_data):
     """Every node's target must come from the pre-iteration state."""
     model = models.build_two_level(two_level_data, seed=7)
-    state = {n.id: n for n in model.nodes}
+    state = dict(model.plates)
     snap_before = engine.mu_snapshot(model.plates)
-    expected = {
-        nid: model.provider.coefficient(plate, snap_before, two_level_data)[row]
-        for nid, (plate, row) in model.row_of.items()
-    }
+    expected = {name: model.provider.coefficient(name, snap_before, two_level_data) for name in state}
     engine._parallel_step(model, state, two_level_data, 1.0)
-    for nid, node in state.items():
-        assert node.lam.values == pytest.approx(expected[nid], abs=1e-14)
+    for name, plate in state.items():
+        assert plate.lam.values == pytest.approx(expected[name], abs=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -206,22 +206,22 @@ def test_kl_family_mismatch_rejected():
 
 def test_gw_moments_closed_forms():
     lam = expfam.gw_natural(3.0, 1.0, np.zeros(1), np.eye(1))
-    mu = expfam.gw_moments(lam).values
+    mu = expfam.nat_to_mean(lam).values
     d = 1
     assert mu[1] == pytest.approx(3.0, rel=1e-13)  # E[Z2] = nu W
     assert mu[2] == pytest.approx(0.0, abs=1e-13)  # m = 0
     assert mu[3] == pytest.approx(1.0, rel=1e-13)  # D / gamma
 
     lam2 = expfam.gw_natural(4.0, 2.0, np.zeros(2), np.eye(2))
-    mu2 = expfam.gw_moments(lam2).values
+    mu2 = expfam.nat_to_mean(lam2).values
     assert mu2[-1] == pytest.approx(1.0, rel=1e-13)  # D / gamma = 2/2
 
 
 def test_gw_moments_match_monte_carlo():
     nu, gamma, m, w = 5.0, 1.5, np.array([0.4, -0.7]), np.array([[1.2, 0.3], [0.3, 0.9]])
     lam = expfam.gw_natural(nu, gamma, m, w)
-    mu = expfam.gw_moments(lam).values
-    est, se = oracle.mc_gw_moments(nu, gamma, m, w, n_samples=2 * 10**5, seed=3)
+    mu = expfam.nat_to_mean(lam).values
+    est, se = oracle.mc_gw_expectations(nu, gamma, m, w, n_samples=2 * 10**5, seed=3)
     assert np.all(np.abs(mu - est) <= 4.0 * se + 1e-12)
 
 

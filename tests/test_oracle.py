@@ -73,7 +73,7 @@ def test_ridge_solve_matches_normal_equations():
 
 
 def test_mc_gw_moments_zero_mean_symmetry():
-    est, se = oracle.mc_gw_moments(4.0, 2.0, np.zeros(2), np.eye(2), n_samples=10**5, seed=1)
+    est, se = oracle.mc_gw_expectations(4.0, 2.0, np.zeros(2), np.eye(2), n_samples=10**5, seed=1)
     # E[Z2 z1] block (positions 1+4 .. 1+4+2) is zero by symmetry
     block = est[5:7]
     assert np.all(np.abs(block) <= 3.0 * se[5:7])
@@ -81,7 +81,7 @@ def test_mc_gw_moments_zero_mean_symmetry():
 
 def test_mc_gw_moments_sample_floor():
     with pytest.raises(ValueError):
-        oracle.mc_gw_moments(3.0, 1.0, np.zeros(1), np.eye(1), n_samples=10)
+        oracle.mc_gw_expectations(3.0, 1.0, np.zeros(1), np.eye(1), n_samples=10)
 
 
 def test_gw_one_dimensional_reduces_to_gamma_normal():
@@ -90,7 +90,7 @@ def test_gw_one_dimensional_reduces_to_gamma_normal():
 
     nu, w = 5.0, 0.8
     lam = expfam.gw_natural(nu, 1.3, np.zeros(1), np.array([[w]]))
-    mu = expfam.gw_moments(lam).values
+    mu = expfam.nat_to_mean(lam).values
     # Wishart(nu, w) in 1-D is Gamma(shape=nu/2, scale=2w)
     shape, scale = nu / 2.0, 2.0 * w
     grid = gamma_dist.ppf(np.linspace(1e-9, 1 - 1e-9, 200001), shape, scale=scale)

@@ -129,29 +129,23 @@ def test_row_step_leaves_the_other_rows_bitwise_unchanged():
     model, data = _two_level(6)
     state = dict(model.plates)
     before = state["z"].lam.values.copy()
-    engine.cavi_sweep(model, state, data, order=("z3",))
+    engine.svi_step(model, state, data, 3, 0.5)
     after = state["z"].lam.values
     assert np.array_equal(np.delete(after, 3, axis=0), np.delete(before, 3, axis=0))
     assert after[3, 0] != before[3, 0]
 
 
-def test_per_id_order_steps_each_run_of_a_plate_at_once(monkeypatch):
-    model, data = _two_level(40)
-    per_id = model.local_ids + model.global_ids
-    by_plate, by_id = dict(model.plates), dict(model.plates)
-    engine.cavi_sweep(model, by_plate, data)
-    calls = {"coefficient": 0}
-    coefficient = type(model.provider).coefficient
-
-    def counted(self, *args):
-        calls["coefficient"] += 1
-        return coefficient(self, *args)
-
-    monkeypatch.setattr(type(model.provider), "coefficient", counted)
-    engine.cavi_sweep(model, by_id, data, order=per_id)
-    assert calls["coefficient"] == len(model.plates)
+def test_sweeps_take_the_plate_state_and_name_a_missing_plate():
+    model, data = _two_level(4)
+    per_id = {n.id: n for n in model.nodes}
+    with pytest.raises(engine.ConfigurationError, match="no plate 'z'"):
+        engine.cavi_sweep(model, per_id, data)
+    with pytest.raises(engine.ConfigurationError, match="'z0'.*not a plate"):
+        engine.cavi_sweep(model, dict(model.plates), data, order=("z0",))
+    via_nodes = engine.cavi_sweep(model, engine.to_plates(model, per_id), data)
+    direct = engine.cavi_sweep(model, dict(model.plates), data)
     for name in model.plates:
-        assert np.array_equal(by_id[name].lam.values, by_plate[name].lam.values)
+        assert np.array_equal(via_nodes[name].lam.values, direct[name].lam.values)
 
 
 def test_replacing_the_nodes_regroups_the_plates():
