@@ -213,6 +213,9 @@ class ModelSpec:
             grouped = {nid for p in plates.values() for nid in p.ids}
             stray = next(nid for nid in by_id if nid not in grouped)
             raise ConfigurationError(f"node {stray!r} is in none of the provider's plates")
+        if plates and len(plates) != len(self.provider.plates):
+            missing = next(name for name in self.provider.plates if name not in plates)
+            raise ConfigurationError(f"model has no nodes of the provider's plate {missing!r}")
         if self.sweep_order is not None and sorted(self.sweep_order) != sorted(plates):
             raise ConfigurationError(
                 f"sweep_order must name every plate once ({', '.join(plates)}), got {self.sweep_order}"
@@ -361,6 +364,9 @@ def _step_with_backoff(node, target: np.ndarray, rho: float, rows=None):
         except DomainError as exc:
             failed = exc.rows if exc.rows is not None else np.arange(len(rates))
             rates[failed] *= 0.5
+        except NumericalError as exc:
+            where = node.ids[0] if len(node.ids) == 1 else f"{node.ids[0]}..{node.ids[-1]}"
+            raise NumericalError(f"update of node {where!r} failed: {exc}") from None
     raise DomainError(
         f"update of node {node.ids[int(failed[0])]!r} left the parameter domain even after "
         f"{_MAX_RATE_HALVINGS} rate halvings"

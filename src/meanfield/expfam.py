@@ -450,7 +450,10 @@ def nat_to_mean(lam: NaturalParam) -> ExpectationParam:
 def _gw_mean(fam: FamilyDescriptor, arr: np.ndarray) -> np.ndarray:
     d = fam.dim
     nu, gamma, m, w_inv = _gw_unpack(fam, arr)
-    w = np.linalg.inv(w_inv)
+    try:
+        w = np.linalg.inv(w_inv)
+    except np.linalg.LinAlgError:
+        raise NumericalError(f"Gaussian-Wishart W^-1 could not be inverted: {w_inv.tolist()}") from None
     w = 0.5 * (w + w.T)
     sign, logdet_w = np.linalg.slogdet(w)
     if sign <= 0:

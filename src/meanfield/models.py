@@ -14,6 +14,7 @@ coefficient is returned for a whole plate as a (G, flat) array.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -511,35 +512,63 @@ def als_objective(plates, data: MatrixFactorizationData) -> float:
 # --------------------------------------------------------------------------
 
 
-def _beta_logit_rule(a: float, b: float, nodes_per_panel: int):
-    """Quadrature rule for E under Beta(a, b) in the logit domain.
+@functools.cache
+def _legendre(nodes_per_panel: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per order on first use."""
+    x, w = np.polynomial.legendre.leggauss(nodes_per_panel)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _walk(logdens, start: float, step: float, floor: float) -> float:
+    """The first of start, start + step, start + 2 step, ... where logdens is not above floor.
+
+    The points are summed one step at a time, as a scalar loop would sum
+    them, but logdens sees them a block at a time.
+    """
+    pts, size = np.array([start]), 16
+    while True:
+        pts = np.add.accumulate(np.concatenate([pts[-1:], np.full(size, step)]))
+        below = np.flatnonzero(~(logdens(pts) > floor))  # a NaN stops the walk too
+        if below.size:
+            return float(pts[below[0]])
+        size *= 2
+
+
+def _beta_logit_rules(a: float, b: float, orders):
+    """Quadrature rules for E under Beta(a, b) in the logit domain, one per nodes-per-panel order.
 
     The substitution t = logit(z) turns the density into the analytic
     exp(a log sig(t) + b log sig(-t) - log B(a, b)), so composite
     Gauss-Legendre panels converge fast even where the unit-interval
-    integrands have endpoint log singularities.  Returns (t, weights) with
-    the density absorbed into the weights, normalized to unit mass.
+    integrands have endpoint log singularities.  The panels span the
+    bracket where the density lies within e^-50 of its peak, found once for
+    all orders.  Returns one (stats, weights) pair per order: stats holds
+    the sufficient statistics (log z, log(1-z)) at the nodes as a (2, nodes)
+    array, and the weights have the density absorbed, normalized to unit
+    mass.
     """
+    log_norm = betaln(a, b)
 
     def logdens(t):
-        return a * _log_sigmoid(t) + b * _log_sigmoid(-t) - betaln(a, b)
+        return a * _log_sigmoid(t) + b * _log_sigmoid(-t) - log_norm
 
     mode = math.log(a / b)
-    peak = logdens(mode)
-    lo = mode
-    while logdens(lo) > peak - 50.0:
-        lo -= 1.0
-    hi = mode
-    while logdens(hi) > peak - 50.0:
-        hi += 1.0
+    floor = logdens(mode) - 50.0
+    lo = _walk(logdens, mode, -1.0, floor)
+    hi = _walk(logdens, mode, 1.0, floor)
     panels = max(int(math.ceil((hi - lo) / 2.0)), 1)
-    x, w = np.polynomial.legendre.leggauss(nodes_per_panel)
     edges = np.linspace(lo, hi, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
-    t = (mid[:, None] + half[:, None] * x[None, :]).reshape(-1)
-    wq = (half[:, None] * w[None, :]).reshape(-1) * np.exp(logdens(t))
-    return t, wq / wq.sum()
+    rules = []
+    for nodes_per_panel in orders:
+        x, w = _legendre(nodes_per_panel)
+        t = (mid[:, None] + half[:, None] * x[None, :]).reshape(-1)
+        stats = np.stack([_log_sigmoid(t), _log_sigmoid(-t)])
+        wq = (half[:, None] * w[None, :]).reshape(-1) * np.exp(a * stats[0] + b * stats[1] - log_norm)
+        rules.append((stats, wq / wq.sum()))
+    return rules
 
 
 def _log_sigmoid(t):
@@ -547,15 +576,19 @@ def _log_sigmoid(t):
     return -np.logaddexp(0.0, -t)
 
 
-def _f_at_nodes(f, t: np.ndarray) -> np.ndarray:
-    """f(z) at the quadrature nodes z = sigmoid(t), clamped into the open interval.
+def _f_at_nodes(f, log_z: np.ndarray) -> np.ndarray:
+    """f(z) at the quadrature nodes z = exp(log_z), clamped into the open interval.
 
-    Beyond |t| ~ 37 the float sigmoid rounds onto {0, 1}; the quadrature
-    weight there is below e^-37, so the clamp is invisible in the integrals
-    and only keeps f(z) finite at the tail nodes.
+    f is called once, on the array of nodes.  Beyond |logit z| ~ 37 the
+    float z rounds onto {0, 1}; the quadrature weight there is below e^-37,
+    so the clamp is invisible in the integrals and only keeps f(z) finite at
+    the tail nodes.
     """
-    z = np.clip(np.exp(_log_sigmoid(t)), 1e-300, 1.0 - 1e-16)
-    return np.array([f(zi) for zi in z], dtype=float)
+    z = np.clip(np.exp(log_z), 1e-300, 1.0 - 1e-16)
+    fx = np.asarray(f(z), dtype=float)
+    if fx.shape != z.shape:
+        raise ValueError(f"f must map an array of z to an array of the same shape, got {fx.shape} for {z.shape}")
+    return fx
 
 
 def _beta_from_mean(mu0: np.ndarray):
@@ -563,41 +596,34 @@ def _beta_from_mean(mu0: np.ndarray):
     return expfam.mean_to_nat(expfam.ExpectationParam(expfam.FamilyDescriptor(expfam.BETA), mu0))
 
 
-def beta_natural_gradient(lam, f) -> np.ndarray:
+def beta_natural_gradient(lam, f, expectation: bool = False):
     """Natural gradient of E_q[f(z)] w.r.t. the Beta expectation parameters.
 
-    Computed as F^-1 Cov_q(T, f) with T = (log z, log(1-z)) and F = Cov(T, T)
-    the Fisher matrix, all moments by quadrature.  Doubling the nodes per
-    panel must change the result by less than _QUAD_CHECK_TOL, else the
-    failure is reported.
+    ``f`` maps an array of z in (0, 1) to the array of f(z); it is called
+    once per quadrature rule.  The gradient is F^-1 Cov_q(T, f) with
+    T = (log z, log(1-z)) and F = Cov(T, T) the Fisher matrix, all moments by
+    quadrature.  Doubling the nodes per panel must change the result by less
+    than _QUAD_CHECK_TOL, else the failure is reported.  With
+    ``expectation`` the result is the pair (gradient, E_q[f]), the latter
+    from the same pass as the gradient, at _QUAD_ORDER nodes per panel.
     """
     a, b = expfam.beta_ab(lam)
     if a < 1e-2 or b < 1e-2:
         raise expfam.DomainError(f"quadrature requires alpha, beta >= 0.01, got ({a:g}, {b:g})")
-
-    def estimate(nodes_per_panel):
-        t, wq = _beta_logit_rule(a, b, nodes_per_panel)
-        t_stats = np.stack([_log_sigmoid(t), _log_sigmoid(-t)])  # (log z, log(1-z))
-        fx = _f_at_nodes(f, t)
-        t_mean = t_stats @ wq
-        tc = t_stats - t_mean[:, None]
+    estimates = []
+    for t_stats, wq in _beta_logit_rules(a, b, (_QUAD_ORDER, 2 * _QUAD_ORDER)):
+        fx = _f_at_nodes(f, t_stats[0])
+        f_mean = fx @ wq
+        tc = t_stats - (t_stats @ wq)[:, None]
         fisher = (tc * wq) @ tc.T
-        cov_tf = (tc * wq) @ (fx - fx @ wq)
-        return np.linalg.solve(fisher, cov_tf)
-
-    g1 = estimate(_QUAD_ORDER)
-    g2 = estimate(2 * _QUAD_ORDER)
+        cov_tf = (tc * wq) @ (fx - f_mean)
+        estimates.append((np.linalg.solve(fisher, cov_tf), float(f_mean)))
+    (g1, f_mean), (g2, _) = estimates
     if not float(np.max(np.abs(g1 - g2))) <= _QUAD_CHECK_TOL:  # a NaN fails too
         raise NumericalError(
             f"quadrature for the natural gradient did not converge: {g1} vs {g2}"
         )
-    return g2
-
-
-def _beta_expect(lam, f) -> float:
-    """E_q[f(z)] under the Beta natural parameters lam."""
-    t, wq = _beta_logit_rule(*expfam.beta_ab(lam), _QUAD_ORDER)
-    return float(_f_at_nodes(f, t) @ wq)
+    return (g2, f_mean) if expectation else g2
 
 
 class LogitNormalProvider(CoefficientProvider):
@@ -607,22 +633,39 @@ class LogitNormalProvider(CoefficientProvider):
     f(z) = -(logit(z) - m)^2 / 2; the non-conjugate f enters the weight
     node's coefficient through its quadrature natural gradient, acting as a
     pseudo-conjugate Beta term.  ``log_prior_core`` may override f (used by
-    the conjugate cross-checks).
+    the conjugate cross-checks); like f it maps an array of z to an array.
+
+    The weight read-off (the Beta natural parameters of the weight's
+    expectations, the natural gradient and E_q[f]) is done once per weight
+    state: the step, the fixed-point residual and the ELBO at the same
+    expectations of "pi", and the same f, share one quadrature pass.
     """
 
     def __init__(self, n: int, log_prior_core=None):
         self.log_prior_core = log_prior_core
         self.plates = {"z": _z_ids(n), "pi": ("pi",)}
+        self._read_off_key = None
+        self._read_off = None
 
     def _f(self, data: LogitNormalMixtureData):
         if self.log_prior_core is not None:
             return self.log_prior_core
         m = data.m
-        return lambda z: -0.5 * (math.log(z / (1.0 - z)) - m) ** 2
+        return lambda z: -0.5 * (np.log(z / (1.0 - z)) - m) ** 2
+
+    def _weight_read_off(self, mu0: np.ndarray, data: LogitNormalMixtureData):
+        """((alpha_hat, beta_hat), E_q[f]) at the weight expectations mu0, kept for the last mu0 and f."""
+        core = self.log_prior_core
+        key = (mu0.tobytes(), data.m if core is None else core)
+        if key != self._read_off_key:
+            ab_hat, f_mean = beta_natural_gradient(_beta_from_mean(mu0), self._f(data), expectation=True)
+            ab_hat.flags.writeable = False
+            self._read_off_key, self._read_off = key, (ab_hat, f_mean)
+        return self._read_off
 
     def pseudo_prior(self, mu0: np.ndarray, data: LogitNormalMixtureData) -> np.ndarray:
-        """(alpha_hat, beta_hat): natural gradient of the non-conjugate term."""
-        return beta_natural_gradient(_beta_from_mean(mu0), self._f(data))
+        """(alpha_hat, beta_hat): natural gradient of the non-conjugate term (read-only)."""
+        return self._weight_read_off(mu0, data)[0]
 
     def coefficient(self, plate, mus, data: LogitNormalMixtureData):
         if plate == "pi":
@@ -636,7 +679,7 @@ class LogitNormalProvider(CoefficientProvider):
         mu0 = mus["pi"][0]
         total = -float(mu0[0]) - float(mu0[1])  # prior base measure 1/(z(1-z))
         total -= 0.5 * LOG_2PI  # logit-normal (sigma = 1) normalizer
-        total += _beta_expect(_beta_from_mean(mu0), self._f(data))
+        total += self._weight_read_off(mu0, data)[1]
         return float(total + _indicator_log_joint(mus, data.log_pa, data.log_pb))
 
     @property

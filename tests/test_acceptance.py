@@ -188,7 +188,7 @@ def test_criterion_08_pseudo_prior_cross_check():
     and is symmetric for the centered logit-normal under symmetric q."""
     a0, b0 = 2.5, 4.0
     provider = models.LogitNormalProvider(
-        1, log_prior_core=lambda z: (a0 - 1.0) * math.log(z) + (b0 - 1.0) * math.log(1.0 - z)
+        1, log_prior_core=lambda z: (a0 - 1.0) * np.log(z) + (b0 - 1.0) * np.log(1.0 - z)
     )
     data = models.LogitNormalMixtureData([0.0], [0.0], 0.0)
     conj_gap = 0.0

@@ -179,6 +179,17 @@ def test_empty_model_sweep_is_noop():
     assert state == {}
 
 
+def test_model_spec_rejects_a_missing_provider_plate():
+    """Nodes that leave out a whole plate of the provider fail where the model is built."""
+    two_level = models.build_two_level(make_two_level(seed=2, n=3))
+    without_pi = tuple(n for n in two_level.nodes if n.id != "pi")
+    with pytest.raises(engine.ConfigurationError, match="plate 'pi'"):
+        engine.ModelSpec(without_pi, two_level.provider)
+    only_pi = tuple(n for n in two_level.nodes if n.id == "pi")
+    with pytest.raises(engine.ConfigurationError, match="plate 'z'"):
+        engine.ModelSpec(only_pi, two_level.provider)
+
+
 # ---------------------------------------------------------------------------
 # svi_step
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from meanfield import engine, expfam, models, oracle
+from meanfield.specfun import betaln
 from conftest import make_gmm, make_two_level
 
 
@@ -325,7 +326,7 @@ def test_pseudo_prior_conjugate_cross_check():
     path must read off that density's own natural parameters."""
     a0, b0 = 3.5, 1.25
     provider = models.LogitNormalProvider(
-        2, log_prior_core=lambda z: (a0 - 1.0) * math.log(z) + (b0 - 1.0) * math.log(1.0 - z)
+        2, log_prior_core=lambda z: (a0 - 1.0) * np.log(z) + (b0 - 1.0) * np.log(1.0 - z)
     )
     data = models.LogitNormalMixtureData([0.0, 0.0], [0.0, 0.0], 0.0)
     for ab in [(2.0, 3.0), (1.0, 1.0), (6.0, 4.0)]:
@@ -352,7 +353,7 @@ def test_logitnormal_beta_core_matches_two_level_coefficients(two_level_data):
         two_level_data.log_pa, two_level_data.log_pb, 0.0
     )
     provider = models.LogitNormalProvider(
-        n, log_prior_core=lambda z: a0 * math.log(z) + b0 * math.log(1.0 - z)
+        n, log_prior_core=lambda z: a0 * np.log(z) + b0 * np.log(1.0 - z)
     )
     # the reciprocal base measure 1/(z(1-z)) folds (-1,-1) into the read-off,
     # so the core above carries exponents (a0, b0): h(z) exp(core) = Beta density
@@ -393,10 +394,118 @@ def test_quadrature_natural_gradient_small_alpha_is_finite_or_raises():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            g = models.beta_natural_gradient(lam, lambda z: -0.5 * (math.log(z / (1.0 - z)) - 0.3) ** 2)
+            g = models.beta_natural_gradient(lam, lambda z: -0.5 * (np.log(z / (1.0 - z)) - 0.3) ** 2)
         except expfam.NumericalError:
             return
     assert np.all(np.isfinite(g))
+
+
+def _scalar_walk(a, b):
+    """The bracket of the Beta(a, b) logit-domain rule, walked one scalar unit step at a time."""
+
+    def logdens(t):
+        return a * models._log_sigmoid(t) + b * models._log_sigmoid(-t) - betaln(a, b)
+
+    mode = math.log(a / b)
+    floor = logdens(mode) - 50.0
+    lo = hi = mode
+    while logdens(lo) > floor:
+        lo -= 1.0
+    while logdens(hi) > floor:
+        hi += 1.0
+    return lo, hi
+
+
+@pytest.mark.parametrize("ab", [(0.02, 5.0), (5.0, 0.02), (25.0, 17.0), (1.0, 1.0), (0.3, 900.0)])
+def test_block_walk_finds_the_scalar_walks_bracket(ab):
+    a, b = ab
+    log_norm = betaln(a, b)
+
+    def logdens(t):
+        return a * models._log_sigmoid(t) + b * models._log_sigmoid(-t) - log_norm
+
+    mode = math.log(a / b)
+    floor = logdens(mode) - 50.0
+    got = (models._walk(logdens, mode, -1.0, floor), models._walk(logdens, mode, 1.0, floor))
+    assert got == _scalar_walk(a, b)
+
+
+def test_small_alpha_gradient_calls_f_once_per_rule():
+    """f sees the array of nodes: one call per quadrature rule, at any spread of the nodes."""
+    calls = []
+
+    def f(z):
+        calls.append(z.size)
+        return -0.5 * (np.log(z / (1.0 - z)) - 0.3) ** 2
+
+    g = models.beta_natural_gradient(expfam.beta_natural(0.02, 5.0), f)
+    assert len(calls) == 2
+    assert calls[1] == 2 * calls[0]
+    assert g.tolist() == pytest.approx([103.33322325006735, 11536.192646334892], rel=1e-12)
+
+
+def test_beta_natural_gradient_rejects_a_scalar_f():
+    with pytest.raises(ValueError, match="array of z"):
+        models.beta_natural_gradient(expfam.beta_natural(2.0, 3.0), lambda z: 1.0)
+
+
+def _logitnormal_data(n, m=0.3, seed=4):
+    rng = np.random.default_rng(seed)
+    y = np.concatenate([rng.normal(-1.5, 1.0, n // 2), rng.normal(1.5, 1.0, n - n // 2)])
+    log_pa = -0.5 * (y + 1.5) ** 2 - 0.5 * math.log(2 * math.pi)
+    log_pb = -0.5 * (y - 1.5) ** 2 - 0.5 * math.log(2 * math.pi)
+    return models.LogitNormalMixtureData(log_pa, log_pb, m)
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [engine.Schedule(), engine.Schedule(engine.SVI, kappa=0.7, tau=1.0, seed=2)],
+    ids=["cavi", "svi"],
+)
+def test_one_weight_read_off_per_iteration(monkeypatch, schedule):
+    """The step, the residual and the ELBO at one weight state share one quadrature and one Beta inversion."""
+    counts = {"gradient": 0, "mean_to_nat": 0}
+
+    def counted(name, fn):
+        def run(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return run
+
+    monkeypatch.setattr(models, "beta_natural_gradient", counted("gradient", models.beta_natural_gradient))
+    monkeypatch.setattr(expfam, "mean_to_nat", counted("mean_to_nat", expfam.mean_to_nat))
+    data = _logitnormal_data(10)
+    trace = engine.fit(models.build_logitnormal(data, seed=1), data, schedule, tol=1e-9, max_iter=40)
+    iterations = trace.records[-1].iteration
+    assert iterations > 5
+    assert counts == {"gradient": iterations + 1, "mean_to_nat": iterations + 1}
+
+
+def test_weight_read_off_is_not_reused_under_another_m():
+    mu0 = expfam.nat_to_mean(expfam.beta_natural(3.0, 2.0)).values
+    provider = models.LogitNormalProvider(2)
+    for m in (0.3, -1.2, 0.3):
+        data = _logitnormal_data(2, m=m)
+        got = provider.pseudo_prior(mu0, data)
+        assert got.tolist() == models.LogitNormalProvider(2).pseudo_prior(mu0, data).tolist()
+        want = models.beta_natural_gradient(
+            expfam.beta_natural(3.0, 2.0), lambda z: -0.5 * (np.log(z / (1.0 - z)) - m) ** 2
+        )
+        assert got == pytest.approx(want, rel=1e-6)
+
+
+def test_reused_provider_fits_like_a_fresh_one():
+    data = _logitnormal_data(10)
+    schedule = engine.Schedule(engine.SVI, seed=7)
+    model = models.build_logitnormal(data, seed=1)
+    first = engine.fit(model, data, schedule, tol=1e-300, max_iter=30)
+    again = engine.fit(model, data, schedule, tol=1e-300, max_iter=30)
+    fresh = engine.fit(models.build_logitnormal(data, seed=1), data, schedule, tol=1e-300, max_iter=30)
+    for trace in (first, again):
+        assert trace.elbos.tolist() == fresh.elbos.tolist()
+        assert trace.residuals.tolist() == fresh.residuals.tolist()
+        assert trace.state["pi"].lam.values.tolist() == fresh.state["pi"].lam.values.tolist()
 
 
 # ---------------------------------------------------------------------------
