@@ -596,16 +596,16 @@ def _beta_from_mean(mu0: np.ndarray):
     return expfam.mean_to_nat(expfam.ExpectationParam(expfam.FamilyDescriptor(expfam.BETA), mu0))
 
 
-def beta_natural_gradient(lam, f, expectation: bool = False):
+def beta_natural_gradient(lam, f):
     """Natural gradient of E_q[f(z)] w.r.t. the Beta expectation parameters.
 
     ``f`` maps an array of z in (0, 1) to the array of f(z); it is called
     once per quadrature rule.  The gradient is F^-1 Cov_q(T, f) with
     T = (log z, log(1-z)) and F = Cov(T, T) the Fisher matrix, all moments by
     quadrature.  Doubling the nodes per panel must change the result by less
-    than _QUAD_CHECK_TOL, else the failure is reported.  With
-    ``expectation`` the result is the pair (gradient, E_q[f]), the latter
-    from the same pass as the gradient, at _QUAD_ORDER nodes per panel.
+    than _QUAD_CHECK_TOL, else the failure is reported.  Returns the pair
+    (gradient, E_q[f]); E_q[f] comes from the same pass as the gradient, at
+    _QUAD_ORDER nodes per panel.
     """
     a, b = expfam.beta_ab(lam)
     if a < 1e-2 or b < 1e-2:
@@ -623,7 +623,7 @@ def beta_natural_gradient(lam, f, expectation: bool = False):
         raise NumericalError(
             f"quadrature for the natural gradient did not converge: {g1} vs {g2}"
         )
-    return (g2, f_mean) if expectation else g2
+    return g2, f_mean
 
 
 class LogitNormalProvider(CoefficientProvider):
@@ -648,17 +648,18 @@ class LogitNormalProvider(CoefficientProvider):
         self._read_off = None
 
     def _f(self, data: LogitNormalMixtureData):
+        """(what f depends on, f): log_prior_core itself, or the default f's mean m."""
         if self.log_prior_core is not None:
-            return self.log_prior_core
+            return self.log_prior_core, self.log_prior_core
         m = data.m
-        return lambda z: -0.5 * (np.log(z / (1.0 - z)) - m) ** 2
+        return m, lambda z: -0.5 * (np.log(z / (1.0 - z)) - m) ** 2
 
     def _weight_read_off(self, mu0: np.ndarray, data: LogitNormalMixtureData):
         """((alpha_hat, beta_hat), E_q[f]) at the weight expectations mu0, kept for the last mu0 and f."""
-        core = self.log_prior_core
-        key = (mu0.tobytes(), data.m if core is None else core)
+        depends_on, f = self._f(data)
+        key = (mu0.tobytes(), depends_on)
         if key != self._read_off_key:
-            ab_hat, f_mean = beta_natural_gradient(_beta_from_mean(mu0), self._f(data), expectation=True)
+            ab_hat, f_mean = beta_natural_gradient(_beta_from_mean(mu0), f)
             ab_hat.flags.writeable = False
             self._read_off_key, self._read_off = key, (ab_hat, f_mean)
         return self._read_off

@@ -20,8 +20,8 @@ def _f(z):
 
 def test_beta_natural_gradient(benchmark):
     lam = expfam.beta_natural(25.0, 17.0)
-    g = benchmark(models.beta_natural_gradient, lam, _f)
-    assert g.shape == (2,) and np.all(np.isfinite(g))
+    g, f_mean = benchmark(models.beta_natural_gradient, lam, _f)
+    assert g.shape == (2,) and np.all(np.isfinite(g)) and np.isfinite(f_mean)
 
 
 def test_logitnormal_weight_coefficient(benchmark):
