@@ -19,15 +19,11 @@ def _random_natural(rng, kind: str, dim: int = 1) -> expfam.NaturalParam:
         return expfam.bernoulli_natural(rng.uniform(-4.0, 4.0))
     if kind == expfam.BETA:
         return expfam.beta_natural(rng.uniform(0.2, 8.0), rng.uniform(0.2, 8.0))
-    if kind == expfam.GAUSSIAN:
-        a = rng.standard_normal((dim, dim))
-        prec = a @ a.T + dim * np.eye(dim)
-        return expfam.gaussian_natural(rng.standard_normal(dim), prec)
     a = rng.standard_normal((dim, dim))
-    w = a @ a.T + dim * np.eye(dim)
-    return expfam.gw_natural(
-        dim - 1 + rng.uniform(0.5, 6.0), rng.uniform(0.3, 4.0), rng.standard_normal(dim), w
-    )
+    spd = a @ a.T + dim * np.eye(dim)
+    if kind == expfam.GAUSSIAN:
+        return expfam.gaussian_natural(rng.standard_normal(dim), spd)
+    return expfam.gw_natural(dim - 1 + rng.uniform(0.5, 6.0), rng.uniform(0.3, 4.0), rng.standard_normal(dim), spd)
 
 
 def suite_roundtrip(seed: int = 0):

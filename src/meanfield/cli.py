@@ -36,28 +36,6 @@ EXIT_USAGE = 64
 
 log = logging.getLogger("meanfield")
 
-_MODELS = (
-    "simple_mixture",
-    "two_level",
-    "gmm2",
-    "matfac_vmp",
-    "matfac_ppca",
-    "matfac_als",
-    "logitnormal",
-)
-
-_COMMON_KEYS = {
-    "model",
-    "schedule",
-    "rho",
-    "kappa",
-    "tau",
-    "tol",
-    "max_iter",
-    "seed",
-    "data_path",
-    "output_path",
-}
 _MODEL_KEYS = {
     "simple_mixture": set(),
     "two_level": {"alpha0", "beta0"},
@@ -67,6 +45,11 @@ _MODEL_KEYS = {
     "matfac_als": {"k", "delta_u", "delta_v"},
     "logitnormal": {"m"},
 }
+_MODELS = tuple(_MODEL_KEYS)
+# Every config value is a number, except those of the text keys.
+_TEXT_KEYS = {"model", "schedule", "data_path", "output_path"}
+_INT_KEYS = {"max_iter", "seed", "k"}
+_COMMON_KEYS = _TEXT_KEYS | {"rho", "kappa", "tau", "tol", "max_iter", "seed"}
 
 
 class InputError(Exception):
@@ -90,10 +73,12 @@ class RunConfig:
     def __post_init__(self):
         if self.model not in _MODELS:
             raise InputError(f"unknown model {self.model!r}")
-        if self.tol <= 0.0:
-            raise InputError("tol must be positive")
+        if not self.tol > 0.0:
+            raise InputError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 0:
             raise InputError("max_iter must be nonnegative")
+        if self.seed < 0:
+            raise InputError(f"seed must be nonnegative, got {self.seed}")
 
 
 def parse_config(path: str) -> RunConfig:
@@ -125,26 +110,25 @@ def parse_config(path: str) -> RunConfig:
         if required not in values:
             raise InputError(f"config must set {required}")
 
-    def fval(key, default):
-        return float(values[key]) if key in values else default
+    numbers = {k: _number(k, v) for k, v in values.items() if k not in _TEXT_KEYS}
+    extras = {k: numbers.pop(k) for k in _MODEL_KEYS[model] if k in numbers}
+    return RunConfig(
+        model=model,
+        data_path=values["data_path"],
+        output_path=values["output_path"],
+        schedule=values.get("schedule", "cavi"),
+        extras=extras,
+        **numbers,
+    )
 
+
+def _number(key: str, text: str):
+    """A config value as an int for the integer keys, else as a float; a bad value names its key."""
     try:
-        cfg = RunConfig(
-            model=model,
-            data_path=values["data_path"],
-            output_path=values["output_path"],
-            schedule=values.get("schedule", "cavi"),
-            rho=fval("rho", 0.5),
-            kappa=fval("kappa", 0.7),
-            tau=fval("tau", 1.0),
-            tol=fval("tol", 1e-8),
-            max_iter=int(values.get("max_iter", 1000)),
-            seed=int(values.get("seed", 0)),
-            extras={k: float(values[k]) for k in _MODEL_KEYS[model] if k in values},
-        )
-    except ValueError as exc:
-        raise InputError(f"bad config value: {exc}") from exc
-    return cfg
+        return int(text) if key in _INT_KEYS else float(text)
+    except ValueError:
+        kind = "an integer" if key in _INT_KEYS else "a number"
+        raise InputError(f"{key} must be {kind}, got {text!r}") from None
 
 
 def load_csv(path: str, expected_cols: int | None = None) -> np.ndarray:
@@ -159,14 +143,9 @@ def load_csv(path: str, expected_cols: int | None = None) -> np.ndarray:
         if not line or line.startswith("#"):
             continue
         cells = line.split(",")
-        if expected_cols is not None and len(cells) != expected_cols:
-            raise InputError(
-                f"{path}: row {lineno} has {len(cells)} fields, expected {expected_cols}"
-            )
-        if rows and len(cells) != len(rows[0]):
-            raise InputError(
-                f"{path}: row {lineno} has {len(cells)} fields, expected {len(rows[0])}"
-            )
+        want = expected_cols or (len(rows[0]) if rows else len(cells))
+        if len(cells) != want:
+            raise InputError(f"{path}: row {lineno} has {len(cells)} fields, expected {want}")
         try:
             rows.append([float(c) for c in cells])
         except ValueError as exc:
@@ -207,7 +186,7 @@ def _build(cfg: RunConfig):
     if cfg.model.startswith("matfac"):
         arr = load_csv(cfg.data_path)
         data = models.MatrixFactorizationData(
-            arr, int(x.get("k", 1)), x.get("delta_u", 1.0), x.get("delta_v", 1.0)
+            arr, x.get("k", 1), x.get("delta_u", 1.0), x.get("delta_v", 1.0)
         )
         mode = cfg.model.split("_")[1]
         return models.build_matfac(data, mode, seed=cfg.seed), data
@@ -226,11 +205,10 @@ def write_trace(path: str, trace: engine.FitTrace) -> None:
             fh.write(f"iter={rec.iteration} elbo={_fmt(rec.elbo)} residual={_fmt(rec.residual)}\n")
         fh.write(f"converged={'true' if trace.converged else 'false'} ")
         fh.write(f"iterations={trace.records[-1].iteration}\n")
-        for nid, node in trace.state.items():
-            lam = " ".join(_fmt(v) for v in node.lam.values)
-            mu = " ".join(_fmt(v) for v in node.mu.values)
-            fh.write(f"param {nid} lambda {lam}\n")
-            fh.write(f"param {nid} mu {mu}\n")
+        for plate in trace.plates.values():
+            for nid, lam, mu in zip(plate.ids, plate.lam.values, plate.mu.values):
+                fh.write(f"param {nid} lambda {' '.join(_fmt(v) for v in lam)}\n")
+                fh.write(f"param {nid} mu {' '.join(_fmt(v) for v in mu)}\n")
 
 
 def cmd_fit(args) -> int:

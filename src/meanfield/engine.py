@@ -20,16 +20,20 @@ global node is a plate with G = 1.  The provider declares the plates and
 reads every coefficient off per plate, so a sweep does a fixed amount of
 Python work per plate whatever the number of data.
 
-Plates are the only state the sweeps address and move: orders name plates,
-and the SVI local step is one row of the local plate.  Per-id ``NodeState``s
-appear only where a model enters (``ModelSpec``) and where a fit leaves
-(``FitTrace.state``); ``to_plates`` and ``to_nodes`` convert between them.
+Plates are the only state from build to result: the builders hand their
+plates to ``ModelSpec``, orders name plates, the SVI local step is one row
+of the local plate, and ``fit`` hands its final plates back as
+``FitTrace.plates``.  Per-id access (``ModelSpec.nodes``, ``FitTrace.state``)
+is a ``NodeView``: a read-only lookup from id to (plate, row) that copies
+and validates nothing.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from abc import ABC, abstractmethod
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -43,6 +47,7 @@ __all__ = [
     "PARALLEL_BLR",
     "ConfigurationError",
     "NodeState",
+    "NodeView",
     "Plate",
     "Schedule",
     "CoefficientProvider",
@@ -51,8 +56,6 @@ __all__ = [
     "TraceRecord",
     "delta_moment",
     "mu_snapshot",
-    "to_plates",
-    "to_nodes",
     "blr_step",
     "cavi_sweep",
     "svi_step",
@@ -130,13 +133,30 @@ class Plate(_Factor):
         """A plate from row-stacked natural parameters, one row per id."""
         return Plate(tuple(ids), lam, nat_to_mean(lam), role, delta_mode)
 
-    def nodes(self) -> list[NodeState]:
-        """One NodeState per row, viewing the plate's arrays."""
-        lams, mus = expfam.split_rows(self.lam), expfam.split_rows(self.mu)
-        return [
-            NodeState(nid, lam, mu, self.role, self.delta_mode)
-            for nid, lam, mu in zip(self.ids, lams, mus)
-        ]
+
+class NodeView(Mapping):
+    """Read-only per-id view of a plate state: id -> one-row NodeState, in plate then row order.
+
+    A lookup views its plate's row; nothing is copied or validated, and the
+    length is counted off the plates without making any node.
+    """
+
+    def __init__(self, plates: dict[str, Plate]):
+        self.plates = plates
+        self._where = None  # id -> (plate name, row), built on the first lookup
+
+    def __getitem__(self, node_id: str) -> NodeState:
+        if self._where is None:
+            self._where = {nid: (name, r) for name, p in self.plates.items() for r, nid in enumerate(p.ids)}
+        name, r = self._where[node_id]
+        p = self.plates[name]
+        return NodeState(node_id, expfam.row_view(p.lam, r), expfam.row_view(p.mu, r), p.role, p.delta_mode)
+
+    def __iter__(self):
+        return (nid for p in self.plates.values() for nid in p.ids)
+
+    def __len__(self) -> int:
+        return sum(len(p.ids) for p in self.plates.values())
 
 
 class CoefficientProvider(ABC):
@@ -166,61 +186,70 @@ class CoefficientProvider(ABC):
         return ()
 
 
-def _group(layout: dict[str, tuple[str, ...]], nodes: dict[str, NodeState]) -> dict[str, Plate]:
-    """Stack per-id nodes into the plates of a layout; plates with no node present are left out."""
+def _group(layout: dict[str, tuple[str, ...]], factors) -> dict[str, Plate]:
+    """Stack factors, whole plates or one-row nodes, into the plates of a layout.
+
+    A plate factor holding exactly a layout plate's ids, in order, is taken
+    as it is; any other layout plate is stacked row by row.  No factors at
+    all give no plates; otherwise every plate of the layout must be whole.
+    """
+    where = {nid: (f, r) for f in factors for r, nid in enumerate(f.ids)}
+    if len(where) != sum(len(f.ids) for f in factors):
+        raise ConfigurationError("duplicate node ids in model")
+    if not where:
+        return {}
     plates = {}
     for name, ids in layout.items():
-        present = [nid in nodes for nid in ids]
-        if not any(present):
-            continue
-        if not all(present):
-            missing = ids[present.index(False)]
+        rows = [where[nid] for nid in ids if nid in where]
+        if len(rows) != len(ids):
+            missing = next(nid for nid in ids if nid not in where)
             raise ConfigurationError(f"plate {name!r} is missing node {missing!r}")
-        rows = [nodes[nid] for nid in ids]
-        first = rows[0]
-        for node in rows:
-            if (node.family, node.role, node.delta_mode) != (first.family, first.role, first.delta_mode):
-                raise ConfigurationError(
-                    f"node {node.id!r} differs from {first.id!r} in family, role or delta mode"
-                )
-        lam = NaturalParam(first.family, np.stack([n.lam.values for n in rows]))
-        mu = ExpectationParam(first.family, np.stack([n.mu.values for n in rows]))
-        plates[name] = Plate(tuple(ids), lam, mu, first.role, first.delta_mode)
+        first = rows[0][0]
+        if isinstance(first, Plate) and first.ids == ids:
+            plates[name] = first
+            continue
+        for nid, (f, _) in zip(ids, rows):
+            if (f.family, f.role, f.delta_mode) != (first.family, first.role, first.delta_mode):
+                raise ConfigurationError(f"node {nid!r} differs from {ids[0]!r} in family, role or delta mode")
+        lam = NaturalParam(first.family, np.stack([f.lam.values.reshape(len(f.ids), -1)[r] for f, r in rows]))
+        mu = ExpectationParam(first.family, np.stack([f.mu.values.reshape(len(f.ids), -1)[r] for f, r in rows]))
+        plates[name] = Plate(ids, lam, mu, first.role, first.delta_mode)
+    if sum(len(p.ids) for p in plates.values()) != len(where):
+        placed = {nid for ids in layout.values() for nid in ids}
+        stray = next(nid for nid in where if nid not in placed)
+        raise ConfigurationError(f"node {stray!r} is in none of the provider's plates")
     return plates
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Initial node states plus the coefficient provider driving them.
+    """Initial factors plus the coefficient provider driving them.
 
-    The nodes are grouped once into the provider's plates, which are the
-    model's working state.  ``sweep_order`` overrides the default
-    locals-then-globals order of the CAVI sweep; it must name every plate
-    exactly once.
+    A factor is a whole ``Plate`` (what the builders pass) or a one-row
+    ``NodeState``.  The factors are grouped once into the provider's plates,
+    which are the model's working state; ``nodes`` is a read-only per-id
+    view of them.  ``sweep_order`` overrides the default locals-then-globals
+    order of the CAVI sweep; it must name every plate exactly once.
     """
 
-    nodes: tuple[NodeState, ...]
+    factors: tuple[Plate | NodeState, ...]
     provider: CoefficientProvider
     sweep_order: tuple[str, ...] | None = None
     plates: dict[str, Plate] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        by_id = {n.id: n for n in self.nodes}
-        if len(by_id) != len(self.nodes):
-            raise ConfigurationError("duplicate node ids in model")
-        plates = _group(self.provider.plates, by_id)
-        if sum(len(p.ids) for p in plates.values()) != len(self.nodes):
-            grouped = {nid for p in plates.values() for nid in p.ids}
-            stray = next(nid for nid in by_id if nid not in grouped)
-            raise ConfigurationError(f"node {stray!r} is in none of the provider's plates")
-        if plates and len(plates) != len(self.provider.plates):
-            missing = next(name for name in self.provider.plates if name not in plates)
-            raise ConfigurationError(f"model has no nodes of the provider's plate {missing!r}")
+        object.__setattr__(self, "factors", tuple(self.factors))
+        plates = _group(self.provider.plates, self.factors)
         if self.sweep_order is not None and sorted(self.sweep_order) != sorted(plates):
             raise ConfigurationError(
                 f"sweep_order must name every plate once ({', '.join(plates)}), got {self.sweep_order}"
             )
         object.__setattr__(self, "plates", plates)
+
+    @property
+    def nodes(self):
+        """The initial state per id: one NodeState per row, in plate then row order."""
+        return NodeView(self.plates).values()
 
     def default_order(self) -> tuple[str, ...]:
         """Local plates, then global plates."""
@@ -248,8 +277,8 @@ class Schedule:
             raise ConfigurationError("rho_local must lie in (0, 1]")
         if not 0.5 < self.kappa <= 1.0:
             raise ConfigurationError("kappa must lie in (0.5, 1]")
-        if self.tau < 0.0:
-            raise ConfigurationError("tau must be nonnegative")
+        if not 0.0 <= self.tau < float("inf"):
+            raise ConfigurationError(f"tau must be finite and nonnegative, got {self.tau}")
 
     def global_rate(self, t: int) -> float:
         return float((t + self.tau) ** (-self.kappa))
@@ -265,9 +294,16 @@ class TraceRecord:
 
 @dataclass
 class FitTrace:
+    """The per-iteration records and the final plate state of a fit."""
+
     records: list[TraceRecord] = field(default_factory=list)
     converged: bool = False
-    state: dict[str, NodeState] = field(default_factory=dict)
+    plates: dict[str, Plate] = field(default_factory=dict)
+
+    @functools.cached_property
+    def state(self) -> NodeView:
+        """Read-only per-id view of the final plates."""
+        return NodeView(self.plates)
 
     @property
     def elbos(self) -> np.ndarray:
@@ -281,18 +317,6 @@ class FitTrace:
 # --------------------------------------------------------------------------
 # node- and plate-level operations
 # --------------------------------------------------------------------------
-
-
-def to_plates(model: ModelSpec, state: dict) -> dict[str, Plate]:
-    """The plate state of a per-id state such as ``FitTrace.state``; a plate state is returned as is."""
-    if all(isinstance(v, Plate) for v in state.values()):
-        return state
-    return _group({name: p.ids for name, p in model.plates.items()}, state)
-
-
-def to_nodes(state: dict[str, Plate]) -> dict[str, NodeState]:
-    """The per-id view of a plate state, in plate and row order."""
-    return {node.id: node for plate in state.values() for node in plate.nodes()}
 
 
 def delta_moment(node):
@@ -378,6 +402,14 @@ def _step_with_backoff(node, target: np.ndarray, rho: float, rows=None):
 # --------------------------------------------------------------------------
 
 
+def _require_plates(model: ModelSpec, plates) -> dict[str, Plate]:
+    """The plate state itself, once it is checked to hold every plate of the model."""
+    missing = [name for name in model.plates if not isinstance(plates.get(name), Plate)]
+    if missing:
+        raise ConfigurationError(f"state has no plate {missing[0]!r}: pass dict(model.plates) or trace.plates")
+    return plates
+
+
 def _sweep(model: ModelSpec, plates: dict, data, steps, frozen: bool = False):
     """Damped steps of the plate state, one per (plate, rate, rows) in order: the single update path.
 
@@ -385,11 +417,7 @@ def _sweep(model: ModelSpec, plates: dict, data, steps, frozen: bool = False):
     the expectation snapshot, refreshed after every step unless ``frozen``
     holds it at its pre-sweep value.  The state is updated in place.
     """
-    for name in model.plates:
-        if not isinstance(plates.get(name), Plate):
-            raise ConfigurationError(
-                f"state has no plate {name!r}: sweeps take dict(model.plates) or to_plates(model, state)"
-            )
+    _require_plates(model, plates)
     snap = mu_snapshot(plates)
     for name, rho, rows in steps:
         target = _target(model, name, snap, data)
@@ -437,9 +465,12 @@ def _parallel_step(model: ModelSpec, plates: dict, data, rho: float):
 # --------------------------------------------------------------------------
 
 
-def elbo(model: ModelSpec, state: dict, data) -> float:
-    """Expected log-joint plus entropies; delta-flagged nodes contribute no entropy."""
-    plates = to_plates(model, state)
+def elbo(model: ModelSpec, state, data) -> float:
+    """Expected log-joint plus entropies; delta-flagged nodes contribute no entropy.
+
+    ``state`` is a plate dict or its NodeView.
+    """
+    plates = _require_plates(model, state.plates if isinstance(state, NodeView) else state)
     total = model.provider.expected_log_joint(mu_snapshot(plates), data)
     for plate in plates.values():
         if not plate.delta_mode:
@@ -447,9 +478,12 @@ def elbo(model: ModelSpec, state: dict, data) -> float:
     return total
 
 
-def fixed_point_residual(model: ModelSpec, state: dict, data) -> float:
-    """Max over nodes of the infinity-norm gap between lambda and its coefficient."""
-    plates = to_plates(model, state)
+def fixed_point_residual(model: ModelSpec, state, data) -> float:
+    """Max over nodes of the infinity-norm gap between lambda and its coefficient.
+
+    ``state`` is a plate dict or its NodeView.
+    """
+    plates = _require_plates(model, state.plates if isinstance(state, NodeView) else state)
     snap = mu_snapshot(plates)
     worst = 0.0
     for name, plate in plates.items():
@@ -468,11 +502,10 @@ def fit(
     """Iterate the chosen schedule until the fixed-point residual drops below tol.
 
     Non-convergence at max_iter is reported through FitTrace.converged, not
-    raised.  The per-id ``FitTrace.state`` is built once, after the last
-    record.
+    raised.  The final plates are ``FitTrace.plates``.
     """
     schedule = schedule or Schedule()
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ConfigurationError("tol must be positive")
     if max_iter < 0:
         raise ConfigurationError("max_iter must be nonnegative")
@@ -501,5 +534,5 @@ def fit(
             _parallel_step(model, state, data, schedule.rho_local)
         residual = record(t)
     trace.converged = residual < tol
-    trace.state = to_nodes(state)
+    trace.plates = state
     return trace

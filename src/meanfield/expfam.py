@@ -55,7 +55,7 @@ __all__ = [
     "beta_ab",
     "gaussian_mean_precision",
     "gw_params",
-    "split_rows",
+    "row_view",
 ]
 
 BERNOULLI = "bernoulli"
@@ -222,19 +222,12 @@ class ExpectationParam:
         object.__setattr__(self, "values", arr)
 
 
-def split_rows(param):
-    """The one-node parameters of a row-stacked parameter, in row order.
-
-    Each one is a read-only view of its row of the already validated
-    values, so nothing is converted or validated again.
-    """
-    out = []
-    for row in param.values:
-        one = object.__new__(type(param))
-        object.__setattr__(one, "family", param.family)
-        object.__setattr__(one, "values", row)
-        out.append(one)
-    return out
+def row_view(param, row: int):
+    """Row ``row`` of a row-stacked parameter as a one-node parameter: a read-only view, not validated again."""
+    one = object.__new__(type(param))
+    object.__setattr__(one, "family", param.family)
+    object.__setattr__(one, "values", param.values[row])
+    return one
 
 
 # --------------------------------------------------------------------------

@@ -63,12 +63,12 @@ def _require_finite(data) -> None:
             raise ValueError(f"{f.name} must be finite")
 
 
-def _require_square_summable(y: np.ndarray) -> None:
-    """Reject Gaussian observations whose sum of squares overflows; the log-joint squares them."""
+def _require_square_summable(name: str, y) -> None:
+    """Reject values whose sum of squares overflows where the log-joint squares them, naming the field."""
     with np.errstate(over="ignore"):
         if not np.isfinite(np.sum(y * y)):
             largest = float(np.max(np.abs(y)))
-            raise ValueError(f"y is too large: its sum of squares overflows (largest |y| is {largest:g})")
+            raise ValueError(f"{name} is too large: its sum of squares overflows (largest |{name}| is {largest:g})")
 
 
 # --------------------------------------------------------------------------
@@ -140,7 +140,7 @@ class GMMData:
     def __post_init__(self):
         _require_finite(self)
         y = np.atleast_2d(np.asarray(self.y, dtype=float))
-        _require_square_summable(y)
+        _require_square_summable("y", y)
         if y.shape[0] < 2:
             raise ValueError("GMM needs at least two observations")
         d = y.shape[1]
@@ -153,9 +153,11 @@ class GMMData:
             raise ValueError("gamma0 must be positive")
         if self.nu0 <= d - 1:
             raise ValueError(f"nu0 must exceed D-1 = {d - 1}")
-        np.linalg.cholesky(w0)  # raises on non-SPD
+        w0 = 0.5 * (w0 + w0.T)
+        if not np.all(np.linalg.eigvalsh(w0) > 0.0):
+            raise ValueError(f"w0 must be positive definite, got {w0.tolist()}")
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "w0", 0.5 * (w0 + w0.T))
+        object.__setattr__(self, "w0", w0)
 
     @property
     def n(self) -> int:
@@ -178,7 +180,7 @@ class MatrixFactorizationData:
     def __post_init__(self):
         _require_finite(self)
         y = np.atleast_2d(np.asarray(self.y, dtype=float))
-        _require_square_summable(y)
+        _require_square_summable("y", y)
         if self.k < 1:
             raise ValueError("number of factors must be >= 1")
         if self.delta_u <= 0.0 or self.delta_v <= 0.0:
@@ -199,6 +201,10 @@ class LogitNormalMixtureData(_MixtureLogLiks):
     """Two-level mixture data with a logit-normal prior on the weight."""
 
     m: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        _require_square_summable("m", float(self.m))  # the prior's f squares logit(z) - m
 
 
 # --------------------------------------------------------------------------
@@ -223,12 +229,6 @@ def _indicator_plate(ids, rng) -> Plate:
 def _global(node_id: str, lam) -> Plate:
     """A plate of one global node."""
     return Plate.make((node_id,), NaturalParam(lam.family, lam.values[None, :]), role=GLOBAL)
-
-
-def _model_spec(plates: dict[str, Plate], provider, sweep_order=None) -> ModelSpec:
-    """The model whose per-id nodes are the rows of the initial plates."""
-    nodes = tuple(node for plate in plates.values() for node in plate.nodes())
-    return ModelSpec(nodes, provider, sweep_order)
 
 
 def _indicator_coefficient(mus, log_a, log_b) -> np.ndarray:
@@ -283,8 +283,7 @@ class SimpleMixtureProvider(CoefficientProvider):
 
 
 def build_simple_mixture(data: SimpleMixtureData, seed: int = 0) -> ModelSpec:
-    plates = {"z": _indicator_plate(("z",), np.random.default_rng(seed))}
-    return _model_spec(plates, SimpleMixtureProvider())
+    return ModelSpec((_indicator_plate(("z",), np.random.default_rng(seed)),), SimpleMixtureProvider())
 
 
 # --------------------------------------------------------------------------
@@ -330,11 +329,11 @@ def build_two_level(
 ) -> ModelSpec:
     provider = TwoLevelProvider(data.n, shifted_beta)
     base = "reciprocal" if shifted_beta else "constant"
-    plates = {
-        "z": _indicator_plate(provider.plates["z"], np.random.default_rng(seed)),
-        "pi": _global("pi", beta_natural(data.alpha0, data.beta0, base_measure=base)),
-    }
-    return _model_spec(plates, provider)
+    plates = (
+        _indicator_plate(provider.plates["z"], np.random.default_rng(seed)),
+        _global("pi", beta_natural(data.alpha0, data.beta0, base_measure=base)),
+    )
+    return ModelSpec(plates, provider)
 
 
 # --------------------------------------------------------------------------
@@ -402,17 +401,17 @@ class GMMProvider(CoefficientProvider):
 def build_gmm2(data: GMMData, seed: int = 0) -> ModelSpec:
     provider = GMMProvider(data)
     prior = gw_natural(data.nu0, data.gamma0, np.zeros(data.dim), data.w0)
-    plates = {
-        "z": _indicator_plate(provider.plates["z"], np.random.default_rng(seed)),
-        "pi": _global("pi", beta_natural(data.alpha0, data.beta0)),
-        "comp_a": _global("comp_a", prior),
-        "comp_b": _global("comp_b", prior),
-    }
+    plates = (
+        _indicator_plate(provider.plates["z"], np.random.default_rng(seed)),
+        _global("pi", beta_natural(data.alpha0, data.beta0)),
+        _global("comp_a", prior),
+        _global("comp_b", prior),
+    )
     # Globals first: a locals-first sweep would overwrite the perturbed
     # responsibilities while the components are still identical, freezing the
     # model at the symmetric fixed point.
     order = ("pi", "comp_a", "comp_b", "z")
-    return _model_spec(plates, provider, sweep_order=order)
+    return ModelSpec(plates, provider, sweep_order=order)
 
 
 # --------------------------------------------------------------------------
@@ -490,11 +489,11 @@ def build_matfac(
         lam = NaturalParam(fam, np.concatenate([m @ prec.T, quad], axis=1))
         return Plate.make(provider.plates[name], lam, role=LOCAL, delta_mode=delta_mode)
 
-    plates = {
-        "u": factors("u", data.delta_u, mode == "als"),
-        "v": factors("v", data.delta_v, mode in ("ppca", "als")),
-    }
-    return _model_spec(plates, provider)
+    plates = (
+        factors("u", data.delta_u, mode == "als"),
+        factors("v", data.delta_v, mode in ("ppca", "als")),
+    )
+    return ModelSpec(plates, provider)
 
 
 def als_objective(plates, data: MatrixFactorizationData) -> float:
@@ -690,8 +689,8 @@ class LogitNormalProvider(CoefficientProvider):
 
 def build_logitnormal(data: LogitNormalMixtureData, seed: int = 0) -> ModelSpec:
     provider = LogitNormalProvider(data.n)
-    plates = {
-        "z": _indicator_plate(provider.plates["z"], np.random.default_rng(seed)),
-        "pi": _global("pi", beta_natural(1.0, 1.0)),
-    }
-    return _model_spec(plates, provider)
+    plates = (
+        _indicator_plate(provider.plates["z"], np.random.default_rng(seed)),
+        _global("pi", beta_natural(1.0, 1.0)),
+    )
+    return ModelSpec(plates, provider)

@@ -120,7 +120,7 @@ def test_criterion_06_svi_consistency():
     rng = np.random.default_rng(606)
     for t in range(2000):
         engine.svi_step(model, state, data, int(rng.integers(data.n)), sched.global_rate(t))
-    svi = engine.to_nodes(state)
+    svi = engine.NodeView(state)
     worst = max(
         float(np.max(np.abs(svi[nid].lam.values - cavi.state[nid].lam.values)))
         for nid in svi

@@ -77,3 +77,29 @@ def test_traced_smoke_fit_passes(worker, workload):
         assert layers[name] > 0, name
     assert layers["engine.sweep.self_s"] > 0.0
     assert 0.0 < layers["engine.diagnostics_share"] < 1.0
+
+
+def _smoke_fit(worker, workload, seed=5):
+    size = worker.SIZES[workload]["smoke"]
+    raw = worker.generate(workload, seed, size)
+    data, model, schedule, tol, max_iter = worker.build(workload, raw, seed, size)
+    return raw, data, model, engine.fit(model, data, schedule, tol=tol, max_iter=max_iter)
+
+
+@pytest.mark.parametrize("workload", ["gmm2_cavi", "matfac_ppca_cavi", "logitnormal_svi"])
+def test_per_id_surface_the_worker_reads(worker, workload):
+    """Node counts, the gates, the lambda digest and the truth-start refit work on per-id state."""
+    seed = 5
+    raw, data, model, trace = _smoke_fit(worker, workload, seed)
+    n_nodes = sum(len(ids) for ids in model.provider.plates.values())
+    assert len(model.nodes) == n_nodes
+    assert len(trace.state) == n_nodes
+    assert all(isinstance(n.id, str) and n.role in (engine.LOCAL, engine.GLOBAL) for n in model.nodes)
+    assert list(trace.state) == [nid for ids in model.provider.plates.values() for nid in ids]
+    assert worker.gate(workload, raw, seed, data, model, trace) == []
+    assert worker.lam_digest(trace.state) == worker.lam_digest(_smoke_fit(worker, workload, seed)[3].state)
+    if workload == "gmm2_cavi":
+        assert np.ndim(trace.state["z3"].mu.values[0]) == 0
+        assert trace.state["pi"].lam.values.shape == (2,)
+        best = worker.truth_start_elbo(raw["labels"], data, model)
+        assert np.isfinite(best) and best >= trace.elbos[-1] - 1e-6 * abs(trace.elbos[-1])

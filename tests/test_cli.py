@@ -219,3 +219,46 @@ def test_bad_arguments_are_usage_errors(capsys):
     assert cli.main([]) == cli.EXIT_USAGE
     assert cli.main(["fit"]) == cli.EXIT_USAGE
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "extra, key",
+    [
+        ("tol=nan\n", "tol"),
+        ("tau=inf\nschedule=svi\n", "tau"),
+        ("tau=nan\nschedule=svi\n", "tau"),
+        ("max_iter=2.5\n", "max_iter"),
+        ("seed=1.5\n", "seed"),
+        ("seed=-1\n", "seed"),
+        ("rho=fast\n", "rho"),
+    ],
+)
+def test_bad_config_value_names_its_key(tmp_path, extra, key):
+    cfg, _ = _fit_config(tmp_path, "0.1,0.4\n-0.3,0.2\n", extra=extra)
+    proc = _run_cli(cfg)
+    assert proc.returncode == cli.EXIT_INPUT
+    assert proc.stderr.startswith(f"error: {key} ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_non_integer_k_is_rejected_not_truncated(tmp_path, capsys):
+    cfg, _ = _fit_config(tmp_path, "0.5,0.2,0.1\n0.3,0.3,0.2\n", extra="k=2.5\n", model="matfac_vmp")
+    assert cli.main(["fit", "--config", cfg]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == "error: k must be an integer, got '2.5'\n"
+
+
+@pytest.mark.parametrize("scale", ["0", "-1"])
+def test_gmm2_w0_that_is_not_positive_definite_is_named(tmp_path, scale, capsys):
+    rows = "0.5,0.2\n-0.3,0.1\n1.0,-0.5\n"
+    cfg, _ = _fit_config(tmp_path, rows, extra=f"w0_scale={scale}\n", model="gmm2")
+    assert cli.main(["fit", "--config", cfg]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: w0 must be positive definite")
+
+
+def test_logitnormal_huge_m_rejected_without_warning(tmp_path):
+    cfg, _ = _fit_config(tmp_path, "0.1,0.4\n-0.3,0.2\n", extra="m=1e308\n", model="logitnormal")
+    proc = _run_cli(cfg)
+    assert proc.returncode == cli.EXIT_INPUT
+    assert proc.stderr.startswith("error: m is too large")
+    assert "Warning" not in proc.stderr
+    assert "Traceback" not in proc.stderr

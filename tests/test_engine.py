@@ -166,8 +166,7 @@ def test_sweep_at_fixed_point_is_identity(two_level_data):
     model = models.build_two_level(two_level_data, seed=1)
     trace = engine.fit(model, two_level_data, tol=1e-13, max_iter=300)
     assert trace.converged
-    state = engine.to_plates(model, trace.state)
-    after = engine.to_nodes(engine.cavi_sweep(model, dict(state), two_level_data))
+    after = engine.NodeView(engine.cavi_sweep(model, dict(trace.plates), two_level_data))
     for nid, node in trace.state.items():
         assert np.max(np.abs(after[nid].lam.values - node.lam.values)) < 1e-12
 
@@ -278,6 +277,18 @@ def test_fit_rejects_bad_arguments(two_level_data):
         engine.fit(model, two_level_data, tol=-1.0)
     with pytest.raises(engine.ConfigurationError):
         engine.fit(model, two_level_data, max_iter=-2)
+
+
+def test_fit_rejects_nan_tol_instead_of_running_to_max_iter(two_level_data):
+    model = models.build_two_level(two_level_data)
+    with pytest.raises(engine.ConfigurationError, match="tol"):
+        engine.fit(model, two_level_data, tol=float("nan"), max_iter=3)
+
+
+@pytest.mark.parametrize("tau", [float("inf"), float("nan")])
+def test_schedule_rejects_a_tau_that_is_not_finite(tau):
+    with pytest.raises(engine.ConfigurationError, match="tau must be finite"):
+        engine.Schedule(kind=engine.SVI, tau=tau)
 
 
 def test_residual_zero_after_full_step():

@@ -1,4 +1,4 @@
-"""Micro-benchmarks of the logit-normal weight read-off and its parts.
+"""Micro-benchmarks of the logit-normal weight read-off, the plate conversions and the special functions.
 
 pytest's defaults include ``--benchmark-disable``, so a plain test run calls
 each benchmarked function once and checks its result.  To time them:
@@ -9,7 +9,7 @@ each benchmarked function once and checks its result.  To time them:
 import numpy as np
 import pytest
 
-from meanfield import expfam, models
+from meanfield import expfam, models, specfun
 
 _M = 0.3
 
@@ -41,3 +41,26 @@ def test_beta_mean_to_nat(benchmark):
     mu = expfam.nat_to_mean(expfam.beta_natural(25.0, 17.0))
     lam = benchmark(expfam.mean_to_nat, mu)
     assert lam.values == pytest.approx([24.0, 16.0], rel=1e-9)
+
+
+def test_bernoulli_plate_nat_to_mean(benchmark):
+    """One row-stacked conversion of a 2000-row indicator plate, the CLI workload's size."""
+    log_odds = np.random.default_rng(0).normal(size=(2000, 1))
+    lam = expfam.NaturalParam(expfam.FamilyDescriptor(expfam.BERNOULLI), log_odds)
+    mu = benchmark(expfam.nat_to_mean, lam)
+    assert mu.values == pytest.approx(1.0 / (1.0 + np.exp(-log_odds)), rel=1e-12)
+
+
+def test_gaussian_wishart_row_nat_to_mean(benchmark):
+    """One Gaussian-Wishart component of the gmm2 model, a single (1, flat) row."""
+    lam = expfam.gw_natural(3.0, 1.0, np.zeros(2), np.eye(2))
+    row = expfam.NaturalParam(lam.family, lam.values[None, :])
+    mu = benchmark(expfam.nat_to_mean, row)
+    assert mu.values.shape == (1, lam.family.flat_size) and np.all(np.isfinite(mu.values))
+    # E[S] = nu W for a Wishart(nu, W) precision
+    assert mu.values[0, 1:5] == pytest.approx([3.0, 0.0, 0.0, 3.0], rel=1e-12)
+
+
+def test_digamma(benchmark):
+    # psi(1) = -Euler-Mascheroni
+    assert benchmark(specfun.digamma, 1.0) == pytest.approx(-0.5772156649015329, rel=1e-12)

@@ -276,8 +276,8 @@ def test_ppca_vs_vmp_second_moment_substitution():
     ppca_state = {n.id: n for n in ppca.nodes}
     for nid in vmp_state:  # identical lambdas by construction (same seed)
         assert np.allclose(vmp_state[nid].lam.values, ppca_state[nid].lam.values)
-    snap_vmp = engine.mu_snapshot(engine.to_plates(vmp, vmp_state))
-    snap_ppca = engine.mu_snapshot(engine.to_plates(ppca, ppca_state))
+    snap_vmp = engine.mu_snapshot(vmp.plates)
+    snap_ppca = engine.mu_snapshot(ppca.plates)
     k = data.k
     cov_sum = np.zeros((k, k))
     for j in range(data.d):

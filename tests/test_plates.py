@@ -1,8 +1,9 @@
 """Plates: groups of conditionally independent nodes moved as one (G, flat) block.
 
-The scaling guard counts the Python-level work of one CAVI sweep plus its
-diagnostics at two data sizes; with plates the counts depend on the number
-of plates only, so a return to one object per datum fails here.
+The scaling guards count the Python-level work of one CAVI sweep plus its
+diagnostics, and of the two ends of a fit (build and result), at two data
+sizes; with plates the counts depend on the number of plates only, so a
+return to one object per datum fails here.
 """
 
 import dataclasses
@@ -30,6 +31,21 @@ def _matfac_ppca(n):
     return models.build_matfac(data, "ppca", seed=1), data
 
 
+def _count_inits(monkeypatch, calls, classes) -> None:
+    """Count the __post_init__ calls, that is the constructions, of each (class, key) in calls[key]."""
+    for cls, key in classes:
+        post_init = cls.__post_init__
+
+        def counted_init(self, post_init=post_init, key=key):
+            calls[key] += 1
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted_init)
+
+
+_PARAMS = ((expfam.NaturalParam, "natural"), (expfam.ExpectationParam, "expectation"))
+
+
 def _sweep_counts(monkeypatch, model, data) -> dict[str, int]:
     """Coefficient calls and parameter validations over one sweep, its residual and its ELBO."""
     calls = {"coefficient": 0, "natural": 0, "expectation": 0}
@@ -41,14 +57,7 @@ def _sweep_counts(monkeypatch, model, data) -> dict[str, int]:
         return coefficient(self, *args, **kwargs)
 
     monkeypatch.setattr(provider_cls, "coefficient", counted_coefficient)
-    for cls, key in ((expfam.NaturalParam, "natural"), (expfam.ExpectationParam, "expectation")):
-        post_init = cls.__post_init__
-
-        def counted_init(self, post_init=post_init, key=key):
-            calls[key] += 1
-            post_init(self)
-
-        monkeypatch.setattr(cls, "__post_init__", counted_init)
+    _count_inits(monkeypatch, calls, _PARAMS)
     state = dict(model.plates)
     engine.cavi_sweep(model, state, data)
     engine.fixed_point_residual(model, state, data)
@@ -65,17 +74,71 @@ def test_sweep_work_does_not_grow_with_data(monkeypatch, build):
     assert small["coefficient"] > 0 and small["natural"] > 0
 
 
+def _end_counts(monkeypatch, n) -> dict[str, int]:
+    """NodeState constructions and parameter validations over a build, a zero-iteration fit and its node count."""
+    calls = {"node": 0, "natural": 0, "expectation": 0}
+    data = make_two_level(seed=1, n=n)
+    _count_inits(monkeypatch, calls, ((engine.NodeState, "node"),) + _PARAMS)
+    trace = engine.fit(models.build_two_level(data, seed=1), data, max_iter=0)
+    assert len(trace.state) == n + 1
+    monkeypatch.undo()
+    return calls
+
+
+def test_build_and_result_work_does_not_grow_with_data(monkeypatch):
+    small = _end_counts(monkeypatch, 10)
+    assert small == _end_counts(monkeypatch, 200)
+    assert small["node"] == 0 and small["natural"] > 0
+
+
+def test_builders_hand_their_plates_to_the_model():
+    model, data = _two_level(5)
+    assert model.plates["z"] is model.factors[0] and model.plates["pi"] is model.factors[1]
+    trace = engine.fit(model, data, max_iter=2)
+    assert trace.state.plates is trace.plates
+    for diagnostic in (engine.elbo, engine.fixed_point_residual):
+        assert diagnostic(model, trace.state, data) == diagnostic(model, trace.plates, data)
+
+
+def test_node_view_reads_plate_rows_in_plate_then_row_order():
+    model, _ = _gmm2(4)
+    view = engine.NodeView(model.plates)
+    assert list(view) == ["z0", "z1", "z2", "z3", "pi", "comp_a", "comp_b"]
+    assert len(view) == 7 and "z2" in view and "z" not in view
+    node = view["z2"]
+    assert (node.id, node.role) == ("z2", engine.LOCAL)
+    assert np.shares_memory(node.lam.values, model.plates["z"].lam.values)
+    assert np.array_equal(view["comp_a"].mu.values, model.plates["comp_a"].mu.values[0])
+    assert [n.id for n in model.nodes] == list(view)
+    with pytest.raises(KeyError):
+        view["z9"]
+
+
+def test_model_spec_stacks_mixed_plates_and_nodes():
+    model, _ = _two_level(3)
+    z = model.plates["z"]
+    moved = engine.NodeState.make("pi", expfam.beta_natural(3.0, 4.0))
+    mixed = engine.ModelSpec((z, moved), model.provider)
+    assert mixed.plates["z"] is z
+    assert mixed.plates["pi"].lam.values.tolist() == [[2.0, 3.0]]
+    with pytest.raises(engine.ConfigurationError, match="duplicate"):
+        engine.ModelSpec((z, moved, moved), model.provider)
+    partial = engine.Plate.make(z.ids[:2], expfam.NaturalParam(z.family, z.lam.values[:2]))
+    regrouped = engine.ModelSpec((partial, engine.NodeView(model.plates)["z2"], moved), model.provider)
+    assert np.array_equal(regrouped.plates["z"].lam.values, z.lam.values)
+
+
 def test_plates_group_the_per_id_nodes():
     model, data = _gmm2(12)
     assert len(model.nodes) == 12 + 3
     assert list(model.plates) == ["z", "pi", "comp_a", "comp_b"]
     assert model.plates["z"].lam.values.shape == (12, 1)
     per_id = {n.id: n for n in model.nodes}
-    regrouped = engine.to_plates(model, per_id)
+    regrouped = engine.ModelSpec(tuple(per_id.values()), model.provider).plates
     for name, plate in model.plates.items():
         assert np.array_equal(regrouped[name].lam.values, plate.lam.values)
         assert np.array_equal(regrouped[name].mu.values, plate.mu.values)
-    assert engine.to_nodes(regrouped)["z3"].lam.values == pytest.approx(per_id["z3"].lam.values)
+    assert engine.NodeView(regrouped)["z3"].lam.values == pytest.approx(per_id["z3"].lam.values)
     rebuilt = engine.ModelSpec(model.nodes, model.provider, model.sweep_order)
     assert engine.fit(rebuilt, data, max_iter=3).elbos == pytest.approx(
         engine.fit(model, data, max_iter=3).elbos, rel=1e-15
@@ -84,7 +147,7 @@ def test_plates_group_the_per_id_nodes():
 
 def test_plate_row_views_are_read_only():
     model, _ = _two_level(4)
-    node = engine.to_nodes(model.plates)["z2"]
+    node = engine.NodeView(model.plates)["z2"]
     assert node.lam.values.shape == (1,)
     with pytest.raises(ValueError):
         node.lam.values[0] = 0.0
@@ -95,7 +158,7 @@ def test_model_spec_rejects_a_node_outside_every_plate():
     model = models.build_two_level(data)
     stray = engine.NodeState.make("w", expfam.bernoulli_natural(0.0))
     with pytest.raises(engine.ConfigurationError, match="'w'"):
-        engine.ModelSpec(model.nodes + (stray,), model.provider)
+        engine.ModelSpec((*model.nodes, stray), model.provider)
     with pytest.raises(engine.ConfigurationError, match="missing node 'z1'"):
         engine.ModelSpec(tuple(n for n in model.nodes if n.id != "z1"), model.provider)
 
@@ -140,9 +203,11 @@ def test_sweeps_take_the_plate_state_and_name_a_missing_plate():
     per_id = {n.id: n for n in model.nodes}
     with pytest.raises(engine.ConfigurationError, match="no plate 'z'"):
         engine.cavi_sweep(model, per_id, data)
+    with pytest.raises(engine.ConfigurationError, match="no plate 'z'"):
+        engine.cavi_sweep(model, engine.NodeView(dict(model.plates)), data)
     with pytest.raises(engine.ConfigurationError, match="'z0'.*not a plate"):
         engine.cavi_sweep(model, dict(model.plates), data, order=("z0",))
-    via_nodes = engine.cavi_sweep(model, engine.to_plates(model, per_id), data)
+    via_nodes = engine.cavi_sweep(model, dict(engine.ModelSpec(tuple(per_id.values()), model.provider).plates), data)
     direct = engine.cavi_sweep(model, dict(model.plates), data)
     for name in model.plates:
         assert np.array_equal(via_nodes[name].lam.values, direct[name].lam.values)
@@ -151,7 +216,7 @@ def test_sweeps_take_the_plate_state_and_name_a_missing_plate():
 def test_replacing_the_nodes_regroups_the_plates():
     model, _ = _two_level(3)
     moved = engine.NodeState.make("z1", expfam.bernoulli_natural(2.0))
-    new = dataclasses.replace(model, nodes=tuple(moved if n.id == "z1" else n for n in model.nodes))
+    new = dataclasses.replace(model, factors=tuple(moved if n.id == "z1" else n for n in model.nodes))
     assert new.plates["z"].lam.values[1, 0] == 2.0
     assert np.array_equal(np.delete(new.plates["z"].lam.values, 1), np.delete(model.plates["z"].lam.values, 1))
 
