@@ -61,10 +61,6 @@ def _model_instances(seed: int):
     ]
 
 
-def _random_mean(rng, family: expfam.FamilyDescriptor) -> np.ndarray:
-    return expfam.nat_to_mean(_random_natural(rng, family.kind, family.dim)).values
-
-
 def suite_multilinearity(seed: int = 0, pairs: int = 10, tol: float = 1e-9):
     """Affine-slope identity for every row of every conjugate plate.
 
@@ -77,20 +73,21 @@ def suite_multilinearity(seed: int = 0, pairs: int = 10, tol: float = 1e-9):
     passed = failed = 0
     msgs = []
     for name, model, data in _model_instances(seed):
-        snap = engine.mu_snapshot(model.plates)
+        plates = model.plates
+        snap = engine.mu_snapshot(plates)
         for plate in model.provider.conjugate_plates:
-            fam = model.plates[plate].family
-            for row, nid in enumerate(model.plates[plate].ids):
+            fam = plates[plate].family
+            for row, nid in enumerate(plates[plate].ids):
                 for _ in range(pairs):
-                    mu_a = _random_mean(rng, fam)
-                    mu_b = _random_mean(rng, fam)
+                    lam_a = _random_natural(rng, fam.kind, fam.dim)
+                    lam_b = _random_natural(rng, fam.kind, fam.dim)
                     coeff = model.provider.coefficient(plate, snap, data)
-                    snap_a = _with_row(snap, plate, row, mu_a)
-                    snap_b = _with_row(snap, plate, row, mu_b)
+                    snap_a = _with_row(plates, plate, row, lam_a)
+                    snap_b = _with_row(plates, plate, row, lam_b)
                     lhs = model.provider.expected_log_joint(
                         snap_a, data
                     ) - model.provider.expected_log_joint(snap_b, data)
-                    rhs = float(coeff[row] @ (mu_a - mu_b))
+                    rhs = float(coeff[row] @ (snap_a[plate][row] - snap_b[plate][row]))
                     coeff_a = model.provider.coefficient(plate, snap_a, data)
                     scale = max(1.0, abs(lhs))
                     ok = abs(lhs - rhs) <= tol * scale and np.allclose(coeff, coeff_a, atol=tol)
@@ -102,11 +99,12 @@ def suite_multilinearity(seed: int = 0, pairs: int = 10, tol: float = 1e-9):
     return passed, failed, msgs
 
 
-def _with_row(snap: dict, plate: str, row: int, mu: np.ndarray) -> dict:
-    """The snapshot with one row of a plate replaced."""
-    rows = snap[plate].copy()
-    rows[row] = mu
-    return dict(snap, **{plate: rows})
+def _with_row(plates: dict, plate: str, row: int, lam: expfam.NaturalParam) -> engine.Snapshot:
+    """The snapshot of the plates with one row of a plate set to lam, and that row's expectations to match."""
+    values = plates[plate].lam.values.copy()
+    values[row] = lam.values
+    moved = plates[plate].with_lambda(expfam.NaturalParam(plates[plate].family, values))
+    return engine.mu_snapshot({**plates, plate: moved})
 
 
 def suite_monotonicity(seed: int = 0, slack: float = 1e-10):

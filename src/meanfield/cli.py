@@ -77,6 +77,8 @@ class RunConfig:
             raise InputError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 0:
             raise InputError("max_iter must be nonnegative")
+        if not 0.0 < self.rho <= 1.0:
+            raise InputError(f"rho must lie in (0, 1], got {self.rho:g}")
         if self.seed < 0:
             raise InputError(f"seed must be nonnegative, got {self.seed}")
 

@@ -20,6 +20,11 @@ global node is a plate with G = 1.  The provider declares the plates and
 reads every coefficient off per plate, so a sweep does a fixed amount of
 Python work per plate whatever the number of data.
 
+A provider reads a ``Snapshot``: per plate, the expectations the other
+plates see and the plate's own lambda, refreshed together after each step.
+A non-conjugate term reads its natural gradient off the lambda directly, as
+in conjugate-computation VI, instead of solving lambda back from mu.
+
 Plates are the only state from build to result: the builders hand their
 plates to ``ModelSpec``, orders name plates, the SVI local step is one row
 of the local plate, and ``fit`` hands its final plates back as
@@ -52,6 +57,7 @@ __all__ = [
     "Schedule",
     "CoefficientProvider",
     "ModelSpec",
+    "Snapshot",
     "FitTrace",
     "TraceRecord",
     "delta_moment",
@@ -159,21 +165,57 @@ class NodeView(Mapping):
         return sum(len(p.ids) for p in self.plates.values())
 
 
+class Snapshot(Mapping):
+    """What a provider reads: each plate's expectations, with the lambda they come from.
+
+    ``snap[name]`` is plate ``name``'s (G, flat) expectation array,
+    delta-substituted where flagged, so a provider indexes a snapshot as it
+    would a dict.  ``snap.lam(name)`` is the plate's row-stacked
+    NaturalParam.  The two are only ever set together, from one factor, so
+    no expectation is paired with a stale lambda.
+    """
+
+    __slots__ = ("_mus", "_lams")
+
+    def __init__(self):
+        self._mus: dict[str, np.ndarray] = {}
+        self._lams: dict[str, NaturalParam] = {}
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._mus[name]
+
+    def __iter__(self):
+        return iter(self._mus)
+
+    def __len__(self) -> int:
+        return len(self._mus)
+
+    def lam(self, name: str) -> NaturalParam:
+        """The natural parameters of plate ``name``, one row per node."""
+        return self._lams[name]
+
+    def put(self, name: str, factor) -> None:
+        """Set the entry of ``name`` from a plate or node: its lambda and the expectations others see."""
+        self._lams[name] = factor.lam
+        self._mus[name] = _moments(factor)
+
+
 class CoefficientProvider(ABC):
     """Per-model read-off of the vector multiplying each node's expectations.
 
     ``plates`` maps each plate name to its node ids in row order.  Snapshots
-    map plate names to (G, flat) expectation arrays.
+    map plate names to (G, flat) expectation arrays and carry each plate's
+    lambda (see ``Snapshot``).
     """
 
     plates: dict[str, tuple[str, ...]]
 
     @abstractmethod
-    def coefficient(self, plate: str, mus: dict[str, np.ndarray], data) -> np.ndarray:
+    def coefficient(self, plate: str, mus: Snapshot, data) -> np.ndarray:
         """Gradient of the expected log-joint w.r.t. each row's expectations, shape (G, flat)."""
 
     @abstractmethod
-    def expected_log_joint(self, mus: dict[str, np.ndarray], data) -> float:
+    def expected_log_joint(self, mus: Snapshot, data) -> float:
         """E_q[log p(y, z)] including all additive constants."""
 
     def base_measure_grad(self, plate: str):
@@ -274,7 +316,7 @@ class Schedule:
         if self.kind not in (CAVI, SVI, PARALLEL_BLR):
             raise ConfigurationError(f"unknown schedule kind {self.kind!r}")
         if not 0.0 < self.rho_local <= 1.0:
-            raise ConfigurationError("rho_local must lie in (0, 1]")
+            raise ConfigurationError(f"rho_local must lie in (0, 1], got {self.rho_local}")
         if not 0.5 < self.kappa <= 1.0:
             raise ConfigurationError("kappa must lie in (0.5, 1]")
         if not 0.0 <= self.tau < float("inf"):
@@ -335,9 +377,12 @@ def _moments(node) -> np.ndarray:
     return (delta_moment(node) if node.delta_mode else node.mu).values
 
 
-def mu_snapshot(state: dict) -> dict[str, np.ndarray]:
-    """Expectation arrays per plate, delta-substituted where flagged."""
-    return {key: _moments(n) for key, n in state.items()}
+def mu_snapshot(state: Mapping) -> Snapshot:
+    """Expectation arrays per plate, delta-substituted where flagged, each with its plate's lambda."""
+    snap = Snapshot()
+    for name, factor in state.items():
+        snap.put(name, factor)
+    return snap
 
 
 def blr_step(node, target: np.ndarray, rho):
@@ -355,7 +400,7 @@ def blr_step(node, target: np.ndarray, rho):
     return node.with_lambda(NaturalParam(node.family, new_values))
 
 
-def _target(model: ModelSpec, plate: str, snap: dict[str, np.ndarray], data) -> np.ndarray:
+def _target(model: ModelSpec, plate: str, snap: Snapshot, data) -> np.ndarray:
     """Where a full step lands each row of a plate: its coefficient minus the base-measure gradient."""
     target = np.asarray(model.provider.coefficient(plate, snap, data), dtype=float)
     base = model.provider.base_measure_grad(plate)
@@ -414,8 +459,9 @@ def _sweep(model: ModelSpec, plates: dict, data, steps, frozen: bool = False):
     """Damped steps of the plate state, one per (plate, rate, rows) in order: the single update path.
 
     ``rows`` None steps every row, a list those rows alone.  Each target reads
-    the expectation snapshot, refreshed after every step unless ``frozen``
-    holds it at its pre-sweep value.  The state is updated in place.
+    the snapshot, whose entry of a plate (lambda and expectations) is
+    refreshed after its step unless ``frozen`` holds it at its pre-sweep
+    value.  The state is updated in place.
     """
     _require_plates(model, plates)
     snap = mu_snapshot(plates)
@@ -423,7 +469,7 @@ def _sweep(model: ModelSpec, plates: dict, data, steps, frozen: bool = False):
         target = _target(model, name, snap, data)
         plates[name] = _step_with_backoff(plates[name], target, rho, rows)
         if not frozen:
-            snap[name] = _moments(plates[name])
+            snap.put(name, plates[name])
     return plates
 
 

@@ -8,8 +8,9 @@ and prior normalizers), so ELBO values are absolute.
 
 Every provider declares its plates: the indicators z0..z{N-1} form plate
 "z", the factor rows and columns plates "u" and "v", and each global is a
-plate of its own.  Snapshots hold one (G, flat) array per plate, and every
-coefficient is returned for a whole plate as a (G, flat) array.
+plate of its own.  Snapshots hold one (G, flat) expectation array per plate,
+plus each plate's lambda, and every coefficient is returned for a whole
+plate as a (G, flat) array.
 """
 
 from __future__ import annotations
@@ -61,6 +62,14 @@ def _require_finite(data) -> None:
     for f in fields(data):
         if not np.all(np.isfinite(np.asarray(getattr(data, f.name), dtype=float))):
             raise ValueError(f"{f.name} must be finite")
+
+
+def _require_positive(data, *names: str) -> None:
+    """Reject a parameter that is not positive, naming it."""
+    for name in names:
+        value = getattr(data, name)
+        if not value > 0.0:
+            raise ValueError(f"{name} must be positive, got {value:g}")
 
 
 def _require_square_summable(name: str, y) -> None:
@@ -122,8 +131,7 @@ class TwoLevelMixtureData(_MixtureLogLiks):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.alpha0 <= 0.0 or self.beta0 <= 0.0:
-            raise ValueError("Beta prior parameters must be positive")
+        _require_positive(self, "alpha0", "beta0")
 
 
 @dataclass(frozen=True)
@@ -147,10 +155,7 @@ class GMMData:
         w0 = np.atleast_2d(np.asarray(self.w0, dtype=float))
         if w0.shape != (d, d):
             raise ValueError(f"W0 must be {d}x{d}")
-        if self.alpha0 <= 0.0 or self.beta0 <= 0.0:
-            raise ValueError("Beta prior parameters must be positive")
-        if self.gamma0 <= 0.0:
-            raise ValueError("gamma0 must be positive")
+        _require_positive(self, "alpha0", "beta0", "gamma0")
         if self.nu0 <= d - 1:
             raise ValueError(f"nu0 must exceed D-1 = {d - 1}")
         w0 = 0.5 * (w0 + w0.T)
@@ -182,9 +187,8 @@ class MatrixFactorizationData:
         y = np.atleast_2d(np.asarray(self.y, dtype=float))
         _require_square_summable("y", y)
         if self.k < 1:
-            raise ValueError("number of factors must be >= 1")
-        if self.delta_u <= 0.0 or self.delta_v <= 0.0:
-            raise ValueError("regularization weights must be positive")
+            raise ValueError(f"k (the number of factors) must be >= 1, got {self.k}")
+        _require_positive(self, "delta_u", "delta_v")
         object.__setattr__(self, "y", y)
 
     @property
@@ -590,11 +594,6 @@ def _f_at_nodes(f, log_z: np.ndarray) -> np.ndarray:
     return fx
 
 
-def _beta_from_mean(mu0: np.ndarray):
-    """Beta natural parameters of the weight node's expectations (E[log z], E[log(1-z)])."""
-    return expfam.mean_to_nat(expfam.ExpectationParam(expfam.FamilyDescriptor(expfam.BETA), mu0))
-
-
 def beta_natural_gradient(lam, f):
     """Natural gradient of E_q[f(z)] w.r.t. the Beta expectation parameters.
 
@@ -634,10 +633,10 @@ class LogitNormalProvider(CoefficientProvider):
     pseudo-conjugate Beta term.  ``log_prior_core`` may override f (used by
     the conjugate cross-checks); like f it maps an array of z to an array.
 
-    The weight read-off (the Beta natural parameters of the weight's
-    expectations, the natural gradient and E_q[f]) is done once per weight
-    state: the step, the fixed-point residual and the ELBO at the same
-    expectations of "pi", and the same f, share one quadrature pass.
+    The weight read-off (the natural gradient and E_q[f]) is taken at the
+    Beta natural parameters the snapshot carries for "pi", and done once per
+    weight state: the step, the fixed-point residual and the ELBO at the
+    same lambda of "pi", and the same f, share one quadrature pass.
     """
 
     def __init__(self, n: int, log_prior_core=None):
@@ -653,25 +652,25 @@ class LogitNormalProvider(CoefficientProvider):
         m = data.m
         return m, lambda z: -0.5 * (np.log(z / (1.0 - z)) - m) ** 2
 
-    def _weight_read_off(self, mu0: np.ndarray, data: LogitNormalMixtureData):
-        """((alpha_hat, beta_hat), E_q[f]) at the weight expectations mu0, kept for the last mu0 and f."""
+    def _weight_read_off(self, lam: NaturalParam, data: LogitNormalMixtureData):
+        """((alpha_hat, beta_hat), E_q[f]) at the weight's Beta lambda, kept for the last lambda and f."""
         depends_on, f = self._f(data)
-        key = (mu0.tobytes(), depends_on)
+        key = (lam.values.tobytes(), depends_on)
         if key != self._read_off_key:
-            ab_hat, f_mean = beta_natural_gradient(_beta_from_mean(mu0), f)
+            ab_hat, f_mean = beta_natural_gradient(lam, f)
             ab_hat.flags.writeable = False
             self._read_off_key, self._read_off = key, (ab_hat, f_mean)
         return self._read_off
 
-    def pseudo_prior(self, mu0: np.ndarray, data: LogitNormalMixtureData) -> np.ndarray:
-        """(alpha_hat, beta_hat): natural gradient of the non-conjugate term (read-only)."""
-        return self._weight_read_off(mu0, data)[0]
+    def pseudo_prior(self, lam: NaturalParam, data: LogitNormalMixtureData) -> np.ndarray:
+        """(alpha_hat, beta_hat): natural gradient of the non-conjugate term at the weight's lambda (read-only)."""
+        return self._weight_read_off(lam, data)[0]
 
     def coefficient(self, plate, mus, data: LogitNormalMixtureData):
         if plate == "pi":
             # the prior's base measure contributes (-1, -1) and the pseudo
             # prior (alpha_hat, beta_hat): Beta exponents of a conjugate term
-            ab_hat = self.pseudo_prior(mus["pi"][0], data)
+            ab_hat = self.pseudo_prior(expfam.row_view(mus.lam("pi"), 0), data)
             return _weight_coefficient(ab_hat[0], ab_hat[1], mus)
         return _indicator_coefficient(mus, data.log_pa, data.log_pb)
 
@@ -679,7 +678,7 @@ class LogitNormalProvider(CoefficientProvider):
         mu0 = mus["pi"][0]
         total = -float(mu0[0]) - float(mu0[1])  # prior base measure 1/(z(1-z))
         total -= 0.5 * LOG_2PI  # logit-normal (sigma = 1) normalizer
-        total += self._weight_read_off(mu0, data)[1]
+        total += self._weight_read_off(expfam.row_view(mus.lam("pi"), 0), data)[1]
         return float(total + _indicator_log_joint(mus, data.log_pa, data.log_pb))
 
     @property

@@ -193,14 +193,12 @@ def test_criterion_08_pseudo_prior_cross_check():
     data = models.LogitNormalMixtureData([0.0], [0.0], 0.0)
     conj_gap = 0.0
     for ab in [(2.0, 3.0), (1.0, 1.0), (5.5, 0.8)]:
-        mu0 = expfam.nat_to_mean(expfam.beta_natural(*ab)).values
-        got = provider.pseudo_prior(mu0, data)
+        got = provider.pseudo_prior(expfam.beta_natural(*ab), data)
         conj_gap = max(conj_gap, float(np.max(np.abs(got - [a0 - 1.0, b0 - 1.0]))))
     ln = models.LogitNormalProvider(1)
     asym = 0.0
     for ab in (1.2, 3.0, 7.0):
-        mu0 = expfam.nat_to_mean(expfam.beta_natural(ab, ab)).values
-        g = ln.pseudo_prior(mu0, data)
+        g = ln.pseudo_prior(expfam.beta_natural(ab, ab), data)
         asym = max(asym, abs(g[0] - g[1]))
     ok = conj_gap < 1e-8 and asym < 1e-8
     _report(8, ok, f"conjugate read-off gap {conj_gap:.3g} (tol 1e-8); m=0 asymmetry {asym:.3g}")

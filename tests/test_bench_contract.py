@@ -55,10 +55,12 @@ def test_every_wrapped_name_is_called_on_the_fit_path(worker, tmp_path):
             assert cli.main(["fit", "--config", cfg]) == cli.EXIT_NO_CONVERGENCE
     assert (engine.fit, engine.elbo, engine.blr_step, models.beta_natural_gradient, cli.load_csv) == originals
     never_called = [name for name, row in rec.summary().items() if row["calls"] == 0]
-    assert never_called == []
+    # The Beta mean_to_nat solve stays in expfam's public API, off the fit
+    # path, and trigamma is called by the mean_to_nat solves alone.
+    assert never_called == ["specfun.trigamma", "expfam.mean_to_nat"]
 
 
-@pytest.mark.parametrize("workload", ["gmm2_cavi", "matfac_ppca_cavi"])
+@pytest.mark.parametrize("workload", ["gmm2_cavi", "matfac_ppca_cavi", "logitnormal_svi"])
 def test_traced_smoke_fit_passes(worker, workload):
     out = worker.job_fit({"workload": workload, "seed": 5, "size": "smoke", "trace": True})
     assert out["failures"] == []

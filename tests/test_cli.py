@@ -231,10 +231,17 @@ def test_bad_arguments_are_usage_errors(capsys):
         ("seed=1.5\n", "seed"),
         ("seed=-1\n", "seed"),
         ("rho=fast\n", "rho"),
+        ("rho=0\n", "rho"),
+        ("alpha0=0\n", "alpha0"),
+        ("beta0=-1\n", "beta0"),
+        ("k=0\n", "k"),
+        ("delta_u=0\n", "delta_u"),
+        ("delta_v=-2\n", "delta_v"),
     ],
 )
 def test_bad_config_value_names_its_key(tmp_path, extra, key):
-    cfg, _ = _fit_config(tmp_path, "0.1,0.4\n-0.3,0.2\n", extra=extra)
+    model = "matfac_vmp" if key in ("k", "delta_u", "delta_v") else "two_level"
+    cfg, _ = _fit_config(tmp_path, "0.1,0.4\n-0.3,0.2\n", extra=extra, model=model)
     proc = _run_cli(cfg)
     assert proc.returncode == cli.EXIT_INPUT
     assert proc.stderr.startswith(f"error: {key} ") and proc.stderr.count("\n") == 1

@@ -337,6 +337,24 @@ def test_parallel_step_reads_frozen_snapshot(two_level_data):
         assert plate.lam.values == pytest.approx(expected[name], abs=1e-14)
 
 
+def test_sweep_refreshes_a_plates_lambda_with_its_expectations(two_level_data):
+    """A plate stepped earlier in a sweep is read with its new lambda, paired with its new expectations."""
+    model = models.build_two_level(two_level_data, seed=7)
+    seen = []
+
+    class Spy(models.TwoLevelProvider):
+        def coefficient(self, plate, mus, data):
+            if plate == "pi":
+                seen.append((mus.lam("z"), mus["z"]))
+            return super().coefficient(plate, mus, data)
+
+    spy = engine.ModelSpec(model.factors, Spy(two_level_data.n))
+    state = engine.cavi_sweep(spy, dict(spy.plates), two_level_data, order=("z", "pi"))
+    (lam, mu), = seen
+    assert lam is state["z"].lam and lam is not spy.plates["z"].lam
+    assert mu is state["z"].mu.values
+
+
 # ---------------------------------------------------------------------------
 # rate backoff
 # ---------------------------------------------------------------------------

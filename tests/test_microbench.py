@@ -9,7 +9,7 @@ each benchmarked function once and checks its result.  To time them:
 import numpy as np
 import pytest
 
-from meanfield import expfam, models, specfun
+from meanfield import engine, expfam, models, specfun
 
 _M = 0.3
 
@@ -29,10 +29,16 @@ def test_logitnormal_weight_coefficient(benchmark):
     n = 40
     rng = np.random.default_rng(0)
     data = models.LogitNormalMixtureData(rng.normal(size=n), rng.normal(size=n), _M)
-    snap = {
-        "z": rng.uniform(0.1, 0.9, size=(n, 1)),
-        "pi": expfam.nat_to_mean(expfam.beta_natural(25.0, 17.0)).values[None, :],
-    }
+    p = rng.uniform(0.1, 0.9, size=(n, 1))
+    bernoulli = expfam.FamilyDescriptor(expfam.BERNOULLI)
+    weight = expfam.beta_natural(25.0, 17.0)
+    ids = [f"z{i}" for i in range(n)]
+    snap = engine.mu_snapshot(
+        {
+            "z": engine.Plate.make(ids, expfam.NaturalParam(bernoulli, np.log(p / (1.0 - p)))),
+            "pi": engine.Plate.make(("pi",), expfam.NaturalParam(weight.family, weight.values[None, :])),
+        }
+    )
     g = benchmark(lambda: models.LogitNormalProvider(n).coefficient("pi", snap, data))
     assert g.shape == (1, 2) and np.all(np.isfinite(g))
 
