@@ -76,7 +76,7 @@ class RunConfig:
         if not self.tol > 0.0:
             raise InputError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 0:
-            raise InputError("max_iter must be nonnegative")
+            raise InputError(f"max_iter must be nonnegative, got {self.max_iter}")
         if not 0.0 < self.rho <= 1.0:
             raise InputError(f"rho must lie in (0, 1], got {self.rho:g}")
         if self.seed < 0:

@@ -25,6 +25,20 @@ plates see and the plate's own lambda, refreshed together after each step.
 A non-conjugate term reads its natural gradient off the lambda directly, as
 in conjugate-computation VI, instead of solving lambda back from mu.
 
+``fit`` builds one snapshot and keeps it live for the whole fit: each sweep
+refreshes the entries of the plates it steps, and the fixed-point residual
+and the ELBO read the same snapshot.  Called on their own, the sweeps and
+the diagnostics build a snapshot of the plates they are given and run the
+same code.  A plate's target is memoised on the snapshot, keyed by the
+version that each refresh of an entry bumps: the versions of every other
+entry for a conjugate plate, whose rows read neither their own entries nor
+their plate mates' (the contract ``checks.suite_multilinearity`` tests),
+and of every entry for any other plate.  As in variational message
+passing, a target is read off again only once a plate it reads has moved:
+the residual's target serves the first step of the next CAVI sweep and
+every step of a parallel one, and the last step's target serves the
+residual.
+
 Plates are the only state from build to result: the builders hand their
 plates to ``ModelSpec``, orders name plates, the SVI local step is one row
 of the local plate, and ``fit`` hands its final plates back as
@@ -172,14 +186,20 @@ class Snapshot(Mapping):
     delta-substituted where flagged, so a provider indexes a snapshot as it
     would a dict.  ``snap.lam(name)`` is the plate's row-stacked
     NaturalParam.  The two are only ever set together, from one factor, so
-    no expectation is paired with a stale lambda.
+    no expectation is paired with a stale lambda.  Each ``put`` bumps the
+    entry's version, and the engine memoises each plate's target on the
+    snapshot under the versions of the entries it reads (see ``_target``).
     """
 
-    __slots__ = ("_mus", "_lams")
+    __slots__ = ("_mus", "_factors", "_versions", "_puts", "_targets")
 
     def __init__(self):
         self._mus: dict[str, np.ndarray] = {}
-        self._lams: dict[str, NaturalParam] = {}
+        self._factors: dict[str, Plate | NodeState] = {}
+        self._versions: dict[str, int] = {}  # puts per entry
+        self._puts = 0  # puts in all, the sum of the versions
+        # plate -> (provider, data, versions read, read-only target); see _target
+        self._targets: dict[str, tuple] = {}
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._mus[name]
@@ -192,12 +212,26 @@ class Snapshot(Mapping):
 
     def lam(self, name: str) -> NaturalParam:
         """The natural parameters of plate ``name``, one row per node."""
-        return self._lams[name]
+        return self._factors[name].lam
 
     def put(self, name: str, factor) -> None:
         """Set the entry of ``name`` from a plate or node: its lambda and the expectations others see."""
-        self._lams[name] = factor.lam
+        self._factors[name] = factor
         self._mus[name] = _moments(factor)
+        self._versions[name] = self._versions.get(name, 0) + 1
+        self._puts += 1
+
+    def holds(self, plates: Mapping) -> bool:
+        """Whether the entries were set from exactly these plates, and no others."""
+        factors = self._factors
+        for name, p in plates.items():
+            if factors.get(name) is not p:
+                return False
+        return len(factors) == len(plates)
+
+    def version(self, skip: str | None = None) -> int:
+        """The sum of the versions of every entry but ``skip``: it is unchanged until one of them is put."""
+        return self._puts - self._versions.get(skip, 0)
 
 
 class CoefficientProvider(ABC):
@@ -318,7 +352,7 @@ class Schedule:
         if not 0.0 < self.rho_local <= 1.0:
             raise ConfigurationError(f"rho_local must lie in (0, 1], got {self.rho_local}")
         if not 0.5 < self.kappa <= 1.0:
-            raise ConfigurationError("kappa must lie in (0.5, 1]")
+            raise ConfigurationError(f"kappa must lie in (0.5, 1], got {self.kappa}")
         if not 0.0 <= self.tau < float("inf"):
             raise ConfigurationError(f"tau must be finite and nonnegative, got {self.tau}")
 
@@ -385,6 +419,11 @@ def mu_snapshot(state: Mapping) -> Snapshot:
     return snap
 
 
+def _live(plates: dict, snap: Snapshot | None) -> Snapshot:
+    """``snap`` if its entries were set from exactly ``plates``, else a new snapshot of them."""
+    return snap if snap is not None and snap.holds(plates) else mu_snapshot(plates)
+
+
 def blr_step(node, target: np.ndarray, rho):
     """One damped natural-parameter step of a node or plate toward its target.
 
@@ -401,10 +440,23 @@ def blr_step(node, target: np.ndarray, rho):
 
 
 def _target(model: ModelSpec, plate: str, snap: Snapshot, data) -> np.ndarray:
-    """Where a full step lands each row of a plate: its coefficient minus the base-measure gradient."""
-    target = np.asarray(model.provider.coefficient(plate, snap, data), dtype=float)
-    base = model.provider.base_measure_grad(plate)
-    return target if base is None else target - np.asarray(base, dtype=float)
+    """Where a full step lands each row of a plate: its coefficient minus the base-measure gradient.
+
+    The target is memoised on the snapshot and read off again only when the
+    provider, the data or an entry the plate reads has changed since.  A
+    conjugate plate does not read its own entry.  The array is read-only.
+    """
+    provider = model.provider
+    key = snap.version(plate if plate in provider.conjugate_plates else None)
+    hit = snap._targets.get(plate)
+    if hit is not None and hit[0] is provider and hit[1] is data and hit[2] == key:
+        return hit[3]
+    target = np.asarray(provider.coefficient(plate, snap, data), dtype=float)
+    base = provider.base_measure_grad(plate)
+    target = target.view() if base is None else target - np.asarray(base, dtype=float)
+    target.flags.writeable = False
+    snap._targets[plate] = (provider, data, key, target)
+    return target
 
 
 def _step_with_backoff(node, target: np.ndarray, rho: float, rows=None):
@@ -455,31 +507,34 @@ def _require_plates(model: ModelSpec, plates) -> dict[str, Plate]:
     return plates
 
 
-def _sweep(model: ModelSpec, plates: dict, data, steps, frozen: bool = False):
+def _sweep(model: ModelSpec, plates: dict, data, steps, frozen: bool = False, snap: Snapshot | None = None):
     """Damped steps of the plate state, one per (plate, rate, rows) in order: the single update path.
 
     ``rows`` None steps every row, a list those rows alone.  Each target reads
-    the snapshot, whose entry of a plate (lambda and expectations) is
-    refreshed after its step unless ``frozen`` holds it at its pre-sweep
-    value.  The state is updated in place.
+    the snapshot ``snap`` of the plates (a new one if it does not hold
+    them), whose entry of a plate (lambda and expectations) is refreshed
+    after its step; ``frozen`` holds every entry at its pre-sweep value
+    until the last step.  The state and the snapshot are updated in place.
     """
-    _require_plates(model, plates)
-    snap = mu_snapshot(plates)
+    snap = _live(_require_plates(model, plates), snap)
     for name, rho, rows in steps:
         target = _target(model, name, snap, data)
         plates[name] = _step_with_backoff(plates[name], target, rho, rows)
         if not frozen:
             snap.put(name, plates[name])
+    if frozen:
+        for name, _, _ in steps:
+            snap.put(name, plates[name])
     return plates
 
 
-def cavi_sweep(model: ModelSpec, plates: dict, data, order=None) -> dict:
+def cavi_sweep(model: ModelSpec, plates: dict, data, order=None, snap: Snapshot | None = None) -> dict:
     """One rho = 1 sweep over the named plates (default: all), each seeing the freshest expectations."""
     order = order or model.sweep_order or model.default_order()
     unknown = [name for name in order if name not in model.plates]
     if unknown:
         raise ConfigurationError(f"sweep order names {unknown[0]!r}, which is not a plate of the model")
-    return _sweep(model, plates, data, [(name, 1.0, None) for name in order])
+    return _sweep(model, plates, data, [(name, 1.0, None) for name in order], snap=snap)
 
 
 def _svi_plates(model: ModelSpec) -> tuple[str, str]:
@@ -493,17 +548,17 @@ def _svi_plates(model: ModelSpec) -> tuple[str, str]:
     return local[0], global_[0]
 
 
-def svi_step(model: ModelSpec, plates: dict, data, row: int, rho_t: float) -> dict:
+def svi_step(model: ModelSpec, plates: dict, data, row: int, rho_t: float, snap: Snapshot | None = None) -> dict:
     """Full step on one row of the local plate, then a damped step on the global node."""
     local, global_ = _svi_plates(model)
     if not 0 <= row < len(model.plates[local].ids):
         raise ConfigurationError(f"SVI row {row} is outside local plate {local!r}")
-    return _sweep(model, plates, data, [(local, 1.0, [row]), (global_, rho_t, None)])
+    return _sweep(model, plates, data, [(local, 1.0, [row]), (global_, rho_t, None)], snap=snap)
 
 
-def _parallel_step(model: ModelSpec, plates: dict, data, rho: float):
+def _parallel_step(model: ModelSpec, plates: dict, data, rho: float, snap: Snapshot | None = None):
     """Every plate steps toward its target on the pre-iteration snapshot."""
-    return _sweep(model, plates, data, [(name, rho, None) for name in model.plates], frozen=True)
+    return _sweep(model, plates, data, [(name, rho, None) for name in model.plates], frozen=True, snap=snap)
 
 
 # --------------------------------------------------------------------------
@@ -511,26 +566,28 @@ def _parallel_step(model: ModelSpec, plates: dict, data, rho: float):
 # --------------------------------------------------------------------------
 
 
-def elbo(model: ModelSpec, state, data) -> float:
+def elbo(model: ModelSpec, state, data, snap: Snapshot | None = None) -> float:
     """Expected log-joint plus entropies; delta-flagged nodes contribute no entropy.
 
-    ``state`` is a plate dict or its NodeView.
+    ``state`` is a plate dict or its NodeView; ``snap`` is read if it holds
+    that state's plates.
     """
     plates = _require_plates(model, state.plates if isinstance(state, NodeView) else state)
-    total = model.provider.expected_log_joint(mu_snapshot(plates), data)
+    total = model.provider.expected_log_joint(_live(plates, snap), data)
     for plate in plates.values():
         if not plate.delta_mode:
             total += float(np.sum(expfam.entropy(plate.lam, plate.mu)))
     return total
 
 
-def fixed_point_residual(model: ModelSpec, state, data) -> float:
+def fixed_point_residual(model: ModelSpec, state, data, snap: Snapshot | None = None) -> float:
     """Max over nodes of the infinity-norm gap between lambda and its coefficient.
 
-    ``state`` is a plate dict or its NodeView.
+    ``state`` is a plate dict or its NodeView; ``snap`` is read if it holds
+    that state's plates.
     """
     plates = _require_plates(model, state.plates if isinstance(state, NodeView) else state)
-    snap = mu_snapshot(plates)
+    snap = _live(plates, snap)
     worst = 0.0
     for name, plate in plates.items():
         gap = np.abs(plate.lam.values - _target(model, name, snap, data))
@@ -548,22 +605,24 @@ def fit(
     """Iterate the chosen schedule until the fixed-point residual drops below tol.
 
     Non-convergence at max_iter is reported through FitTrace.converged, not
-    raised.  The final plates are ``FitTrace.plates``.
+    raised.  The final plates are ``FitTrace.plates``.  One snapshot of the
+    plates serves every sweep, residual and ELBO of the fit.
     """
     schedule = schedule or Schedule()
     if not tol > 0.0:
-        raise ConfigurationError("tol must be positive")
+        raise ConfigurationError(f"tol must be positive, got {tol}")
     if max_iter < 0:
-        raise ConfigurationError("max_iter must be nonnegative")
+        raise ConfigurationError(f"max_iter must be nonnegative, got {max_iter}")
     state = dict(model.plates)
     rng = np.random.default_rng(schedule.seed)
     start = time.perf_counter()
     trace = FitTrace()
+    snap = mu_snapshot(state)
 
     def record(it: int) -> float:
-        res = fixed_point_residual(model, state, data)
+        res = fixed_point_residual(model, state, data, snap=snap)
         trace.records.append(
-            TraceRecord(it, elbo(model, state, data), res, time.perf_counter() - start)
+            TraceRecord(it, elbo(model, state, data, snap=snap), res, time.perf_counter() - start)
         )
         return res
 
@@ -572,12 +631,13 @@ def fit(
         if residual < tol:
             break
         if schedule.kind == CAVI:
-            cavi_sweep(model, state, data)
+            cavi_sweep(model, state, data, snap=snap)
         elif schedule.kind == SVI:
             local = model.plates[_svi_plates(model)[0]]
-            svi_step(model, state, data, int(rng.integers(len(local.ids))), schedule.global_rate(t - 1))
+            row = int(rng.integers(len(local.ids)))
+            svi_step(model, state, data, row, schedule.global_rate(t - 1), snap=snap)
         else:
-            _parallel_step(model, state, data, schedule.rho_local)
+            _parallel_step(model, state, data, schedule.rho_local, snap=snap)
         residual = record(t)
     trace.converged = residual < tol
     trace.plates = state

@@ -157,7 +157,7 @@ class GMMData:
             raise ValueError(f"W0 must be {d}x{d}")
         _require_positive(self, "alpha0", "beta0", "gamma0")
         if self.nu0 <= d - 1:
-            raise ValueError(f"nu0 must exceed D-1 = {d - 1}")
+            raise ValueError(f"nu0 must exceed D-1 = {d - 1}, got {self.nu0:g}")
         w0 = 0.5 * (w0 + w0.T)
         if not np.all(np.linalg.eigvalsh(w0) > 0.0):
             raise ValueError(f"w0 must be positive definite, got {w0.tolist()}")

@@ -237,14 +237,20 @@ def test_bad_arguments_are_usage_errors(capsys):
         ("k=0\n", "k"),
         ("delta_u=0\n", "delta_u"),
         ("delta_v=-2\n", "delta_v"),
+        ("kappa=0.3\n", "kappa"),
+        ("max_iter=-1\n", "max_iter"),
+        ("nu0=0.5\n", "nu0"),
     ],
 )
 def test_bad_config_value_names_its_key(tmp_path, extra, key):
-    model = "matfac_vmp" if key in ("k", "delta_u", "delta_v") else "two_level"
+    """The one error line names the key and ends with the value it got, quoted or not."""
+    model = "matfac_vmp" if key in ("k", "delta_u", "delta_v") else "gmm2" if key == "nu0" else "two_level"
     cfg, _ = _fit_config(tmp_path, "0.1,0.4\n-0.3,0.2\n", extra=extra, model=model)
     proc = _run_cli(cfg)
     assert proc.returncode == cli.EXIT_INPUT
     assert proc.stderr.startswith(f"error: {key} ") and proc.stderr.count("\n") == 1
+    value = extra.splitlines()[0].partition("=")[2]
+    assert proc.stderr.rstrip().replace("'", "").endswith(f"got {value}")
     assert "Traceback" not in proc.stderr
 
 

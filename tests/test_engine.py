@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from meanfield import engine, expfam, models, oracle
-from conftest import make_two_level
+from conftest import make_gmm, make_two_level
 
 
 def _bern_node(node_id="z", log_odds=0.5, **kw):
@@ -353,6 +353,107 @@ def test_sweep_refreshes_a_plates_lambda_with_its_expectations(two_level_data):
     (lam, mu), = seen
     assert lam is state["z"].lam and lam is not spy.plates["z"].lam
     assert mu is state["z"].mu.values
+
+
+# ---------------------------------------------------------------------------
+# the fit's live snapshot and its target memo
+# ---------------------------------------------------------------------------
+
+
+def _two_level():
+    data = make_two_level(seed=8)
+    return models.build_two_level(data, seed=8), data
+
+
+def _gmm2():
+    data, _ = make_gmm(seed=8, n=20)
+    return models.build_gmm2(data, seed=8), data
+
+
+def _matfac_ppca():
+    rng = np.random.default_rng(8)
+    data = models.MatrixFactorizationData(rng.standard_normal((6, 4)), 2, 1.0, 1.0)
+    return models.build_matfac(data, "ppca", seed=8), data
+
+
+def _logitnormal():
+    rng = np.random.default_rng(8)
+    data = models.LogitNormalMixtureData(rng.normal(size=8), rng.normal(size=8), 0.3)
+    return models.build_logitnormal(data, seed=8), data
+
+
+@pytest.mark.parametrize(
+    "build, schedule, per_iter",
+    [
+        (_two_level, engine.Schedule(engine.CAVI), 2),
+        (_two_level, engine.Schedule(engine.PARALLEL_BLR, rho_local=0.5), 2),
+        (_gmm2, engine.Schedule(engine.CAVI), 6),
+        (_matfac_ppca, engine.Schedule(engine.CAVI), 2),
+        (_logitnormal, engine.Schedule(engine.SVI, seed=8), 3),
+    ],
+    ids=["two_level_cavi", "two_level_parallel", "gmm2_cavi", "matfac_ppca_cavi", "logitnormal_svi"],
+)
+def test_fit_reads_a_target_off_again_only_after_a_plate_it_reads_moved(monkeypatch, build, schedule, per_iter):
+    """The initial record reads every plate once; then each iteration reuses the targets whose inputs held still.
+
+    CAVI reuses the residual's target for the first step of a sweep and the
+    last step's target for the residual, a parallel step every residual
+    target, and SVI the local plate's residual target.
+    """
+    for k in range(4):
+        model, data = build()
+        calls = {"coefficient": 0, "mu_snapshot": 0}
+
+        def counted(fn, name):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        provider = type(model.provider)
+        monkeypatch.setattr(provider, "coefficient", counted(provider.coefficient, "coefficient"))
+        monkeypatch.setattr(engine, "mu_snapshot", counted(engine.mu_snapshot, "mu_snapshot"))
+        trace = engine.fit(model, data, schedule, tol=1e-300, max_iter=k)
+        monkeypatch.undo()
+        assert len(trace.records) == k + 1
+        assert calls == {"coefficient": len(model.plates) + k * per_iter, "mu_snapshot": 1}
+
+
+def test_a_snapshot_argument_changes_no_result(two_level_data):
+    """A snapshot of other plates, or one that served other data, is not read: results match a call without one."""
+    model = models.build_two_level(two_level_data, seed=3)
+    moved = engine.cavi_sweep(model, dict(model.plates), two_level_data)
+    other = make_two_level(seed=4)
+    for snap in (engine.mu_snapshot(model.plates), engine.mu_snapshot(moved)):
+        engine.fixed_point_residual(model, moved, other, snap=snap)  # memoise targets for other data
+        assert engine.fixed_point_residual(model, moved, two_level_data, snap=snap) == (
+            engine.fixed_point_residual(model, moved, two_level_data)
+        )
+        assert engine.elbo(model, moved, two_level_data, snap=snap) == engine.elbo(model, moved, two_level_data)
+        swept = engine.cavi_sweep(model, dict(moved), two_level_data, snap=snap)
+        plain = engine.cavi_sweep(model, dict(moved), two_level_data)
+        for name in plain:
+            assert np.array_equal(swept[name].lam.values, plain[name].lam.values)
+
+
+def test_a_live_snapshot_follows_every_stepped_plate(two_level_data):
+    """After a sweep, frozen or not, the snapshot holds the new plates, and a memoised target is read-only."""
+    model = models.build_two_level(two_level_data, seed=3)
+    for frozen in (False, True):
+        state = dict(model.plates)
+        snap = engine.mu_snapshot(state)
+        if frozen:
+            engine._parallel_step(model, state, two_level_data, 0.5, snap=snap)
+        else:
+            engine.cavi_sweep(model, state, two_level_data, snap=snap)
+        assert snap.holds(state)
+        fresh = engine.mu_snapshot(state)
+        for name in state:
+            assert np.array_equal(snap[name], fresh[name]) and snap.lam(name) is state[name].lam
+    target = engine._target(model, "z", snap, two_level_data)
+    with pytest.raises(ValueError, match="read-only"):
+        target[0, 0] = 0.0
 
 
 # ---------------------------------------------------------------------------

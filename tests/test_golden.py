@@ -145,6 +145,18 @@ def test_fit_matches_golden(case, golden):
         _assert_close(got["lambda"][nid], lam, f"{case} lambda of {nid}")
 
 
+@pytest.mark.parametrize("case", CASES)
+def test_live_snapshot_records_match_a_fresh_snapshot(case):
+    """A record's residual and ELBO, read off the fit's one live snapshot, equal those of a fresh snapshot."""
+    model_name, sched = case.split("/")
+    for max_iter in (0, 1, 2, 5):
+        model, data = BUILDERS[model_name][0]()
+        trace = engine.fit(model, data, SCHEDULES[sched], tol=TOL, max_iter=max_iter)
+        last = trace.records[-1]
+        assert last.residual == engine.fixed_point_residual(model, trace.plates, data)
+        assert last.elbo == engine.elbo(model, trace.plates, data)
+
+
 if __name__ == "__main__":
     FIXTURE.parent.mkdir(exist_ok=True)
     FIXTURE.write_text(json.dumps({case: run_case(case) for case in CASES}, indent=1) + "\n")

@@ -1,4 +1,4 @@
-"""Micro-benchmarks of the logit-normal weight read-off, the plate conversions and the special functions.
+"""Micro-benchmarks of a fit iteration, the logit-normal read-off, the plate conversions and the special functions.
 
 pytest's defaults include ``--benchmark-disable``, so a plain test run calls
 each benchmarked function once and checks its result.  To time them:
@@ -16,6 +16,25 @@ _M = 0.3
 
 def _f(z):
     return -0.5 * (np.log(z / (1.0 - z)) - _M) ** 2
+
+
+def test_matfac_ppca_fit_iteration(benchmark):
+    """One CAVI iteration of a PPCA fit at the bench size (40x25, K=3): sweep, residual and ELBO on one snapshot."""
+    rng = np.random.default_rng(0)
+    y = rng.standard_normal((40, 3)) @ rng.standard_normal((25, 3)).T + 0.3 * rng.standard_normal((40, 25))
+    data = models.MatrixFactorizationData(y, 3, 1.0, 1.0)
+    model = models.build_matfac(data, "ppca", seed=0)
+    state = dict(model.plates)
+    snap = engine.mu_snapshot(state)
+
+    def iteration():
+        engine.cavi_sweep(model, state, data, snap=snap)
+        residual = engine.fixed_point_residual(model, state, data, snap=snap)
+        return residual, engine.elbo(model, state, data, snap=snap)
+
+    residual, elbo = benchmark(iteration)
+    assert residual == engine.fixed_point_residual(model, state, data)
+    assert elbo == engine.elbo(model, state, data)
 
 
 def test_beta_natural_gradient(benchmark):
