@@ -202,15 +202,18 @@ def _fmt(x: float) -> str:
 
 
 def write_trace(path: str, trace: engine.FitTrace) -> None:
-    with open(path, "w") as fh:
-        for rec in trace.records:
-            fh.write(f"iter={rec.iteration} elbo={_fmt(rec.elbo)} residual={_fmt(rec.residual)}\n")
-        fh.write(f"converged={'true' if trace.converged else 'false'} ")
-        fh.write(f"iterations={trace.records[-1].iteration}\n")
-        for plate in trace.plates.values():
-            for nid, lam, mu in zip(plate.ids, plate.lam.values, plate.mu.values):
-                fh.write(f"param {nid} lambda {' '.join(_fmt(v) for v in lam)}\n")
-                fh.write(f"param {nid} mu {' '.join(_fmt(v) for v in mu)}\n")
+    try:
+        with open(path, "w") as fh:
+            for rec in trace.records:
+                fh.write(f"iter={rec.iteration} elbo={_fmt(rec.elbo)} residual={_fmt(rec.residual)}\n")
+            fh.write(f"converged={'true' if trace.converged else 'false'} ")
+            fh.write(f"iterations={trace.records[-1].iteration}\n")
+            for plate in trace.plates.values():
+                for nid, lam, mu in zip(plate.ids, plate.lam.values, plate.mu.values):
+                    fh.write(f"param {nid} lambda {' '.join(_fmt(v) for v in lam)}\n")
+                    fh.write(f"param {nid} mu {' '.join(_fmt(v) for v in mu)}\n")
+    except OSError as exc:
+        raise InputError(f"cannot write trace {path}: {exc}") from exc
 
 
 def cmd_fit(args) -> int:

@@ -20,17 +20,17 @@ global node is a plate with G = 1.  The provider declares the plates and
 reads every coefficient off per plate, so a sweep does a fixed amount of
 Python work per plate whatever the number of data.
 
-A provider reads a ``Snapshot``: per plate, the expectations the other
-plates see and the plate's own lambda, refreshed together after each step.
-A non-conjugate term reads its natural gradient off the lambda directly, as
-in conjugate-computation VI, instead of solving lambda back from mu.
+A fit's state is one ``Snapshot``, which a provider reads: per plate, the
+plate, its lambda and the expectations the others see, set together after
+each step.  A non-conjugate term reads its natural gradient off the lambda
+directly, as in conjugate-computation VI, instead of solving lambda back
+from mu, and keeps it on the snapshot until that entry is put again.
 
-``fit`` builds one snapshot and keeps it live for the whole fit: each sweep
-refreshes the entries of the plates it steps, and the fixed-point residual
-and the ELBO read the same snapshot.  Called on their own, the sweeps and
-the diagnostics build a snapshot of the plates they are given and run the
-same code.  A plate's target is memoised on the snapshot, keyed by the
-version that each refresh of an entry bumps: the versions of every other
+``fit`` passes its one snapshot to every sweep, fixed-point residual and
+ELBO, which read and update it in place.  Given a plate dict, they build a
+snapshot of it and run the same code, and a sweep writes its steps back
+into the dict.  A plate's target is memoised on the snapshot, keyed by the
+version that each put of an entry bumps: the versions of every other
 entry for a conjugate plate, whose rows read neither their own entries nor
 their plate mates' (the contract ``checks.suite_multilinearity`` tests),
 and of every entry for any other plate.  As in variational message
@@ -54,6 +54,7 @@ import time
 from abc import ABC, abstractmethod
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -180,26 +181,30 @@ class NodeView(Mapping):
 
 
 class Snapshot(Mapping):
-    """What a provider reads: each plate's expectations, with the lambda they come from.
+    """The state of a fit: each plate, the expectations it shows the others, and what is read off them.
 
     ``snap[name]`` is plate ``name``'s (G, flat) expectation array,
     delta-substituted where flagged, so a provider indexes a snapshot as it
     would a dict.  ``snap.lam(name)`` is the plate's row-stacked
-    NaturalParam.  The two are only ever set together, from one factor, so
-    no expectation is paired with a stale lambda.  Each ``put`` bumps the
-    entry's version, and the engine memoises each plate's target on the
-    snapshot under the versions of the entries it reads (see ``_target``).
+    NaturalParam, and ``snap.plates`` a read-only view of the plates
+    themselves.  ``put`` is the only setter: it sets a plate, its lambda,
+    its expectations and its version together, so no expectation is paired
+    with a stale lambda.  The engine memoises each plate's target on the
+    snapshot under the versions of the entries it reads (see ``_target``),
+    and a provider keeps a read-off of one entry with ``kept``.
     """
 
-    __slots__ = ("_mus", "_factors", "_versions", "_puts", "_targets")
+    __slots__ = ("_plates", "plates", "_mus", "_versions", "_puts", "_targets", "_kept")
 
     def __init__(self):
+        self._plates: dict[str, Plate | NodeState] = {}
+        self.plates = MappingProxyType(self._plates)  # what the entries were set from, read-only
         self._mus: dict[str, np.ndarray] = {}
-        self._factors: dict[str, Plate | NodeState] = {}
         self._versions: dict[str, int] = {}  # puts per entry
         self._puts = 0  # puts in all, the sum of the versions
         # plate -> (provider, data, versions read, read-only target); see _target
         self._targets: dict[str, tuple] = {}
+        self._kept: dict[str, tuple] = {}  # entry -> (key, value); see kept
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._mus[name]
@@ -212,26 +217,26 @@ class Snapshot(Mapping):
 
     def lam(self, name: str) -> NaturalParam:
         """The natural parameters of plate ``name``, one row per node."""
-        return self._factors[name].lam
+        return self._plates[name].lam
 
     def put(self, name: str, factor) -> None:
         """Set the entry of ``name`` from a plate or node: its lambda and the expectations others see."""
-        self._factors[name] = factor
+        self._plates[name] = factor
         self._mus[name] = _moments(factor)
         self._versions[name] = self._versions.get(name, 0) + 1
         self._puts += 1
-
-    def holds(self, plates: Mapping) -> bool:
-        """Whether the entries were set from exactly these plates, and no others."""
-        factors = self._factors
-        for name, p in plates.items():
-            if factors.get(name) is not p:
-                return False
-        return len(factors) == len(plates)
+        self._kept.pop(name, None)
 
     def version(self, skip: str | None = None) -> int:
         """The sum of the versions of every entry but ``skip``: it is unchanged until one of them is put."""
         return self._puts - self._versions.get(skip, 0)
+
+    def kept(self, name: str, key, read_off):
+        """``read_off()``, kept with the entry of ``name`` under ``key`` until that entry is put again."""
+        hit = self._kept.get(name)
+        if hit is None or hit[0] != key:
+            hit = self._kept[name] = (key, read_off())
+        return hit[1]
 
 
 class CoefficientProvider(ABC):
@@ -337,7 +342,7 @@ class Schedule:
     """Update schedule: CAVI, SVI, or parallel damped steps.
 
     The SVI global rate follows rho_t = (t + tau)^(-kappa) with t counted
-    from zero.
+    from zero, so SVI needs tau >= 1.
     """
 
     kind: str = CAVI
@@ -353,8 +358,9 @@ class Schedule:
             raise ConfigurationError(f"rho_local must lie in (0, 1], got {self.rho_local}")
         if not 0.5 < self.kappa <= 1.0:
             raise ConfigurationError(f"kappa must lie in (0.5, 1], got {self.kappa}")
-        if not 0.0 <= self.tau < float("inf"):
-            raise ConfigurationError(f"tau must be finite and nonnegative, got {self.tau}")
+        least = 1.0 if self.kind == SVI else 0.0  # the first SVI rate, tau^-kappa, must not exceed 1
+        if not least <= self.tau < float("inf"):
+            raise ConfigurationError(f"tau must be finite and at least {least:g}, got {self.tau:g}")
 
     def global_rate(self, t: int) -> float:
         return float((t + self.tau) ** (-self.kappa))
@@ -412,16 +418,11 @@ def _moments(node) -> np.ndarray:
 
 
 def mu_snapshot(state: Mapping) -> Snapshot:
-    """Expectation arrays per plate, delta-substituted where flagged, each with its plate's lambda."""
+    """A new snapshot of the given plates: each one's expectations, delta-substituted where flagged, and lambda."""
     snap = Snapshot()
     for name, factor in state.items():
         snap.put(name, factor)
     return snap
-
-
-def _live(plates: dict, snap: Snapshot | None) -> Snapshot:
-    """``snap`` if its entries were set from exactly ``plates``, else a new snapshot of them."""
-    return snap if snap is not None and snap.holds(plates) else mu_snapshot(plates)
 
 
 def blr_step(node, target: np.ndarray, rho):
@@ -499,42 +500,44 @@ def _step_with_backoff(node, target: np.ndarray, rho: float, rows=None):
 # --------------------------------------------------------------------------
 
 
-def _require_plates(model: ModelSpec, plates) -> dict[str, Plate]:
-    """The plate state itself, once it is checked to hold every plate of the model."""
+def _snapshot(model: ModelSpec, state) -> Snapshot:
+    """``state`` itself if it is a snapshot, else a new one of a plate dict; either must hold every plate."""
+    plates = state.plates if isinstance(state, Snapshot) else state
     missing = [name for name in model.plates if not isinstance(plates.get(name), Plate)]
     if missing:
         raise ConfigurationError(f"state has no plate {missing[0]!r}: pass dict(model.plates) or trace.plates")
-    return plates
+    return state if isinstance(state, Snapshot) else mu_snapshot(state)
 
 
-def _sweep(model: ModelSpec, plates: dict, data, steps, frozen: bool = False, snap: Snapshot | None = None):
+def _sweep(model: ModelSpec, state, data, steps, frozen: bool = False):
     """Damped steps of the plate state, one per (plate, rate, rows) in order: the single update path.
 
     ``rows`` None steps every row, a list those rows alone.  Each target reads
-    the snapshot ``snap`` of the plates (a new one if it does not hold
-    them), whose entry of a plate (lambda and expectations) is refreshed
-    after its step; ``frozen`` holds every entry at its pre-sweep value
-    until the last step.  The state and the snapshot are updated in place.
+    the snapshot (``state`` itself, or a new one of a plate dict), whose
+    entry of a plate is put after its step; ``frozen`` holds every entry at
+    its pre-sweep value until the last step.  The state is updated in place.
     """
-    snap = _live(_require_plates(model, plates), snap)
+    snap = _snapshot(model, state)
+    stepped = {}
     for name, rho, rows in steps:
-        target = _target(model, name, snap, data)
-        plates[name] = _step_with_backoff(plates[name], target, rho, rows)
+        stepped[name] = _step_with_backoff(snap.plates[name], _target(model, name, snap, data), rho, rows)
         if not frozen:
-            snap.put(name, plates[name])
+            snap.put(name, stepped[name])
     if frozen:
-        for name, _, _ in steps:
-            snap.put(name, plates[name])
-    return plates
+        for name, plate in stepped.items():
+            snap.put(name, plate)
+    if state is not snap:
+        state.update(stepped)
+    return state
 
 
-def cavi_sweep(model: ModelSpec, plates: dict, data, order=None, snap: Snapshot | None = None) -> dict:
+def cavi_sweep(model: ModelSpec, state, data, order=None):
     """One rho = 1 sweep over the named plates (default: all), each seeing the freshest expectations."""
     order = order or model.sweep_order or model.default_order()
     unknown = [name for name in order if name not in model.plates]
     if unknown:
         raise ConfigurationError(f"sweep order names {unknown[0]!r}, which is not a plate of the model")
-    return _sweep(model, plates, data, [(name, 1.0, None) for name in order], snap=snap)
+    return _sweep(model, state, data, [(name, 1.0, None) for name in order])
 
 
 def _svi_plates(model: ModelSpec) -> tuple[str, str]:
@@ -548,17 +551,17 @@ def _svi_plates(model: ModelSpec) -> tuple[str, str]:
     return local[0], global_[0]
 
 
-def svi_step(model: ModelSpec, plates: dict, data, row: int, rho_t: float, snap: Snapshot | None = None) -> dict:
+def svi_step(model: ModelSpec, state, data, row: int, rho_t: float):
     """Full step on one row of the local plate, then a damped step on the global node."""
     local, global_ = _svi_plates(model)
     if not 0 <= row < len(model.plates[local].ids):
         raise ConfigurationError(f"SVI row {row} is outside local plate {local!r}")
-    return _sweep(model, plates, data, [(local, 1.0, [row]), (global_, rho_t, None)], snap=snap)
+    return _sweep(model, state, data, [(local, 1.0, [row]), (global_, rho_t, None)])
 
 
-def _parallel_step(model: ModelSpec, plates: dict, data, rho: float, snap: Snapshot | None = None):
+def _parallel_step(model: ModelSpec, state, data, rho: float):
     """Every plate steps toward its target on the pre-iteration snapshot."""
-    return _sweep(model, plates, data, [(name, rho, None) for name in model.plates], frozen=True, snap=snap)
+    return _sweep(model, state, data, [(name, rho, None) for name in model.plates], frozen=True)
 
 
 # --------------------------------------------------------------------------
@@ -566,30 +569,27 @@ def _parallel_step(model: ModelSpec, plates: dict, data, rho: float, snap: Snaps
 # --------------------------------------------------------------------------
 
 
-def elbo(model: ModelSpec, state, data, snap: Snapshot | None = None) -> float:
+def elbo(model: ModelSpec, state, data) -> float:
     """Expected log-joint plus entropies; delta-flagged nodes contribute no entropy.
 
-    ``state`` is a plate dict or its NodeView; ``snap`` is read if it holds
-    that state's plates.
+    ``state`` is a plate dict, its NodeView or a snapshot.
     """
-    plates = _require_plates(model, state.plates if isinstance(state, NodeView) else state)
-    total = model.provider.expected_log_joint(_live(plates, snap), data)
-    for plate in plates.values():
+    snap = _snapshot(model, state.plates if isinstance(state, NodeView) else state)
+    total = model.provider.expected_log_joint(snap, data)
+    for plate in snap.plates.values():
         if not plate.delta_mode:
             total += float(np.sum(expfam.entropy(plate.lam, plate.mu)))
     return total
 
 
-def fixed_point_residual(model: ModelSpec, state, data, snap: Snapshot | None = None) -> float:
+def fixed_point_residual(model: ModelSpec, state, data) -> float:
     """Max over nodes of the infinity-norm gap between lambda and its coefficient.
 
-    ``state`` is a plate dict or its NodeView; ``snap`` is read if it holds
-    that state's plates.
+    ``state`` is a plate dict, its NodeView or a snapshot.
     """
-    plates = _require_plates(model, state.plates if isinstance(state, NodeView) else state)
-    snap = _live(plates, snap)
+    snap = _snapshot(model, state.plates if isinstance(state, NodeView) else state)
     worst = 0.0
-    for name, plate in plates.items():
+    for name, plate in snap.plates.items():
         gap = np.abs(plate.lam.values - _target(model, name, snap, data))
         worst = max(worst, float(np.max(gap)))
     return worst
@@ -605,25 +605,23 @@ def fit(
     """Iterate the chosen schedule until the fixed-point residual drops below tol.
 
     Non-convergence at max_iter is reported through FitTrace.converged, not
-    raised.  The final plates are ``FitTrace.plates``.  One snapshot of the
-    plates serves every sweep, residual and ELBO of the fit.
+    raised.  The fit's state is one snapshot of the model's plates, which
+    every sweep, residual and ELBO reads and updates; its final plates are
+    ``FitTrace.plates``.
     """
     schedule = schedule or Schedule()
     if not tol > 0.0:
         raise ConfigurationError(f"tol must be positive, got {tol}")
     if max_iter < 0:
         raise ConfigurationError(f"max_iter must be nonnegative, got {max_iter}")
-    state = dict(model.plates)
     rng = np.random.default_rng(schedule.seed)
     start = time.perf_counter()
     trace = FitTrace()
-    snap = mu_snapshot(state)
+    snap = mu_snapshot(model.plates)
 
     def record(it: int) -> float:
-        res = fixed_point_residual(model, state, data, snap=snap)
-        trace.records.append(
-            TraceRecord(it, elbo(model, state, data, snap=snap), res, time.perf_counter() - start)
-        )
+        res = fixed_point_residual(model, snap, data)
+        trace.records.append(TraceRecord(it, elbo(model, snap, data), res, time.perf_counter() - start))
         return res
 
     residual = record(0)
@@ -631,14 +629,14 @@ def fit(
         if residual < tol:
             break
         if schedule.kind == CAVI:
-            cavi_sweep(model, state, data, snap=snap)
+            cavi_sweep(model, snap, data)
         elif schedule.kind == SVI:
             local = model.plates[_svi_plates(model)[0]]
             row = int(rng.integers(len(local.ids)))
-            svi_step(model, state, data, row, schedule.global_rate(t - 1), snap=snap)
+            svi_step(model, snap, data, row, schedule.global_rate(t - 1))
         else:
-            _parallel_step(model, state, data, schedule.rho_local, snap=snap)
+            _parallel_step(model, snap, data, schedule.rho_local)
         residual = record(t)
     trace.converged = residual < tol
-    trace.plates = state
+    trace.plates = dict(snap.plates)
     return trace

@@ -253,6 +253,12 @@ def _weight_coefficient(a: float, b: float, mus) -> np.ndarray:
     return np.array([[a - 1.0 + s, r.size + b - 1.0 - s]])
 
 
+def _weight_log_prior(a: float, b: float, mus) -> float:
+    """E_q[log Beta(pi | a, b)] = (a - 1) E[log pi] + (b - 1) E[log(1 - pi)] - log B(a, b)."""
+    mu0 = mus["pi"][0]
+    return float((a - 1.0) * mu0[0] + (b - 1.0) * mu0[1] - betaln(a, b))
+
+
 def _indicator_log_joint(mus, log_a, log_b) -> float:
     """Sum over i of E_q[log p(z_i | pi) + log p(y_i | z_i)]."""
     r, mu0 = mus["z"][:, 0], mus["pi"][0]
@@ -313,9 +319,7 @@ class TwoLevelProvider(CoefficientProvider):
         return _indicator_coefficient(mus, data.log_pa, data.log_pb)
 
     def expected_log_joint(self, mus, data: TwoLevelMixtureData):
-        mu0 = mus["pi"][0]
-        total = (data.alpha0 - 1.0) * mu0[0] + (data.beta0 - 1.0) * mu0[1]
-        total -= betaln(data.alpha0, data.beta0)
+        total = _weight_log_prior(data.alpha0, data.beta0, mus)
         return float(total + _indicator_log_joint(mus, data.log_pa, data.log_pb))
 
     def base_measure_grad(self, plate):
@@ -387,9 +391,7 @@ class GMMProvider(CoefficientProvider):
         return _indicator_coefficient(mus, ea, eb)
 
     def expected_log_joint(self, mus, data: GMMData):
-        mu0 = mus["pi"][0]
-        total = (data.alpha0 - 1.0) * mu0[0] + (data.beta0 - 1.0) * mu0[1]
-        total -= betaln(data.alpha0, data.beta0)
+        total = _weight_log_prior(data.alpha0, data.beta0, mus)
         ea = expected_log_component(mus["comp_a"][0], data.y, self.d)
         eb = expected_log_component(mus["comp_b"][0], data.y, self.d)
         total += _indicator_log_joint(mus, ea, eb)
@@ -546,10 +548,10 @@ def _beta_logit_rules(a: float, b: float, orders):
     Gauss-Legendre panels converge fast even where the unit-interval
     integrands have endpoint log singularities.  The panels span the
     bracket where the density lies within e^-50 of its peak, found once for
-    all orders.  Returns one (stats, weights) pair per order: stats holds
-    the sufficient statistics (log z, log(1-z)) at the nodes as a (2, nodes)
-    array, and the weights have the density absorbed, normalized to unit
-    mass.
+    all orders, and are no wider than the density's spread.  Returns one
+    (stats, weights) pair per order: stats holds the sufficient statistics
+    (log z, log(1-z)) at the nodes as a (2, nodes) array, and the weights
+    have the density absorbed, normalized to unit mass.
     """
     log_norm = betaln(a, b)
 
@@ -558,9 +560,12 @@ def _beta_logit_rules(a: float, b: float, orders):
 
     mode = math.log(a / b)
     floor = logdens(mode) - 50.0
-    lo = _walk(logdens, mode, -1.0, floor)
-    hi = _walk(logdens, mode, 1.0, floor)
-    panels = max(int(math.ceil((hi - lo) / 2.0)), 1)
+    # the logit of a Beta(a, b) spreads about sqrt(1/a + 1/b); a concentrated
+    # one is walked and paneled on that scale, not in unit steps
+    scale = min(1.0, 10.0 * math.sqrt(1.0 / a + 1.0 / b))
+    lo = _walk(logdens, mode, -scale, floor)
+    hi = _walk(logdens, mode, scale, floor)
+    panels = max(int(math.ceil((hi - lo) / (2.0 * scale))), 1)
     edges = np.linspace(lo, hi, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
@@ -634,16 +639,15 @@ class LogitNormalProvider(CoefficientProvider):
     the conjugate cross-checks); like f it maps an array of z to an array.
 
     The weight read-off (the natural gradient and E_q[f]) is taken at the
-    Beta natural parameters the snapshot carries for "pi", and done once per
-    weight state: the step, the fixed-point residual and the ELBO at the
-    same lambda of "pi", and the same f, share one quadrature pass.
+    Beta natural parameters the snapshot carries for "pi" and kept on the
+    snapshot with that entry, keyed by what f depends on: the step, the
+    fixed-point residual and the ELBO at one weight state share one
+    quadrature pass.  The provider holds no state of its own.
     """
 
     def __init__(self, n: int, log_prior_core=None):
         self.log_prior_core = log_prior_core
         self.plates = {"z": _z_ids(n), "pi": ("pi",)}
-        self._read_off_key = None
-        self._read_off = None
 
     def _f(self, data: LogitNormalMixtureData):
         """(what f depends on, f): log_prior_core itself, or the default f's mean m."""
@@ -652,25 +656,20 @@ class LogitNormalProvider(CoefficientProvider):
         m = data.m
         return m, lambda z: -0.5 * (np.log(z / (1.0 - z)) - m) ** 2
 
-    def _weight_read_off(self, lam: NaturalParam, data: LogitNormalMixtureData):
-        """((alpha_hat, beta_hat), E_q[f]) at the weight's Beta lambda, kept for the last lambda and f."""
+    def _weight_read_off(self, mus, data: LogitNormalMixtureData):
+        """((alpha_hat, beta_hat), E_q[f]) at the lambda of "pi", kept on the snapshot with that entry."""
         depends_on, f = self._f(data)
-        key = (lam.values.tobytes(), depends_on)
-        if key != self._read_off_key:
-            ab_hat, f_mean = beta_natural_gradient(lam, f)
-            ab_hat.flags.writeable = False
-            self._read_off_key, self._read_off = key, (ab_hat, f_mean)
-        return self._read_off
+        return mus.kept("pi", depends_on, lambda: beta_natural_gradient(expfam.row_view(mus.lam("pi"), 0), f))
 
     def pseudo_prior(self, lam: NaturalParam, data: LogitNormalMixtureData) -> np.ndarray:
-        """(alpha_hat, beta_hat): natural gradient of the non-conjugate term at the weight's lambda (read-only)."""
-        return self._weight_read_off(lam, data)[0]
+        """(alpha_hat, beta_hat): natural gradient of the non-conjugate term at the weight's lambda."""
+        return beta_natural_gradient(lam, self._f(data)[1])[0]
 
     def coefficient(self, plate, mus, data: LogitNormalMixtureData):
         if plate == "pi":
             # the prior's base measure contributes (-1, -1) and the pseudo
             # prior (alpha_hat, beta_hat): Beta exponents of a conjugate term
-            ab_hat = self.pseudo_prior(expfam.row_view(mus.lam("pi"), 0), data)
+            ab_hat = self._weight_read_off(mus, data)[0]
             return _weight_coefficient(ab_hat[0], ab_hat[1], mus)
         return _indicator_coefficient(mus, data.log_pa, data.log_pb)
 
@@ -678,7 +677,7 @@ class LogitNormalProvider(CoefficientProvider):
         mu0 = mus["pi"][0]
         total = -float(mu0[0]) - float(mu0[1])  # prior base measure 1/(z(1-z))
         total -= 0.5 * LOG_2PI  # logit-normal (sigma = 1) normalizer
-        total += self._weight_read_off(expfam.row_view(mus.lam("pi"), 0), data)[1]
+        total += self._weight_read_off(mus, data)[1]
         return float(total + _indicator_log_joint(mus, data.log_pa, data.log_pb))
 
     @property

@@ -93,7 +93,6 @@ def test_criterion_05_fixed_point_log_odds_identity():
     data = make_two_level(seed=505, n=10)
     model = models.build_two_level(data, seed=3)
     trace = engine.fit(model, data, tol=1e-12, max_iter=400)
-    snap = engine.mu_snapshot(trace.state)
     a, b = expfam.beta_ab(trace.state["pi"].lam)
     from meanfield.specfun import digamma
 

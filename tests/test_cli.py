@@ -184,6 +184,17 @@ def test_missing_data_file_rejected(tmp_path):
     assert cli.main(["fit", "--config", cfg]) == cli.EXIT_INPUT
 
 
+@pytest.mark.parametrize("where", ["missing/trace.txt", "."])
+def test_unwritable_output_path_is_named(tmp_path, where):
+    """A trace path in a missing directory, or one that is a directory, is one error line naming it."""
+    data, out = _write(tmp_path / "data.csv", "0.1,0.4\n"), str(tmp_path / where)
+    cfg = _write(tmp_path / "run.cfg", f"model=two_level\ndata_path={data}\noutput_path={out}\n")
+    proc = _run_cli(cfg)
+    assert proc.returncode == cli.EXIT_INPUT
+    assert proc.stderr.startswith(f"error: cannot write trace {out}: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 def test_gmm_fit_via_cli(tmp_path):
     rng = np.random.default_rng(5)
     y = np.concatenate(
@@ -227,6 +238,8 @@ def test_bad_arguments_are_usage_errors(capsys):
         ("tol=nan\n", "tol"),
         ("tau=inf\nschedule=svi\n", "tau"),
         ("tau=nan\nschedule=svi\n", "tau"),
+        ("tau=0\nschedule=svi\n", "tau"),
+        ("tau=0.5\nschedule=svi\n", "tau"),
         ("max_iter=2.5\n", "max_iter"),
         ("seed=1.5\n", "seed"),
         ("seed=-1\n", "seed"),

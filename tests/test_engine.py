@@ -421,39 +421,52 @@ def test_fit_reads_a_target_off_again_only_after_a_plate_it_reads_moved(monkeypa
 
 
 def test_a_snapshot_argument_changes_no_result(two_level_data):
-    """A snapshot of other plates, or one that served other data, is not read: results match a call without one."""
+    """A snapshot as the state, even one that served other data, gives the results of its plate dict."""
     model = models.build_two_level(two_level_data, seed=3)
     moved = engine.cavi_sweep(model, dict(model.plates), two_level_data)
     other = make_two_level(seed=4)
-    for snap in (engine.mu_snapshot(model.plates), engine.mu_snapshot(moved)):
-        engine.fixed_point_residual(model, moved, other, snap=snap)  # memoise targets for other data
-        assert engine.fixed_point_residual(model, moved, two_level_data, snap=snap) == (
-            engine.fixed_point_residual(model, moved, two_level_data)
-        )
-        assert engine.elbo(model, moved, two_level_data, snap=snap) == engine.elbo(model, moved, two_level_data)
-        swept = engine.cavi_sweep(model, dict(moved), two_level_data, snap=snap)
-        plain = engine.cavi_sweep(model, dict(moved), two_level_data)
-        for name in plain:
-            assert np.array_equal(swept[name].lam.values, plain[name].lam.values)
+    snap = engine.mu_snapshot(moved)
+    engine.fixed_point_residual(model, snap, other)  # memoise targets for other data
+    assert engine.fixed_point_residual(model, snap, two_level_data) == (
+        engine.fixed_point_residual(model, moved, two_level_data)
+    )
+    assert engine.elbo(model, snap, two_level_data) == engine.elbo(model, moved, two_level_data)
+    assert engine.cavi_sweep(model, snap, two_level_data) is snap
+    plain = engine.cavi_sweep(model, dict(moved), two_level_data)
+    assert list(snap.plates) == list(plain)
+    for name in plain:
+        assert np.array_equal(snap.plates[name].lam.values, plain[name].lam.values)
 
 
 def test_a_live_snapshot_follows_every_stepped_plate(two_level_data):
-    """After a sweep, frozen or not, the snapshot holds the new plates, and a memoised target is read-only."""
+    """After a sweep, frozen or not, a snapshot state holds the plates a plate dict gets, and a memoised target is read-only."""
     model = models.build_two_level(two_level_data, seed=3)
     for frozen in (False, True):
-        state = dict(model.plates)
-        snap = engine.mu_snapshot(state)
-        if frozen:
-            engine._parallel_step(model, state, two_level_data, 0.5, snap=snap)
-        else:
-            engine.cavi_sweep(model, state, two_level_data, snap=snap)
-        assert snap.holds(state)
+        snap, state = engine.mu_snapshot(model.plates), dict(model.plates)
+        for s in (snap, state):
+            if frozen:
+                engine._parallel_step(model, s, two_level_data, 0.5)
+            else:
+                engine.cavi_sweep(model, s, two_level_data)
         fresh = engine.mu_snapshot(state)
         for name in state:
-            assert np.array_equal(snap[name], fresh[name]) and snap.lam(name) is state[name].lam
+            assert np.array_equal(snap.plates[name].lam.values, state[name].lam.values)
+            assert np.array_equal(snap[name], fresh[name]) and snap.lam(name) is snap.plates[name].lam
     target = engine._target(model, "z", snap, two_level_data)
     with pytest.raises(ValueError, match="read-only"):
         target[0, 0] = 0.0
+
+
+def test_a_snapshot_owns_its_plates(two_level_data):
+    """``snap.plates`` cannot be set through, and sweeping a snapshot leaves the plates it was built from alone."""
+    model = models.build_two_level(two_level_data, seed=3)
+    before = dict(model.plates)
+    snap = engine.mu_snapshot(model.plates)
+    with pytest.raises(TypeError):
+        snap.plates["z"] = before["z"]
+    engine.cavi_sweep(model, snap, two_level_data)
+    assert list(model.plates) == list(before) and all(model.plates[name] is p for name, p in before.items())
+    assert all(snap.plates[name] is not p for name, p in before.items())
 
 
 # ---------------------------------------------------------------------------

@@ -24,17 +24,15 @@ def test_matfac_ppca_fit_iteration(benchmark):
     y = rng.standard_normal((40, 3)) @ rng.standard_normal((25, 3)).T + 0.3 * rng.standard_normal((40, 25))
     data = models.MatrixFactorizationData(y, 3, 1.0, 1.0)
     model = models.build_matfac(data, "ppca", seed=0)
-    state = dict(model.plates)
-    snap = engine.mu_snapshot(state)
+    snap = engine.mu_snapshot(model.plates)
 
     def iteration():
-        engine.cavi_sweep(model, state, data, snap=snap)
-        residual = engine.fixed_point_residual(model, state, data, snap=snap)
-        return residual, engine.elbo(model, state, data, snap=snap)
+        engine.cavi_sweep(model, snap, data)
+        return engine.fixed_point_residual(model, snap, data), engine.elbo(model, snap, data)
 
     residual, elbo = benchmark(iteration)
-    assert residual == engine.fixed_point_residual(model, state, data)
-    assert elbo == engine.elbo(model, state, data)
+    assert residual == engine.fixed_point_residual(model, dict(snap.plates), data)
+    assert elbo == engine.elbo(model, dict(snap.plates), data)
 
 
 def test_beta_natural_gradient(benchmark):
@@ -44,7 +42,7 @@ def test_beta_natural_gradient(benchmark):
 
 
 def test_logitnormal_weight_coefficient(benchmark):
-    """A cold read-off: each round asks a new provider, so none is served from the last weight state."""
+    """A cold read-off: each round asks a new snapshot, so none is served from the last round's read-off."""
     n = 40
     rng = np.random.default_rng(0)
     data = models.LogitNormalMixtureData(rng.normal(size=n), rng.normal(size=n), _M)
@@ -52,13 +50,12 @@ def test_logitnormal_weight_coefficient(benchmark):
     bernoulli = expfam.FamilyDescriptor(expfam.BERNOULLI)
     weight = expfam.beta_natural(25.0, 17.0)
     ids = [f"z{i}" for i in range(n)]
-    snap = engine.mu_snapshot(
-        {
-            "z": engine.Plate.make(ids, expfam.NaturalParam(bernoulli, np.log(p / (1.0 - p)))),
-            "pi": engine.Plate.make(("pi",), expfam.NaturalParam(weight.family, weight.values[None, :])),
-        }
-    )
-    g = benchmark(lambda: models.LogitNormalProvider(n).coefficient("pi", snap, data))
+    plates = {
+        "z": engine.Plate.make(ids, expfam.NaturalParam(bernoulli, np.log(p / (1.0 - p)))),
+        "pi": engine.Plate.make(("pi",), expfam.NaturalParam(weight.family, weight.values[None, :])),
+    }
+    provider = models.LogitNormalProvider(n)
+    g = benchmark(lambda: provider.coefficient("pi", engine.mu_snapshot(plates), data))
     assert g.shape == (1, 2) and np.all(np.isfinite(g))
 
 

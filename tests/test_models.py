@@ -329,7 +329,8 @@ def test_pseudo_prior_conjugate_cross_check():
         2, log_prior_core=lambda z: (a0 - 1.0) * np.log(z) + (b0 - 1.0) * np.log(1.0 - z)
     )
     data = models.LogitNormalMixtureData([0.0, 0.0], [0.0, 0.0], 0.0)
-    for ab in [(2.0, 3.0), (1.0, 1.0), (6.0, 4.0)]:
+    # a + b = 2000 and 1e5: the logit of a concentrated Beta spreads far less than one unit
+    for ab in [(2.0, 3.0), (1.0, 1.0), (6.0, 4.0), (600.0, 1400.0), (2e4, 8e4)]:
         got = provider.pseudo_prior(expfam.beta_natural(*ab), data)
         assert got == pytest.approx([a0 - 1.0, b0 - 1.0], abs=1e-8)
 
@@ -337,7 +338,7 @@ def test_pseudo_prior_conjugate_cross_check():
 def test_pseudo_prior_symmetric_when_m_zero():
     provider = models.LogitNormalProvider(1)
     data = models.LogitNormalMixtureData([0.0], [0.0], 0.0)
-    for ab in (1.5, 4.0, 0.8):
+    for ab in (1.5, 4.0, 0.8, 500.0):
         g = provider.pseudo_prior(expfam.beta_natural(ab, ab), data)
         assert g[0] == pytest.approx(g[1], abs=1e-9)
 
@@ -488,16 +489,38 @@ def test_one_weight_read_off_per_iteration(monkeypatch, schedule):
 
 
 def test_weight_read_off_is_not_reused_under_another_m():
+    """One snapshot asked under each m reads the weight off at that m, as a fresh snapshot does."""
     lam = expfam.beta_natural(3.0, 2.0)
     provider = models.LogitNormalProvider(2)
+    model = models.build_logitnormal(_logitnormal_data(2), seed=1)
+    snap = engine.mu_snapshot({**model.plates, "pi": models._global("pi", lam)})
     for m in (0.3, -1.2, 0.3):
         data = _logitnormal_data(2, m=m)
         got = provider.pseudo_prior(lam, data)
-        assert got.tolist() == models.LogitNormalProvider(2).pseudo_prior(lam, data).tolist()
         want, _ = models.beta_natural_gradient(
             expfam.beta_natural(3.0, 2.0), lambda z: -0.5 * (np.log(z / (1.0 - z)) - m) ** 2
         )
         assert got == pytest.approx(want, rel=1e-6)
+        fresh = engine.mu_snapshot(snap.plates)
+        assert provider.coefficient("pi", snap, data).tolist() == provider.coefficient("pi", fresh, data).tolist()
+        assert engine.elbo(model, snap, data) == engine.elbo(model, fresh, data)
+
+
+def test_a_logitnormal_fit_leaves_its_provider_as_built():
+    """The weight read-off lives on the fit's snapshot: the provider sets nothing during a fit."""
+    data = _logitnormal_data(10)
+    model = models.build_logitnormal(data, seed=1)
+    before = dict(vars(model.provider))
+    engine.fit(model, data, engine.Schedule(engine.SVI, seed=2), tol=1e-300, max_iter=5)
+    assert vars(model.provider) == before
+
+
+def test_logitnormal_cavi_fit_of_a_concentrated_weight():
+    """At N = 2000 the weight's Beta has a + b near 2000; its quadrature converges and so does the fit."""
+    data = _logitnormal_data(2000)
+    trace = engine.fit(models.build_logitnormal(data, seed=1), data, tol=1e-8, max_iter=200)
+    assert trace.converged
+    assert sum(expfam.beta_ab(trace.state["pi"].lam)) > 2000.0
 
 
 def test_reused_provider_fits_like_a_fresh_one():
