@@ -24,7 +24,7 @@ import numpy as np
 from . import expfam
 from .engine import GLOBAL, LOCAL, CoefficientProvider, ModelSpec, Plate
 from .expfam import NaturalParam, NumericalError, beta_natural, gw_natural
-from .specfun import betaln, gammaln
+from .specfun import betaln, digamma, gammaln, tetragamma, trigamma, trigamma_reciprocal_offset
 
 __all__ = [
     "SimpleMixtureData",
@@ -38,6 +38,7 @@ __all__ = [
     "MatrixFactorizationProvider",
     "LogitNormalProvider",
     "beta_natural_gradient",
+    "logit_normal_natural_gradient",
     "build_simple_mixture",
     "build_two_level",
     "build_gmm2",
@@ -549,9 +550,9 @@ def _beta_logit_rules(a: float, b: float, orders):
     integrands have endpoint log singularities.  The panels span the
     bracket where the density lies within e^-50 of its peak, found once for
     all orders, and are no wider than the density's spread.  Returns one
-    (stats, weights) pair per order: stats holds the sufficient statistics
-    (log z, log(1-z)) at the nodes as a (2, nodes) array, and the weights
-    have the density absorbed, normalized to unit mass.
+    (t, stats, weights) triple per order: t holds the logit nodes, stats the
+    sufficient statistics (log z, log(1-z)) at them as a (2, nodes) array,
+    and the weights have the density absorbed, normalized to unit mass.
     """
     log_norm = betaln(a, b)
 
@@ -575,7 +576,7 @@ def _beta_logit_rules(a: float, b: float, orders):
         t = (mid[:, None] + half[:, None] * x[None, :]).reshape(-1)
         stats = np.stack([_log_sigmoid(t), _log_sigmoid(-t)])
         wq = (half[:, None] * w[None, :]).reshape(-1) * np.exp(a * stats[0] + b * stats[1] - log_norm)
-        rules.append((stats, wq / wq.sum()))
+        rules.append((t, stats, wq / wq.sum()))
     return rules
 
 
@@ -584,38 +585,33 @@ def _log_sigmoid(t):
     return -np.logaddexp(0.0, -t)
 
 
-def _f_at_nodes(f, log_z: np.ndarray) -> np.ndarray:
-    """f(z) at the quadrature nodes z = exp(log_z), clamped into the open interval.
-
-    f is called once, on the array of nodes.  Beyond |logit z| ~ 37 the
-    float z rounds onto {0, 1}; the quadrature weight there is below e^-37,
-    so the clamp is invisible in the integrals and only keeps f(z) finite at
-    the tail nodes.
-    """
-    z = np.clip(np.exp(log_z), 1e-300, 1.0 - 1e-16)
-    fx = np.asarray(f(z), dtype=float)
-    if fx.shape != z.shape:
-        raise ValueError(f"f must map an array of z to an array of the same shape, got {fx.shape} for {z.shape}")
-    return fx
+def _read_off_ab(lam) -> tuple[float, float]:
+    """(a, b) of a Beta lambda; below 0.01 a DomainError, on which a step backs off."""
+    a, b = expfam.beta_ab(lam)
+    if a < 1e-2 or b < 1e-2:
+        raise expfam.DomainError(f"the weight read-off requires alpha, beta >= 0.01, got ({a:g}, {b:g})")
+    return a, b
 
 
 def beta_natural_gradient(lam, f):
-    """Natural gradient of E_q[f(z)] w.r.t. the Beta expectation parameters.
+    """Natural gradient of E_q[f] w.r.t. the Beta expectation parameters.
 
-    ``f`` maps an array of z in (0, 1) to the array of f(z); it is called
-    once per quadrature rule.  The gradient is F^-1 Cov_q(T, f) with
+    ``f`` maps an array of logits t = log z - log(1-z) to the array of f at
+    those t; it is called once per quadrature rule.  Taking t, not z, keeps
+    every node distinct where z itself would round onto 0 or 1.  The
+    gradient is F^-1 Cov_q(T, f) with
     T = (log z, log(1-z)) and F = Cov(T, T) the Fisher matrix, all moments by
     quadrature.  Doubling the nodes per panel must change the result by less
     than _QUAD_CHECK_TOL, else the failure is reported.  Returns the pair
     (gradient, E_q[f]); E_q[f] comes from the same pass as the gradient, at
     _QUAD_ORDER nodes per panel.
     """
-    a, b = expfam.beta_ab(lam)
-    if a < 1e-2 or b < 1e-2:
-        raise expfam.DomainError(f"quadrature requires alpha, beta >= 0.01, got ({a:g}, {b:g})")
+    a, b = _read_off_ab(lam)
     estimates = []
-    for t_stats, wq in _beta_logit_rules(a, b, (_QUAD_ORDER, 2 * _QUAD_ORDER)):
-        fx = _f_at_nodes(f, t_stats[0])
+    for t, t_stats, wq in _beta_logit_rules(a, b, (_QUAD_ORDER, 2 * _QUAD_ORDER)):
+        fx = np.asarray(f(t), dtype=float)
+        if fx.shape != t.shape:
+            raise ValueError(f"f must map an array of t to an array of the same shape, got {fx.shape} for {t.shape}")
         f_mean = fx @ wq
         tc = t_stats - (t_stats @ wq)[:, None]
         fisher = (tc * wq) @ tc.T
@@ -629,41 +625,69 @@ def beta_natural_gradient(lam, f):
     return g2, f_mean
 
 
+def logit_normal_natural_gradient(lam, m: float):
+    """beta_natural_gradient for the logit-normal core f = -(t - m)^2 / 2, in closed form.
+
+    Under Beta(a, b) the logit t has E[t] = psi(a) - psi(b) and
+    Var t = psi'(a) + psi'(b), so with d = E[t] - m,
+    E_q[f] = -(d^2 + psi'(a) + psi'(b)) / 2 and its derivative in (a, b) is
+    -d (psi'(a), -psi'(b)) - (psi''(a), psi''(b)) / 2.  The Beta Fisher
+    matrix F = diag(p, q) - psi'(a + b) 11^T, with p = psi'(a), q = psi'(b),
+    maps (1, -1) to (p, -q), so the natural gradient is
+    -d (1, -1) - F^-1 (psi''(a), psi''(b)) / 2.  F^-1 is
+    diag(1/p, 1/q) + (1/p, 1/q)(1/p, 1/q)^T / k with
+    k = 1/psi'(a + b) - 1/p - 1/q > 0: every term has one sign, and k is
+    summed from reciprocal-trigamma offsets, so nothing cancels when a and b
+    are large.  Returns the pair (gradient, E_q[f]) and checks the domain as
+    the quadrature path does, so either serves the same callers.
+    """
+    a, b = _read_off_ab(lam)
+    d = digamma(a) - digamma(b) - m
+    p, q = trigamma(a), trigamma(b)
+    k = trigamma_reciprocal_offset(a + b) - trigamma_reciprocal_offset(a) - trigamma_reciprocal_offset(b)
+    ra, rb = tetragamma(a) / p, tetragamma(b) / q
+    shared = (ra + rb) / k
+    gradient = np.array([-d - 0.5 * (ra + shared / p), d - 0.5 * (rb + shared / q)])
+    return gradient, -0.5 * (d * d + p + q)
+
+
 class LogitNormalProvider(CoefficientProvider):
     """Two-level mixture whose weight prior is logit-normal.
 
-    The prior factorizes as h(z) exp(f(z)) with h(z) = 1/(z(1-z)) and
-    f(z) = -(logit(z) - m)^2 / 2; the non-conjugate f enters the weight
-    node's coefficient through its quadrature natural gradient, acting as a
-    pseudo-conjugate Beta term.  ``log_prior_core`` may override f (used by
-    the conjugate cross-checks); like f it maps an array of z to an array.
+    The prior factorizes as h(z) exp(f) with h(z) = 1/(z(1-z)) and
+    f = -(t - m)^2 / 2 in the logit t = logit(z); the non-conjugate f enters
+    the weight node's coefficient through its natural gradient, acting as a
+    pseudo-conjugate Beta term.  For this default f the natural gradient
+    and E_q[f] are closed form (``logit_normal_natural_gradient``).
+    ``log_prior_core`` may override f (used by the conjugate cross-checks);
+    it maps an array of t to an array, and is read off by quadrature
+    (``beta_natural_gradient``).
 
     The weight read-off (the natural gradient and E_q[f]) is taken at the
     Beta natural parameters the snapshot carries for "pi" and kept on the
     snapshot with that entry, keyed by what f depends on: the step, the
     fixed-point residual and the ELBO at one weight state share one
-    quadrature pass.  The provider holds no state of its own.
+    read-off.  The provider holds no state of its own.
     """
 
     def __init__(self, n: int, log_prior_core=None):
         self.log_prior_core = log_prior_core
         self.plates = {"z": _z_ids(n), "pi": ("pi",)}
 
-    def _f(self, data: LogitNormalMixtureData):
-        """(what f depends on, f): log_prior_core itself, or the default f's mean m."""
-        if self.log_prior_core is not None:
-            return self.log_prior_core, self.log_prior_core
-        m = data.m
-        return m, lambda z: -0.5 * (np.log(z / (1.0 - z)) - m) ** 2
+    def _read_off(self, lam, data: LogitNormalMixtureData):
+        """(gradient, E_q[f]) at the weight's lambda: closed form for the default f, else quadrature."""
+        if self.log_prior_core is None:
+            return logit_normal_natural_gradient(lam, data.m)
+        return beta_natural_gradient(lam, self.log_prior_core)
 
     def _weight_read_off(self, mus, data: LogitNormalMixtureData):
         """((alpha_hat, beta_hat), E_q[f]) at the lambda of "pi", kept on the snapshot with that entry."""
-        depends_on, f = self._f(data)
-        return mus.kept("pi", depends_on, lambda: beta_natural_gradient(expfam.row_view(mus.lam("pi"), 0), f))
+        depends_on = data.m if self.log_prior_core is None else self.log_prior_core
+        return mus.kept("pi", depends_on, lambda: self._read_off(expfam.row_view(mus.lam("pi"), 0), data))
 
     def pseudo_prior(self, lam: NaturalParam, data: LogitNormalMixtureData) -> np.ndarray:
         """(alpha_hat, beta_hat): natural gradient of the non-conjugate term at the weight's lambda."""
-        return beta_natural_gradient(lam, self._f(data)[1])[0]
+        return self._read_off(lam, data)[0]
 
     def coefficient(self, plate, mus, data: LogitNormalMixtureData):
         if plate == "pi":

@@ -183,11 +183,13 @@ def test_criterion_07_delta_method_chain():
 
 
 def test_criterion_08_pseudo_prior_cross_check():
-    """The quadrature natural-gradient path reads off conjugate terms exactly
-    and is symmetric for the centered logit-normal under symmetric q."""
+    """The quadrature natural-gradient path reads off conjugate terms exactly,
+    and the closed-form read-off is symmetric for the centered logit-normal
+    under symmetric q."""
     a0, b0 = 2.5, 4.0
+    # log z = -log(1 + e^-t) and log(1 - z) = -log(1 + e^t) in the logit t the core is given
     provider = models.LogitNormalProvider(
-        1, log_prior_core=lambda z: (a0 - 1.0) * np.log(z) + (b0 - 1.0) * np.log(1.0 - z)
+        1, log_prior_core=lambda t: -(a0 - 1.0) * np.logaddexp(0.0, -t) - (b0 - 1.0) * np.logaddexp(0.0, t)
     )
     data = models.LogitNormalMixtureData([0.0], [0.0], 0.0)
     conj_gap = 0.0

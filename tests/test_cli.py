@@ -111,15 +111,20 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def test_numerical_failure_exits_1_without_traceback(tmp_path):
-    """A quadrature that does not converge is reported, not raised."""
+def test_extreme_prior_mean_exits_without_traceback(tmp_path):
+    """A logit-normal prior mean far out in the tail (m = 30) drives the weight's alpha to ~1e13.
+
+    The default core's read-off is closed form, so nothing fails to
+    converge: the fit ends with a trace and no traceback.
+    """
     rng = np.random.default_rng(0)
     rows = "\n".join(f"{a},{b}" for a, b in rng.normal(size=(10, 2)))
-    cfg, _ = _fit_config(tmp_path, rows + "\n", extra="m=30\n", model="logitnormal")
+    cfg, out = _fit_config(tmp_path, rows + "\n", extra="m=30\n", model="logitnormal")
     proc = _run_cli(cfg)
-    assert proc.returncode == cli.EXIT_INPUT
+    assert proc.returncode in (cli.EXIT_OK, cli.EXIT_NO_CONVERGENCE), proc.stderr
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: quadrature for the natural gradient did not converge")
+    pi = [ln.split() for ln in open(out) if ln.startswith("param pi lambda ")][0]
+    assert float(pi[3]) > 1e12 and 0.0 < float(pi[4]) < 1.0
 
 
 def test_non_finite_target_names_node_without_warning(tmp_path):

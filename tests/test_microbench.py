@@ -14,8 +14,8 @@ from meanfield import engine, expfam, models, specfun
 _M = 0.3
 
 
-def _f(z):
-    return -0.5 * (np.log(z / (1.0 - z)) - _M) ** 2
+def _f(t):
+    return -0.5 * (t - _M) ** 2
 
 
 def test_matfac_ppca_fit_iteration(benchmark):
@@ -39,6 +39,14 @@ def test_beta_natural_gradient(benchmark):
     lam = expfam.beta_natural(25.0, 17.0)
     g, f_mean = benchmark(models.beta_natural_gradient, lam, _f)
     assert g.shape == (2,) and np.all(np.isfinite(g)) and np.isfinite(f_mean)
+
+
+def test_logit_normal_natural_gradient(benchmark):
+    """The closed-form read-off of the default logit-normal core; the quadrature above is its general path."""
+    lam = expfam.beta_natural(25.0, 17.0)
+    g, f_mean = benchmark(models.logit_normal_natural_gradient, lam, _M)
+    want, want_f = models.beta_natural_gradient(lam, _f)
+    assert g == pytest.approx(want, rel=1e-10) and f_mean == pytest.approx(want_f, rel=1e-10)
 
 
 def test_logitnormal_weight_coefficient(benchmark):

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.special as sp
 
 from meanfield import engine, expfam, models, oracle
 from meanfield.specfun import betaln
@@ -321,12 +322,21 @@ def test_all_delta_elbo_is_negative_regularized_loss_plus_constant():
 # ---------------------------------------------------------------------------
 
 
+def _log_z(t):
+    """log z at the logit t = log z - log(1 - z); log(1 - z) is _log_z(-t)."""
+    return -np.logaddexp(0.0, -t)
+
+
+def _logit_normal_core(m):
+    return lambda t: -0.5 * (t - m) ** 2
+
+
 def test_pseudo_prior_conjugate_cross_check():
     """Feeding a Beta log-density through the quadrature natural-gradient
     path must read off that density's own natural parameters."""
     a0, b0 = 3.5, 1.25
     provider = models.LogitNormalProvider(
-        2, log_prior_core=lambda z: (a0 - 1.0) * np.log(z) + (b0 - 1.0) * np.log(1.0 - z)
+        2, log_prior_core=lambda t: (a0 - 1.0) * _log_z(t) + (b0 - 1.0) * _log_z(-t)
     )
     data = models.LogitNormalMixtureData([0.0, 0.0], [0.0, 0.0], 0.0)
     # a + b = 2000 and 1e5: the logit of a concentrated Beta spreads far less than one unit
@@ -351,9 +361,7 @@ def test_logitnormal_beta_core_matches_two_level_coefficients(two_level_data):
     ln_data = models.LogitNormalMixtureData(
         two_level_data.log_pa, two_level_data.log_pb, 0.0
     )
-    provider = models.LogitNormalProvider(
-        n, log_prior_core=lambda z: a0 * np.log(z) + b0 * np.log(1.0 - z)
-    )
+    provider = models.LogitNormalProvider(n, log_prior_core=lambda t: a0 * _log_z(t) + b0 * _log_z(-t))
     # the reciprocal base measure 1/(z(1-z)) folds (-1,-1) into the read-off,
     # so the core above carries exponents (a0, b0): h(z) exp(core) = Beta density
     tl = models.TwoLevelProvider(n)
@@ -390,7 +398,7 @@ def test_logitnormal_fit_converges_monotonically():
 def test_quadrature_natural_gradient_rejects_tiny_beta():
     lam = expfam.beta_natural(0.005, 1.0)
     with pytest.raises(expfam.DomainError):
-        models.beta_natural_gradient(lam, lambda z: z)
+        models.beta_natural_gradient(lam, lambda t: t)
 
 
 def test_quadrature_natural_gradient_small_alpha_is_finite_or_raises():
@@ -400,7 +408,7 @@ def test_quadrature_natural_gradient_small_alpha_is_finite_or_raises():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            g, _ = models.beta_natural_gradient(lam, lambda z: -0.5 * (np.log(z / (1.0 - z)) - 0.3) ** 2)
+            g, _ = models.beta_natural_gradient(lam, _logit_normal_core(0.3))
         except expfam.NumericalError:
             return
     assert np.all(np.isfinite(g))
@@ -440,19 +448,72 @@ def test_small_alpha_gradient_calls_f_once_per_rule():
     """f sees the array of nodes: one call per quadrature rule, at any spread of the nodes."""
     calls = []
 
-    def f(z):
-        calls.append(z.size)
-        return -0.5 * (np.log(z / (1.0 - z)) - 0.3) ** 2
+    def f(t):
+        calls.append(t.size)
+        return -0.5 * (t - 0.3) ** 2
 
     g, _ = models.beta_natural_gradient(expfam.beta_natural(0.02, 5.0), f)
     assert len(calls) == 2
     assert calls[1] == 2 * calls[0]
-    assert g.tolist() == pytest.approx([103.33322325006735, 11536.192646334892], rel=1e-12)
+    assert g.tolist() == pytest.approx([103.34489843196641, 11538.665114531135], rel=1e-12)
+
+
+@pytest.mark.parametrize("ab", [(3.0, 0.3), (1.0, 0.1)])
+def test_quadrature_of_the_logit_normal_core_converges_under_a_small_exponent(ab):
+    """f is given the logit t itself, so no node is clamped where a Beta exponent below 1 keeps mass in the tail."""
+    lam = expfam.beta_natural(*ab)
+    g, f_mean = models.beta_natural_gradient(lam, _logit_normal_core(0.3))
+    want, want_f = models.logit_normal_natural_gradient(lam, 0.3)
+    assert g == pytest.approx(want, rel=1e-12) and f_mean == pytest.approx(want_f, rel=1e-12)
+
+
+def test_an_unresolved_quadrature_names_both_estimates():
+    """A step in f defeats the doubled Gauss-Legendre rule; the error gives the two gradients that disagree."""
+    with pytest.raises(expfam.NumericalError, match=r"did not converge: \[.+\] vs \[.+\]"):
+        models.beta_natural_gradient(expfam.beta_natural(2.0, 3.0), lambda t: np.where(t > 0.1, 1.0, 0.0))
+
+
+_CLOSED_FORM_GRID = [
+    (ab, m)
+    for m in (-2.0, 0.0, 0.3, 3.0)
+    for ab in [
+        (2.0, 3.0), (25.4, 16.9), (0.3, 3.0), (3.0, 0.3), (1.0, 0.1), (0.5, 0.5), (0.02, 5.0),
+        (9.99, 10.01), (500.0, 500.0), (2e4, 8e4), (8e4, 2e4), (5e4, 5e4), (0.3, 1e5 - 0.3),
+    ]
+]
+
+
+@pytest.mark.parametrize("ab, m", _CLOSED_FORM_GRID)
+def test_closed_form_read_off_matches_the_quadrature(ab, m):
+    """The closed form of the default core against the quadrature path, on exponents below 1 and up to a + b = 1e5."""
+    lam = expfam.beta_natural(*ab)
+    g, f_mean = models.logit_normal_natural_gradient(lam, m)
+    want, want_f = models.beta_natural_gradient(lam, _logit_normal_core(m))
+    assert np.max(np.abs(g - want) / np.maximum(np.abs(want), 1.0)) <= 1e-10
+    assert abs(f_mean - want_f) / max(abs(want_f), 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("ab", [(2.0, 3.0), (0.3, 3.0), (1.0, 0.1), (25.4, 16.9), (400.0, 100.0)])
+def test_closed_form_read_off_matches_scipy_polygamma(ab):
+    """The same formulas with scipy's polygamma and a plain 2x2 solve, where the Fisher matrix is well conditioned."""
+    a, b, m = ab[0], ab[1], 0.3
+    d = sp.digamma(a) - sp.digamma(b) - m
+    p, q, c = sp.polygamma(1, [a, b, a + b])
+    fisher = np.array([[p - c, -c], [-c, q - c]])
+    grad = -np.array([d * p + 0.5 * sp.polygamma(2, a), -d * q + 0.5 * sp.polygamma(2, b)])
+    g, f_mean = models.logit_normal_natural_gradient(expfam.beta_natural(a, b), m)
+    assert g == pytest.approx(np.linalg.solve(fisher, grad), rel=1e-12)
+    assert f_mean == pytest.approx(-0.5 * (d * d + p + q), rel=1e-12)
+
+
+def test_closed_form_read_off_rejects_tiny_beta():
+    with pytest.raises(expfam.DomainError, match="0.01"):
+        models.logit_normal_natural_gradient(expfam.beta_natural(1.0, 0.005), 0.0)
 
 
 def test_beta_natural_gradient_rejects_a_scalar_f():
-    with pytest.raises(ValueError, match="array of z"):
-        models.beta_natural_gradient(expfam.beta_natural(2.0, 3.0), lambda z: 1.0)
+    with pytest.raises(ValueError, match="array of t"):
+        models.beta_natural_gradient(expfam.beta_natural(2.0, 3.0), lambda t: 1.0)
 
 
 def _logitnormal_data(n, m=0.3, seed=4):
@@ -469,8 +530,8 @@ def _logitnormal_data(n, m=0.3, seed=4):
     ids=["cavi", "svi"],
 )
 def test_one_weight_read_off_per_iteration(monkeypatch, schedule):
-    """The step, the residual and the ELBO at one weight state share one quadrature; none inverts a Beta."""
-    counts = {"gradient": 0, "mean_to_nat": 0}
+    """The step, the residual and the ELBO at one weight state share one read-off; none inverts a Beta or runs a quadrature."""
+    counts = {"closed_form": 0, "quadrature": 0, "mean_to_nat": 0}
 
     def counted(name, fn):
         def run(*args, **kwargs):
@@ -479,13 +540,16 @@ def test_one_weight_read_off_per_iteration(monkeypatch, schedule):
 
         return run
 
-    monkeypatch.setattr(models, "beta_natural_gradient", counted("gradient", models.beta_natural_gradient))
+    monkeypatch.setattr(
+        models, "logit_normal_natural_gradient", counted("closed_form", models.logit_normal_natural_gradient)
+    )
+    monkeypatch.setattr(models, "beta_natural_gradient", counted("quadrature", models.beta_natural_gradient))
     monkeypatch.setattr(expfam, "mean_to_nat", counted("mean_to_nat", expfam.mean_to_nat))
     data = _logitnormal_data(10)
     trace = engine.fit(models.build_logitnormal(data, seed=1), data, schedule, tol=1e-9, max_iter=40)
     iterations = trace.records[-1].iteration
     assert iterations > 5
-    assert counts == {"gradient": iterations + 1, "mean_to_nat": 0}
+    assert counts == {"closed_form": iterations + 1, "quadrature": 0, "mean_to_nat": 0}
 
 
 def test_weight_read_off_is_not_reused_under_another_m():
@@ -497,9 +561,7 @@ def test_weight_read_off_is_not_reused_under_another_m():
     for m in (0.3, -1.2, 0.3):
         data = _logitnormal_data(2, m=m)
         got = provider.pseudo_prior(lam, data)
-        want, _ = models.beta_natural_gradient(
-            expfam.beta_natural(3.0, 2.0), lambda z: -0.5 * (np.log(z / (1.0 - z)) - m) ** 2
-        )
+        want, _ = models.beta_natural_gradient(expfam.beta_natural(3.0, 2.0), _logit_normal_core(m))
         assert got == pytest.approx(want, rel=1e-6)
         fresh = engine.mu_snapshot(snap.plates)
         assert provider.coefficient("pi", snap, data).tolist() == provider.coefficient("pi", fresh, data).tolist()

@@ -17,6 +17,33 @@ def test_trigamma_matches_scipy(x):
     assert specfun.trigamma(x) == pytest.approx(sp.polygamma(1, x), rel=1e-12)
 
 
+@pytest.mark.parametrize("x", [1e-3, 0.1, 0.5, 1.0, 2.5, 9.5, 9.99, 10.0, 10.5, 100.0, 1e5])
+def test_tetragamma_matches_scipy(x):
+    assert specfun.tetragamma(x) == pytest.approx(sp.polygamma(2, x), rel=1e-12)
+
+
+@pytest.mark.parametrize("x", [1e-3, 0.1, 0.5, 1.0, 2.5, 9.99])
+def test_trigamma_reciprocal_offset_below_the_cutoff_matches_scipy(x):
+    assert specfun.trigamma_reciprocal_offset(x) == pytest.approx(1.0 / sp.polygamma(1, x) - x, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "x, want",
+    [
+        # 1/psi'(x) - x to 20 digits, from a 50-digit evaluation: in float64,
+        # 1/polygamma(1, x) - x loses log10(x) of its digits to cancellation
+        (10.0, -0.49125375037531527425),
+        (12.5, -0.49306834094737358791),
+        (100.0, -0.4991625016189677483),
+        (2e4, -0.49999583322916684042),
+        (1e5, -0.49999916666250000139),
+        (1e9, -0.49999999991666666662),
+    ],
+)
+def test_trigamma_reciprocal_offset_keeps_full_precision(x, want):
+    assert specfun.trigamma_reciprocal_offset(x) == pytest.approx(want, rel=1e-14)
+
+
 @pytest.mark.parametrize("x", [1e-3, 0.2, 0.5, 1.0, 2.0, 3.5, 9.0, 10.0, 11.0, 500.0])
 def test_gammaln_matches_scipy(x):
     assert specfun.gammaln(x) == pytest.approx(sp.gammaln(x), rel=1e-13, abs=1e-13)
@@ -28,7 +55,8 @@ def test_randomized_agreement_with_scipy():
     for x in xs:
         assert specfun.digamma(x) == pytest.approx(sp.digamma(x), rel=1e-11, abs=1e-11)
         assert specfun.gammaln(x) == pytest.approx(sp.gammaln(x), rel=1e-11, abs=1e-11)
-        assert specfun.trigamma(x) == pytest.approx(sp.polygamma(1, x), rel=1e-10)
+        assert specfun.trigamma(x) == pytest.approx(sp.polygamma(1, x), rel=1e-12)
+        assert specfun.tetragamma(x) == pytest.approx(sp.polygamma(2, x), rel=1e-12)
 
 
 def test_known_values():
