@@ -407,9 +407,9 @@ def delta_moment(node):
         raise DomainError("delta_moment requires a Gaussian node")
     if not node.delta_mode:
         raise DomainError(f"node {node.ids[0]!r} is not delta-flagged")
-    m, _ = expfam.gaussian_mean_precision(node.lam)
+    m = node.mu.values[..., : node.family.dim]  # read off the node's mu, derived from its lambda
     outer = (m[..., :, None] * m[..., None, :]).reshape(m.shape[:-1] + (-1,))
-    return ExpectationParam(node.family, np.concatenate([m, outer], axis=-1))
+    return expfam._derived_mean(node.family, np.concatenate([m, outer], axis=-1))
 
 
 def _moments(node) -> np.ndarray:
@@ -486,12 +486,13 @@ def _step_with_backoff(node, target: np.ndarray, rho: float, rows=None):
         except DomainError as exc:
             failed = exc.rows if exc.rows is not None else np.arange(len(rates))
             rates[failed] *= 0.5
+            reason = exc
         except NumericalError as exc:
             where = node.ids[0] if len(node.ids) == 1 else f"{node.ids[0]}..{node.ids[-1]}"
             raise NumericalError(f"update of node {where!r} failed: {exc}") from None
     raise DomainError(
         f"update of node {node.ids[int(failed[0])]!r} left the parameter domain even after "
-        f"{_MAX_RATE_HALVINGS} rate halvings"
+        f"{_MAX_RATE_HALVINGS} rate halvings: {reason}"
     )
 
 

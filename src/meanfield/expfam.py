@@ -3,7 +3,14 @@
 Four families are supported: Bernoulli, Beta, multivariate Gaussian, and
 Gaussian-Wishart.  Parameters are stored as flat vectors; symmetric matrix
 blocks are stored as full D x D (row-major) and symmetrized on ingestion.
-Domain violations are construction-time errors.
+Domain violations are construction-time errors, with one exception: the
+expectations ``nat_to_mean`` (and ``engine.delta_moment``) derive from a
+validated Gaussian or Gaussian-Wishart lambda are checked for finiteness
+only.  Validating lambda finds the Cholesky factor L of the precision S (of
+W^-1 for Gaussian-Wishart), which the parameter keeps; the derived
+covariance block is the Gram matrix L^-T L^-1, positive-definite by
+construction, so an eigenvalue re-check could only reject a valid lambda on
+rounding (a mean large against its posterior sd did).
 
 A parameter may also hold a (G, flat) array: one row per node of a plate.
 Validation, ``nat_to_mean``, ``log_partition``, ``entropy`` and
@@ -27,7 +34,7 @@ Gaussian-Wishart    ((nu-D)/2, vec(-(W^-1 + g m m^T)/2),
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -132,18 +139,20 @@ def _check_rows(ok: np.ndarray, message) -> None:
         raise DomainError(message(int(bad[0])), rows=bad)
 
 
-def _each_row(check, rows: np.ndarray) -> None:
-    """Run a one-vector check on every row, tagging a failure with its row."""
+def _each_row(check, rows: np.ndarray) -> list:
+    """Run a one-vector check on every row, tagging a failure with its row; the checks' results."""
+    out = []
     for r, row in enumerate(rows):
         try:
-            check(row)
+            out.append(check(row))
         except DomainError as exc:
             raise DomainError(str(exc), rows=np.array([r])) from None
+    return out
 
 
-def _map_rows(fn, arr: np.ndarray):
-    """fn of a flat vector, applied per row of a (G, flat) array."""
-    return fn(arr) if arr.ndim == 1 else np.stack([fn(row) for row in arr])
+def _map_rows(fn, arr: np.ndarray, *per_row):
+    """fn of a flat vector (and the matching entries of per_row), applied per row of a (G, flat) array."""
+    return fn(arr, *per_row) if arr.ndim == 1 else np.stack([fn(*args) for args in zip(arr, *per_row)])
 
 
 def _as_flat(family: FamilyDescriptor, values) -> np.ndarray:
@@ -186,26 +195,37 @@ def _chol_or_none(mat: np.ndarray):
 
 
 def _require_spd(mat: np.ndarray, what: str) -> np.ndarray:
-    """Cholesky factor of a matrix, or of each matrix of a (G, D, D) stack."""
+    """Cholesky factor of a matrix, or of each matrix of a (G, D, D) stack; the error names the first bad one."""
     try:
         return np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
-        bad = [_chol_or_none(m) is None for m in mat.reshape((-1,) + mat.shape[-2:])]
-        raise DomainError(f"{what} must be symmetric positive-definite", rows=np.flatnonzero(bad)) from None
+        stack = mat.reshape((-1,) + mat.shape[-2:])
+        bad = np.flatnonzero([_chol_or_none(m) is None for m in stack])
+        message = f"{what} must be symmetric positive-definite, got {stack[bad[0]].tolist()}"
+        raise DomainError(message, rows=bad) from None
 
 
 @dataclass(frozen=True, slots=True)
 class NaturalParam:
-    """A point in the natural-parameter domain of one family."""
+    """A point in the natural-parameter domain of one family.
+
+    ``factor`` is the lower Cholesky factor that validation found: of the
+    precision S for a Gaussian, of W^-1 for a Gaussian-Wishart, one (D, D)
+    matrix per row; None for Bernoulli and Beta.  The conversions reuse it.
+    """
 
     family: FamilyDescriptor
     values: np.ndarray
+    factor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = _symmetrize_block(self.family, _as_flat(self.family, self.values))
-        _validate_natural(self.family, arr.reshape(-1, self.family.flat_size))
+        factor = _validate_natural(self.family, arr.reshape(-1, self.family.flat_size))
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
+        if factor is not None:
+            factor.flags.writeable = False
+            object.__setattr__(self, "factor", factor.reshape(arr.shape[:-1] + factor.shape[-2:]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -222,11 +242,23 @@ class ExpectationParam:
         object.__setattr__(self, "values", arr)
 
 
+def _derived_mean(family: FamilyDescriptor, values: np.ndarray) -> ExpectationParam:
+    """Expectations computed from a validated lambda: checked for finiteness only (see the module docstring)."""
+    values = _as_flat(family, values)
+    values.flags.writeable = False
+    mu = object.__new__(ExpectationParam)
+    object.__setattr__(mu, "family", family)
+    object.__setattr__(mu, "values", values)
+    return mu
+
+
 def row_view(param, row: int):
     """Row ``row`` of a row-stacked parameter as a one-node parameter: a read-only view, not validated again."""
     one = object.__new__(type(param))
     object.__setattr__(one, "family", param.family)
     object.__setattr__(one, "values", param.values[row])
+    if isinstance(param, NaturalParam):
+        object.__setattr__(one, "factor", None if param.factor is None else param.factor[row])
     return one
 
 
@@ -253,9 +285,28 @@ def _gauss_unpack(family: FamilyDescriptor, arr: np.ndarray):
     return h, s_mat
 
 
-def _gauss_mean(s_mat: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """m = S^-1 h for one (S, h) pair or per row of stacked ones."""
-    return np.linalg.solve(s_mat, h[..., None])[..., 0]
+def _factor_inverse(chol: np.ndarray):
+    """(L^-1, L^-T L^-1) from a lower Cholesky factor L, per row, by one batched solve.
+
+    L^-T L^-1 = (L L^T)^-1 is a Gram matrix, so exactly symmetric.  A
+    vector goes through S^-1 as L^-T (L^-1 v), not as (S^-1) v: the explicit
+    inverse loses up to cond(S) eps of a quadratic form that the two
+    triangular factors keep.
+    """
+    linv = np.linalg.solve(chol, np.eye(chol.shape[-1]))
+    return linv, np.swapaxes(linv, -1, -2) @ linv
+
+
+def _logdet_from_factor(chol: np.ndarray):
+    """log det (L L^T) from a lower Cholesky factor L, per row."""
+    return 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+
+
+def _gauss_mean_cov(lam: NaturalParam):
+    """(m, S^-1) of a Gaussian per row, from the factor L of S: m = L^-T (L^-1 h), S^-1 = L^-T L^-1."""
+    h, _ = _gauss_unpack(lam.family, lam.values)
+    linv, cov = _factor_inverse(lam.factor)
+    return (np.swapaxes(linv, -1, -2) @ (linv @ h[..., None]))[..., 0], cov
 
 
 def _gw_unpack(family: FamilyDescriptor, arr: np.ndarray):
@@ -272,8 +323,8 @@ def _gw_unpack(family: FamilyDescriptor, arr: np.ndarray):
     return nu, gamma, m, w_inv
 
 
-def _validate_natural(family: FamilyDescriptor, rows: np.ndarray) -> None:
-    """Domain check of (G, flat) natural parameters."""
+def _validate_natural(family: FamilyDescriptor, rows: np.ndarray):
+    """Domain check of (G, flat) natural parameters; the (G, D, D) Cholesky factors it found, if any."""
     kind = family.kind
     if kind == BERNOULLI:
         return  # finiteness already checked
@@ -287,16 +338,15 @@ def _validate_natural(family: FamilyDescriptor, rows: np.ndarray) -> None:
         return
     if kind == GAUSSIAN:
         _, s_mat = _gauss_unpack(family, rows)
-        _require_spd(s_mat, "Gaussian precision S")
-        return
+        return _require_spd(s_mat, "Gaussian precision S")
 
     def check_gw(arr):
         nu, _, _, w_inv = _gw_unpack(family, arr)
         if nu <= family.dim - 1:
             raise DomainError(f"Gaussian-Wishart requires nu > D-1, got nu={nu:g}")
-        _require_spd(w_inv, "Gaussian-Wishart W^-1")
+        return _require_spd(w_inv, "Gaussian-Wishart W^-1")
 
-    _each_row(check_gw, rows)
+    return np.array(_each_row(check_gw, rows)).reshape(len(rows), family.dim, family.dim)
 
 
 def _validate_mean(family: FamilyDescriptor, rows: np.ndarray) -> None:
@@ -366,9 +416,7 @@ def gw_natural(nu: float, gamma: float, m, w) -> NaturalParam:
     w = np.atleast_2d(np.asarray(w, dtype=float))
     d = m.size
     fam = FamilyDescriptor(GAUSSIAN_WISHART, dim=d)
-    chol = _require_spd(w, "Gaussian-Wishart W")
-    ident = np.eye(d)
-    w_inv = np.linalg.solve(chol.T, np.linalg.solve(chol, ident))
+    _, w_inv = _factor_inverse(_require_spd(w, "Gaussian-Wishart W"))
     flat = np.concatenate(
         [
             [0.5 * (nu - d)],
@@ -388,16 +436,15 @@ def beta_ab(lam: NaturalParam) -> tuple[float, float]:
 def gaussian_mean_precision(lam: NaturalParam) -> tuple[np.ndarray, np.ndarray]:
     """(m, S), per row for a row-stacked parameter."""
     _expect_kind(lam, GAUSSIAN)
-    h, s_mat = _gauss_unpack(lam.family, lam.values)
-    return _gauss_mean(s_mat, h), s_mat
+    _, s_mat = _gauss_unpack(lam.family, lam.values)
+    return _gauss_mean_cov(lam)[0], s_mat
 
 
 def gw_params(lam: NaturalParam) -> tuple[float, float, np.ndarray, np.ndarray]:
     """Return (nu, gamma, m, W)."""
     _expect_kind(lam, GAUSSIAN_WISHART)
-    nu, gamma, m, w_inv = _gw_unpack(lam.family, lam.values)
-    w = np.linalg.inv(w_inv)
-    return nu, gamma, m, 0.5 * (w + w.T)
+    nu, gamma, m, _ = _gw_unpack(lam.family, lam.values)
+    return nu, gamma, m, _factor_inverse(lam.factor)[1]
 
 
 def _expect_kind(param, kind: str) -> None:
@@ -431,30 +478,23 @@ def nat_to_mean(lam: NaturalParam) -> ExpectationParam:
 
         return ExpectationParam(fam, _map_rows(beta_mean, arr))
     if kind == GAUSSIAN:
-        h, s_mat = _gauss_unpack(fam, arr)
-        chol = _require_spd(s_mat, "Gaussian precision S")
-        m = _gauss_mean(s_mat, h)
-        cov = np.linalg.solve(np.swapaxes(chol, -1, -2), np.linalg.solve(chol, np.eye(fam.dim)))
+        m, cov = _gauss_mean_cov(lam)
         second = cov + m[..., :, None] * m[..., None, :]
-        return ExpectationParam(fam, np.concatenate([m, second.reshape(m.shape[:-1] + (-1,))], axis=-1))
-    return ExpectationParam(fam, _map_rows(lambda row: _gw_mean(fam, row), arr))
+        return _derived_mean(fam, np.concatenate([m, second.reshape(m.shape[:-1] + (-1,))], axis=-1))
+    return _derived_mean(fam, _map_rows(lambda row, chol: _gw_mean(fam, row, chol), arr, lam.factor))
 
 
-def _gw_mean(fam: FamilyDescriptor, arr: np.ndarray) -> np.ndarray:
+def _gw_mean(fam: FamilyDescriptor, arr: np.ndarray, chol: np.ndarray) -> np.ndarray:
+    """One row's expectations, with W and log det W from the factor ``chol`` of W^-1."""
     d = fam.dim
-    nu, gamma, m, w_inv = _gw_unpack(fam, arr)
-    try:
-        w = np.linalg.inv(w_inv)
-    except np.linalg.LinAlgError:
-        raise NumericalError(f"Gaussian-Wishart W^-1 could not be inverted: {w_inv.tolist()}") from None
-    w = 0.5 * (w + w.T)
-    sign, logdet_w = np.linalg.slogdet(w)
-    if sign <= 0:
-        raise DomainError("Gaussian-Wishart W must be positive-definite")
+    nu, gamma, m, _ = _gw_unpack(fam, arr)
+    cinv, w = _factor_inverse(chol)
+    y = cinv @ m  # W m = C^-T y and m^T W m = y^T y
+    logdet_w = -_logdet_from_factor(chol)
     e_logdet = sum(digamma(0.5 * (nu + 1 - k)) for k in range(1, d + 1)) + d * math.log(2.0) + logdet_w
     e_z2 = nu * w
-    e_z2z1 = e_z2 @ m
-    e_quad = float(nu * m @ w @ m) + d / gamma
+    e_z2z1 = nu * (cinv.T @ y)
+    e_quad = nu * float(y @ y) + d / gamma
     return np.concatenate([[e_logdet], e_z2.reshape(-1), e_z2z1, [e_quad]])
 
 
@@ -477,8 +517,7 @@ def mean_to_nat(mu: ExpectationParam) -> NaturalParam:
         chol = _chol_or_none(cov)
         if chol is None:
             raise DomainError("Gaussian expectation parameters must have SPD covariance to invert")
-        s_mat = np.linalg.solve(chol.T, np.linalg.solve(chol, np.eye(d)))
-        s_mat = 0.5 * (s_mat + s_mat.T)
+        _, s_mat = _factor_inverse(chol)
         return NaturalParam(fam, np.concatenate([s_mat @ m, (-0.5 * s_mat).reshape(-1)]))
     return _gw_mean_to_nat(mu)
 
@@ -627,22 +666,24 @@ def log_partition(lam: NaturalParam):
     elif kind == BETA:
         out = _map_rows(lambda row: betaln(*_beta_ab_from_flat(fam, row)), arr)
     elif kind == GAUSSIAN:
-        h, s_mat = _gauss_unpack(fam, arr)
-        chol = _require_spd(s_mat, "Gaussian precision S")
-        logdet_s = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
-        hm = np.sum(h * _gauss_mean(s_mat, h), axis=-1)
-        out = 0.5 * hm - 0.5 * logdet_s + 0.5 * fam.dim * math.log(2.0 * math.pi)
+        out = _gauss_log_partition(lam, _gauss_mean_cov(lam)[0])
     else:
-        out = _map_rows(lambda row: _gw_log_partition(fam, row), arr)
+        out = _map_rows(lambda row, chol: _gw_log_partition(fam, row, chol), arr, lam.factor)
     return float(out) if arr.ndim == 1 else out
 
 
-def _gw_log_partition(fam: FamilyDescriptor, arr: np.ndarray) -> float:
+def _gauss_log_partition(lam: NaturalParam, m: np.ndarray):
+    """A(lam) = (h.m - log det S + D log 2 pi) / 2 per row, given the mean m = S^-1 h."""
+    h, _ = _gauss_unpack(lam.family, lam.values)
+    logdet_s = _logdet_from_factor(lam.factor)
+    return 0.5 * np.sum(h * m, axis=-1) - 0.5 * logdet_s + 0.5 * lam.family.dim * math.log(2.0 * math.pi)
+
+
+def _gw_log_partition(fam: FamilyDescriptor, arr: np.ndarray, chol: np.ndarray) -> float:
+    """One row's log normalizer, with log det W^-1 from its factor ``chol``."""
     d = fam.dim
-    nu, gamma, _, w_inv = _gw_unpack(fam, arr)
-    sign, logdet_winv = np.linalg.slogdet(w_inv)
-    if sign <= 0:
-        raise DomainError("Gaussian-Wishart W^-1 must be positive-definite")
+    nu, gamma, _, _ = _gw_unpack(fam, arr)
+    logdet_winv = _logdet_from_factor(chol)
     return (
         -0.5 * d * math.log(gamma)
         + 0.5 * d * math.log(2.0 * math.pi)
@@ -660,7 +701,11 @@ def entropy(lam: NaturalParam, mu: ExpectationParam | None = None):
     """
     if mu is None:
         mu = nat_to_mean(lam)
-    out = log_partition(lam) - np.sum(lam.values * mu.values, axis=-1)
+    if lam.family.kind == GAUSSIAN:  # h.m read off mu, log det S off the factor: no solve
+        a = _gauss_log_partition(lam, mu.values[..., : lam.family.dim])
+    else:
+        a = log_partition(lam)
+    out = a - np.sum(lam.values * mu.values, axis=-1)
     if lam.family.base_measure == "reciprocal":
         out = out - (-mu.values[..., 0] - mu.values[..., 1])  # minus E[log h]
     return float(out) if lam.values.ndim == 1 else out

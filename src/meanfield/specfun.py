@@ -13,7 +13,7 @@ __all__ = ["gammaln", "digamma", "trigamma", "tetragamma", "trigamma_reciprocal_
 
 # Arguments below this threshold are shifted up by the recurrence before the
 # asymptotic series is applied; at 10 the truncation error is ~1e-14 for
-# gammaln and digamma, and ~1e-16 for the longer polygamma series.
+# gammaln, and ~1e-16 for the longer digamma and polygamma series.
 _ASYMPTOTIC_CUTOFF = 10.0
 
 
@@ -45,9 +45,9 @@ def digamma(x: float) -> float:
         x += 1.0
     inv = 1.0 / x
     inv2 = inv * inv
-    series = inv2 * (
-        1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 * (1.0 / 240.0 - inv2 / 132.0)))
-    )
+    # sum B_{2n} / (2n x^{2n}), through B_14
+    tail = 1.0 / 240.0 - inv2 * (1.0 / 132.0 - inv2 * (691.0 / 32760.0 - inv2 / 12.0))
+    series = inv2 * (1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 * tail)))
     return shift + math.log(x) - 0.5 * inv - series
 
 

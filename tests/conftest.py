@@ -26,6 +26,19 @@ def make_gmm(seed: int = 0, n: int = 50, d: int = 2, sep: float = 6.0, sd: float
     return data, z
 
 
+def large_mean_gaussians(n: int = 2000):
+    """(mean, precision) pairs, d = 3, with means large against the posterior sd: a fixed seed-1 sweep.
+
+    The old eigenvalue re-check of E[zz^T] - E[z]E[z]^T rejected 4 of the
+    2000 valid Gaussians they give, draw 65 first (|m| 2.0e5, eig S 1.9e5 to 1.5e6).
+    """
+    rng = np.random.default_rng(1)
+    for _ in range(n):
+        a = rng.standard_normal((3, 3))
+        precision = (a @ a.T + 0.1 * np.eye(3)) * 10.0 ** rng.uniform(0.0, 6.0)
+        yield 10.0 ** rng.uniform(0.0, 5.0) * rng.standard_normal(3), precision
+
+
 @pytest.fixture
 def two_level_data():
     return make_two_level()

@@ -155,14 +155,22 @@ def test_huge_finite_gaussian_data_rejected_without_warning(tmp_path, model, row
 
 
 def test_gmm2_outlier_names_the_component_it_breaks(tmp_path):
-    """One moderate outlier makes a component's W^-1 numerically singular; the error names the node and W^-1."""
-    cfg, _ = _fit_config(tmp_path, "0.1,0.2\n-1,0.5\n1e8,1e8\n0.3,-0.2\n", model="gmm2")
+    """One outlier makes a component's W^-1 numerically indefinite; the error names the node and W^-1."""
+    cfg, _ = _fit_config(tmp_path, "0.1,0.2\n-1,0.5\n1e20,1e20\n0.3,-0.2\n", model="gmm2")
     proc = _run_cli(cfg)
     assert proc.returncode == cli.EXIT_INPUT
     assert proc.stderr.count("\n") == 1
     assert proc.stderr.startswith("error: update of node 'comp_")
-    assert "W^-1 could not be inverted: [[" in proc.stderr
+    assert "W^-1 must be symmetric positive-definite, got [[" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_gmm2_moderate_outlier_fits(tmp_path):
+    """A W^-1 that passes its Cholesky check converts through that factor, however ill-conditioned."""
+    cfg, out = _fit_config(tmp_path, "0.1,0.2\n-1,0.5\n1e8,1e8\n0.3,-0.2\n", model="gmm2")
+    proc = _run_cli(cfg)
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert proc.stderr == ""
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from meanfield import engine, expfam, models, oracle
-from conftest import make_gmm, make_two_level
+from conftest import large_mean_gaussians, make_gmm, make_two_level
 
 
 def _bern_node(node_id="z", log_odds=0.5, **kw):
@@ -482,6 +482,16 @@ def test_backoff_halves_rate_until_feasible():
     out = engine._step_with_backoff(node, target, 1.0)
     # first feasible halving: rho = 0.5 gives lambda = (-0.25, -0.25), alpha = 0.75
     assert out.lam.values == pytest.approx([-0.25, -0.25])
+
+
+def test_full_step_onto_a_large_mean_gaussian_is_not_halved():
+    """A valid lambda whose mean is large against its sd is taken at rate 1; its mu is not re-checked for PSD."""
+    mean, precision = list(large_mean_gaussians(66))[65]
+    target = expfam.gaussian_natural(mean, precision).values
+    node = engine.NodeState.make("u", expfam.gaussian_natural(np.zeros(3), np.eye(3)), delta_mode=True)
+    out = engine._step_with_backoff(node, target, 1.0)
+    assert np.array_equal(out.lam.values, target)
+    assert np.array_equal(engine.delta_moment(out).values[:3], out.mu.values[:3])
 
 
 def test_backoff_eventually_gives_up():

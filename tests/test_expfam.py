@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from meanfield import expfam, oracle
 from meanfield.checks import _random_natural
+from conftest import large_mean_gaussians
 
 FAMILIES = [
     (expfam.BERNOULLI, 1),
@@ -106,6 +107,24 @@ def test_invalid_parameters_rejected():
     fam = expfam.FamilyDescriptor(expfam.BERNOULLI)
     with pytest.raises((expfam.DomainError, ValueError)):
         expfam.ExpectationParam(fam, np.array([1.5]))
+
+
+def test_nat_to_mean_accepts_every_valid_gaussian():
+    for i, (mean, precision) in enumerate(large_mean_gaussians()):
+        lam = expfam.gaussian_natural(mean, precision)
+        mu = expfam.nat_to_mean(lam).values
+        assert np.array_equal(mu[:3], expfam.gaussian_mean_precision(lam)[0]), i
+
+
+def test_nat_to_mean_accepts_every_valid_gaussian_wishart():
+    rng = np.random.default_rng(1)
+    for i in range(500):
+        d = int(rng.integers(1, 4))
+        a = rng.standard_normal((d, d))
+        w = (a @ a.T + 0.1 * np.eye(d)) * 10.0 ** rng.uniform(-6.0, 0.0)
+        m = 10.0 ** rng.uniform(0.0, 5.0) * rng.standard_normal(d)
+        lam = expfam.gw_natural(d - 1 + 10.0 ** rng.uniform(-1.0, 2.0), 10.0 ** rng.uniform(-2.0, 2.0), m, w)
+        assert np.all(np.isfinite(expfam.nat_to_mean(lam).values)), i
 
 
 def test_matrix_blocks_symmetrized_on_ingestion():
@@ -253,3 +272,107 @@ def test_reciprocal_beta_represents_same_distribution():
     )
     # identical entropy once the base-measure expectation is folded in
     assert expfam.entropy(rep) == pytest.approx(expfam.entropy(std), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the Cholesky factor a validated lambda carries, against direct inverses
+# ---------------------------------------------------------------------------
+
+_DERANDOMIZED = settings(max_examples=60, derandomize=True, deadline=None)
+_EPS = np.finfo(float).eps
+
+
+@st.composite
+def _spd(draw, d: int):
+    """An SPD matrix with condition number up to 1e10 and scale 1e-6 to 1e6."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    log_cond = draw(st.floats(0.0, 10.0))
+    log_scale = draw(st.floats(-6.0, 6.0))
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    eig = 10.0 ** (log_scale + log_cond * np.linspace(0.0, 1.0, d))
+    s_mat = (q * eig) @ q.T
+    return 0.5 * (s_mat + s_mat.T)
+
+
+def _old_gaussian_log_partition(lam):
+    """The solve-and-slogdet formula the factor replaced."""
+    d = lam.family.dim
+    h, s_mat = lam.values[:d], -2.0 * lam.values[d:].reshape(d, d)
+    return 0.5 * h @ np.linalg.solve(s_mat, h) - 0.5 * np.linalg.slogdet(s_mat)[1] + 0.5 * d * math.log(2.0 * math.pi)
+
+
+def _gw_w_inv(lam):
+    d = lam.family.dim
+    gamma = -2.0 * lam.values[-1]
+    m = lam.values[1 + d * d : 1 + d * d + d] / gamma
+    return -2.0 * lam.values[1 : 1 + d * d].reshape(d, d) - gamma * np.outer(m, m)
+
+
+def _old_gw_log_partition(lam):
+    d = lam.family.dim
+    nu, gamma = 2.0 * lam.values[0] + d, -2.0 * lam.values[-1]
+    return (
+        -0.5 * d * math.log(gamma)
+        + 0.5 * d * math.log(2.0 * math.pi)
+        - 0.5 * nu * np.linalg.slogdet(_gw_w_inv(lam))[1]
+        + 0.5 * nu * d * math.log(2.0)
+        + 0.25 * d * (d - 1) * math.log(math.pi)
+        + sum(math.lgamma(0.5 * (nu + 1 - k)) for k in range(1, d + 1))
+    )
+
+
+def _assert_psd_close(got, want, cond):
+    """got is symmetric, PSD to rounding, and within a condition-scaled tolerance of want."""
+    norm = np.abs(want).max()
+    assert np.array_equal(got, got.T)
+    assert np.linalg.eigvalsh(got)[0] >= -8.0 * _EPS * norm
+    assert np.abs(got - want).max() <= 64.0 * _EPS * cond * norm
+
+
+@_DERANDOMIZED
+@given(st.integers(1, 4).flatmap(lambda d: _spd(d)), st.floats(-5.0, 5.0), st.integers(0, 2**32 - 1))
+def test_gaussian_factor_matches_direct_inverse(s_mat, log_mean, seed):
+    d = s_mat.shape[0]
+    cond = np.linalg.cond(s_mat)
+    centred = expfam.gaussian_natural(np.zeros(d), s_mat)
+    # with a zero mean the second-moment block is the covariance itself
+    _assert_psd_close(expfam.nat_to_mean(centred).values[d:].reshape(d, d), np.linalg.inv(s_mat), cond)
+
+    lam = expfam.gaussian_natural(10.0**log_mean * np.random.default_rng(seed).standard_normal(d), s_mat)
+    mu = expfam.nat_to_mean(lam).values
+    old = _old_gaussian_log_partition(lam)
+    # 1e-12 of the terms summed, plus what any log det of S can be off by: ~cond(S) eps per dimension
+    tol = 1e-12 * max(1.0, np.abs(lam.values) @ np.abs(mu), abs(old)) + 8.0 * d * cond * _EPS
+    assert abs(expfam.log_partition(lam) - old) <= tol
+    assert abs(expfam.entropy(lam) - (old - lam.values @ mu)) <= tol
+
+
+@_DERANDOMIZED
+@given(
+    st.integers(1, 3).flatmap(lambda d: _spd(d)),
+    st.floats(0.01, 100.0),
+    st.floats(0.01, 100.0),
+    st.floats(-3.0, 3.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_gaussian_wishart_factor_matches_direct_inverse(w, nu_excess, gamma, log_mean, seed):
+    d = w.shape[0]
+    nu = d - 1 + nu_excess
+    lam = expfam.gw_natural(nu, gamma, 10.0**log_mean * np.random.default_rng(seed).standard_normal(d), w)
+    w_inv = _gw_w_inv(lam)
+    mu = expfam.nat_to_mean(lam).values
+    _assert_psd_close(mu[1 : 1 + d * d].reshape(d, d), nu * np.linalg.inv(w_inv), np.linalg.cond(w_inv))
+    old = _old_gw_log_partition(lam)
+    tol = 1e-12 * max(1.0, np.abs(lam.values) @ np.abs(mu), abs(old)) + 8.0 * nu * d * np.linalg.cond(w_inv) * _EPS
+    assert abs(expfam.log_partition(lam) - old) <= tol
+    assert abs(expfam.entropy(lam) - (old - lam.values @ mu)) <= tol
+
+
+def test_row_view_carries_its_rows_factor():
+    rows = np.stack([expfam.gaussian_natural(np.ones(2), k * np.eye(2)).values for k in (1.0, 4.0)])
+    stacked = expfam.NaturalParam(expfam.FamilyDescriptor(expfam.GAUSSIAN, dim=2), rows)
+    one = expfam.row_view(stacked, 1)
+    assert np.array_equal(one.factor, expfam.NaturalParam(stacked.family, rows[1]).factor)
+    assert np.array_equal(one.factor, 2.0 * np.eye(2))
+    bern = expfam.NaturalParam(expfam.FamilyDescriptor(expfam.BERNOULLI), np.zeros((3, 1)))
+    assert bern.factor is None and expfam.row_view(bern, 2).factor is None

@@ -1,4 +1,4 @@
-"""Micro-benchmarks of a fit iteration, the logit-normal read-off, the plate conversions and the special functions.
+"""Micro-benchmarks of a fit iteration, the logit-normal read-off, plate conversions and steps, and special functions.
 
 pytest's defaults include ``--benchmark-disable``, so a plain test run calls
 each benchmarked function once and checks its result.  To time them:
@@ -79,6 +79,33 @@ def test_bernoulli_plate_nat_to_mean(benchmark):
     lam = expfam.NaturalParam(expfam.FamilyDescriptor(expfam.BERNOULLI), log_odds)
     mu = benchmark(expfam.nat_to_mean, lam)
     assert mu.values == pytest.approx(1.0 / (1.0 + np.exp(-log_odds)), rel=1e-12)
+
+
+def _gaussian_plate(rows: int = 40, k: int = 3) -> expfam.NaturalParam:
+    """A row-stacked K=3 Gaussian plate, as the PPCA u plate at the bench size."""
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((rows, k, k))
+    precision = a @ np.swapaxes(a, -1, -2) + np.eye(k)
+    h = (precision @ rng.standard_normal((rows, k, 1)))[..., 0]
+    flat = np.concatenate([h, (-0.5 * precision).reshape(rows, -1)], axis=1)
+    return expfam.NaturalParam(expfam.FamilyDescriptor(expfam.GAUSSIAN, dim=k), flat)
+
+
+def test_gaussian_plate_nat_to_mean(benchmark):
+    lam = _gaussian_plate()
+    mu = benchmark(expfam.nat_to_mean, lam)
+    m, precision = expfam.gaussian_mean_precision(lam)
+    cov = mu.values[:, 3:].reshape(-1, 3, 3) - m[:, :, None] * m[:, None, :]
+    assert np.allclose(cov @ precision, np.eye(3), atol=1e-10)
+
+
+def test_gaussian_plate_blr_step(benchmark):
+    """A rate-1 step of a 40-row plate: lambda validation (one Cholesky) and the derived mu."""
+    plate = engine.Plate.make([f"u{i}" for i in range(40)], _gaussian_plate())
+    target = _gaussian_plate().values[::-1].copy()
+    out = benchmark(engine.blr_step, plate, target, 1.0)
+    assert np.array_equal(out.lam.values, target)
+    assert np.array_equal(out.mu.values, expfam.nat_to_mean(out.lam).values)
 
 
 def test_gaussian_wishart_row_nat_to_mean(benchmark):

@@ -74,6 +74,32 @@ def test_sweep_work_does_not_grow_with_data(monkeypatch, build):
     assert small["coefficient"] > 0 and small["natural"] > 0
 
 
+def _linalg_counts(monkeypatch, model, data) -> dict[str, int]:
+    """np.linalg.cholesky and eigvalsh calls over one CAVI sweep, its residual and its ELBO."""
+    calls = {"cholesky": 0, "eigvalsh": 0}
+    for name in calls:
+        real = getattr(np.linalg, name)
+
+        def counted(*args, real=real, name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    state = dict(model.plates)
+    engine.cavi_sweep(model, state, data)
+    engine.fixed_point_residual(model, state, data)
+    engine.elbo(model, state, data)
+    monkeypatch.undo()
+    return calls
+
+
+def test_one_factorisation_per_gaussian_plate_step(monkeypatch):
+    """A step validates lambda with one Cholesky; mu, the delta moments and the entropy reuse its factor."""
+    small = _linalg_counts(monkeypatch, *_matfac_ppca(10))
+    assert small == {"cholesky": 2, "eigvalsh": 0}  # plates u and v, one step each
+    assert small == _linalg_counts(monkeypatch, *_matfac_ppca(200))
+
+
 def _end_counts(monkeypatch, n) -> dict[str, int]:
     """NodeState constructions and parameter validations over a build, a zero-iteration fit and its node count."""
     calls = {"node": 0, "natural": 0, "expectation": 0}

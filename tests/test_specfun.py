@@ -12,6 +12,14 @@ def test_digamma_matches_scipy(x):
     assert specfun.digamma(x) == pytest.approx(sp.digamma(x), rel=1e-12, abs=1e-12)
 
 
+def test_digamma_matches_a_50_digit_evaluation_on_1_to_10():
+    """Where the recurrence feeds the asymptotic series, the series' truncation must be below rounding."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    for x in np.linspace(1.0, 10.0, 181):
+        assert abs(specfun.digamma(x) - float(mpmath.digamma(mpmath.mpf(x)))) <= 1e-15, x
+
+
 @pytest.mark.parametrize("x", [1e-3, 0.1, 0.5, 1.0, 2.5, 9.5, 10.5, 100.0, 1e5])
 def test_trigamma_matches_scipy(x):
     assert specfun.trigamma(x) == pytest.approx(sp.polygamma(1, x), rel=1e-12)
