@@ -29,15 +29,16 @@ from mu, and keeps it on the snapshot until that entry is put again.
 ``fit`` passes its one snapshot to every sweep, fixed-point residual and
 ELBO, which read and update it in place.  Given a plate dict, they build a
 snapshot of it and run the same code, and a sweep writes its steps back
-into the dict.  A plate's target is memoised on the snapshot, keyed by the
-version that each put of an entry bumps: the versions of every other
-entry for a conjugate plate, whose rows read neither their own entries nor
-their plate mates' (the contract ``checks.suite_multilinearity`` tests),
-and of every entry for any other plate.  As in variational message
-passing, a target is read off again only once a plate it reads has moved:
-the residual's target serves the first step of the next CAVI sweep and
-every step of a parallel one, and the last step's target serves the
-residual.
+into the dict.  A plate's coefficient is read off through the snapshot,
+which records the entries the provider touches and memoises the
+coefficient under their versions, bumped by each put: nothing is declared.
+As in variational message passing, a coefficient is read off again only
+once a plate in its Markov blanket has moved: the residual's target serves
+the first step of the next CAVI sweep and every step of a parallel one,
+and a plate that does not read itself keeps its target through its own
+step, so the last step's target serves the residual.
+``checks.suite_multilinearity`` tests that moving an entry outside a
+plate's recorded reads leaves its coefficient bitwise unchanged.
 
 Plates are the only state from build to result: the builders hand their
 plates to ``ModelSpec``, orders name plates, the SVI local step is one row
@@ -189,25 +190,28 @@ class Snapshot(Mapping):
     NaturalParam, and ``snap.plates`` a read-only view of the plates
     themselves.  ``put`` is the only setter: it sets a plate, its lambda,
     its expectations and its version together, so no expectation is paired
-    with a stale lambda.  The engine memoises each plate's target on the
-    snapshot under the versions of the entries it reads (see ``_target``),
-    and a provider keeps a read-off of one entry with ``kept``.
+    with a stale lambda.  A provider keeps a read-off of one entry with
+    ``kept``.  ``coefficient`` memoises a plate's coefficient under the
+    versions of the entries it read through these three (``reads``); a read
+    through ``snap.plates`` is not recorded.
     """
 
-    __slots__ = ("_plates", "plates", "_mus", "_versions", "_puts", "_targets", "_kept")
+    __slots__ = ("_plates", "plates", "_mus", "_versions", "_read", "_coefficients", "_kept")
 
     def __init__(self):
         self._plates: dict[str, Plate | NodeState] = {}
         self.plates = MappingProxyType(self._plates)  # what the entries were set from, read-only
         self._mus: dict[str, np.ndarray] = {}
         self._versions: dict[str, int] = {}  # puts per entry
-        self._puts = 0  # puts in all, the sum of the versions
-        # plate -> (provider, data, versions read, read-only target); see _target
-        self._targets: dict[str, tuple] = {}
+        self._read: set[str] = set()  # entries read since the last read-off began
+        # plate -> (provider, data, entries read, their versions, read-only coefficient); see coefficient
+        self._coefficients: dict[str, tuple] = {}
         self._kept: dict[str, tuple] = {}  # entry -> (key, value); see kept
 
     def __getitem__(self, name: str) -> np.ndarray:
-        return self._mus[name]
+        mu = self._mus[name]
+        self._read.add(name)
+        return mu
 
     def __iter__(self):
         return iter(self._mus)
@@ -217,26 +221,44 @@ class Snapshot(Mapping):
 
     def lam(self, name: str) -> NaturalParam:
         """The natural parameters of plate ``name``, one row per node."""
-        return self._plates[name].lam
+        lam = self._plates[name].lam
+        self._read.add(name)
+        return lam
 
     def put(self, name: str, factor) -> None:
         """Set the entry of ``name`` from a plate or node: its lambda and the expectations others see."""
         self._plates[name] = factor
         self._mus[name] = _moments(factor)
         self._versions[name] = self._versions.get(name, 0) + 1
-        self._puts += 1
         self._kept.pop(name, None)
-
-    def version(self, skip: str | None = None) -> int:
-        """The sum of the versions of every entry but ``skip``: it is unchanged until one of them is put."""
-        return self._puts - self._versions.get(skip, 0)
 
     def kept(self, name: str, key, read_off):
         """``read_off()``, kept with the entry of ``name`` under ``key`` until that entry is put again."""
+        self._read.add(name)
         hit = self._kept.get(name)
         if hit is None or hit[0] != key:
             hit = self._kept[name] = (key, read_off())
         return hit[1]
+
+    def coefficient(self, provider, plate: str, data) -> np.ndarray:
+        """``provider.coefficient(plate, self, data)``, read-only, memoised until an entry it read is put.
+
+        The memo holds for the same provider and data objects only.
+        """
+        version = self._versions.__getitem__
+        hit = self._coefficients.get(plate)
+        if hit and hit[0] is provider and hit[1] is data and list(map(version, hit[2])) == hit[3]:
+            return hit[4]
+        self._read.clear()
+        value = np.asarray(provider.coefficient(plate, self, data), dtype=float).view()
+        value.flags.writeable = False
+        reads = tuple(self._read)
+        self._coefficients[plate] = (provider, data, reads, list(map(version, reads)), value)
+        return value
+
+    def reads(self, plate: str) -> frozenset[str]:
+        """The entries the memoised coefficient of ``plate`` read: its Markov blanket as observed."""
+        return frozenset(self._coefficients[plate][2])
 
 
 class CoefficientProvider(ABC):
@@ -260,11 +282,6 @@ class CoefficientProvider(ABC):
     def base_measure_grad(self, plate: str):
         """Gradient of E_q[log h] for plates with a nonconstant base measure."""
         return None
-
-    @property
-    def conjugate_plates(self) -> tuple[str, ...]:
-        """Plates whose coefficient must not depend on their own expectations."""
-        return ()
 
 
 def _group(layout: dict[str, tuple[str, ...]], factors) -> dict[str, Plate]:
@@ -443,21 +460,11 @@ def blr_step(node, target: np.ndarray, rho):
 def _target(model: ModelSpec, plate: str, snap: Snapshot, data) -> np.ndarray:
     """Where a full step lands each row of a plate: its coefficient minus the base-measure gradient.
 
-    The target is memoised on the snapshot and read off again only when the
-    provider, the data or an entry the plate reads has changed since.  A
-    conjugate plate does not read its own entry.  The array is read-only.
+    The coefficient is the snapshot's memoised, read-only read-off (see ``Snapshot.coefficient``).
     """
-    provider = model.provider
-    key = snap.version(plate if plate in provider.conjugate_plates else None)
-    hit = snap._targets.get(plate)
-    if hit is not None and hit[0] is provider and hit[1] is data and hit[2] == key:
-        return hit[3]
-    target = np.asarray(provider.coefficient(plate, snap, data), dtype=float)
-    base = provider.base_measure_grad(plate)
-    target = target.view() if base is None else target - np.asarray(base, dtype=float)
-    target.flags.writeable = False
-    snap._targets[plate] = (provider, data, key, target)
-    return target
+    coefficient = snap.coefficient(model.provider, plate, data)
+    base = model.provider.base_measure_grad(plate)
+    return coefficient if base is None else coefficient - np.asarray(base, dtype=float)
 
 
 def _step_with_backoff(node, target: np.ndarray, rho: float, rows=None):

@@ -365,9 +365,11 @@ def _validate_mean(family: FamilyDescriptor, rows: np.ndarray) -> None:
         return
     if kind == GAUSSIAN:
         m = rows[:, :d]
-        slack = rows[:, d:].reshape(-1, d, d) - m[:, :, None] * m[:, None, :]
+        second = rows[:, d:].reshape(-1, d, d)
+        slack = second - m[:, :, None] * m[:, None, :]
         eigmin = np.linalg.eigvalsh(slack)[:, 0]
-        scale = np.maximum(1.0, np.abs(slack).max(axis=(1, 2)))
+        # the subtraction rounds on the scale of E[zz^T], not of the slack it leaves
+        scale = np.maximum(1.0, np.abs(second).max(axis=(1, 2)))
         _check_rows(
             ~(eigmin < -_PSD_SLACK * scale),
             lambda r: "Gaussian second-moment slack E[zz^T]-E[z]E[z]^T must be positive "

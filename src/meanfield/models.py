@@ -288,9 +288,6 @@ class SimpleMixtureProvider(CoefficientProvider):
         odds = math.log(data.pi0 * data.pa) - math.log((1.0 - data.pi0) * data.pb)
         return mu * odds + math.log((1.0 - data.pi0) * data.pb)
 
-    @property
-    def conjugate_plates(self):
-        return ("z",)
 
 
 def build_simple_mixture(data: SimpleMixtureData, seed: int = 0) -> ModelSpec:
@@ -328,9 +325,6 @@ class TwoLevelProvider(CoefficientProvider):
             return np.array([[-1.0, -1.0]])
         return None
 
-    @property
-    def conjugate_plates(self):
-        return ("z", "pi")
 
 
 def build_two_level(
@@ -400,9 +394,6 @@ class GMMProvider(CoefficientProvider):
             total += float(self._prior @ mus[comp][0]) + self._prior_const
         return float(total)
 
-    @property
-    def conjugate_plates(self):
-        return ("z", "pi", "comp_a", "comp_b")
 
 
 def build_gmm2(data: GMMData, seed: int = 0) -> ModelSpec:
@@ -472,9 +463,6 @@ class MatrixFactorizationProvider(CoefficientProvider):
         total += 0.5 * self.d * k * (math.log(data.delta_v) - LOG_2PI)
         return total
 
-    @property
-    def conjugate_plates(self):
-        return ("u", "v")
 
 
 def build_matfac(
@@ -704,9 +692,6 @@ class LogitNormalProvider(CoefficientProvider):
         total += self._weight_read_off(mus, data)[1]
         return float(total + _indicator_log_joint(mus, data.log_pa, data.log_pb))
 
-    @property
-    def conjugate_plates(self):
-        return ("z",)  # the weight node is non-conjugate
 
 
 def build_logitnormal(data: LogitNormalMixtureData, seed: int = 0) -> ModelSpec:

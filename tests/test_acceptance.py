@@ -38,10 +38,10 @@ def test_criterion_01_bayes_rule_recovery():
 
 
 def test_criterion_02_multilinearity():
-    """Affine-slope identity for every model and conjugate node, 50 mu pairs."""
+    """Affine-slope identity (50 mu pairs) on every plate that does not read itself; exact out-of-reads checks."""
     passed, failed, msgs = suite_multilinearity(seed=202, pairs=50, tol=1e-9)
     ok = failed == 0
-    _report(2, ok, f"{passed} affine-slope checks passed, {failed} failed (tol 1e-9)")
+    _report(2, ok, f"{passed} affine-slope and out-of-reads checks passed, {failed} failed (tol 1e-9)")
     assert ok, msgs
 
 

@@ -360,6 +360,11 @@ def test_sweep_refreshes_a_plates_lambda_with_its_expectations(two_level_data):
 # ---------------------------------------------------------------------------
 
 
+def _simple():
+    data = models.SimpleMixtureData(0.3, 0.8, 0.2)
+    return models.build_simple_mixture(data, seed=8), data
+
+
 def _two_level():
     data = make_two_level(seed=8)
     return models.build_two_level(data, seed=8), data
@@ -387,7 +392,7 @@ def _logitnormal():
     [
         (_two_level, engine.Schedule(engine.CAVI), 2),
         (_two_level, engine.Schedule(engine.PARALLEL_BLR, rho_local=0.5), 2),
-        (_gmm2, engine.Schedule(engine.CAVI), 6),
+        (_gmm2, engine.Schedule(engine.CAVI), 4),
         (_matfac_ppca, engine.Schedule(engine.CAVI), 2),
         (_logitnormal, engine.Schedule(engine.SVI, seed=8), 3),
     ],
@@ -418,6 +423,26 @@ def test_fit_reads_a_target_off_again_only_after_a_plate_it_reads_moved(monkeypa
         monkeypatch.undo()
         assert len(trace.records) == k + 1
         assert calls == {"coefficient": len(model.plates) + k * per_iter, "mu_snapshot": 1}
+
+
+@pytest.mark.parametrize(
+    "build, reads",
+    [
+        (_simple, {"z": set()}),
+        (_two_level, {"z": {"pi"}, "pi": {"z"}}),
+        (_gmm2, {"z": {"pi", "comp_a", "comp_b"}, "pi": {"z"}, "comp_a": {"z"}, "comp_b": {"z"}}),
+        (_matfac_ppca, {"u": {"v"}, "v": {"u"}}),
+        (_logitnormal, {"z": {"pi"}, "pi": {"z", "pi"}}),
+    ],
+    ids=["simple", "two_level", "gmm2", "matfac_ppca", "logitnormal"],
+)
+def test_a_snapshot_records_the_entries_each_coefficient_reads(build, reads):
+    """A plate's recorded reads are its Markov blanket; the non-conjugate weight reads itself."""
+    model, data = build()
+    snap = engine.mu_snapshot(model.plates)
+    for plate in model.plates:
+        snap.coefficient(model.provider, plate, data)
+    assert {plate: set(snap.reads(plate)) for plate in model.plates} == reads
 
 
 def test_a_snapshot_argument_changes_no_result(two_level_data):

@@ -116,6 +116,21 @@ def test_nat_to_mean_accepts_every_valid_gaussian():
         assert np.array_equal(mu[:3], expfam.gaussian_mean_precision(lam)[0]), i
 
 
+def test_the_mu_of_every_valid_gaussian_is_accepted_back():
+    """The slack E[zz^T] - E[z]E[z]^T is judged on the scale of E[zz^T], where its subtraction rounds."""
+    for i, (mean, precision) in enumerate(large_mean_gaussians()):
+        mu = expfam.nat_to_mean(expfam.gaussian_natural(mean, precision))
+        assert np.array_equal(expfam.ExpectationParam(mu.family, mu.values).values, mu.values), i
+
+
+def test_an_indefinite_gaussian_slack_is_rejected():
+    fam = expfam.FamilyDescriptor(expfam.GAUSSIAN, dim=2)
+    for m in (np.zeros(2), np.array([1e3, -2e3])):
+        second = np.outer(m, m) + np.diag([1.0, -1.0])
+        with pytest.raises(expfam.DomainError, match="semidefinite"):
+            expfam.ExpectationParam(fam, np.concatenate([m, second.reshape(-1)]))
+
+
 def test_nat_to_mean_accepts_every_valid_gaussian_wishart():
     rng = np.random.default_rng(1)
     for i in range(500):

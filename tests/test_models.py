@@ -636,3 +636,51 @@ def test_multilinearity_and_coefficient_independence():
 
     passed, failed, msgs = checks.suite_multilinearity(seed=5, pairs=10)
     assert failed == 0, msgs
+
+
+class _WeightThroughPlates(models.TwoLevelProvider):
+    """Reads E[log pi] for the indicators through ``snap.plates``, which the snapshot does not record."""
+
+    def coefficient(self, plate, mus, data):
+        if plate != "z":
+            return super().coefficient(plate, mus, data)
+        mu0 = mus.plates["pi"].mu.values[0]
+        return ((mu0[0] + data.log_pa) - (mu0[1] + data.log_pb))[:, None]
+
+
+class _WeightInOwnCache(models.TwoLevelProvider):
+    """Keeps the indicators' coefficient of the first snapshot it sees, whatever snapshot it is given."""
+
+    def coefficient(self, plate, mus, data):
+        if plate != "z":
+            return super().coefficient(plate, mus, data)
+        if not hasattr(self, "_z"):
+            self._z = super().coefficient(plate, mus, data)
+        return self._z
+
+
+@pytest.mark.parametrize(
+    "provider, moved", [(_WeightThroughPlates, "pi"), (_WeightInOwnCache, "z")], ids=["plates", "own_cache"]
+)
+def test_a_provider_reading_around_the_snapshot_fails_the_multilinearity_check(monkeypatch, provider, moved):
+    """The indicators' coefficient depends on "pi" in a way the snapshot does not record.
+
+    Through ``snap.plates`` it records no read, so moving "pi" moves the
+    coefficient; from the cache it records none on a hit, so moving "z"
+    changes its recorded reads.
+    """
+    from meanfield import checks
+
+    instances = checks._model_instances
+
+    def swapped(seed):
+        out = []
+        for name, model, data in instances(seed):
+            if name == "two_level":
+                model = engine.ModelSpec(model.factors, provider(data.n))
+            out.append((name, model, data))
+        return out
+
+    monkeypatch.setattr(checks, "_model_instances", swapped)
+    (_, passed, failed, msgs), = checks.run_suite("multilinearity")
+    assert failed == 1 and msgs[0].startswith(f"multilinearity two_level/z: moving {moved!r}"), msgs

@@ -20,6 +20,14 @@ def test_digamma_matches_a_50_digit_evaluation_on_1_to_10():
         assert abs(specfun.digamma(x) - float(mpmath.digamma(mpmath.mpf(x)))) <= 1e-15, x
 
 
+def test_gammaln_matches_a_50_digit_evaluation_on_1_to_10():
+    """As for digamma: through B_14 the Stirling series' truncation is below the recurrence's rounding."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    for x in np.linspace(1.0, 10.0, 181):
+        assert abs(specfun.gammaln(x) - float(mpmath.loggamma(mpmath.mpf(x)))) <= 1e-14, x
+
+
 @pytest.mark.parametrize("x", [1e-3, 0.1, 0.5, 1.0, 2.5, 9.5, 10.5, 100.0, 1e5])
 def test_trigamma_matches_scipy(x):
     assert specfun.trigamma(x) == pytest.approx(sp.polygamma(1, x), rel=1e-12)
