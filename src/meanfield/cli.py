@@ -219,11 +219,13 @@ def write_trace(path: str, trace: engine.FitTrace) -> None:
 def cmd_fit(args) -> int:
     try:
         cfg = parse_config(args.config)
-        model, data = _build(cfg)
-        schedule = engine.Schedule(
-            kind=cfg.schedule, rho_local=cfg.rho, kappa=cfg.kappa, tau=cfg.tau, seed=cfg.seed
-        )
-        trace = engine.fit(model, data, schedule, tol=cfg.tol, max_iter=cfg.max_iter)
+        # Overflow to a non-finite value is reported by the engine's checks, on the one error line.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            model, data = _build(cfg)
+            schedule = engine.Schedule(
+                kind=cfg.schedule, rho_local=cfg.rho, kappa=cfg.kappa, tau=cfg.tau, seed=cfg.seed
+            )
+            trace = engine.fit(model, data, schedule, tol=cfg.tol, max_iter=cfg.max_iter)
         write_trace(cfg.output_path, trace)
     except (InputError, ValueError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)

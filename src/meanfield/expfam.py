@@ -16,10 +16,12 @@ A parameter may also hold a (G, flat) array: one row per node of a plate.
 Validation, ``nat_to_mean``, ``log_partition``, ``entropy`` and
 ``gaussian_mean_precision`` take all rows at once; ``mean_to_nat``,
 ``kl_divergence`` and the conventional-parameter extractors take one
-vector.  Bernoulli and Gaussian rows are handled as whole arrays; Beta and
-Gaussian-Wishart rows one at a time (their plates hold a single row), so
-the special functions stay scalar.  A domain error lists the offending
-rows.
+vector (``gw_params`` also takes rows).  Bernoulli, Gaussian and
+Gaussian-Wishart rows are handled as whole arrays, with batched Cholesky
+factors and solves; Beta rows one at a time (its plates hold a single
+row).  The special functions stay scalar: the Gaussian-Wishart sums of
+psi and log Gamma at (nu + 1 - k)/2 call them once per row and k.  A
+domain error lists the offending rows.
 
 Flat layouts
 ------------
@@ -139,20 +141,9 @@ def _check_rows(ok: np.ndarray, message) -> None:
         raise DomainError(message(int(bad[0])), rows=bad)
 
 
-def _each_row(check, rows: np.ndarray) -> list:
-    """Run a one-vector check on every row, tagging a failure with its row; the checks' results."""
-    out = []
-    for r, row in enumerate(rows):
-        try:
-            out.append(check(row))
-        except DomainError as exc:
-            raise DomainError(str(exc), rows=np.array([r])) from None
-    return out
-
-
-def _map_rows(fn, arr: np.ndarray, *per_row):
-    """fn of a flat vector (and the matching entries of per_row), applied per row of a (G, flat) array."""
-    return fn(arr, *per_row) if arr.ndim == 1 else np.stack([fn(*args) for args in zip(arr, *per_row)])
+def _map_rows(fn, arr: np.ndarray):
+    """fn of a flat vector, applied per row of a (G, flat) array."""
+    return fn(arr) if arr.ndim == 1 else np.stack([fn(row) for row in arr])
 
 
 def _as_flat(family: FamilyDescriptor, values) -> np.ndarray:
@@ -297,6 +288,11 @@ def _factor_inverse(chol: np.ndarray):
     return linv, np.swapaxes(linv, -1, -2) @ linv
 
 
+def _dot(u: np.ndarray, v: np.ndarray):
+    """u . v per row, summed in the order a lone vector's ``u @ v`` sums it."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
 def _logdet_from_factor(chol: np.ndarray):
     """log det (L L^T) from a lower Cholesky factor L, per row."""
     return 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
@@ -310,17 +306,20 @@ def _gauss_mean_cov(lam: NaturalParam):
 
 
 def _gw_unpack(family: FamilyDescriptor, arr: np.ndarray):
-    """Return (nu, gamma, m, w_inv)."""
+    """Return (nu, gamma, m, w_inv), per row of a (G, flat) array; gamma must be positive."""
     d = family.dim
-    nu = 2.0 * arr[0] + d
-    gamma = -2.0 * arr[-1]
-    if gamma <= 0.0:
-        raise DomainError("Gaussian-Wishart requires gamma > 0")
-    gm = arr[1 + d * d : 1 + d * d + d]
-    m = gm / gamma
-    eta2 = arr[1 : 1 + d * d].reshape(d, d)
-    w_inv = -2.0 * eta2 - gamma * np.outer(m, m)
+    nu = 2.0 * arr[..., 0] + d
+    gamma = -2.0 * arr[..., -1]
+    m = arr[..., 1 + d * d : 1 + d * d + d] / gamma[..., None]
+    eta2 = arr[..., 1 : 1 + d * d].reshape(arr.shape[:-1] + (d, d))
+    w_inv = -2.0 * eta2 - gamma[..., None, None] * (m[..., :, None] * m[..., None, :])
     return nu, gamma, m, w_inv
+
+
+def _wishart_sum(fn, nu, d: int):
+    """The sum over k = 1..D of fn((nu + 1 - k) / 2), per row, with fn a scalar special function."""
+    sums = [sum(fn(0.5 * (n + 1 - k)) for k in range(1, d + 1)) for n in np.ravel(nu).tolist()]
+    return np.reshape(sums, np.shape(nu))
 
 
 def _validate_natural(family: FamilyDescriptor, rows: np.ndarray):
@@ -339,14 +338,13 @@ def _validate_natural(family: FamilyDescriptor, rows: np.ndarray):
     if kind == GAUSSIAN:
         _, s_mat = _gauss_unpack(family, rows)
         return _require_spd(s_mat, "Gaussian precision S")
-
-    def check_gw(arr):
-        nu, _, _, w_inv = _gw_unpack(family, arr)
-        if nu <= family.dim - 1:
-            raise DomainError(f"Gaussian-Wishart requires nu > D-1, got nu={nu:g}")
-        return _require_spd(w_inv, "Gaussian-Wishart W^-1")
-
-    return np.array(_each_row(check_gw, rows)).reshape(len(rows), family.dim, family.dim)
+    _check_rows(
+        rows[:, -1] < 0.0,  # gamma = -2 lam[-1]
+        lambda r: f"Gaussian-Wishart requires gamma > 0, got gamma={-2.0 * rows[r, -1]:g}",
+    )
+    nu, _, _, w_inv = _gw_unpack(family, rows)
+    _check_rows(nu > family.dim - 1, lambda r: f"Gaussian-Wishart requires nu > D-1, got nu={nu[r]:g}")
+    return _require_spd(w_inv, "Gaussian-Wishart W^-1")
 
 
 def _validate_mean(family: FamilyDescriptor, rows: np.ndarray) -> None:
@@ -376,16 +374,14 @@ def _validate_mean(family: FamilyDescriptor, rows: np.ndarray) -> None:
             f"semidefinite (min eigenvalue {eigmin[r]:g})",
         )
         return
-
-    def check_gw(arr):
-        ez2 = arr[1 : 1 + d * d].reshape(d, d)
-        _require_spd(ez2, "Gaussian-Wishart E[Z2]")
-        mu3 = arr[1 + d * d : 1 + d * d + d]
-        slack = arr[-1] - float(mu3 @ np.linalg.solve(ez2, mu3))
-        if slack < -_PSD_SLACK * max(1.0, abs(arr[-1])):
-            raise DomainError(f"Gaussian-Wishart quadratic-form slack must be nonnegative, got {slack:g}")
-
-    _each_row(check_gw, rows)
+    ez2 = rows[:, 1 : 1 + d * d].reshape(-1, d, d)
+    _require_spd(ez2, "Gaussian-Wishart E[Z2]")
+    mu3 = rows[:, 1 + d * d : 1 + d * d + d]
+    slack = rows[:, -1] - _dot(mu3, np.linalg.solve(ez2, mu3[..., None])[..., 0])
+    _check_rows(
+        ~(slack < -_PSD_SLACK * np.maximum(1.0, np.abs(rows[:, -1]))),
+        lambda r: f"Gaussian-Wishart quadratic-form slack must be nonnegative, got {slack[r]:g}",
+    )
 
 
 # --------------------------------------------------------------------------
@@ -443,7 +439,7 @@ def gaussian_mean_precision(lam: NaturalParam) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gw_params(lam: NaturalParam) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """Return (nu, gamma, m, W)."""
+    """Return (nu, gamma, m, W), per row for a row-stacked parameter."""
     _expect_kind(lam, GAUSSIAN_WISHART)
     nu, gamma, m, _ = _gw_unpack(lam.family, lam.values)
     return nu, gamma, m, _factor_inverse(lam.factor)[1]
@@ -483,21 +479,21 @@ def nat_to_mean(lam: NaturalParam) -> ExpectationParam:
         m, cov = _gauss_mean_cov(lam)
         second = cov + m[..., :, None] * m[..., None, :]
         return _derived_mean(fam, np.concatenate([m, second.reshape(m.shape[:-1] + (-1,))], axis=-1))
-    return _derived_mean(fam, _map_rows(lambda row, chol: _gw_mean(fam, row, chol), arr, lam.factor))
+    return _derived_mean(fam, _gw_mean(fam, arr, lam.factor))
 
 
 def _gw_mean(fam: FamilyDescriptor, arr: np.ndarray, chol: np.ndarray) -> np.ndarray:
-    """One row's expectations, with W and log det W from the factor ``chol`` of W^-1."""
+    """The expectations per row, with W and log det W from the factor ``chol`` of W^-1."""
     d = fam.dim
     nu, gamma, m, _ = _gw_unpack(fam, arr)
     cinv, w = _factor_inverse(chol)
-    y = cinv @ m  # W m = C^-T y and m^T W m = y^T y
-    logdet_w = -_logdet_from_factor(chol)
-    e_logdet = sum(digamma(0.5 * (nu + 1 - k)) for k in range(1, d + 1)) + d * math.log(2.0) + logdet_w
-    e_z2 = nu * w
-    e_z2z1 = nu * (cinv.T @ y)
-    e_quad = nu * float(y @ y) + d / gamma
-    return np.concatenate([[e_logdet], e_z2.reshape(-1), e_z2z1, [e_quad]])
+    y = (cinv @ m[..., None])[..., 0]  # W m = C^-T y and m^T W m = y^T y
+    e_logdet = _wishart_sum(digamma, nu, d) + d * math.log(2.0) - _logdet_from_factor(chol)
+    e_z2 = nu[..., None, None] * w
+    e_z2z1 = nu[..., None] * (np.swapaxes(cinv, -1, -2) @ y[..., None])[..., 0]
+    e_quad = nu * _dot(y, y) + d / gamma
+    lead = arr.shape[:-1]
+    return np.concatenate([e_logdet[..., None], e_z2.reshape(lead + (-1,)), e_z2z1, e_quad[..., None]], axis=-1)
 
 
 def mean_to_nat(mu: ExpectationParam) -> NaturalParam:
@@ -670,7 +666,7 @@ def log_partition(lam: NaturalParam):
     elif kind == GAUSSIAN:
         out = _gauss_log_partition(lam, _gauss_mean_cov(lam)[0])
     else:
-        out = _map_rows(lambda row, chol: _gw_log_partition(fam, row, chol), arr, lam.factor)
+        out = _gw_log_partition(fam, arr, lam.factor)
     return float(out) if arr.ndim == 1 else out
 
 
@@ -681,18 +677,17 @@ def _gauss_log_partition(lam: NaturalParam, m: np.ndarray):
     return 0.5 * np.sum(h * m, axis=-1) - 0.5 * logdet_s + 0.5 * lam.family.dim * math.log(2.0 * math.pi)
 
 
-def _gw_log_partition(fam: FamilyDescriptor, arr: np.ndarray, chol: np.ndarray) -> float:
-    """One row's log normalizer, with log det W^-1 from its factor ``chol``."""
+def _gw_log_partition(fam: FamilyDescriptor, arr: np.ndarray, chol: np.ndarray):
+    """The log normalizer per row, with log det W^-1 from its factor ``chol``."""
     d = fam.dim
     nu, gamma, _, _ = _gw_unpack(fam, arr)
-    logdet_winv = _logdet_from_factor(chol)
     return (
-        -0.5 * d * math.log(gamma)
+        -0.5 * d * np.log(gamma)
         + 0.5 * d * math.log(2.0 * math.pi)
-        - 0.5 * nu * logdet_winv
+        - 0.5 * nu * _logdet_from_factor(chol)
         + 0.5 * nu * d * math.log(2.0)
         + 0.25 * d * (d - 1) * math.log(math.pi)
-        + sum(gammaln(0.5 * (nu + 1 - k)) for k in range(1, d + 1))
+        + _wishart_sum(gammaln, nu, d)
     )
 
 

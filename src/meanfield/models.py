@@ -7,10 +7,11 @@ All expected-log-joint values include their additive constants (Gaussian
 and prior normalizers), so ELBO values are absolute.
 
 Every provider declares its plates: the indicators z0..z{N-1} form plate
-"z", the factor rows and columns plates "u" and "v", and each global is a
-plate of its own.  Snapshots hold one (G, flat) expectation array per plate,
-plus each plate's lambda, and every coefficient is returned for a whole
-plate as a (G, flat) array.
+"z", the factor rows and columns plates "u" and "v", and the two gmm2
+components comp_a and comp_b, which read only "z", plate "comp"; every
+other global is a plate of its own.  Snapshots hold one (G, flat)
+expectation array per plate, plus each plate's lambda, and every
+coefficient is returned for a whole plate as a (G, flat) array.
 """
 
 from __future__ import annotations
@@ -73,6 +74,17 @@ def _require_positive(data, *names: str) -> None:
             raise ValueError(f"{name} must be positive, got {value:g}")
 
 
+def _require_beta_exponent(data, *names: str) -> None:
+    """Reject a Beta prior exponent a that is not positive, or so small that its natural parameter a - 1 is -1."""
+    _require_positive(data, *names)
+    for name in names:
+        value = getattr(data, name)
+        if not (value - 1.0) + 1.0 > 0.0:
+            raise ValueError(
+                f"{name} must exceed 2^-54 (about 5.6e-17), at or below which {name} - 1 rounds to -1, got {value:g}"
+            )
+
+
 def _require_square_summable(name: str, y) -> None:
     """Reject values whose sum of squares overflows where the log-joint squares them, naming the field."""
     with np.errstate(over="ignore"):
@@ -132,7 +144,7 @@ class TwoLevelMixtureData(_MixtureLogLiks):
 
     def __post_init__(self):
         super().__post_init__()
-        _require_positive(self, "alpha0", "beta0")
+        _require_beta_exponent(self, "alpha0", "beta0")
 
 
 @dataclass(frozen=True)
@@ -156,7 +168,8 @@ class GMMData:
         w0 = np.atleast_2d(np.asarray(self.w0, dtype=float))
         if w0.shape != (d, d):
             raise ValueError(f"W0 must be {d}x{d}")
-        _require_positive(self, "alpha0", "beta0", "gamma0")
+        _require_beta_exponent(self, "alpha0", "beta0")
+        _require_positive(self, "gamma0")
         if self.nu0 <= d - 1:
             raise ValueError(f"nu0 must exceed D-1 = {d - 1}, got {self.nu0:g}")
         w0 = 0.5 * (w0 + w0.T)
@@ -354,11 +367,11 @@ def expected_log_component(mu_gw: np.ndarray, y: np.ndarray, d: int):
 
 
 class GMMProvider(CoefficientProvider):
-    """Bernoulli responsibilities, a Beta weight, and two Gaussian-Wishart components."""
+    """Bernoulli responsibilities, a Beta weight, and a plate of two Gaussian-Wishart components."""
 
     def __init__(self, data: GMMData):
         self.d = data.dim
-        self.plates = {"z": _z_ids(data.n), "pi": ("pi",), "comp_a": ("comp_a",), "comp_b": ("comp_b",)}
+        self.plates = {"z": _z_ids(data.n), "pi": ("pi",), "comp": ("comp_a", "comp_b")}
         # The conjugate prior's term in a component's coefficient is its natural parameter.
         self._prior = gw_natural(data.nu0, data.gamma0, np.zeros(self.d), data.w0).values
         self._yy = np.einsum("ni,nj->nij", data.y, data.y)
@@ -375,23 +388,26 @@ class GMMProvider(CoefficientProvider):
     def coefficient(self, plate, mus, data: GMMData):
         if plate == "pi":
             return _weight_coefficient(data.alpha0, data.beta0, mus)
-        if plate in ("comp_a", "comp_b"):
+        if plate == "comp":  # row 0 weighs each datum by r, row 1 by 1 - r
             r = mus["z"][:, 0]
-            w = r if plate == "comp_a" else 1.0 - r
-            s = float(w.sum())
-            yy = -0.5 * np.einsum("n,nij->ij", w, self._yy).reshape(-1)
-            return (self._prior + np.concatenate([[0.5 * s], yy, w @ data.y, [-0.5 * s]]))[None, :]
-        ea = expected_log_component(mus["comp_a"][0], data.y, self.d)
-        eb = expected_log_component(mus["comp_b"][0], data.y, self.d)
+            w = np.stack([r, 1.0 - r])
+            s = w.sum(axis=1)[:, None]
+            yy = -0.5 * np.einsum("kn,nij->kij", w, self._yy).reshape(2, -1)
+            wy = (w[:, None, :] @ data.y)[:, 0]  # one vector-matrix product per row, as for a lone row
+            return self._prior + np.concatenate([0.5 * s, yy, wy, -0.5 * s], axis=1)
+        comp = mus["comp"]
+        ea = expected_log_component(comp[0], data.y, self.d)
+        eb = expected_log_component(comp[1], data.y, self.d)
         return _indicator_coefficient(mus, ea, eb)
 
     def expected_log_joint(self, mus, data: GMMData):
         total = _weight_log_prior(data.alpha0, data.beta0, mus)
-        ea = expected_log_component(mus["comp_a"][0], data.y, self.d)
-        eb = expected_log_component(mus["comp_b"][0], data.y, self.d)
+        comp = mus["comp"]
+        ea = expected_log_component(comp[0], data.y, self.d)
+        eb = expected_log_component(comp[1], data.y, self.d)
         total += _indicator_log_joint(mus, ea, eb)
-        for comp in ("comp_a", "comp_b"):
-            total += float(self._prior @ mus[comp][0]) + self._prior_const
+        for mu in comp:
+            total += float(self._prior @ mu) + self._prior_const
         return float(total)
 
 
@@ -402,13 +418,12 @@ def build_gmm2(data: GMMData, seed: int = 0) -> ModelSpec:
     plates = (
         _indicator_plate(provider.plates["z"], np.random.default_rng(seed)),
         _global("pi", beta_natural(data.alpha0, data.beta0)),
-        _global("comp_a", prior),
-        _global("comp_b", prior),
+        Plate.make(provider.plates["comp"], NaturalParam(prior.family, np.tile(prior.values, (2, 1))), role=GLOBAL),
     )
     # Globals first: a locals-first sweep would overwrite the perturbed
     # responsibilities while the components are still identical, freezing the
     # model at the symmetric fixed point.
-    order = ("pi", "comp_a", "comp_b", "z")
+    order = ("pi", "comp", "z")
     return ModelSpec(plates, provider, sweep_order=order)
 
 

@@ -137,6 +137,16 @@ def test_non_finite_target_names_node_without_warning(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_overflowing_prior_prints_one_error_line_and_no_warning(tmp_path):
+    """A huge nu0 overflows the expectations; the engine's non-finite check is the one line printed."""
+    cfg, _ = _fit_config(tmp_path, "0.1,0.2\n-1,0.5\n2,2\n0.3,-0.2\n", extra="nu0=1e308\n", model="gmm2")
+    proc = _run_cli(cfg)
+    assert proc.returncode == cli.EXIT_INPUT
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "is not finite" in proc.stderr
+    assert "Warning" not in proc.stderr
+
+
 @pytest.mark.parametrize(
     "model, rows",
     [
@@ -260,6 +270,8 @@ def test_bad_arguments_are_usage_errors(capsys):
         ("rho=0\n", "rho"),
         ("alpha0=0\n", "alpha0"),
         ("beta0=-1\n", "beta0"),
+        ("alpha0=1e-300\n", "alpha0"),
+        ("beta0=1e-300\n", "beta0"),
         ("k=0\n", "k"),
         ("delta_u=0\n", "delta_u"),
         ("delta_v=-2\n", "delta_v"),

@@ -392,7 +392,7 @@ def _logitnormal():
     [
         (_two_level, engine.Schedule(engine.CAVI), 2),
         (_two_level, engine.Schedule(engine.PARALLEL_BLR, rho_local=0.5), 2),
-        (_gmm2, engine.Schedule(engine.CAVI), 4),
+        (_gmm2, engine.Schedule(engine.CAVI), 3),
         (_matfac_ppca, engine.Schedule(engine.CAVI), 2),
         (_logitnormal, engine.Schedule(engine.SVI, seed=8), 3),
     ],
@@ -430,7 +430,7 @@ def test_fit_reads_a_target_off_again_only_after_a_plate_it_reads_moved(monkeypa
     [
         (_simple, {"z": set()}),
         (_two_level, {"z": {"pi"}, "pi": {"z"}}),
-        (_gmm2, {"z": {"pi", "comp_a", "comp_b"}, "pi": {"z"}, "comp_a": {"z"}, "comp_b": {"z"}}),
+        (_gmm2, {"z": {"pi", "comp"}, "pi": {"z"}, "comp": {"z"}}),
         (_matfac_ppca, {"u": {"v"}, "v": {"u"}}),
         (_logitnormal, {"z": {"pi"}, "pi": {"z", "pi"}}),
     ],
@@ -523,3 +523,28 @@ def test_backoff_eventually_gives_up():
     node = engine.NodeState.make("pi", expfam.beta_natural(1e-9, 1e-9))
     with pytest.raises(expfam.DomainError, match="rate halvings"):
         engine._step_with_backoff(node, np.array([-1e9, -1e9]), 1.0)
+
+
+def test_backoff_halves_only_the_gaussian_wishart_row_that_leaves_the_domain(monkeypatch):
+    """The rows of one GW plate back off apart, as two one-row plates did."""
+    eye = np.eye(2)
+    start = [expfam.gw_natural(4.0, 3.0, [0.1, -0.2], eye), expfam.gw_natural(5.0, 3.0, [0.3, 0.1], 2.0 * eye)]
+    lam = expfam.NaturalParam(start[0].family, np.stack([s.values for s in start]))
+    plate = engine.Plate.make(("comp_a", "comp_b"), lam, role=engine.GLOBAL)
+    goal0 = expfam.gw_natural(6.0, 2.0, [0.5, 0.5], eye).values
+    mid = expfam.gw_natural(4.5, 1.0, [0.2, 0.0], eye).values
+    goal1 = 2.0 * mid - start[1].values  # half way is mid; the full step has gamma = 2 - 3 = -1
+    with pytest.raises(expfam.DomainError, match="gamma > 0"):
+        expfam.NaturalParam(lam.family, goal1)
+    rates = []
+
+    def recorded(node, target, rho):
+        rates.append(np.array(rho, dtype=float).tolist())
+        return step(node, target, rho)
+
+    step = engine.blr_step
+    monkeypatch.setattr(engine, "blr_step", recorded)
+    out = engine._step_with_backoff(plate, np.stack([goal0, goal1]), 1.0)
+    assert rates == [[1.0, 1.0], [1.0, 0.5]]
+    assert np.array_equal(out.lam.values[0], goal0)
+    assert out.lam.values[1] == pytest.approx(mid, rel=1e-12)

@@ -391,3 +391,84 @@ def test_row_view_carries_its_rows_factor():
     assert np.array_equal(one.factor, 2.0 * np.eye(2))
     bern = expfam.NaturalParam(expfam.FamilyDescriptor(expfam.BERNOULLI), np.zeros((3, 1)))
     assert bern.factor is None and expfam.row_view(bern, 2).factor is None
+
+
+# ---------------------------------------------------------------------------
+# Gaussian-Wishart rows taken as one array
+# ---------------------------------------------------------------------------
+
+
+def _gw_stack(seed: int, d: int, g: int = 3):
+    """g random Gaussian-Wishart lambdas, one at a time and stacked."""
+    rng = np.random.default_rng(seed)
+    lams = [_random_natural(rng, expfam.GAUSSIAN_WISHART, d) for _ in range(g)]
+    return lams, expfam.NaturalParam(lams[0].family, np.stack([lam.values for lam in lams]))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_gaussian_wishart_rows_match_one_row_results(seed, d):
+    lams, stack = _gw_stack(seed, d)
+    mus = expfam.nat_to_mean(stack)
+    log_z = expfam.log_partition(stack)
+    ent = expfam.entropy(stack)
+    assert stack.factor.shape == (3, d, d) and log_z.shape == ent.shape == (3,)
+    for r, lam in enumerate(lams):
+        np.testing.assert_allclose(stack.factor[r], lam.factor, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(mus.values[r], expfam.nat_to_mean(lam).values, rtol=1e-15, atol=0.0)
+        assert log_z[r] == pytest.approx(expfam.log_partition(lam), rel=1e-15, abs=0.0)
+        assert ent[r] == pytest.approx(expfam.entropy(lam), rel=1e-15, abs=0.0)
+        expfam.ExpectationParam(lam.family, mus.values[r])  # each row passes on its own
+    expfam.ExpectationParam(stack.family, mus.values)  # and so does the stack
+
+
+def _gw_bad_gamma(values, d):
+    values[-1] = 0.5  # gamma = -1
+
+
+def _gw_bad_nu(values, d):
+    values[0] = -0.75  # nu = 2 lam[0] + D = D - 1.5
+
+
+def _gw_indefinite_w_inv(values, d):
+    gamma = -2.0 * values[-1]
+    m = values[1 + d * d : 1 + d * d + d] / gamma
+    w_inv = np.diag([1.0] + [-1.0] * (d - 1))
+    values[1 : 1 + d * d] = (-0.5 * (w_inv + gamma * np.outer(m, m))).reshape(-1)
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [(_gw_bad_gamma, "gamma > 0"), (_gw_bad_nu, "nu > D-1"), (_gw_indefinite_w_inv, "W\\^-1 must be symmetric")],
+    ids=["gamma", "nu", "w_inv"],
+)
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_one_bad_gaussian_wishart_row_is_named(spoil, message, r):
+    lams, stack = _gw_stack(7, 2)
+    values = stack.values.copy()
+    spoil(values[r], 2)
+    with pytest.raises(expfam.DomainError, match=message) as one:
+        expfam.NaturalParam(stack.family, values[r])
+    with pytest.raises(expfam.DomainError, match=message) as rows:
+        expfam.NaturalParam(stack.family, values)
+    assert list(one.value.rows) == [0] and list(rows.value.rows) == [r]
+
+
+def test_one_bad_gaussian_wishart_expectation_row_is_named():
+    _, stack = _gw_stack(8, 2)
+    mus = expfam.nat_to_mean(stack).values.copy()
+    mus[1, 1:5] = [1.0, 0.0, 0.0, -1.0]  # E[Z2] indefinite
+    with pytest.raises(expfam.DomainError, match="E\\[Z2\\]") as rows:
+        expfam.ExpectationParam(stack.family, mus)
+    assert list(rows.value.rows) == [1]
+
+
+def test_gw_params_of_a_row_view_gives_python_floats():
+    lams, stack = _gw_stack(9, 2)
+    for r, lam in enumerate(lams):
+        nu, gamma, m, w = expfam.gw_params(expfam.row_view(stack, r))
+        assert isinstance(nu, float) and isinstance(gamma, float)
+        want = expfam.gw_params(lam)
+        assert (nu, gamma) == pytest.approx(want[:2], rel=1e-15)
+        np.testing.assert_allclose(m, want[2], rtol=1e-15)
+        np.testing.assert_allclose(w, want[3], rtol=1e-15)

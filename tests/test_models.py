@@ -129,6 +129,23 @@ def test_two_level_marginals_approach_enumeration(two_level_data):
 # ---------------------------------------------------------------------------
 
 
+def _lone_component_coefficient(provider, w, data):
+    """The coefficient of one component whose data weights are w, read off on its own."""
+    s = float(w.sum())
+    yy = -0.5 * np.einsum("n,nij->ij", w, provider._yy).reshape(-1)
+    return provider._prior + np.concatenate([[0.5 * s], yy, w @ data.y, [-0.5 * s]])
+
+
+def _assert_comp_rows_are_lone_components(provider, snap, data):
+    """Row 0 of plate "comp" weighs the data by r and row 1 by 1 - r, each bitwise as a lone component."""
+    g = provider.coefficient("comp", snap, data)
+    r = snap["z"][:, 0]
+    assert g.shape == (2, provider._prior.size)
+    assert np.array_equal(g[0], _lone_component_coefficient(provider, r, data))
+    assert np.array_equal(g[1], _lone_component_coefficient(provider, 1.0 - r, data))
+    return g
+
+
 def test_gmm_component_coefficient_hand_arithmetic():
     """N=2, D=1, responsibilities (1,1), y=(1,3): Eq-solved posterior
     gamma=3, m=4/3, nu=3, W^-1=17/3."""
@@ -139,10 +156,9 @@ def test_gmm_component_coefficient_hand_arithmetic():
     snap = {
         "z": np.array([[1.0], [1.0]]),
         "pi": np.array([[-1.0, -1.0]]),
-        "comp_a": gw_mu[None, :],
-        "comp_b": gw_mu[None, :],
+        "comp": np.stack([gw_mu, gw_mu]),
     }
-    g = provider.coefficient("comp_a", snap, data)[0]
+    g = _assert_comp_rows_are_lone_components(provider, snap, data)[0]
     lam = expfam.NaturalParam(expfam.FamilyDescriptor(expfam.GAUSSIAN_WISHART, dim=1), g)
     nu, gamma, m, w = expfam.gw_params(lam)
     assert nu == pytest.approx(3.0, rel=1e-12)
@@ -159,9 +175,8 @@ def test_gmm_component_with_zero_responsibility_returns_prior():
     snap = {"z": np.full((3, 1), 0.0 + 1e-300)}
     snap["pi"] = np.array([[-1.0, -1.0]])
     gw_mu = expfam.nat_to_mean(prior).values[None, :]
-    snap["comp_a"] = gw_mu
-    snap["comp_b"] = gw_mu
-    g = provider.coefficient("comp_a", snap, data)[0]
+    snap["comp"] = np.concatenate([gw_mu, gw_mu])
+    g = _assert_comp_rows_are_lone_components(provider, snap, data)[0]
     assert g == pytest.approx(prior.values, abs=1e-10)
 
 
@@ -172,8 +187,8 @@ def test_gmm_identical_components_reduce_to_two_level():
     gw_mu = expfam.nat_to_mean(gw).values
     snap = {"z": np.full((6, 1), 0.4)}
     snap["pi"] = np.array([[-0.6, -0.9]])
-    snap["comp_a"] = gw_mu[None, :]
-    snap["comp_b"] = gw_mu[None, :]
+    snap["comp"] = np.stack([gw_mu, gw_mu])
+    _assert_comp_rows_are_lone_components(provider, snap, data)
     log_p = np.array(
         [models.expected_log_component(gw_mu, data.y[i], 2) for i in range(6)]
     )

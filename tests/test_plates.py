@@ -134,7 +134,8 @@ def test_node_view_reads_plate_rows_in_plate_then_row_order():
     node = view["z2"]
     assert (node.id, node.role) == ("z2", engine.LOCAL)
     assert np.shares_memory(node.lam.values, model.plates["z"].lam.values)
-    assert np.array_equal(view["comp_a"].mu.values, model.plates["comp_a"].mu.values[0])
+    assert np.array_equal(view["comp_a"].mu.values, model.plates["comp"].mu.values[0])
+    assert np.array_equal(view["comp_b"].mu.values, model.plates["comp"].mu.values[1])
     assert [n.id for n in model.nodes] == list(view)
     with pytest.raises(KeyError):
         view["z9"]
@@ -157,7 +158,7 @@ def test_model_spec_stacks_mixed_plates_and_nodes():
 def test_plates_group_the_per_id_nodes():
     model, data = _gmm2(12)
     assert len(model.nodes) == 12 + 3
-    assert list(model.plates) == ["z", "pi", "comp_a", "comp_b"]
+    assert list(model.plates) == ["z", "pi", "comp"]
     assert model.plates["z"].lam.values.shape == (12, 1)
     per_id = {n.id: n for n in model.nodes}
     regrouped = engine.ModelSpec(tuple(per_id.values()), model.provider).plates
