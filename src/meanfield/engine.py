@@ -51,10 +51,11 @@ and validates nothing.
 from __future__ import annotations
 
 import functools
+import math
 import time
 from abc import ABC, abstractmethod
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
@@ -113,9 +114,6 @@ class _Factor:
         if self.delta_mode and self.lam.family.kind != expfam.GAUSSIAN:
             raise ConfigurationError("delta_mode is only supported on Gaussian nodes")
 
-    def with_lambda(self, lam: NaturalParam):
-        return replace(self, lam=lam, mu=nat_to_mean(lam))
-
     @property
     def family(self):
         return self.lam.family
@@ -134,6 +132,9 @@ class NodeState(_Factor):
     @staticmethod
     def make(node_id: str, lam: NaturalParam, role: str = LOCAL, delta_mode: bool = False):
         return NodeState(node_id, lam, nat_to_mean(lam), role, delta_mode)
+
+    def with_lambda(self, lam: NaturalParam) -> NodeState:
+        return NodeState(self.id, lam, nat_to_mean(lam), self.role, self.delta_mode)
 
     @property
     def ids(self) -> tuple[str]:
@@ -154,6 +155,9 @@ class Plate(_Factor):
     def make(ids, lam: NaturalParam, role: str = LOCAL, delta_mode: bool = False):
         """A plate from row-stacked natural parameters, one row per id."""
         return Plate(tuple(ids), lam, nat_to_mean(lam), role, delta_mode)
+
+    def with_lambda(self, lam: NaturalParam) -> Plate:
+        return Plate(self.ids, lam, nat_to_mean(lam), self.role, self.delta_mode)
 
 
 class NodeView(Mapping):
@@ -445,15 +449,20 @@ def mu_snapshot(state: Mapping) -> Snapshot:
 def blr_step(node, target: np.ndarray, rho):
     """One damped natural-parameter step of a node or plate toward its target.
 
-    ``rho`` is one rate, or one rate per row of a plate.
+    ``rho`` is one rate, or one rate per row of a plate; the two give
+    bitwise the same step where every row has the same rate.
     """
-    rate = np.asarray(rho, dtype=float)
-    if not np.all((0.0 < rate) & (rate <= 1.0)):
+    if isinstance(rho, (int, float)):
+        rate = float(rho)
+        valid = 0.0 < rate <= 1.0
+    else:
+        rate = np.asarray(rho, dtype=float)
+        valid = bool(np.all((0.0 < rate) & (rate <= 1.0)))
+        if rate.ndim:
+            rate = rate[:, None]
+    if not valid:
         raise ConfigurationError(f"rho must lie in (0, 1], got {rho}")
-    target = np.asarray(target, dtype=float)
-    if rate.ndim:
-        rate = rate[:, None]
-    new_values = (1.0 - rate) * node.lam.values + rate * target
+    new_values = (1.0 - rate) * node.lam.values + rate * np.asarray(target, dtype=float)
     return node.with_lambda(NaturalParam(node.family, new_values))
 
 
@@ -467,32 +476,42 @@ def _target(model: ModelSpec, plate: str, snap: Snapshot, data) -> np.ndarray:
     return coefficient if base is None else coefficient - np.asarray(base, dtype=float)
 
 
+def _check_target(node, goal: np.ndarray) -> None:
+    """Raise NumericalError naming the first row of a node's or plate's target that is not finite."""
+    if not np.isfinite(goal).all():  # one pass; the row is located only on failure
+        rows = goal.reshape(len(node.ids), -1)
+        r = int(np.argmin(np.isfinite(rows).all(axis=1)))
+        raise NumericalError(f"update target of node {node.ids[r]!r} is not finite: {rows[r]}")
+
+
 def _step_with_backoff(node, target: np.ndarray, rho: float, rows=None):
     """Damped step of the given rows of a node or plate (all rows by default).
 
-    A non-finite target is a NumericalError.  A row whose step leaves the
-    parameter domain retries at half its rate, the other rows keep theirs.
+    A non-finite target is a NumericalError.  Every row steps at rate
+    ``rho``, passed as one scalar; a row whose step leaves the parameter
+    domain retries at half its rate, the other rows keep theirs.
     """
     lam = node.lam.values
-    goal = np.array(target, dtype=float).reshape(-1, lam.shape[-1])
-    rates = np.full(goal.shape[0], float(rho))
+    goal = np.asarray(target, dtype=float).reshape(lam.shape)
+    rate = float(rho)
     if rows is not None:
         # a rate-1 step onto its own lambda leaves a row exactly as it is
-        keep = np.ones(len(rates), dtype=bool)
+        keep = np.ones(len(node.ids), dtype=bool)
         keep[rows] = False
+        goal = goal.reshape(len(keep), -1).copy()
         goal[keep] = lam.reshape(goal.shape)[keep]
-        rates[keep] = 1.0
-    finite = np.isfinite(goal).all(axis=1)
-    if not finite.all():
-        r = int(np.argmin(finite))
-        raise NumericalError(f"update target of node {node.ids[r]!r} is not finite: {goal[r]}")
-    goal = goal.reshape(lam.shape)
+        goal = goal.reshape(lam.shape)
+        if rate != 1.0:
+            rate = np.where(keep, 1.0, rate)
+    _check_target(node, goal)
     for _ in range(_MAX_RATE_HALVINGS):
         try:
-            return blr_step(node, goal, rates if lam.ndim == 2 else rates[0])
+            return blr_step(node, goal, rate)
         except DomainError as exc:
+            rates = np.full(len(node.ids), rate) if np.ndim(rate) == 0 else rate
             failed = exc.rows if exc.rows is not None else np.arange(len(rates))
             rates[failed] *= 0.5
+            rate = rates if lam.ndim == 2 else float(rates[0])
             reason = exc
         except NumericalError as exc:
             where = node.ids[0] if len(node.ids) == 1 else f"{node.ids[0]}..{node.ids[-1]}"
@@ -593,13 +612,17 @@ def elbo(model: ModelSpec, state, data) -> float:
 def fixed_point_residual(model: ModelSpec, state, data) -> float:
     """Max over nodes of the infinity-norm gap between lambda and its coefficient.
 
-    ``state`` is a plate dict, its NodeView or a snapshot.
+    ``state`` is a plate dict, its NodeView or a snapshot.  A non-finite
+    coefficient is a NumericalError naming its node, as in a step.
     """
     snap = _snapshot(model, state.plates if isinstance(state, NodeView) else state)
     worst = 0.0
     for name, plate in snap.plates.items():
-        gap = np.abs(plate.lam.values - _target(model, name, snap, data))
-        worst = max(worst, float(np.max(gap)))
+        target = _target(model, name, snap, data)
+        gap = float(np.max(np.abs(plate.lam.values - target)))
+        if not math.isfinite(gap):  # a finite lambda: the target is the cause, unless the gap overflowed
+            _check_target(plate, target)
+        worst = max(worst, gap)
     return worst
 
 

@@ -5,12 +5,14 @@ Gaussian-Wishart.  Parameters are stored as flat vectors; symmetric matrix
 blocks are stored as full D x D (row-major) and symmetrized on ingestion.
 Domain violations are construction-time errors, with one exception: the
 expectations ``nat_to_mean`` (and ``engine.delta_moment``) derive from a
-validated Gaussian or Gaussian-Wishart lambda are checked for finiteness
-only.  Validating lambda finds the Cholesky factor L of the precision S (of
-W^-1 for Gaussian-Wishart), which the parameter keeps; the derived
-covariance block is the Gram matrix L^-T L^-1, positive-definite by
-construction, so an eigenvalue re-check could only reject a valid lambda on
-rounding (a mean large against its posterior sd did).
+validated Bernoulli, Gaussian or Gaussian-Wishart lambda are checked for
+finiteness only.  The Bernoulli mean is clipped into [1e-300, 1 - 1e-16],
+inside (0, 1) for every finite lambda.  Validating a Gaussian lambda finds
+the Cholesky factor L of the precision S (of W^-1 for Gaussian-Wishart),
+which the parameter keeps; the derived covariance block is the Gram matrix
+L^-T L^-1, positive-definite by construction, so an eigenvalue re-check
+could only reject a valid lambda on rounding (a mean large against its
+posterior sd did).
 
 A parameter may also hold a (G, flat) array: one row per node of a plate.
 Validation, ``nat_to_mean``, ``log_partition``, ``entropy`` and
@@ -143,7 +145,11 @@ def _check_rows(ok: np.ndarray, message) -> None:
 
 def _map_rows(fn, arr: np.ndarray):
     """fn of a flat vector, applied per row of a (G, flat) array."""
-    return fn(arr) if arr.ndim == 1 else np.stack([fn(row) for row in arr])
+    if arr.ndim == 1:
+        return fn(arr)
+    if len(arr) == 1:
+        return np.asarray(fn(arr[0]), dtype=float)[None]
+    return np.stack([fn(row) for row in arr])
 
 
 def _as_flat(family: FamilyDescriptor, values) -> np.ndarray:
@@ -155,10 +161,11 @@ def _as_flat(family: FamilyDescriptor, values) -> np.ndarray:
         raise DomainError(
             f"{family.kind} dim={family.dim} expects {family.flat_size} values, got {arr.shape[-1]}"
         )
-    _check_rows(
-        np.isfinite(arr.reshape(-1, family.flat_size)).all(axis=1),
-        lambda r: f"{family.kind} parameters must be finite",
-    )
+    if not np.isfinite(arr).all():  # one pass; the rows are located only on failure
+        _check_rows(
+            np.isfinite(arr.reshape(-1, family.flat_size)).all(axis=1),
+            lambda r: f"{family.kind} parameters must be finite",
+        )
     return arr.reshape(arr.shape)
 
 
@@ -306,14 +313,12 @@ def _gauss_mean_cov(lam: NaturalParam):
 
 
 def _gw_unpack(family: FamilyDescriptor, arr: np.ndarray):
-    """Return (nu, gamma, m, w_inv), per row of a (G, flat) array; gamma must be positive."""
+    """Return (nu, gamma, m), per row of a (G, flat) array; gamma must be positive."""
     d = family.dim
     nu = 2.0 * arr[..., 0] + d
     gamma = -2.0 * arr[..., -1]
     m = arr[..., 1 + d * d : 1 + d * d + d] / gamma[..., None]
-    eta2 = arr[..., 1 : 1 + d * d].reshape(arr.shape[:-1] + (d, d))
-    w_inv = -2.0 * eta2 - gamma[..., None, None] * (m[..., :, None] * m[..., None, :])
-    return nu, gamma, m, w_inv
+    return nu, gamma, m
 
 
 def _wishart_sum(fn, nu, d: int):
@@ -342,8 +347,11 @@ def _validate_natural(family: FamilyDescriptor, rows: np.ndarray):
         rows[:, -1] < 0.0,  # gamma = -2 lam[-1]
         lambda r: f"Gaussian-Wishart requires gamma > 0, got gamma={-2.0 * rows[r, -1]:g}",
     )
-    nu, _, _, w_inv = _gw_unpack(family, rows)
-    _check_rows(nu > family.dim - 1, lambda r: f"Gaussian-Wishart requires nu > D-1, got nu={nu[r]:g}")
+    d = family.dim
+    nu, gamma, m = _gw_unpack(family, rows)
+    _check_rows(nu > d - 1, lambda r: f"Gaussian-Wishart requires nu > D-1, got nu={nu[r]:g}")
+    eta2 = rows[:, 1 : 1 + d * d].reshape(-1, d, d)
+    w_inv = -2.0 * eta2 - gamma[:, None, None] * (m[:, :, None] * m[:, None, :])
     return _require_spd(w_inv, "Gaussian-Wishart W^-1")
 
 
@@ -441,7 +449,7 @@ def gaussian_mean_precision(lam: NaturalParam) -> tuple[np.ndarray, np.ndarray]:
 def gw_params(lam: NaturalParam) -> tuple[float, float, np.ndarray, np.ndarray]:
     """Return (nu, gamma, m, W), per row for a row-stacked parameter."""
     _expect_kind(lam, GAUSSIAN_WISHART)
-    nu, gamma, m, _ = _gw_unpack(lam.family, lam.values)
+    nu, gamma, m = _gw_unpack(lam.family, lam.values)
     return nu, gamma, m, _factor_inverse(lam.factor)[1]
 
 
@@ -461,12 +469,12 @@ def nat_to_mean(lam: NaturalParam) -> ExpectationParam:
     kind = fam.kind
     arr = lam.values
     if kind == BERNOULLI:
-        lv = arr[..., 0]
-        e = np.exp(-np.abs(lv))
-        p = np.where(lv >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        e = np.exp(-np.abs(arr))
+        denom = 1.0 + e
+        p = np.where(arr >= 0, 1.0 / denom, e / denom)
         # Large |lambda| rounds the sigmoid onto the boundary; keep the mean
         # inside the open interval the invariants (and the inverse) require.
-        return ExpectationParam(fam, np.clip(p, 1e-300, 1.0 - 1e-16)[..., None])
+        return _derived_mean(fam, np.minimum(np.maximum(p, 1e-300), 1.0 - 1e-16))
     if kind == BETA:
 
         def beta_mean(row):
@@ -485,7 +493,7 @@ def nat_to_mean(lam: NaturalParam) -> ExpectationParam:
 def _gw_mean(fam: FamilyDescriptor, arr: np.ndarray, chol: np.ndarray) -> np.ndarray:
     """The expectations per row, with W and log det W from the factor ``chol`` of W^-1."""
     d = fam.dim
-    nu, gamma, m, _ = _gw_unpack(fam, arr)
+    nu, gamma, m = _gw_unpack(fam, arr)
     cinv, w = _factor_inverse(chol)
     y = (cinv @ m[..., None])[..., 0]  # W m = C^-T y and m^T W m = y^T y
     e_logdet = _wishart_sum(digamma, nu, d) + d * math.log(2.0) - _logdet_from_factor(chol)
@@ -680,7 +688,7 @@ def _gauss_log_partition(lam: NaturalParam, m: np.ndarray):
 def _gw_log_partition(fam: FamilyDescriptor, arr: np.ndarray, chol: np.ndarray):
     """The log normalizer per row, with log det W^-1 from its factor ``chol``."""
     d = fam.dim
-    nu, gamma, _, _ = _gw_unpack(fam, arr)
+    nu, gamma, _ = _gw_unpack(fam, arr)
     return (
         -0.5 * d * np.log(gamma)
         + 0.5 * d * math.log(2.0 * math.pi)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from meanfield import engine, expfam, models, oracle
+from meanfield import checks, engine, expfam, models, oracle
 from conftest import large_mean_gaussians, make_gmm, make_two_level
 
 
@@ -499,6 +499,52 @@ def test_a_snapshot_owns_its_plates(two_level_data):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("kind, dim", [(expfam.BERNOULLI, 1), (expfam.BETA, 1), (expfam.GAUSSIAN, 2), (expfam.GAUSSIAN_WISHART, 2)])
+@pytest.mark.parametrize("rho", [0.3, 1.0])
+def test_a_scalar_rate_steps_bitwise_as_the_same_rate_per_row(kind, dim, rho):
+    rng = np.random.default_rng(4)
+    start, goal = ([checks._random_natural(rng, kind, dim) for _ in range(3)] for _ in range(2))
+    family = start[0].family
+    plate = engine.Plate.make(("a", "b", "c"), expfam.NaturalParam(family, np.stack([s.values for s in start])))
+    target = np.stack([g.values for g in goal])
+    scalar = engine.blr_step(plate, target, rho)
+    per_row = engine.blr_step(plate, target, np.full(3, rho))
+    assert scalar.lam.values.tobytes() == per_row.lam.values.tobytes()
+    assert scalar.mu.values.tobytes() == per_row.mu.values.tobytes()
+
+
+def test_a_non_finite_target_row_is_named():
+    bern = expfam.FamilyDescriptor(expfam.BERNOULLI)
+    plate = engine.Plate.make([f"z{i}" for i in range(4)], expfam.NaturalParam(bern, np.zeros((4, 1))))
+    target = np.ones((4, 1))
+    target[2, 0] = np.nan
+    with pytest.raises(expfam.NumericalError, match="update target of node 'z2' is not finite"):
+        engine._step_with_backoff(plate, target, 1.0)
+    # a row outside the stepped rows keeps its lambda, so its target is not read
+    out = engine._step_with_backoff(plate, target, 0.5, rows=[1])
+    assert out.lam.values[:, 0].tolist() == [0.0, 0.5, 0.0, 0.0]
+
+
+class _NanProvider(engine.CoefficientProvider):
+    """One Bernoulli node whose coefficient is NaN."""
+
+    plates = {"z": ("z",)}
+
+    def coefficient(self, plate, mus, data):
+        return np.array([[np.nan]])
+
+    def expected_log_joint(self, mus, data):
+        return 0.0
+
+
+@pytest.mark.parametrize("max_iter", [0, 100])
+def test_a_non_finite_coefficient_fails_the_fit_instead_of_converging(max_iter):
+    lam = expfam.NaturalParam(expfam.FamilyDescriptor(expfam.BERNOULLI), np.zeros((1, 1)))
+    model = engine.ModelSpec((engine.Plate.make(("z",), lam),), _NanProvider())
+    with pytest.raises(expfam.NumericalError, match="update target of node 'z' is not finite"):
+        engine.fit(model, None, max_iter=max_iter)
+
+
 def test_backoff_halves_rate_until_feasible():
     # full step toward (-0.5, -0.5) leaves the Beta domain from (1, 1)
     # (alpha would hit 0.5-eps at full rate is fine; force an infeasible one)
@@ -539,7 +585,7 @@ def test_backoff_halves_only_the_gaussian_wishart_row_that_leaves_the_domain(mon
     rates = []
 
     def recorded(node, target, rho):
-        rates.append(np.array(rho, dtype=float).tolist())
+        rates.append(np.broadcast_to(np.array(rho, dtype=float), (2,)).tolist())  # the first try passes a scalar
         return step(node, target, rho)
 
     step = engine.blr_step

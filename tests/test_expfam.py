@@ -472,3 +472,47 @@ def test_gw_params_of_a_row_view_gives_python_floats():
         assert (nu, gamma) == pytest.approx(want[:2], rel=1e-15)
         np.testing.assert_allclose(m, want[2], rtol=1e-15)
         np.testing.assert_allclose(w, want[3], rtol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the derived Bernoulli mean, and finiteness checked in one pass
+# ---------------------------------------------------------------------------
+
+_EXTREME_LOG_ODDS = [0.0, 36.7, -36.7, 745.0, -745.0, 800.0, -800.0, 1e308, -1e308]
+
+
+def _clipped_sigmoid(lv: np.ndarray) -> np.ndarray:
+    """The Bernoulli mean as ``np.clip`` onto [1e-300, 1 - 1e-16] gave it."""
+    e = np.exp(-np.abs(lv))
+    p = np.where(lv >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.clip(p, 1e-300, 1.0 - 1e-16)
+
+
+def test_the_derived_bernoulli_mean_is_the_clipped_sigmoid_and_passes_the_full_check():
+    log_odds = np.array(_EXTREME_LOG_ODDS)
+    bern = expfam.FamilyDescriptor(expfam.BERNOULLI)
+    mu = expfam.nat_to_mean(expfam.NaturalParam(bern, log_odds[:, None]))
+    assert mu.values.shape == (len(log_odds), 1)
+    assert mu.values[:, 0].tobytes() == _clipped_sigmoid(log_odds).tobytes()
+    expfam.ExpectationParam(bern, mu.values)  # every row inside (0, 1)
+    for lv in _EXTREME_LOG_ODDS:
+        one = expfam.nat_to_mean(expfam.bernoulli_natural(lv))
+        assert one.values.tobytes() == _clipped_sigmoid(np.array([lv])).tobytes()
+        expfam.ExpectationParam(bern, one.values)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("param", [expfam.NaturalParam, expfam.ExpectationParam])
+def test_a_non_finite_row_is_named(param, bad):
+    bern = expfam.FamilyDescriptor(expfam.BERNOULLI)
+    values = np.full((5, 1), 0.25)
+    values[3, 0] = bad
+    with pytest.raises(expfam.DomainError, match="bernoulli parameters must be finite") as rows:
+        param(bern, values)
+    assert list(rows.value.rows) == [3]
+    gauss = expfam.nat_to_mean(expfam.gaussian_natural(np.zeros(2), np.eye(2))).values
+    values = np.stack([gauss] * 4)
+    values[1, 4] = values[2, 0] = bad
+    with pytest.raises(expfam.DomainError, match="gaussian parameters must be finite") as rows:
+        param(expfam.FamilyDescriptor(expfam.GAUSSIAN, dim=2), values)
+    assert list(rows.value.rows) == [1, 2]

@@ -1,4 +1,4 @@
-"""Micro-benchmarks of a fit iteration, the logit-normal read-off, plate conversions and steps, and special functions.
+"""Micro-benchmarks of fit iterations, the logit-normal read-off, plate conversions and steps, and special functions.
 
 pytest's defaults include ``--benchmark-disable``, so a plain test run calls
 each benchmarked function once and checks its result.  To time them:
@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from meanfield import engine, expfam, models, specfun
+from conftest import make_two_level
 
 _M = 0.3
 
@@ -24,6 +25,21 @@ def test_matfac_ppca_fit_iteration(benchmark):
     y = rng.standard_normal((40, 3)) @ rng.standard_normal((25, 3)).T + 0.3 * rng.standard_normal((40, 25))
     data = models.MatrixFactorizationData(y, 3, 1.0, 1.0)
     model = models.build_matfac(data, "ppca", seed=0)
+    snap = engine.mu_snapshot(model.plates)
+
+    def iteration():
+        engine.cavi_sweep(model, snap, data)
+        return engine.fixed_point_residual(model, snap, data), engine.elbo(model, snap, data)
+
+    residual, elbo = benchmark(iteration)
+    assert residual == engine.fixed_point_residual(model, dict(snap.plates), data)
+    assert elbo == engine.elbo(model, dict(snap.plates), data)
+
+
+def test_two_level_fit_iteration(benchmark):
+    """One CAVI iteration of a two-level fit at the CLI workload's size (2000 rows): sweep, residual and ELBO."""
+    data = make_two_level(seed=0, n=2000)
+    model = models.build_two_level(data, seed=0)
     snap = engine.mu_snapshot(model.plates)
 
     def iteration():
