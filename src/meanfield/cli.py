@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import checks, engine, models
+from . import engine, models
 from .expfam import NumericalError
 
 EXIT_OK = 0
@@ -134,8 +134,8 @@ def _number(key: str, text: str):
 
 
 def load_csv(path: str, expected_cols: int | None = None) -> np.ndarray:
-    """Strict CSV reader; names the offending row on malformed input."""
-    rows = []
+    """Strict CSV reader; names the first offending row on malformed input."""
+    rows, linenos = [], []
     try:
         with open(path) as fh:
             lines = [ln.strip() for ln in fh]
@@ -147,16 +147,26 @@ def load_csv(path: str, expected_cols: int | None = None) -> np.ndarray:
         cells = line.split(",")
         want = expected_cols or (len(rows[0]) if rows else len(cells))
         if len(cells) != want:
+            _require_finite_rows(path, rows, linenos)  # a non-finite row above is named first
             raise InputError(f"{path}: row {lineno} has {len(cells)} fields, expected {want}")
         try:
             rows.append([float(c) for c in cells])
         except ValueError as exc:
+            _require_finite_rows(path, rows, linenos)
             raise InputError(f"{path}: row {lineno}: {exc}") from exc
-        if not np.all(np.isfinite(rows[-1])):
-            raise InputError(f"{path}: row {lineno}: every cell must be a finite number")
+        linenos.append(lineno)
     if not rows:
         raise InputError(f"{path}: no data rows")
-    return np.array(rows)
+    return _require_finite_rows(path, rows, linenos)
+
+
+def _require_finite_rows(path: str, rows: list, linenos: list) -> np.ndarray:
+    """The parsed rows as an array, checked for finiteness in one pass; the first bad row is located on failure."""
+    arr = np.array(rows)
+    if not np.isfinite(arr).all():
+        bad = int(np.flatnonzero(~np.isfinite(arr).all(axis=1))[0])
+        raise InputError(f"{path}: row {linenos[bad]}: every cell must be a finite number")
+    return arr
 
 
 def _build(cfg: RunConfig):
@@ -202,16 +212,14 @@ def _fmt(x: float) -> str:
 
 
 def write_trace(path: str, trace: engine.FitTrace) -> None:
+    lines = [f"iter={rec.iteration} elbo={_fmt(rec.elbo)} residual={_fmt(rec.residual)}\n" for rec in trace.records]
+    lines.append(f"converged={'true' if trace.converged else 'false'} iterations={trace.records[-1].iteration}\n")
+    for plate in trace.plates.values():
+        for nid, lam, mu in zip(plate.ids, plate.lam.values.tolist(), plate.mu.values.tolist()):
+            lines.append(f"param {nid} lambda {' '.join(map(_fmt, lam))}\nparam {nid} mu {' '.join(map(_fmt, mu))}\n")
     try:
         with open(path, "w") as fh:
-            for rec in trace.records:
-                fh.write(f"iter={rec.iteration} elbo={_fmt(rec.elbo)} residual={_fmt(rec.residual)}\n")
-            fh.write(f"converged={'true' if trace.converged else 'false'} ")
-            fh.write(f"iterations={trace.records[-1].iteration}\n")
-            for plate in trace.plates.values():
-                for nid, lam, mu in zip(plate.ids, plate.lam.values, plate.mu.values):
-                    fh.write(f"param {nid} lambda {' '.join(_fmt(v) for v in lam)}\n")
-                    fh.write(f"param {nid} mu {' '.join(_fmt(v) for v in mu)}\n")
+            fh.write("".join(lines))
     except OSError as exc:
         raise InputError(f"cannot write trace {path}: {exc}") from exc
 
@@ -235,6 +243,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from . import checks  # only ``meanfield check`` runs the suites, so ``meanfield fit`` does not import them
+
     try:
         results = checks.run_suite(args.suite)
     except KeyError:

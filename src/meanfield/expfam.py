@@ -323,8 +323,11 @@ def _gw_unpack(family: FamilyDescriptor, arr: np.ndarray):
 
 def _wishart_sum(fn, nu, d: int):
     """The sum over k = 1..D of fn((nu + 1 - k) / 2), per row, with fn a scalar special function."""
-    sums = [sum(fn(0.5 * (n + 1 - k)) for k in range(1, d + 1)) for n in np.ravel(nu).tolist()]
-    return np.reshape(sums, np.shape(nu))
+    def one(n: float) -> float:
+        return sum(fn(0.5 * (n + 1 - k)) for k in range(1, d + 1))
+
+    rows = nu.tolist()
+    return np.array([one(n) for n in rows] if nu.ndim else one(rows))
 
 
 def _validate_natural(family: FamilyDescriptor, rows: np.ndarray):

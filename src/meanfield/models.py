@@ -267,10 +267,16 @@ def _weight_coefficient(a: float, b: float, mus) -> np.ndarray:
     return np.array([[a - 1.0 + s, r.size + b - 1.0 - s]])
 
 
+@functools.lru_cache(maxsize=64)
+def _prior_log_beta(a: float, b: float) -> float:
+    """log B(a, b) of a fixed prior's exponents, computed once per pair, not once per ELBO."""
+    return betaln(a, b)
+
+
 def _weight_log_prior(a: float, b: float, mus) -> float:
     """E_q[log Beta(pi | a, b)] = (a - 1) E[log pi] + (b - 1) E[log(1 - pi)] - log B(a, b)."""
     mu0 = mus["pi"][0]
-    return float((a - 1.0) * mu0[0] + (b - 1.0) * mu0[1] - betaln(a, b))
+    return float((a - 1.0) * mu0[0] + (b - 1.0) * mu0[1] - _prior_log_beta(a, b))
 
 
 def _indicator_log_joint(mus, log_a, log_b) -> float:
@@ -366,6 +372,23 @@ def expected_log_component(mu_gw: np.ndarray, y: np.ndarray, d: int):
     return 0.5 * mu1 - 0.5 * ((y @ e_s) * y).sum(-1) + y @ e_sm - 0.5 * mu4 - 0.5 * d * LOG_2PI
 
 
+class _Same:
+    """A ``Snapshot.kept`` key equal only to a key of the same object.
+
+    Data containers hold arrays, so comparing two of them by value would
+    compare arrays elementwise; a key compares them by identity instead.
+    """
+
+    __slots__ = ("obj",)
+    __hash__ = None
+
+    def __init__(self, obj):
+        self.obj = obj
+
+    def __eq__(self, other):
+        return isinstance(other, _Same) and other.obj is self.obj
+
+
 class GMMProvider(CoefficientProvider):
     """Bernoulli responsibilities, a Beta weight, and a plate of two Gaussian-Wishart components."""
 
@@ -385,6 +408,19 @@ class GMMProvider(CoefficientProvider):
         )
         self._prior_const = 0.5 * d * math.log(data.gamma0) - 0.5 * d * LOG_2PI + log_b
 
+    def _log_liks(self, mus, data: GMMData):
+        """Each datum's expected log-likelihood under each component, kept on the snapshot with "comp".
+
+        The indicators' read-off and the ELBO at one component state share
+        one pass over the data.
+        """
+
+        def read_off():
+            comp = mus["comp"]
+            return expected_log_component(comp[0], data.y, self.d), expected_log_component(comp[1], data.y, self.d)
+
+        return mus.kept("comp", _Same(data), read_off)
+
     def coefficient(self, plate, mus, data: GMMData):
         if plate == "pi":
             return _weight_coefficient(data.alpha0, data.beta0, mus)
@@ -395,18 +431,12 @@ class GMMProvider(CoefficientProvider):
             yy = -0.5 * np.einsum("kn,nij->kij", w, self._yy).reshape(2, -1)
             wy = (w[:, None, :] @ data.y)[:, 0]  # one vector-matrix product per row, as for a lone row
             return self._prior + np.concatenate([0.5 * s, yy, wy, -0.5 * s], axis=1)
-        comp = mus["comp"]
-        ea = expected_log_component(comp[0], data.y, self.d)
-        eb = expected_log_component(comp[1], data.y, self.d)
-        return _indicator_coefficient(mus, ea, eb)
+        return _indicator_coefficient(mus, *self._log_liks(mus, data))
 
     def expected_log_joint(self, mus, data: GMMData):
         total = _weight_log_prior(data.alpha0, data.beta0, mus)
-        comp = mus["comp"]
-        ea = expected_log_component(comp[0], data.y, self.d)
-        eb = expected_log_component(comp[1], data.y, self.d)
-        total += _indicator_log_joint(mus, ea, eb)
-        for mu in comp:
+        total += _indicator_log_joint(mus, *self._log_liks(mus, data))
+        for mu in mus["comp"]:
             total += float(self._prior @ mu) + self._prior_const
         return float(total)
 

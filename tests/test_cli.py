@@ -90,6 +90,20 @@ def test_non_numeric_cell_rejected(tmp_path, capsys):
         assert f"row {bad_row}" in capsys.readouterr().err
 
 
+def test_the_first_bad_row_is_named_whatever_its_fault(tmp_path, capsys):
+    """Finiteness is checked once per file, yet a non-finite row is named before a later malformed one."""
+    cases = [
+        ("0.1,0.4\n0.2,nan\n0.3\n", "row 2: every cell must be a finite number"),
+        ("0.1,0.4\n0.2,inf\n0.3,x\n", "row 2: every cell must be a finite number"),
+        ("0.1,0.4\n0.2\n0.3,inf\n", "row 2 has 1 fields, expected 2"),
+        ("# header\n\n0.1,0.4\n-inf,0.2\n", "row 4: every cell must be a finite number"),
+    ]
+    for rows, message in cases:
+        cfg, _ = _fit_config(tmp_path, rows)
+        assert cli.main(["fit", "--config", cfg]) == cli.EXIT_INPUT
+        assert message in capsys.readouterr().err
+
+
 def _run_python(*args: str) -> subprocess.CompletedProcess:
     """A fresh interpreter that imports this package, so its output holds everything a user would see."""
     src = str(Path(meanfield.__file__).resolve().parents[1])
@@ -109,6 +123,13 @@ def test_cli_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_check_suites():
+    """Only ``meanfield check`` runs the invariant suites, so ``meanfield fit`` does not import them."""
+    proc = _run_python("-c", "import sys, meanfield.cli; print('meanfield.checks' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_extreme_prior_mean_exits_without_traceback(tmp_path):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from meanfield import engine, expfam, models, specfun
-from conftest import make_two_level
+from conftest import make_gmm, make_two_level
 
 _M = 0.3
 
@@ -40,6 +40,21 @@ def test_two_level_fit_iteration(benchmark):
     """One CAVI iteration of a two-level fit at the CLI workload's size (2000 rows): sweep, residual and ELBO."""
     data = make_two_level(seed=0, n=2000)
     model = models.build_two_level(data, seed=0)
+    snap = engine.mu_snapshot(model.plates)
+
+    def iteration():
+        engine.cavi_sweep(model, snap, data)
+        return engine.fixed_point_residual(model, snap, data), engine.elbo(model, snap, data)
+
+    residual, elbo = benchmark(iteration)
+    assert residual == engine.fixed_point_residual(model, dict(snap.plates), data)
+    assert elbo == engine.elbo(model, dict(snap.plates), data)
+
+
+def test_gmm2_fit_iteration(benchmark):
+    """One CAVI iteration of a gmm2 fit at the bench size (N=300): sweep, residual and ELBO on one snapshot."""
+    data, _ = make_gmm(seed=0, n=300)
+    model = models.build_gmm2(data, seed=0)
     snap = engine.mu_snapshot(model.plates)
 
     def iteration():

@@ -180,15 +180,27 @@ def test_gmm_component_with_zero_responsibility_returns_prior():
     assert g == pytest.approx(prior.values, abs=1e-10)
 
 
+def _gmm_snapshot(provider, r: float, weight, gw):
+    """A snapshot of the gmm2 plates: every responsibility r, the weight's and both components' lambdas given."""
+    bernoulli = expfam.FamilyDescriptor(expfam.BERNOULLI)
+    log_odds = np.full((len(provider.plates["z"]), 1), math.log(r / (1.0 - r)))
+    rows = np.stack([gw.values, gw.values])
+    return engine.mu_snapshot(
+        {
+            "z": engine.Plate.make(provider.plates["z"], expfam.NaturalParam(bernoulli, log_odds)),
+            "pi": engine.Plate.make(("pi",), expfam.NaturalParam(weight.family, weight.values[None, :])),
+            "comp": engine.Plate.make(provider.plates["comp"], expfam.NaturalParam(gw.family, rows)),
+        }
+    )
+
+
 def test_gmm_identical_components_reduce_to_two_level():
     data, _ = make_gmm(seed=9, n=6, d=2)
     provider = models.GMMProvider(data)
     gw = expfam.gw_natural(4.0, 2.0, np.array([0.3, -0.2]), np.eye(2))
-    gw_mu = expfam.nat_to_mean(gw).values
-    snap = {"z": np.full((6, 1), 0.4)}
-    snap["pi"] = np.array([[-0.6, -0.9]])
-    snap["comp"] = np.stack([gw_mu, gw_mu])
+    snap = _gmm_snapshot(provider, 0.4, expfam.beta_natural(1.5, 1.2), gw)
     _assert_comp_rows_are_lone_components(provider, snap, data)
+    gw_mu = snap["comp"][0]
     log_p = np.array(
         [models.expected_log_component(gw_mu, data.y[i], 2) for i in range(6)]
     )
@@ -198,6 +210,36 @@ def test_gmm_identical_components_reduce_to_two_level():
         assert provider.coefficient("z", snap, data)[i] == pytest.approx(
             tl.coefficient("z", snap, tl_data)[i], rel=1e-12
         )
+
+
+def test_gmm2_fit_reads_each_component_state_off_the_data_once(monkeypatch):
+    """The indicators' read-off and the ELBO share one pass per component state: 2 passes per sweep, 2 at the start."""
+    calls = []
+    expected = models.expected_log_component
+
+    def counted(*args):
+        calls.append(1)
+        return expected(*args)
+
+    monkeypatch.setattr(models, "expected_log_component", counted)
+    data, _ = make_gmm(seed=2, n=40)
+    trace = engine.fit(models.build_gmm2(data, seed=2), data, tol=1e-300, max_iter=12)
+    assert trace.records[-1].iteration == 12
+    assert len(calls) == 2 * 12 + 2
+
+
+def test_gmm_log_likelihoods_are_kept_per_data_object():
+    """Two data sets read through one snapshot each get their own log-likelihoods; no key compares arrays."""
+    first, _ = make_gmm(seed=3, n=8)
+    second, _ = make_gmm(seed=4, n=8)
+    provider = models.GMMProvider(first)
+    gw = expfam.gw_natural(4.0, 2.0, np.array([0.3, -0.2]), np.eye(2))
+    snap = _gmm_snapshot(provider, 0.3, expfam.beta_natural(2.0, 3.0), gw)
+    for data in (first, second, first, second):
+        fresh = engine.mu_snapshot(snap.plates)
+        assert provider.coefficient("z", snap, data).tolist() == provider.coefficient("z", fresh, data).tolist()
+        assert provider.expected_log_joint(snap, data) == provider.expected_log_joint(fresh, data)
+    assert provider.coefficient("z", snap, first).tolist() != provider.coefficient("z", snap, second).tolist()
 
 
 def test_expected_log_component_point_mass_limit():
