@@ -23,15 +23,16 @@ Python work per plate whatever the number of data.
 A fit's state is one ``Snapshot``, which a provider reads: per plate, the
 plate, its lambda and the expectations the others see, set together after
 each step.  A non-conjugate term reads its natural gradient off the lambda
-directly, as in conjugate-computation VI, instead of solving lambda back
-from mu, and keeps it on the snapshot until that entry is put again.
+directly, as in conjugate-computation VI, not off mu solved back to lambda.
 
 ``fit`` passes its one snapshot to every sweep, fixed-point residual and
 ELBO, which read and update it in place.  Given a plate dict, they build a
 snapshot of it and run the same code, and a sweep writes its steps back
-into the dict.  A plate's coefficient is read off through the snapshot,
-which records the entries the provider touches and memoises the
-coefficient under their versions, bumped by each put: nothing is declared.
+into the dict.  The snapshot's one memo, ``Snapshot.read_off``, records
+the entries a read-off touches and holds its value under their versions,
+bumped by each put: nothing is declared.  A plate's coefficient is such a
+value, as are the read-offs it shares with the ELBO and the values read
+off the data alone.
 As in variational message passing, a coefficient is read off again only
 once a plate in its Markov blanket has moved: the residual's target serves
 the first step of the next CAVI sweep and every step of a parallel one,
@@ -194,23 +195,23 @@ class Snapshot(Mapping):
     NaturalParam, and ``snap.plates`` a read-only view of the plates
     themselves.  ``put`` is the only setter: it sets a plate, its lambda,
     its expectations and its version together, so no expectation is paired
-    with a stale lambda.  A provider keeps a read-off of one entry with
-    ``kept``.  ``coefficient`` memoises a plate's coefficient under the
-    versions of the entries it read through these three (``reads``); a read
-    through ``snap.plates`` is not recorded.
+    with a stale lambda.  ``read_off`` is the one memo: it holds a value
+    until an entry it read through ``snap[...]`` or ``snap.lam(...)`` is
+    put.  ``coefficient`` is a plate's coefficient memoised by it, and
+    ``reads`` the entries that read; a read through ``snap.plates`` is not
+    recorded.
     """
 
-    __slots__ = ("_plates", "plates", "_mus", "_versions", "_read", "_coefficients", "_kept")
+    __slots__ = ("_plates", "plates", "_mus", "_versions", "_read", "_memo")
 
     def __init__(self):
         self._plates: dict[str, Plate | NodeState] = {}
         self.plates = MappingProxyType(self._plates)  # what the entries were set from, read-only
         self._mus: dict[str, np.ndarray] = {}
         self._versions: dict[str, int] = {}  # puts per entry
-        self._read: set[str] = set()  # entries read since the last read-off began
-        # plate -> (provider, data, entries read, their versions, read-only coefficient); see coefficient
-        self._coefficients: dict[str, tuple] = {}
-        self._kept: dict[str, tuple] = {}  # entry -> (key, value); see kept
+        self._read: set[str] = set()  # entries read by the read-off under way
+        # slot -> (owner, data, entries read, their versions, value); see read_off
+        self._memo: dict = {}
 
     def __getitem__(self, name: str) -> np.ndarray:
         mu = self._mus[name]
@@ -234,35 +235,43 @@ class Snapshot(Mapping):
         self._plates[name] = factor
         self._mus[name] = _moments(factor)
         self._versions[name] = self._versions.get(name, 0) + 1
-        self._kept.pop(name, None)
 
-    def kept(self, name: str, key, read_off):
-        """``read_off()``, kept with the entry of ``name`` under ``key`` until that entry is put again."""
-        self._read.add(name)
-        hit = self._kept.get(name)
-        if hit is None or hit[0] != key:
-            hit = self._kept[name] = (key, read_off())
-        return hit[1]
+    def read_off(self, slot, owner, data, fn, *args):
+        """``fn(*args)``, held in ``slot`` until ``owner`` or ``data`` is another object or an entry it read is put.
+
+        Only reads through ``snap[...]`` and ``snap.lam(...)`` count, and
+        they count toward any read-off under way too, whether this one hits
+        or misses.  A value that reads no entry holds for as long as the same
+        owner and data ask for it.  A provider names its own slots apart
+        from its plates, whose slots hold the coefficients.
+        """
+        hit = self._memo.get(slot)
+        if hit and hit[0] is owner and hit[1] is data and list(map(self._versions.__getitem__, hit[2])) == hit[3]:
+            self._read.update(hit[2])
+            return hit[4]
+        outer, self._read = self._read, set()
+        try:
+            value = fn(*args)
+        finally:
+            reads, self._read = tuple(self._read), outer
+        outer.update(reads)
+        self._memo[slot] = (owner, data, reads, list(map(self._versions.__getitem__, reads)), value)
+        return value
 
     def coefficient(self, provider, plate: str, data) -> np.ndarray:
-        """``provider.coefficient(plate, self, data)``, read-only, memoised until an entry it read is put.
-
-        The memo holds for the same provider and data objects only.
-        """
-        version = self._versions.__getitem__
-        hit = self._coefficients.get(plate)
-        if hit and hit[0] is provider and hit[1] is data and list(map(version, hit[2])) == hit[3]:
-            return hit[4]
-        self._read.clear()
-        value = np.asarray(provider.coefficient(plate, self, data), dtype=float).view()
-        value.flags.writeable = False
-        reads = tuple(self._read)
-        self._coefficients[plate] = (provider, data, reads, list(map(version, reads)), value)
-        return value
+        """``provider.coefficient(plate, self, data)``, read-only, memoised by ``read_off`` in slot ``plate``."""
+        return self.read_off(plate, provider, data, _read_only_coefficient, provider, plate, self, data)
 
     def reads(self, plate: str) -> frozenset[str]:
         """The entries the memoised coefficient of ``plate`` read: its Markov blanket as observed."""
-        return frozenset(self._coefficients[plate][2])
+        return frozenset(self._memo[plate][2])
+
+
+def _read_only_coefficient(provider, plate: str, snap: Snapshot, data) -> np.ndarray:
+    """A view of the provider's coefficient as floats that cannot be written through."""
+    value = np.asarray(provider.coefficient(plate, snap, data), dtype=float).view()
+    value.flags.writeable = False
+    return value
 
 
 class CoefficientProvider(ABC):

@@ -267,16 +267,12 @@ def _weight_coefficient(a: float, b: float, mus) -> np.ndarray:
     return np.array([[a - 1.0 + s, r.size + b - 1.0 - s]])
 
 
-@functools.lru_cache(maxsize=64)
-def _prior_log_beta(a: float, b: float) -> float:
-    """log B(a, b) of a fixed prior's exponents, computed once per pair, not once per ELBO."""
-    return betaln(a, b)
-
-
-def _weight_log_prior(a: float, b: float, mus) -> float:
-    """E_q[log Beta(pi | a, b)] = (a - 1) E[log pi] + (b - 1) E[log(1 - pi)] - log B(a, b)."""
+def _weight_log_prior(mus, data) -> float:
+    """E_q[log Beta(pi | a, b)] = (a - 1) E[log pi] + (b - 1) E[log(1 - pi)] - log B(a, b), (a, b) = (alpha0, beta0)."""
+    a, b = data.alpha0, data.beta0
     mu0 = mus["pi"][0]
-    return float((a - 1.0) * mu0[0] + (b - 1.0) * mu0[1] - _prior_log_beta(a, b))
+    log_norm = mus.read_off("log B(alpha0, beta0)", None, data, betaln, a, b)
+    return float((a - 1.0) * mu0[0] + (b - 1.0) * mu0[1] - log_norm)
 
 
 def _indicator_log_joint(mus, log_a, log_b) -> float:
@@ -336,7 +332,7 @@ class TwoLevelProvider(CoefficientProvider):
         return _indicator_coefficient(mus, data.log_pa, data.log_pb)
 
     def expected_log_joint(self, mus, data: TwoLevelMixtureData):
-        total = _weight_log_prior(data.alpha0, data.beta0, mus)
+        total = _weight_log_prior(mus, data)
         return float(total + _indicator_log_joint(mus, data.log_pa, data.log_pb))
 
     def base_measure_grad(self, plate):
@@ -372,54 +368,43 @@ def expected_log_component(mu_gw: np.ndarray, y: np.ndarray, d: int):
     return 0.5 * mu1 - 0.5 * ((y @ e_s) * y).sum(-1) + y @ e_sm - 0.5 * mu4 - 0.5 * d * LOG_2PI
 
 
-class _Same:
-    """A ``Snapshot.kept`` key equal only to a key of the same object.
+def _gw_prior(data: GMMData):
+    """The components' Gaussian-Wishart prior: its natural parameter, and its log-normalizer plus Gaussian constants."""
+    d = data.dim
+    log_b = (
+        -0.5 * data.nu0 * float(np.linalg.slogdet(data.w0)[1])
+        - 0.5 * data.nu0 * d * math.log(2.0)
+        - 0.25 * d * (d - 1) * math.log(math.pi)
+        - sum(gammaln(0.5 * (data.nu0 + 1 - k)) for k in range(1, d + 1))
+    )
+    const = 0.5 * d * math.log(data.gamma0) - 0.5 * d * LOG_2PI + log_b
+    return gw_natural(data.nu0, data.gamma0, np.zeros(d), data.w0).values, const
 
-    Data containers hold arrays, so comparing two of them by value would
-    compare arrays elementwise; a key compares them by identity instead.
-    """
 
-    __slots__ = ("obj",)
-    __hash__ = None
-
-    def __init__(self, obj):
-        self.obj = obj
-
-    def __eq__(self, other):
-        return isinstance(other, _Same) and other.obj is self.obj
+def _component_log_liks(mus, data: GMMData):
+    """Each datum's expected log-likelihood under components comp_a and comp_b."""
+    comp = mus["comp"]
+    return expected_log_component(comp[0], data.y, data.dim), expected_log_component(comp[1], data.y, data.dim)
 
 
 class GMMProvider(CoefficientProvider):
-    """Bernoulli responsibilities, a Beta weight, and a plate of two Gaussian-Wishart components."""
+    """Bernoulli responsibilities, a Beta weight, and a plate of two Gaussian-Wishart components.
+
+    What is read off the data alone, the products y y^T and the prior, is
+    memoised on the snapshot for the data object it is read for; the
+    provider holds only its plates, so it serves any data of their size.
+    """
 
     def __init__(self, data: GMMData):
-        self.d = data.dim
         self.plates = {"z": _z_ids(data.n), "pi": ("pi",), "comp": ("comp_a", "comp_b")}
-        # The conjugate prior's term in a component's coefficient is its natural parameter.
-        self._prior = gw_natural(data.nu0, data.gamma0, np.zeros(self.d), data.w0).values
-        self._yy = np.einsum("ni,nj->nij", data.y, data.y)
-        # Wishart prior log-normalizer, plus the Gaussian layer's constants.
-        d = self.d
-        log_b = (
-            -0.5 * data.nu0 * float(np.linalg.slogdet(data.w0)[1])
-            - 0.5 * data.nu0 * d * math.log(2.0)
-            - 0.25 * d * (d - 1) * math.log(math.pi)
-            - sum(gammaln(0.5 * (data.nu0 + 1 - k)) for k in range(1, d + 1))
-        )
-        self._prior_const = 0.5 * d * math.log(data.gamma0) - 0.5 * d * LOG_2PI + log_b
 
     def _log_liks(self, mus, data: GMMData):
-        """Each datum's expected log-likelihood under each component, kept on the snapshot with "comp".
+        """Each datum's expected log-likelihood under each component, memoised on the snapshot until "comp" is put.
 
         The indicators' read-off and the ELBO at one component state share
         one pass over the data.
         """
-
-        def read_off():
-            comp = mus["comp"]
-            return expected_log_component(comp[0], data.y, self.d), expected_log_component(comp[1], data.y, self.d)
-
-        return mus.kept("comp", _Same(data), read_off)
+        return mus.read_off("comp log-likelihoods", self, data, _component_log_liks, mus, data)
 
     def coefficient(self, plate, mus, data: GMMData):
         if plate == "pi":
@@ -428,16 +413,20 @@ class GMMProvider(CoefficientProvider):
             r = mus["z"][:, 0]
             w = np.stack([r, 1.0 - r])
             s = w.sum(axis=1)[:, None]
-            yy = -0.5 * np.einsum("kn,nij->kij", w, self._yy).reshape(2, -1)
+            y_outer = mus.read_off("y y^T", self, data, np.einsum, "ni,nj->nij", data.y, data.y)
+            yy = -0.5 * np.einsum("kn,nij->kij", w, y_outer).reshape(2, -1)
             wy = (w[:, None, :] @ data.y)[:, 0]  # one vector-matrix product per row, as for a lone row
-            return self._prior + np.concatenate([0.5 * s, yy, wy, -0.5 * s], axis=1)
+            # the conjugate prior's term in a component's coefficient is its natural parameter
+            prior = mus.read_off("comp prior", self, data, _gw_prior, data)[0]
+            return prior + np.concatenate([0.5 * s, yy, wy, -0.5 * s], axis=1)
         return _indicator_coefficient(mus, *self._log_liks(mus, data))
 
     def expected_log_joint(self, mus, data: GMMData):
-        total = _weight_log_prior(data.alpha0, data.beta0, mus)
+        total = _weight_log_prior(mus, data)
         total += _indicator_log_joint(mus, *self._log_liks(mus, data))
+        prior, prior_const = mus.read_off("comp prior", self, data, _gw_prior, data)
         for mu in mus["comp"]:
-            total += float(self._prior @ mu) + self._prior_const
+            total += float(prior @ mu) + prior_const
         return float(total)
 
 
@@ -475,16 +464,13 @@ class MatrixFactorizationProvider(CoefficientProvider):
     """
 
     def __init__(self, data: MatrixFactorizationData):
-        self.n = data.n
-        self.d = data.d
-        self.k = data.k
         self.plates = {
-            "u": tuple(f"u{i}" for i in range(self.n)),
-            "v": tuple(f"v{j}" for j in range(self.d)),
+            "u": tuple(f"u{i}" for i in range(data.n)),
+            "v": tuple(f"v{j}" for j in range(data.d)),
         }
 
     def coefficient(self, plate, mus, data: MatrixFactorizationData):
-        k = self.k
+        k = data.k
         if plate == "u":
             other, weights, delta = mus["v"], data.y, data.delta_u
         else:
@@ -495,17 +481,17 @@ class MatrixFactorizationProvider(CoefficientProvider):
         return np.concatenate([weights @ m1, quad], axis=1)
 
     def expected_log_joint(self, mus, data: MatrixFactorizationData):
-        k = self.k
+        k = data.k
         u1, u2 = _split_gauss(mus["u"], k)
         v1, v2 = _split_gauss(mus["v"], k)
         total = -0.5 * float(np.sum(data.y * data.y))
         total += float(np.sum(data.y * (u1 @ v1.T)))
         total -= 0.5 * float(np.einsum("nab,dab->", u2, v2))
-        total -= 0.5 * self.n * self.d * LOG_2PI
+        total -= 0.5 * data.n * data.d * LOG_2PI
         total -= 0.5 * data.delta_u * float(np.trace(u2.sum(axis=0)))
         total -= 0.5 * data.delta_v * float(np.trace(v2.sum(axis=0)))
-        total += 0.5 * self.n * k * (math.log(data.delta_u) - LOG_2PI)
-        total += 0.5 * self.d * k * (math.log(data.delta_v) - LOG_2PI)
+        total += 0.5 * data.n * k * (math.log(data.delta_u) - LOG_2PI)
+        total += 0.5 * data.d * k * (math.log(data.delta_v) - LOG_2PI)
         return total
 
 
@@ -697,9 +683,9 @@ class LogitNormalProvider(CoefficientProvider):
     (``beta_natural_gradient``).
 
     The weight read-off (the natural gradient and E_q[f]) is taken at the
-    Beta natural parameters the snapshot carries for "pi" and kept on the
-    snapshot with that entry, keyed by what f depends on: the step, the
-    fixed-point residual and the ELBO at one weight state share one
+    Beta natural parameters the snapshot carries for "pi" and memoised on
+    the snapshot for this provider and data until "pi" is put: the step,
+    the fixed-point residual and the ELBO at one weight state share one
     read-off.  The provider holds no state of its own.
     """
 
@@ -713,10 +699,12 @@ class LogitNormalProvider(CoefficientProvider):
             return logit_normal_natural_gradient(lam, data.m)
         return beta_natural_gradient(lam, self.log_prior_core)
 
+    def _weight_at_pi(self, mus, data: LogitNormalMixtureData):
+        return self._read_off(expfam.row_view(mus.lam("pi"), 0), data)
+
     def _weight_read_off(self, mus, data: LogitNormalMixtureData):
-        """((alpha_hat, beta_hat), E_q[f]) at the lambda of "pi", kept on the snapshot with that entry."""
-        depends_on = data.m if self.log_prior_core is None else self.log_prior_core
-        return mus.kept("pi", depends_on, lambda: self._read_off(expfam.row_view(mus.lam("pi"), 0), data))
+        """((alpha_hat, beta_hat), E_q[f]) at the lambda of "pi", memoised on the snapshot until "pi" is put."""
+        return mus.read_off("pi read-off", self, data, self._weight_at_pi, mus, data)
 
     def pseudo_prior(self, lam: NaturalParam, data: LogitNormalMixtureData) -> np.ndarray:
         """(alpha_hat, beta_hat): natural gradient of the non-conjugate term at the weight's lambda."""

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meanfield import checks, engine, expfam, models, oracle
 from conftest import large_mean_gaussians, make_gmm, make_two_level
@@ -425,24 +427,93 @@ def test_fit_reads_a_target_off_again_only_after_a_plate_it_reads_moved(monkeypa
         assert calls == {"coefficient": len(model.plates) + k * per_iter, "mu_snapshot": 1}
 
 
+_READS = [
+    (_simple, {"z": set()}),
+    (_two_level, {"z": {"pi"}, "pi": {"z"}}),
+    (_gmm2, {"z": {"pi", "comp"}, "pi": {"z"}, "comp": {"z"}}),
+    (_matfac_ppca, {"u": {"v"}, "v": {"u"}}),
+    (_logitnormal, {"z": {"pi"}, "pi": {"z", "pi"}}),
+]
+_READS_IDS = ["simple", "two_level", "gmm2", "matfac_ppca", "logitnormal"]
+
+
 @pytest.mark.parametrize(
-    "build, reads",
-    [
-        (_simple, {"z": set()}),
-        (_two_level, {"z": {"pi"}, "pi": {"z"}}),
-        (_gmm2, {"z": {"pi", "comp"}, "pi": {"z"}, "comp": {"z"}}),
-        (_matfac_ppca, {"u": {"v"}, "v": {"u"}}),
-        (_logitnormal, {"z": {"pi"}, "pi": {"z", "pi"}}),
-    ],
-    ids=["simple", "two_level", "gmm2", "matfac_ppca", "logitnormal"],
+    "build, reads, elbo_first",
+    [(*case, False) for case in _READS] + [(*case, True) for case in _READS],
+    ids=_READS_IDS + [f"{name}_elbo_first" for name in _READS_IDS],
 )
-def test_a_snapshot_records_the_entries_each_coefficient_reads(build, reads):
-    """A plate's recorded reads are its Markov blanket; the non-conjugate weight reads itself."""
+def test_a_snapshot_records_the_entries_each_coefficient_reads(build, reads, elbo_first):
+    """A plate's recorded reads are its Markov blanket; the non-conjugate weight reads itself.
+
+    A read-off the coefficient shares with the ELBO adds its reads to the
+    coefficient's, also when the ELBO read it off first.
+    """
     model, data = build()
     snap = engine.mu_snapshot(model.plates)
+    if elbo_first:
+        model.provider.expected_log_joint(snap, data)
     for plate in model.plates:
         snap.coefficient(model.provider, plate, data)
     assert {plate: set(snap.reads(plate)) for plate in model.plates} == reads
+
+
+def test_a_comp_put_makes_the_indicators_read_the_data_again(monkeypatch):
+    """gmm2's log-likelihoods, read off by the ELBO, serve the indicators until "comp" is put."""
+    calls = []
+    expected = models.expected_log_component
+
+    def counted(*args):
+        calls.append(1)
+        return expected(*args)
+
+    monkeypatch.setattr(models, "expected_log_component", counted)
+    model, data = _gmm2()
+    snap = engine.mu_snapshot(model.plates)
+    model.provider.expected_log_joint(snap, data)
+    snap.coefficient(model.provider, "z", data)
+    assert len(calls) == 2
+    snap.put("pi", snap.plates["pi"])
+    snap.coefficient(model.provider, "z", data)
+    assert len(calls) == 2
+    snap.put("comp", snap.plates["comp"])
+    snap.coefficient(model.provider, "z", data)
+    assert len(calls) == 4
+
+
+_INSTANCES = checks._model_instances(0)
+
+
+@pytest.mark.parametrize("case", range(len(_INSTANCES)), ids=[name for name, _, _ in _INSTANCES])
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(puts=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2**32 - 1), st.booleans()), min_size=1, max_size=6))
+def test_a_live_snapshot_reads_as_a_fresh_one_after_any_puts(case, puts):
+    """After each put of random valid rows into one plate, every memoised read-off equals a fresh snapshot's.
+
+    ``check multilinearity`` builds a new snapshot per case, so it cannot
+    see a memo that outlives the entries it read; this can.
+    """
+    _, model, data = _INSTANCES[case]
+    names = list(model.plates)
+    snap = engine.mu_snapshot(model.plates)
+
+    def assert_fresh(elbo_first: bool):
+        fresh = engine.mu_snapshot(snap.plates)
+        if elbo_first:
+            assert model.provider.expected_log_joint(snap, data) == model.provider.expected_log_joint(fresh, data)
+        for name in names:
+            assert np.array_equal(
+                snap.coefficient(model.provider, name, data), fresh.coefficient(model.provider, name, data)
+            )
+        assert model.provider.expected_log_joint(snap, data) == model.provider.expected_log_joint(fresh, data)
+        assert engine.fixed_point_residual(model, snap, data) == engine.fixed_point_residual(model, fresh, data)
+
+    assert_fresh(False)
+    for pick, seed, elbo_first in puts:
+        name = names[pick % len(names)]
+        fam, rng = snap.plates[name].family, np.random.default_rng(seed)
+        rows = [checks._random_natural(rng, fam.kind, fam.dim).values for _ in snap.plates[name].ids]
+        snap.put(name, snap.plates[name].with_lambda(expfam.NaturalParam(fam, np.stack(rows))))
+        assert_fresh(elbo_first)
 
 
 def test_a_snapshot_argument_changes_no_result(two_level_data):

@@ -129,20 +129,22 @@ def test_two_level_marginals_approach_enumeration(two_level_data):
 # ---------------------------------------------------------------------------
 
 
-def _lone_component_coefficient(provider, w, data):
-    """The coefficient of one component whose data weights are w, read off on its own."""
+def _lone_component_coefficient(w, data):
+    """The coefficient of one component whose data weights are w, read off on its own from the data."""
     s = float(w.sum())
-    yy = -0.5 * np.einsum("n,nij->ij", w, provider._yy).reshape(-1)
-    return provider._prior + np.concatenate([[0.5 * s], yy, w @ data.y, [-0.5 * s]])
+    yy = -0.5 * np.einsum("n,nij->ij", w, np.einsum("ni,nj->nij", data.y, data.y)).reshape(-1)
+    prior = expfam.gw_natural(data.nu0, data.gamma0, np.zeros(data.dim), data.w0).values
+    return prior + np.concatenate([[0.5 * s], yy, w @ data.y, [-0.5 * s]])
 
 
 def _assert_comp_rows_are_lone_components(provider, snap, data):
     """Row 0 of plate "comp" weighs the data by r and row 1 by 1 - r, each bitwise as a lone component."""
     g = provider.coefficient("comp", snap, data)
     r = snap["z"][:, 0]
-    assert g.shape == (2, provider._prior.size)
-    assert np.array_equal(g[0], _lone_component_coefficient(provider, r, data))
-    assert np.array_equal(g[1], _lone_component_coefficient(provider, 1.0 - r, data))
+    lone_a, lone_b = _lone_component_coefficient(r, data), _lone_component_coefficient(1.0 - r, data)
+    assert g.shape == (2, lone_a.size)
+    assert np.array_equal(g[0], lone_a)
+    assert np.array_equal(g[1], lone_b)
     return g
 
 
@@ -152,12 +154,9 @@ def test_gmm_component_coefficient_hand_arithmetic():
     y = np.array([[1.0], [3.0]])
     data = models.GMMData(y, 1.0, 1.0, 1.0, 1.0, np.eye(1))
     provider = models.GMMProvider(data)
-    gw_mu = expfam.nat_to_mean(expfam.gw_natural(1.0, 1.0, np.zeros(1), np.eye(1))).values
-    snap = {
-        "z": np.array([[1.0], [1.0]]),
-        "pi": np.array([[-1.0, -1.0]]),
-        "comp": np.stack([gw_mu, gw_mu]),
-    }
+    gw = expfam.gw_natural(1.0, 1.0, np.zeros(1), np.eye(1))
+    snap = _gmm_snapshot(provider, 40.0, expfam.beta_natural(1.0, 1.0), gw)
+    assert snap["z"][:, 0] == pytest.approx([1.0, 1.0], abs=1e-15)
     g = _assert_comp_rows_are_lone_components(provider, snap, data)[0]
     lam = expfam.NaturalParam(expfam.FamilyDescriptor(expfam.GAUSSIAN_WISHART, dim=1), g)
     nu, gamma, m, w = expfam.gw_params(lam)
@@ -172,22 +171,20 @@ def test_gmm_component_with_zero_responsibility_returns_prior():
     data = models.GMMData(y, 1.0, 1.0, 0.7, 3.5, 2.0 * np.eye(2))
     provider = models.GMMProvider(data)
     prior = expfam.gw_natural(data.nu0, data.gamma0, np.zeros(2), data.w0)
-    snap = {"z": np.full((3, 1), 0.0 + 1e-300)}
-    snap["pi"] = np.array([[-1.0, -1.0]])
-    gw_mu = expfam.nat_to_mean(prior).values[None, :]
-    snap["comp"] = np.concatenate([gw_mu, gw_mu])
+    snap = _gmm_snapshot(provider, -700.0, expfam.beta_natural(1.0, 1.0), prior)
+    assert snap["z"].tolist() == [[0.0 + 1e-300]] * 3
     g = _assert_comp_rows_are_lone_components(provider, snap, data)[0]
     assert g == pytest.approx(prior.values, abs=1e-10)
 
 
-def _gmm_snapshot(provider, r: float, weight, gw):
-    """A snapshot of the gmm2 plates: every responsibility r, the weight's and both components' lambdas given."""
+def _gmm_snapshot(provider, log_odds: float, weight, gw):
+    """A snapshot of the gmm2 plates: every indicator at log_odds, the weight's and both components' lambdas given."""
     bernoulli = expfam.FamilyDescriptor(expfam.BERNOULLI)
-    log_odds = np.full((len(provider.plates["z"]), 1), math.log(r / (1.0 - r)))
+    z = np.full((len(provider.plates["z"]), 1), log_odds)
     rows = np.stack([gw.values, gw.values])
     return engine.mu_snapshot(
         {
-            "z": engine.Plate.make(provider.plates["z"], expfam.NaturalParam(bernoulli, log_odds)),
+            "z": engine.Plate.make(provider.plates["z"], expfam.NaturalParam(bernoulli, z)),
             "pi": engine.Plate.make(("pi",), expfam.NaturalParam(weight.family, weight.values[None, :])),
             "comp": engine.Plate.make(provider.plates["comp"], expfam.NaturalParam(gw.family, rows)),
         }
@@ -198,7 +195,7 @@ def test_gmm_identical_components_reduce_to_two_level():
     data, _ = make_gmm(seed=9, n=6, d=2)
     provider = models.GMMProvider(data)
     gw = expfam.gw_natural(4.0, 2.0, np.array([0.3, -0.2]), np.eye(2))
-    snap = _gmm_snapshot(provider, 0.4, expfam.beta_natural(1.5, 1.2), gw)
+    snap = _gmm_snapshot(provider, math.log(0.4 / (1.0 - 0.4)), expfam.beta_natural(1.5, 1.2), gw)
     _assert_comp_rows_are_lone_components(provider, snap, data)
     gw_mu = snap["comp"][0]
     log_p = np.array(
@@ -234,12 +231,29 @@ def test_gmm_log_likelihoods_are_kept_per_data_object():
     second, _ = make_gmm(seed=4, n=8)
     provider = models.GMMProvider(first)
     gw = expfam.gw_natural(4.0, 2.0, np.array([0.3, -0.2]), np.eye(2))
-    snap = _gmm_snapshot(provider, 0.3, expfam.beta_natural(2.0, 3.0), gw)
+    snap = _gmm_snapshot(provider, math.log(0.3 / (1.0 - 0.3)), expfam.beta_natural(2.0, 3.0), gw)
     for data in (first, second, first, second):
         fresh = engine.mu_snapshot(snap.plates)
         assert provider.coefficient("z", snap, data).tolist() == provider.coefficient("z", fresh, data).tolist()
         assert provider.expected_log_joint(snap, data) == provider.expected_log_joint(fresh, data)
     assert provider.coefficient("z", snap, first).tolist() != provider.coefficient("z", snap, second).tolist()
+
+
+def test_a_gmm2_provider_reads_the_data_it_is_given():
+    """A provider built from one data set fits another of its size exactly as that set's own provider does."""
+    y = np.random.default_rng(11).normal(size=(8, 2))
+    a = models.GMMData(y, 1.0, 1.0, 1.0, 3.0, np.eye(2))
+    b = models.GMMData(y + 3.0, 2.0, 1.5, 0.5, 4.0, 2.0 * np.eye(2))
+    own = models.build_gmm2(b, seed=1)
+    borrowed = engine.ModelSpec(own.factors, models.build_gmm2(a, seed=1).provider, own.sweep_order)
+    comp = engine.mu_snapshot(own.plates).coefficient(own.provider, "comp", b)
+    assert np.array_equal(engine.mu_snapshot(own.plates).coefficient(borrowed.provider, "comp", b), comp)
+    want = engine.fit(own, b, tol=1e-10, max_iter=300)
+    got = engine.fit(borrowed, b, tol=1e-10, max_iter=300)
+    assert want.converged
+    assert got.elbos.tolist() == want.elbos.tolist() and got.residuals.tolist() == want.residuals.tolist()
+    for name, plate in want.plates.items():
+        assert np.array_equal(got.plates[name].lam.values, plate.lam.values)
 
 
 def test_expected_log_component_point_mass_limit():
