@@ -5,12 +5,12 @@ A model supplies a coefficient provider that, given a snapshot of all
 expectation parameters, returns the vector multiplying each node's
 expectations inside the expected log-joint.  The damped update
 
-    lam_i <- (1 - rho_i) lam_i + rho_i * g_i
+    lam_i <- (1 - rho_i) lam_i + rho_i * g_i,  g_i = coefficient_i - grad_mu E_q[log h_i],
 
-drives every node toward the stationary point where lam_i equals its
-coefficient.  rho = 1 coordinate-wise gives CAVI/VMP; a decaying global
-rate gives SVI; rho < 1 on a frozen snapshot gives the parallel damped
-scheme.
+drives every node toward the stationary point where lam_i equals g_i; the
+base measure h_i is the node's family's (``expfam.base_measure_grad``).
+rho = 1 coordinate-wise gives CAVI/VMP; a decaying global rate gives SVI;
+rho < 1 on a frozen snapshot gives the parallel damped scheme.
 
 State is held in plates.  A plate is a group of node ids of one family,
 role and delta mode whose rows do not read each other's expectations, so
@@ -186,12 +186,12 @@ class NodeView(Mapping):
         return sum(len(p.ids) for p in self.plates.values())
 
 
-class Snapshot(Mapping):
+class Snapshot:
     """The state of a fit: each plate, the expectations it shows the others, and what is read off them.
 
-    ``snap[name]`` is plate ``name``'s (G, flat) expectation array,
-    delta-substituted where flagged, so a provider indexes a snapshot as it
-    would a dict.  ``snap.lam(name)`` is the plate's row-stacked
+    A snapshot is indexed by plate name: ``snap[name]`` is plate ``name``'s
+    (G, flat) expectation array, delta-substituted where flagged.
+    ``snap.lam(name)`` is the plate's row-stacked
     NaturalParam, and ``snap.plates`` a read-only view of the plates
     themselves.  ``put`` is the only setter: it sets a plate, its lambda,
     its expectations and its version together, so no expectation is paired
@@ -217,12 +217,6 @@ class Snapshot(Mapping):
         mu = self._mus[name]
         self._read.add(name)
         return mu
-
-    def __iter__(self):
-        return iter(self._mus)
-
-    def __len__(self) -> int:
-        return len(self._mus)
 
     def lam(self, name: str) -> NaturalParam:
         """The natural parameters of plate ``name``, one row per node."""
@@ -277,9 +271,9 @@ def _read_only_coefficient(provider, plate: str, snap: Snapshot, data) -> np.nda
 class CoefficientProvider(ABC):
     """Per-model read-off of the vector multiplying each node's expectations.
 
-    ``plates`` maps each plate name to its node ids in row order.  Snapshots
-    map plate names to (G, flat) expectation arrays and carry each plate's
-    lambda (see ``Snapshot``).
+    ``plates`` maps each plate name to its node ids in row order.  A snapshot
+    is indexed by plate name (see ``Snapshot``).  The base measure is the
+    plate's family's, which the engine subtracts (see ``_target``).
     """
 
     plates: dict[str, tuple[str, ...]]
@@ -291,10 +285,6 @@ class CoefficientProvider(ABC):
     @abstractmethod
     def expected_log_joint(self, mus: Snapshot, data) -> float:
         """E_q[log p(y, z)] including all additive constants."""
-
-    def base_measure_grad(self, plate: str):
-        """Gradient of E_q[log h] for plates with a nonconstant base measure."""
-        return None
 
 
 def _group(layout: dict[str, tuple[str, ...]], factors) -> dict[str, Plate]:
@@ -476,13 +466,14 @@ def blr_step(node, target: np.ndarray, rho):
 
 
 def _target(model: ModelSpec, plate: str, snap: Snapshot, data) -> np.ndarray:
-    """Where a full step lands each row of a plate: its coefficient minus the base-measure gradient.
+    """Where a full step lands each row of a plate: lambda = coefficient - grad_mu E_q[log h].
 
-    The coefficient is the snapshot's memoised, read-only read-off (see ``Snapshot.coefficient``).
+    The coefficient is the snapshot's memoised, read-only read-off (see
+    ``Snapshot.coefficient``), and h the plate's family's base measure.
     """
     coefficient = snap.coefficient(model.provider, plate, data)
-    base = model.provider.base_measure_grad(plate)
-    return coefficient if base is None else coefficient - np.asarray(base, dtype=float)
+    base = expfam.base_measure_grad(snap.plates[plate].family)
+    return coefficient if base is None else coefficient - base
 
 
 def _check_target(node, goal: np.ndarray) -> None:

@@ -58,6 +58,7 @@ __all__ = [
     "mean_to_nat",
     "log_partition",
     "entropy",
+    "base_measure_grad",
     "kl_divergence",
     "bernoulli_natural",
     "beta_natural",
@@ -134,6 +135,15 @@ class FamilyDescriptor:
         if self.kind == GAUSSIAN:
             return d + d * d
         return 2 + d + d * d  # gaussian_wishart
+
+
+_RECIPROCAL_BETA_GRAD = np.array([-1.0, -1.0])  # log h = -log z - log(1-z)
+_RECIPROCAL_BETA_GRAD.flags.writeable = False
+
+
+def base_measure_grad(family: FamilyDescriptor):
+    """grad_mu E_q[log h], read-only, so E_q[log h] = mu . grad; None where h is constant."""
+    return _RECIPROCAL_BETA_GRAD if family.base_measure == "reciprocal" else None
 
 
 def _check_rows(ok: np.ndarray, message) -> None:
@@ -516,9 +526,7 @@ def mean_to_nat(mu: ExpectationParam) -> NaturalParam:
         return NaturalParam(fam, np.array([math.log(p / (1.0 - p))]))
     if kind == BETA:
         a, b = _invert_beta_moments(float(mu.values[0]), float(mu.values[1]))
-        if fam.base_measure == "reciprocal":
-            return NaturalParam(fam, np.array([a, b]))
-        return NaturalParam(fam, np.array([a - 1.0, b - 1.0]))
+        return beta_natural(a, b, fam.base_measure)
     if kind == GAUSSIAN:
         d = fam.dim
         m = mu.values[:d]
@@ -714,8 +722,9 @@ def entropy(lam: NaturalParam, mu: ExpectationParam | None = None):
     else:
         a = log_partition(lam)
     out = a - np.sum(lam.values * mu.values, axis=-1)
-    if lam.family.base_measure == "reciprocal":
-        out = out - (-mu.values[..., 0] - mu.values[..., 1])  # minus E[log h]
+    grad = base_measure_grad(lam.family)
+    if grad is not None:
+        out = out - mu.values @ grad  # minus E_q[log h]
     return float(out) if lam.values.ndim == 1 else out
 
 

@@ -317,13 +317,11 @@ def build_simple_mixture(data: SimpleMixtureData, seed: int = 0) -> ModelSpec:
 class TwoLevelProvider(CoefficientProvider):
     """Bernoulli locals plus one Beta global.
 
-    With ``shifted_beta`` the global node uses the reciprocal-base-measure
-    representation of the Beta family; the coefficient is unchanged and the
-    base-measure correction accounts for the (1, 1) shift.
+    The coefficient does not depend on the weight plate's base measure,
+    which the engine takes from the plate's Beta family.
     """
 
-    def __init__(self, n: int, shifted_beta: bool = False):
-        self.shifted_beta = shifted_beta
+    def __init__(self, n: int):
         self.plates = {"z": _z_ids(n), "pi": ("pi",)}
 
     def coefficient(self, plate, mus, data: TwoLevelMixtureData):
@@ -335,17 +333,13 @@ class TwoLevelProvider(CoefficientProvider):
         total = _weight_log_prior(mus, data)
         return float(total + _indicator_log_joint(mus, data.log_pa, data.log_pb))
 
-    def base_measure_grad(self, plate):
-        if self.shifted_beta and plate == "pi":
-            return np.array([[-1.0, -1.0]])
-        return None
-
 
 
 def build_two_level(
     data: TwoLevelMixtureData, seed: int = 0, shifted_beta: bool = False
 ) -> ModelSpec:
-    provider = TwoLevelProvider(data.n, shifted_beta)
+    """``shifted_beta`` picks the weight plate's Beta family, h(z) = 1/(z(1-z)), and nothing else."""
+    provider = TwoLevelProvider(data.n)
     base = "reciprocal" if shifted_beta else "constant"
     plates = (
         _indicator_plate(provider.plates["z"], np.random.default_rng(seed)),
@@ -686,7 +680,8 @@ class LogitNormalProvider(CoefficientProvider):
     Beta natural parameters the snapshot carries for "pi" and memoised on
     the snapshot for this provider and data until "pi" is put: the step,
     the fixed-point residual and the ELBO at one weight state share one
-    read-off.  The provider holds no state of its own.
+    read-off.  Besides its plates the provider holds only the model's
+    ``log_prior_core``; a fit sets nothing on it.
     """
 
     def __init__(self, n: int, log_prior_core=None):

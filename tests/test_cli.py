@@ -1,12 +1,19 @@
 """The batch front end: config parsing, CSV loading, trace output, exit codes."""
 
+import contextlib
+import io
+import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import meanfield
 from meanfield import cli
@@ -334,3 +341,129 @@ def test_logitnormal_huge_m_rejected_without_warning(tmp_path):
     assert proc.stderr.startswith("error: m is too large")
     assert "Warning" not in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# property: any input ends in one exit code, one error line or a trace
+# ---------------------------------------------------------------------------
+
+
+def _fit_in_process(config: dict, csv_text: str):
+    """``meanfield fit`` on a config and CSV in a fresh directory: (exit code, stdout, stderr, trace or None).
+
+    Every warning is an error, so a warning escapes as an exception.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        data, out, cfg = (os.path.join(tmp, name) for name in ("data.csv", "trace.txt", "run.cfg"))
+        with open(data, "w") as fh:
+            fh.write(csv_text)
+        with open(cfg, "w") as fh:
+            fh.write("".join(f"{k}={v}\n" for k, v in {**config, "data_path": data, "output_path": out}.items()))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["fit", "--config", cfg])
+        trace = open(out).read() if os.path.exists(out) else None
+    return code, stdout.getvalue(), stderr.getvalue(), trace
+
+
+# a cell in +-50, or now and then an outlier of magnitude 1 to 1e150
+_CELL = st.tuples(st.integers(0, 15), st.floats(-50.0, 50.0), st.floats(0.0, 150.0)).map(
+    lambda t: t[1] if t[0] else math.copysign(10.0 ** t[2], t[1])
+)
+_POSITIVE = st.floats(0.1, 50.0)
+
+
+@st.composite
+def _valid_runs(draw):
+    """An in-domain config for one of the seven models, max_iter <= 60, and a CSV of the model's shape."""
+    model = draw(st.sampled_from(cli._MODELS))
+    config = {
+        "model": model,
+        "schedule": draw(st.sampled_from(["cavi", "parallel"] + (["svi"] if model in ("two_level", "logitnormal") else []))),
+        "rho": draw(st.floats(0.05, 1.0)),
+        "kappa": draw(st.floats(0.51, 1.0)),
+        "tau": draw(st.floats(1.0, 10.0)),
+        "tol": 10.0 ** draw(st.floats(-12.0, -2.0)),
+        "max_iter": draw(st.integers(0, 60)),
+        "seed": draw(st.integers(0, 1000)),
+    }
+    if model == "simple_mixture":
+        rows = [[draw(st.floats(0.01, 0.99)), draw(st.floats(1e-3, 50.0)), draw(st.floats(1e-3, 50.0))]]
+    else:
+        width = 2 if model in ("two_level", "logitnormal") else draw(st.integers(1, 3 if model == "gmm2" else 5))
+        rows = draw(st.lists(st.lists(_CELL, min_size=width, max_size=width), min_size=2, max_size=12))
+    keys = {
+        "simple_mixture": {},
+        "two_level": {"alpha0": _POSITIVE, "beta0": _POSITIVE},
+        "gmm2": {
+            "alpha0": _POSITIVE,
+            "beta0": _POSITIVE,
+            "gamma0": _POSITIVE,
+            "nu0": st.floats(len(rows[0]) - 0.9, len(rows[0]) + 20.0),
+            "w0_scale": st.floats(0.1, 10.0),
+        },
+        "logitnormal": {"m": st.floats(-50.0, 50.0)},
+    }.get(model, {"k": st.integers(1, 4), "delta_u": st.floats(0.1, 10.0), "delta_v": st.floats(0.1, 10.0)})
+    for key, values in keys.items():
+        if draw(st.booleans()):
+            config[key] = draw(values)
+    return {k: repr(v) if isinstance(v, float) else v for k, v in config.items()}, rows
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(run=_valid_runs())
+def test_an_in_domain_fit_exits_with_a_trace_or_one_error_line(run):
+    """Exit 0 or 2 prints nothing and writes the trace; exit 1 prints one error line and writes none."""
+    config, rows = run
+    code, stdout, stderr, trace = _fit_in_process(config, "".join(",".join(map(repr, r)) + "\n" for r in rows))
+    assert code in (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_NO_CONVERGENCE)
+    assert stdout == ""
+    if code == cli.EXIT_INPUT:
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1 and stderr.endswith("\n"), stderr
+        assert trace is None
+    else:
+        assert stderr == ""
+        lines = trace.splitlines()
+        assert lines[0].startswith("iter=0 elbo=")
+        [status] = [ln for ln in lines if ln.startswith("converged=")]
+        assert status.startswith(f"converged={'true' if code == cli.EXIT_OK else 'false'} ")
+
+
+_HOSTILE = st.sampled_from(["nan", "inf", "-inf", "1e999", "-1e999", "abc", "", "-1", "0", "2.5", "1e-320", "0x10"])
+
+
+@st.composite
+def _hostile_runs(draw):
+    """An in-domain run with one to three faults: a non-finite, garbage or out-of-domain value, an unknown
+    model, schedule or key, or a wrong cell count."""
+    config, rows = draw(_valid_runs())
+    rows = [list(map(repr, r)) for r in rows]
+    for fault in draw(st.lists(st.sampled_from(["cell", "count", "value", "schedule", "key", "model"]), min_size=1, max_size=3)):
+        if fault == "value":
+            config[draw(st.sampled_from(sorted(set(config) - {"model"})))] = draw(_HOSTILE)
+        elif fault == "model":
+            config["model"] = draw(st.sampled_from(["nope", ""]))
+        elif fault == "schedule":
+            config["schedule"] = draw(st.sampled_from(["bogus", "", "CAVI", "svi"]))
+        elif fault == "key":  # unknown to some models, of the wrong type for others
+            config[draw(st.sampled_from(["turbo", "k", "m", "alpha0", "nu0"]))] = repr(draw(st.floats(-50.0, 50.0)))
+        else:
+            row = rows[draw(st.integers(0, len(rows) - 1))]
+            if fault == "cell":
+                row[draw(st.integers(0, len(row) - 1))] = draw(_HOSTILE)
+            elif draw(st.booleans()):
+                row.pop()
+            else:
+                row.append(repr(draw(_CELL)))
+    return config, "".join(",".join(r) + "\n" for r in rows)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(run=_hostile_runs())
+def test_a_hostile_fit_exits_with_a_known_code(run):
+    """Whatever the config and CSV hold, the fit ends in a known exit code, with no exception escaping."""
+    code, stdout, stderr, _ = _fit_in_process(*run)
+    assert code in (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_NO_CONVERGENCE, cli.EXIT_USAGE)
+    assert stdout == ""
+    assert stderr == "" if code != cli.EXIT_INPUT else stderr.startswith("error: ") and stderr.count("\n") == 1

@@ -697,6 +697,23 @@ def test_shifted_beta_converges_to_same_posterior(two_level_data):
     assert kl <= 1e-10
 
 
+@pytest.mark.parametrize("kind", [engine.CAVI, engine.SVI, engine.PARALLEL_BLR])
+def test_the_weight_plate_family_not_the_provider_sets_the_base_measure(kind):
+    """A two_level provider serves either weight family: crossed builds fit bitwise as the uncrossed ones."""
+    cells = np.random.default_rng(3).normal(size=(10, 2))
+    data = models.TwoLevelMixtureData(cells[:, 0], cells[:, 1], 1.5, 2.0)
+    plain, shifted = (models.build_two_level(data, seed=8, shifted_beta=s) for s in (False, True))
+    schedule = engine.Schedule(kind=kind, rho_local=0.5, seed=4)
+    for plates_of, provider_of in ((shifted, plain), (plain, shifted)):
+        crossed = engine.fit(engine.ModelSpec(plates_of.factors, provider_of.provider), data, schedule, max_iter=300)
+        own = engine.fit(plates_of, data, schedule, max_iter=300)
+        assert crossed.converged == own.converged
+        assert np.array_equal(crossed.elbos, own.elbos)
+        assert np.array_equal(crossed.residuals, own.residuals)
+        for name, plate in own.plates.items():
+            assert np.array_equal(crossed.plates[name].lam.values, plate.lam.values)
+
+
 # ---------------------------------------------------------------------------
 # multilinearity across all providers (spec property, small version)
 # ---------------------------------------------------------------------------
