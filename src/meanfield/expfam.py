@@ -5,8 +5,9 @@ Gaussian-Wishart.  Parameters are stored as flat vectors; symmetric matrix
 blocks are stored as full D x D (row-major) and symmetrized on ingestion.
 Domain violations are construction-time errors, with one exception: the
 expectations ``nat_to_mean`` (and ``engine.delta_moment``) derive from a
-validated Bernoulli, Gaussian or Gaussian-Wishart lambda are checked for
-finiteness only.  The Bernoulli mean is clipped into [1e-300, 1 - 1e-16],
+validated lambda are checked for finiteness only.  A Beta mean
+psi(a) - psi(a+b) may round to 0 when a >> b; it is still the right
+expectation.  The Bernoulli mean is clipped into [1e-300, 1 - 1e-16],
 inside (0, 1) for every finite lambda.  Validating a Gaussian lambda finds
 the Cholesky factor L of the precision S (of W^-1 for Gaussian-Wishart),
 which the parameter keeps; the derived covariance block is the Gram matrix
@@ -495,7 +496,7 @@ def nat_to_mean(lam: NaturalParam) -> ExpectationParam:
             psum = digamma(a + b)
             return np.array([digamma(a) - psum, digamma(b) - psum])
 
-        return ExpectationParam(fam, _map_rows(beta_mean, arr))
+        return _derived_mean(fam, _map_rows(beta_mean, arr))
     if kind == GAUSSIAN:
         m, cov = _gauss_mean_cov(lam)
         second = cov + m[..., :, None] * m[..., None, :]
@@ -518,158 +519,120 @@ def _gw_mean(fam: FamilyDescriptor, arr: np.ndarray, chol: np.ndarray) -> np.nda
 
 
 def mean_to_nat(mu: ExpectationParam) -> NaturalParam:
-    """Invert nat_to_mean.  Beta inversion solves the digamma system by Newton."""
+    """Invert nat_to_mean; the Beta and Gaussian-Wishart digamma equations by one damped Newton.
+
+    Both Newton solves start in closed form from psi(x) ~ log(x - 1/2), as
+    Minka's inverse digamma does (Minka 2000, "Estimating a Dirichlet distribution").
+    """
     fam = mu.family
     kind = fam.kind
     if kind == BERNOULLI:
         p = float(mu.values[0])
         return NaturalParam(fam, np.array([math.log(p / (1.0 - p))]))
     if kind == BETA:
-        a, b = _invert_beta_moments(float(mu.values[0]), float(mu.values[1]))
-        return beta_natural(a, b, fam.base_measure)
+        return beta_natural(*_beta_mean_to_ab(float(mu.values[0]), float(mu.values[1])), fam.base_measure)
     if kind == GAUSSIAN:
         d = fam.dim
         m = mu.values[:d]
         cov = mu.values[d:].reshape(d, d) - np.outer(m, m)
         chol = _chol_or_none(cov)
         if chol is None:
-            raise DomainError("Gaussian expectation parameters must have SPD covariance to invert")
+            raise DomainError(
+                "Gaussian expectation parameters must have SPD covariance to invert, "
+                f"got smallest eigenvalue {np.linalg.eigvalsh(cov)[0]:g}"
+            )
         _, s_mat = _factor_inverse(chol)
         return NaturalParam(fam, np.concatenate([s_mat @ m, (-0.5 * s_mat).reshape(-1)]))
     return _gw_mean_to_nat(mu)
 
 
-def _invert_beta_moments(mu1: float, mu2: float, max_iter: int = 200, tol: float = 1e-12):
-    """Solve psi(a)-psi(a+b)=mu1, psi(b)-psi(a+b)=mu2 for (a, b).
+_NEWTON_MAX_ITER = 100
+_NEWTON_STEP_FLOOR = 1e-10
 
-    Strategy: reduce to one dimension.  For a trial concentration s = a + b
-    the per-component equations give a(s) = psi_inv(mu1 + psi(s)) and
-    b(s) = psi_inv(mu2 + psi(s)); the self-consistency gap
-    a(s) + b(s) - s changes sign exactly once, so geometric bisection over s
-    brackets the solution, and a short damped Newton in (log a, log b)
-    polishes it to full precision.
+
+def _newton_in_log(residual, jacobian, x0, tol: float, what: str) -> np.ndarray:
+    """Solve residual(x) = 0 for x > 0, to a largest residual below tol, by damped Newton in u = log x.
+
+    ``jacobian(x)`` is d residual / d u.  Each step is clipped to [-2, 2] and halved until the largest
+    residual falls.  If no step above the floor lowers it, the residual is at the rounding of its
+    arguments (nu + 1 - k rounds a Gaussian-Wishart nu): x is kept if the Newton step, which bounds
+    its relative error, is below the floor too.
     """
+    x = np.asarray(x0, dtype=float)
+    u, r = np.log(x), residual(x)
+    err = max(map(abs, r.tolist()))
+    for _ in range(_NEWTON_MAX_ITER):
+        if err < tol:
+            return x
+        step = newton = np.minimum(np.maximum(np.linalg.solve(jacobian(x), r), -2.0), 2.0)
+        while True:
+            x_new = np.exp(u - step)
+            r_new = residual(x_new)
+            err_new = max(map(abs, r_new.tolist()))
+            if err_new < err:
+                break
+            if max(map(abs, step.tolist())) < _NEWTON_STEP_FLOOR:
+                if max(map(abs, newton.tolist())) < _NEWTON_STEP_FLOOR:
+                    return x
+                raise NumericalError(f"{what} did not converge, residual {err:g}")
+            step = 0.5 * step
+        x, u, r, err = x_new, u - step, r_new, err_new
+    raise NumericalError(f"{what} did not converge, residual {err:g}")
+
+
+def _beta_mean_to_ab(mu1: float, mu2: float) -> tuple[float, float]:
+    """Solve psi(a) - psi(a+b) = mu1, psi(b) - psi(a+b) = mu2 for (a, b)."""
     p, q = math.exp(mu1), math.exp(mu2)
     if p + q >= 1.0:
-        raise DomainError("Beta expectation parameters lie outside the realizable moment set")
+        raise DomainError(f"Beta expectation parameters are unrealizable: exp(mu1) + exp(mu2) = {p + q:g} >= 1")
 
-    def residual(a, b):
+    def residual(x):
+        a, b = x.tolist()
         psum = digamma(a + b)
         return np.array([digamma(a) - psum - mu1, digamma(b) - psum - mu2])
 
-    def gap(s):
-        psum = digamma(s)
-        return _digamma_inverse(mu1 + psum) + _digamma_inverse(mu2 + psum) - s
-
-    lo, hi = 1e-8, 1e10
-    if gap(lo) <= 0.0 or gap(hi) >= 0.0:
-        raise NumericalError("Beta digamma inversion could not bracket the concentration")
-    for _ in range(120):
-        mid = math.sqrt(lo * hi)
-        if gap(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * lo:
-            break
-    s = math.sqrt(lo * hi)
-    psum = digamma(s)
-    a = _digamma_inverse(mu1 + psum)
-    b = _digamma_inverse(mu2 + psum)
-    r = residual(a, b)
-    u, v = math.log(a), math.log(b)
-    for _ in range(max_iter):
-        if float(np.max(np.abs(r))) < tol:
-            return math.exp(u), math.exp(v)
-        a, b = math.exp(u), math.exp(v)
+    def jacobian(x):
+        a, b = x.tolist()
         tsum = trigamma(a + b)
-        jac = np.array(
-            [
-                [(trigamma(a) - tsum) * a, -tsum * b],
-                [-tsum * a, (trigamma(b) - tsum) * b],
-            ]
-        )
-        step = np.clip(np.linalg.solve(jac, r), -2.0, 2.0)
-        damp = 1.0
-        for _ in range(60):
-            r_new = residual(math.exp(u - damp * step[0]), math.exp(v - damp * step[1]))
-            if float(np.max(np.abs(r_new))) <= float(np.max(np.abs(r))):
-                break
-            damp *= 0.5
-        u, v, r = u - damp * step[0], v - damp * step[1], r_new
-    if float(np.max(np.abs(r))) < tol:
-        return math.exp(u), math.exp(v)
-    raise NumericalError(
-        f"Beta digamma inversion did not converge in {max_iter} iterations, "
-        f"residual {float(np.max(np.abs(r))):g}"
-    )
+        return np.array([[(trigamma(a) - tsum) * a, -tsum * b], [-tsum * a, (trigamma(b) - tsum) * b]])
+
+    k = 0.5 / (1.0 - p - q)  # a - 1/2 = p k and b - 1/2 = q k solve the system under psi(x) ~ log(x - 1/2)
+    tol = 1e-12 * max(1.0, abs(mu1), abs(mu2))  # psi(a) ~ -1/a for small a: the residual rounds on |mu|'s scale
+    start = [0.5 + p * k, 0.5 + q * k]
+    return tuple(_newton_in_log(residual, jacobian, start, tol, "Beta digamma inversion").tolist())
 
 
-def _digamma_inverse(y: float, iters: int = 40) -> float:
-    """Solve psi(x) = y for x > 0 by Newton from a two-regime initialization."""
-    x = math.exp(y) + 0.5 if y >= -2.22 else -1.0 / (y + 0.5772156649015329)
-    for _ in range(iters):
-        delta = (digamma(x) - y) / trigamma(x)
-        x_new = x - delta
-        if x_new <= 0.0:
-            x_new = 0.5 * x
-        x = x_new
-        if abs(delta) < 1e-13 * max(abs(x), 1.0):
-            break
-    return x
-
-
-def _gw_mean_to_nat(mu: ExpectationParam, max_iter: int = 200, tol: float = 1e-12) -> NaturalParam:
-    fam = mu.family
-    d = fam.dim
+def _gw_mean_to_nat(mu: ExpectationParam) -> NaturalParam:
+    d = mu.family.dim
     mu1 = float(mu.values[0])
     ez2 = mu.values[1 : 1 + d * d].reshape(d, d)
     mu3 = mu.values[1 + d * d : 1 + d * d + d]
-    mu4 = float(mu.values[-1])
     m = np.linalg.solve(ez2, mu3)
-    slack = mu4 - float(mu3 @ m)
+    slack = float(mu.values[-1]) - float(mu3 @ m)
     if slack <= 0.0:
-        raise DomainError("Gaussian-Wishart quadratic-form slack must be positive to invert")
-    gamma = d / slack
+        raise DomainError(f"Gaussian-Wishart quadratic-form slack must be positive to invert, got {slack:g}")
     sign, logdet_ez2 = np.linalg.slogdet(ez2)
     if sign <= 0:
-        raise DomainError("Gaussian-Wishart E[Z2] must be positive-definite")
-
-    # E[Z2] = nu W pins W given nu; the remaining scalar equation in nu is
-    # strictly increasing with a unique root on (D-1, inf).
-    def f(nu):
-        return (
-            sum(digamma(0.5 * (nu + 1 - k)) for k in range(1, d + 1))
-            + d * math.log(2.0)
-            + logdet_ez2
-            - d * math.log(nu)
-            - mu1
+        raise DomainError(f"Gaussian-Wishart E[Z2] must be positive-definite, got det E[Z2] of sign {sign:g}")
+    # E[Z2] = nu W pins W given nu.  The residual left for nu rises from -inf to c, so it has a
+    # root iff c > 0, and psi(x) ~ log(x - 1/2) puts it near nu = D(D+1)/(2c).
+    c = logdet_ez2 - mu1
+    if c <= 0.0:
+        raise DomainError(
+            f"Gaussian-Wishart c = log det E[Z2] - E[log det Lambda] must be > 0, got {logdet_ez2:g} - {mu1:g} = {c:g}"
         )
 
-    lo = d - 1.0 + 1e-9
-    hi = d + 1.0
-    while f(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise NumericalError("Gaussian-Wishart nu inversion failed to bracket a root")
-    nu = hi
-    for _ in range(max_iter):
-        val = f(nu)
-        if abs(val) < tol:
-            break
-        deriv = 0.5 * sum(trigamma(0.5 * (nu + 1 - k)) for k in range(1, d + 1)) - d / nu
-        nu_new = nu - val / deriv if deriv > 0 else None
-        if nu_new is None or not (lo < nu_new < 1e12):
-            nu_new = 0.5 * (lo + hi)  # bisection fallback
-        if f(nu_new) < 0:
-            lo = nu_new
-        else:
-            hi = nu_new
-        nu = nu_new
-    else:
-        raise NumericalError(f"Gaussian-Wishart nu inversion did not converge, residual {f(nu):g}")
-    w = ez2 / nu
-    return gw_natural(nu, gamma, m, w)
+    def residual(t):
+        nu = t + (d - 1)
+        return _wishart_sum(digamma, nu, d) + d * math.log(2.0) - d * np.log(nu) + c
+
+    def jacobian(t):
+        nu = t + (d - 1)
+        return (t * (0.5 * _wishart_sum(trigamma, nu, d) - d / nu))[:, None]
+
+    t0 = max(0.5 * d * (d + 1) / c - (d - 1), 1e-3)
+    nu = float(_newton_in_log(residual, jacobian, [t0], 1e-12, "Gaussian-Wishart nu inversion")[0]) + (d - 1)
+    return gw_natural(nu, d / slack, m, ez2 / nu)
 
 
 def log_partition(lam: NaturalParam):

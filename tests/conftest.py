@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from meanfield import models
+
+# Every property test draws the same examples on every run (derandomize
+# implies database=None, so no example database is written); an explicit
+# @settings keeps its own max_examples.
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 
 def make_two_level(seed: int = 0, n: int = 10, alpha0: float = 2.0, beta0: float = 2.0):

@@ -343,6 +343,13 @@ def test_logitnormal_huge_m_rejected_without_warning(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_logitnormal_weight_whose_mean_rounds_to_zero_fits():
+    """With m=45 the weight's a grows until psi(a) - psi(a+b) rounds to 0, which is still its expectation."""
+    code, stdout, stderr, trace = _fit_in_process({"model": "logitnormal", "m": "45"}, "0,0\n0,0\n")
+    assert (code, stdout, stderr) == (cli.EXIT_OK, "", "")
+    assert "param pi mu 0 " in trace
+
+
 # ---------------------------------------------------------------------------
 # property: any input ends in one exit code, one error line or a trace
 # ---------------------------------------------------------------------------
@@ -374,9 +381,19 @@ _CELL = st.tuples(st.integers(0, 15), st.floats(-50.0, 50.0), st.floats(0.0, 150
 _POSITIVE = st.floats(0.1, 50.0)
 
 
+class _Line(str):
+    """A CSV line that holds no data, blank or a comment: a one-cell row whose ``repr`` is the line as written."""
+
+    def __repr__(self):
+        return str(self)
+
+
 @st.composite
 def _valid_runs(draw):
-    """An in-domain config for one of the seven models, max_iter <= 60, and a CSV of the model's shape."""
+    """An in-domain config for one of the seven models, max_iter <= 60, and a CSV of the model's shape.
+
+    The CSV may hold a single data row, and blank and comment lines among its rows.
+    """
     model = draw(st.sampled_from(cli._MODELS))
     config = {
         "model": model,
@@ -392,7 +409,7 @@ def _valid_runs(draw):
         rows = [[draw(st.floats(0.01, 0.99)), draw(st.floats(1e-3, 50.0)), draw(st.floats(1e-3, 50.0))]]
     else:
         width = 2 if model in ("two_level", "logitnormal") else draw(st.integers(1, 3 if model == "gmm2" else 5))
-        rows = draw(st.lists(st.lists(_CELL, min_size=width, max_size=width), min_size=2, max_size=12))
+        rows = draw(st.lists(st.lists(_CELL, min_size=width, max_size=width), min_size=1, max_size=12))
     keys = {
         "simple_mixture": {},
         "two_level": {"alpha0": _POSITIVE, "beta0": _POSITIVE},
@@ -408,6 +425,9 @@ def _valid_runs(draw):
     for key, values in keys.items():
         if draw(st.booleans()):
             config[key] = draw(values)
+    for _ in range(draw(st.integers(0, 2))):
+        line = _Line(draw(st.sampled_from(["", "   ", "#", "# a comment, 1.5", "#nan"])))
+        rows.insert(draw(st.integers(0, len(rows))), [line])
     return {k: repr(v) if isinstance(v, float) else v for k, v in config.items()}, rows
 
 

@@ -665,3 +665,86 @@ def test_backoff_halves_only_the_gaussian_wishart_row_that_leaves_the_domain(mon
     assert rates == [[1.0, 1.0], [1.0, 0.5]]
     assert np.array_equal(out.lam.values[0], goal0)
     assert out.lam.values[1] == pytest.approx(mid, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# properties of any small fit: the CAVI ELBO never drops, and the stop rule holds
+# ---------------------------------------------------------------------------
+
+_CONJUGATE = ("simple_mixture", "two_level", "two_level_reciprocal", "gmm2", "matfac_vmp", "matfac_ppca", "matfac_als")
+_POSITIVE = st.floats(0.1, 50.0)
+
+
+@st.composite
+def _small_models(draw, names):
+    """(model, data) of one of ``names``, built directly: 2-12 rows, cells in +-50, priors in the CLI's ranges."""
+    name = draw(st.sampled_from(names))
+    seed = draw(st.integers(0, 1000))
+    if name == "simple_mixture":
+        data = models.SimpleMixtureData(draw(st.floats(0.01, 0.99)), draw(st.floats(1e-3, 50.0)), draw(st.floats(1e-3, 50.0)))
+        return models.build_simple_mixture(data, seed=seed), data
+    width = 2 if name.startswith(("two_level", "logitnormal")) else draw(st.integers(1, 3 if name == "gmm2" else 5))
+    y = np.array(draw(st.lists(st.lists(st.floats(-50.0, 50.0), min_size=width, max_size=width), min_size=2, max_size=12)))
+    if name.startswith("two_level"):
+        data = models.TwoLevelMixtureData(y[:, 0], y[:, 1], draw(_POSITIVE), draw(_POSITIVE))
+        return models.build_two_level(data, seed=seed, shifted_beta=name.endswith("reciprocal")), data
+    if name == "logitnormal":
+        data = models.LogitNormalMixtureData(y[:, 0], y[:, 1], draw(st.floats(-50.0, 50.0)))
+        return models.build_logitnormal(data, seed=seed), data
+    if name == "gmm2":
+        nu0, w0_scale = draw(st.floats(width - 0.9, width + 20.0)), draw(st.floats(0.1, 10.0))
+        data = models.GMMData(y, draw(_POSITIVE), draw(_POSITIVE), draw(_POSITIVE), nu0, w0_scale * np.eye(width))
+        return models.build_gmm2(data, seed=seed), data
+    data = models.MatrixFactorizationData(y, draw(st.integers(1, 4)), draw(st.floats(0.1, 10.0)), draw(st.floats(0.1, 10.0)))
+    return models.build_matfac(data, name.split("_")[1], seed=seed), data
+
+
+def _fit_or_domain_error(model, data, schedule, tol, max_iter):
+    """The fit, or None when it stops on a DomainError or NumericalError; overflow is left to the engine's checks, as in the CLI."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return engine.fit(model, data, schedule, tol=tol, max_iter=max_iter)
+    except (expfam.DomainError, expfam.NumericalError):
+        return None
+
+
+@settings(max_examples=50, deadline=None)
+@given(built=_small_models(_CONJUGATE), max_iter=st.integers(0, 60))
+def test_the_cavi_elbo_never_drops(built, max_iter):
+    """Every CAVI step is a coordinate ascent on the ELBO, so no recorded ELBO falls by more than
+    ``suite_monotonicity``'s slack.  Logit-normal is left out: its weight step is a non-conjugate
+    fixed-point step with no ascent guarantee."""
+    trace = _fit_or_domain_error(*built, engine.Schedule(engine.CAVI), 1e-10, max_iter)
+    if trace is not None:
+        elbos = trace.elbos
+        assert not (np.diff(elbos) < -1e-10 * np.maximum(1.0, np.abs(elbos[:-1]))).any(), elbos
+
+
+@st.composite
+def _small_fits(draw):
+    """A small model with a schedule it supports, a tol and a max_iter <= 60."""
+    model, data = draw(_small_models(_CONJUGATE + ("logitnormal",)))
+    svi = isinstance(model.provider, (models.TwoLevelProvider, models.LogitNormalProvider))
+    schedule = engine.Schedule(
+        draw(st.sampled_from([engine.CAVI, engine.PARALLEL_BLR] + ([engine.SVI] if svi else []))),
+        rho_local=draw(st.floats(0.05, 1.0)),
+        kappa=draw(st.floats(0.51, 1.0)),
+        tau=draw(st.floats(1.0, 10.0)),
+        seed=draw(st.integers(0, 1000)),
+    )
+    return model, data, schedule, 10.0 ** draw(st.floats(-12.0, -2.0)), draw(st.integers(0, 60))
+
+
+@settings(max_examples=50, deadline=None)
+@given(run=_small_fits())
+def test_a_fit_converges_or_says_it_did_not_within_max_iter(run):
+    """Records 0..k; converged is exactly residuals[-1] < tol, and k = max_iter when it is false."""
+    model, data, schedule, tol, max_iter = run
+    trace = _fit_or_domain_error(model, data, schedule, tol, max_iter)
+    if trace is not None:
+        k = len(trace.records) - 1
+        assert [r.iteration for r in trace.records] == list(range(k + 1))
+        assert trace.converged == (trace.residuals[-1] < tol)
+        assert not (trace.residuals[:-1] < tol).any()  # it stops at the first residual below tol
+        assert trace.converged or k == max_iter
+        assert k <= max_iter

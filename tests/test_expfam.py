@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meanfield import expfam, oracle
+from meanfield import expfam, oracle, specfun
 from meanfield.checks import _random_natural
 from conftest import large_mean_gaussians
 
@@ -88,6 +88,82 @@ def test_unrealizable_beta_moments_rejected():
     with pytest.raises((expfam.DomainError, ValueError)):
         # exp(mu1) + exp(mu2) > 1 cannot arise from any Beta distribution
         expfam.mean_to_nat(expfam.ExpectationParam(fam, np.array([-0.1, -0.1])))
+
+
+def test_a_beta_mean_that_rounds_to_zero_is_derived_not_rejected():
+    """psi(a) - psi(a+b) ~ -b/a rounds to 0 for a >> b; nat_to_mean still returns it, as for the other families."""
+    mu = expfam.nat_to_mean(expfam.beta_natural(1e15, 0.5))
+    assert mu.values[0] == 0.0
+    assert mu.values[1] == pytest.approx(specfun.digamma(0.5) - specfun.digamma(1e15 + 0.5), rel=1e-15)
+
+
+_WIDE = np.logspace(-4.0, 6.0, 51)
+
+
+@pytest.mark.parametrize("base_measure", ["constant", "reciprocal"])
+def test_beta_mean_to_nat_inverts_a_wide_grid(base_measure):
+    """Every (a, b) of a log grid over [1e-4, 1e6]^2 inverts to within 1e-5 relative."""
+    worst = 0.0
+    for a in _WIDE:
+        for b in _WIDE:
+            lam = expfam.beta_natural(a, b, base_measure)
+            back = expfam.beta_ab(expfam.mean_to_nat(expfam.nat_to_mean(lam)))
+            worst = max(worst, abs(back[0] - a) / a, abs(back[1] - b) / b)
+    assert worst <= 1e-5
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_gaussian_wishart_mean_to_nat_inverts_a_wide_grid(d):
+    """Every nu - (D-1) of a log grid over [1e-3, 1e5], at gamma 1e-3, 1 and 1e3, inverts to within 1e-7 relative.
+
+    With m = 0 the expectations hold D / gamma exactly.  Otherwise gamma is
+    D over E[Z2Z1-quadratic] minus nu m^T W m, a cancellation that loses
+    about nu gamma m^T W m / D ulps whatever the solver, so there only nu,
+    which the Newton solve finds, is held to 1e-7.
+    """
+    rng = np.random.default_rng(d)
+    a = rng.standard_normal((d, d))
+    w = a @ a.T + np.eye(d)
+    for m in (np.zeros(d), rng.standard_normal(d)):
+        for t in np.logspace(-3.0, 5.0, 33):
+            for gamma in (1e-3, 1.0, 1e3):
+                nu = t + d - 1
+                back = expfam.gw_params(expfam.mean_to_nat(expfam.nat_to_mean(expfam.gw_natural(nu, gamma, m, w))))
+                assert back[0] == pytest.approx(nu, rel=1e-7), (t, gamma)
+                assert m.any() or back[1] == pytest.approx(gamma, rel=1e-7), (t, gamma)
+
+
+def _gw_mean(e_logdet, ez2, mu3, mu4):
+    """Gaussian-Wishart expectations as ``nat_to_mean`` derives them: finiteness checked only."""
+    return expfam._derived_mean(
+        expfam.FamilyDescriptor(expfam.GAUSSIAN_WISHART, dim=2),
+        np.concatenate([[e_logdet], np.reshape(ez2, -1), mu3, [mu4]]),
+    )
+
+
+@pytest.mark.parametrize(
+    "mu, message",
+    [
+        (
+            expfam.ExpectationParam(expfam.FamilyDescriptor(expfam.BETA), np.array([-0.1, -0.1])),
+            "unrealizable: exp\\(mu1\\) \\+ exp\\(mu2\\) = 1.80967 >= 1$",
+        ),
+        (
+            expfam.ExpectationParam(expfam.FamilyDescriptor(expfam.GAUSSIAN, dim=2), np.array([0, 0, 1, 0, 0, 0])),
+            "SPD covariance to invert, got smallest eigenvalue 0$",
+        ),
+        (_gw_mean(0.0, np.eye(2), [0.0, 0.0], 0.0), "slack must be positive to invert, got 0$"),
+        (_gw_mean(0.0, [[1.0, 0.0], [0.0, -1.0]], [0.0, 0.0], 1.0), "det E\\[Z2\\] of sign -1$"),
+        (
+            _gw_mean(0.5, np.eye(2), [0.0, 0.0], 1.0),
+            "c = log det E\\[Z2\\] - E\\[log det Lambda\\] must be > 0, got 0 - 0.5 = -0.5$",
+        ),
+    ],
+    ids=["beta", "gaussian", "gw_slack", "gw_det_sign", "gw_c"],
+)
+def test_an_unrealizable_mean_names_its_values(mu, message):
+    with pytest.raises(expfam.DomainError, match=message):
+        expfam.mean_to_nat(mu)
 
 
 # ---------------------------------------------------------------------------

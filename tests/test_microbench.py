@@ -104,6 +104,13 @@ def test_beta_mean_to_nat(benchmark):
     assert lam.values == pytest.approx([24.0, 16.0], rel=1e-9)
 
 
+def test_gaussian_wishart_mean_to_nat(benchmark):
+    mu = expfam.nat_to_mean(expfam.gw_natural(5.0, 1.0, np.array([0.3, -0.2]), np.eye(2)))
+    nu, gamma, m, w = expfam.gw_params(benchmark(expfam.mean_to_nat, mu))
+    assert (nu, gamma) == pytest.approx((5.0, 1.0), rel=1e-12)
+    assert m == pytest.approx([0.3, -0.2], rel=1e-12) and np.allclose(w, np.eye(2), rtol=0.0, atol=1e-12)
+
+
 def test_bernoulli_plate_nat_to_mean(benchmark):
     """One row-stacked conversion of a 2000-row indicator plate, the CLI workload's size."""
     log_odds = np.random.default_rng(0).normal(size=(2000, 1))
