@@ -23,8 +23,16 @@ vector (``gw_params`` also takes rows).  Bernoulli, Gaussian and
 Gaussian-Wishart rows are handled as whole arrays, with batched Cholesky
 factors and solves; Beta rows one at a time (its plates hold a single
 row).  The special functions stay scalar: the Gaussian-Wishart sums of
-psi and log Gamma at (nu + 1 - k)/2 call them once per row and k.  A
-domain error lists the offending rows.
+psi and log Gamma at (t + j)/2, j = 0..D-1, call them once per row and j,
+with t = nu - (D - 1) formed once from lambda as 2 lambda_0 + 1, so an
+argument near 0 keeps its relative precision.  A domain error lists the
+offending rows.
+
+The Gaussian-Wishart mean pass also yields the log normalizer A(lambda)
+from the nu, gamma and log det W^-1 it holds: the mu that ``nat_to_mean``
+derives from a Gaussian-Wishart lambda carries it (``log_partition``, per
+row; ``row_view`` slices it), and ``entropy`` reads it off mu, as it reads
+a Gaussian's mean off mu.  A mu built through the constructor carries none.
 
 Flat layouts
 ------------
@@ -239,10 +247,16 @@ class NaturalParam:
 
 @dataclass(frozen=True, slots=True)
 class ExpectationParam:
-    """Expected sufficient statistics E_q[T(z)] of one family."""
+    """Expected sufficient statistics E_q[T(z)] of one family.
+
+    ``log_partition`` is A(lambda) of the Gaussian-Wishart lambda that
+    ``nat_to_mean`` derived the expectations from, one value per row; None
+    for every other mu, and for one built through this constructor.
+    """
 
     family: FamilyDescriptor
     values: np.ndarray
+    log_partition: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = _symmetrize_block(self.family, _as_flat(self.family, self.values))
@@ -251,13 +265,17 @@ class ExpectationParam:
         object.__setattr__(self, "values", arr)
 
 
-def _derived_mean(family: FamilyDescriptor, values: np.ndarray) -> ExpectationParam:
-    """Expectations computed from a validated lambda: checked for finiteness only (see the module docstring)."""
+def _derived_mean(family: FamilyDescriptor, values: np.ndarray, log_partition=None) -> ExpectationParam:
+    """Expectations computed from a validated lambda: checked for finiteness only (see the module docstring).
+
+    ``log_partition`` is that lambda's A, where the mean pass computed it.
+    """
     values = _as_flat(family, values)
     values.flags.writeable = False
     mu = object.__new__(ExpectationParam)
     object.__setattr__(mu, "family", family)
     object.__setattr__(mu, "values", values)
+    object.__setattr__(mu, "log_partition", log_partition)
     return mu
 
 
@@ -268,6 +286,8 @@ def row_view(param, row: int):
     object.__setattr__(one, "values", param.values[row])
     if isinstance(param, NaturalParam):
         object.__setattr__(one, "factor", None if param.factor is None else param.factor[row])
+    else:
+        object.__setattr__(one, "log_partition", None if param.log_partition is None else param.log_partition[row])
     return one
 
 
@@ -332,13 +352,23 @@ def _gw_unpack(family: FamilyDescriptor, arr: np.ndarray):
     return nu, gamma, m
 
 
-def _wishart_sum(fn, nu, d: int):
-    """The sum over k = 1..D of fn((nu + 1 - k) / 2), per row, with fn a scalar special function."""
-    def one(n: float) -> float:
-        return sum(fn(0.5 * (n + 1 - k)) for k in range(1, d + 1))
+def _gw_offset(arr: np.ndarray):
+    """t = nu - (D - 1) = 2 lam_0 + 1 per row, formed from lambda so a t near 0 keeps its relative precision."""
+    return 2.0 * arr[..., 0] + 1.0
 
-    rows = nu.tolist()
-    return np.array([one(n) for n in rows] if nu.ndim else one(rows))
+
+def _wishart_sum(fn, t, d: int):
+    """The sum over j = 0..D-1 of fn((t + j) / 2), per row, with t = nu - (D - 1) and fn a scalar special function.
+
+    These are the terms fn((nu + 1 - k) / 2), k = 1..D, of the Wishart
+    normalizer and E[log det Lambda], taken from t so the smallest argument
+    t / 2 is not rounded on the scale of nu.
+    """
+    def one(x: float) -> float:
+        return sum(fn(0.5 * (x + j)) for j in range(d))
+
+    rows = t.tolist()
+    return np.array([one(x) for x in rows] if t.ndim else one(rows))
 
 
 def _validate_natural(family: FamilyDescriptor, rows: np.ndarray):
@@ -501,21 +531,24 @@ def nat_to_mean(lam: NaturalParam) -> ExpectationParam:
         m, cov = _gauss_mean_cov(lam)
         second = cov + m[..., :, None] * m[..., None, :]
         return _derived_mean(fam, np.concatenate([m, second.reshape(m.shape[:-1] + (-1,))], axis=-1))
-    return _derived_mean(fam, _gw_mean(fam, arr, lam.factor))
+    return _derived_mean(fam, *_gw_mean(fam, arr, lam.factor))
 
 
-def _gw_mean(fam: FamilyDescriptor, arr: np.ndarray, chol: np.ndarray) -> np.ndarray:
-    """The expectations per row, with W and log det W from the factor ``chol`` of W^-1."""
+def _gw_mean(fam: FamilyDescriptor, arr: np.ndarray, chol: np.ndarray):
+    """(expectations, A(lam)) per row, with W and log det W from the factor ``chol`` of W^-1."""
     d = fam.dim
     nu, gamma, m = _gw_unpack(fam, arr)
+    t = _gw_offset(arr)
+    logdet_w_inv = _logdet_from_factor(chol)
     cinv, w = _factor_inverse(chol)
     y = (cinv @ m[..., None])[..., 0]  # W m = C^-T y and m^T W m = y^T y
-    e_logdet = _wishart_sum(digamma, nu, d) + d * math.log(2.0) - _logdet_from_factor(chol)
+    e_logdet = _wishart_sum(digamma, t, d) + d * math.log(2.0) - logdet_w_inv
     e_z2 = nu[..., None, None] * w
     e_z2z1 = nu[..., None] * (np.swapaxes(cinv, -1, -2) @ y[..., None])[..., 0]
     e_quad = nu * _dot(y, y) + d / gamma
     lead = arr.shape[:-1]
-    return np.concatenate([e_logdet[..., None], e_z2.reshape(lead + (-1,)), e_z2z1, e_quad[..., None]], axis=-1)
+    mean = np.concatenate([e_logdet[..., None], e_z2.reshape(lead + (-1,)), e_z2z1, e_quad[..., None]], axis=-1)
+    return mean, _gw_log_partition(d, nu, t, gamma, logdet_w_inv)
 
 
 def mean_to_nat(mu: ExpectationParam) -> NaturalParam:
@@ -555,7 +588,7 @@ def _newton_in_log(residual, jacobian, x0, tol: float, what: str) -> np.ndarray:
 
     ``jacobian(x)`` is d residual / d u.  Each step is clipped to [-2, 2] and halved until the largest
     residual falls.  If no step above the floor lowers it, the residual is at the rounding of its
-    arguments (nu + 1 - k rounds a Gaussian-Wishart nu): x is kept if the Newton step, which bounds
+    arguments (nu = t + D - 1 rounds a Gaussian-Wishart t): x is kept if the Newton step, which bounds
     its relative error, is below the floor too.
     """
     x = np.asarray(x0, dtype=float)
@@ -623,12 +656,10 @@ def _gw_mean_to_nat(mu: ExpectationParam) -> NaturalParam:
         )
 
     def residual(t):
-        nu = t + (d - 1)
-        return _wishart_sum(digamma, nu, d) + d * math.log(2.0) - d * np.log(nu) + c
+        return _wishart_sum(digamma, t, d) + d * math.log(2.0) - d * np.log(t + (d - 1)) + c
 
     def jacobian(t):
-        nu = t + (d - 1)
-        return (t * (0.5 * _wishart_sum(trigamma, nu, d) - d / nu))[:, None]
+        return (t * (0.5 * _wishart_sum(trigamma, t, d) - d / (t + (d - 1))))[:, None]
 
     t0 = max(0.5 * d * (d + 1) / c - (d - 1), 1e-3)
     nu = float(_newton_in_log(residual, jacobian, [t0], 1e-12, "Gaussian-Wishart nu inversion")[0]) + (d - 1)
@@ -648,7 +679,8 @@ def log_partition(lam: NaturalParam):
     elif kind == GAUSSIAN:
         out = _gauss_log_partition(lam, _gauss_mean_cov(lam)[0])
     else:
-        out = _gw_log_partition(fam, arr, lam.factor)
+        nu, gamma, _ = _gw_unpack(fam, arr)
+        out = _gw_log_partition(fam.dim, nu, _gw_offset(arr), gamma, _logdet_from_factor(lam.factor))
     return float(out) if arr.ndim == 1 else out
 
 
@@ -659,17 +691,15 @@ def _gauss_log_partition(lam: NaturalParam, m: np.ndarray):
     return 0.5 * np.sum(h * m, axis=-1) - 0.5 * logdet_s + 0.5 * lam.family.dim * math.log(2.0 * math.pi)
 
 
-def _gw_log_partition(fam: FamilyDescriptor, arr: np.ndarray, chol: np.ndarray):
-    """The log normalizer per row, with log det W^-1 from its factor ``chol``."""
-    d = fam.dim
-    nu, gamma, _ = _gw_unpack(fam, arr)
+def _gw_log_partition(d: int, nu, t, gamma, logdet_w_inv):
+    """The log normalizer per row, from nu, t = nu - (D - 1), gamma and log det W^-1."""
     return (
         -0.5 * d * np.log(gamma)
         + 0.5 * d * math.log(2.0 * math.pi)
-        - 0.5 * nu * _logdet_from_factor(chol)
+        - 0.5 * nu * logdet_w_inv
         + 0.5 * nu * d * math.log(2.0)
         + 0.25 * d * (d - 1) * math.log(math.pi)
-        + _wishart_sum(gammaln, nu, d)
+        + _wishart_sum(gammaln, t, d)
     )
 
 
@@ -682,6 +712,8 @@ def entropy(lam: NaturalParam, mu: ExpectationParam | None = None):
         mu = nat_to_mean(lam)
     if lam.family.kind == GAUSSIAN:  # h.m read off mu, log det S off the factor: no solve
         a = _gauss_log_partition(lam, mu.values[..., : lam.family.dim])
+    elif mu.log_partition is not None:  # a Gaussian-Wishart A from the mean pass
+        a = mu.log_partition
     else:
         a = log_partition(lam)
     out = a - np.sum(lam.values * mu.values, axis=-1)

@@ -353,13 +353,20 @@ def build_two_level(
 # --------------------------------------------------------------------------
 
 
-def expected_log_component(mu_gw: np.ndarray, y: np.ndarray, d: int):
-    """E_q[log N(y | m, S^-1)] for one observation y of shape (D,) or per row of (N, D)."""
-    mu1 = float(mu_gw[0])
-    e_s = mu_gw[1 : 1 + d * d].reshape(d, d)
-    e_sm = mu_gw[1 + d * d : 1 + d * d + d]
-    mu4 = float(mu_gw[-1])
-    return 0.5 * mu1 - 0.5 * ((y @ e_s) * y).sum(-1) + y @ e_sm - 0.5 * mu4 - 0.5 * d * LOG_2PI
+def _gw_statistics(y: np.ndarray) -> np.ndarray:
+    """T(y) = (1/2, -vec(y y^T)/2, y, -1/2) per row of (N, D) data, in the Gaussian-Wishart flat layout."""
+    n, d = y.shape
+    half = np.full((n, 1), 0.5)
+    return np.concatenate([half, (-0.5 * (y[:, :, None] * y[:, None, :])).reshape(n, d * d), y, -half], axis=1)
+
+
+def expected_log_component(mu_gw: np.ndarray, stats: np.ndarray, d: int):
+    """E_q[log N(y | m, S^-1)] = T(y) . mu - D log(2 pi) / 2, per row of the statistics T(y) and column of mu_gw^T.
+
+    ``mu_gw`` is one component's expectations, or (K, flat) rows of them,
+    so one product serves every component.
+    """
+    return stats @ mu_gw.T - 0.5 * d * LOG_2PI
 
 
 def _gw_prior(data: GMMData):
@@ -375,22 +382,28 @@ def _gw_prior(data: GMMData):
     return gw_natural(data.nu0, data.gamma0, np.zeros(d), data.w0).values, const
 
 
-def _component_log_liks(mus, data: GMMData):
-    """Each datum's expected log-likelihood under components comp_a and comp_b."""
-    comp = mus["comp"]
-    return expected_log_component(comp[0], data.y, data.dim), expected_log_component(comp[1], data.y, data.dim)
-
-
 class GMMProvider(CoefficientProvider):
     """Bernoulli responsibilities, a Beta weight, and a plate of two Gaussian-Wishart components.
 
-    What is read off the data alone, the products y y^T and the prior, is
-    memoised on the snapshot for the data object it is read for; the
-    provider holds only its plates, so it serves any data of their size.
+    A component meets the data only through each datum's sufficient
+    statistics T(y): its expected log-likelihood is T(y) . mu, and its
+    coefficient is the prior plus the weighted sum of T(y).  What is read
+    off the data alone, T(y) and the prior, is memoised on the snapshot for
+    the data object it is read for; the provider holds only its plates, so
+    it serves any data of their size.
     """
 
     def __init__(self, data: GMMData):
         self.plates = {"z": _z_ids(data.n), "pi": ("pi",), "comp": ("comp_a", "comp_b")}
+
+    def _stats(self, mus, data: GMMData) -> np.ndarray:
+        """T(y) per datum, memoised on the snapshot for this provider and data: it reads no entry."""
+        return mus.read_off("T(y)", self, data, _gw_statistics, data.y)
+
+    def _component_log_liks(self, mus, data: GMMData):
+        """Each datum's expected log-likelihood under comp_a and comp_b, by one product with T(y)."""
+        log_liks = expected_log_component(mus["comp"], self._stats(mus, data), data.dim)
+        return log_liks[:, 0], log_liks[:, 1]
 
     def _log_liks(self, mus, data: GMMData):
         """Each datum's expected log-likelihood under each component, memoised on the snapshot until "comp" is put.
@@ -398,7 +411,7 @@ class GMMProvider(CoefficientProvider):
         The indicators' read-off and the ELBO at one component state share
         one pass over the data.
         """
-        return mus.read_off("comp log-likelihoods", self, data, _component_log_liks, mus, data)
+        return mus.read_off("comp log-likelihoods", self, data, self._component_log_liks, mus, data)
 
     def coefficient(self, plate, mus, data: GMMData):
         if plate == "pi":
@@ -406,13 +419,10 @@ class GMMProvider(CoefficientProvider):
         if plate == "comp":  # row 0 weighs each datum by r, row 1 by 1 - r
             r = mus["z"][:, 0]
             w = np.stack([r, 1.0 - r])
-            s = w.sum(axis=1)[:, None]
-            y_outer = mus.read_off("y y^T", self, data, np.einsum, "ni,nj->nij", data.y, data.y)
-            yy = -0.5 * np.einsum("kn,nij->kij", w, y_outer).reshape(2, -1)
-            wy = (w[:, None, :] @ data.y)[:, 0]  # one vector-matrix product per row, as for a lone row
             # the conjugate prior's term in a component's coefficient is its natural parameter
             prior = mus.read_off("comp prior", self, data, _gw_prior, data)[0]
-            return prior + np.concatenate([0.5 * s, yy, wy, -0.5 * s], axis=1)
+            # one vector-matrix product per row, so each row is bitwise that of a lone component
+            return prior + (w[:, None, :] @ self._stats(mus, data))[:, 0]
         return _indicator_coefficient(mus, *self._log_liks(mus, data))
 
     def expected_log_joint(self, mus, data: GMMData):

@@ -550,6 +550,51 @@ def test_gw_params_of_a_row_view_gives_python_floats():
         np.testing.assert_allclose(w, want[3], rtol=1e-15)
 
 
+def test_gaussian_wishart_expected_log_det_near_its_smallest_nu_matches_mpmath():
+    """At D=2 and nu - 1 = 1e-4, E[log det Lambda] = sum_j psi((t + j)/2) + D log 2 - log det W^-1 to 1e-14.
+
+    t = nu - (D - 1) is formed from lambda as 2 lam_0 + 1; forming nu first
+    rounds t on the scale of nu, 2e-12 relative here.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    lam = expfam.gw_natural(1.0 + 1e-4, 0.7, np.array([0.3, -0.2]), np.array([[2.0, 0.3], [0.3, 0.5]]))
+    got = float(expfam.nat_to_mean(lam).values[0])
+    with mpmath.workdps(50):
+        t = 2 * mpmath.mpf(float(lam.values[0])) + 1
+        gamma = -2 * mpmath.mpf(float(lam.values[-1]))
+        g = [mpmath.mpf(float(v)) for v in lam.values[5:7]]  # gamma m
+        eta2 = [[mpmath.mpf(float(v)) for v in lam.values[1 + 2 * i : 3 + 2 * i]] for i in range(2)]
+        w_inv = mpmath.matrix([[-2 * eta2[i][j] - g[i] * g[j] / gamma for j in range(2)] for i in range(2)])
+        want = mpmath.digamma(t / 2) + mpmath.digamma((t + 1) / 2) + 2 * mpmath.log(2) - mpmath.log(mpmath.det(w_inv))
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_the_gaussian_wishart_mean_carries_its_log_partition(d):
+    """entropy reads A(lam) off a mean nat_to_mean derived, bitwise as log_partition gives it, for rows and a row view.
+
+    A mean built through the constructor carries no A, and gives the same entropy.
+    """
+    _, stack = _gw_stack(20 + d, d, g=4)
+    mu = expfam.nat_to_mean(stack)
+    assert mu.log_partition.shape == (4,)
+    want = expfam.log_partition(stack) - np.sum(stack.values * mu.values, axis=-1)
+    assert expfam.entropy(stack, mu).tobytes() == want.tobytes()
+    assert expfam.entropy(stack).tobytes() == want.tobytes()
+    rebuilt = expfam.ExpectationParam(stack.family, mu.values)
+    assert rebuilt.log_partition is None
+    assert expfam.entropy(stack, rebuilt).tobytes() == want.tobytes()
+    for r in range(4):
+        assert expfam.row_view(mu, r).log_partition == mu.log_partition[r]
+        one = expfam.row_view(stack, r)
+        one_mu = expfam.nat_to_mean(one)
+        want_one = expfam.log_partition(one) - float(np.sum(one.values * one_mu.values))
+        assert expfam.entropy(one, one_mu) == want_one
+        assert expfam.entropy(one, expfam.ExpectationParam(one.family, one_mu.values)) == want_one
+    gauss = expfam.gaussian_natural(np.ones(d), np.eye(d))
+    assert expfam.nat_to_mean(gauss).log_partition is None
+
+
 # ---------------------------------------------------------------------------
 # the derived Bernoulli mean, and finiteness checked in one pass
 # ---------------------------------------------------------------------------

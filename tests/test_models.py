@@ -138,13 +138,19 @@ def _lone_component_coefficient(w, data):
 
 
 def _assert_comp_rows_are_lone_components(provider, snap, data):
-    """Row 0 of plate "comp" weighs the data by r and row 1 by 1 - r, each bitwise as a lone component."""
+    """Row 0 of plate "comp" weighs the data by r and row 1 by 1 - r, each bitwise as a lone w @ T(y).
+
+    The einsum read-off of ``_lone_component_coefficient`` checks the
+    statistics themselves, to 1e-12 relative.
+    """
     g = provider.coefficient("comp", snap, data)
     r = snap["z"][:, 0]
-    lone_a, lone_b = _lone_component_coefficient(r, data), _lone_component_coefficient(1.0 - r, data)
-    assert g.shape == (2, lone_a.size)
-    assert np.array_equal(g[0], lone_a)
-    assert np.array_equal(g[1], lone_b)
+    stats = models._gw_statistics(data.y)
+    prior = expfam.gw_natural(data.nu0, data.gamma0, np.zeros(data.dim), data.w0).values
+    for row, w in zip(g, (r, 1.0 - r)):
+        assert np.array_equal(row, prior + w @ stats)
+        assert row == pytest.approx(_lone_component_coefficient(w, data), rel=1e-12, abs=0.0)
+    assert g.shape == (2, stats.shape[1])
     return g
 
 
@@ -199,7 +205,7 @@ def test_gmm_identical_components_reduce_to_two_level():
     _assert_comp_rows_are_lone_components(provider, snap, data)
     gw_mu = snap["comp"][0]
     log_p = np.array(
-        [models.expected_log_component(gw_mu, data.y[i], 2) for i in range(6)]
+        [models.expected_log_component(gw_mu, models._gw_statistics(data.y[i : i + 1])[0], 2) for i in range(6)]
     )
     tl_data = models.TwoLevelMixtureData(log_p, log_p, data.alpha0, data.beta0)
     tl = models.TwoLevelProvider(6)
@@ -210,7 +216,8 @@ def test_gmm_identical_components_reduce_to_two_level():
 
 
 def test_gmm2_fit_reads_each_component_state_off_the_data_once(monkeypatch):
-    """The indicators' read-off and the ELBO share one pass per component state: 2 passes per sweep, 2 at the start."""
+    """The indicators' read-off and the ELBO share one pass per component state, and one T(y) product serves both
+    components: 1 pass per sweep, 1 at the start."""
     calls = []
     expected = models.expected_log_component
 
@@ -222,7 +229,7 @@ def test_gmm2_fit_reads_each_component_state_off_the_data_once(monkeypatch):
     data, _ = make_gmm(seed=2, n=40)
     trace = engine.fit(models.build_gmm2(data, seed=2), data, tol=1e-300, max_iter=12)
     assert trace.records[-1].iteration == 12
-    assert len(calls) == 2 * 12 + 2
+    assert len(calls) == 12 + 1
 
 
 def test_gmm_log_likelihoods_are_kept_per_data_object():
@@ -263,17 +270,39 @@ def test_expected_log_component_point_mass_limit():
     scale = 1e6
     lam = expfam.gw_natural(scale, scale, m, np.array([[s / scale]]))
     mu = expfam.nat_to_mean(lam).values
-    y = np.array([1.4])
-    want = -0.5 * s * (y[0] - m[0]) ** 2 + 0.5 * math.log(s) - 0.5 * math.log(2 * math.pi)
-    assert models.expected_log_component(mu, y, 1) == pytest.approx(want, abs=1e-3)
+    y = np.array([[1.4]])
+    want = -0.5 * s * (y[0, 0] - m[0]) ** 2 + 0.5 * math.log(s) - 0.5 * math.log(2 * math.pi)
+    assert models.expected_log_component(mu, models._gw_statistics(y), 1) == pytest.approx([want], abs=1e-3)
 
 
 def test_gmm_zero_y_expected_log_component():
     gw = expfam.gw_natural(3.0, 1.5, np.array([0.2, 0.1]), np.eye(2))
     mu = expfam.nat_to_mean(gw).values
-    got = models.expected_log_component(mu, np.zeros(2), 2)
+    got = models.expected_log_component(mu, models._gw_statistics(np.zeros((1, 2))), 2)
     want = 0.5 * mu[0] - 0.5 * mu[-1] - math.log(2 * math.pi)
-    assert got == pytest.approx(want, rel=1e-13)
+    assert got == pytest.approx([want], rel=1e-13)
+
+
+def test_expected_log_component_is_the_gaussian_quadratic_form():
+    """T(y) . mu is E[log N(y | m, S^-1)] written out: E[log det S]/2 - y^T E[S] y/2 + y^T E[S m] - E[m^T S m]/2."""
+    y = np.random.default_rng(7).normal(size=(5, 2))
+    mus = expfam.nat_to_mean(
+        expfam.NaturalParam(
+            expfam.FamilyDescriptor(expfam.GAUSSIAN_WISHART, dim=2),
+            np.stack(
+                [
+                    expfam.gw_natural(3.0, 1.5, np.array([0.2, 0.1]), np.eye(2)).values,
+                    expfam.gw_natural(6.0, 0.5, np.array([-1.0, 2.0]), [[2.0, 0.3], [0.3, 0.5]]).values,
+                ]
+            ),
+        )
+    ).values
+    got = models.expected_log_component(mus, models._gw_statistics(y), 2)
+    assert got.shape == (5, 2)
+    for k, mu in enumerate(mus):
+        e_s, e_sm = mu[1:5].reshape(2, 2), mu[5:7]
+        want = 0.5 * mu[0] - 0.5 * np.einsum("ni,ij,nj->n", y, e_s, y) + y @ e_sm - 0.5 * mu[-1] - math.log(2 * math.pi)
+        assert got[:, k] == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
