@@ -22,11 +22,14 @@ Validation, ``nat_to_mean``, ``log_partition``, ``entropy`` and
 vector (``gw_params`` also takes rows).  Bernoulli, Gaussian and
 Gaussian-Wishart rows are handled as whole arrays, with batched Cholesky
 factors and solves; Beta rows one at a time (its plates hold a single
-row).  The special functions stay scalar: the Gaussian-Wishart sums of
-psi and log Gamma at (t + j)/2, j = 0..D-1, call them once per row and j,
-with t = nu - (D - 1) formed once from lambda as 2 lambda_0 + 1, so an
-argument near 0 keeps its relative precision.  A domain error lists the
-offending rows.
+row).  Gaussian rows whose precisions S are bitwise one matrix, as the
+rows of a matrix-factorisation plate are, keep one (1, D, D) factor, which
+every conversion broadcasts over the rows: each row's arithmetic, and so
+its result, is the one its own factor would give.  The special functions
+stay scalar: the Gaussian-Wishart sums of psi and log Gamma at (t + j)/2,
+j = 0..D-1, call them once per row and j, with t = nu - (D - 1) formed
+once from lambda as 2 lambda_0 + 1, so an argument near 0 keeps its
+relative precision.  A domain error lists the offending rows.
 
 The Gaussian-Wishart mean pass also yields the log normalizer A(lambda)
 from the nu, gamma and log det W^-1 it holds: the mu that ``nat_to_mean``
@@ -228,7 +231,8 @@ class NaturalParam:
 
     ``factor`` is the lower Cholesky factor that validation found: of the
     precision S for a Gaussian, of W^-1 for a Gaussian-Wishart, one (D, D)
-    matrix per row; None for Bernoulli and Beta.  The conversions reuse it.
+    matrix per row, or a (1, D, D) one for Gaussian rows that share one S;
+    None for Bernoulli and Beta.  The conversions reuse it.
     """
 
     family: FamilyDescriptor
@@ -242,7 +246,7 @@ class NaturalParam:
         object.__setattr__(self, "values", arr)
         if factor is not None:
             factor.flags.writeable = False
-            object.__setattr__(self, "factor", factor.reshape(arr.shape[:-1] + factor.shape[-2:]))
+            object.__setattr__(self, "factor", factor if arr.ndim == 2 else factor[0])
 
 
 @dataclass(frozen=True, slots=True)
@@ -285,7 +289,8 @@ def row_view(param, row: int):
     object.__setattr__(one, "family", param.family)
     object.__setattr__(one, "values", param.values[row])
     if isinstance(param, NaturalParam):
-        object.__setattr__(one, "factor", None if param.factor is None else param.factor[row])
+        factor = param.factor
+        object.__setattr__(one, "factor", None if factor is None else factor[0 if len(factor) == 1 else row])
     else:
         object.__setattr__(one, "log_partition", None if param.log_partition is None else param.log_partition[row])
     return one
@@ -338,7 +343,7 @@ def _logdet_from_factor(chol: np.ndarray):
 
 def _gauss_mean_cov(lam: NaturalParam):
     """(m, S^-1) of a Gaussian per row, from the factor L of S: m = L^-T (L^-1 h), S^-1 = L^-T L^-1."""
-    h, _ = _gauss_unpack(lam.family, lam.values)
+    h = lam.values[..., : lam.family.dim]
     linv, cov = _factor_inverse(lam.factor)
     return (np.swapaxes(linv, -1, -2) @ (linv @ h[..., None]))[..., 0], cov
 
@@ -372,7 +377,10 @@ def _wishart_sum(fn, t, d: int):
 
 
 def _validate_natural(family: FamilyDescriptor, rows: np.ndarray):
-    """Domain check of (G, flat) natural parameters; the (G, D, D) Cholesky factors it found, if any."""
+    """Domain check of (G, flat) natural parameters; the (G, D, D) Cholesky factors it found, if any.
+
+    Gaussian rows that share one precision get one (1, D, D) factor.
+    """
     kind = family.kind
     if kind == BERNOULLI:
         return  # finiteness already checked
@@ -385,8 +393,14 @@ def _validate_natural(family: FamilyDescriptor, rows: np.ndarray):
         )
         return
     if kind == GAUSSIAN:
-        _, s_mat = _gauss_unpack(family, rows)
-        return _require_spd(s_mat, "Gaussian precision S")
+        # rows whose S blocks are bitwise row 0's (-0.0 is not +0.0) share one factor
+        bits = rows[:, family.dim :].view(np.int64)
+        if (bits != bits[:1]).any():
+            return _require_spd(_gauss_unpack(family, rows)[1], "Gaussian precision S")
+        try:
+            return _require_spd(_gauss_unpack(family, rows[:1])[1], "Gaussian precision S")
+        except DomainError as exc:  # every row fails, as each would on its own
+            raise DomainError(str(exc), rows=np.arange(len(rows))) from None
     _check_rows(
         rows[:, -1] < 0.0,  # gamma = -2 lam[-1]
         lambda r: f"Gaussian-Wishart requires gamma > 0, got gamma={-2.0 * rows[r, -1]:g}",
@@ -686,7 +700,7 @@ def log_partition(lam: NaturalParam):
 
 def _gauss_log_partition(lam: NaturalParam, m: np.ndarray):
     """A(lam) = (h.m - log det S + D log 2 pi) / 2 per row, given the mean m = S^-1 h."""
-    h, _ = _gauss_unpack(lam.family, lam.values)
+    h = lam.values[..., : lam.family.dim]
     logdet_s = _logdet_from_factor(lam.factor)
     return 0.5 * np.sum(h * m, axis=-1) - 0.5 * logdet_s + 0.5 * lam.family.dim * math.log(2.0 * math.pi)
 

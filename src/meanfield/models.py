@@ -460,11 +460,17 @@ def _split_gauss(mu: np.ndarray, k: int):
     return mu[:, :k], mu[:, k:].reshape(-1, k, k)
 
 
+def _sum_of_squares(y: np.ndarray) -> float:
+    """The sum of y^2 over every entry of the data matrix."""
+    return float(np.sum(y * y))
+
+
 class MatrixFactorizationProvider(CoefficientProvider):
     """Gaussian row/column factors under an i.i.d. unit-noise likelihood.
 
     The row factors u0..u{N-1} form plate "u" and the column factors
-    v0..v{D-1} plate "v"; each reads only the other plate.
+    v0..v{D-1} plate "v"; each reads only the other plate.  The ELBO's
+    sum of y^2 is read off the data alone, memoised on the snapshot.
     """
 
     def __init__(self, data: MatrixFactorizationData):
@@ -488,7 +494,7 @@ class MatrixFactorizationProvider(CoefficientProvider):
         k = data.k
         u1, u2 = _split_gauss(mus["u"], k)
         v1, v2 = _split_gauss(mus["v"], k)
-        total = -0.5 * float(np.sum(data.y * data.y))
+        total = -0.5 * mus.read_off("sum y^2", self, data, _sum_of_squares, data.y)
         total += float(np.sum(data.y * (u1 @ v1.T)))
         total -= 0.5 * float(np.einsum("nab,dab->", u2, v2))
         total -= 0.5 * data.n * data.d * LOG_2PI

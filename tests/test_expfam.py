@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meanfield import expfam, oracle, specfun
+from meanfield import engine, expfam, oracle, specfun
 from meanfield.checks import _random_natural
 from conftest import large_mean_gaussians
 
@@ -467,6 +467,106 @@ def test_row_view_carries_its_rows_factor():
     assert np.array_equal(one.factor, 2.0 * np.eye(2))
     bern = expfam.NaturalParam(expfam.FamilyDescriptor(expfam.BERNOULLI), np.zeros((3, 1)))
     assert bern.factor is None and expfam.row_view(bern, 2).factor is None
+
+
+# ---------------------------------------------------------------------------
+# Gaussian rows that share one precision share one Cholesky factor
+# ---------------------------------------------------------------------------
+
+
+def _shared_precision_rows(g: int, d: int, seed: int = 0) -> np.ndarray:
+    """g Gaussian lambdas with one random SPD precision and a mean of their own, as (g, flat) rows."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, d))
+    precision = a @ a.T + np.eye(d)
+    means = rng.standard_normal((g, d))
+    return np.stack([expfam.gaussian_natural(m, precision).values for m in means])
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("g", [2, 5, 40])
+def test_rows_sharing_a_precision_keep_one_factor_and_give_each_lone_rows_results(g, d):
+    rows = _shared_precision_rows(g, d)
+    lam = expfam.NaturalParam(expfam.FamilyDescriptor(expfam.GAUSSIAN, dim=d), rows)
+    assert lam.factor.shape == (1, d, d) and not lam.factor.flags.writeable
+    mu = expfam.nat_to_mean(lam)
+    log_z, ent = expfam.log_partition(lam), expfam.entropy(lam)
+    ent_mu = expfam.entropy(lam, mu)
+    m, precision = expfam.gaussian_mean_precision(lam)
+    assert mu.values.shape == (g, d + d * d) and log_z.shape == ent.shape == (g,) and precision.shape == (g, d, d)
+    for r in range(g):
+        alone = expfam.NaturalParam(lam.family, rows[r])
+        assert _bits(expfam.row_view(lam, r).factor) == _bits(alone.factor)
+        assert _bits(mu.values[r]) == _bits(expfam.nat_to_mean(alone).values)
+        assert _bits(log_z[r]) == _bits(expfam.log_partition(alone))
+        assert _bits(ent[r]) == _bits(ent_mu[r]) == _bits(expfam.entropy(alone))
+        alone_m, alone_precision = expfam.gaussian_mean_precision(alone)
+        assert _bits(m[r]) == _bits(alone_m) and _bits(precision[r]) == _bits(alone_precision)
+
+
+def test_a_signed_zero_in_the_precision_does_not_tie_rows():
+    rows = _shared_precision_rows(3, 2)
+    rows[:, 2:] = (-0.5 * np.diag([2.0, 3.0])).reshape(-1)  # off-diagonal -S/2 entries are -0.0
+    rows[1, 3] = rows[1, 4] = 0.0  # the same value in row 1, with the other sign
+    lam = expfam.NaturalParam(expfam.FamilyDescriptor(expfam.GAUSSIAN, dim=2), rows)
+    assert np.array_equal(rows[0, 2:], rows[1, 2:])
+    assert lam.factor.shape == (3, 2, 2)
+    rows[1, 3] = rows[1, 4] = -0.0
+    assert expfam.NaturalParam(lam.family, rows).factor.shape == (1, 2, 2)
+
+
+@pytest.mark.parametrize("g", [2, 5, 40])
+def test_a_shared_precision_that_is_not_spd_fails_every_row_with_the_lone_message(g):
+    rows = _shared_precision_rows(g, 2)
+    rows[:, 2:] = (-0.5 * np.diag([1.0, -1.0])).reshape(-1)
+    fam = expfam.FamilyDescriptor(expfam.GAUSSIAN, dim=2)
+    with pytest.raises(expfam.DomainError) as stacked:
+        expfam.NaturalParam(fam, rows)
+    with pytest.raises(expfam.DomainError) as alone:
+        expfam.NaturalParam(fam, rows[0])
+    assert str(stacked.value) == str(alone.value)
+    assert "Gaussian precision S must be symmetric positive-definite" in str(alone.value)
+    assert np.array_equal(stacked.value.rows, np.arange(g))
+
+
+def _backoff_rates(monkeypatch, rows: np.ndarray, target: np.ndarray):
+    """The rates ``_step_with_backoff`` tries on its way to ``target``, and the plate it lands on."""
+    rates = []
+    step = engine.blr_step
+
+    def recorded(node, goal, rho):
+        rates.append(np.array(rho, dtype=float).reshape(-1).tolist())
+        return step(node, goal, rho)
+
+    monkeypatch.setattr(engine, "blr_step", recorded)
+    lam = expfam.NaturalParam(expfam.FamilyDescriptor(expfam.GAUSSIAN, dim=2), rows)
+    plate = engine.Plate.make([f"u{i}" for i in range(len(rows))], lam)
+    out = engine._step_with_backoff(plate, target, 1.0)
+    monkeypatch.undo()
+    return rates, out
+
+
+@pytest.mark.parametrize("g", [2, 5, 40])
+def test_a_step_toward_a_shared_non_spd_precision_halves_every_rows_rate_together(monkeypatch, g):
+    """S = I steps toward S = -I: rates 1 and 1/2 leave the domain in every row, 1/4 lands at S = I/2.
+
+    A plate whose rows' precisions differ only by a scale takes the same rates, one factor per row.
+    """
+    rows = _shared_precision_rows(g, 2)
+    rows[:, 2:] = (-0.5 * np.eye(2)).reshape(-1)
+    target = rows.copy()
+    target[:, 2:] = -rows[:, 2:]
+    rates, out = _backoff_rates(monkeypatch, rows, target)
+    assert rates == [[1.0], [0.5] * g, [0.25] * g]
+    assert out.lam.factor.shape == (1, 2, 2)
+    assert np.array_equal(out.lam.values, 0.75 * rows + 0.25 * target)
+    scale = np.linspace(1.0, 2.0, g)[:, None]
+    untied_rates, untied = _backoff_rates(monkeypatch, scale * rows, scale * target)
+    assert untied_rates == rates and untied.lam.factor.shape == (g, 2, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -119,31 +119,56 @@ def test_bernoulli_plate_nat_to_mean(benchmark):
     assert mu.values == pytest.approx(1.0 / (1.0 + np.exp(-log_odds)), rel=1e-12)
 
 
-def _gaussian_plate(rows: int = 40, k: int = 3) -> expfam.NaturalParam:
-    """A row-stacked K=3 Gaussian plate, as the PPCA u plate at the bench size."""
+def _gaussian_plate(rows: int = 40, k: int = 3, shared: bool = False) -> expfam.NaturalParam:
+    """A row-stacked K=3 Gaussian plate of the PPCA u plate's size.
+
+    By default every row has a precision of its own: the untied case, a
+    plate a user builds, which keeps one Cholesky factor per row.
+    ``shared`` gives every row one precision, as the PPCA u plate's rows
+    have, which keeps one factor for the plate.
+    """
     rng = np.random.default_rng(0)
-    a = rng.standard_normal((rows, k, k))
-    precision = a @ np.swapaxes(a, -1, -2) + np.eye(k)
+    a = rng.standard_normal((1 if shared else rows, k, k))
+    precision = np.broadcast_to(a @ np.swapaxes(a, -1, -2) + np.eye(k), (rows, k, k))
     h = (precision @ rng.standard_normal((rows, k, 1)))[..., 0]
     flat = np.concatenate([h, (-0.5 * precision).reshape(rows, -1)], axis=1)
     return expfam.NaturalParam(expfam.FamilyDescriptor(expfam.GAUSSIAN, dim=k), flat)
 
 
-def test_gaussian_plate_nat_to_mean(benchmark):
-    lam = _gaussian_plate()
+def _check_plate_mean(benchmark, lam: expfam.NaturalParam) -> None:
     mu = benchmark(expfam.nat_to_mean, lam)
     m, precision = expfam.gaussian_mean_precision(lam)
     cov = mu.values[:, 3:].reshape(-1, 3, 3) - m[:, :, None] * m[:, None, :]
     assert np.allclose(cov @ precision, np.eye(3), atol=1e-10)
 
 
-def test_gaussian_plate_blr_step(benchmark):
-    """A rate-1 step of a 40-row plate: lambda validation (one Cholesky) and the derived mu."""
-    plate = engine.Plate.make([f"u{i}" for i in range(40)], _gaussian_plate())
-    target = _gaussian_plate().values[::-1].copy()
+def _check_plate_step(benchmark, shared: bool) -> None:
+    plate = engine.Plate.make([f"u{i}" for i in range(40)], _gaussian_plate(shared=shared))
+    target = _gaussian_plate(shared=shared).values[::-1].copy()
     out = benchmark(engine.blr_step, plate, target, 1.0)
     assert np.array_equal(out.lam.values, target)
     assert np.array_equal(out.mu.values, expfam.nat_to_mean(out.lam).values)
+
+
+def test_gaussian_plate_nat_to_mean(benchmark):
+    _check_plate_mean(benchmark, _gaussian_plate())
+
+
+def test_shared_precision_gaussian_plate_nat_to_mean(benchmark):
+    """The PPCA u plate's case: one precision, so one (1, 3, 3) factor for the 40 rows."""
+    lam = _gaussian_plate(shared=True)
+    assert lam.factor.shape == (1, 3, 3)
+    _check_plate_mean(benchmark, lam)
+
+
+def test_gaussian_plate_blr_step(benchmark):
+    """A rate-1 step of a 40-row plate: lambda validation (one batched Cholesky, a factor per row) and the derived mu."""
+    _check_plate_step(benchmark, shared=False)
+
+
+def test_shared_precision_gaussian_plate_blr_step(benchmark):
+    """A rate-1 step of a 40-row plate with one precision: one Cholesky for the plate, and the derived mu."""
+    _check_plate_step(benchmark, shared=True)
 
 
 def test_gaussian_wishart_row_nat_to_mean(benchmark):

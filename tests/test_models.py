@@ -417,6 +417,36 @@ def test_all_delta_elbo_is_negative_regularized_loss_plus_constant():
     assert got == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("kind", [engine.CAVI, engine.PARALLEL_BLR])
+@pytest.mark.parametrize("mode", ["vmp", "ppca", "als"])
+def test_matfac_plates_keep_one_shared_factor_through_a_fit(mode, kind):
+    """Every row of "u" (of "v") reads one coefficient of E[x x^T], so each plate keeps one K x K factor."""
+    data = _matfac_data(seed=7, n=6, d=5, k=3)
+    schedule = engine.Schedule(kind=kind, rho_local=1.0 if kind == engine.CAVI else 0.5)
+    trace = engine.fit(models.build_matfac(data, mode, seed=7), data, schedule, tol=1e-8, max_iter=2000)
+    assert trace.converged
+    assert {name: plate.lam.factor.shape for name, plate in trace.plates.items()} == {
+        "u": (1, 3, 3),
+        "v": (1, 3, 3),
+    }
+
+
+def test_matfac_fit_sums_the_squared_data_once(monkeypatch):
+    """The ELBO's sum of y^2 reads no entry: one fit computes it once, whatever its sweep count."""
+    calls = []
+    sum_of_squares = models._sum_of_squares
+
+    def counted(y):
+        calls.append(1)
+        return sum_of_squares(y)
+
+    monkeypatch.setattr(models, "_sum_of_squares", counted)
+    data = _matfac_data(seed=8)
+    trace = engine.fit(models.build_matfac(data, "ppca", seed=8), data, tol=1e-300, max_iter=12)
+    assert trace.records[-1].iteration == 12
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # logit-normal weight prior
 # ---------------------------------------------------------------------------
