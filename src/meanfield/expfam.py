@@ -34,8 +34,11 @@ relative precision.  A domain error lists the offending rows.
 The Gaussian-Wishart mean pass also yields the log normalizer A(lambda)
 from the nu, gamma and log det W^-1 it holds: the mu that ``nat_to_mean``
 derives from a Gaussian-Wishart lambda carries it (``log_partition``, per
-row; ``row_view`` slices it), and ``entropy`` reads it off mu, as it reads
-a Gaussian's mean off mu.  A mu built through the constructor carries none.
+row; ``row_view`` slices it), and ``entropy`` reads it off mu.  A mu built
+through the constructor carries none.  A Gaussian's entropy reads no mu:
+it is the closed form (D (1 + log 2 pi) - log det S) / 2 off the factor of
+S alone, one value for rows that share one factor, exact where
+A(lambda) - lambda . mu would cancel a large m^T S m.
 
 Flat layouts
 ------------
@@ -320,14 +323,15 @@ def _gauss_unpack(family: FamilyDescriptor, arr: np.ndarray):
 
 
 def _factor_inverse(chol: np.ndarray):
-    """(L^-1, L^-T L^-1) from a lower Cholesky factor L, per row, by one batched solve.
+    """(L^-1, L^-T L^-1) from a lower Cholesky factor L, per row, by one batched inverse.
 
-    L^-T L^-1 = (L L^T)^-1 is a Gram matrix, so exactly symmetric.  A
-    vector goes through S^-1 as L^-T (L^-1 v), not as (S^-1) v: the explicit
-    inverse loses up to cond(S) eps of a quadratic form that the two
-    triangular factors keep.
+    ``inv`` is the LU solve against the identity, bitwise, without forming
+    the identity.  L^-T L^-1 = (L L^T)^-1 is a Gram matrix, so exactly
+    symmetric.  A vector goes through S^-1 as L^-T (L^-1 v), not as
+    (S^-1) v: the explicit inverse loses up to cond(S) eps of a quadratic
+    form that the two triangular factors keep.
     """
-    linv = np.linalg.solve(chol, np.eye(chol.shape[-1]))
+    linv = np.linalg.inv(chol)
     return linv, np.swapaxes(linv, -1, -2) @ linv
 
 
@@ -338,7 +342,7 @@ def _dot(u: np.ndarray, v: np.ndarray):
 
 def _logdet_from_factor(chol: np.ndarray):
     """log det (L L^T) from a lower Cholesky factor L, per row."""
-    return 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+    return 2.0 * np.log(chol.diagonal(axis1=-2, axis2=-1)).sum(axis=-1)
 
 
 def _gauss_mean_cov(lam: NaturalParam):
@@ -690,19 +694,14 @@ def log_partition(lam: NaturalParam):
         out = np.maximum(lv, 0.0) + np.log1p(np.exp(-np.abs(lv)))
     elif kind == BETA:
         out = _map_rows(lambda row: betaln(*_beta_ab_from_flat(fam, row)), arr)
-    elif kind == GAUSSIAN:
-        out = _gauss_log_partition(lam, _gauss_mean_cov(lam)[0])
+    elif kind == GAUSSIAN:  # (h.m - log det S + D log 2 pi) / 2, with the mean m = S^-1 h
+        h, m = arr[..., : fam.dim], _gauss_mean_cov(lam)[0]
+        logdet_s = _logdet_from_factor(lam.factor)
+        out = 0.5 * np.sum(h * m, axis=-1) - 0.5 * logdet_s + 0.5 * fam.dim * math.log(2.0 * math.pi)
     else:
         nu, gamma, _ = _gw_unpack(fam, arr)
         out = _gw_log_partition(fam.dim, nu, _gw_offset(arr), gamma, _logdet_from_factor(lam.factor))
     return float(out) if arr.ndim == 1 else out
-
-
-def _gauss_log_partition(lam: NaturalParam, m: np.ndarray):
-    """A(lam) = (h.m - log det S + D log 2 pi) / 2 per row, given the mean m = S^-1 h."""
-    h = lam.values[..., : lam.family.dim]
-    logdet_s = _logdet_from_factor(lam.factor)
-    return 0.5 * np.sum(h * m, axis=-1) - 0.5 * logdet_s + 0.5 * lam.family.dim * math.log(2.0 * math.pi)
 
 
 def _gw_log_partition(d: int, nu, t, gamma, logdet_w_inv):
@@ -720,13 +719,22 @@ def _gw_log_partition(d: int, nu, t, gamma, logdet_w_inv):
 def entropy(lam: NaturalParam, mu: ExpectationParam | None = None):
     """Differential (or discrete) entropy of q_lam; one value per row if stacked.
 
-    ``mu`` may pass the expectations already known to match lam.
+    ``mu`` may pass the expectations already known to match lam.  A
+    Gaussian's entropy is the closed form (D (1 + log 2 pi) - log det S) / 2
+    off the factor L of S alone and reads no mu: A(lam) - lam . mu would
+    cancel m^T S m / 2 and lose a small entropy's digits when the mean is
+    large against the posterior sd.  Rows that share one factor share its
+    one value, repeated over them.
     """
+    fam = lam.family
+    if fam.kind == GAUSSIAN:
+        out = 0.5 * fam.dim * (1.0 + math.log(2.0 * math.pi)) - 0.5 * _logdet_from_factor(lam.factor)
+        if lam.values.ndim == 1:
+            return float(out)
+        return out if len(out) == len(lam.values) else out.repeat(len(lam.values))  # one shared factor
     if mu is None:
         mu = nat_to_mean(lam)
-    if lam.family.kind == GAUSSIAN:  # h.m read off mu, log det S off the factor: no solve
-        a = _gauss_log_partition(lam, mu.values[..., : lam.family.dim])
-    elif mu.log_partition is not None:  # a Gaussian-Wishart A from the mean pass
+    if mu.log_partition is not None:  # a Gaussian-Wishart A from the mean pass
         a = mu.log_partition
     else:
         a = log_partition(lam)

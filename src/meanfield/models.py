@@ -200,6 +200,8 @@ class MatrixFactorizationData:
         _require_finite(self)
         y = np.atleast_2d(np.asarray(self.y, dtype=float))
         _require_square_summable("y", y)
+        if 0 in y.shape:
+            raise ValueError(f"y must have at least one row and one column, got shape {y.shape}")
         if self.k < 1:
             raise ValueError(f"k (the number of factors) must be >= 1, got {self.k}")
         _require_positive(self, "delta_u", "delta_v")
@@ -469,8 +471,14 @@ class MatrixFactorizationProvider(CoefficientProvider):
     """Gaussian row/column factors under an i.i.d. unit-noise likelihood.
 
     The row factors u0..u{N-1} form plate "u" and the column factors
-    v0..v{D-1} plate "v"; each reads only the other plate.  The ELBO's
-    sum of y^2 is read off the data alone, memoised on the snapshot.
+    v0..v{D-1} plate "v"; each reads only the other plate.  The expected
+    log-joint is linear in u's expectations, with u's coefficient as the
+    slope, so it is read off as mu_u . coefficient_u, which holds
+    y . (U V^T), the E[u u^T] . E[v v^T] sums and delta_u's trace, plus
+    the terms that do not read u: -sum y^2 / 2, delta_v's trace and the
+    constants.  In a fit the residual has just memoised that coefficient
+    on the snapshot; the sum of y^2 is read off the data alone, memoised
+    too.
     """
 
     def __init__(self, data: MatrixFactorizationData):
@@ -492,13 +500,10 @@ class MatrixFactorizationProvider(CoefficientProvider):
 
     def expected_log_joint(self, mus, data: MatrixFactorizationData):
         k = data.k
-        u1, u2 = _split_gauss(mus["u"], k)
-        v1, v2 = _split_gauss(mus["v"], k)
-        total = -0.5 * mus.read_off("sum y^2", self, data, _sum_of_squares, data.y)
-        total += float(np.sum(data.y * (u1 @ v1.T)))
-        total -= 0.5 * float(np.einsum("nab,dab->", u2, v2))
+        v2 = _split_gauss(mus["v"], k)[1]
+        total = float(np.vdot(mus["u"], mus.coefficient(self, "u", data)))
+        total -= 0.5 * mus.read_off("sum y^2", self, data, _sum_of_squares, data.y)
         total -= 0.5 * data.n * data.d * LOG_2PI
-        total -= 0.5 * data.delta_u * float(np.trace(u2.sum(axis=0)))
         total -= 0.5 * data.delta_v * float(np.trace(v2.sum(axis=0)))
         total += 0.5 * data.n * k * (math.log(data.delta_u) - LOG_2PI)
         total += 0.5 * data.d * k * (math.log(data.delta_v) - LOG_2PI)

@@ -263,6 +263,27 @@ def test_entropy_known_values():
     assert expfam.entropy(std) == pytest.approx(0.5 * math.log(2.0 * math.pi * math.e), rel=1e-13)
 
 
+def test_gaussian_entropy_of_a_large_mean_matches_mpmath():
+    """The closed form off the factor of S is exact where A(lam) - lam . mu cancelled m^T S m / 2 (0.245 off)."""
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    for mean, precision in large_mean_gaussians(500):
+        lam = expfam.gaussian_natural(mean, precision)
+        s_mat = -2.0 * lam.values[3:].reshape(3, 3)  # the stored precision, exactly
+        with mpmath.workdps(50):
+            logdet = mpmath.log(mpmath.det(mpmath.matrix(s_mat.tolist())))
+            want = float(mpmath.mpf(3) / 2 * (1 + mpmath.log(2 * mpmath.pi)) - logdet / 2)
+        worst = max(worst, abs(expfam.entropy(lam) - want) / abs(want))
+    assert worst <= 1e-13
+
+
+def test_a_one_dimensional_gaussian_entropy_is_a_float():
+    lam = expfam.gaussian_natural([3.0e4], [[4.0]])
+    ent = expfam.entropy(lam)
+    assert type(ent) is float
+    assert ent == pytest.approx(0.5 * math.log(2.0 * math.pi * math.e / 4.0), rel=1e-15)
+
+
 def test_entropy_matches_quadrature_for_beta():
     a, b = 2.5, 4.0
     lam = expfam.beta_natural(a, b)
@@ -517,6 +538,41 @@ def test_a_signed_zero_in_the_precision_does_not_tie_rows():
     assert lam.factor.shape == (3, 2, 2)
     rows[1, 3] = rows[1, 4] = -0.0
     assert expfam.NaturalParam(lam.family, rows).factor.shape == (1, 2, 2)
+
+
+def _own_precision_rows(g: int, d: int, seed: int = 0) -> np.ndarray:
+    """g Gaussian lambdas, each with a random SPD precision and a mean of its own, as (g, flat) rows."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((g, d, d))
+    precisions = a @ np.swapaxes(a, -1, -2) + np.eye(d)
+    return np.stack([expfam.gaussian_natural(m, s).values for m, s in zip(rng.standard_normal((g, d)), precisions)])
+
+
+@pytest.mark.parametrize("tied", [True, False], ids=["tied", "untied"])
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("g", [1, 2, 40])
+def test_each_rows_gaussian_entropy_is_its_lone_rows(g, d, tied):
+    """A tied plate's one factor gives one entropy, broadcast over its rows; each is bitwise a lone row's."""
+    rows = (_shared_precision_rows if tied else _own_precision_rows)(g, d)
+    lam = expfam.NaturalParam(expfam.FamilyDescriptor(expfam.GAUSSIAN, dim=d), rows)
+    assert lam.factor.shape == ((1 if tied else g), d, d)
+    ent = expfam.entropy(lam)
+    assert ent.shape == (g,)
+    for r in range(g):
+        assert _bits(ent[r]) == _bits(expfam.entropy(expfam.NaturalParam(lam.family, rows[r])))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("g", [1, 2, 40])
+def test_the_factor_inverse_and_log_det_are_bitwise_their_solve_and_sum(g, d):
+    """``inv`` of a Cholesky factor is the solve against the identity, and ``.sum`` is ``np.sum``, bit for bit."""
+    lam = expfam.NaturalParam(expfam.FamilyDescriptor(expfam.GAUSSIAN, dim=d), _own_precision_rows(g, d, seed=d))
+    for chol in (lam.factor, lam.factor[0]):
+        linv, cov = expfam._factor_inverse(chol)
+        want = np.linalg.solve(chol, np.eye(d))
+        assert _bits(linv) == _bits(want) and _bits(cov) == _bits(np.swapaxes(want, -1, -2) @ want)
+        logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+        assert _bits(expfam._logdet_from_factor(chol)) == _bits(logdet)
 
 
 @pytest.mark.parametrize("g", [2, 5, 40])

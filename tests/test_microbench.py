@@ -1,4 +1,5 @@
-"""Micro-benchmarks of fit iterations, the logit-normal read-off, plate conversions and steps, and special functions.
+"""Micro-benchmarks of fit iterations, the logit-normal read-off, matfac's log-joint, plate conversions, steps and
+entropies, and special functions.
 
 pytest's defaults include ``--benchmark-disable``, so a plain test run calls
 each benchmarked function once and checks its result.  To time them:
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from meanfield import engine, expfam, models, specfun
-from conftest import make_gmm, make_two_level
+from conftest import make_gmm, make_two_level, matfac_reference_log_joint
 
 _M = 0.3
 
@@ -19,12 +20,17 @@ def _f(t):
     return -0.5 * (t - _M) ** 2
 
 
-def test_matfac_ppca_fit_iteration(benchmark):
-    """One CAVI iteration of a PPCA fit at the bench size (40x25, K=3): sweep, residual and ELBO on one snapshot."""
+def _ppca_at_bench_size():
+    """A PPCA model of the bench's size (40x25, K=3) and its data."""
     rng = np.random.default_rng(0)
     y = rng.standard_normal((40, 3)) @ rng.standard_normal((25, 3)).T + 0.3 * rng.standard_normal((40, 25))
     data = models.MatrixFactorizationData(y, 3, 1.0, 1.0)
-    model = models.build_matfac(data, "ppca", seed=0)
+    return models.build_matfac(data, "ppca", seed=0), data
+
+
+def test_matfac_ppca_fit_iteration(benchmark):
+    """One CAVI iteration of a PPCA fit at the bench size (40x25, K=3): sweep, residual and ELBO on one snapshot."""
+    model, data = _ppca_at_bench_size()
     snap = engine.mu_snapshot(model.plates)
 
     def iteration():
@@ -34,6 +40,16 @@ def test_matfac_ppca_fit_iteration(benchmark):
     residual, elbo = benchmark(iteration)
     assert residual == engine.fixed_point_residual(model, dict(snap.plates), data)
     assert elbo == engine.elbo(model, dict(snap.plates), data)
+
+
+def test_matfac_expected_log_joint(benchmark):
+    """matfac's log-joint at the bench size, as a fit's ELBO reads it: after the residual memoised u's coefficient."""
+    model, data = _ppca_at_bench_size()
+    snap = engine.mu_snapshot(model.plates)
+    engine.cavi_sweep(model, snap, data)
+    engine.fixed_point_residual(model, snap, data)
+    got = benchmark(model.provider.expected_log_joint, snap, data)
+    assert got == pytest.approx(matfac_reference_log_joint(snap, data), rel=1e-12, abs=0.0)
 
 
 def test_two_level_fit_iteration(benchmark):
@@ -169,6 +185,16 @@ def test_gaussian_plate_blr_step(benchmark):
 def test_shared_precision_gaussian_plate_blr_step(benchmark):
     """A rate-1 step of a 40-row plate with one precision: one Cholesky for the plate, and the derived mu."""
     _check_plate_step(benchmark, shared=True)
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["untied", "tied"])
+def test_gaussian_plate_entropy(benchmark, shared):
+    """The entropies of a 40-row plate off its factors alone: one per row untied, one broadcast value tied."""
+    lam = _gaussian_plate(shared=shared)
+    ent = benchmark(expfam.entropy, lam)
+    precision = expfam.gaussian_mean_precision(lam)[1]
+    want = 1.5 * (1.0 + np.log(2.0 * np.pi)) - 0.5 * np.linalg.slogdet(precision)[1]
+    assert ent.shape == (40,) and ent == pytest.approx(want, rel=1e-13)
 
 
 def test_gaussian_wishart_row_nat_to_mean(benchmark):

@@ -1,6 +1,7 @@
 """Per-model coefficient read-offs against hand-derived values and oracles."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ import scipy.special as sp
 
 from meanfield import engine, expfam, models, oracle
 from meanfield.specfun import betaln
-from conftest import make_gmm, make_two_level
+from conftest import make_gmm, make_two_level, matfac_reference_log_joint
 
 
 # ---------------------------------------------------------------------------
@@ -34,6 +35,9 @@ def test_data_classes_reject_bad_inputs():
         models.MatrixFactorizationData(np.ones((2, 2)), 0, 1.0, 1.0)
     with pytest.raises(ValueError):
         models.MatrixFactorizationData(np.ones((2, 2)), 1, -1.0, 1.0)
+    for shape in ((0, 3), (3, 0)):
+        with pytest.raises(ValueError, match=re.escape(f"y must have at least one row and one column, got shape {shape}")):
+            models.MatrixFactorizationData(np.zeros(shape), 1, 1.0, 1.0)
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="log_pb must be finite"):
             models.TwoLevelMixtureData([0.0, 1.0], [0.0, bad], 1.0, 1.0)
@@ -445,6 +449,54 @@ def test_matfac_fit_sums_the_squared_data_once(monkeypatch):
     trace = engine.fit(models.build_matfac(data, "ppca", seed=8), data, tol=1e-300, max_iter=12)
     assert trace.records[-1].iteration == 12
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("mode", ["vmp", "ppca", "als"])
+def test_matfac_log_joint_read_off_u_matches_the_term_by_term_sum(mode):
+    """mu_u . coefficient_u plus the terms without u is the log-joint, on a fresh snapshot and on a live one."""
+    data = _matfac_data(seed=9, n=7, d=5, k=3)
+    model = models.build_matfac(data, mode, seed=9)
+    fresh = engine.mu_snapshot(model.plates)
+    got = model.provider.expected_log_joint(fresh, data)
+    assert got == pytest.approx(matfac_reference_log_joint(fresh, data), rel=1e-12, abs=0.0)
+    live = engine.mu_snapshot(model.plates)
+    for _ in range(5):  # mid-fit: a sweep, then the residual memoises both coefficients
+        engine.cavi_sweep(model, live, data)
+        engine.fixed_point_residual(model, live, data)
+        got = model.provider.expected_log_joint(live, data)
+        assert got == pytest.approx(matfac_reference_log_joint(live, data), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("kind", [engine.CAVI, engine.PARALLEL_BLR])
+@pytest.mark.parametrize("mode", ["vmp", "ppca", "als"])
+def test_matfac_elbo_reads_the_residuals_coefficient(monkeypatch, mode, kind):
+    """A fit calls coefficient as often with the read-off log-joint as with the term-by-term one: the ELBO's is a memo hit.
+
+    The steps and residuals are bitwise those of the term-by-term fit, the ELBOs within 1e-12.
+    """
+    data = _matfac_data(seed=10)
+    schedule = engine.Schedule(kind=kind, rho_local=1.0 if kind == engine.CAVI else 0.5)
+    provider = models.MatrixFactorizationProvider
+    coefficient = provider.coefficient
+    traces, counts = [], []
+    for log_joint in (provider.expected_log_joint, lambda self, mus, data: matfac_reference_log_joint(mus, data)):
+        calls = []
+
+        def counted(self, plate, mus, data):
+            calls.append(plate)
+            return coefficient(self, plate, mus, data)
+
+        monkeypatch.setattr(provider, "coefficient", counted)
+        monkeypatch.setattr(provider, "expected_log_joint", log_joint)
+        traces.append(engine.fit(models.build_matfac(data, mode, seed=10), data, schedule, tol=1e-300, max_iter=15))
+        counts.append(len(calls))
+        monkeypatch.undo()
+    new, old = traces
+    assert counts[0] == counts[1] == 2 + 2 * 15
+    assert new.residuals.tobytes() == old.residuals.tobytes()
+    for name in ("u", "v"):
+        assert new.plates[name].lam.values.tobytes() == old.plates[name].lam.values.tobytes()
+    np.testing.assert_allclose(new.elbos, old.elbos, rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
