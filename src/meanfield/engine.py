@@ -357,6 +357,12 @@ class ModelSpec:
         return tuple(sorted(self.plates, key=lambda name: self.plates[name].role != LOCAL))
 
 
+def _require_count(name: str, value) -> None:
+    """Reject a value that is not a nonnegative Python or numpy integer (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ConfigurationError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Update schedule: CAVI, SVI, or parallel damped steps.
@@ -381,6 +387,7 @@ class Schedule:
         least = 1.0 if self.kind == SVI else 0.0  # the first SVI rate, tau^-kappa, must not exceed 1
         if not least <= self.tau < float("inf"):
             raise ConfigurationError(f"tau must be finite and at least {least:g}, got {self.tau:g}")
+        _require_count("seed", self.seed)
 
     def global_rate(self, t: int) -> float:
         return float((t + self.tau) ** (-self.kappa))
@@ -643,8 +650,7 @@ def fit(
     schedule = schedule or Schedule()
     if not tol > 0.0:
         raise ConfigurationError(f"tol must be positive, got {tol}")
-    if max_iter < 0:
-        raise ConfigurationError(f"max_iter must be nonnegative, got {max_iter}")
+    _require_count("max_iter", max_iter)
     rng = np.random.default_rng(schedule.seed)
     start = time.perf_counter()
     trace = FitTrace()

@@ -2,7 +2,9 @@
 
 Four families are supported: Bernoulli, Beta, multivariate Gaussian, and
 Gaussian-Wishart.  Parameters are stored as flat vectors; symmetric matrix
-blocks are stored as full D x D (row-major) and symmetrized on ingestion.
+blocks are stored as full D x D (row-major).  Gaussian rows whose precision
+blocks are all one symmetric block, bitwise, are recognised by one compare
+and kept as given; any other block is symmetrized on ingestion.
 Domain violations are construction-time errors, with one exception: the
 expectations ``nat_to_mean`` (and ``engine.delta_moment``) derive from a
 validated lambda are checked for finiteness only.  A Beta mean
@@ -22,10 +24,12 @@ Validation, ``nat_to_mean``, ``log_partition``, ``entropy`` and
 vector (``gw_params`` also takes rows).  Bernoulli, Gaussian and
 Gaussian-Wishart rows are handled as whole arrays, with batched Cholesky
 factors and solves; Beta rows one at a time (its plates hold a single
-row).  Gaussian rows whose precisions S are bitwise one matrix, as the
-rows of a matrix-factorisation plate are, keep one (1, D, D) factor, which
-every conversion broadcasts over the rows: each row's arithmetic, and so
-its result, is the one its own factor would give.  The special functions
+row).  Gaussian rows whose precisions S are bitwise one symmetric matrix,
+as the rows of a matrix-factorisation plate are, keep one (1, D, D) factor,
+which every conversion broadcasts over the rows: each row's arithmetic, and
+so its result, is the one its own factor would give.  Rows that tie only
+once symmetrized (one asymmetric block, or -0.0 facing +0.0 across the
+diagonal) keep a factor per row.  The special functions
 stay scalar: the Gaussian-Wishart sums of psi and log Gamma at (t + j)/2,
 j = 0..D-1, call them once per row and j, with t = nu - (D - 1) formed
 once from lambda as 2 lambda_0 + 1, so an argument near 0 keeps its
@@ -210,6 +214,12 @@ def _symmetrize_block(family: FamilyDescriptor, arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _one_symmetric_block(d: int, rows: np.ndarray) -> bool:
+    """Whether every row's trailing D x D block is, bitwise, the transpose of row 0's: one compare of their bytes."""
+    first = rows[0, -d * d :].reshape(d, d).T
+    return rows[:, -d * d :].tobytes() == first.tobytes() * len(rows)
+
+
 def _chol_or_none(mat: np.ndarray):
     try:
         return np.linalg.cholesky(mat)
@@ -234,8 +244,9 @@ class NaturalParam:
 
     ``factor`` is the lower Cholesky factor that validation found: of the
     precision S for a Gaussian, of W^-1 for a Gaussian-Wishart, one (D, D)
-    matrix per row, or a (1, D, D) one for Gaussian rows that share one S;
-    None for Bernoulli and Beta.  The conversions reuse it.
+    matrix per row, or a (1, D, D) one for Gaussian rows that share one
+    symmetric S bitwise; None for Bernoulli and Beta.  The conversions reuse
+    it.
     """
 
     family: FamilyDescriptor
@@ -243,8 +254,12 @@ class NaturalParam:
     factor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        arr = _symmetrize_block(self.family, _as_flat(self.family, self.values))
-        factor = _validate_natural(self.family, arr.reshape(-1, self.family.flat_size))
+        fam = self.family
+        arr = _as_flat(fam, self.values)
+        # one symmetric S in every Gaussian row (-0.0 is not +0.0) is kept as given, with one factor
+        shared = fam.kind == GAUSSIAN and _one_symmetric_block(fam.dim, arr.reshape(-1, fam.flat_size))
+        arr = arr.copy() if shared else _symmetrize_block(fam, arr)
+        factor = _validate_natural(fam, arr.reshape(-1, fam.flat_size), shared)
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
         if factor is not None:
@@ -380,10 +395,10 @@ def _wishart_sum(fn, t, d: int):
     return np.array([one(x) for x in rows] if t.ndim else one(rows))
 
 
-def _validate_natural(family: FamilyDescriptor, rows: np.ndarray):
+def _validate_natural(family: FamilyDescriptor, rows: np.ndarray, shared: bool):
     """Domain check of (G, flat) natural parameters; the (G, D, D) Cholesky factors it found, if any.
 
-    Gaussian rows that share one precision get one (1, D, D) factor.
+    ``shared`` Gaussian rows hold one precision and get one (1, D, D) factor.
     """
     kind = family.kind
     if kind == BERNOULLI:
@@ -397,9 +412,7 @@ def _validate_natural(family: FamilyDescriptor, rows: np.ndarray):
         )
         return
     if kind == GAUSSIAN:
-        # rows whose S blocks are bitwise row 0's (-0.0 is not +0.0) share one factor
-        bits = rows[:, family.dim :].view(np.int64)
-        if (bits != bits[:1]).any():
+        if not shared:
             return _require_spd(_gauss_unpack(family, rows)[1], "Gaussian precision S")
         try:
             return _require_spd(_gauss_unpack(family, rows[:1])[1], "Gaussian precision S")
@@ -724,7 +737,9 @@ def entropy(lam: NaturalParam, mu: ExpectationParam | None = None):
     off the factor L of S alone and reads no mu: A(lam) - lam . mu would
     cancel m^T S m / 2 and lose a small entropy's digits when the mean is
     large against the posterior sd.  Rows that share one factor share its
-    one value, repeated over them.
+    one value, repeated over them.  A Gaussian-Wishart's entropy is
+    A(lam) + D (nu + 1) / 2 - lam_0 E[log det Lambda], lam . mu with its
+    gamma m^T (nu W) m terms cancelled in closed form, so no term holds m.
     """
     fam = lam.family
     if fam.kind == GAUSSIAN:
@@ -738,17 +753,39 @@ def entropy(lam: NaturalParam, mu: ExpectationParam | None = None):
         a = mu.log_partition
     else:
         a = log_partition(lam)
-    out = a - np.sum(lam.values * mu.values, axis=-1)
-    grad = base_measure_grad(lam.family)
-    if grad is not None:
-        out = out - mu.values @ grad  # minus E_q[log h]
+    if fam.kind == GAUSSIAN_WISHART:  # lam_0 = (nu - D) / 2 and mu_0 = E[log det Lambda]
+        lam0 = lam.values[..., 0]
+        out = a + 0.5 * fam.dim * (2.0 * lam0 + fam.dim + 1.0) - lam0 * mu.values[..., 0]
+    else:
+        out = a - np.sum(lam.values * mu.values, axis=-1)
+        grad = base_measure_grad(lam.family)
+        if grad is not None:
+            out = out - mu.values @ grad  # minus E_q[log h]
     return float(out) if lam.values.ndim == 1 else out
 
 
 def kl_divergence(lam1: NaturalParam, lam2: NaturalParam) -> float:
-    """KL(q_lam1 || q_lam2) in Bregman form on the log partition."""
+    """KL(q_lam1 || q_lam2): in closed form for Gaussians, in Bregman form on the log partition otherwise.
+
+    The Gaussian KL is (tr(S2 S1^-1) - D + dm^T S2 dm + log det S1 - log det S2) / 2
+    from the two factors L1, L2, with dm = m2 - m1.  The Bregman form
+    A(lam2) - A(lam1) - (lam2 - lam1) . mu1 would cancel m^T S m / 2 and go
+    negative for a mean large against the posterior sd.  S2 dm is taken as
+    (h2 - h1) - (S2 - S1) m1, differences of the lambdas, so dm^T S2 dm =
+    |L2^-1 S2 dm|^2 keeps its digits where m2 - m1 would cancel.
+    """
     if lam1.family != lam2.family:
         raise DomainError(f"family mismatch: {lam1.family} vs {lam2.family}")
+    fam = lam1.family
+    if fam.kind == GAUSSIAN:
+        d = fam.dim
+        l1, l2 = lam1.factor, lam2.factor
+        diff = lam2.values - lam1.values  # (h2 - h1, vec(-(S2 - S1) / 2))
+        s2_dm = diff[:d] + 2.0 * diff[d:].reshape(d, d) @ _gauss_mean_cov(lam1)[0]
+        a = np.linalg.solve(l1, l2)  # tr(S2 S1^-1) = |L1^-1 L2|_F^2
+        q = np.linalg.solve(l2, s2_dm)
+        trace_term = float(np.sum(a * a)) - d + float(q @ q)
+        return 0.5 * (trace_term + float(_logdet_from_factor(l1) - _logdet_from_factor(l2)))
     mu1 = nat_to_mean(lam1)
     return (
         log_partition(lam2)

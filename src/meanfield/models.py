@@ -495,8 +495,10 @@ class MatrixFactorizationProvider(CoefficientProvider):
             other, weights, delta = mus["u"], data.y.T, data.delta_v
         m1, m2 = _split_gauss(other, k)
         prec = delta * np.eye(k) + m2.sum(axis=0)
-        quad = np.broadcast_to((-0.5 * prec).reshape(-1), (weights.shape[0], k * k))
-        return np.concatenate([weights @ m1, quad], axis=1)
+        out = np.empty((weights.shape[0], k + k * k))
+        out[:, :k] = weights @ m1
+        out[:, k:] = (-0.5 * prec).reshape(-1)  # every row's one precision block
+        return out
 
     def expected_log_joint(self, mus, data: MatrixFactorizationData):
         k = data.k

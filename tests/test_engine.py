@@ -281,6 +281,27 @@ def test_fit_rejects_bad_arguments(two_level_data):
         engine.fit(model, two_level_data, max_iter=-2)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True], ids=["negative", "float", "bool"])
+def test_schedule_rejects_a_bad_seed_by_name(seed):
+    """A seed numpy's generator would reject fails where it is given, not at the next fit."""
+    with pytest.raises(engine.ConfigurationError, match=f"seed must be a nonnegative integer, got {seed!r}"):
+        engine.Schedule(seed=seed)
+
+
+def test_schedule_takes_a_numpy_integer_seed(two_level_data):
+    model = models.build_two_level(two_level_data)
+    schedule = engine.Schedule(engine.SVI, seed=np.int64(4))
+    trace = engine.fit(model, two_level_data, schedule, tol=1e-300, max_iter=np.int32(3))
+    assert trace.records[-1].iteration == 3
+
+
+@pytest.mark.parametrize("max_iter", [1.5, "3", True], ids=["float", "str", "bool"])
+def test_fit_rejects_a_max_iter_that_is_not_an_integer_by_name(two_level_data, max_iter):
+    model = models.build_two_level(two_level_data)
+    with pytest.raises(engine.ConfigurationError, match=f"max_iter must be a nonnegative integer, got {max_iter!r}"):
+        engine.fit(model, two_level_data, max_iter=max_iter)
+
+
 def test_fit_rejects_nan_tol_instead_of_running_to_max_iter(two_level_data):
     model = models.build_two_level(two_level_data)
     with pytest.raises(engine.ConfigurationError, match="tol"):

@@ -284,6 +284,18 @@ def test_a_one_dimensional_gaussian_entropy_is_a_float():
     assert ent == pytest.approx(0.5 * math.log(2.0 * math.pi * math.e / 4.0), rel=1e-15)
 
 
+@pytest.mark.parametrize("s", [1e3, 1e4, 1e5, 1e6])
+def test_gaussian_wishart_entropy_of_a_far_mean_holds_no_cancellation(s):
+    """The entropy does not depend on m: A + D (nu + 1) / 2 - lam_0 E[log det Lambda] holds no m^T W m term.
+
+    What is left grows as s^2 eps: lambda's own rounding of W^-1 + gamma m m^T.
+    A - lam . mu was 2.0e-10, 8.3e-9, 1.3e-6 and 2.1e-5 off at these s.
+    """
+    exact = 9.039411019369828  # nu = 5, gamma = 1, W = [[2, .3], [.3, 1]], in 40-digit mpmath
+    lam = expfam.gw_natural(5.0, 1.0, (s, -s), np.array([[2.0, 0.3], [0.3, 1.0]]))
+    assert abs(expfam.entropy(lam) - exact) / exact < 2e-17 * s**2
+
+
 def test_entropy_matches_quadrature_for_beta():
     a, b = 2.5, 4.0
     lam = expfam.beta_natural(a, b)
@@ -323,6 +335,47 @@ def test_kl_nonnegative_and_zero_only_at_identity(kind, dim):
         if np.max(np.abs(lam1.values - lam2.values)) > 1e-6:
             assert kl > 0.0
         assert expfam.kl_divergence(lam1, lam1) == pytest.approx(0.0, abs=1e-12)
+
+
+def _exact_gaussian_kl(lam1: expfam.NaturalParam, lam2: expfam.NaturalParam, mpmath) -> float:
+    """KL of the two Gaussians the lambdas hold, exactly, in 50-digit arithmetic."""
+    d = lam1.family.dim
+    with mpmath.workdps(50):
+
+        def mean_precision(lam):
+            s_mat = mpmath.matrix((-2.0 * lam.values[d:].reshape(d, d)).tolist())  # exact: a power-of-2 scaling
+            return s_mat**-1 * mpmath.matrix(lam.values[:d].tolist()), s_mat
+
+        (m1, s1), (m2, s2) = mean_precision(lam1), mean_precision(lam2)
+        dm = m2 - m1
+        trace = sum((s2 * s1**-1)[i, i] for i in range(d))
+        return float((trace - d + (dm.T * s2 * dm)[0] + mpmath.log(mpmath.det(s1) / mpmath.det(s2))) / 2)
+
+
+@pytest.mark.parametrize("s", [0.0, 1e2, 1e4, 1e6])
+def test_gaussian_kl_of_a_far_mean_is_its_closed_form(s):
+    """The Bregman form cancelled m^T S m / 2: -0.57 % at s = 1e4 and -6.1e-5, negative, at 1e6 (exact 3.6e-6)."""
+    mpmath = pytest.importorskip("mpmath")
+    precision = np.array([[2.0, 0.3], [0.3, 1.0]])
+    mean = np.array([s, -s])
+    lam1 = expfam.gaussian_natural(mean, precision)
+    lam2 = expfam.gaussian_natural(mean + np.array([1e-3, 2e-3]), precision)
+    want = _exact_gaussian_kl(lam1, lam2, mpmath)
+    assert want == pytest.approx(3.6e-6, rel=1e-7)
+    assert abs(expfam.kl_divergence(lam1, lam2) - want) <= 1e-9 * want
+    assert expfam.kl_divergence(lam1, lam1) == 0.0
+
+
+def test_gaussian_kl_matches_the_exact_kl_of_distinct_precisions():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(5)
+    for scale in (0.0, 1e3, 1e6):
+        a, b = rng.standard_normal((2, 3, 3))
+        mean = scale * rng.standard_normal(3)
+        lam1 = expfam.gaussian_natural(mean, a @ a.T + np.eye(3))
+        lam2 = expfam.gaussian_natural(mean + 1e-2 * rng.standard_normal(3), b @ b.T + np.eye(3))
+        want = _exact_gaussian_kl(lam1, lam2, mpmath)
+        assert abs(expfam.kl_divergence(lam1, lam2) - want) <= 1e-10 * want
 
 
 def test_kl_family_mismatch_rejected():
@@ -529,6 +582,18 @@ def test_rows_sharing_a_precision_keep_one_factor_and_give_each_lone_rows_result
         assert _bits(m[r]) == _bits(alone_m) and _bits(precision[r]) == _bits(alone_precision)
 
 
+def _assert_each_row_is_a_lone_rows(lam: expfam.NaturalParam, rows: np.ndarray) -> None:
+    """Each row's stored values, factor, mu, log-partition and entropy are bitwise those of its row built alone."""
+    mu, log_z, ent = expfam.nat_to_mean(lam), expfam.log_partition(lam), expfam.entropy(lam)
+    for r in range(len(rows)):
+        alone = expfam.NaturalParam(lam.family, rows[r])
+        assert _bits(lam.values[r]) == _bits(alone.values)
+        assert _bits(expfam.row_view(lam, r).factor) == _bits(alone.factor)
+        assert _bits(mu.values[r]) == _bits(expfam.nat_to_mean(alone).values)
+        assert _bits(log_z[r]) == _bits(expfam.log_partition(alone))
+        assert _bits(ent[r]) == _bits(expfam.entropy(alone))
+
+
 def test_a_signed_zero_in_the_precision_does_not_tie_rows():
     rows = _shared_precision_rows(3, 2)
     rows[:, 2:] = (-0.5 * np.diag([2.0, 3.0])).reshape(-1)  # off-diagonal -S/2 entries are -0.0
@@ -538,6 +603,58 @@ def test_a_signed_zero_in_the_precision_does_not_tie_rows():
     assert lam.factor.shape == (3, 2, 2)
     rows[1, 3] = rows[1, 4] = -0.0
     assert expfam.NaturalParam(lam.family, rows).factor.shape == (1, 2, 2)
+    # -0.0 above the diagonal and +0.0 below it in every row: each block differs from its own transpose
+    rows[:, 4] = 0.0
+    lam = expfam.NaturalParam(lam.family, rows)
+    assert lam.factor.shape == (3, 2, 2)
+    assert _bits(lam.values[:, 3:5]) == _bits(np.zeros((3, 2)))  # symmetrized: (-0.0 + 0.0) / 2 is +0.0
+    _assert_each_row_is_a_lone_rows(lam, rows)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("g", [1, 2, 40])
+def test_a_tied_symmetric_plate_is_kept_as_given_without_symmetrizing(monkeypatch, g, d):
+    """One compare finds the shared symmetric block: the values are a read-only copy of the input, bit for bit."""
+    calls = []
+    symmetrize = expfam._symmetrize_block
+    monkeypatch.setattr(expfam, "_symmetrize_block", lambda *args: calls.append(args) or symmetrize(*args))
+    rows = _shared_precision_rows(g, d)
+    given = rows.copy()
+    lam = expfam.NaturalParam(expfam.FamilyDescriptor(expfam.GAUSSIAN, dim=d), rows)
+    assert calls == []
+    assert lam.factor.shape == (1, d, d) and not lam.factor.flags.writeable
+    assert _bits(lam.values) == _bits(given) and not lam.values.flags.writeable
+    assert not np.shares_memory(lam.values, rows)
+    rows[:] = 0.0
+    assert _bits(lam.values) == _bits(given)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("g", [2, 5, 40])
+def test_a_plate_sharing_one_asymmetric_block_is_symmetrized_row_by_row(g, d):
+    """Rows that tie only after symmetrizing keep a factor each, and each row's results are a lone row's."""
+    rows = _shared_precision_rows(g, d)
+    block = rows[0, d:].reshape(d, d) + 0.01 * np.triu(np.ones((d, d)), 1)  # -S/2 plus an asymmetric part
+    rows[:, d:] = block.reshape(-1)
+    lam = expfam.NaturalParam(expfam.FamilyDescriptor(expfam.GAUSSIAN, dim=d), rows)
+    assert lam.factor.shape == (g, d, d)
+    want = (0.5 * (block + block.T)).reshape(-1)
+    for r in range(g):
+        assert _bits(lam.values[r, d:]) == _bits(want) and _bits(lam.values[r, :d]) == _bits(rows[r, :d])
+    _assert_each_row_is_a_lone_rows(lam, rows)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_a_single_gaussian_keeps_its_values_and_factor(d):
+    """A lone (1-D) Gaussian lambda: the values as given, a (D, D) factor of S, bit for bit."""
+    given = _shared_precision_rows(1, d, seed=d)[0]
+    lam = expfam.NaturalParam(expfam.FamilyDescriptor(expfam.GAUSSIAN, dim=d), given)
+    block = given[d:].reshape(d, d)
+    assert _bits(lam.values) == _bits(given)
+    assert _bits(lam.values[d:]) == _bits(0.5 * (block + block.T))
+    assert lam.factor.shape == (d, d) and _bits(lam.factor) == _bits(np.linalg.cholesky(-2.0 * block))
+    one = expfam.gaussian_natural([3.0], [[4.0]])
+    assert one.values.tolist() == [12.0, -2.0] and one.factor.tolist() == [[2.0]]
 
 
 def _own_precision_rows(g: int, d: int, seed: int = 0) -> np.ndarray:
@@ -729,12 +846,18 @@ def test_gaussian_wishart_expected_log_det_near_its_smallest_nu_matches_mpmath()
 def test_the_gaussian_wishart_mean_carries_its_log_partition(d):
     """entropy reads A(lam) off a mean nat_to_mean derived, bitwise as log_partition gives it, for rows and a row view.
 
-    A mean built through the constructor carries no A, and gives the same entropy.
+    The entropy is A + D (nu + 1) / 2 - lam_0 E[log det Lambda].  A mean
+    built through the constructor carries no A, and gives the same entropy.
     """
+
+    def closed_form(lam, mu):
+        lam0 = lam.values[..., 0]
+        return expfam.log_partition(lam) + 0.5 * d * (2.0 * lam0 + d + 1.0) - lam0 * mu.values[..., 0]
+
     _, stack = _gw_stack(20 + d, d, g=4)
     mu = expfam.nat_to_mean(stack)
     assert mu.log_partition.shape == (4,)
-    want = expfam.log_partition(stack) - np.sum(stack.values * mu.values, axis=-1)
+    want = closed_form(stack, mu)
     assert expfam.entropy(stack, mu).tobytes() == want.tobytes()
     assert expfam.entropy(stack).tobytes() == want.tobytes()
     rebuilt = expfam.ExpectationParam(stack.family, mu.values)
@@ -744,7 +867,7 @@ def test_the_gaussian_wishart_mean_carries_its_log_partition(d):
         assert expfam.row_view(mu, r).log_partition == mu.log_partition[r]
         one = expfam.row_view(stack, r)
         one_mu = expfam.nat_to_mean(one)
-        want_one = expfam.log_partition(one) - float(np.sum(one.values * one_mu.values))
+        want_one = closed_form(one, one_mu)
         assert expfam.entropy(one, one_mu) == want_one
         assert expfam.entropy(one, expfam.ExpectationParam(one.family, one_mu.values)) == want_one
     gauss = expfam.gaussian_natural(np.ones(d), np.eye(d))

@@ -1,5 +1,5 @@
-"""Micro-benchmarks of fit iterations, the logit-normal read-off, matfac's log-joint, plate conversions, steps and
-entropies, and special functions.
+"""Micro-benchmarks of fit iterations, the logit-normal read-off, matfac's log-joint, plate validation, conversions,
+steps and entropies, and special functions.
 
 pytest's defaults include ``--benchmark-disable``, so a plain test run calls
 each benchmarked function once and checks its result.  To time them:
@@ -175,6 +175,13 @@ def test_shared_precision_gaussian_plate_nat_to_mean(benchmark):
     lam = _gaussian_plate(shared=True)
     assert lam.factor.shape == (1, 3, 3)
     _check_plate_mean(benchmark, lam)
+
+
+def test_shared_precision_gaussian_plate_natural_param(benchmark):
+    """Validation of a 40-row plate with one symmetric precision: one compare finds it, one Cholesky factors it."""
+    flat = _gaussian_plate(shared=True).values
+    lam = benchmark(expfam.NaturalParam, expfam.FamilyDescriptor(expfam.GAUSSIAN, dim=3), flat)
+    assert lam.factor.shape == (1, 3, 3) and lam.values.tobytes() == flat.tobytes()
 
 
 def test_gaussian_plate_blr_step(benchmark):
