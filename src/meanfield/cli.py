@@ -71,8 +71,6 @@ class RunConfig:
     extras: dict | None = None
 
     def __post_init__(self):
-        if self.model not in _MODELS:
-            raise InputError(f"unknown model {self.model!r}")
         if not self.tol > 0.0:
             raise InputError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 0:

@@ -483,48 +483,42 @@ def _target(model: ModelSpec, plate: str, snap: Snapshot, data) -> np.ndarray:
     return coefficient if base is None else coefficient - base
 
 
-def _check_target(node, goal: np.ndarray) -> None:
-    """Raise NumericalError naming the first row of a node's or plate's target that is not finite."""
+def _check_target(plate: Plate, goal: np.ndarray) -> None:
+    """Raise NumericalError naming the first row of a plate's target that is not finite."""
     if not np.isfinite(goal).all():  # one pass; the row is located only on failure
-        rows = goal.reshape(len(node.ids), -1)
+        rows = goal.reshape(len(plate.ids), -1)
         r = int(np.argmin(np.isfinite(rows).all(axis=1)))
-        raise NumericalError(f"update target of node {node.ids[r]!r} is not finite: {rows[r]}")
+        raise NumericalError(f"update target of node {plate.ids[r]!r} is not finite: {rows[r]}")
 
 
-def _step_with_backoff(node, target: np.ndarray, rho: float, rows=None):
-    """Damped step of the given rows of a node or plate (all rows by default).
+def _step_with_backoff(plate: Plate, target: np.ndarray, rho: float, rows=None):
+    """Damped step of the given rows of a plate (all rows by default).
 
     A non-finite target is a NumericalError.  Every row steps at rate
     ``rho``, passed as one scalar; a row whose step leaves the parameter
     domain retries at half its rate, the other rows keep theirs.
     """
-    lam = node.lam.values
+    lam = plate.lam.values
     goal = np.asarray(target, dtype=float).reshape(lam.shape)
     rate = float(rho)
     if rows is not None:
         # a rate-1 step onto its own lambda leaves a row exactly as it is
-        keep = np.ones(len(node.ids), dtype=bool)
+        keep = np.ones(len(plate.ids), dtype=bool)
         keep[rows] = False
-        goal = goal.reshape(len(keep), -1).copy()
-        goal[keep] = lam.reshape(goal.shape)[keep]
-        goal = goal.reshape(lam.shape)
+        goal = np.where(keep[:, None], lam, goal)
         if rate != 1.0:
             rate = np.where(keep, 1.0, rate)
-    _check_target(node, goal)
+    _check_target(plate, goal)
     for _ in range(_MAX_RATE_HALVINGS):
         try:
-            return blr_step(node, goal, rate)
+            return blr_step(plate, goal, rate)
         except DomainError as exc:
-            rates = np.full(len(node.ids), rate) if np.ndim(rate) == 0 else rate
-            failed = exc.rows if exc.rows is not None else np.arange(len(rates))
-            rates[failed] *= 0.5
-            rate = rates if lam.ndim == 2 else float(rates[0])
+            rate = np.full(len(plate.ids), rate) if np.ndim(rate) == 0 else rate
+            failed = exc.rows if exc.rows is not None else np.arange(len(rate))
+            rate[failed] *= 0.5
             reason = exc
-        except NumericalError as exc:
-            where = node.ids[0] if len(node.ids) == 1 else f"{node.ids[0]}..{node.ids[-1]}"
-            raise NumericalError(f"update of node {where!r} failed: {exc}") from None
     raise DomainError(
-        f"update of node {node.ids[int(failed[0])]!r} left the parameter domain even after "
+        f"update of node {plate.ids[int(failed[0])]!r} left the parameter domain even after "
         f"{_MAX_RATE_HALVINGS} rate halvings: {reason}"
     )
 

@@ -774,6 +774,11 @@ def kl_divergence(lam1: NaturalParam, lam2: NaturalParam) -> float:
     (h2 - h1) - (S2 - S1) m1, differences of the lambdas, so dm^T S2 dm =
     |L2^-1 S2 dm|^2 keeps its digits where m2 - m1 would cancel.
     """
+    if lam1.values.ndim != 1 or lam2.values.ndim != 1:
+        raise DomainError(
+            "kl_divergence takes one parameter vector each, not row-stacked ones: "
+            f"got shapes {lam1.values.shape} and {lam2.values.shape}"
+        )
     if lam1.family != lam2.family:
         raise DomainError(f"family mismatch: {lam1.family} vs {lam2.family}")
     fam = lam1.family

@@ -25,7 +25,8 @@ import numpy as np
 from . import expfam
 from .engine import GLOBAL, LOCAL, CoefficientProvider, ModelSpec, Plate
 from .expfam import NaturalParam, NumericalError, beta_natural, gw_natural
-from .specfun import betaln, digamma, gammaln, tetragamma, trigamma, trigamma_reciprocal_offset
+from .specfun import betaln, digamma, tetragamma, trigamma, trigamma_reciprocal_offset
+from .specfun import gammaln  # noqa: F401 -- unused here; the bench's layer trace wraps models.gammaln by name
 
 __all__ = [
     "SimpleMixtureData",
@@ -288,6 +289,11 @@ def _indicator_log_joint(mus, log_a, log_b) -> float:
 # --------------------------------------------------------------------------
 
 
+def _simple_log_terms(data: SimpleMixtureData):
+    """log(pi0 pa) and log((1 - pi0) pb), as sums of logs, so a tiny likelihood does not underflow to log 0."""
+    return math.log(data.pi0) + math.log(data.pa), math.log1p(-data.pi0) + math.log(data.pb)
+
+
 class SimpleMixtureProvider(CoefficientProvider):
     """Single Bernoulli indicator; its coefficient is the prior-weighted log odds."""
 
@@ -296,14 +302,12 @@ class SimpleMixtureProvider(CoefficientProvider):
     def coefficient(self, plate, mus, data: SimpleMixtureData):
         if plate != "z":
             raise KeyError(plate)
-        return np.array(
-            [[math.log(data.pi0 * data.pa) - math.log((1.0 - data.pi0) * data.pb)]]
-        )
+        log_a, log_b = _simple_log_terms(data)
+        return np.array([[log_a - log_b]])
 
     def expected_log_joint(self, mus, data: SimpleMixtureData):
-        mu = float(mus["z"][0, 0])
-        odds = math.log(data.pi0 * data.pa) - math.log((1.0 - data.pi0) * data.pb)
-        return mu * odds + math.log((1.0 - data.pi0) * data.pb)
+        log_a, log_b = _simple_log_terms(data)
+        return float(mus["z"][0, 0]) * (log_a - log_b) + log_b
 
 
 
@@ -371,17 +375,15 @@ def expected_log_component(mu_gw: np.ndarray, stats: np.ndarray, d: int):
     return stats @ mu_gw.T - 0.5 * d * LOG_2PI
 
 
-def _gw_prior(data: GMMData):
-    """The components' Gaussian-Wishart prior: its natural parameter, and its log-normalizer plus Gaussian constants."""
-    d = data.dim
-    log_b = (
-        -0.5 * data.nu0 * float(np.linalg.slogdet(data.w0)[1])
-        - 0.5 * data.nu0 * d * math.log(2.0)
-        - 0.25 * d * (d - 1) * math.log(math.pi)
-        - sum(gammaln(0.5 * (data.nu0 + 1 - k)) for k in range(1, d + 1))
-    )
-    const = 0.5 * d * math.log(data.gamma0) - 0.5 * d * LOG_2PI + log_b
-    return gw_natural(data.nu0, data.gamma0, np.zeros(d), data.w0).values, const
+def _gw_prior(data: GMMData) -> NaturalParam:
+    """The components' Gaussian-Wishart prior: zero mean, nu0, gamma0 and W0."""
+    return gw_natural(data.nu0, data.gamma0, np.zeros(data.dim), data.w0)
+
+
+def _gw_prior_terms(data: GMMData):
+    """The prior's natural parameter and -A(prior): a component's prior term is prior . mu - A(prior)."""
+    prior = _gw_prior(data)
+    return prior.values, -expfam.log_partition(prior)
 
 
 class GMMProvider(CoefficientProvider):
@@ -422,7 +424,7 @@ class GMMProvider(CoefficientProvider):
             r = mus["z"][:, 0]
             w = np.stack([r, 1.0 - r])
             # the conjugate prior's term in a component's coefficient is its natural parameter
-            prior = mus.read_off("comp prior", self, data, _gw_prior, data)[0]
+            prior = mus.read_off("comp prior", self, data, _gw_prior_terms, data)[0]
             # one vector-matrix product per row, so each row is bitwise that of a lone component
             return prior + (w[:, None, :] @ self._stats(mus, data))[:, 0]
         return _indicator_coefficient(mus, *self._log_liks(mus, data))
@@ -430,7 +432,7 @@ class GMMProvider(CoefficientProvider):
     def expected_log_joint(self, mus, data: GMMData):
         total = _weight_log_prior(mus, data)
         total += _indicator_log_joint(mus, *self._log_liks(mus, data))
-        prior, prior_const = mus.read_off("comp prior", self, data, _gw_prior, data)
+        prior, prior_const = mus.read_off("comp prior", self, data, _gw_prior_terms, data)
         for mu in mus["comp"]:
             total += float(prior @ mu) + prior_const
         return float(total)
@@ -439,7 +441,7 @@ class GMMProvider(CoefficientProvider):
 
 def build_gmm2(data: GMMData, seed: int = 0) -> ModelSpec:
     provider = GMMProvider(data)
-    prior = gw_natural(data.nu0, data.gamma0, np.zeros(data.dim), data.w0)
+    prior = _gw_prior(data)
     plates = (
         _indicator_plate(provider.plates["z"], np.random.default_rng(seed)),
         _global("pi", beta_natural(data.alpha0, data.beta0)),
@@ -717,12 +719,9 @@ class LogitNormalProvider(CoefficientProvider):
             return logit_normal_natural_gradient(lam, data.m)
         return beta_natural_gradient(lam, self.log_prior_core)
 
-    def _weight_at_pi(self, mus, data: LogitNormalMixtureData):
-        return self._read_off(expfam.row_view(mus.lam("pi"), 0), data)
-
     def _weight_read_off(self, mus, data: LogitNormalMixtureData):
         """((alpha_hat, beta_hat), E_q[f]) at the lambda of "pi", memoised on the snapshot until "pi" is put."""
-        return mus.read_off("pi read-off", self, data, self._weight_at_pi, mus, data)
+        return mus.read_off("pi read-off", self, data, lambda: self._read_off(expfam.row_view(mus.lam("pi"), 0), data))
 
     def pseudo_prior(self, lam: NaturalParam, data: LogitNormalMixtureData) -> np.ndarray:
         """(alpha_hat, beta_hat): natural gradient of the non-conjugate term at the weight's lambda."""

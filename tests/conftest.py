@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -33,23 +31,6 @@ def make_gmm(seed: int = 0, n: int = 50, d: int = 2, sep: float = 6.0, sd: float
     y = centers[z] + sd * rng.standard_normal((n, d))
     data = models.GMMData(y, 1.0, 1.0, 1.0, float(d) + 1.0, np.eye(d))
     return data, z
-
-
-def matfac_reference_log_joint(mus, data):
-    """matfac's expected log-joint summed term by term from the expectations, not read off u's coefficient."""
-    k = data.k
-    u1, u2 = mus["u"][:, :k], mus["u"][:, k:].reshape(-1, k, k)
-    v1, v2 = mus["v"][:, :k], mus["v"][:, k:].reshape(-1, k, k)
-    log_2pi = math.log(2.0 * math.pi)
-    total = -0.5 * float(np.sum(data.y * data.y))
-    total += float(np.sum(data.y * (u1 @ v1.T)))
-    total -= 0.5 * float(np.einsum("nab,dab->", u2, v2))
-    total -= 0.5 * data.n * data.d * log_2pi
-    total -= 0.5 * data.delta_u * float(np.trace(u2.sum(axis=0)))
-    total -= 0.5 * data.delta_v * float(np.trace(v2.sum(axis=0)))
-    total += 0.5 * data.n * k * (math.log(data.delta_u) - log_2pi)
-    total += 0.5 * data.d * k * (math.log(data.delta_v) - log_2pi)
-    return total
 
 
 def large_mean_gaussians(n: int = 2000):

@@ -44,6 +44,16 @@ def test_simple_mixture_run_recovers_bayes_posterior(tmp_path):
     assert conv == "converged=true iterations=1"
 
 
+def test_simple_mixture_with_a_likelihood_at_the_float_minimum_converges(tmp_path, capsys):
+    """pi0 * pa underflows to 0 for pa = 5e-324; log pi0 + log pa does not."""
+    cfg, out = _fit_config(tmp_path, "0.3,5e-324,0.5\n", model="simple_mixture")
+    assert cli.main(["fit", "--config", cfg]) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+    lines = open(out).read().splitlines()
+    assert "converged=true iterations=1" in lines
+    assert float(lines[-1].split()[-1]) <= 1e-300  # the mean of z, at the Bernoulli clip
+
+
 def test_two_level_trace_monotone_elbo(tmp_path):
     rng = np.random.default_rng(2)
     rows = "\n".join(

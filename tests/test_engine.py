@@ -116,6 +116,11 @@ def test_delta_moment_rejects_non_delta_nodes():
         engine.delta_moment(plain)
 
 
+def test_delta_moment_rejects_non_gaussian_nodes():
+    with pytest.raises(expfam.DomainError, match="delta_moment requires a Gaussian node"):
+        engine.delta_moment(_bern_node("z"))
+
+
 # ---------------------------------------------------------------------------
 # ModelSpec / Schedule validation
 # ---------------------------------------------------------------------------
@@ -134,6 +139,18 @@ def test_model_spec_rejects_duplicates_and_bad_order():
         with pytest.raises(engine.ConfigurationError, match="sweep_order"):
             engine.ModelSpec(two_level.nodes, two_level.provider, sweep_order=order)
     engine.ModelSpec(two_level.nodes, two_level.provider, sweep_order=("pi", "z"))
+
+
+@pytest.mark.parametrize(
+    "z1", [{"role": engine.GLOBAL}, {"lam": expfam.beta_natural(1.0, 1.0)}], ids=["role", "family"]
+)
+def test_model_spec_rejects_a_plate_whose_nodes_differ(z1):
+    """Nodes stacked into one plate must agree in family, role and delta mode; the first odd one is named."""
+    two_level = models.build_two_level(make_two_level(seed=2, n=3))
+    nodes = {n.id: n for n in two_level.nodes}
+    nodes["z1"] = engine.NodeState.make("z1", z1.get("lam", nodes["z1"].lam), z1.get("role", nodes["z1"].role))
+    with pytest.raises(engine.ConfigurationError, match="node 'z1' differs from 'z0' in family, role or delta mode"):
+        engine.ModelSpec(tuple(nodes.values()), two_level.provider)
 
 
 def test_schedule_validation():
@@ -637,30 +654,35 @@ def test_a_non_finite_coefficient_fails_the_fit_instead_of_converging(max_iter):
         engine.fit(model, None, max_iter=max_iter)
 
 
+def _one_row_plate(node_id, lam, delta_mode=False):
+    """A plate holding one node, as ``_step_with_backoff`` takes it."""
+    return engine.Plate.make((node_id,), expfam.NaturalParam(lam.family, lam.values[None, :]), delta_mode=delta_mode)
+
+
 def test_backoff_halves_rate_until_feasible():
     # full step toward (-0.5, -0.5) leaves the Beta domain from (1, 1)
     # (alpha would hit 0.5-eps at full rate is fine; force an infeasible one)
-    node = engine.NodeState.make("pi", expfam.beta_natural(2.0, 2.0))
-    target = np.array([-1.5, -1.5])  # alpha-1 = -1.5 -> alpha = -0.5 infeasible
-    out = engine._step_with_backoff(node, target, 1.0)
+    plate = _one_row_plate("pi", expfam.beta_natural(2.0, 2.0))
+    target = np.array([[-1.5, -1.5]])  # alpha-1 = -1.5 -> alpha = -0.5 infeasible
+    out = engine._step_with_backoff(plate, target, 1.0)
     # first feasible halving: rho = 0.5 gives lambda = (-0.25, -0.25), alpha = 0.75
-    assert out.lam.values == pytest.approx([-0.25, -0.25])
+    assert out.lam.values[0] == pytest.approx([-0.25, -0.25])
 
 
 def test_full_step_onto_a_large_mean_gaussian_is_not_halved():
     """A valid lambda whose mean is large against its sd is taken at rate 1; its mu is not re-checked for PSD."""
     mean, precision = list(large_mean_gaussians(66))[65]
-    target = expfam.gaussian_natural(mean, precision).values
-    node = engine.NodeState.make("u", expfam.gaussian_natural(np.zeros(3), np.eye(3)), delta_mode=True)
-    out = engine._step_with_backoff(node, target, 1.0)
+    target = expfam.gaussian_natural(mean, precision).values[None, :]
+    plate = _one_row_plate("u", expfam.gaussian_natural(np.zeros(3), np.eye(3)), delta_mode=True)
+    out = engine._step_with_backoff(plate, target, 1.0)
     assert np.array_equal(out.lam.values, target)
-    assert np.array_equal(engine.delta_moment(out).values[:3], out.mu.values[:3])
+    assert np.array_equal(engine.delta_moment(out).values[:, :3], out.mu.values[:, :3])
 
 
 def test_backoff_eventually_gives_up():
-    node = engine.NodeState.make("pi", expfam.beta_natural(1e-9, 1e-9))
+    plate = _one_row_plate("pi", expfam.beta_natural(1e-9, 1e-9))
     with pytest.raises(expfam.DomainError, match="rate halvings"):
-        engine._step_with_backoff(node, np.array([-1e9, -1e9]), 1.0)
+        engine._step_with_backoff(plate, np.array([[-1e9, -1e9]]), 1.0)
 
 
 def test_backoff_halves_only_the_gaussian_wishart_row_that_leaves_the_domain(monkeypatch):

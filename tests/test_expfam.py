@@ -383,6 +383,17 @@ def test_kl_family_mismatch_rejected():
         expfam.kl_divergence(expfam.bernoulli_natural(0.0), expfam.beta_natural(1.0, 1.0))
 
 
+@pytest.mark.parametrize("kind, dim", [(expfam.BERNOULLI, 1), (expfam.BETA, 1), (expfam.GAUSSIAN, 2), (expfam.GAUSSIAN_WISHART, 2)])
+@pytest.mark.parametrize("stacked", ["first", "second", "both"])
+def test_kl_of_row_stacked_parameters_is_a_domain_error(kind, dim, stacked):
+    """KL takes one parameter vector each; a (G, flat) plate is rejected by name, not by a numpy shape error."""
+    one = _random_natural(np.random.default_rng(2), kind, dim)
+    rows = expfam.NaturalParam(one.family, np.tile(one.values, (3, 1)))
+    lam1, lam2 = (rows if stacked in (which, "both") else one for which in ("first", "second"))
+    with pytest.raises(expfam.DomainError, match="kl_divergence takes one parameter vector each"):
+        expfam.kl_divergence(lam1, lam2)
+
+
 # ---------------------------------------------------------------------------
 # Gaussian-Wishart moments against the Monte-Carlo oracle
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from meanfield import engine, expfam, models, specfun
-from conftest import make_gmm, make_two_level, matfac_reference_log_joint
+from meanfield.checks import matfac_reference_log_joint
+from conftest import make_gmm, make_two_level
 
 _M = 0.3
 

@@ -9,8 +9,9 @@ import pytest
 import scipy.special as sp
 
 from meanfield import engine, expfam, models, oracle
+from meanfield.checks import matfac_reference_log_joint
 from meanfield.specfun import betaln
-from conftest import make_gmm, make_two_level, matfac_reference_log_joint
+from conftest import make_gmm, make_two_level
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +58,18 @@ def test_data_classes_reject_bad_inputs():
             models.LogitNormalMixtureData([bad], [0.0], 0.0)
         with pytest.raises(ValueError, match="m must be finite"):
             models.LogitNormalMixtureData([0.0], [0.0], bad)
+
+
+def test_gmm_data_rejects_a_w0_of_the_wrong_shape():
+    for w0 in (np.eye(3), np.ones((2, 3)), 1.0):
+        with pytest.raises(ValueError, match="W0 must be 2x2"):
+            models.GMMData(np.zeros((3, 2)), 1.0, 1.0, 1.0, 3.0, w0)
+
+
+def test_build_matfac_rejects_an_unknown_mode():
+    data = models.MatrixFactorizationData(np.ones((2, 2)), 1, 1.0, 1.0)
+    with pytest.raises(ValueError, match="unknown matrix-factorization mode 'pca'"):
+        models.build_matfac(data, "pca")
 
 
 # ---------------------------------------------------------------------------
@@ -883,3 +896,27 @@ def test_a_provider_reading_around_the_snapshot_fails_the_multilinearity_check(m
     monkeypatch.setattr(checks, "_model_instances", swapped)
     (_, passed, failed, msgs), = checks.run_suite("multilinearity")
     assert failed == 1 and msgs[0].startswith(f"multilinearity two_level/z: moving {moved!r}"), msgs
+
+
+def test_a_matfac_u_coefficient_with_its_prior_counted_twice_fails_the_multilinearity_check(monkeypatch):
+    """-delta_u I / 2 added to u's precision block moves the provider's log-joint, read off that coefficient, alike.
+
+    The slope identity against the term-by-term reference still sees it, on
+    every row of u in both matfac instances and nowhere else.
+    """
+    from meanfield import checks
+
+    coefficient = models.MatrixFactorizationProvider.coefficient
+
+    def doubled(self, plate, mus, data):
+        out = coefficient(self, plate, mus, data)
+        if plate == "u":
+            out = out.copy()
+            out[:, data.k :] -= (0.5 * data.delta_u * np.eye(data.k)).reshape(-1)
+        return out
+
+    monkeypatch.setattr(models.MatrixFactorizationProvider, "coefficient", doubled)
+    (_, passed, failed, msgs), = checks.run_suite("multilinearity")
+    assert failed > 0
+    failing = {re.match(r"multilinearity (\w+)/u\d+: gap", m).group(1) for m in msgs}
+    assert failing == {"matfac_vmp", "matfac_ppca"}, msgs
