@@ -13,7 +13,12 @@ Exit codes: 0 converged / all checks pass, 1 input error (non-finite data,
 or Gaussian observations whose squares overflow, included) or numerical
 failure, 2 hit max_iter without converging, 64 usage error.
 
-The MEANFIELD_LOG env var ("debug", "info", "warning") controls verbosity.
+Config and data files are read as UTF-8; a leading byte-order mark is
+skipped.
+
+The MEANFIELD_LOG env var controls verbosity: a logging level name such as
+"debug", "info" or "warning", in any case; unset or empty means "warning".
+Any other value is a usage error.
 """
 
 from __future__ import annotations
@@ -81,23 +86,37 @@ class RunConfig:
             raise InputError(f"seed must be nonnegative, got {self.seed}")
 
 
+def _read_lines(path: str, what: str) -> list[str]:
+    """The stripped lines of a UTF-8 file, a leading byte-order mark skipped; a line that is not UTF-8 is named."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return [ln.strip() for ln in fh]
+    except OSError as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError:
+        # Name the first line that does not decode.  Lines split at \n, \r and \r\n,
+        # as the text read splits them, and no such byte falls inside a UTF-8 character.
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh.read().splitlines(keepends=True), start=1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    byte = f"0x{raw[exc.start]:02x}"
+                    raise InputError(f"{path}: line {lineno} is not UTF-8 text (byte {byte}: {exc.reason})") from None
+
+
 def parse_config(path: str) -> RunConfig:
     values: dict[str, str] = {}
-    try:
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise InputError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, _, val = line.partition("=")
-                key, val = key.strip(), val.strip()
-                if key in values:
-                    raise InputError(f"{path}:{lineno}: duplicate key {key!r}")
-                values[key] = val
-    except OSError as exc:
-        raise InputError(f"cannot read config {path}: {exc}") from exc
+    for lineno, line in enumerate(_read_lines(path, "config"), start=1):
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise InputError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if key in values:
+            raise InputError(f"{path}:{lineno}: duplicate key {key!r}")
+        values[key] = val
 
     model = values.get("model")
     if model not in _MODELS:
@@ -134,12 +153,7 @@ def _number(key: str, text: str):
 def load_csv(path: str, expected_cols: int | None = None) -> np.ndarray:
     """Strict CSV reader; names the first offending row on malformed input."""
     rows, linenos = [], []
-    try:
-        with open(path) as fh:
-            lines = [ln.strip() for ln in fh]
-    except OSError as exc:
-        raise InputError(f"cannot read data file {path}: {exc}") from exc
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(_read_lines(path, "data file"), start=1):
         if not line or line.startswith("#"):
             continue
         cells = line.split(",")
@@ -259,7 +273,12 @@ def cmd_check(args) -> int:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("MEANFIELD_LOG", "warning").upper())
+    name = os.environ.get("MEANFIELD_LOG") or "warning"
+    level = logging.getLevelName(name.upper())  # the level number of a known name, else a string
+    if not isinstance(level, int):
+        print(f"error: MEANFIELD_LOG must be a logging level name such as debug or info, got {name!r}", file=sys.stderr)
+        return EXIT_USAGE
+    logging.basicConfig(level=level)
     parser = argparse.ArgumentParser(prog="meanfield", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     p_fit = sub.add_parser("fit", help="run a model fit from a config file")

@@ -291,8 +291,9 @@ def _group(layout: dict[str, tuple[str, ...]], factors) -> dict[str, Plate]:
     """Stack factors, whole plates or one-row nodes, into the plates of a layout.
 
     A plate factor holding exactly a layout plate's ids, in order, is taken
-    as it is; any other layout plate is stacked row by row.  No factors at
-    all give no plates; otherwise every plate of the layout must be whole.
+    as it is; any other layout plate stacks its rows' lambdas and derives its
+    mu from them.  No factors at all give no plates; otherwise every plate of
+    the layout must be whole.
     """
     where = {nid: (f, r) for f in factors for r, nid in enumerate(f.ids)}
     if len(where) != sum(len(f.ids) for f in factors):
@@ -313,8 +314,7 @@ def _group(layout: dict[str, tuple[str, ...]], factors) -> dict[str, Plate]:
             if (f.family, f.role, f.delta_mode) != (first.family, first.role, first.delta_mode):
                 raise ConfigurationError(f"node {nid!r} differs from {ids[0]!r} in family, role or delta mode")
         lam = NaturalParam(first.family, np.stack([f.lam.values.reshape(len(f.ids), -1)[r] for f, r in rows]))
-        mu = ExpectationParam(first.family, np.stack([f.mu.values.reshape(len(f.ids), -1)[r] for f, r in rows]))
-        plates[name] = Plate(ids, lam, mu, first.role, first.delta_mode)
+        plates[name] = Plate.make(ids, lam, first.role, first.delta_mode)
     if sum(len(p.ids) for p in plates.values()) != len(where):
         placed = {nid for ids in layout.values() for nid in ids}
         stray = next(nid for nid in where if nid not in placed)
@@ -351,10 +351,6 @@ class ModelSpec:
     def nodes(self):
         """The initial state per id: one NodeState per row, in plate then row order."""
         return NodeView(self.plates).values()
-
-    def default_order(self) -> tuple[str, ...]:
-        """Local plates, then global plates."""
-        return tuple(sorted(self.plates, key=lambda name: self.plates[name].role != LOCAL))
 
 
 def _require_count(name: str, value) -> None:
@@ -514,7 +510,7 @@ def _step_with_backoff(plate: Plate, target: np.ndarray, rho: float, rows=None):
             return blr_step(plate, goal, rate)
         except DomainError as exc:
             rate = np.full(len(plate.ids), rate) if np.ndim(rate) == 0 else rate
-            failed = exc.rows if exc.rows is not None else np.arange(len(rate))
+            failed = exc.rows
             rate[failed] *= 0.5
             reason = exc
     raise DomainError(
@@ -560,8 +556,8 @@ def _sweep(model: ModelSpec, state, data, steps, frozen: bool = False):
 
 
 def cavi_sweep(model: ModelSpec, state, data, order=None):
-    """One rho = 1 sweep over the named plates (default: all), each seeing the freshest expectations."""
-    order = order or model.sweep_order or model.default_order()
+    """One rho = 1 sweep over the named plates (default: the model's order), each seeing the freshest expectations."""
+    order = order or model.sweep_order or tuple(sorted(model.plates, key=lambda n: model.plates[n].role != LOCAL))
     unknown = [name for name in order if name not in model.plates]
     if unknown:
         raise ConfigurationError(f"sweep order names {unknown[0]!r}, which is not a plate of the model")

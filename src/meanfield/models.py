@@ -171,6 +171,8 @@ class GMMData:
             raise ValueError(f"W0 must be {d}x{d}")
         _require_beta_exponent(self, "alpha0", "beta0")
         _require_positive(self, "gamma0")
+        if not math.isfinite(d / float(self.gamma0)):  # the prior's E[quad] holds D / gamma0
+            raise ValueError(f"gamma0 is too small: D / gamma0 overflows at D = {d}, got {self.gamma0:g}")
         if self.nu0 <= d - 1:
             raise ValueError(f"nu0 must exceed D-1 = {d - 1}, got {self.nu0:g}")
         w0 = 0.5 * (w0 + w0.T)
@@ -404,18 +406,14 @@ class GMMProvider(CoefficientProvider):
         """T(y) per datum, memoised on the snapshot for this provider and data: it reads no entry."""
         return mus.read_off("T(y)", self, data, _gw_statistics, data.y)
 
-    def _component_log_liks(self, mus, data: GMMData):
-        """Each datum's expected log-likelihood under comp_a and comp_b, by one product with T(y)."""
-        log_liks = expected_log_component(mus["comp"], self._stats(mus, data), data.dim)
-        return log_liks[:, 0], log_liks[:, 1]
-
     def _log_liks(self, mus, data: GMMData):
-        """Each datum's expected log-likelihood under each component, memoised on the snapshot until "comp" is put.
+        """Each datum's expected log-likelihood under comp_a and comp_b, one row each, by one product with T(y).
 
-        The indicators' read-off and the ELBO at one component state share
-        one pass over the data.
+        Memoised on the snapshot until "comp" is put: the indicators' read-off
+        and the ELBO at one component state share one pass over the data.
         """
-        return mus.read_off("comp log-likelihoods", self, data, self._component_log_liks, mus, data)
+        log_liks = lambda: expected_log_component(mus["comp"], self._stats(mus, data), data.dim).T  # noqa: E731
+        return mus.read_off("comp log-likelihoods", self, data, log_liks)
 
     def coefficient(self, plate, mus, data: GMMData):
         if plate == "pi":

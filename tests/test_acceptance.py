@@ -10,9 +10,10 @@ import math
 import numpy as np
 import pytest
 
-from meanfield import engine, expfam, models, oracle
+from meanfield import engine, expfam, models
 from meanfield.checks import suite_multilinearity
 from conftest import make_gmm, make_two_level
+import oracle
 
 
 def _report(num: int, ok: bool, summary: str) -> None:

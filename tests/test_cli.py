@@ -121,10 +121,10 @@ def test_the_first_bad_row_is_named_whatever_its_fault(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
-def _run_python(*args: str) -> subprocess.CompletedProcess:
+def _run_python(*args: str, **env_vars: str) -> subprocess.CompletedProcess:
     """A fresh interpreter that imports this package, so its output holds everything a user would see."""
     src = str(Path(meanfield.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), **env_vars)
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
 
 
@@ -140,6 +140,40 @@ def test_cli_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_check_all_and_a_fit_run_without_scipy(tmp_path):
+    """scipy is a test dependency only: with its import blocked, the checks and a fit still run."""
+    cfg, out = _fit_config(tmp_path, "0.1,0.4\n-0.3,0.2\n0.5,-0.1\n")
+    no_scipy = "import sys; sys.modules['scipy'] = None; from meanfield import cli; sys.exit(cli.main(sys.argv[1:]))"
+    check = _run_python("-c", no_scipy, "check", "all")
+    assert check.returncode == cli.EXIT_OK, check.stderr
+    assert check.stdout.splitlines() == [
+        "suite=roundtrip passed=400 failed=0",
+        "suite=multilinearity passed=403 failed=0",
+        "suite=monotonicity passed=6 failed=0",
+    ]
+    fit = _run_python("-c", no_scipy, "fit", "--config", cfg)
+    assert fit.returncode == cli.EXIT_OK, fit.stderr
+    assert "converged=true" in open(out).read()
+
+
+@pytest.mark.parametrize(
+    "value, code",
+    [("bogus", cli.EXIT_USAGE), ("5", cli.EXIT_USAGE), ("", cli.EXIT_OK), ("Debug", cli.EXIT_OK)],
+    ids=["bogus", "number", "empty", "mixed-case"],
+)
+def test_meanfield_log_is_a_level_name_or_a_usage_error(tmp_path, value, code):
+    """An empty MEANFIELD_LOG is unset; a name logging does not know is one error line naming it."""
+    cfg, out = _fit_config(tmp_path, "0.1,0.4\n-0.3,0.2\n")
+    proc = _run_python("-m", "meanfield.cli", "fit", "--config", cfg, MEANFIELD_LOG=value)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code == cli.EXIT_USAGE:
+        assert proc.stderr.splitlines() == [
+            f"error: MEANFIELD_LOG must be a logging level name such as debug or info, got {value!r}"
+        ]
+        assert not os.path.exists(out)
 
 
 def test_cli_import_loads_no_check_suites():
@@ -243,6 +277,32 @@ def test_missing_data_file_rejected(tmp_path):
         f"model=two_level\ndata_path={tmp_path}/nope.csv\noutput_path={tmp_path}/t.txt\n",
     )
     assert cli.main(["fit", "--config", cfg]) == cli.EXIT_INPUT
+
+
+@pytest.mark.parametrize("kind", ["config", "data"])
+def test_a_latin_1_line_is_named_as_not_utf_8(tmp_path, capsys, kind):
+    cfg, _ = _fit_config(tmp_path, "0.1,0.4\n-0.3,0.2\n")
+    path = cfg if kind == "config" else str(tmp_path / "data.csv")
+    first, *rest = open(path, "rb").read().splitlines(keepends=True)
+    with open(path, "wb") as fh:
+        fh.write(b"".join([first, "# café\n".encode("latin-1"), *rest]))
+    assert cli.main(["fit", "--config", cfg]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: line 2 is not UTF-8 text (byte 0xe9: invalid continuation byte)\n"
+
+
+@pytest.mark.parametrize("kind", ["config", "data"])
+def test_a_utf_8_byte_order_mark_is_skipped(tmp_path, capsys, kind):
+    cfg, out = _fit_config(tmp_path, "0.1,0.4\n-0.3,0.2\n")
+    assert cli.main(["fit", "--config", cfg]) == cli.EXIT_OK
+    plain = open(out, "rb").read()
+    path = cfg if kind == "config" else str(tmp_path / "data.csv")
+    text = open(path, encoding="utf-8").read()
+    with open(path, "w", encoding="utf-8-sig") as fh:
+        fh.write(text)
+    assert cli.main(["fit", "--config", cfg]) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert open(out, "rb").read() == plain
 
 
 @pytest.mark.parametrize("where", ["missing/trace.txt", "."])

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meanfield import checks, engine, expfam, models, oracle
+from meanfield import checks, engine, expfam, models
 from conftest import large_mean_gaussians, make_gmm, make_two_level
+import oracle
 
 
 def _bern_node(node_id="z", log_odds=0.5, **kw):

@@ -1,15 +1,17 @@
 """Exponential-family coordinate maps, normalizers, entropies and KL."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meanfield import engine, expfam, oracle, specfun
+from meanfield import engine, expfam, specfun
 from meanfield.checks import _random_natural
 from conftest import large_mean_gaussians
+import oracle
 
 FAMILIES = [
     (expfam.BERNOULLI, 1),
@@ -183,6 +185,37 @@ def test_invalid_parameters_rejected():
     fam = expfam.FamilyDescriptor(expfam.BERNOULLI)
     with pytest.raises((expfam.DomainError, ValueError)):
         expfam.ExpectationParam(fam, np.array([1.5]))
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: expfam.FamilyDescriptor("poisson"), ValueError, "unknown family kind 'poisson'"),
+        (lambda: expfam.FamilyDescriptor(expfam.GAUSSIAN, dim=0), ValueError, "dim must be a positive integer"),
+        (lambda: expfam.FamilyDescriptor(expfam.BERNOULLI, dim=2), ValueError, "bernoulli requires dim=1, got 2"),
+        (lambda: expfam.FamilyDescriptor(expfam.BETA, dim=3), ValueError, "beta requires dim=1, got 3"),
+        (lambda: expfam.FamilyDescriptor(expfam.BETA, base_measure="log"), ValueError, "unknown base_measure 'log'"),
+        (
+            lambda: expfam.FamilyDescriptor(expfam.GAUSSIAN, base_measure="reciprocal"),
+            ValueError,
+            "base_measure='reciprocal' applies to the Beta family only",
+        ),
+        (
+            lambda: expfam.beta_ab(expfam.gaussian_natural(np.zeros(1), np.eye(1))),
+            expfam.DomainError,
+            "expected a beta parameter, got gaussian",
+        ),
+        (
+            lambda: expfam.NaturalParam(expfam.FamilyDescriptor(expfam.BETA), np.ones(3)),
+            expfam.DomainError,
+            "beta dim=1 expects 2 values, got 3",
+        ),
+    ],
+    ids=["kind", "dim", "bernoulli-dim", "beta-dim", "base-measure", "reciprocal", "expect-kind", "flat-length"],
+)
+def test_malformed_families_and_parameters_are_rejected(make, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        make()
 
 
 def test_nat_to_mean_accepts_every_valid_gaussian():

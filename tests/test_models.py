@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from meanfield import engine, expfam, models, oracle
+from meanfield import engine, expfam, models
 from meanfield.checks import matfac_reference_log_joint
 from meanfield.specfun import betaln
 from conftest import make_gmm, make_two_level
+import oracle
 
 
 # ---------------------------------------------------------------------------
@@ -32,6 +33,9 @@ def test_data_classes_reject_bad_inputs():
         models.TwoLevelMixtureData([0.0], [0.0], -1.0, 1.0)
     with pytest.raises(ValueError):
         models.GMMData(np.zeros((5, 2)), 1.0, 1.0, 1.0, 0.5, np.eye(2))  # nu0 <= D-1
+    for gamma0 in (1e-308, 5e-324, np.float64(1e-308)):  # D / gamma0 overflows at D = 2
+        with pytest.raises(ValueError, match="gamma0 is too small"):
+            models.GMMData(np.zeros((5, 2)), 1.0, 1.0, gamma0, 3.0, np.eye(2))
     with pytest.raises(ValueError):
         models.MatrixFactorizationData(np.ones((2, 2)), 0, 1.0, 1.0)
     with pytest.raises(ValueError):
@@ -64,6 +68,14 @@ def test_gmm_data_rejects_a_w0_of_the_wrong_shape():
     for w0 in (np.eye(3), np.ones((2, 3)), 1.0):
         with pytest.raises(ValueError, match="W0 must be 2x2"):
             models.GMMData(np.zeros((3, 2)), 1.0, 1.0, 1.0, 3.0, w0)
+
+
+@pytest.mark.parametrize("plate", ["pi", "z0"])
+def test_simple_mixture_coefficient_of_an_unknown_plate_is_a_key_error(plate):
+    data = models.SimpleMixtureData(0.3, 0.8, 0.2)
+    snap = engine.mu_snapshot(models.build_simple_mixture(data).plates)
+    with pytest.raises(KeyError, match=plate):
+        models.SimpleMixtureProvider().coefficient(plate, snap, data)
 
 
 def test_build_matfac_rejects_an_unknown_mode():

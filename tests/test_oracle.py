@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from meanfield import expfam, models, oracle
+from meanfield import expfam, models
 from conftest import make_two_level
+import oracle
 
 
 def test_exact_simple_posterior_values():
@@ -101,8 +102,6 @@ def test_gw_one_dimensional_reduces_to_gamma_normal():
 
 
 def test_oracle_module_is_independent_of_coefficient_code():
-    import meanfield.oracle as om
-
-    source = open(om.__file__).read()
+    source = open(oracle.__file__).read()
     for banned in ("from . import", "from meanfield", "import meanfield"):
         assert banned not in source

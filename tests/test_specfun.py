@@ -94,3 +94,10 @@ def test_digamma_recurrence():
 def test_betaln_symmetry_and_value():
     assert specfun.betaln(2.0, 3.0) == pytest.approx(np.log(1.0 / 12.0), rel=1e-13)
     assert specfun.betaln(0.7, 4.2) == pytest.approx(specfun.betaln(4.2, 0.7), rel=1e-14)
+
+
+@pytest.mark.parametrize("x", [0.0, -1.0, float("nan")], ids=["zero", "negative", "nan"])
+@pytest.mark.parametrize("name", ["gammaln", "digamma", "trigamma", "tetragamma", "trigamma_reciprocal_offset"])
+def test_a_nonpositive_or_nan_argument_is_rejected(name, x):
+    with pytest.raises(ValueError, match=f"{name} requires x > 0, got {x}"):
+        getattr(specfun, name)(x)
