@@ -602,7 +602,7 @@ def elbo(model: ModelSpec, state, data) -> float:
     total = model.provider.expected_log_joint(snap, data)
     for plate in snap.plates.values():
         if not plate.delta_mode:
-            total += float(np.sum(expfam.entropy(plate.lam, plate.mu)))
+            total += float(expfam.entropy(plate.lam, plate.mu).sum())
     return total
 
 
@@ -616,7 +616,7 @@ def fixed_point_residual(model: ModelSpec, state, data) -> float:
     worst = 0.0
     for name, plate in snap.plates.items():
         target = _target(model, name, snap, data)
-        gap = float(np.max(np.abs(plate.lam.values - target)))
+        gap = float(np.abs(plate.lam.values - target).max())
         if not math.isfinite(gap):  # a finite lambda: the target is the cause, unless the gap overflowed
             _check_target(plate, target)
         worst = max(worst, gap)

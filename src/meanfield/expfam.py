@@ -23,8 +23,9 @@ Validation, ``nat_to_mean``, ``log_partition``, ``entropy`` and
 ``kl_divergence`` and the conventional-parameter extractors take one
 vector (``gw_params`` also takes rows).  Bernoulli, Gaussian and
 Gaussian-Wishart rows are handled as whole arrays, with batched Cholesky
-factors and solves; Beta rows one at a time (its plates hold a single
-row).  Gaussian rows whose precisions S are bitwise one symmetric matrix,
+factors and solves; Beta rows one at a time, in Python floats from one
+``tolist()`` (its plates hold a single row).  Gaussian rows whose
+precisions S are bitwise one symmetric matrix,
 as the rows of a matrix-factorisation plate are, keep one (1, D, D) factor,
 which every conversion broadcasts over the rows: each row's arithmetic, and
 so its result, is the one its own factor would give.  Rows that tie only
@@ -35,14 +36,16 @@ j = 0..D-1, call them once per row and j, with t = nu - (D - 1) formed
 once from lambda as 2 lambda_0 + 1, so an argument near 0 keeps its
 relative precision.  A domain error lists the offending rows.
 
-The Gaussian-Wishart mean pass also yields the log normalizer A(lambda)
-from the nu, gamma and log det W^-1 it holds: the mu that ``nat_to_mean``
-derives from a Gaussian-Wishart lambda carries it (``log_partition``, per
-row; ``row_view`` slices it), and ``entropy`` reads it off mu.  A mu built
-through the constructor carries none.  A Gaussian's entropy reads no mu:
-it is the closed form (D (1 + log 2 pi) - log det S) / 2 off the factor of
-S alone, one value for rows that share one factor, exact where
-A(lambda) - lambda . mu would cancel a large m^T S m.
+The mean pass also yields the log normalizer A(lambda): a Bernoulli's
+max(lam, 0) + log1p(e) from its sigmoid's e = exp(-|lam|), a Beta's
+log B(a, b) from its digammas' (a, b), a Gaussian-Wishart's from its nu,
+gamma and log det W^-1.  The mu ``nat_to_mean`` derives carries it
+(``log_partition``, per row; ``row_view`` slices it) and ``entropy`` reads
+it off mu; a Gaussian mu, or one built through the constructor, carries
+none.  ``log_partition`` reads the same per-family helper.  A Gaussian's
+entropy reads no mu: it is the closed form (D (1 + log 2 pi) - log det S)/2
+off the factor of S alone, one value for rows that share one factor, exact
+where A(lambda) - lambda . mu would cancel a large m^T S m.
 
 Flat layouts
 ------------
@@ -172,15 +175,6 @@ def _check_rows(ok: np.ndarray, message) -> None:
         raise DomainError(message(int(bad[0])), rows=bad)
 
 
-def _map_rows(fn, arr: np.ndarray):
-    """fn of a flat vector, applied per row of a (G, flat) array."""
-    if arr.ndim == 1:
-        return fn(arr)
-    if len(arr) == 1:
-        return np.asarray(fn(arr[0]), dtype=float)[None]
-    return np.stack([fn(row) for row in arr])
-
-
 def _as_flat(family: FamilyDescriptor, values) -> np.ndarray:
     """A flat vector, or (G, flat) rows when values is two-dimensional; always a view or a copy."""
     arr = np.asarray(values, dtype=float)
@@ -271,9 +265,9 @@ class NaturalParam:
 class ExpectationParam:
     """Expected sufficient statistics E_q[T(z)] of one family.
 
-    ``log_partition`` is A(lambda) of the Gaussian-Wishart lambda that
-    ``nat_to_mean`` derived the expectations from, one value per row; None
-    for every other mu, and for one built through this constructor.
+    ``log_partition`` is A(lambda) of the lambda that ``nat_to_mean``
+    derived the expectations from, one value per row; None for a Gaussian
+    mu, and for one built through this constructor.
     """
 
     family: FamilyDescriptor
@@ -324,9 +318,30 @@ def _beta_shift(family: FamilyDescriptor) -> float:
     return 0.0 if family.base_measure == "reciprocal" else 1.0
 
 
-def _beta_ab_from_flat(family: FamilyDescriptor, arr: np.ndarray) -> tuple[float, float]:
+def _beta_ab_rows(family: FamilyDescriptor, arr: np.ndarray) -> list[tuple[float, float]]:
+    """(alpha, beta) of each row, in Python floats from one ``tolist()``; a vector is one row."""
     shift = _beta_shift(family)
-    return float(arr[0]) + shift, float(arr[1]) + shift
+    return [(x + shift, y + shift) for x, y in arr.reshape(-1, 2).tolist()]
+
+
+def _beta_mean(family: FamilyDescriptor, arr: np.ndarray):
+    """(expectations, A(lam)) per row: psi(a) - psi(a+b), psi(b) - psi(a+b) and log B(a, b), from the same (a, b)."""
+    mean, log_z = [], []
+    for a, b in _beta_ab_rows(family, arr):
+        psum = digamma(a + b)
+        mean.append((digamma(a) - psum, digamma(b) - psum))
+        log_z.append(betaln(a, b))
+    return np.array(mean).reshape(arr.shape), np.array(log_z).reshape(arr.shape[:-1])
+
+
+def _bernoulli_mean(arr: np.ndarray):
+    """(clipped sigmoid, A(lam)) per row; A = max(lam, 0) + log1p(e) takes the sigmoid's e = exp(-|lam|)."""
+    e = np.exp(-np.abs(arr))
+    denom = 1.0 + e
+    p = np.where(arr >= 0, 1.0 / denom, e / denom)
+    # Large |lambda| rounds the sigmoid onto the boundary; keep the mean
+    # inside the open interval the invariants (and the inverse) require.
+    return np.minimum(np.maximum(p, 1e-300), 1.0 - 1e-16), (np.maximum(arr, 0.0) + np.log1p(e))[..., 0]
 
 
 def _gauss_unpack(family: FamilyDescriptor, arr: np.ndarray):
@@ -404,12 +419,10 @@ def _validate_natural(family: FamilyDescriptor, rows: np.ndarray, shared: bool):
     if kind == BERNOULLI:
         return  # finiteness already checked
     if kind == BETA:
-        shift = _beta_shift(family)
-        a, b = rows[:, 0] + shift, rows[:, 1] + shift
-        _check_rows(
-            (a > 0.0) & (b > 0.0),
-            lambda r: f"Beta requires alpha > 0 and beta > 0, got ({a[r]:g}, {b[r]:g})",
-        )
+        ab = _beta_ab_rows(family, rows)
+        ok = [a > 0.0 and b > 0.0 for a, b in ab]
+        if not all(ok):
+            _check_rows(np.array(ok), lambda r: "Beta requires alpha > 0 and beta > 0, got ({:g}, {:g})".format(*ab[r]))
         return
     if kind == GAUSSIAN:
         if not shared:
@@ -511,7 +524,8 @@ def gw_natural(nu: float, gamma: float, m, w) -> NaturalParam:
 
 def beta_ab(lam: NaturalParam) -> tuple[float, float]:
     _expect_kind(lam, BETA)
-    return _beta_ab_from_flat(lam.family, lam.values)
+    (ab,) = _beta_ab_rows(lam.family, lam.values)
+    return ab
 
 
 def gaussian_mean_precision(lam: NaturalParam) -> tuple[np.ndarray, np.ndarray]:
@@ -544,20 +558,9 @@ def nat_to_mean(lam: NaturalParam) -> ExpectationParam:
     kind = fam.kind
     arr = lam.values
     if kind == BERNOULLI:
-        e = np.exp(-np.abs(arr))
-        denom = 1.0 + e
-        p = np.where(arr >= 0, 1.0 / denom, e / denom)
-        # Large |lambda| rounds the sigmoid onto the boundary; keep the mean
-        # inside the open interval the invariants (and the inverse) require.
-        return _derived_mean(fam, np.minimum(np.maximum(p, 1e-300), 1.0 - 1e-16))
+        return _derived_mean(fam, *_bernoulli_mean(arr))
     if kind == BETA:
-
-        def beta_mean(row):
-            a, b = _beta_ab_from_flat(fam, row)
-            psum = digamma(a + b)
-            return np.array([digamma(a) - psum, digamma(b) - psum])
-
-        return _derived_mean(fam, _map_rows(beta_mean, arr))
+        return _derived_mean(fam, *_beta_mean(fam, arr))
     if kind == GAUSSIAN:
         m, cov = _gauss_mean_cov(lam)
         second = cov + m[..., :, None] * m[..., None, :]
@@ -703,10 +706,9 @@ def log_partition(lam: NaturalParam):
     kind = fam.kind
     arr = lam.values
     if kind == BERNOULLI:
-        lv = arr[..., 0]
-        out = np.maximum(lv, 0.0) + np.log1p(np.exp(-np.abs(lv)))
+        out = _bernoulli_mean(arr)[1]
     elif kind == BETA:
-        out = _map_rows(lambda row: betaln(*_beta_ab_from_flat(fam, row)), arr)
+        out = _beta_mean(fam, arr)[1]
     elif kind == GAUSSIAN:  # (h.m - log det S + D log 2 pi) / 2, with the mean m = S^-1 h
         h, m = arr[..., : fam.dim], _gauss_mean_cov(lam)[0]
         logdet_s = _logdet_from_factor(lam.factor)
@@ -732,8 +734,10 @@ def _gw_log_partition(d: int, nu, t, gamma, logdet_w_inv):
 def entropy(lam: NaturalParam, mu: ExpectationParam | None = None):
     """Differential (or discrete) entropy of q_lam; one value per row if stacked.
 
-    ``mu`` may pass the expectations already known to match lam.  A
-    Gaussian's entropy is the closed form (D (1 + log 2 pi) - log det S) / 2
+    ``mu`` may pass the expectations already known to match lam; A(lam) is
+    read off it where ``nat_to_mean`` left it (Bernoulli, Beta and
+    Gaussian-Wishart), else computed.  A Bernoulli's lam . mu is one
+    product.  A Gaussian's entropy is (D (1 + log 2 pi) - log det S) / 2
     off the factor L of S alone and reads no mu: A(lam) - lam . mu would
     cancel m^T S m / 2 and lose a small entropy's digits when the mean is
     large against the posterior sd.  Rows that share one factor share its
@@ -749,13 +753,12 @@ def entropy(lam: NaturalParam, mu: ExpectationParam | None = None):
         return out if len(out) == len(lam.values) else out.repeat(len(lam.values))  # one shared factor
     if mu is None:
         mu = nat_to_mean(lam)
-    if mu.log_partition is not None:  # a Gaussian-Wishart A from the mean pass
-        a = mu.log_partition
-    else:
-        a = log_partition(lam)
+    a = log_partition(lam) if mu.log_partition is None else mu.log_partition
     if fam.kind == GAUSSIAN_WISHART:  # lam_0 = (nu - D) / 2 and mu_0 = E[log det Lambda]
         lam0 = lam.values[..., 0]
         out = a + 0.5 * fam.dim * (2.0 * lam0 + fam.dim + 1.0) - lam0 * mu.values[..., 0]
+    elif fam.kind == BERNOULLI:
+        out = a - lam.values[..., 0] * mu.values[..., 0]
     else:
         out = a - np.sum(lam.values * mu.values, axis=-1)
         grad = base_measure_grad(lam.family)
@@ -765,7 +768,7 @@ def entropy(lam: NaturalParam, mu: ExpectationParam | None = None):
 
 
 def kl_divergence(lam1: NaturalParam, lam2: NaturalParam) -> float:
-    """KL(q_lam1 || q_lam2): in closed form for Gaussians, in Bregman form on the log partition otherwise.
+    """KL(q_lam1 || q_lam2): in closed form for Gaussians and Gaussian-Wisharts, in Bregman form otherwise.
 
     The Gaussian KL is (tr(S2 S1^-1) - D + dm^T S2 dm + log det S1 - log det S2) / 2
     from the two factors L1, L2, with dm = m2 - m1.  The Bregman form
@@ -773,6 +776,10 @@ def kl_divergence(lam1: NaturalParam, lam2: NaturalParam) -> float:
     negative for a mean large against the posterior sd.  S2 dm is taken as
     (h2 - h1) - (S2 - S1) m1, differences of the lambdas, so dm^T S2 dm =
     |L2^-1 S2 dm|^2 keeps its digits where m2 - m1 would cancel.
+
+    A Gaussian-Wishart KL is the Gaussian KL given Lambda averaged over W(nu1, W1), which is
+    (D (r - 1 - log r) + gamma2 nu1 dm^T W1 dm) / 2 with r = gamma2 / gamma1, plus the Wishart KL, off the
+    factors of W1^-1 and W2^-1: m enters only through dm, where the Bregman form cancels gamma m^T (nu W) m.
     """
     if lam1.values.ndim != 1 or lam2.values.ndim != 1:
         raise DomainError(
@@ -791,9 +798,17 @@ def kl_divergence(lam1: NaturalParam, lam2: NaturalParam) -> float:
         q = np.linalg.solve(l2, s2_dm)
         trace_term = float(np.sum(a * a)) - d + float(q @ q)
         return 0.5 * (trace_term + float(_logdet_from_factor(l1) - _logdet_from_factor(l2)))
-    mu1 = nat_to_mean(lam1)
+    if fam.kind == GAUSSIAN_WISHART:
+        d, (nu1, g1, m1), (nu2, g2, m2) = fam.dim, _gw_unpack(fam, lam1.values), _gw_unpack(fam, lam2.values)
+        c1, c2, t1, t2 = lam1.factor, lam2.factor, _gw_offset(lam1.values), _gw_offset(lam2.values)
+        a = np.linalg.solve(c1, np.c_[c2, m2 - m1])  # C1^-1 [C2, dm]: tr(W2^-1 W1) and dm^T W1 dm
+        gauss = d * (g2 / g1 - 1.0 - np.log(g2 / g1)) + g2 * nu1 * (a[:, d] @ a[:, d])
+        wishart = nu1 * (np.sum(a[:, :d] ** 2) - d) - nu2 * (_logdet_from_factor(c2) - _logdet_from_factor(c1))
+        psi = (nu1 - nu2) * _wishart_sum(digamma, t1, d)
+        return float(0.5 * (gauss + wishart + psi) + _wishart_sum(gammaln, t2, d) - _wishart_sum(gammaln, t1, d))
+    mu1 = nat_to_mean(lam1)  # A(lam1) comes with it
     return (
         log_partition(lam2)
-        - log_partition(lam1)
+        - float(mu1.log_partition)
         - float((lam2.values - lam1.values) @ mu1.values)
     )

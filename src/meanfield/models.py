@@ -75,15 +75,21 @@ def _require_positive(data, *names: str) -> None:
             raise ValueError(f"{name} must be positive, got {value:g}")
 
 
-def _require_beta_exponent(data, *names: str) -> None:
-    """Reject a Beta prior exponent a that is not positive, or so small that its natural parameter a - 1 is -1."""
-    _require_positive(data, *names)
-    for name in names:
+def _require_beta_exponents(data, a_name: str, b_name: str) -> None:
+    """Reject Beta prior exponents a, b that are not positive, so small that a - 1 is -1, or whose sum overflows.
+
+    The prior's mean reads psi(a + b), and psi(inf) is not finite.
+    """
+    _require_positive(data, a_name, b_name)
+    for name in (a_name, b_name):
         value = getattr(data, name)
         if not (value - 1.0) + 1.0 > 0.0:
             raise ValueError(
                 f"{name} must exceed 2^-54 (about 5.6e-17), at or below which {name} - 1 rounds to -1, got {value:g}"
             )
+    a, b = float(getattr(data, a_name)), float(getattr(data, b_name))
+    if not math.isfinite(a + b):
+        raise ValueError(f"{a_name} + {b_name} must be finite, got {a:g} + {b:g}")
 
 
 def _require_square_summable(name: str, y) -> None:
@@ -145,7 +151,7 @@ class TwoLevelMixtureData(_MixtureLogLiks):
 
     def __post_init__(self):
         super().__post_init__()
-        _require_beta_exponent(self, "alpha0", "beta0")
+        _require_beta_exponents(self, "alpha0", "beta0")
 
 
 @dataclass(frozen=True)
@@ -169,7 +175,7 @@ class GMMData:
         w0 = np.atleast_2d(np.asarray(self.w0, dtype=float))
         if w0.shape != (d, d):
             raise ValueError(f"W0 must be {d}x{d}")
-        _require_beta_exponent(self, "alpha0", "beta0")
+        _require_beta_exponents(self, "alpha0", "beta0")
         _require_positive(self, "gamma0")
         if not math.isfinite(d / float(self.gamma0)):  # the prior's E[quad] holds D / gamma0
             raise ValueError(f"gamma0 is too small: D / gamma0 overflows at D = {d}, got {self.gamma0:g}")

@@ -390,6 +390,16 @@ def test_bad_config_value_names_its_key(tmp_path, extra, key):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("model", ["two_level", "gmm2"])
+@pytest.mark.parametrize("value", ["1e308", "9e307"])
+def test_beta_prior_exponents_whose_sum_overflows_are_one_error_naming_alpha0(tmp_path, model, value):
+    """The prior's psi(alpha0 + beta0) would read psi(inf); the data class rejects the pair where it enters."""
+    cfg, _ = _fit_config(tmp_path, "0.1,0.4\n-0.3,0.2\n", extra=f"alpha0={value}\nbeta0={value}\n", model=model)
+    proc = _run_cli(cfg)
+    assert proc.returncode == cli.EXIT_INPUT
+    assert proc.stderr == f"error: alpha0 + beta0 must be finite, got {float(value):g} + {float(value):g}\n"
+
+
 def test_non_integer_k_is_rejected_not_truncated(tmp_path, capsys):
     cfg, _ = _fit_config(tmp_path, "0.5,0.2,0.1\n0.3,0.3,0.2\n", extra="k=2.5\n", model="matfac_vmp")
     assert cli.main(["fit", "--config", cfg]) == cli.EXIT_INPUT

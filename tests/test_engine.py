@@ -792,3 +792,31 @@ def test_a_fit_converges_or_says_it_did_not_within_max_iter(run):
         assert not (trace.residuals[:-1] < tol).any()  # it stops at the first residual below tol
         assert trace.converged or k == max_iter
         assert k <= max_iter
+
+
+def _mixture_models():
+    """Each model with a Bernoulli or a Beta plate, and the schedules it takes."""
+    two_level = make_two_level(seed=3, n=40)
+    logit = models.LogitNormalMixtureData(two_level.log_pa, two_level.log_pb, 0.3)
+    gmm, _ = make_gmm(seed=3, n=40)
+    all_three = (engine.CAVI, engine.SVI, engine.PARALLEL_BLR)
+    return [
+        ("two_level", models.build_two_level(two_level, seed=3), two_level, all_three),
+        ("shifted_beta", models.build_two_level(two_level, seed=3, shifted_beta=True), two_level, all_three),
+        ("logitnormal", models.build_logitnormal(logit, seed=3), logit, all_three),
+        ("gmm2", models.build_gmm2(gmm, seed=3), gmm, (engine.CAVI, engine.PARALLEL_BLR)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "model, data, kind",
+    [pytest.param(m, d, k, id=f"{name}-{k}") for name, m, d, kinds in _mixture_models() for k in kinds],
+)
+def test_a_fit_reads_every_bernoulli_and_beta_log_partition_off_the_mean_pass(monkeypatch, model, data, kind):
+    """Every ELBO entropy reads A off mu: ``log_partition`` runs only for gmm2's prior constant, once per fit."""
+    calls = []
+    real = expfam.log_partition
+    monkeypatch.setattr(expfam, "log_partition", lambda lam: calls.append(lam.family.kind) or real(lam))
+    trace = engine.fit(model, data, engine.Schedule(kind, seed=3), tol=1e-10, max_iter=25)
+    assert len(trace.records) > 2
+    assert calls == ([expfam.GAUSSIAN_WISHART] if isinstance(model.provider, models.GMMProvider) else [])

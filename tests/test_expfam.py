@@ -411,6 +411,83 @@ def test_gaussian_kl_matches_the_exact_kl_of_distinct_precisions():
         assert abs(expfam.kl_divergence(lam1, lam2) - want) <= 1e-10 * want
 
 
+def _exact_gw_kl(lam1: expfam.NaturalParam, lam2: expfam.NaturalParam, mpmath) -> float:
+    """KL of two Gaussian-Wisharts as the library holds them, in the Bregman form at 60 digits.
+
+    Each is (nu, gamma, m) off lambda and W^-1 = C C^T off the factor C its
+    validation found, so this and ``kl_divergence`` describe one pair.
+    """
+    d = lam1.family.dim
+    with mpmath.workdps(60):
+
+        def held(lam):
+            v = [mpmath.mpf(float(x)) for x in lam.values]
+            nu, gamma = 2 * v[0] + d, -2 * v[-1]
+            m = mpmath.matrix(v[1 + d * d : 1 + d * d + d]) / gamma
+            c = mpmath.matrix(lam.factor.tolist())
+            return nu, gamma, m, c * c.T
+
+        def log_partition(nu, gamma, w_inv):
+            return (
+                -d * mpmath.log(gamma) / 2
+                + d * mpmath.log(2 * mpmath.pi) / 2
+                - nu * mpmath.log(mpmath.det(w_inv)) / 2
+                + nu * d * mpmath.log(2) / 2
+                + d * (d - 1) * mpmath.log(mpmath.pi) / 4
+                + sum(mpmath.loggamma((nu - j) / 2) for j in range(d))
+            )
+
+        def natural(nu, gamma, m, w_inv):
+            eta2 = -(w_inv + gamma * m * m.T) / 2
+            block = [eta2[i, j] for i in range(d) for j in range(d)]
+            return [(nu - d) / 2] + block + [gamma * m[i] for i in range(d)] + [-gamma / 2]
+
+        (nu1, g1, m1, w_inv1), (nu2, g2, m2, w_inv2) = held(lam1), held(lam2)
+        e_z2 = nu1 * w_inv1**-1
+        e_logdet = sum(mpmath.digamma((nu1 - j) / 2) for j in range(d)) + d * mpmath.log(2)
+        e_logdet -= mpmath.log(mpmath.det(w_inv1))
+        e_z2z1 = e_z2 * m1
+        mu1 = [e_logdet] + [e_z2[i, j] for i in range(d) for j in range(d)] + [e_z2z1[i] for i in range(d)]
+        mu1.append((m1.T * e_z2 * m1)[0] + d / g1)
+        dlam = [b - a for a, b in zip(natural(nu1, g1, m1, w_inv1), natural(nu2, g2, m2, w_inv2))]
+        kl = log_partition(nu2, g2, w_inv2) - log_partition(nu1, g1, w_inv1)
+        return float(kl - mpmath.fsum(x * y for x, y in zip(dlam, mu1)))
+
+
+@pytest.mark.parametrize("s", [0.0, 1e2, 1e4, 1e6])
+def test_gaussian_wishart_kl_of_a_far_mean_is_its_closed_form(s):
+    """m enters only through m2 - m1, so the KL keeps its digits where the pair sits far out.
+
+    The Bregman form cancelled gamma m^T (nu W) m: 2.1e-7 relative off at
+    s = 1e4 and 5.7e-4 at 1e6.  The reference takes W^-1 off each lambda's
+    factor: lambda holds W^-1 + gamma m m^T, which at s = 1e6 rounds W^-1
+    itself by about 1e-4.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    w = np.array([[2.0, 0.3], [0.3, 1.0]])
+    m = np.array([s, -s])
+    lam1 = expfam.gw_natural(5.0, 1.0, m, w)
+    lam2 = expfam.gw_natural(6.0, 2.0, m + np.array([1e-3, 2e-3]), w)
+    want = _exact_gw_kl(lam1, lam2, mpmath)
+    assert want == pytest.approx(0.43706551212814, rel=1e-3)
+    assert abs(expfam.kl_divergence(lam1, lam2) - want) <= 1e-12 * want
+    assert abs(expfam.kl_divergence(lam1, lam1)) <= 1e-15
+
+
+def test_gaussian_wishart_kl_matches_the_exact_kl_of_distinct_parameters():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(7)
+    for d in (1, 2, 3):
+        for scale in (0.0, 1e3):
+            a, b = rng.standard_normal((2, d, d))
+            m = scale * rng.standard_normal(d)
+            nu1, nu2, g1, g2 = d + 2.5 * rng.random(), d + 0.1 + 3.0 * rng.random(), *(0.5 + rng.random(2))
+            lam1 = expfam.gw_natural(nu1, g1, m, a @ a.T + np.eye(d))
+            lam2 = expfam.gw_natural(nu2, g2, m + rng.standard_normal(d), b @ b.T + np.eye(d))
+            want = _exact_gw_kl(lam1, lam2, mpmath)
+            assert abs(expfam.kl_divergence(lam1, lam2) - want) <= 1e-11 * want
+
+
 def test_kl_family_mismatch_rejected():
     with pytest.raises((expfam.DomainError, ValueError)):
         expfam.kl_divergence(expfam.bernoulli_natural(0.0), expfam.beta_natural(1.0, 1.0))
@@ -960,3 +1037,54 @@ def test_a_non_finite_row_is_named(param, bad):
     with pytest.raises(expfam.DomainError, match="gaussian parameters must be finite") as rows:
         param(expfam.FamilyDescriptor(expfam.GAUSSIAN, dim=2), values)
     assert list(rows.value.rows) == [1, 2]
+
+
+# ---------------------------------------------------------------------------
+# Bernoulli and Beta: A(lambda) off the mean pass, Beta rows in floats
+# ---------------------------------------------------------------------------
+
+
+def _bernoulli_and_beta_stacks():
+    """A Bernoulli stack over the extreme log-odds, and one Beta stack under each base measure."""
+    ab = np.array([[0.5, 2.0], [25.0, 17.0], [1e-3, 1e3], [3.0, 3.0], [0.02, 0.25]])
+    beta = [expfam.FamilyDescriptor(expfam.BETA, base_measure=base) for base in ("constant", "reciprocal")]
+    return [expfam.NaturalParam(expfam.FamilyDescriptor(expfam.BERNOULLI), np.array(_EXTREME_LOG_ODDS)[:, None])] + [
+        expfam.NaturalParam(fam, ab - (0.0 if fam.base_measure == "reciprocal" else 1.0)) for fam in beta
+    ]
+
+
+@pytest.mark.parametrize("lam", _bernoulli_and_beta_stacks(), ids=["bernoulli", "beta", "reciprocal-beta"])
+def test_a_bernoulli_or_beta_entropy_off_the_mean_pass_is_bitwise_the_constructor_paths(lam):
+    """The mu ``nat_to_mean`` derives carries A(lam), bitwise ``log_partition``'s, for rows, row views and a vector.
+
+    A mu built through the constructor carries none, so its entropy computes
+    A: both give one entropy, bit for bit.
+    """
+    mu = expfam.nat_to_mean(lam)
+    assert mu.log_partition.shape == (len(lam.values),)
+    assert _bits(mu.log_partition) == _bits(expfam.log_partition(lam))
+    rebuilt = expfam.ExpectationParam(lam.family, mu.values)
+    assert rebuilt.log_partition is None
+    want = expfam.entropy(lam, rebuilt)
+    assert _bits(expfam.entropy(lam, mu)) == _bits(want) == _bits(expfam.entropy(lam))
+    for r in range(len(lam.values)):
+        one, one_mu = expfam.row_view(lam, r), expfam.row_view(mu, r)
+        assert one_mu.log_partition == mu.log_partition[r]
+        assert _bits(expfam.entropy(one, one_mu)) == _bits(want[r])
+        assert _bits(expfam.entropy(one, expfam.ExpectationParam(one.family, one_mu.values))) == _bits(want[r])
+        alone = expfam.nat_to_mean(expfam.NaturalParam(lam.family, lam.values[r]))  # a vector's own mean pass
+        assert _bits(alone.values) == _bits(mu.values[r]) and _bits(alone.log_partition) == _bits(mu.log_partition[r])
+        assert _bits(expfam.entropy(one, alone)) == _bits(want[r])
+
+
+@pytest.mark.parametrize("base", ["constant", "reciprocal"])
+def test_a_beta_stack_with_two_bad_rows_names_the_first_and_lists_both(base):
+    fam = expfam.FamilyDescriptor(expfam.BETA, base_measure=base)
+    ab = np.array([[2.0, 3.0], [-1.0, 1.5], [1.5, 0.0]])
+    with pytest.raises(expfam.DomainError) as exc:
+        expfam.NaturalParam(fam, ab - (0.0 if base == "reciprocal" else 1.0))
+    assert str(exc.value) == "Beta requires alpha > 0 and beta > 0, got (-1, 1.5)"
+    assert exc.value.rows.tolist() == [1, 2] and exc.value.rows.dtype == np.intp
+    with pytest.raises(expfam.DomainError, match=re.escape("got (1.5, 0)")) as exc:
+        expfam.NaturalParam(fam, ab[2] - (0.0 if base == "reciprocal" else 1.0))
+    assert exc.value.rows.tolist() == [0]

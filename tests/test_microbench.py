@@ -1,5 +1,5 @@
-"""Micro-benchmarks of fit iterations, the logit-normal read-off, matfac's log-joint, plate validation, conversions,
-steps and entropies, and special functions.
+"""Micro-benchmarks of fit iterations, the two-level ELBO, the logit-normal read-off, matfac's log-joint, plate
+validation, conversions, steps and entropies, and special functions.
 
 pytest's defaults include ``--benchmark-disable``, so a plain test run calls
 each benchmarked function once and checks its result.  To time them:
@@ -81,6 +81,52 @@ def test_gmm2_fit_iteration(benchmark):
     residual, elbo = benchmark(iteration)
     assert residual == engine.fixed_point_residual(model, dict(snap.plates), data)
     assert elbo == engine.elbo(model, dict(snap.plates), data)
+
+
+def _entropy_recomputing_a(lam: expfam.NaturalParam, mu: expfam.ExpectationParam) -> np.ndarray:
+    """A Bernoulli or Beta plate's entropies A(lam) - lam . mu with A recomputed from lam, as before mu carried A."""
+    if lam.family.kind == expfam.BERNOULLI:
+        lv = lam.values[:, 0]
+        a = np.maximum(lv, 0.0) + np.log1p(np.exp(-np.abs(lv)))
+    else:
+        a = np.array([specfun.betaln(*expfam.beta_ab(expfam.row_view(lam, r))) for r in range(len(lam.values))])
+    out = a - np.sum(lam.values * mu.values, axis=-1)
+    grad = expfam.base_measure_grad(lam.family)
+    return out if grad is None else out - mu.values @ grad
+
+
+@pytest.mark.parametrize("shifted_beta", [False, True], ids=["beta", "reciprocal-beta"])
+def test_two_level_elbo(benchmark, shifted_beta):
+    """The ELBO of a 2000-row two-level snapshot as a fit's record reads it, after the residual: entropies off mu."""
+    data = make_two_level(seed=0, n=2000)
+    model = models.build_two_level(data, seed=0, shifted_beta=shifted_beta)
+    snap = engine.mu_snapshot(model.plates)
+    engine.cavi_sweep(model, snap, data)
+    engine.fixed_point_residual(model, snap, data)
+    got = benchmark(engine.elbo, model, snap, data)
+    want = model.provider.expected_log_joint(snap, data)
+    for plate in snap.plates.values():
+        want += float(np.sum(_entropy_recomputing_a(plate.lam, plate.mu)))
+    assert got == want
+
+
+@pytest.mark.parametrize("base", ["constant", "reciprocal"])
+def test_beta_plate_step_and_entropy(benchmark, base):
+    """A rate-1 step of a one-row Beta weight plate and its entropy: (a, b) in floats, A off the mean pass."""
+    fam = expfam.FamilyDescriptor(expfam.BETA, base_measure=base)
+    shift = 0.0 if base == "reciprocal" else 1.0
+    plate = engine.Plate.make(("pi",), expfam.NaturalParam(fam, np.array([[25.0, 17.0]]) - shift))
+    target = np.array([[31.0, 13.0]]) - shift
+
+    def step():
+        out = engine.blr_step(plate, target, 1.0)
+        return out, expfam.entropy(out.lam, out.mu)
+
+    out, ent = benchmark(step)
+    assert np.array_equal(out.lam.values, target)
+    psum = specfun.digamma(44.0)
+    assert out.mu.values.tolist() == [[specfun.digamma(31.0) - psum, specfun.digamma(13.0) - psum]]
+    assert ent.tobytes() == _entropy_recomputing_a(out.lam, out.mu).tobytes()
 
 
 def test_beta_natural_gradient(benchmark):

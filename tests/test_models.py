@@ -33,6 +33,12 @@ def test_data_classes_reject_bad_inputs():
         models.TwoLevelMixtureData([0.0], [0.0], -1.0, 1.0)
     with pytest.raises(ValueError):
         models.GMMData(np.zeros((5, 2)), 1.0, 1.0, 1.0, 0.5, np.eye(2))  # nu0 <= D-1
+    for big in (1e308, 9e307, np.float64(1e308)):  # the prior's psi(alpha0 + beta0) reads psi(inf)
+        message = re.escape(f"alpha0 + beta0 must be finite, got {big:g} + {big:g}")
+        with pytest.raises(ValueError, match=message):
+            models.TwoLevelMixtureData([0.0], [0.0], big, big)
+        with pytest.raises(ValueError, match=message):
+            models.GMMData(np.zeros((5, 2)), big, big, 1.0, 3.0, np.eye(2))
     for gamma0 in (1e-308, 5e-324, np.float64(1e-308)):  # D / gamma0 overflows at D = 2
         with pytest.raises(ValueError, match="gamma0 is too small"):
             models.GMMData(np.zeros((5, 2)), 1.0, 1.0, gamma0, 3.0, np.eye(2))
