@@ -63,27 +63,14 @@ class InputError(Exception):
 
 @dataclass
 class RunConfig:
+    """A parsed config; ``stop`` holds the ``tol`` and ``max_iter`` it sets, for ``engine.fit`` to default the rest."""
+
     model: str
     data_path: str
     output_path: str
-    schedule: str = "cavi"
-    rho: float = 0.5
-    kappa: float = 0.7
-    tau: float = 1.0
-    tol: float = 1e-8
-    max_iter: int = 1000
-    seed: int = 0
-    extras: dict | None = None
-
-    def __post_init__(self):
-        if not self.tol > 0.0:
-            raise InputError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 0:
-            raise InputError(f"max_iter must be nonnegative, got {self.max_iter}")
-        if not 0.0 < self.rho <= 1.0:
-            raise InputError(f"rho must lie in (0, 1], got {self.rho:g}")
-        if self.seed < 0:
-            raise InputError(f"seed must be nonnegative, got {self.seed}")
+    schedule: engine.Schedule
+    stop: dict
+    extras: dict
 
 
 def _read_lines(path: str, what: str) -> list[str]:
@@ -131,14 +118,19 @@ def parse_config(path: str) -> RunConfig:
 
     numbers = {k: _number(k, v) for k, v in values.items() if k not in _TEXT_KEYS}
     extras = {k: numbers.pop(k) for k in _MODEL_KEYS[model] if k in numbers}
-    return RunConfig(
-        model=model,
-        data_path=values["data_path"],
-        output_path=values["output_path"],
-        schedule=values.get("schedule", "cavi"),
-        extras=extras,
-        **numbers,
-    )
+    stop = {k: numbers.pop(k) for k in ("tol", "max_iter") if k in numbers}
+    rho = numbers.pop("rho", 0.5)
+    # engine.fit checks tol and max_iter only once the data is loaded, and the
+    # engine's rho check names rho_local, so these three are checked here.
+    if "tol" in stop and not stop["tol"] > 0.0:
+        raise InputError(f"tol must be positive, got {stop['tol']}")
+    if stop.get("max_iter", 0) < 0:
+        raise InputError(f"max_iter must be nonnegative, got {stop['max_iter']}")
+    if not 0.0 < rho <= 1.0:
+        raise InputError(f"rho must lie in (0, 1], got {rho:g}")
+    kind = {"kind": values["schedule"]} if "schedule" in values else {}
+    schedule = engine.Schedule(rho_local=rho, **kind, **numbers)  # and kappa, tau and seed where set
+    return RunConfig(model, values["data_path"], values["output_path"], schedule, stop, extras)
 
 
 def _number(key: str, text: str):
@@ -182,19 +174,19 @@ def _require_finite_rows(path: str, rows: list, linenos: list) -> np.ndarray:
 
 
 def _build(cfg: RunConfig):
-    x = cfg.extras or {}
+    x, seed = cfg.extras, cfg.schedule.seed
     if cfg.model == "simple_mixture":
         arr = load_csv(cfg.data_path, expected_cols=3)
         if arr.shape[0] != 1:
             raise InputError("simple_mixture expects a single data row: pi0,pa,pb")
         data = models.SimpleMixtureData(*arr[0])
-        return models.build_simple_mixture(data, seed=cfg.seed), data
+        return models.build_simple_mixture(data, seed=seed), data
     if cfg.model == "two_level":
         arr = load_csv(cfg.data_path, expected_cols=2)
         data = models.TwoLevelMixtureData(
             arr[:, 0], arr[:, 1], x.get("alpha0", 1.0), x.get("beta0", 1.0)
         )
-        return models.build_two_level(data, seed=cfg.seed), data
+        return models.build_two_level(data, seed=seed), data
     if cfg.model == "gmm2":
         arr = load_csv(cfg.data_path)
         d = arr.shape[1]
@@ -206,17 +198,17 @@ def _build(cfg: RunConfig):
             x.get("nu0", float(d)),
             x.get("w0_scale", 1.0) * np.eye(d),
         )
-        return models.build_gmm2(data, seed=cfg.seed), data
+        return models.build_gmm2(data, seed=seed), data
     if cfg.model.startswith("matfac"):
         arr = load_csv(cfg.data_path)
         data = models.MatrixFactorizationData(
             arr, x.get("k", 1), x.get("delta_u", 1.0), x.get("delta_v", 1.0)
         )
         mode = cfg.model.split("_")[1]
-        return models.build_matfac(data, mode, seed=cfg.seed), data
+        return models.build_matfac(data, mode, seed=seed), data
     arr = load_csv(cfg.data_path, expected_cols=2)
     data = models.LogitNormalMixtureData(arr[:, 0], arr[:, 1], x.get("m", 0.0))
-    return models.build_logitnormal(data, seed=cfg.seed), data
+    return models.build_logitnormal(data, seed=seed), data
 
 
 def _fmt(x: float) -> str:
@@ -242,10 +234,7 @@ def cmd_fit(args) -> int:
         # Overflow to a non-finite value is reported by the engine's checks, on the one error line.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             model, data = _build(cfg)
-            schedule = engine.Schedule(
-                kind=cfg.schedule, rho_local=cfg.rho, kappa=cfg.kappa, tau=cfg.tau, seed=cfg.seed
-            )
-            trace = engine.fit(model, data, schedule, tol=cfg.tol, max_iter=cfg.max_iter)
+            trace = engine.fit(model, data, cfg.schedule, **cfg.stop)
         write_trace(cfg.output_path, trace)
     except (InputError, ValueError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)

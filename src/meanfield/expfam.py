@@ -18,14 +18,14 @@ could only reject a valid lambda on rounding (a mean large against its
 posterior sd did).
 
 A parameter may also hold a (G, flat) array: one row per node of a plate.
-Validation, ``nat_to_mean``, ``log_partition``, ``entropy`` and
-``gaussian_mean_precision`` take all rows at once; ``mean_to_nat``,
-``kl_divergence`` and the conventional-parameter extractors take one
-vector (``gw_params`` also takes rows).  Bernoulli, Gaussian and
-Gaussian-Wishart rows are handled as whole arrays, with batched Cholesky
-factors and solves; Beta rows one at a time, in Python floats from one
-``tolist()`` (its plates hold a single row).  Gaussian rows whose
-precisions S are bitwise one symmetric matrix,
+Validation, ``nat_to_mean``, ``log_partition``, ``entropy``,
+``gaussian_mean_precision`` and ``gw_params`` take all rows at once;
+``mean_to_nat``, ``kl_divergence`` and ``beta_ab`` take one vector each,
+and reject rows with a DomainError that names the function and the
+shapes.  Bernoulli, Gaussian and Gaussian-Wishart rows are handled as
+whole arrays, with batched Cholesky factors and solves; Beta rows one at
+a time, in Python floats from one ``tolist()`` (its plates hold a single
+row).  Gaussian rows whose precisions S are bitwise one symmetric matrix,
 as the rows of a matrix-factorisation plate are, keep one (1, D, D) factor,
 which every conversion broadcasts over the rows: each row's arithmetic, and
 so its result, is the one its own factor would give.  Rows that tie only
@@ -344,12 +344,10 @@ def _bernoulli_mean(arr: np.ndarray):
     return np.minimum(np.maximum(p, 1e-300), 1.0 - 1e-16), (np.maximum(arr, 0.0) + np.log1p(e))[..., 0]
 
 
-def _gauss_unpack(family: FamilyDescriptor, arr: np.ndarray):
-    """Return (h, S) with h = S m and S the precision matrix, per row of a (G, flat) array."""
+def _gauss_precision(family: FamilyDescriptor, arr: np.ndarray):
+    """The precision matrix S, per row of a (G, flat) array."""
     d = family.dim
-    h = arr[..., :d]
-    s_mat = -2.0 * arr[..., d:].reshape(arr.shape[:-1] + (d, d))
-    return h, s_mat
+    return -2.0 * arr[..., d:].reshape(arr.shape[:-1] + (d, d))
 
 
 def _factor_inverse(chol: np.ndarray):
@@ -426,9 +424,9 @@ def _validate_natural(family: FamilyDescriptor, rows: np.ndarray, shared: bool):
         return
     if kind == GAUSSIAN:
         if not shared:
-            return _require_spd(_gauss_unpack(family, rows)[1], "Gaussian precision S")
+            return _require_spd(_gauss_precision(family, rows), "Gaussian precision S")
         try:
-            return _require_spd(_gauss_unpack(family, rows[:1])[1], "Gaussian precision S")
+            return _require_spd(_gauss_precision(family, rows[:1]), "Gaussian precision S")
         except DomainError as exc:  # every row fails, as each would on its own
             raise DomainError(str(exc), rows=np.arange(len(rows))) from None
     _check_rows(
@@ -524,15 +522,14 @@ def gw_natural(nu: float, gamma: float, m, w) -> NaturalParam:
 
 def beta_ab(lam: NaturalParam) -> tuple[float, float]:
     _expect_kind(lam, BETA)
-    (ab,) = _beta_ab_rows(lam.family, lam.values)
-    return ab
+    _require_vectors("beta_ab", lam)
+    return _beta_ab_rows(lam.family, lam.values)[0]
 
 
 def gaussian_mean_precision(lam: NaturalParam) -> tuple[np.ndarray, np.ndarray]:
     """(m, S), per row for a row-stacked parameter."""
     _expect_kind(lam, GAUSSIAN)
-    _, s_mat = _gauss_unpack(lam.family, lam.values)
-    return _gauss_mean_cov(lam)[0], s_mat
+    return _gauss_mean_cov(lam)[0], _gauss_precision(lam.family, lam.values)
 
 
 def gw_params(lam: NaturalParam) -> tuple[float, float, np.ndarray, np.ndarray]:
@@ -545,6 +542,15 @@ def gw_params(lam: NaturalParam) -> tuple[float, float, np.ndarray, np.ndarray]:
 def _expect_kind(param, kind: str) -> None:
     if param.family.kind != kind:
         raise DomainError(f"expected a {kind} parameter, got {param.family.kind}")
+
+
+def _require_vectors(what: str, *params) -> None:
+    """Reject a row-stacked parameter where ``what`` takes one vector each, naming ``what`` and the shapes."""
+    shapes = [p.values.shape for p in params]
+    if any(len(shape) != 1 for shape in shapes):
+        each, noun = (" each", "shapes") if len(params) > 1 else ("", "shape")
+        got = " and ".join(map(str, shapes))
+        raise DomainError(f"{what} takes one parameter vector{each}, not row-stacked ones: got {noun} {got}")
 
 
 # --------------------------------------------------------------------------
@@ -591,11 +597,12 @@ def mean_to_nat(mu: ExpectationParam) -> NaturalParam:
     Both Newton solves start in closed form from psi(x) ~ log(x - 1/2), as
     Minka's inverse digamma does (Minka 2000, "Estimating a Dirichlet distribution").
     """
+    _require_vectors("mean_to_nat", mu)
     fam = mu.family
     kind = fam.kind
     if kind == BERNOULLI:
         p = float(mu.values[0])
-        return NaturalParam(fam, np.array([math.log(p / (1.0 - p))]))
+        return bernoulli_natural(math.log(p / (1.0 - p)))
     if kind == BETA:
         return beta_natural(*_beta_mean_to_ab(float(mu.values[0]), float(mu.values[1])), fam.base_measure)
     if kind == GAUSSIAN:
@@ -608,8 +615,7 @@ def mean_to_nat(mu: ExpectationParam) -> NaturalParam:
                 "Gaussian expectation parameters must have SPD covariance to invert, "
                 f"got smallest eigenvalue {np.linalg.eigvalsh(cov)[0]:g}"
             )
-        _, s_mat = _factor_inverse(chol)
-        return NaturalParam(fam, np.concatenate([s_mat @ m, (-0.5 * s_mat).reshape(-1)]))
+        return gaussian_natural(m, _factor_inverse(chol)[1])
     return _gw_mean_to_nat(mu)
 
 
@@ -781,11 +787,7 @@ def kl_divergence(lam1: NaturalParam, lam2: NaturalParam) -> float:
     (D (r - 1 - log r) + gamma2 nu1 dm^T W1 dm) / 2 with r = gamma2 / gamma1, plus the Wishart KL, off the
     factors of W1^-1 and W2^-1: m enters only through dm, where the Bregman form cancels gamma m^T (nu W) m.
     """
-    if lam1.values.ndim != 1 or lam2.values.ndim != 1:
-        raise DomainError(
-            "kl_divergence takes one parameter vector each, not row-stacked ones: "
-            f"got shapes {lam1.values.shape} and {lam2.values.shape}"
-        )
+    _require_vectors("kl_divergence", lam1, lam2)
     if lam1.family != lam2.family:
         raise DomainError(f"family mismatch: {lam1.family} vs {lam2.family}")
     fam = lam1.family

@@ -117,8 +117,7 @@ class SimpleMixtureData:
         _require_finite(self)
         if not 0.0 < self.pi0 < 1.0:
             raise ValueError(f"pi0 must lie in (0,1), got {self.pi0}")
-        if self.pa <= 0.0 or self.pb <= 0.0:
-            raise ValueError("component likelihood values must be positive")
+        _require_positive(self, "pa", "pb")
 
 
 @dataclass(frozen=True)

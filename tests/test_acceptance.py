@@ -40,7 +40,7 @@ def test_criterion_01_bayes_rule_recovery():
 
 def test_criterion_02_multilinearity():
     """Affine-slope identity (50 mu pairs) on every plate that does not read itself; exact out-of-reads checks."""
-    passed, failed, msgs = suite_multilinearity(seed=202, pairs=50, tol=1e-9)
+    passed, failed, msgs = suite_multilinearity(seed=202, pairs=50)
     ok = failed == 0
     _report(2, ok, f"{passed} affine-slope and out-of-reads checks passed, {failed} failed (tol 1e-9)")
     assert ok, msgs

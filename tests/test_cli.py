@@ -4,6 +4,7 @@ import contextlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import meanfield
-from meanfield import cli
+from meanfield import cli, engine, expfam, models
 
 
 def _write(path, text):
@@ -347,6 +348,43 @@ def test_check_unknown_suite_is_usage_error(capsys):
     assert "unknown suite" in capsys.readouterr().err
 
 
+def test_a_failed_round_trip_is_counted_and_named_by_check(monkeypatch, capsys):
+    """One conversion off by 1 in lambda_0: ``check`` prints the counts, then that trial's message, and exits 1."""
+    real, calls = expfam.mean_to_nat, []
+
+    def off_on_the_third_call(mu):
+        lam = real(mu)
+        calls.append(None)
+        if len(calls) != 3:
+            return lam
+        values = lam.values.copy()
+        values[0] += 1.0
+        return expfam.NaturalParam(lam.family, values)
+
+    monkeypatch.setattr(expfam, "mean_to_nat", off_on_the_third_call)
+    assert cli.main(["check", "roundtrip"]) == cli.EXIT_INPUT
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "suite=roundtrip passed=399 failed=1"
+    assert len(lines) == 2 and re.fullmatch(r"  roundtrip bernoulli trial 2: relative error \S+", lines[1]), lines
+
+
+def test_an_elbo_drop_is_counted_and_named_by_check(monkeypatch, capsys):
+    """A fit whose ELBO falls at sweep 2: ``check`` prints the counts, then the model and sweep, and exits 1."""
+    real = engine.fit
+
+    def falling_for_simple_mixture(model, data, *args, **kwargs):
+        trace = real(model, data, *args, **kwargs)
+        if isinstance(model.provider, models.SimpleMixtureProvider):
+            trace.records = [engine.TraceRecord(t, elbo, 1.0, 0.0) for t, elbo in enumerate([-3.0, -2.0, -2.5])]
+        return trace
+
+    monkeypatch.setattr(engine, "fit", falling_for_simple_mixture)
+    assert cli.main(["check", "monotonicity"]) == cli.EXIT_INPUT
+    assert capsys.readouterr().out == (
+        "suite=monotonicity passed=5 failed=1\n  monotonicity simple_mixture: ELBO decreased at sweep 2\n"
+    )
+
+
 def test_bad_arguments_are_usage_errors(capsys):
     assert cli.main([]) == cli.EXIT_USAGE
     assert cli.main(["fit"]) == cli.EXIT_USAGE
@@ -388,6 +426,35 @@ def test_bad_config_value_names_its_key(tmp_path, extra, key):
     value = extra.splitlines()[0].partition("=")[2]
     assert proc.stderr.rstrip().replace("'", "").endswith(f"got {value}")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "extra, line",
+    [
+        ("kappa=0.3\n", "kappa must lie in (0.5, 1], got 0.3"),
+        ("tau=0.5\nschedule=svi\n", "tau must be finite and at least 1, got 0.5"),
+        ("schedule=bogus\n", "unknown schedule kind 'bogus'"),
+        ("seed=-1\n", "seed must be a nonnegative integer, got -1"),
+    ],
+    ids=["kappa", "tau", "schedule", "seed"],
+)
+def test_a_bad_schedule_value_is_rejected_before_the_data_file_is_opened(tmp_path, extra, line, capsys):
+    """The engine's Schedule is built as the config is read, so its error comes before the missing data file's."""
+    missing = tmp_path / "missing.csv"
+    cfg = _write(tmp_path / "run.cfg", f"model=two_level\ndata_path={missing}\noutput_path=t.txt\n{extra}")
+    assert cli.main(["fit", "--config", cfg]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {line}\n"
+
+
+@pytest.mark.parametrize(
+    "row, line",
+    [("0.3,0,0.5", "pa must be positive, got 0"), ("0.3,0.5,-1", "pb must be positive, got -1")],
+    ids=["pa", "pb"],
+)
+def test_a_simple_mixture_likelihood_that_is_not_positive_is_named(tmp_path, row, line, capsys):
+    cfg, _ = _fit_config(tmp_path, row + "\n", model="simple_mixture")
+    assert cli.main(["fit", "--config", cfg]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {line}\n"
 
 
 @pytest.mark.parametrize("model", ["two_level", "gmm2"])

@@ -504,6 +504,69 @@ def test_kl_of_row_stacked_parameters_is_a_domain_error(kind, dim, stacked):
         expfam.kl_divergence(lam1, lam2)
 
 
+@pytest.mark.parametrize("kind, dim", FAMILIES)
+@pytest.mark.parametrize("rows", [1, 3])
+def test_mean_to_nat_of_row_stacked_expectations_is_a_domain_error(kind, dim, rows):
+    """mean_to_nat takes one vector; a plate's (G, flat) mu is rejected by name and shape, not by a numpy error."""
+    one = _random_natural(np.random.default_rng(3), kind, dim)
+    mu = expfam.nat_to_mean(expfam.NaturalParam(one.family, np.tile(one.values, (rows, 1))))
+    message = f"mean_to_nat takes one parameter vector, not row-stacked ones: got shape {mu.values.shape}"
+    with pytest.raises(expfam.DomainError, match=f"^{re.escape(message)}$"):
+        expfam.mean_to_nat(mu)
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+def test_beta_ab_of_row_stacked_parameters_is_a_domain_error(rows):
+    """A one-row stack is rejected as a two-row one is, not read as its only row."""
+    lam = expfam.NaturalParam(expfam.FamilyDescriptor(expfam.BETA), [[1.0, 2.0], [3.0, 4.0]][:rows])
+    message = f"beta_ab takes one parameter vector, not row-stacked ones: got shape ({rows}, 2)"
+    with pytest.raises(expfam.DomainError, match=f"^{re.escape(message)}$"):
+        expfam.beta_ab(lam)
+    assert expfam.beta_ab(expfam.row_view(lam, 0)) == (2.0, 3.0)
+
+
+# ---------------------------------------------------------------------------
+# the damped Newton solve's exits, on a synthetic residual and Jacobian
+# ---------------------------------------------------------------------------
+
+
+def _counted(fn):
+    """fn, counting its calls in ``.calls``."""
+
+    def wrapped(x):
+        wrapped.calls += 1
+        return fn(x)
+
+    wrapped.calls = 0
+    return wrapped
+
+
+def test_newton_keeps_x_when_no_step_lowers_the_residual_and_the_newton_step_is_below_the_floor():
+    """A residual at the rounding of its arguments: the Newton step 1e-23 bounds x's error, so x is kept."""
+    x0 = np.array([1.5, 2.5])
+    residual = _counted(lambda x: np.array([1e-3, -1e-3]))
+    out = expfam._newton_in_log(residual, lambda x: 1e20 * np.eye(2), x0, 1e-12, "flat solve")
+    assert out.tolist() == x0.tolist()
+    assert residual.calls == 2  # the start and one trial step, already below the floor
+
+
+def test_newton_fails_when_no_step_above_the_floor_lowers_the_residual():
+    """A flat residual of 1 and a Newton step of 1: each halving fails down to the floor; the error gives it."""
+    residual = _counted(lambda x: np.ones(1))
+    with pytest.raises(expfam.NumericalError, match=r"^flat solve did not converge, residual 1$"):
+        expfam._newton_in_log(residual, lambda x: np.eye(1), [1.0], 1e-12, "flat solve")
+    assert residual.calls == 1 + 35  # the start, then steps 1, 1/2, ..., 2^-34, the first below the floor 1e-10
+
+
+def test_newton_stops_at_its_iteration_cap():
+    """A Jacobian ten times the true slope shrinks the residual u = log x by 0.9 a step: every step is
+    taken whole, and after the cap the residual 0.9^100 is still far above tol."""
+    residual = _counted(lambda x: np.log(x))
+    with pytest.raises(expfam.NumericalError, match=r"^slow solve did not converge, residual 2\.6\d*e-05$"):
+        expfam._newton_in_log(residual, lambda x: 10.0 * np.eye(1), [math.e], 1e-12, "slow solve")
+    assert residual.calls == 1 + expfam._NEWTON_MAX_ITER
+
+
 # ---------------------------------------------------------------------------
 # Gaussian-Wishart moments against the Monte-Carlo oracle
 # ---------------------------------------------------------------------------
