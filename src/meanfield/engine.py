@@ -430,9 +430,7 @@ def delta_moment(node):
         raise DomainError("delta_moment requires a Gaussian node")
     if not node.delta_mode:
         raise DomainError(f"node {node.ids[0]!r} is not delta-flagged")
-    m = node.mu.values[..., : node.family.dim]  # read off the node's mu, derived from its lambda
-    outer = (m[..., :, None] * m[..., None, :]).reshape(m.shape[:-1] + (-1,))
-    return expfam._derived_mean(node.family, np.concatenate([m, outer], axis=-1))
+    return expfam._Gaussian.moments(node.family, node.mu.values[..., : node.family.dim])  # m off the node's mu
 
 
 def _moments(node) -> np.ndarray:

@@ -1,51 +1,21 @@
 """Exponential families in natural / expectation coordinates.
 
-Four families are supported: Bernoulli, Beta, multivariate Gaussian, and
-Gaussian-Wishart.  Parameters are stored as flat vectors; symmetric matrix
-blocks are stored as full D x D (row-major).  Gaussian rows whose precision
-blocks are all one symmetric block, bitwise, are recognised by one compare
-and kept as given; any other block is symmetrized on ingestion.
-Domain violations are construction-time errors, with one exception: the
-expectations ``nat_to_mean`` (and ``engine.delta_moment``) derive from a
-validated lambda are checked for finiteness only.  A Beta mean
-psi(a) - psi(a+b) may round to 0 when a >> b; it is still the right
-expectation.  The Bernoulli mean is clipped into [1e-300, 1 - 1e-16],
-inside (0, 1) for every finite lambda.  Validating a Gaussian lambda finds
-the Cholesky factor L of the precision S (of W^-1 for Gaussian-Wishart),
-which the parameter keeps; the derived covariance block is the Gram matrix
-L^-T L^-1, positive-definite by construction, so an eigenvalue re-check
-could only reject a valid lambda on rounding (a mean large against its
-posterior sd did).
+Four families are supported: Bernoulli, Beta, multivariate Gaussian and
+Gaussian-Wishart, one private class each, which ``FamilyDescriptor`` picks
+and the module functions dispatch to.  Parameters are stored as flat
+read-only copies of the values given; symmetric matrix blocks as full
+D x D (row-major).  Domain violations are construction-time errors that
+list the offending rows, except that the expectations ``nat_to_mean`` (and
+``engine.delta_moment``) derive from a validated lambda are checked for
+finiteness only.
 
-A parameter may also hold a (G, flat) array: one row per node of a plate.
-Validation, ``nat_to_mean``, ``log_partition``, ``entropy``,
+A parameter may also hold a (G, flat) array, G >= 1: one row per node of a
+plate.  Validation, ``nat_to_mean``, ``log_partition``, ``entropy``,
 ``gaussian_mean_precision`` and ``gw_params`` take all rows at once;
 ``mean_to_nat``, ``kl_divergence`` and ``beta_ab`` take one vector each,
 and reject rows with a DomainError that names the function and the
-shapes.  Bernoulli, Gaussian and Gaussian-Wishart rows are handled as
-whole arrays, with batched Cholesky factors and solves; Beta rows one at
-a time, in Python floats from one ``tolist()`` (its plates hold a single
-row).  Gaussian rows whose precisions S are bitwise one symmetric matrix,
-as the rows of a matrix-factorisation plate are, keep one (1, D, D) factor,
-which every conversion broadcasts over the rows: each row's arithmetic, and
-so its result, is the one its own factor would give.  Rows that tie only
-once symmetrized (one asymmetric block, or -0.0 facing +0.0 across the
-diagonal) keep a factor per row.  The special functions
-stay scalar: the Gaussian-Wishart sums of psi and log Gamma at (t + j)/2,
-j = 0..D-1, call them once per row and j, with t = nu - (D - 1) formed
-once from lambda as 2 lambda_0 + 1, so an argument near 0 keeps its
-relative precision.  A domain error lists the offending rows.
-
-The mean pass also yields the log normalizer A(lambda): a Bernoulli's
-max(lam, 0) + log1p(e) from its sigmoid's e = exp(-|lam|), a Beta's
-log B(a, b) from its digammas' (a, b), a Gaussian-Wishart's from its nu,
-gamma and log det W^-1.  The mu ``nat_to_mean`` derives carries it
-(``log_partition``, per row; ``row_view`` slices it) and ``entropy`` reads
-it off mu; a Gaussian mu, or one built through the constructor, carries
-none.  ``log_partition`` reads the same per-family helper.  A Gaussian's
-entropy reads no mu: it is the closed form (D (1 + log 2 pi) - log det S)/2
-off the factor of S alone, one value for rows that share one factor, exact
-where A(lambda) - lambda . mu would cancel a large m^T S m.
+shapes.  The mu ``nat_to_mean`` derives carries A(lambda)
+(``ExpectationParam.log_partition``, per row), which ``entropy`` reads.
 
 Flat layouts
 ------------
@@ -97,8 +67,6 @@ BETA = "beta"
 GAUSSIAN = "gaussian"
 GAUSSIAN_WISHART = "gaussian_wishart"
 
-_KINDS = (BERNOULLI, BETA, GAUSSIAN, GAUSSIAN_WISHART)
-
 # Expectation-parameter covariance blocks are allowed to be singular (the
 # delta method degenerates them on purpose), but not indefinite.
 _PSD_SLACK = 1e-10
@@ -136,27 +104,22 @@ class FamilyDescriptor:
     base_measure: str = "constant"
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        ops = _FAMILIES.get(self.kind) if isinstance(self.kind, str) else None
+        if ops is None:
             raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.dim < 1:
-            raise ValueError("dim must be a positive integer")
+        if isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
+            raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
         if self.kind in (BERNOULLI, BETA) and self.dim != 1:
             raise ValueError(f"{self.kind} requires dim=1, got {self.dim}")
         if self.base_measure not in ("constant", "reciprocal"):
             raise ValueError(f"unknown base_measure {self.base_measure!r}")
         if self.base_measure == "reciprocal" and self.kind != BETA:
             raise ValueError("base_measure='reciprocal' applies to the Beta family only")
+        object.__setattr__(self, "_ops", ops)  # the family's class instance, which the module functions dispatch to
 
     @property
     def flat_size(self) -> int:
-        d = self.dim
-        if self.kind == BERNOULLI:
-            return 1
-        if self.kind == BETA:
-            return 2
-        if self.kind == GAUSSIAN:
-            return d + d * d
-        return 2 + d + d * d  # gaussian_wishart
+        return self._ops.flat_size(self.dim)
 
 
 _RECIPROCAL_BETA_GRAD = np.array([-1.0, -1.0])  # log h = -log z - log(1-z)
@@ -176,7 +139,7 @@ def _check_rows(ok: np.ndarray, message) -> None:
 
 
 def _as_flat(family: FamilyDescriptor, values) -> np.ndarray:
-    """A flat vector, or (G, flat) rows when values is two-dimensional; always a view or a copy."""
+    """A flat vector, or (G, flat) rows with G >= 1 when values is two-dimensional; a view where it can be."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 2:
         arr = arr.reshape(-1)
@@ -184,34 +147,14 @@ def _as_flat(family: FamilyDescriptor, values) -> np.ndarray:
         raise DomainError(
             f"{family.kind} dim={family.dim} expects {family.flat_size} values, got {arr.shape[-1]}"
         )
+    if not arr.size:
+        raise DomainError(f"{family.kind} dim={family.dim} expects at least one row, got shape {arr.shape}")
     if not np.isfinite(arr).all():  # one pass; the rows are located only on failure
         _check_rows(
             np.isfinite(arr.reshape(-1, family.flat_size)).all(axis=1),
             lambda r: f"{family.kind} parameters must be finite",
         )
     return arr.reshape(arr.shape)
-
-
-def _symmetrize_block(family: FamilyDescriptor, arr: np.ndarray) -> np.ndarray:
-    """Replace the D x D block (of every row) with its symmetric part, in a copy."""
-    d = family.dim
-    if family.kind == GAUSSIAN:
-        lo = d
-    elif family.kind == GAUSSIAN_WISHART:
-        lo = 1
-    else:
-        return arr
-    lead = arr.shape[:-1]
-    block = arr[..., lo : lo + d * d].reshape(lead + (d, d))
-    arr = arr.copy()
-    arr[..., lo : lo + d * d] = (0.5 * (block + np.swapaxes(block, -1, -2))).reshape(lead + (d * d,))
-    return arr
-
-
-def _one_symmetric_block(d: int, rows: np.ndarray) -> bool:
-    """Whether every row's trailing D x D block is, bitwise, the transpose of row 0's: one compare of their bytes."""
-    first = rows[0, -d * d :].reshape(d, d).T
-    return rows[:, -d * d :].tobytes() == first.tobytes() * len(rows)
 
 
 def _chol_or_none(mat: np.ndarray):
@@ -248,17 +191,12 @@ class NaturalParam:
     factor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        fam = self.family
-        arr = _as_flat(fam, self.values)
-        # one symmetric S in every Gaussian row (-0.0 is not +0.0) is kept as given, with one factor
-        shared = fam.kind == GAUSSIAN and _one_symmetric_block(fam.dim, arr.reshape(-1, fam.flat_size))
-        arr = arr.copy() if shared else _symmetrize_block(fam, arr)
-        factor = _validate_natural(fam, arr.reshape(-1, fam.flat_size), shared)
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+        values, factor = self.family._ops.natural(self.family, _as_flat(self.family, self.values))
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
         if factor is not None:
             factor.flags.writeable = False
-            object.__setattr__(self, "factor", factor if arr.ndim == 2 else factor[0])
+            object.__setattr__(self, "factor", factor if values.ndim == 2 else factor[0])
 
 
 @dataclass(frozen=True, slots=True)
@@ -275,14 +213,13 @@ class ExpectationParam:
     log_partition: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        arr = _symmetrize_block(self.family, _as_flat(self.family, self.values))
-        _validate_mean(self.family, arr.reshape(-1, self.family.flat_size))
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+        values = self.family._ops.expectation(self.family, _as_flat(self.family, self.values))
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
 
 def _derived_mean(family: FamilyDescriptor, values: np.ndarray, log_partition=None) -> ExpectationParam:
-    """Expectations computed from a validated lambda: checked for finiteness only (see the module docstring).
+    """Expectations computed from a validated lambda: checked for finiteness only, and not copied.
 
     ``log_partition`` is that lambda's A, where the mean pass computed it.
     """
@@ -308,56 +245,12 @@ def row_view(param, row: int):
     return one
 
 
-# --------------------------------------------------------------------------
-# family-specific packing / unpacking
-# --------------------------------------------------------------------------
-
-
-def _beta_shift(family: FamilyDescriptor) -> float:
-    """(alpha, beta) minus the Beta natural parameters: 1 for the constant base measure, 0 for the reciprocal."""
-    return 0.0 if family.base_measure == "reciprocal" else 1.0
-
-
-def _beta_ab_rows(family: FamilyDescriptor, arr: np.ndarray) -> list[tuple[float, float]]:
-    """(alpha, beta) of each row, in Python floats from one ``tolist()``; a vector is one row."""
-    shift = _beta_shift(family)
-    return [(x + shift, y + shift) for x, y in arr.reshape(-1, 2).tolist()]
-
-
-def _beta_mean(family: FamilyDescriptor, arr: np.ndarray):
-    """(expectations, A(lam)) per row: psi(a) - psi(a+b), psi(b) - psi(a+b) and log B(a, b), from the same (a, b)."""
-    mean, log_z = [], []
-    for a, b in _beta_ab_rows(family, arr):
-        psum = digamma(a + b)
-        mean.append((digamma(a) - psum, digamma(b) - psum))
-        log_z.append(betaln(a, b))
-    return np.array(mean).reshape(arr.shape), np.array(log_z).reshape(arr.shape[:-1])
-
-
-def _bernoulli_mean(arr: np.ndarray):
-    """(clipped sigmoid, A(lam)) per row; A = max(lam, 0) + log1p(e) takes the sigmoid's e = exp(-|lam|)."""
-    e = np.exp(-np.abs(arr))
-    denom = 1.0 + e
-    p = np.where(arr >= 0, 1.0 / denom, e / denom)
-    # Large |lambda| rounds the sigmoid onto the boundary; keep the mean
-    # inside the open interval the invariants (and the inverse) require.
-    return np.minimum(np.maximum(p, 1e-300), 1.0 - 1e-16), (np.maximum(arr, 0.0) + np.log1p(e))[..., 0]
-
-
-def _gauss_precision(family: FamilyDescriptor, arr: np.ndarray):
-    """The precision matrix S, per row of a (G, flat) array."""
-    d = family.dim
-    return -2.0 * arr[..., d:].reshape(arr.shape[:-1] + (d, d))
-
-
 def _factor_inverse(chol: np.ndarray):
     """(L^-1, L^-T L^-1) from a lower Cholesky factor L, per row, by one batched inverse.
 
-    ``inv`` is the LU solve against the identity, bitwise, without forming
-    the identity.  L^-T L^-1 = (L L^T)^-1 is a Gram matrix, so exactly
-    symmetric.  A vector goes through S^-1 as L^-T (L^-1 v), not as
-    (S^-1) v: the explicit inverse loses up to cond(S) eps of a quadratic
-    form that the two triangular factors keep.
+    L^-T L^-1 = (L L^T)^-1 is a Gram matrix, so exactly symmetric.  A vector
+    goes through S^-1 as L^-T (L^-1 v), not as (S^-1) v: the explicit inverse
+    loses up to cond(S) eps of a quadratic form that the two factors keep.
     """
     linv = np.linalg.inv(chol)
     return linv, np.swapaxes(linv, -1, -2) @ linv
@@ -373,93 +266,210 @@ def _logdet_from_factor(chol: np.ndarray):
     return 2.0 * np.log(chol.diagonal(axis1=-2, axis2=-1)).sum(axis=-1)
 
 
-def _gauss_mean_cov(lam: NaturalParam):
-    """(m, S^-1) of a Gaussian per row, from the factor L of S: m = L^-T (L^-1 h), S^-1 = L^-T L^-1."""
-    h = lam.values[..., : lam.family.dim]
-    linv, cov = _factor_inverse(lam.factor)
-    return (np.swapaxes(linv, -1, -2) @ (linv @ h[..., None]))[..., 0], cov
+class _Family:
+    """One family's layout, domain checks, mean pass, A(lam), entropy, KL and inverse; one shared instance each.
 
-
-def _gw_unpack(family: FamilyDescriptor, arr: np.ndarray):
-    """Return (nu, gamma, m), per row of a (G, flat) array; gamma must be positive."""
-    d = family.dim
-    nu = 2.0 * arr[..., 0] + d
-    gamma = -2.0 * arr[..., -1]
-    m = arr[..., 1 + d * d : 1 + d * d + d] / gamma[..., None]
-    return nu, gamma, m
-
-
-def _gw_offset(arr: np.ndarray):
-    """t = nu - (D - 1) = 2 lam_0 + 1 per row, formed from lambda so a t near 0 keeps its relative precision."""
-    return 2.0 * arr[..., 0] + 1.0
-
-
-def _wishart_sum(fn, t, d: int):
-    """The sum over j = 0..D-1 of fn((t + j) / 2), per row, with t = nu - (D - 1) and fn a scalar special function.
-
-    These are the terms fn((nu + 1 - k) / 2), k = 1..D, of the Wishart
-    normalizer and E[log det Lambda], taken from t so the smallest argument
-    t / 2 is not rounded on the scale of nu.
+    The entropy A(lam) - lam . mu - E_q[log h] and the KL
+    A(lam2) - A(lam1) - (lam2 - lam1) . mu1 are the Bregman forms, which
+    Bernoulli and Beta use.
     """
-    def one(x: float) -> float:
-        return sum(fn(0.5 * (x + j)) for j in range(d))
 
-    rows = t.tolist()
-    return np.array([one(x) for x in rows] if t.ndim else one(rows))
+    def block(self, d: int):
+        return None  # the slice of the flat layout that holds a symmetric D x D block
+
+    def owned(self, family: FamilyDescriptor, arr: np.ndarray) -> np.ndarray:
+        """A copy of ``arr`` for a parameter to keep, with its D x D block replaced by the block's symmetric part."""
+        out = arr.copy()
+        span = self.block(family.dim)
+        if span is not None:
+            d, lead = family.dim, arr.shape[:-1]
+            block = arr[..., span].reshape(lead + (d, d))
+            out[..., span] = (0.5 * (block + np.swapaxes(block, -1, -2))).reshape(lead + (d * d,))
+        return out
+
+    def natural(self, family: FamilyDescriptor, arr: np.ndarray):
+        """(values, the (G, D, D) Cholesky factors validation found, or None)."""
+        arr = self.owned(family, arr)
+        return arr, self.validate_natural(family, arr.reshape(-1, family.flat_size))
+
+    def expectation(self, family: FamilyDescriptor, arr: np.ndarray) -> np.ndarray:
+        arr = self.owned(family, arr)
+        self.validate_mean(family, arr.reshape(-1, family.flat_size))
+        return arr
+
+    def validate_natural(self, family: FamilyDescriptor, rows: np.ndarray):
+        return None  # finiteness is checked already
+
+    def mean(self, lam: NaturalParam) -> ExpectationParam:
+        return _derived_mean(lam.family, *self.mean_pass(lam))
+
+    def log_partition(self, lam: NaturalParam):
+        return self.mean_pass(lam)[1]
+
+    def inner(self, lam: NaturalParam, mu: ExpectationParam):
+        return np.sum(lam.values * mu.values, axis=-1)
+
+    def entropy(self, lam: NaturalParam, mu):
+        mu = self.mean(lam) if mu is None else mu
+        out = (log_partition(lam) if mu.log_partition is None else mu.log_partition) - self.inner(lam, mu)
+        grad = base_measure_grad(lam.family)
+        return out if grad is None else out - mu.values @ grad  # minus E_q[log h]
+
+    def kl(self, lam1: NaturalParam, lam2: NaturalParam) -> float:
+        mu1 = self.mean(lam1)  # A(lam1) comes with it
+        return log_partition(lam2) - float(mu1.log_partition) - float((lam2.values - lam1.values) @ mu1.values)
 
 
-def _validate_natural(family: FamilyDescriptor, rows: np.ndarray, shared: bool):
-    """Domain check of (G, flat) natural parameters; the (G, D, D) Cholesky factors it found, if any.
+class _Bernoulli(_Family):
+    """Bernoulli, T(z) = z: A(lam) = max(lam, 0) + log1p(e) takes the sigmoid's e = exp(-|lam|).
 
-    ``shared`` Gaussian rows hold one precision and get one (1, D, D) factor.
+    The mean is the sigmoid clipped into [1e-300, 1 - 1e-16], inside (0, 1)
+    for every finite lam, so it is checked for finiteness only.
     """
-    kind = family.kind
-    if kind == BERNOULLI:
-        return  # finiteness already checked
-    if kind == BETA:
-        ab = _beta_ab_rows(family, rows)
+
+    def flat_size(self, d: int) -> int:
+        return 1
+
+    def validate_mean(self, family: FamilyDescriptor, rows: np.ndarray) -> None:
+        p = rows[:, 0]
+        _check_rows((0.0 < p) & (p < 1.0), lambda r: f"Bernoulli mean must lie in (0,1), got {p[r]:g}")
+
+    def mean_pass(self, lam: NaturalParam):
+        """(clipped sigmoid, A(lam)) per row."""
+        arr = lam.values
+        e = np.exp(-np.abs(arr))
+        denom = 1.0 + e
+        p = np.where(arr >= 0, 1.0 / denom, e / denom)
+        return np.minimum(np.maximum(p, 1e-300), 1.0 - 1e-16), (np.maximum(arr, 0.0) + np.log1p(e))[..., 0]
+
+    def inner(self, lam: NaturalParam, mu: ExpectationParam):
+        return lam.values[..., 0] * mu.values[..., 0]
+
+    def mean_to_nat(self, mu: ExpectationParam) -> NaturalParam:
+        p = float(mu.values[0])
+        return bernoulli_natural(math.log(p / (1.0 - p)))
+
+
+class _Beta(_Family):
+    """Beta, T(z) = (log z, log(1 - z)); rows in Python floats from one ``tolist()`` (its plates hold one row).
+
+    The mean psi(a) - psi(a+b) may round to 0 when a >> b; it is still the
+    right expectation, so it is checked for finiteness only.  A(lam) =
+    log B(a, b) takes the digammas' (a, b).  ``mean_to_nat`` starts its
+    Newton solve from psi(x) ~ log(x - 1/2), as Minka's inverse digamma does
+    (Minka 2000, "Estimating a Dirichlet distribution"): a = 1/2 + p k,
+    b = 1/2 + q k, with p = e^mu1, q = e^mu2 and k = 1 / (2 (1 - p - q)).
+    """
+
+    def flat_size(self, d: int) -> int:
+        return 2
+
+    def ab_rows(self, family: FamilyDescriptor, arr: np.ndarray) -> list[tuple[float, float]]:
+        """(alpha, beta) of each row, in Python floats from one ``tolist()``; a vector is one row."""
+        shift = 0.0 if family.base_measure == "reciprocal" else 1.0
+        return [(x + shift, y + shift) for x, y in arr.reshape(-1, 2).tolist()]
+
+    def validate_natural(self, family: FamilyDescriptor, rows: np.ndarray):
+        ab = self.ab_rows(family, rows)
         ok = [a > 0.0 and b > 0.0 for a, b in ab]
         if not all(ok):
             _check_rows(np.array(ok), lambda r: "Beta requires alpha > 0 and beta > 0, got ({:g}, {:g})".format(*ab[r]))
-        return
-    if kind == GAUSSIAN:
-        if not shared:
-            return _require_spd(_gauss_precision(family, rows), "Gaussian precision S")
-        try:
-            return _require_spd(_gauss_precision(family, rows[:1]), "Gaussian precision S")
-        except DomainError as exc:  # every row fails, as each would on its own
-            raise DomainError(str(exc), rows=np.arange(len(rows))) from None
-    _check_rows(
-        rows[:, -1] < 0.0,  # gamma = -2 lam[-1]
-        lambda r: f"Gaussian-Wishart requires gamma > 0, got gamma={-2.0 * rows[r, -1]:g}",
-    )
-    d = family.dim
-    nu, gamma, m = _gw_unpack(family, rows)
-    _check_rows(nu > d - 1, lambda r: f"Gaussian-Wishart requires nu > D-1, got nu={nu[r]:g}")
-    eta2 = rows[:, 1 : 1 + d * d].reshape(-1, d, d)
-    w_inv = -2.0 * eta2 - gamma[:, None, None] * (m[:, :, None] * m[:, None, :])
-    return _require_spd(w_inv, "Gaussian-Wishart W^-1")
 
-
-def _validate_mean(family: FamilyDescriptor, rows: np.ndarray) -> None:
-    """Domain check of (G, flat) expectation parameters."""
-    kind = family.kind
-    d = family.dim
-    if kind == BERNOULLI:
-        p = rows[:, 0]
-        _check_rows((0.0 < p) & (p < 1.0), lambda r: f"Bernoulli mean must lie in (0,1), got {p[r]:g}")
-        return
-    if kind == BETA:
+    def validate_mean(self, family: FamilyDescriptor, rows: np.ndarray) -> None:
         _check_rows(
             (rows[:, 0] < 0.0) & (rows[:, 1] < 0.0),
             lambda r: "Beta expectation components E[log z], E[log(1-z)] must be negative",
         )
-        return
-    if kind == GAUSSIAN:
+
+    def mean_pass(self, lam: NaturalParam):
+        """(expectations, A(lam)) per row, from the same (a, b)."""
+        mean, log_z = [], []
+        for a, b in self.ab_rows(lam.family, lam.values):
+            psum = digamma(a + b)
+            mean.append((digamma(a) - psum, digamma(b) - psum))
+            log_z.append(betaln(a, b))
+        return np.array(mean).reshape(lam.values.shape), np.array(log_z).reshape(lam.values.shape[:-1])
+
+    def mean_to_nat(self, mu: ExpectationParam) -> NaturalParam:
+        mu1, mu2 = float(mu.values[0]), float(mu.values[1])
+        p, q = math.exp(mu1), math.exp(mu2)
+        if p + q >= 1.0:
+            raise DomainError(f"Beta expectation parameters are unrealizable: exp(mu1) + exp(mu2) = {p + q:g} >= 1")
+
+        def residual(x):
+            a, b = x.tolist()
+            psum = digamma(a + b)
+            return np.array([digamma(a) - psum - mu1, digamma(b) - psum - mu2])
+
+        def jacobian(x):
+            a, b = x.tolist()
+            tsum = trigamma(a + b)
+            return np.array([[(trigamma(a) - tsum) * a, -tsum * b], [-tsum * a, (trigamma(b) - tsum) * b]])
+
+        k = 0.5 / (1.0 - p - q)
+        tol = 1e-12 * max(1.0, abs(mu1), abs(mu2))  # psi(a) ~ -1/a for small a: the residual rounds on |mu|'s scale
+        ab = _newton_in_log(residual, jacobian, [0.5 + p * k, 0.5 + q * k], tol, "Beta digamma inversion")
+        return beta_natural(*ab.tolist(), mu.family.base_measure)
+
+
+class _Gaussian(_Family):
+    """Multivariate Gaussian, T(z) = (z, vec z z^T); validation keeps the Cholesky factor L of the precision S.
+
+    Rows whose blocks are bitwise one symmetric S, as a matrix-factorisation
+    plate's are, are found by one compare of their bytes, kept as given, and
+    share one (1, D, D) factor, which every conversion broadcasts with each
+    row's arithmetic that of its own factor; rows that tie only once
+    symmetrized (-0.0 facing +0.0, say) keep a factor each.  The mean's
+    covariance L^-T L^-1 is a Gram matrix, so the mean is checked for
+    finiteness only; it carries no A(lam).  The entropy
+    (D (1 + log 2 pi) - log det S) / 2 and the KL
+    (tr(S2 S1^-1) - D + dm^T S2 dm + log det S1 - log det S2) / 2, with
+    dm = m2 - m1 and S2 dm = (h2 - h1) - (S2 - S1) m1, are closed forms off
+    the factors: the Bregman forms would cancel m^T S m / 2 for a mean
+    large against the posterior sd.
+    """
+
+    def flat_size(self, d: int) -> int:
+        return d + d * d
+
+    def block(self, d: int):
+        return slice(d, d + d * d)
+
+    def precision(self, family: FamilyDescriptor, arr: np.ndarray):
+        """The precision matrix S, per row of a (G, flat) array."""
+        d = family.dim
+        return -2.0 * arr[..., d:].reshape(arr.shape[:-1] + (d, d))
+
+    def mean_cov(self, lam: NaturalParam):
+        """(m, S^-1) per row, from the factor L of S: m = L^-T (L^-1 h), S^-1 = L^-T L^-1."""
+        linv, cov = _factor_inverse(lam.factor)
+        return (np.swapaxes(linv, -1, -2) @ (linv @ lam.values[..., : lam.family.dim, None]))[..., 0], cov
+
+    @staticmethod
+    def moments(family: FamilyDescriptor, m: np.ndarray, cov=None) -> ExpectationParam:
+        """The derived expectations (m, vec(cov + m m^T)) per row; a point mass at m (cov None) has m m^T alone."""
+        second = m[..., :, None] * m[..., None, :]
+        second = second if cov is None else cov + second
+        return _derived_mean(family, np.concatenate([m, second.reshape(m.shape[:-1] + (-1,))], axis=-1))
+
+    def natural(self, family: FamilyDescriptor, arr: np.ndarray):
+        rows, d = arr.reshape(-1, family.flat_size), family.dim
+        if rows[:, d:].tobytes() != rows[0, d:].reshape(d, d).T.tobytes() * len(rows):  # -0.0 is not +0.0
+            return super().natural(family, arr)
+        try:
+            factor = _require_spd(self.precision(family, rows[:1]), "Gaussian precision S")
+        except DomainError as exc:  # every row fails, as each would on its own
+            raise DomainError(str(exc), rows=np.arange(len(rows))) from None
+        return arr.copy(), factor
+
+    def validate_natural(self, family: FamilyDescriptor, rows: np.ndarray):
+        return _require_spd(self.precision(family, rows), "Gaussian precision S")
+
+    def validate_mean(self, family: FamilyDescriptor, rows: np.ndarray) -> None:
+        d = family.dim
         m = rows[:, :d]
         second = rows[:, d:].reshape(-1, d, d)
-        slack = second - m[:, :, None] * m[:, None, :]
-        eigmin = np.linalg.eigvalsh(slack)[:, 0]
+        eigmin = np.linalg.eigvalsh(second - m[:, :, None] * m[:, None, :])[:, 0]
         # the subtraction rounds on the scale of E[zz^T], not of the slack it leaves
         scale = np.maximum(1.0, np.abs(second).max(axis=(1, 2)))
         _check_rows(
@@ -467,15 +477,219 @@ def _validate_mean(family: FamilyDescriptor, rows: np.ndarray) -> None:
             lambda r: "Gaussian second-moment slack E[zz^T]-E[z]E[z]^T must be positive "
             f"semidefinite (min eigenvalue {eigmin[r]:g})",
         )
-        return
-    ez2 = rows[:, 1 : 1 + d * d].reshape(-1, d, d)
-    _require_spd(ez2, "Gaussian-Wishart E[Z2]")
-    mu3 = rows[:, 1 + d * d : 1 + d * d + d]
-    slack = rows[:, -1] - _dot(mu3, np.linalg.solve(ez2, mu3[..., None])[..., 0])
-    _check_rows(
-        ~(slack < -_PSD_SLACK * np.maximum(1.0, np.abs(rows[:, -1]))),
-        lambda r: f"Gaussian-Wishart quadratic-form slack must be nonnegative, got {slack[r]:g}",
-    )
+
+    def mean(self, lam: NaturalParam) -> ExpectationParam:
+        return self.moments(lam.family, *self.mean_cov(lam))
+
+    def log_partition(self, lam: NaturalParam):
+        """(h . m - log det S + D log 2 pi) / 2, with the mean m = S^-1 h."""
+        d = lam.family.dim
+        h, m = lam.values[..., :d], self.mean_cov(lam)[0]
+        return 0.5 * np.sum(h * m, axis=-1) - 0.5 * _logdet_from_factor(lam.factor) + 0.5 * d * math.log(2.0 * math.pi)
+
+    def entropy(self, lam: NaturalParam, mu):
+        out = 0.5 * lam.family.dim * (1.0 + math.log(2.0 * math.pi)) - 0.5 * _logdet_from_factor(lam.factor)
+        return out if lam.values.ndim == 1 or len(out) == len(lam.values) else out.repeat(len(lam.values))
+
+    def kl(self, lam1: NaturalParam, lam2: NaturalParam) -> float:
+        d = lam1.family.dim
+        l1, l2 = lam1.factor, lam2.factor
+        diff = lam2.values - lam1.values  # (h2 - h1, vec(-(S2 - S1) / 2))
+        s2_dm = diff[:d] + 2.0 * diff[d:].reshape(d, d) @ self.mean_cov(lam1)[0]
+        a = np.linalg.solve(l1, l2)  # tr(S2 S1^-1) = |L1^-1 L2|_F^2
+        q = np.linalg.solve(l2, s2_dm)
+        trace_term = float(np.sum(a * a)) - d + float(q @ q)
+        return 0.5 * (trace_term + float(_logdet_from_factor(l1) - _logdet_from_factor(l2)))
+
+    def mean_to_nat(self, mu: ExpectationParam) -> NaturalParam:
+        d = mu.family.dim
+        m = mu.values[:d]
+        cov = mu.values[d:].reshape(d, d) - np.outer(m, m)
+        chol = _chol_or_none(cov)
+        if chol is None:
+            raise DomainError(
+                "Gaussian expectation parameters must have SPD covariance to invert, "
+                f"got smallest eigenvalue {np.linalg.eigvalsh(cov)[0]:g}"
+            )
+        return gaussian_natural(m, _factor_inverse(chol)[1])
+
+
+class _GaussianWishart(_Family):
+    """Gaussian-Wishart, T = (log det Lambda, vec Lambda, Lambda x, x^T Lambda x); validation keeps the factor C of W^-1.
+
+    The special functions stay scalar: the sums of psi and log Gamma at
+    (t + j)/2, j = 0..D-1, call them once per row and j, with
+    t = nu - (D - 1) formed once from lam as 2 lam_0 + 1, so an argument
+    near 0 keeps its relative precision.  The mean carries A(lam).  The
+    entropy A(lam) + D (nu + 1) / 2 - lam_0 E[log det Lambda] cancels the
+    gamma m^T (nu W) m terms of lam . mu in closed form.  The KL is the
+    Gaussian KL given Lambda averaged over W(nu1, W1),
+    (D (r - 1 - log r) + gamma2 nu1 dm^T W1 dm) / 2 with r = gamma2 / gamma1,
+    plus the Wishart KL, so m enters only through dm.  ``mean_to_nat``
+    starts its Newton solve as the Beta one does, at t = max(D (D + 1) / (2 c)
+    - (D - 1), 1e-3) with c = log det E[Z2] - E[log det Lambda].
+    """
+
+    def flat_size(self, d: int) -> int:
+        return 2 + d + d * d
+
+    def block(self, d: int):
+        return slice(1, 1 + d * d)
+
+    def unpack(self, family: FamilyDescriptor, arr: np.ndarray):
+        """Return (nu, gamma, m), per row of a (G, flat) array; gamma must be positive."""
+        d = family.dim
+        gamma = -2.0 * arr[..., -1]
+        return 2.0 * arr[..., 0] + d, gamma, arr[..., 1 + d * d : 1 + d * d + d] / gamma[..., None]
+
+    def offset(self, arr: np.ndarray):
+        """t = nu - (D - 1) = 2 lam_0 + 1 per row, formed from lambda so a t near 0 keeps its relative precision."""
+        return 2.0 * arr[..., 0] + 1.0
+
+    def wishart_sum(self, fn, t, d: int):
+        """The sum over j = 0..D-1 of fn((t + j) / 2) per row: the Wishart terms fn((nu + 1 - k) / 2), k = 1..D."""
+        def one(x: float) -> float:
+            return sum(fn(0.5 * (x + j)) for j in range(d))
+
+        rows = t.tolist()
+        return np.array([one(x) for x in rows] if t.ndim else one(rows))
+
+    def log_partition_from(self, d: int, nu, t, gamma, logdet_w_inv):
+        """The log normalizer per row, from nu, t = nu - (D - 1), gamma and log det W^-1."""
+        return (
+            -0.5 * d * np.log(gamma)
+            + 0.5 * d * math.log(2.0 * math.pi)
+            - 0.5 * nu * logdet_w_inv
+            + 0.5 * nu * d * math.log(2.0)
+            + 0.25 * d * (d - 1) * math.log(math.pi)
+            + self.wishart_sum(gammaln, t, d)
+        )
+
+    def validate_natural(self, family: FamilyDescriptor, rows: np.ndarray):
+        _check_rows(
+            rows[:, -1] < 0.0,  # gamma = -2 lam[-1]
+            lambda r: f"Gaussian-Wishart requires gamma > 0, got gamma={-2.0 * rows[r, -1]:g}",
+        )
+        d = family.dim
+        nu, gamma, m = self.unpack(family, rows)
+        _check_rows(nu > d - 1, lambda r: f"Gaussian-Wishart requires nu > D-1, got nu={nu[r]:g}")
+        eta2 = rows[:, 1 : 1 + d * d].reshape(-1, d, d)
+        w_inv = -2.0 * eta2 - gamma[:, None, None] * (m[:, :, None] * m[:, None, :])
+        return _require_spd(w_inv, "Gaussian-Wishart W^-1")
+
+    def validate_mean(self, family: FamilyDescriptor, rows: np.ndarray) -> None:
+        d = family.dim
+        ez2 = rows[:, 1 : 1 + d * d].reshape(-1, d, d)
+        _require_spd(ez2, "Gaussian-Wishart E[Z2]")
+        mu3 = rows[:, 1 + d * d : 1 + d * d + d]
+        slack = rows[:, -1] - _dot(mu3, np.linalg.solve(ez2, mu3[..., None])[..., 0])
+        _check_rows(
+            ~(slack < -_PSD_SLACK * np.maximum(1.0, np.abs(rows[:, -1]))),
+            lambda r: f"Gaussian-Wishart quadratic-form slack must be nonnegative, got {slack[r]:g}",
+        )
+
+    def mean_pass(self, lam: NaturalParam):
+        """(expectations, A(lam)) per row."""
+        arr, d = lam.values, lam.family.dim
+        nu, gamma, m = self.unpack(lam.family, arr)
+        t = self.offset(arr)
+        logdet_w_inv = _logdet_from_factor(lam.factor)
+        cinv, w = _factor_inverse(lam.factor)
+        y = (cinv @ m[..., None])[..., 0]  # W m = C^-T y and m^T W m = y^T y
+        e_logdet = self.wishart_sum(digamma, t, d) + d * math.log(2.0) - logdet_w_inv
+        e_z2 = nu[..., None, None] * w
+        e_z2z1 = nu[..., None] * (np.swapaxes(cinv, -1, -2) @ y[..., None])[..., 0]
+        e_quad = nu * _dot(y, y) + d / gamma
+        lead = arr.shape[:-1]
+        mean = np.concatenate([e_logdet[..., None], e_z2.reshape(lead + (-1,)), e_z2z1, e_quad[..., None]], axis=-1)
+        return mean, self.log_partition_from(d, nu, t, gamma, logdet_w_inv)
+
+    def log_partition(self, lam: NaturalParam):
+        nu, gamma, _ = self.unpack(lam.family, lam.values)
+        return self.log_partition_from(lam.family.dim, nu, self.offset(lam.values), gamma, _logdet_from_factor(lam.factor))
+
+    def entropy(self, lam: NaturalParam, mu):
+        mu = self.mean(lam) if mu is None else mu
+        a = log_partition(lam) if mu.log_partition is None else mu.log_partition
+        d, lam0 = lam.family.dim, lam.values[..., 0]  # lam_0 = (nu - D) / 2 and mu_0 = E[log det Lambda]
+        return a + 0.5 * d * (2.0 * lam0 + d + 1.0) - lam0 * mu.values[..., 0]
+
+    def kl(self, lam1: NaturalParam, lam2: NaturalParam) -> float:
+        fam = lam1.family
+        d, (nu1, g1, m1), (nu2, g2, m2) = fam.dim, self.unpack(fam, lam1.values), self.unpack(fam, lam2.values)
+        c1, c2, t1, t2 = lam1.factor, lam2.factor, self.offset(lam1.values), self.offset(lam2.values)
+        a = np.linalg.solve(c1, np.c_[c2, m2 - m1])  # C1^-1 [C2, dm]: tr(W2^-1 W1) and dm^T W1 dm
+        gauss = d * (g2 / g1 - 1.0 - np.log(g2 / g1)) + g2 * nu1 * (a[:, d] @ a[:, d])
+        wishart = nu1 * (np.sum(a[:, :d] ** 2) - d) - nu2 * (_logdet_from_factor(c2) - _logdet_from_factor(c1))
+        psi = (nu1 - nu2) * self.wishart_sum(digamma, t1, d)
+        return float(0.5 * (gauss + wishart + psi) + self.wishart_sum(gammaln, t2, d) - self.wishart_sum(gammaln, t1, d))
+
+    def mean_to_nat(self, mu: ExpectationParam) -> NaturalParam:
+        d = mu.family.dim
+        mu1 = float(mu.values[0])
+        ez2 = mu.values[1 : 1 + d * d].reshape(d, d)
+        mu3 = mu.values[1 + d * d : 1 + d * d + d]
+        m = np.linalg.solve(ez2, mu3)
+        slack = float(mu.values[-1]) - float(mu3 @ m)
+        if slack <= 0.0:
+            raise DomainError(f"Gaussian-Wishart quadratic-form slack must be positive to invert, got {slack:g}")
+        sign, logdet_ez2 = np.linalg.slogdet(ez2)
+        if sign <= 0:
+            raise DomainError(f"Gaussian-Wishart E[Z2] must be positive-definite, got det E[Z2] of sign {sign:g}")
+        # E[Z2] = nu W pins W given nu.  The residual left for nu rises from -inf to c, so it has a
+        # root iff c > 0, and psi(x) ~ log(x - 1/2) puts it near nu = D(D+1)/(2c).
+        c = logdet_ez2 - mu1
+        if c <= 0.0:
+            raise DomainError(
+                f"Gaussian-Wishart c = log det E[Z2] - E[log det Lambda] must be > 0, got {logdet_ez2:g} - {mu1:g} = {c:g}"
+            )
+
+        def residual(t):
+            return self.wishart_sum(digamma, t, d) + d * math.log(2.0) - d * np.log(t + (d - 1)) + c
+
+        def jacobian(t):
+            return (t * (0.5 * self.wishart_sum(trigamma, t, d) - d / (t + (d - 1))))[:, None]
+
+        t0 = max(0.5 * d * (d + 1) / c - (d - 1), 1e-3)
+        nu = float(_newton_in_log(residual, jacobian, [t0], 1e-12, "Gaussian-Wishart nu inversion")[0]) + (d - 1)
+        return gw_natural(nu, d / slack, m, ez2 / nu)
+
+
+_FAMILIES = {BERNOULLI: _Bernoulli(), BETA: _Beta(), GAUSSIAN: _Gaussian(), GAUSSIAN_WISHART: _GaussianWishart()}
+
+
+_NEWTON_MAX_ITER = 100
+_NEWTON_STEP_FLOOR = 1e-10
+
+
+def _newton_in_log(residual, jacobian, x0, tol: float, what: str) -> np.ndarray:
+    """Solve residual(x) = 0 for x > 0, to a largest residual below tol, by damped Newton in u = log x.
+
+    ``jacobian(x)`` is d residual / d u.  Each step is clipped to [-2, 2] and halved until the largest
+    residual falls.  If no step above the floor lowers it, the residual is at the rounding of its
+    arguments (nu = t + D - 1 rounds a Gaussian-Wishart t): x is kept if the Newton step, which bounds
+    its relative error, is below the floor too.
+    """
+    x = np.asarray(x0, dtype=float)
+    u, r = np.log(x), residual(x)
+    err = max(map(abs, r.tolist()))
+    for _ in range(_NEWTON_MAX_ITER):
+        if err < tol:
+            return x
+        step = newton = np.minimum(np.maximum(np.linalg.solve(jacobian(x), r), -2.0), 2.0)
+        while True:
+            x_new = np.exp(u - step)
+            r_new = residual(x_new)
+            err_new = max(map(abs, r_new.tolist()))
+            if err_new < err:
+                break
+            if max(map(abs, step.tolist())) < _NEWTON_STEP_FLOOR:
+                if max(map(abs, newton.tolist())) < _NEWTON_STEP_FLOOR:
+                    return x
+                raise NumericalError(f"{what} did not converge, residual {err:g}")
+            step = 0.5 * step
+        x, u, r, err = x_new, u - step, r_new, err_new
+    raise NumericalError(f"{what} did not converge, residual {err:g}")
 
 
 # --------------------------------------------------------------------------
@@ -523,20 +737,19 @@ def gw_natural(nu: float, gamma: float, m, w) -> NaturalParam:
 def beta_ab(lam: NaturalParam) -> tuple[float, float]:
     _expect_kind(lam, BETA)
     _require_vectors("beta_ab", lam)
-    return _beta_ab_rows(lam.family, lam.values)[0]
+    return lam.family._ops.ab_rows(lam.family, lam.values)[0]
 
 
 def gaussian_mean_precision(lam: NaturalParam) -> tuple[np.ndarray, np.ndarray]:
     """(m, S), per row for a row-stacked parameter."""
     _expect_kind(lam, GAUSSIAN)
-    return _gauss_mean_cov(lam)[0], _gauss_precision(lam.family, lam.values)
+    return lam.family._ops.mean_cov(lam)[0], lam.family._ops.precision(lam.family, lam.values)
 
 
 def gw_params(lam: NaturalParam) -> tuple[float, float, np.ndarray, np.ndarray]:
     """Return (nu, gamma, m, W), per row for a row-stacked parameter."""
     _expect_kind(lam, GAUSSIAN_WISHART)
-    nu, gamma, m = _gw_unpack(lam.family, lam.values)
-    return nu, gamma, m, _factor_inverse(lam.factor)[1]
+    return (*lam.family._ops.unpack(lam.family, lam.values), _factor_inverse(lam.factor)[1])
 
 
 def _expect_kind(param, kind: str) -> None:
@@ -553,264 +766,47 @@ def _require_vectors(what: str, *params) -> None:
         raise DomainError(f"{what} takes one parameter vector{each}, not row-stacked ones: got {noun} {got}")
 
 
-# --------------------------------------------------------------------------
-# core operations
-# --------------------------------------------------------------------------
+def _require_pair(lam: NaturalParam, other) -> None:
+    """Reject a second parameter of another family, or of another shape, naming both."""
+    if other.family != lam.family:
+        raise DomainError(f"family mismatch: {lam.family} vs {other.family}")
+    if other.values.shape != lam.values.shape:
+        raise DomainError(f"shape mismatch: {lam.values.shape} vs {other.values.shape}")
+
+
+def _per_row(lam: NaturalParam, out):
+    """A float for a lone vector, else one value per row."""
+    return float(out) if lam.values.ndim == 1 else out
 
 
 def nat_to_mean(lam: NaturalParam) -> ExpectationParam:
     """Map natural parameters to expected sufficient statistics, row by row if stacked."""
-    fam = lam.family
-    kind = fam.kind
-    arr = lam.values
-    if kind == BERNOULLI:
-        return _derived_mean(fam, *_bernoulli_mean(arr))
-    if kind == BETA:
-        return _derived_mean(fam, *_beta_mean(fam, arr))
-    if kind == GAUSSIAN:
-        m, cov = _gauss_mean_cov(lam)
-        second = cov + m[..., :, None] * m[..., None, :]
-        return _derived_mean(fam, np.concatenate([m, second.reshape(m.shape[:-1] + (-1,))], axis=-1))
-    return _derived_mean(fam, *_gw_mean(fam, arr, lam.factor))
-
-
-def _gw_mean(fam: FamilyDescriptor, arr: np.ndarray, chol: np.ndarray):
-    """(expectations, A(lam)) per row, with W and log det W from the factor ``chol`` of W^-1."""
-    d = fam.dim
-    nu, gamma, m = _gw_unpack(fam, arr)
-    t = _gw_offset(arr)
-    logdet_w_inv = _logdet_from_factor(chol)
-    cinv, w = _factor_inverse(chol)
-    y = (cinv @ m[..., None])[..., 0]  # W m = C^-T y and m^T W m = y^T y
-    e_logdet = _wishart_sum(digamma, t, d) + d * math.log(2.0) - logdet_w_inv
-    e_z2 = nu[..., None, None] * w
-    e_z2z1 = nu[..., None] * (np.swapaxes(cinv, -1, -2) @ y[..., None])[..., 0]
-    e_quad = nu * _dot(y, y) + d / gamma
-    lead = arr.shape[:-1]
-    mean = np.concatenate([e_logdet[..., None], e_z2.reshape(lead + (-1,)), e_z2z1, e_quad[..., None]], axis=-1)
-    return mean, _gw_log_partition(d, nu, t, gamma, logdet_w_inv)
+    return lam.family._ops.mean(lam)
 
 
 def mean_to_nat(mu: ExpectationParam) -> NaturalParam:
-    """Invert nat_to_mean; the Beta and Gaussian-Wishart digamma equations by one damped Newton.
-
-    Both Newton solves start in closed form from psi(x) ~ log(x - 1/2), as
-    Minka's inverse digamma does (Minka 2000, "Estimating a Dirichlet distribution").
-    """
+    """Invert nat_to_mean; the Beta and Gaussian-Wishart digamma equations by one damped Newton."""
     _require_vectors("mean_to_nat", mu)
-    fam = mu.family
-    kind = fam.kind
-    if kind == BERNOULLI:
-        p = float(mu.values[0])
-        return bernoulli_natural(math.log(p / (1.0 - p)))
-    if kind == BETA:
-        return beta_natural(*_beta_mean_to_ab(float(mu.values[0]), float(mu.values[1])), fam.base_measure)
-    if kind == GAUSSIAN:
-        d = fam.dim
-        m = mu.values[:d]
-        cov = mu.values[d:].reshape(d, d) - np.outer(m, m)
-        chol = _chol_or_none(cov)
-        if chol is None:
-            raise DomainError(
-                "Gaussian expectation parameters must have SPD covariance to invert, "
-                f"got smallest eigenvalue {np.linalg.eigvalsh(cov)[0]:g}"
-            )
-        return gaussian_natural(m, _factor_inverse(chol)[1])
-    return _gw_mean_to_nat(mu)
-
-
-_NEWTON_MAX_ITER = 100
-_NEWTON_STEP_FLOOR = 1e-10
-
-
-def _newton_in_log(residual, jacobian, x0, tol: float, what: str) -> np.ndarray:
-    """Solve residual(x) = 0 for x > 0, to a largest residual below tol, by damped Newton in u = log x.
-
-    ``jacobian(x)`` is d residual / d u.  Each step is clipped to [-2, 2] and halved until the largest
-    residual falls.  If no step above the floor lowers it, the residual is at the rounding of its
-    arguments (nu = t + D - 1 rounds a Gaussian-Wishart t): x is kept if the Newton step, which bounds
-    its relative error, is below the floor too.
-    """
-    x = np.asarray(x0, dtype=float)
-    u, r = np.log(x), residual(x)
-    err = max(map(abs, r.tolist()))
-    for _ in range(_NEWTON_MAX_ITER):
-        if err < tol:
-            return x
-        step = newton = np.minimum(np.maximum(np.linalg.solve(jacobian(x), r), -2.0), 2.0)
-        while True:
-            x_new = np.exp(u - step)
-            r_new = residual(x_new)
-            err_new = max(map(abs, r_new.tolist()))
-            if err_new < err:
-                break
-            if max(map(abs, step.tolist())) < _NEWTON_STEP_FLOOR:
-                if max(map(abs, newton.tolist())) < _NEWTON_STEP_FLOOR:
-                    return x
-                raise NumericalError(f"{what} did not converge, residual {err:g}")
-            step = 0.5 * step
-        x, u, r, err = x_new, u - step, r_new, err_new
-    raise NumericalError(f"{what} did not converge, residual {err:g}")
-
-
-def _beta_mean_to_ab(mu1: float, mu2: float) -> tuple[float, float]:
-    """Solve psi(a) - psi(a+b) = mu1, psi(b) - psi(a+b) = mu2 for (a, b)."""
-    p, q = math.exp(mu1), math.exp(mu2)
-    if p + q >= 1.0:
-        raise DomainError(f"Beta expectation parameters are unrealizable: exp(mu1) + exp(mu2) = {p + q:g} >= 1")
-
-    def residual(x):
-        a, b = x.tolist()
-        psum = digamma(a + b)
-        return np.array([digamma(a) - psum - mu1, digamma(b) - psum - mu2])
-
-    def jacobian(x):
-        a, b = x.tolist()
-        tsum = trigamma(a + b)
-        return np.array([[(trigamma(a) - tsum) * a, -tsum * b], [-tsum * a, (trigamma(b) - tsum) * b]])
-
-    k = 0.5 / (1.0 - p - q)  # a - 1/2 = p k and b - 1/2 = q k solve the system under psi(x) ~ log(x - 1/2)
-    tol = 1e-12 * max(1.0, abs(mu1), abs(mu2))  # psi(a) ~ -1/a for small a: the residual rounds on |mu|'s scale
-    start = [0.5 + p * k, 0.5 + q * k]
-    return tuple(_newton_in_log(residual, jacobian, start, tol, "Beta digamma inversion").tolist())
-
-
-def _gw_mean_to_nat(mu: ExpectationParam) -> NaturalParam:
-    d = mu.family.dim
-    mu1 = float(mu.values[0])
-    ez2 = mu.values[1 : 1 + d * d].reshape(d, d)
-    mu3 = mu.values[1 + d * d : 1 + d * d + d]
-    m = np.linalg.solve(ez2, mu3)
-    slack = float(mu.values[-1]) - float(mu3 @ m)
-    if slack <= 0.0:
-        raise DomainError(f"Gaussian-Wishart quadratic-form slack must be positive to invert, got {slack:g}")
-    sign, logdet_ez2 = np.linalg.slogdet(ez2)
-    if sign <= 0:
-        raise DomainError(f"Gaussian-Wishart E[Z2] must be positive-definite, got det E[Z2] of sign {sign:g}")
-    # E[Z2] = nu W pins W given nu.  The residual left for nu rises from -inf to c, so it has a
-    # root iff c > 0, and psi(x) ~ log(x - 1/2) puts it near nu = D(D+1)/(2c).
-    c = logdet_ez2 - mu1
-    if c <= 0.0:
-        raise DomainError(
-            f"Gaussian-Wishart c = log det E[Z2] - E[log det Lambda] must be > 0, got {logdet_ez2:g} - {mu1:g} = {c:g}"
-        )
-
-    def residual(t):
-        return _wishart_sum(digamma, t, d) + d * math.log(2.0) - d * np.log(t + (d - 1)) + c
-
-    def jacobian(t):
-        return (t * (0.5 * _wishart_sum(trigamma, t, d) - d / (t + (d - 1))))[:, None]
-
-    t0 = max(0.5 * d * (d + 1) / c - (d - 1), 1e-3)
-    nu = float(_newton_in_log(residual, jacobian, [t0], 1e-12, "Gaussian-Wishart nu inversion")[0]) + (d - 1)
-    return gw_natural(nu, d / slack, m, ez2 / nu)
+    return mu.family._ops.mean_to_nat(mu)
 
 
 def log_partition(lam: NaturalParam):
     """Log normalizer A(lam): q(z) = h(z) exp(<T(z), lam> - A(lam)); one value per row if stacked."""
-    fam = lam.family
-    kind = fam.kind
-    arr = lam.values
-    if kind == BERNOULLI:
-        out = _bernoulli_mean(arr)[1]
-    elif kind == BETA:
-        out = _beta_mean(fam, arr)[1]
-    elif kind == GAUSSIAN:  # (h.m - log det S + D log 2 pi) / 2, with the mean m = S^-1 h
-        h, m = arr[..., : fam.dim], _gauss_mean_cov(lam)[0]
-        logdet_s = _logdet_from_factor(lam.factor)
-        out = 0.5 * np.sum(h * m, axis=-1) - 0.5 * logdet_s + 0.5 * fam.dim * math.log(2.0 * math.pi)
-    else:
-        nu, gamma, _ = _gw_unpack(fam, arr)
-        out = _gw_log_partition(fam.dim, nu, _gw_offset(arr), gamma, _logdet_from_factor(lam.factor))
-    return float(out) if arr.ndim == 1 else out
-
-
-def _gw_log_partition(d: int, nu, t, gamma, logdet_w_inv):
-    """The log normalizer per row, from nu, t = nu - (D - 1), gamma and log det W^-1."""
-    return (
-        -0.5 * d * np.log(gamma)
-        + 0.5 * d * math.log(2.0 * math.pi)
-        - 0.5 * nu * logdet_w_inv
-        + 0.5 * nu * d * math.log(2.0)
-        + 0.25 * d * (d - 1) * math.log(math.pi)
-        + _wishart_sum(gammaln, t, d)
-    )
+    return _per_row(lam, lam.family._ops.log_partition(lam))
 
 
 def entropy(lam: NaturalParam, mu: ExpectationParam | None = None):
     """Differential (or discrete) entropy of q_lam; one value per row if stacked.
 
-    ``mu`` may pass the expectations already known to match lam; A(lam) is
-    read off it where ``nat_to_mean`` left it (Bernoulli, Beta and
-    Gaussian-Wishart), else computed.  A Bernoulli's lam . mu is one
-    product.  A Gaussian's entropy is (D (1 + log 2 pi) - log det S) / 2
-    off the factor L of S alone and reads no mu: A(lam) - lam . mu would
-    cancel m^T S m / 2 and lose a small entropy's digits when the mean is
-    large against the posterior sd.  Rows that share one factor share its
-    one value, repeated over them.  A Gaussian-Wishart's entropy is
-    A(lam) + D (nu + 1) / 2 - lam_0 E[log det Lambda], lam . mu with its
-    gamma m^T (nu W) m terms cancelled in closed form, so no term holds m.
+    ``mu``, of lam's family and shape, may pass lam's expectations; A(lam) is read off it where it carries one.
     """
-    fam = lam.family
-    if fam.kind == GAUSSIAN:
-        out = 0.5 * fam.dim * (1.0 + math.log(2.0 * math.pi)) - 0.5 * _logdet_from_factor(lam.factor)
-        if lam.values.ndim == 1:
-            return float(out)
-        return out if len(out) == len(lam.values) else out.repeat(len(lam.values))  # one shared factor
-    if mu is None:
-        mu = nat_to_mean(lam)
-    a = log_partition(lam) if mu.log_partition is None else mu.log_partition
-    if fam.kind == GAUSSIAN_WISHART:  # lam_0 = (nu - D) / 2 and mu_0 = E[log det Lambda]
-        lam0 = lam.values[..., 0]
-        out = a + 0.5 * fam.dim * (2.0 * lam0 + fam.dim + 1.0) - lam0 * mu.values[..., 0]
-    elif fam.kind == BERNOULLI:
-        out = a - lam.values[..., 0] * mu.values[..., 0]
-    else:
-        out = a - np.sum(lam.values * mu.values, axis=-1)
-        grad = base_measure_grad(lam.family)
-        if grad is not None:
-            out = out - mu.values @ grad  # minus E_q[log h]
-    return float(out) if lam.values.ndim == 1 else out
+    if mu is not None and (mu.family is not lam.family or mu.values.shape != lam.values.shape):
+        _require_pair(lam, mu)
+    return _per_row(lam, lam.family._ops.entropy(lam, mu))
 
 
 def kl_divergence(lam1: NaturalParam, lam2: NaturalParam) -> float:
-    """KL(q_lam1 || q_lam2): in closed form for Gaussians and Gaussian-Wisharts, in Bregman form otherwise.
-
-    The Gaussian KL is (tr(S2 S1^-1) - D + dm^T S2 dm + log det S1 - log det S2) / 2
-    from the two factors L1, L2, with dm = m2 - m1.  The Bregman form
-    A(lam2) - A(lam1) - (lam2 - lam1) . mu1 would cancel m^T S m / 2 and go
-    negative for a mean large against the posterior sd.  S2 dm is taken as
-    (h2 - h1) - (S2 - S1) m1, differences of the lambdas, so dm^T S2 dm =
-    |L2^-1 S2 dm|^2 keeps its digits where m2 - m1 would cancel.
-
-    A Gaussian-Wishart KL is the Gaussian KL given Lambda averaged over W(nu1, W1), which is
-    (D (r - 1 - log r) + gamma2 nu1 dm^T W1 dm) / 2 with r = gamma2 / gamma1, plus the Wishart KL, off the
-    factors of W1^-1 and W2^-1: m enters only through dm, where the Bregman form cancels gamma m^T (nu W) m.
-    """
+    """KL(q_lam1 || q_lam2): in closed form for Gaussians and Gaussian-Wisharts, in Bregman form otherwise."""
     _require_vectors("kl_divergence", lam1, lam2)
-    if lam1.family != lam2.family:
-        raise DomainError(f"family mismatch: {lam1.family} vs {lam2.family}")
-    fam = lam1.family
-    if fam.kind == GAUSSIAN:
-        d = fam.dim
-        l1, l2 = lam1.factor, lam2.factor
-        diff = lam2.values - lam1.values  # (h2 - h1, vec(-(S2 - S1) / 2))
-        s2_dm = diff[:d] + 2.0 * diff[d:].reshape(d, d) @ _gauss_mean_cov(lam1)[0]
-        a = np.linalg.solve(l1, l2)  # tr(S2 S1^-1) = |L1^-1 L2|_F^2
-        q = np.linalg.solve(l2, s2_dm)
-        trace_term = float(np.sum(a * a)) - d + float(q @ q)
-        return 0.5 * (trace_term + float(_logdet_from_factor(l1) - _logdet_from_factor(l2)))
-    if fam.kind == GAUSSIAN_WISHART:
-        d, (nu1, g1, m1), (nu2, g2, m2) = fam.dim, _gw_unpack(fam, lam1.values), _gw_unpack(fam, lam2.values)
-        c1, c2, t1, t2 = lam1.factor, lam2.factor, _gw_offset(lam1.values), _gw_offset(lam2.values)
-        a = np.linalg.solve(c1, np.c_[c2, m2 - m1])  # C1^-1 [C2, dm]: tr(W2^-1 W1) and dm^T W1 dm
-        gauss = d * (g2 / g1 - 1.0 - np.log(g2 / g1)) + g2 * nu1 * (a[:, d] @ a[:, d])
-        wishart = nu1 * (np.sum(a[:, :d] ** 2) - d) - nu2 * (_logdet_from_factor(c2) - _logdet_from_factor(c1))
-        psi = (nu1 - nu2) * _wishart_sum(digamma, t1, d)
-        return float(0.5 * (gauss + wishart + psi) + _wishart_sum(gammaln, t2, d) - _wishart_sum(gammaln, t1, d))
-    mu1 = nat_to_mean(lam1)  # A(lam1) comes with it
-    return (
-        log_partition(lam2)
-        - float(mu1.log_partition)
-        - float((lam2.values - lam1.values) @ mu1.values)
-    )
+    _require_pair(lam1, lam2)
+    return lam1.family._ops.kl(lam1, lam2)

@@ -187,6 +187,9 @@ def test_invalid_parameters_rejected():
         expfam.ExpectationParam(fam, np.array([1.5]))
 
 
+_EMPTY_STACKS = [(expfam.BERNOULLI, 1, 1), (expfam.BETA, 1, 2), (expfam.GAUSSIAN, 2, 6), (expfam.GAUSSIAN_WISHART, 2, 8)]
+
+
 @pytest.mark.parametrize(
     "make, error, message",
     [
@@ -210,12 +213,64 @@ def test_invalid_parameters_rejected():
             expfam.DomainError,
             "beta dim=1 expects 2 values, got 3",
         ),
+        (lambda: expfam.FamilyDescriptor(expfam.GAUSSIAN, dim=2.5), ValueError, "dim must be a positive integer, got 2.5"),
+        (lambda: expfam.FamilyDescriptor(expfam.GAUSSIAN, dim="2"), ValueError, "dim must be a positive integer, got '2'"),
+        (lambda: expfam.FamilyDescriptor(expfam.BERNOULLI, dim=True), ValueError, "dim must be a positive integer, got True"),
+        (lambda: expfam.FamilyDescriptor(expfam.GAUSSIAN, dim=-1), ValueError, "dim must be a positive integer, got -1"),
+        *[
+            (
+                lambda kind=kind, dim=dim, flat=flat: expfam.NaturalParam(
+                    expfam.FamilyDescriptor(kind, dim=dim), np.zeros((0, flat))
+                ),
+                expfam.DomainError,
+                f"{kind} dim={dim} expects at least one row, got shape {(0, flat)}",
+            )
+            for kind, dim, flat in _EMPTY_STACKS
+        ],
+        (
+            lambda: expfam.ExpectationParam(expfam.FamilyDescriptor(expfam.BETA), np.zeros((0, 2))),
+            expfam.DomainError,
+            "beta dim=1 expects at least one row, got shape (0, 2)",
+        ),
     ],
-    ids=["kind", "dim", "bernoulli-dim", "beta-dim", "base-measure", "reciprocal", "expect-kind", "flat-length"],
+    ids=[
+        "kind",
+        "dim",
+        "bernoulli-dim",
+        "beta-dim",
+        "base-measure",
+        "reciprocal",
+        "expect-kind",
+        "flat-length",
+        "float-dim",
+        "str-dim",
+        "bool-dim",
+        "negative-dim",
+        *[f"empty-{kind}" for kind, _, _ in _EMPTY_STACKS],
+        "empty-beta-mean",
+    ],
 )
 def test_malformed_families_and_parameters_are_rejected(make, error, message):
     with pytest.raises(error, match=re.escape(message)):
         make()
+
+
+@pytest.mark.parametrize("param", [expfam.NaturalParam, expfam.ExpectationParam])
+@pytest.mark.parametrize("kind, dim", FAMILIES)
+@pytest.mark.parametrize("stacked", [False, True], ids=["vector", "rows"])
+def test_a_parameter_keeps_its_own_copy_of_the_values_it_is_given(param, kind, dim, stacked):
+    """Writing to the caller's array afterwards changes neither the parameter nor what it derives."""
+    lam = _random_natural(np.random.default_rng(5), kind, dim)
+    given = (lam.values if param is expfam.NaturalParam else expfam.nat_to_mean(lam).values).copy()
+    if stacked:
+        given = np.stack([given, given])
+    kept = given.copy()
+    p = param(lam.family, given)
+    assert not np.shares_memory(p.values, given) and not p.values.flags.writeable
+    given[...] = -5.0
+    assert _bits(p.values) == _bits(kept)
+    if param is expfam.NaturalParam:
+        assert _bits(expfam.nat_to_mean(p).values) == _bits(expfam.nat_to_mean(expfam.NaturalParam(lam.family, kept)).values)
 
 
 def test_nat_to_mean_accepts_every_valid_gaussian():
@@ -491,6 +546,25 @@ def test_gaussian_wishart_kl_matches_the_exact_kl_of_distinct_parameters():
 def test_kl_family_mismatch_rejected():
     with pytest.raises((expfam.DomainError, ValueError)):
         expfam.kl_divergence(expfam.bernoulli_natural(0.0), expfam.beta_natural(1.0, 1.0))
+
+
+def test_an_entropy_given_a_mu_of_another_family_or_shape_is_a_domain_error():
+    beta = expfam.beta_natural(2.0, 3.0)
+    with pytest.raises(expfam.DomainError, match=re.escape("family mismatch: FamilyDescriptor(kind='beta'")) as exc:
+        expfam.entropy(beta, expfam.nat_to_mean(expfam.bernoulli_natural(0.3)))
+    assert "kind='bernoulli'" in str(exc.value)
+    rows = expfam.NaturalParam(beta.family, np.stack([beta.values] * 3))
+    with pytest.raises(expfam.DomainError, match=re.escape("shape mismatch: (3, 2) vs (2, 2)")):
+        expfam.entropy(rows, expfam.nat_to_mean(expfam.NaturalParam(beta.family, rows.values[:2])))
+    with pytest.raises(expfam.DomainError, match=re.escape("shape mismatch: (3, 2) vs (2,)")):
+        expfam.entropy(rows, expfam.nat_to_mean(beta))
+    gauss = expfam.gaussian_natural(np.zeros(2), np.eye(2))
+    with pytest.raises(expfam.DomainError, match="family mismatch"):
+        expfam.entropy(gauss, expfam.nat_to_mean(expfam.gaussian_natural(np.zeros(3), np.eye(3))))
+    # an equal family that is another object is accepted
+    same = expfam.nat_to_mean(expfam.beta_natural(2.0, 3.0))
+    assert same.family is not beta.family
+    assert expfam.entropy(beta, same) == expfam.entropy(beta)
 
 
 @pytest.mark.parametrize("kind, dim", [(expfam.BERNOULLI, 1), (expfam.BETA, 1), (expfam.GAUSSIAN, 2), (expfam.GAUSSIAN_WISHART, 2)])
@@ -800,8 +874,8 @@ def test_a_signed_zero_in_the_precision_does_not_tie_rows():
 def test_a_tied_symmetric_plate_is_kept_as_given_without_symmetrizing(monkeypatch, g, d):
     """One compare finds the shared symmetric block: the values are a read-only copy of the input, bit for bit."""
     calls = []
-    symmetrize = expfam._symmetrize_block
-    monkeypatch.setattr(expfam, "_symmetrize_block", lambda *args: calls.append(args) or symmetrize(*args))
+    symmetrize = expfam._Family.owned
+    monkeypatch.setattr(expfam._Family, "owned", lambda *args: calls.append(args) or symmetrize(*args))
     rows = _shared_precision_rows(g, d)
     given = rows.copy()
     lam = expfam.NaturalParam(expfam.FamilyDescriptor(expfam.GAUSSIAN, dim=d), rows)
