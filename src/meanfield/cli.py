@@ -24,6 +24,7 @@ Any other value is a usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -41,16 +42,25 @@ EXIT_USAGE = 64
 
 log = logging.getLogger("meanfield")
 
-_MODEL_KEYS = {
-    "simple_mixture": set(),
-    "two_level": {"alpha0", "beta0"},
-    "gmm2": {"alpha0", "beta0", "gamma0", "nu0", "w0_scale"},
-    "matfac_vmp": {"k", "delta_u", "delta_v"},
-    "matfac_ppca": {"k", "delta_u", "delta_v"},
-    "matfac_als": {"k", "delta_u", "delta_v"},
-    "logitnormal": {"m"},
+# One row per model: its CSV column count (None: any), data class, builder and
+# config keys.  A key left unset takes the data class's default.  The data
+# class takes the CSV's columns, or the whole array where any count goes.
+_TABLE = {
+    "simple_mixture": (3, models.SimpleMixtureData, models.build_simple_mixture, ()),
+    "two_level": (2, models.TwoLevelMixtureData, models.build_two_level, ("alpha0", "beta0")),
+    "gmm2": (None, models.GMMData, models.build_gmm2, ("alpha0", "beta0", "gamma0", "nu0", "w0_scale")),
+    **{
+        f"matfac_{mode}": (
+            None,
+            models.MatrixFactorizationData,
+            functools.partial(models.build_matfac, mode=mode),
+            ("k", "delta_u", "delta_v"),
+        )
+        for mode in ("vmp", "ppca", "als")
+    },
+    "logitnormal": (2, models.LogitNormalMixtureData, models.build_logitnormal, ("m",)),
 }
-_MODELS = tuple(_MODEL_KEYS)
+_MODELS = tuple(_TABLE)
 # Every config value is a number, except those of the text keys.
 _TEXT_KEYS = {"model", "schedule", "data_path", "output_path"}
 _INT_KEYS = {"max_iter", "seed", "k"}
@@ -108,8 +118,8 @@ def parse_config(path: str) -> RunConfig:
     model = values.get("model")
     if model not in _MODELS:
         raise InputError(f"config must set model to one of {', '.join(_MODELS)}")
-    allowed = _COMMON_KEYS | _MODEL_KEYS[model]
-    unknown = sorted(set(values) - allowed)
+    keys = _TABLE[model][3]
+    unknown = sorted(set(values) - _COMMON_KEYS.union(keys))
     if unknown:
         raise InputError(f"unknown config keys for model {model}: {', '.join(unknown)}")
     for required in ("data_path", "output_path"):
@@ -117,19 +127,15 @@ def parse_config(path: str) -> RunConfig:
             raise InputError(f"config must set {required}")
 
     numbers = {k: _number(k, v) for k, v in values.items() if k not in _TEXT_KEYS}
-    extras = {k: numbers.pop(k) for k in _MODEL_KEYS[model] if k in numbers}
+    extras = {k: numbers.pop(k) for k in keys if k in numbers}
     stop = {k: numbers.pop(k) for k in ("tol", "max_iter") if k in numbers}
-    rho = numbers.pop("rho", 0.5)
-    # engine.fit checks tol and max_iter only once the data is loaded, and the
-    # engine's rho check names rho_local, so these three are checked here.
+    # engine.fit checks tol and max_iter only once the data is loaded, so they are checked here.
     if "tol" in stop and not stop["tol"] > 0.0:
         raise InputError(f"tol must be positive, got {stop['tol']}")
     if stop.get("max_iter", 0) < 0:
         raise InputError(f"max_iter must be nonnegative, got {stop['max_iter']}")
-    if not 0.0 < rho <= 1.0:
-        raise InputError(f"rho must lie in (0, 1], got {rho:g}")
     kind = {"kind": values["schedule"]} if "schedule" in values else {}
-    schedule = engine.Schedule(rho_local=rho, **kind, **numbers)  # and kappa, tau and seed where set
+    schedule = engine.Schedule(**kind, **numbers)  # and rho, kappa, tau and seed where set
     return RunConfig(model, values["data_path"], values["output_path"], schedule, stop, extras)
 
 
@@ -174,41 +180,17 @@ def _require_finite_rows(path: str, rows: list, linenos: list) -> np.ndarray:
 
 
 def _build(cfg: RunConfig):
-    x, seed = cfg.extras, cfg.schedule.seed
+    columns, data_class, build, _ = _TABLE[cfg.model]
+    arr = load_csv(cfg.data_path, expected_cols=columns)
     if cfg.model == "simple_mixture":
-        arr = load_csv(cfg.data_path, expected_cols=3)
         if arr.shape[0] != 1:
             raise InputError("simple_mixture expects a single data row: pi0,pa,pb")
-        data = models.SimpleMixtureData(*arr[0])
-        return models.build_simple_mixture(data, seed=seed), data
-    if cfg.model == "two_level":
-        arr = load_csv(cfg.data_path, expected_cols=2)
-        data = models.TwoLevelMixtureData(
-            arr[:, 0], arr[:, 1], x.get("alpha0", 1.0), x.get("beta0", 1.0)
-        )
-        return models.build_two_level(data, seed=seed), data
-    if cfg.model == "gmm2":
-        arr = load_csv(cfg.data_path)
-        d = arr.shape[1]
-        data = models.GMMData(
-            arr,
-            x.get("alpha0", 1.0),
-            x.get("beta0", 1.0),
-            x.get("gamma0", 1.0),
-            x.get("nu0", float(d)),
-            x.get("w0_scale", 1.0) * np.eye(d),
-        )
-        return models.build_gmm2(data, seed=seed), data
-    if cfg.model.startswith("matfac"):
-        arr = load_csv(cfg.data_path)
-        data = models.MatrixFactorizationData(
-            arr, x.get("k", 1), x.get("delta_u", 1.0), x.get("delta_v", 1.0)
-        )
-        mode = cfg.model.split("_")[1]
-        return models.build_matfac(data, mode, seed=seed), data
-    arr = load_csv(cfg.data_path, expected_cols=2)
-    data = models.LogitNormalMixtureData(arr[:, 0], arr[:, 1], x.get("m", 0.0))
-    return models.build_logitnormal(data, seed=seed), data
+        arr = arr[0]
+    extras = dict(cfg.extras)
+    if "w0_scale" in extras:  # the config's form of w0 = w0_scale * I
+        extras["w0"] = extras.pop("w0_scale") * np.eye(arr.shape[1])
+    data = data_class(*(arr.T if columns else [arr]), **extras)
+    return build(data, seed=cfg.schedule.seed), data
 
 
 def _fmt(x: float) -> str:

@@ -363,12 +363,13 @@ def _require_count(name: str, value) -> None:
 class Schedule:
     """Update schedule: CAVI, SVI, or parallel damped steps.
 
-    The SVI global rate follows rho_t = (t + tau)^(-kappa) with t counted
-    from zero, so SVI needs tau >= 1.
+    Only the parallel schedule reads ``rho``, the damping of its steps.  The
+    SVI global rate follows rho_t = (t + tau)^(-kappa) with t counted from
+    zero, so SVI needs tau >= 1.
     """
 
     kind: str = CAVI
-    rho_local: float = 1.0
+    rho: float = 0.5
     kappa: float = 0.7
     tau: float = 1.0
     seed: int = 0
@@ -376,8 +377,8 @@ class Schedule:
     def __post_init__(self):
         if self.kind not in (CAVI, SVI, PARALLEL_BLR):
             raise ConfigurationError(f"unknown schedule kind {self.kind!r}")
-        if not 0.0 < self.rho_local <= 1.0:
-            raise ConfigurationError(f"rho_local must lie in (0, 1], got {self.rho_local}")
+        if not 0.0 < self.rho <= 1.0:
+            raise ConfigurationError(f"rho must lie in (0, 1], got {self.rho:g}")
         if not 0.5 < self.kappa <= 1.0:
             raise ConfigurationError(f"kappa must lie in (0.5, 1], got {self.kappa}")
         least = 1.0 if self.kind == SVI else 0.0  # the first SVI rate, tau^-kappa, must not exceed 1
@@ -642,6 +643,8 @@ def fit(
     rng = np.random.default_rng(schedule.seed)
     start = time.perf_counter()
     trace = FitTrace()
+    if schedule.kind == SVI:  # a model SVI cannot step fails before the first record
+        rows = len(model.plates[_svi_plates(model)[0]].ids)
     snap = mu_snapshot(model.plates)
 
     def record(it: int) -> float:
@@ -656,11 +659,9 @@ def fit(
         if schedule.kind == CAVI:
             cavi_sweep(model, snap, data)
         elif schedule.kind == SVI:
-            local = model.plates[_svi_plates(model)[0]]
-            row = int(rng.integers(len(local.ids)))
-            svi_step(model, snap, data, row, schedule.global_rate(t - 1))
+            svi_step(model, snap, data, int(rng.integers(rows)), schedule.global_rate(t - 1))
         else:
-            _parallel_step(model, snap, data, schedule.rho_local)
+            _parallel_step(model, snap, data, schedule.rho)
         residual = record(t)
     trace.converged = residual < tol
     trace.plates = dict(snap.plates)

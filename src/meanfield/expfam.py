@@ -142,6 +142,8 @@ def _as_flat(family: FamilyDescriptor, values) -> np.ndarray:
     """A flat vector, or (G, flat) rows with G >= 1 when values is two-dimensional; a view where it can be."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 2:
+        if arr.ndim > 2:
+            raise DomainError(f"{family.kind} dim={family.dim} expects a vector or rows, got shape {arr.shape}")
         arr = arr.reshape(-1)
     if arr.shape[-1] != family.flat_size:
         raise DomainError(

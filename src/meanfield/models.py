@@ -129,12 +129,13 @@ class _MixtureLogLiks:
 
     def __post_init__(self):
         _require_finite(self)
-        la = np.asarray(self.log_pa, dtype=float).reshape(-1)
-        lb = np.asarray(self.log_pb, dtype=float).reshape(-1)
-        if la.size < 1 or la.size != lb.size:
-            raise ValueError("log_pa and log_pb must be equal-length, nonempty vectors")
-        object.__setattr__(self, "log_pa", la)
-        object.__setattr__(self, "log_pb", lb)
+        la, lb = np.asarray(self.log_pa, dtype=float), np.asarray(self.log_pb, dtype=float)
+        if max(la.ndim, lb.ndim) > 1 or la.size != lb.size or la.size < 1:  # a scalar is one observation
+            raise ValueError(
+                f"log_pa and log_pb must be equal-length, nonempty vectors, got shapes {la.shape} and {lb.shape}"
+            )
+        object.__setattr__(self, "log_pa", la.reshape(-1))
+        object.__setattr__(self, "log_pb", lb.reshape(-1))
 
     @property
     def n(self) -> int:
@@ -143,10 +144,10 @@ class _MixtureLogLiks:
 
 @dataclass(frozen=True)
 class TwoLevelMixtureData(_MixtureLogLiks):
-    """Per-observation component log-likelihoods plus a Beta prior on the weight."""
+    """Per-observation component log-likelihoods plus a Beta(alpha0, beta0) prior on the weight."""
 
-    alpha0: float
-    beta0: float
+    alpha0: float = 1.0
+    beta0: float = 1.0
 
     def __post_init__(self):
         super().__post_init__()
@@ -155,22 +156,30 @@ class TwoLevelMixtureData(_MixtureLogLiks):
 
 @dataclass(frozen=True)
 class GMMData:
-    """Observations for the two-component Gaussian mixture with GW priors."""
+    """Observations for the two-component Gaussian mixture with GW priors.
+
+    ``nu0`` defaults to the dimension D of the observations and ``w0`` to
+    the D x D identity.
+    """
 
     y: np.ndarray
-    alpha0: float
-    beta0: float
-    gamma0: float
-    nu0: float
-    w0: np.ndarray
+    alpha0: float = 1.0
+    beta0: float = 1.0
+    gamma0: float = 1.0
+    nu0: float | None = None
+    w0: np.ndarray | None = None
 
     def __post_init__(self):
-        _require_finite(self)
         y = np.atleast_2d(np.asarray(self.y, dtype=float))
+        d = y.shape[1]
+        if self.nu0 is None:
+            object.__setattr__(self, "nu0", float(d))
+        if self.w0 is None:
+            object.__setattr__(self, "w0", np.eye(d))
+        _require_finite(self)
         _require_square_summable("y", y)
         if y.shape[0] < 2:
             raise ValueError("GMM needs at least two observations")
-        d = y.shape[1]
         w0 = np.atleast_2d(np.asarray(self.w0, dtype=float))
         if w0.shape != (d, d):
             raise ValueError(f"W0 must be {d}x{d}")
@@ -200,9 +209,9 @@ class MatrixFactorizationData:
     """Full data matrix Y fit by K-factor row/column embeddings."""
 
     y: np.ndarray
-    k: int
-    delta_u: float
-    delta_v: float
+    k: int = 1
+    delta_u: float = 1.0
+    delta_v: float = 1.0
 
     def __post_init__(self):
         _require_finite(self)
@@ -210,8 +219,8 @@ class MatrixFactorizationData:
         _require_square_summable("y", y)
         if 0 in y.shape:
             raise ValueError(f"y must have at least one row and one column, got shape {y.shape}")
-        if self.k < 1:
-            raise ValueError(f"k (the number of factors) must be >= 1, got {self.k}")
+        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)) or self.k < 1:
+            raise ValueError(f"k (the number of factors) must be an integer >= 1, got {self.k!r}")
         _require_positive(self, "delta_u", "delta_v")
         object.__setattr__(self, "y", y)
 
@@ -226,9 +235,9 @@ class MatrixFactorizationData:
 
 @dataclass(frozen=True)
 class LogitNormalMixtureData(_MixtureLogLiks):
-    """Two-level mixture data with a logit-normal prior on the weight."""
+    """Two-level mixture data with a logit-normal prior, mean m, on the weight."""
 
-    m: float
+    m: float = 0.0
 
     def __post_init__(self):
         super().__post_init__()

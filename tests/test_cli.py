@@ -330,6 +330,59 @@ def test_gmm_fit_via_cli(tmp_path):
     assert any(ln.startswith("param comp_a lambda") for ln in open(out))
 
 
+_TWO_COLUMNS = "0.1,0.4\n-0.3,0.2\n0.5,-0.1\n"
+_GMM_ROWS = "-2,0.1\n-2.3,-0.2\n-1.8,0.3\n-2.1,0\n2,0.2\n2.2,-0.1\n1.9,0.1\n2.1,-0.3\n"
+_MATRIX = "0.5,-1.2,0.3\n1.1,0.4,-0.7\n-0.2,0.9,1.5\n0.8,-0.3,0.1\n"
+_CSV = {"simple_mixture": "0.3,0.8,0.2\n", "two_level": _TWO_COLUMNS, "gmm2": _GMM_ROWS, "logitnormal": _TWO_COLUMNS}
+
+
+def _by_hand(model: str, y: np.ndarray):
+    """The model and data the Python API builds from the CSV's array with the data class's defaults."""
+    if model == "simple_mixture":
+        data = models.SimpleMixtureData(*y[0])
+        return models.build_simple_mixture(data), data
+    if model == "two_level":
+        data = models.TwoLevelMixtureData(y[:, 0], y[:, 1])
+        return models.build_two_level(data), data
+    if model == "gmm2":
+        data = models.GMMData(y)
+        return models.build_gmm2(data), data
+    if model == "logitnormal":
+        data = models.LogitNormalMixtureData(y[:, 0], y[:, 1])
+        return models.build_logitnormal(data), data
+    data = models.MatrixFactorizationData(y)
+    return models.build_matfac(data, model.split("_")[1]), data
+
+
+def _same_trace_by_hand(tmp_path, model, csv_text, extra, schedule):
+    cfg, out = _fit_config(tmp_path, csv_text, extra=extra, model=model)
+    code = cli.main(["fit", "--config", cfg])
+    trace = engine.fit(*_by_hand(model, np.loadtxt(io.StringIO(csv_text), delimiter=",", ndmin=2)), schedule)
+    cli.write_trace(str(tmp_path / "by_hand.txt"), trace)
+    assert code == (cli.EXIT_OK if trace.converged else cli.EXIT_NO_CONVERGENCE)
+    assert Path(out).read_bytes() == (tmp_path / "by_hand.txt").read_bytes()
+
+
+@pytest.mark.parametrize("model", cli._MODELS)
+def test_a_config_with_no_model_keys_fits_the_data_class_defaults(tmp_path, model):
+    _same_trace_by_hand(tmp_path, model, _CSV.get(model, _MATRIX), "", engine.Schedule())  # the matfac models take _MATRIX
+
+
+@pytest.mark.parametrize("model, csv_text", [("two_level", _TWO_COLUMNS), ("gmm2", _GMM_ROWS)], ids=["two_level", "gmm2"])
+def test_a_parallel_config_with_no_rho_fits_the_schedule_default(tmp_path, model, csv_text):
+    _same_trace_by_hand(tmp_path, model, csv_text, "schedule=parallel\n", engine.Schedule(engine.PARALLEL_BLR))
+
+
+@pytest.mark.parametrize("max_iter", ["0", "5"])
+def test_an_svi_config_for_a_model_svi_cannot_step_is_one_error_line_and_no_trace(tmp_path, capsys, max_iter):
+    cfg, out = _fit_config(tmp_path, _GMM_ROWS, extra=f"schedule=svi\nmax_iter={max_iter}\n", model="gmm2")
+    assert cli.main(["fit", "--config", cfg]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: SVI requires one local plate and one single-node global plate, got ['z'] and ['pi', 'comp']\n"
+    )
+    assert not os.path.exists(out)
+
+
 def test_check_known_suites(capsys):
     assert cli.main(["check", "roundtrip"]) == cli.EXIT_OK
     out = capsys.readouterr().out

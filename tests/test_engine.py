@@ -1,6 +1,7 @@
 """Update steps, schedules, the fit loop, ELBO and residual diagnostics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -158,7 +159,7 @@ def test_schedule_validation():
     with pytest.raises(engine.ConfigurationError):
         engine.Schedule(kind="bogus")
     with pytest.raises(engine.ConfigurationError):
-        engine.Schedule(rho_local=0.0)
+        engine.Schedule(rho=0.0)
     with pytest.raises(engine.ConfigurationError):
         engine.Schedule(kappa=0.5)
     with pytest.raises(engine.ConfigurationError):
@@ -249,6 +250,23 @@ def test_svi_requires_single_global_and_local_target(two_level_data):
     mf_state = dict(mf.plates)
     with pytest.raises(engine.ConfigurationError):
         engine.svi_step(mf, mf_state, None, 0, 0.5)  # two local plates, zero globals
+
+
+@pytest.mark.parametrize("max_iter", [0, 5])
+def test_an_svi_fit_of_a_model_svi_cannot_step_fails_before_the_first_record(monkeypatch, max_iter):
+    data, _ = make_gmm(seed=1, n=6)
+    calls = []
+    monkeypatch.setattr(engine, "fixed_point_residual", lambda *args: calls.append(args))
+    with pytest.raises(engine.ConfigurationError, match="SVI requires one local plate and one single-node global plate"):
+        engine.fit(models.build_gmm2(data), data, engine.Schedule(engine.SVI), max_iter=max_iter)
+    assert calls == []
+
+
+def test_the_parallel_rate_is_defaulted_and_checked_by_schedule():
+    assert engine.Schedule().rho == 0.5
+    for bad in (0.0, 1.5, float("nan")):
+        with pytest.raises(engine.ConfigurationError, match=re.escape(f"rho must lie in (0, 1], got {bad:g}")):
+            engine.Schedule(engine.PARALLEL_BLR, rho=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +376,7 @@ def test_parallel_damped_matches_cavi_fixed_point(two_level_data):
     par = engine.fit(
         model2,
         two_level_data,
-        engine.Schedule(kind="parallel", rho_local=0.5),
+        engine.Schedule(kind="parallel", rho=0.5),
         tol=1e-12,
         max_iter=800,
     )
@@ -432,7 +450,7 @@ def _logitnormal():
     "build, schedule, per_iter",
     [
         (_two_level, engine.Schedule(engine.CAVI), 2),
-        (_two_level, engine.Schedule(engine.PARALLEL_BLR, rho_local=0.5), 2),
+        (_two_level, engine.Schedule(engine.PARALLEL_BLR, rho=0.5), 2),
         (_gmm2, engine.Schedule(engine.CAVI), 3),
         (_matfac_ppca, engine.Schedule(engine.CAVI), 2),
         (_logitnormal, engine.Schedule(engine.SVI, seed=8), 3),
@@ -771,7 +789,7 @@ def _small_fits(draw):
     svi = isinstance(model.provider, (models.TwoLevelProvider, models.LogitNormalProvider))
     schedule = engine.Schedule(
         draw(st.sampled_from([engine.CAVI, engine.PARALLEL_BLR] + ([engine.SVI] if svi else []))),
-        rho_local=draw(st.floats(0.05, 1.0)),
+        rho=draw(st.floats(0.05, 1.0)),
         kappa=draw(st.floats(0.51, 1.0)),
         tau=draw(st.floats(1.0, 10.0)),
         seed=draw(st.integers(0, 1000)),

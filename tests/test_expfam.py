@@ -232,6 +232,16 @@ _EMPTY_STACKS = [(expfam.BERNOULLI, 1, 1), (expfam.BETA, 1, 2), (expfam.GAUSSIAN
             expfam.DomainError,
             "beta dim=1 expects at least one row, got shape (0, 2)",
         ),
+        (
+            lambda: expfam.NaturalParam(expfam.FamilyDescriptor(expfam.BETA), np.ones((1, 1, 2))),
+            expfam.DomainError,
+            "beta dim=1 expects a vector or rows, got shape (1, 1, 2)",
+        ),
+        (
+            lambda: expfam.NaturalParam(expfam.FamilyDescriptor(expfam.BERNOULLI), np.zeros((3, 1, 1))),
+            expfam.DomainError,
+            "bernoulli dim=1 expects a vector or rows, got shape (3, 1, 1)",
+        ),
     ],
     ids=[
         "kind",
@@ -248,6 +258,8 @@ _EMPTY_STACKS = [(expfam.BERNOULLI, 1, 1), (expfam.BETA, 1, 2), (expfam.GAUSSIAN
         "negative-dim",
         *[f"empty-{kind}" for kind, _, _ in _EMPTY_STACKS],
         "empty-beta-mean",
+        "three-axis-beta",
+        "three-axis-bernoulli",
     ],
 )
 def test_malformed_families_and_parameters_are_rejected(make, error, message):

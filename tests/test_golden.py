@@ -35,7 +35,7 @@ RTOL = 1e-12
 
 SCHEDULES = {
     "cavi": engine.Schedule(engine.CAVI),
-    "parallel": engine.Schedule(engine.PARALLEL_BLR, rho_local=0.5),
+    "parallel": engine.Schedule(engine.PARALLEL_BLR, rho=0.5),
     "svi": engine.Schedule(engine.SVI, kappa=0.7, tau=1.0, seed=3),
 }
 

@@ -76,6 +76,36 @@ def test_gmm_data_rejects_a_w0_of_the_wrong_shape():
             models.GMMData(np.zeros((3, 2)), 1.0, 1.0, 1.0, 3.0, w0)
 
 
+def test_the_data_classes_own_the_model_defaults():
+    y = np.zeros((3, 2))
+    assert models.TwoLevelMixtureData([0.0], [0.0]) == models.TwoLevelMixtureData([0.0], [0.0], 1.0, 1.0)
+    gmm = models.GMMData(y)
+    assert (gmm.alpha0, gmm.beta0, gmm.gamma0, gmm.nu0) == (1.0, 1.0, 1.0, 2.0)
+    assert np.array_equal(gmm.w0, np.eye(2))
+    mf = models.MatrixFactorizationData(y)
+    assert (mf.k, mf.delta_u, mf.delta_v) == (1, 1.0, 1.0)
+    assert models.LogitNormalMixtureData([0.0], [0.0]).m == 0.0
+
+
+@pytest.mark.parametrize("k", [2.5, True, np.float64(2.0), 0])
+def test_matrix_factorization_data_rejects_a_k_that_is_not_a_positive_integer(k):
+    message = f"k (the number of factors) must be an integer >= 1, got {k!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        models.MatrixFactorizationData(np.ones((2, 2)), k)
+
+
+@pytest.mark.parametrize("cls", [models.TwoLevelMixtureData, models.LogitNormalMixtureData])
+@pytest.mark.parametrize(
+    "log_pa, log_pb",
+    [(np.zeros((2, 3)), np.ones((3, 2))), (np.zeros((2, 1)), np.zeros((2, 1))), (np.zeros(3), np.zeros(2))],
+    ids=["transposed", "column", "lengths"],
+)
+def test_mixture_log_likelihoods_are_vectors_paired_as_given(cls, log_pa, log_pb):
+    message = f"log_pa and log_pb must be equal-length, nonempty vectors, got shapes {log_pa.shape} and {log_pb.shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cls(log_pa, log_pb)
+
+
 @pytest.mark.parametrize("plate", ["pi", "z0"])
 def test_simple_mixture_coefficient_of_an_unknown_plate_is_a_key_error(plate):
     data = models.SimpleMixtureData(0.3, 0.8, 0.2)
@@ -457,7 +487,7 @@ def test_all_delta_elbo_is_negative_regularized_loss_plus_constant():
 def test_matfac_plates_keep_one_shared_factor_through_a_fit(mode, kind):
     """Every row of "u" (of "v") reads one coefficient of E[x x^T], so each plate keeps one K x K factor."""
     data = _matfac_data(seed=7, n=6, d=5, k=3)
-    schedule = engine.Schedule(kind=kind, rho_local=1.0 if kind == engine.CAVI else 0.5)
+    schedule = engine.Schedule(kind=kind, rho=1.0 if kind == engine.CAVI else 0.5)
     trace = engine.fit(models.build_matfac(data, mode, seed=7), data, schedule, tol=1e-8, max_iter=2000)
     assert trace.converged
     assert {name: plate.lam.factor.shape for name, plate in trace.plates.items()} == {
@@ -506,7 +536,7 @@ def test_matfac_elbo_reads_the_residuals_coefficient(monkeypatch, mode, kind):
     The steps and residuals are bitwise those of the term-by-term fit, the ELBOs within 1e-12.
     """
     data = _matfac_data(seed=10)
-    schedule = engine.Schedule(kind=kind, rho_local=1.0 if kind == engine.CAVI else 0.5)
+    schedule = engine.Schedule(kind=kind, rho=1.0 if kind == engine.CAVI else 0.5)
     provider = models.MatrixFactorizationProvider
     coefficient = provider.coefficient
     traces, counts = [], []
@@ -845,7 +875,7 @@ def test_the_weight_plate_family_not_the_provider_sets_the_base_measure(kind):
     cells = np.random.default_rng(3).normal(size=(10, 2))
     data = models.TwoLevelMixtureData(cells[:, 0], cells[:, 1], 1.5, 2.0)
     plain, shifted = (models.build_two_level(data, seed=8, shifted_beta=s) for s in (False, True))
-    schedule = engine.Schedule(kind=kind, rho_local=0.5, seed=4)
+    schedule = engine.Schedule(kind=kind, rho=0.5, seed=4)
     for plates_of, provider_of in ((shifted, plain), (plain, shifted)):
         crossed = engine.fit(engine.ModelSpec(plates_of.factors, provider_of.provider), data, schedule, max_iter=300)
         own = engine.fit(plates_of, data, schedule, max_iter=300)
