@@ -359,6 +359,12 @@ def _require_count(name: str, value) -> None:
         raise ConfigurationError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
+def _require_number(name: str, value) -> None:
+    """Reject a value that is not a Python or numpy real number (a bool is not one); NaN passes."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ConfigurationError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Update schedule: CAVI, SVI, or parallel damped steps.
@@ -377,6 +383,8 @@ class Schedule:
     def __post_init__(self):
         if self.kind not in (CAVI, SVI, PARALLEL_BLR):
             raise ConfigurationError(f"unknown schedule kind {self.kind!r}")
+        for name in ("rho", "kappa", "tau"):
+            _require_number(name, getattr(self, name))
         if not 0.0 < self.rho <= 1.0:
             raise ConfigurationError(f"rho must lie in (0, 1], got {self.rho:g}")
         if not 0.5 < self.kappa <= 1.0:
@@ -431,7 +439,8 @@ def delta_moment(node):
         raise DomainError("delta_moment requires a Gaussian node")
     if not node.delta_mode:
         raise DomainError(f"node {node.ids[0]!r} is not delta-flagged")
-    return expfam._Gaussian.moments(node.family, node.mu.values[..., : node.family.dim])  # m off the node's mu
+    m = node.mu.values[..., : node.family.dim]  # off the node's mu
+    return expfam._derived_mean(node.family, expfam._Gaussian.moments(node.family, m))
 
 
 def _moments(node) -> np.ndarray:
@@ -464,7 +473,7 @@ def blr_step(node, target: np.ndarray, rho):
     if not valid:
         raise ConfigurationError(f"rho must lie in (0, 1], got {rho}")
     new_values = (1.0 - rate) * node.lam.values + rate * np.asarray(target, dtype=float)
-    return node.with_lambda(NaturalParam(node.family, new_values))
+    return node.with_lambda(NaturalParam(node.lam.family, new_values))
 
 
 def _target(model: ModelSpec, plate: str, snap: Snapshot, data) -> np.ndarray:
@@ -474,13 +483,13 @@ def _target(model: ModelSpec, plate: str, snap: Snapshot, data) -> np.ndarray:
     ``Snapshot.coefficient``), and h the plate's family's base measure.
     """
     coefficient = snap.coefficient(model.provider, plate, data)
-    base = expfam.base_measure_grad(snap.plates[plate].family)
+    base = expfam.base_measure_grad(snap.plates[plate].lam.family)
     return coefficient if base is None else coefficient - base
 
 
 def _check_target(plate: Plate, goal: np.ndarray) -> None:
     """Raise NumericalError naming the first row of a plate's target that is not finite."""
-    if not np.isfinite(goal).all():  # one pass; the row is located only on failure
+    if not np.logical_and.reduce(np.isfinite(goal), axis=None):  # one pass; the row is located only on failure
         rows = goal.reshape(len(plate.ids), -1)
         r = int(np.argmin(np.isfinite(rows).all(axis=1)))
         raise NumericalError(f"update target of node {plate.ids[r]!r} is not finite: {rows[r]}")
@@ -503,7 +512,8 @@ def _step_with_backoff(plate: Plate, target: np.ndarray, rho: float, rows=None):
         goal = np.where(keep[:, None], lam, goal)
         if rate != 1.0:
             rate = np.where(keep, 1.0, rate)
-    _check_target(plate, goal)
+    if not np.logical_and.reduce(np.isfinite(goal), axis=None):
+        _check_target(plate, goal)
     for _ in range(_MAX_RATE_HALVINGS):
         try:
             return blr_step(plate, goal, rate)
@@ -526,9 +536,10 @@ def _step_with_backoff(plate: Plate, target: np.ndarray, rho: float, rows=None):
 def _snapshot(model: ModelSpec, state) -> Snapshot:
     """``state`` itself if it is a snapshot, else a new one of a plate dict; either must hold every plate."""
     plates = state.plates if isinstance(state, Snapshot) else state
-    missing = [name for name in model.plates if not isinstance(plates.get(name), Plate)]
-    if missing:
-        raise ConfigurationError(f"state has no plate {missing[0]!r}: pass dict(model.plates) or trace.plates")
+    if set(map(type, map(plates.get, model.plates))) != {Plate}:  # the names are listed only on failure
+        missing = [name for name in model.plates if not isinstance(plates.get(name), Plate)]
+        if missing:
+            raise ConfigurationError(f"state has no plate {missing[0]!r}: pass dict(model.plates) or trace.plates")
     return state if isinstance(state, Snapshot) else mu_snapshot(state)
 
 
@@ -601,7 +612,7 @@ def elbo(model: ModelSpec, state, data) -> float:
     total = model.provider.expected_log_joint(snap, data)
     for plate in snap.plates.values():
         if not plate.delta_mode:
-            total += float(expfam.entropy(plate.lam, plate.mu).sum())
+            total += float(np.add.reduce(expfam.entropy(plate.lam, plate.mu), axis=None))
     return total
 
 
@@ -615,7 +626,7 @@ def fixed_point_residual(model: ModelSpec, state, data) -> float:
     worst = 0.0
     for name, plate in snap.plates.items():
         target = _target(model, name, snap, data)
-        gap = float(np.abs(plate.lam.values - target).max())
+        gap = float(np.maximum.reduce(np.abs(plate.lam.values - target), axis=None))
         if not math.isfinite(gap):  # a finite lambda: the target is the cause, unless the gap overflowed
             _check_target(plate, target)
         worst = max(worst, gap)

@@ -7,7 +7,9 @@ read-only copies of the values given; symmetric matrix blocks as full
 D x D (row-major).  Domain violations are construction-time errors that
 list the offending rows, except that the expectations ``nat_to_mean`` (and
 ``engine.delta_moment``) derive from a validated lambda are checked for
-finiteness only.
+finiteness only.  A family's ``natural`` validates lambda and keeps per row
+what it found (``NaturalParam``); ``nat_to_mean`` derives mu and A(lambda)
+from that in one mean pass, so nothing but validation runs at construction.
 
 A parameter may also hold a (G, flat) array, G >= 1: one row per node of a
 plate.  Validation, ``nat_to_mean``, ``log_partition``, ``entropy``,
@@ -96,7 +98,8 @@ class FamilyDescriptor:
     "constant" is the standard z^(a-1)(1-z)^(b-1) form with natural
     parameters (a-1, b-1); "reciprocal" uses h(z) = 1/(z(1-z)) so the
     natural parameters become (a, b).  Other families only admit
-    "constant".
+    "constant".  ``flat_size``, the length of one flat parameter vector, is
+    set at construction.
     """
 
     kind: str
@@ -116,10 +119,7 @@ class FamilyDescriptor:
         if self.base_measure == "reciprocal" and self.kind != BETA:
             raise ValueError("base_measure='reciprocal' applies to the Beta family only")
         object.__setattr__(self, "_ops", ops)  # the family's class instance, which the module functions dispatch to
-
-    @property
-    def flat_size(self) -> int:
-        return self._ops.flat_size(self.dim)
+        object.__setattr__(self, "flat_size", ops.flat_size(self.dim))
 
 
 _RECIPROCAL_BETA_GRAD = np.array([-1.0, -1.0])  # log h = -log z - log(1-z)
@@ -133,13 +133,18 @@ def base_measure_grad(family: FamilyDescriptor):
 
 def _check_rows(ok: np.ndarray, message) -> None:
     """Raise DomainError unless every row is ok; message(r) describes the first bad row r."""
-    if not ok.all():
+    if not np.logical_and.reduce(ok):
         bad = np.flatnonzero(~ok)
         raise DomainError(message(int(bad[0])), rows=bad)
 
 
+def _check_finite_rows(family: FamilyDescriptor, arr: np.ndarray) -> None:
+    """Raise DomainError naming the rows of ``arr`` that hold a value that is not finite."""
+    _check_rows(np.isfinite(arr.reshape(-1, family.flat_size)).all(axis=1), lambda r: f"{family.kind} parameters must be finite")
+
+
 def _as_flat(family: FamilyDescriptor, values) -> np.ndarray:
-    """A flat vector, or (G, flat) rows with G >= 1 when values is two-dimensional; a view where it can be."""
+    """A flat vector, or (G, flat) rows with G >= 1 when values is two-dimensional; the caller copies it."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 2:
         if arr.ndim > 2:
@@ -151,12 +156,9 @@ def _as_flat(family: FamilyDescriptor, values) -> np.ndarray:
         )
     if not arr.size:
         raise DomainError(f"{family.kind} dim={family.dim} expects at least one row, got shape {arr.shape}")
-    if not np.isfinite(arr).all():  # one pass; the rows are located only on failure
-        _check_rows(
-            np.isfinite(arr.reshape(-1, family.flat_size)).all(axis=1),
-            lambda r: f"{family.kind} parameters must be finite",
-        )
-    return arr.reshape(arr.shape)
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):  # one pass; the rows are located only on failure
+        _check_finite_rows(family, arr)
+    return arr
 
 
 def _chol_or_none(mat: np.ndarray):
@@ -185,17 +187,22 @@ class NaturalParam:
     precision S for a Gaussian, of W^-1 for a Gaussian-Wishart, one (D, D)
     matrix per row, or a (1, D, D) one for Gaussian rows that share one
     symmetric S bitwise; None for Bernoulli and Beta.  The conversions reuse
-    it.
+    it.  Validation also keeps, one row each, what else it found that
+    ``nat_to_mean`` derives mu and A(lambda) from: the Beta's (a, b) and the
+    Gaussian-Wishart's nu, gamma, m, t and C.  Nothing past validation is
+    computed until then, so a lambda whose mu overflows still constructs.
     """
 
     family: FamilyDescriptor
     values: np.ndarray
     factor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _kept: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        values, factor = self.family._ops.natural(self.family, _as_flat(self.family, self.values))
+        values, factor, kept = self.family._ops.natural(self.family, _as_flat(self.family, self.values))
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_kept", kept)
         if factor is not None:
             factor.flags.writeable = False
             object.__setattr__(self, "factor", factor if values.ndim == 2 else factor[0])
@@ -225,7 +232,8 @@ def _derived_mean(family: FamilyDescriptor, values: np.ndarray, log_partition=No
 
     ``log_partition`` is that lambda's A, where the mean pass computed it.
     """
-    values = _as_flat(family, values)
+    if not np.logical_and.reduce(np.isfinite(values), axis=None):
+        _check_finite_rows(family, values)
     values.flags.writeable = False
     mu = object.__new__(ExpectationParam)
     object.__setattr__(mu, "family", family)
@@ -242,6 +250,7 @@ def row_view(param, row: int):
     if isinstance(param, NaturalParam):
         factor = param.factor
         object.__setattr__(one, "factor", None if factor is None else factor[0 if len(factor) == 1 else row])
+        object.__setattr__(one, "_kept", tuple(k[row : row + 1] for k in param._kept))
     else:
         object.__setattr__(one, "log_partition", None if param.log_partition is None else param.log_partition[row])
     return one
@@ -255,7 +264,7 @@ def _factor_inverse(chol: np.ndarray):
     loses up to cond(S) eps of a quadratic form that the two factors keep.
     """
     linv = np.linalg.inv(chol)
-    return linv, np.swapaxes(linv, -1, -2) @ linv
+    return linv, linv.swapaxes(-1, -2) @ linv
 
 
 def _dot(u: np.ndarray, v: np.ndarray):
@@ -265,11 +274,14 @@ def _dot(u: np.ndarray, v: np.ndarray):
 
 def _logdet_from_factor(chol: np.ndarray):
     """log det (L L^T) from a lower Cholesky factor L, per row."""
-    return 2.0 * np.log(chol.diagonal(axis1=-2, axis2=-1)).sum(axis=-1)
+    return 2.0 * np.add.reduce(np.log(chol.diagonal(axis1=-2, axis2=-1)), axis=-1)
 
 
 class _Family:
     """One family's layout, domain checks, mean pass, A(lam), entropy, KL and inverse; one shared instance each.
+
+    ``natural`` validates lambda and keeps what the mean pass reads besides
+    lambda and its factor; ``mean`` derives (mu, A(lam) or None) from them.
 
     The entropy A(lam) - lam . mu - E_q[log h] and the KL
     A(lam2) - A(lam1) - (lam2 - lam1) . mu1 are the Bregman forms, which
@@ -286,39 +298,32 @@ class _Family:
         if span is not None:
             d, lead = family.dim, arr.shape[:-1]
             block = arr[..., span].reshape(lead + (d, d))
-            out[..., span] = (0.5 * (block + np.swapaxes(block, -1, -2))).reshape(lead + (d * d,))
+            out[..., span] = (0.5 * (block + block.swapaxes(-1, -2))).reshape(lead + (d * d,))
         return out
 
     def natural(self, family: FamilyDescriptor, arr: np.ndarray):
-        """(values, the (G, D, D) Cholesky factors validation found, or None)."""
-        arr = self.owned(family, arr)
-        return arr, self.validate_natural(family, arr.reshape(-1, family.flat_size))
+        """(values, the (G, D, D) Cholesky factors validation found or None, what the mean pass reads per row)."""
+        return arr.copy(), None, ()  # finiteness is checked already
 
     def expectation(self, family: FamilyDescriptor, arr: np.ndarray) -> np.ndarray:
         arr = self.owned(family, arr)
         self.validate_mean(family, arr.reshape(-1, family.flat_size))
         return arr
 
-    def validate_natural(self, family: FamilyDescriptor, rows: np.ndarray):
-        return None  # finiteness is checked already
-
-    def mean(self, lam: NaturalParam) -> ExpectationParam:
-        return _derived_mean(lam.family, *self.mean_pass(lam))
-
     def log_partition(self, lam: NaturalParam):
-        return self.mean_pass(lam)[1]
+        return self.mean(lam)[1]
 
     def inner(self, lam: NaturalParam, mu: ExpectationParam):
-        return np.sum(lam.values * mu.values, axis=-1)
+        return np.add.reduce(lam.values * mu.values, axis=-1)
 
     def entropy(self, lam: NaturalParam, mu):
-        mu = self.mean(lam) if mu is None else mu
+        mu = nat_to_mean(lam) if mu is None else mu
         out = (log_partition(lam) if mu.log_partition is None else mu.log_partition) - self.inner(lam, mu)
         grad = base_measure_grad(lam.family)
         return out if grad is None else out - mu.values @ grad  # minus E_q[log h]
 
     def kl(self, lam1: NaturalParam, lam2: NaturalParam) -> float:
-        mu1 = self.mean(lam1)  # A(lam1) comes with it
+        mu1 = nat_to_mean(lam1)  # A(lam1) comes with it
         return log_partition(lam2) - float(mu1.log_partition) - float((lam2.values - lam1.values) @ mu1.values)
 
 
@@ -336,12 +341,12 @@ class _Bernoulli(_Family):
         p = rows[:, 0]
         _check_rows((0.0 < p) & (p < 1.0), lambda r: f"Bernoulli mean must lie in (0,1), got {p[r]:g}")
 
-    def mean_pass(self, lam: NaturalParam):
+    def mean(self, lam: NaturalParam):
         """(clipped sigmoid, A(lam)) per row."""
         arr = lam.values
         e = np.exp(-np.abs(arr))
         denom = 1.0 + e
-        p = np.where(arr >= 0, 1.0 / denom, e / denom)
+        p = np.where(arr >= 0, 1.0, e) / denom
         return np.minimum(np.maximum(p, 1e-300), 1.0 - 1e-16), (np.maximum(arr, 0.0) + np.log1p(e))[..., 0]
 
     def inner(self, lam: NaturalParam, mu: ExpectationParam):
@@ -371,11 +376,12 @@ class _Beta(_Family):
         shift = 0.0 if family.base_measure == "reciprocal" else 1.0
         return [(x + shift, y + shift) for x, y in arr.reshape(-1, 2).tolist()]
 
-    def validate_natural(self, family: FamilyDescriptor, rows: np.ndarray):
-        ab = self.ab_rows(family, rows)
+    def natural(self, family: FamilyDescriptor, arr: np.ndarray):
+        ab = self.ab_rows(family, arr)
         ok = [a > 0.0 and b > 0.0 for a, b in ab]
         if not all(ok):
             _check_rows(np.array(ok), lambda r: "Beta requires alpha > 0 and beta > 0, got ({:g}, {:g})".format(*ab[r]))
+        return arr.copy(), None, (ab,)
 
     def validate_mean(self, family: FamilyDescriptor, rows: np.ndarray) -> None:
         _check_rows(
@@ -383,10 +389,10 @@ class _Beta(_Family):
             lambda r: "Beta expectation components E[log z], E[log(1-z)] must be negative",
         )
 
-    def mean_pass(self, lam: NaturalParam):
-        """(expectations, A(lam)) per row, from the same (a, b)."""
+    def mean(self, lam: NaturalParam):
+        """(expectations, A(lam)) per row, from the (a, b) validation kept."""
         mean, log_z = [], []
-        for a, b in self.ab_rows(lam.family, lam.values):
+        for a, b in lam._kept[0]:
             psum = digamma(a + b)
             mean.append((digamma(a) - psum, digamma(b) - psum))
             log_z.append(betaln(a, b))
@@ -445,27 +451,27 @@ class _Gaussian(_Family):
     def mean_cov(self, lam: NaturalParam):
         """(m, S^-1) per row, from the factor L of S: m = L^-T (L^-1 h), S^-1 = L^-T L^-1."""
         linv, cov = _factor_inverse(lam.factor)
-        return (np.swapaxes(linv, -1, -2) @ (linv @ lam.values[..., : lam.family.dim, None]))[..., 0], cov
+        return (linv.swapaxes(-1, -2) @ (linv @ lam.values[..., : lam.family.dim, None]))[..., 0], cov
 
     @staticmethod
-    def moments(family: FamilyDescriptor, m: np.ndarray, cov=None) -> ExpectationParam:
-        """The derived expectations (m, vec(cov + m m^T)) per row; a point mass at m (cov None) has m m^T alone."""
+    def moments(family: FamilyDescriptor, m: np.ndarray, cov=None) -> np.ndarray:
+        """The expectations (m, vec(cov + m m^T)) per row; a point mass at m (cov None) has m m^T alone."""
         second = m[..., :, None] * m[..., None, :]
-        second = second if cov is None else cov + second
-        return _derived_mean(family, np.concatenate([m, second.reshape(m.shape[:-1] + (-1,))], axis=-1))
+        out = np.empty(m.shape[:-1] + (family.flat_size,))
+        out[..., : family.dim] = m
+        out[..., family.dim :] = (second if cov is None else cov + second).reshape(m.shape[:-1] + (-1,))
+        return out
 
     def natural(self, family: FamilyDescriptor, arr: np.ndarray):
         rows, d = arr.reshape(-1, family.flat_size), family.dim
         if rows[:, d:].tobytes() != rows[0, d:].reshape(d, d).T.tobytes() * len(rows):  # -0.0 is not +0.0
-            return super().natural(family, arr)
+            arr = self.owned(family, arr)
+            return arr, _require_spd(self.precision(family, arr.reshape(rows.shape)), "Gaussian precision S"), ()
         try:
             factor = _require_spd(self.precision(family, rows[:1]), "Gaussian precision S")
         except DomainError as exc:  # every row fails, as each would on its own
             raise DomainError(str(exc), rows=np.arange(len(rows))) from None
-        return arr.copy(), factor
-
-    def validate_natural(self, family: FamilyDescriptor, rows: np.ndarray):
-        return _require_spd(self.precision(family, rows), "Gaussian precision S")
+        return arr.copy(), factor, ()
 
     def validate_mean(self, family: FamilyDescriptor, rows: np.ndarray) -> None:
         d = family.dim
@@ -480,8 +486,8 @@ class _Gaussian(_Family):
             f"semidefinite (min eigenvalue {eigmin[r]:g})",
         )
 
-    def mean(self, lam: NaturalParam) -> ExpectationParam:
-        return self.moments(lam.family, *self.mean_cov(lam))
+    def mean(self, lam: NaturalParam):
+        return self.moments(lam.family, *self.mean_cov(lam)), None
 
     def log_partition(self, lam: NaturalParam):
         """(h . m - log det S + D log 2 pi) / 2, with the mean m = S^-1 h."""
@@ -539,45 +545,44 @@ class _GaussianWishart(_Family):
         return slice(1, 1 + d * d)
 
     def unpack(self, family: FamilyDescriptor, arr: np.ndarray):
-        """Return (nu, gamma, m), per row of a (G, flat) array; gamma must be positive."""
+        """Return (nu, gamma, m, t), per row of a (G, flat) array; gamma must be positive.
+
+        t = nu - (D - 1) is formed from lambda as 2 lam_0 + 1, so a t near 0 keeps its relative precision.
+        """
         d = family.dim
         gamma = -2.0 * arr[..., -1]
-        return 2.0 * arr[..., 0] + d, gamma, arr[..., 1 + d * d : 1 + d * d + d] / gamma[..., None]
+        return 2.0 * arr[..., 0] + d, gamma, arr[..., 1 + d * d : 1 + d * d + d] / gamma[..., None], 2.0 * arr[..., 0] + 1.0
 
-    def offset(self, arr: np.ndarray):
-        """t = nu - (D - 1) = 2 lam_0 + 1 per row, formed from lambda so a t near 0 keeps its relative precision."""
-        return 2.0 * arr[..., 0] + 1.0
+    def wishart_sums(self, t, d: int, *fns):
+        """Per fn, the sum over j = 0..D-1 of fn((t + j) / 2), shaped like t: the Wishart terms fn((nu + 1 - k) / 2), k = 1..D."""
+        args = (0.5 * (t.reshape(-1, 1) + np.arange(d))).tolist()
+        return [np.array([sum(map(fn, row)) for row in args]).reshape(t.shape) for fn in fns]
 
-    def wishart_sum(self, fn, t, d: int):
-        """The sum over j = 0..D-1 of fn((t + j) / 2) per row: the Wishart terms fn((nu + 1 - k) / 2), k = 1..D."""
-        def one(x: float) -> float:
-            return sum(fn(0.5 * (x + j)) for j in range(d))
-
-        rows = t.tolist()
-        return np.array([one(x) for x in rows] if t.ndim else one(rows))
-
-    def log_partition_from(self, d: int, nu, t, gamma, logdet_w_inv):
-        """The log normalizer per row, from nu, t = nu - (D - 1), gamma and log det W^-1."""
+    def log_partition_from(self, d: int, nu, gamma, logdet_w_inv, lgamma_sum):
+        """The log normalizer per row, from nu, gamma, log det W^-1 and the sum of log Gamma (wishart_sums)."""
         return (
             -0.5 * d * np.log(gamma)
             + 0.5 * d * math.log(2.0 * math.pi)
             - 0.5 * nu * logdet_w_inv
             + 0.5 * nu * d * math.log(2.0)
             + 0.25 * d * (d - 1) * math.log(math.pi)
-            + self.wishart_sum(gammaln, t, d)
+            + lgamma_sum
         )
 
-    def validate_natural(self, family: FamilyDescriptor, rows: np.ndarray):
+    def natural(self, family: FamilyDescriptor, arr: np.ndarray):
+        arr = self.owned(family, arr)
+        rows = arr.reshape(-1, family.flat_size)
         _check_rows(
             rows[:, -1] < 0.0,  # gamma = -2 lam[-1]
             lambda r: f"Gaussian-Wishart requires gamma > 0, got gamma={-2.0 * rows[r, -1]:g}",
         )
         d = family.dim
-        nu, gamma, m = self.unpack(family, rows)
+        nu, gamma, m, t = self.unpack(family, rows)
         _check_rows(nu > d - 1, lambda r: f"Gaussian-Wishart requires nu > D-1, got nu={nu[r]:g}")
         eta2 = rows[:, 1 : 1 + d * d].reshape(-1, d, d)
         w_inv = -2.0 * eta2 - gamma[:, None, None] * (m[:, :, None] * m[:, None, :])
-        return _require_spd(w_inv, "Gaussian-Wishart W^-1")
+        chol = _require_spd(w_inv, "Gaussian-Wishart W^-1")
+        return arr, chol, (nu, gamma, m, t, chol)
 
     def validate_mean(self, family: FamilyDescriptor, rows: np.ndarray) -> None:
         d = family.dim
@@ -590,41 +595,41 @@ class _GaussianWishart(_Family):
             lambda r: f"Gaussian-Wishart quadratic-form slack must be nonnegative, got {slack[r]:g}",
         )
 
-    def mean_pass(self, lam: NaturalParam):
-        """(expectations, A(lam)) per row."""
-        arr, d = lam.values, lam.family.dim
-        nu, gamma, m = self.unpack(lam.family, arr)
-        t = self.offset(arr)
-        logdet_w_inv = _logdet_from_factor(lam.factor)
-        cinv, w = _factor_inverse(lam.factor)
-        y = (cinv @ m[..., None])[..., 0]  # W m = C^-T y and m^T W m = y^T y
-        e_logdet = self.wishart_sum(digamma, t, d) + d * math.log(2.0) - logdet_w_inv
-        e_z2 = nu[..., None, None] * w
-        e_z2z1 = nu[..., None] * (np.swapaxes(cinv, -1, -2) @ y[..., None])[..., 0]
-        e_quad = nu * _dot(y, y) + d / gamma
-        lead = arr.shape[:-1]
-        mean = np.concatenate([e_logdet[..., None], e_z2.reshape(lead + (-1,)), e_z2z1, e_quad[..., None]], axis=-1)
-        return mean, self.log_partition_from(d, nu, t, gamma, logdet_w_inv)
+    def mean(self, lam: NaturalParam):
+        """(expectations, A(lam)) per row, from the rows validation kept; psi and log Gamma take the same arguments."""
+        (nu, gamma, m, t, chol), d = lam._kept, lam.family.dim
+        logdet_w_inv = _logdet_from_factor(chol)
+        cinv, w = _factor_inverse(chol)
+        y = (cinv @ m[:, :, None])[:, :, 0]  # W m = C^-T y and m^T W m = y^T y
+        psi_sum, lgamma_sum = self.wishart_sums(t, d, digamma, gammaln)
+        mean = np.empty((len(nu), lam.family.flat_size))
+        mean[:, 0] = psi_sum + d * math.log(2.0) - logdet_w_inv
+        mean[:, 1 : 1 + d * d] = (nu[:, None, None] * w).reshape(-1, d * d)
+        mean[:, 1 + d * d : -1] = nu[:, None] * (cinv.swapaxes(-1, -2) @ y[:, :, None])[:, :, 0]
+        mean[:, -1] = nu * _dot(y, y) + d / gamma
+        log_z = self.log_partition_from(d, nu, gamma, logdet_w_inv, lgamma_sum)
+        return mean.reshape(lam.values.shape), log_z.reshape(lam.values.shape[:-1])
 
     def log_partition(self, lam: NaturalParam):
-        nu, gamma, _ = self.unpack(lam.family, lam.values)
-        return self.log_partition_from(lam.family.dim, nu, self.offset(lam.values), gamma, _logdet_from_factor(lam.factor))
+        (nu, gamma, _, t, chol), d = lam._kept, lam.family.dim
+        log_z = self.log_partition_from(d, nu, gamma, _logdet_from_factor(chol), self.wishart_sums(t, d, gammaln)[0])
+        return log_z.reshape(lam.values.shape[:-1])
 
     def entropy(self, lam: NaturalParam, mu):
-        mu = self.mean(lam) if mu is None else mu
+        mu = nat_to_mean(lam) if mu is None else mu
         a = log_partition(lam) if mu.log_partition is None else mu.log_partition
         d, lam0 = lam.family.dim, lam.values[..., 0]  # lam_0 = (nu - D) / 2 and mu_0 = E[log det Lambda]
         return a + 0.5 * d * (2.0 * lam0 + d + 1.0) - lam0 * mu.values[..., 0]
 
     def kl(self, lam1: NaturalParam, lam2: NaturalParam) -> float:
         fam = lam1.family
-        d, (nu1, g1, m1), (nu2, g2, m2) = fam.dim, self.unpack(fam, lam1.values), self.unpack(fam, lam2.values)
-        c1, c2, t1, t2 = lam1.factor, lam2.factor, self.offset(lam1.values), self.offset(lam2.values)
+        d, (nu1, g1, m1, t1), (nu2, g2, m2, t2) = fam.dim, self.unpack(fam, lam1.values), self.unpack(fam, lam2.values)
+        c1, c2 = lam1.factor, lam2.factor
         a = np.linalg.solve(c1, np.c_[c2, m2 - m1])  # C1^-1 [C2, dm]: tr(W2^-1 W1) and dm^T W1 dm
         gauss = d * (g2 / g1 - 1.0 - np.log(g2 / g1)) + g2 * nu1 * (a[:, d] @ a[:, d])
         wishart = nu1 * (np.sum(a[:, :d] ** 2) - d) - nu2 * (_logdet_from_factor(c2) - _logdet_from_factor(c1))
-        psi = (nu1 - nu2) * self.wishart_sum(digamma, t1, d)
-        return float(0.5 * (gauss + wishart + psi) + self.wishart_sum(gammaln, t2, d) - self.wishart_sum(gammaln, t1, d))
+        psi1, lgamma1 = self.wishart_sums(t1, d, digamma, gammaln)
+        return float(0.5 * (gauss + wishart + (nu1 - nu2) * psi1) + self.wishart_sums(t2, d, gammaln)[0] - lgamma1)
 
     def mean_to_nat(self, mu: ExpectationParam) -> NaturalParam:
         d = mu.family.dim
@@ -647,10 +652,10 @@ class _GaussianWishart(_Family):
             )
 
         def residual(t):
-            return self.wishart_sum(digamma, t, d) + d * math.log(2.0) - d * np.log(t + (d - 1)) + c
+            return self.wishart_sums(t, d, digamma)[0] + d * math.log(2.0) - d * np.log(t + (d - 1)) + c
 
         def jacobian(t):
-            return (t * (0.5 * self.wishart_sum(trigamma, t, d) - d / (t + (d - 1))))[:, None]
+            return (t * (0.5 * self.wishart_sums(t, d, trigamma)[0] - d / (t + (d - 1))))[:, None]
 
         t0 = max(0.5 * d * (d + 1) / c - (d - 1), 1e-3)
         nu = float(_newton_in_log(residual, jacobian, [t0], 1e-12, "Gaussian-Wishart nu inversion")[0]) + (d - 1)
@@ -751,7 +756,7 @@ def gaussian_mean_precision(lam: NaturalParam) -> tuple[np.ndarray, np.ndarray]:
 def gw_params(lam: NaturalParam) -> tuple[float, float, np.ndarray, np.ndarray]:
     """Return (nu, gamma, m, W), per row for a row-stacked parameter."""
     _expect_kind(lam, GAUSSIAN_WISHART)
-    return (*lam.family._ops.unpack(lam.family, lam.values), _factor_inverse(lam.factor)[1])
+    return (*lam.family._ops.unpack(lam.family, lam.values)[:3], _factor_inverse(lam.factor)[1])
 
 
 def _expect_kind(param, kind: str) -> None:
@@ -776,14 +781,9 @@ def _require_pair(lam: NaturalParam, other) -> None:
         raise DomainError(f"shape mismatch: {lam.values.shape} vs {other.values.shape}")
 
 
-def _per_row(lam: NaturalParam, out):
-    """A float for a lone vector, else one value per row."""
-    return float(out) if lam.values.ndim == 1 else out
-
-
 def nat_to_mean(lam: NaturalParam) -> ExpectationParam:
-    """Map natural parameters to expected sufficient statistics, row by row if stacked."""
-    return lam.family._ops.mean(lam)
+    """Map natural parameters to expected sufficient statistics, row by row if stacked, from what validation kept."""
+    return _derived_mean(lam.family, *lam.family._ops.mean(lam))
 
 
 def mean_to_nat(mu: ExpectationParam) -> NaturalParam:
@@ -793,18 +793,20 @@ def mean_to_nat(mu: ExpectationParam) -> NaturalParam:
 
 
 def log_partition(lam: NaturalParam):
-    """Log normalizer A(lam): q(z) = h(z) exp(<T(z), lam> - A(lam)); one value per row if stacked."""
-    return _per_row(lam, lam.family._ops.log_partition(lam))
+    """Log normalizer A(lam): q(z) = h(z) exp(<T(z), lam> - A(lam)); one value per row if stacked, else a float."""
+    out = lam.family._ops.log_partition(lam)
+    return float(out) if lam.values.ndim == 1 else out
 
 
 def entropy(lam: NaturalParam, mu: ExpectationParam | None = None):
-    """Differential (or discrete) entropy of q_lam; one value per row if stacked.
+    """Differential (or discrete) entropy of q_lam; one value per row if stacked, else a float.
 
     ``mu``, of lam's family and shape, may pass lam's expectations; A(lam) is read off it where it carries one.
     """
     if mu is not None and (mu.family is not lam.family or mu.values.shape != lam.values.shape):
         _require_pair(lam, mu)
-    return _per_row(lam, lam.family._ops.entropy(lam, mu))
+    out = lam.family._ops.entropy(lam, mu)
+    return float(out) if lam.values.ndim == 1 else out
 
 
 def kl_divergence(lam1: NaturalParam, lam2: NaturalParam) -> float:

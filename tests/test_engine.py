@@ -1,7 +1,9 @@
 """Update steps, schedules, the fit loop, ELBO and residual diagnostics."""
 
 import math
+import os
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -73,6 +75,47 @@ def test_blr_step_domain_exit_raises():
     node = engine.NodeState.make("pi", expfam.beta_natural(2.0, 2.0))
     with pytest.raises(expfam.DomainError):
         engine.blr_step(node, np.array([-40.0, -40.0]), 1.0)
+
+
+def _meanfield_frames(fn) -> int:
+    """Python frames entered in meanfield's own files while ``fn`` runs; numpy's version does not move this count."""
+    root = os.path.join(os.path.dirname(engine.__file__), "")
+    frames = 0
+
+    def profile(frame, event, arg):
+        nonlocal frames
+        frames += event == "call" and frame.f_code.co_filename.startswith(root)
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return frames
+
+
+def _rate_one_steps():
+    """A plate of each family with its model and data: gmm2's z, pi and comp, and PPCA's u."""
+    gmm, _ = make_gmm(seed=0, n=20)
+    gmm2 = models.build_gmm2(gmm, seed=0)
+    matfac = models.MatrixFactorizationData(np.random.default_rng(0).standard_normal((6, 4)), 2, 1.0, 1.0)
+    ppca = models.build_matfac(matfac, "ppca", seed=0)
+    return [pytest.param(p, gmm2, gmm, id=p) for p in ("z", "pi", "comp")] + [pytest.param("u", ppca, matfac, id="u")]
+
+
+# Python frames of one rate-1 plate step, specfun's included: a Gaussian-Wishart
+# step calls digamma and gammaln 4 times each.  With a separate validation and
+# mean pass these steps took 23, 35, 61 and 24.
+_STEP_FRAME_BUDGET = {"z": 10, "pi": 20, "comp": 32, "u": 15}
+
+
+@pytest.mark.parametrize("plate, model, data", _rate_one_steps())
+def test_a_plate_step_stays_within_its_call_budget(plate, model, data):
+    """A damped step validates lambda and derives mu in one pass per family, through no extra Python layer."""
+    snap = engine.mu_snapshot(model.plates)
+    target = engine._target(model, plate, snap, data)
+    frames = _meanfield_frames(lambda: engine._step_with_backoff(snap.plates[plate], target, 1.0))
+    assert frames <= _STEP_FRAME_BUDGET[plate], frames
 
 
 def test_base_measure_correction_subtracted():
@@ -342,6 +385,26 @@ def test_fit_rejects_nan_tol_instead_of_running_to_max_iter(two_level_data):
     model = models.build_two_level(two_level_data)
     with pytest.raises(engine.ConfigurationError, match="tol"):
         engine.fit(model, two_level_data, tol=float("nan"), max_iter=3)
+
+
+@pytest.mark.parametrize("name, value", [("rho", "0.5"), ("kappa", "0.7"), ("tau", None)])
+def test_schedule_rejects_a_rate_that_is_not_a_number_by_name(name, value):
+    """A string or None is named where it is given, not left to fail a comparison with TypeError."""
+    with pytest.raises(engine.ConfigurationError, match=re.escape(f"{name} must be a number, got {value!r}")):
+        engine.Schedule(**{name: value})
+
+
+@pytest.mark.parametrize("kind, name", [(engine.PARALLEL_BLR, "rho"), (engine.CAVI, "kappa"), (engine.SVI, "tau")])
+def test_schedule_rejects_a_bool_rate_by_name(kind, name):
+    """True would pass every range check as 1; like a bool seed, it is not taken for a number."""
+    with pytest.raises(engine.ConfigurationError, match=re.escape(f"{name} must be a number, got True")):
+        engine.Schedule(kind, **{name: True})
+
+
+@pytest.mark.parametrize("name", ["rho", "kappa", "tau"])
+def test_a_nan_rate_keeps_its_range_message(name):
+    with pytest.raises(engine.ConfigurationError, match=f"^{name} must (lie in|be finite)"):
+        engine.Schedule(engine.SVI, **{name: float("nan")})
 
 
 @pytest.mark.parametrize("tau", [float("inf"), float("nan")])

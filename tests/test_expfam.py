@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -1186,6 +1187,20 @@ def test_a_non_finite_row_is_named(param, bad):
     with pytest.raises(expfam.DomainError, match="gaussian parameters must be finite") as rows:
         param(expfam.FamilyDescriptor(expfam.GAUSSIAN, dim=2), values)
     assert list(rows.value.rows) == [1, 2]
+
+
+def test_a_lambda_whose_mean_overflows_still_constructs():
+    """Construction validates lambda alone; the overflow is the finiteness error of the mean nat_to_mean derives."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        gw = expfam.gw_natural(1e308, 1.0, np.zeros(2), 10.0 * np.eye(2))  # E[Lambda] = nu W overflows
+        gauss = expfam.gaussian_natural([1e200], np.eye(1))  # E[z^2] = 1 + m^2 overflows
+        assert math.isfinite(expfam.entropy(gauss))
+    for lam in (gw, gauss):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(expfam.DomainError, match=f"^{lam.family.kind} parameters must be finite$") as err:
+                expfam.nat_to_mean(lam)
+        assert list(err.value.rows) == [0]
 
 
 # ---------------------------------------------------------------------------
