@@ -130,8 +130,8 @@ def parse_config(path: str) -> RunConfig:
     extras = {k: numbers.pop(k) for k in keys if k in numbers}
     stop = {k: numbers.pop(k) for k in ("tol", "max_iter") if k in numbers}
     # engine.fit checks tol and max_iter only once the data is loaded, so they are checked here.
-    if "tol" in stop and not stop["tol"] > 0.0:
-        raise InputError(f"tol must be positive, got {stop['tol']}")
+    if "tol" in stop:
+        engine._require_tol(stop["tol"])
     if stop.get("max_iter", 0) < 0:
         raise InputError(f"max_iter must be nonnegative, got {stop['max_iter']}")
     kind = {"kind": values["schedule"]} if "schedule" in values else {}

@@ -365,6 +365,13 @@ def _require_number(name: str, value) -> None:
         raise ConfigurationError(f"{name} must be a number, got {value!r}")
 
 
+def _require_tol(tol) -> None:
+    """Reject a tol that is not a finite positive number; a NaN is named as not positive, as one not above 0 is."""
+    _require_number("tol", tol)
+    if not 0.0 < tol < math.inf:
+        raise ConfigurationError(f"tol must be positive{' and finite' if tol > 0.0 else ''}, got {tol}")
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Update schedule: CAVI, SVI, or parallel damped steps.
@@ -507,11 +514,11 @@ def _step_with_backoff(plate: Plate, target: np.ndarray, rho: float, rows=None):
     rate = float(rho)
     if rows is not None:
         # a rate-1 step onto its own lambda leaves a row exactly as it is
-        keep = np.ones(len(plate.ids), dtype=bool)
-        keep[rows] = False
-        goal = np.where(keep[:, None], lam, goal)
+        step = np.zeros(len(plate.ids), dtype=bool)
+        step[rows] = True
+        goal = np.where(step[:, None], goal, lam)
         if rate != 1.0:
-            rate = np.where(keep, 1.0, rate)
+            rate = np.where(step, rate, 1.0)
     if not np.logical_and.reduce(np.isfinite(goal), axis=None):
         _check_target(plate, goal)
     for _ in range(_MAX_RATE_HALVINGS):
@@ -648,8 +655,7 @@ def fit(
     ``FitTrace.plates``.
     """
     schedule = schedule or Schedule()
-    if not tol > 0.0:
-        raise ConfigurationError(f"tol must be positive, got {tol}")
+    _require_tol(tol)
     _require_count("max_iter", max_iter)
     rng = np.random.default_rng(schedule.seed)
     start = time.perf_counter()

@@ -189,7 +189,8 @@ class NaturalParam:
     symmetric S bitwise; None for Bernoulli and Beta.  The conversions reuse
     it.  Validation also keeps, one row each, what else it found that
     ``nat_to_mean`` derives mu and A(lambda) from: the Beta's (a, b) and the
-    Gaussian-Wishart's nu, gamma, m, t and C.  Nothing past validation is
+    Gaussian-Wishart's (nu, gamma, t), in Python floats, with its nu, gamma,
+    m and C as arrays.  Nothing past validation is
     computed until then, so a lambda whose mu overflows still constructs.
     """
 
@@ -277,6 +278,24 @@ def _logdet_from_factor(chol: np.ndarray):
     return 2.0 * np.add.reduce(np.log(chol.diagonal(axis1=-2, axis2=-1)), axis=-1)
 
 
+def _wishart_sums(t: float, d: int, *fns) -> list[float]:
+    """Per fn, the sum over j = 0..D-1 of fn((t + j) / 2) at one row's t: the Wishart terms fn((nu + 1 - k) / 2)."""
+    args = list(map((0.5).__mul__, map(t.__add__, range(d))))  # 0.5 * (t + j), with no comprehension frame
+    return [sum(map(fn, args)) for fn in fns]
+
+
+def _gw_log_partition(d: int, nu: float, log_gamma: float, logdet_w_inv: float, lgamma_sum: float) -> float:
+    """A(lam) of one Gaussian-Wishart row, from nu, log gamma, log det W^-1 and the sum of log Gamma (``_wishart_sums``)."""
+    return (
+        -0.5 * d * log_gamma
+        + 0.5 * d * math.log(2.0 * math.pi)
+        - 0.5 * nu * logdet_w_inv
+        + 0.5 * nu * d * math.log(2.0)
+        + 0.25 * d * (d - 1) * math.log(math.pi)
+        + lgamma_sum
+    )
+
+
 class _Family:
     """One family's layout, domain checks, mean pass, A(lam), entropy, KL and inverse; one shared instance each.
 
@@ -291,22 +310,23 @@ class _Family:
     def block(self, d: int):
         return None  # the slice of the flat layout that holds a symmetric D x D block
 
-    def owned(self, family: FamilyDescriptor, arr: np.ndarray) -> np.ndarray:
-        """A copy of ``arr`` for a parameter to keep, with its D x D block replaced by the block's symmetric part."""
-        out = arr.copy()
+    def owned(self, family: FamilyDescriptor, arr: np.ndarray):
+        """A copy of ``arr`` for a parameter to keep, its D x D block made symmetric, and that (..., D, D) block or None."""
+        out, sym = arr.copy(), None
         span = self.block(family.dim)
         if span is not None:
             d, lead = family.dim, arr.shape[:-1]
             block = arr[..., span].reshape(lead + (d, d))
-            out[..., span] = (0.5 * (block + block.swapaxes(-1, -2))).reshape(lead + (d * d,))
-        return out
+            sym = 0.5 * (block + block.swapaxes(-1, -2))
+            out[..., span] = sym.reshape(lead + (d * d,))
+        return out, sym
 
     def natural(self, family: FamilyDescriptor, arr: np.ndarray):
         """(values, the (G, D, D) Cholesky factors validation found or None, what the mean pass reads per row)."""
         return arr.copy(), None, ()  # finiteness is checked already
 
     def expectation(self, family: FamilyDescriptor, arr: np.ndarray) -> np.ndarray:
-        arr = self.owned(family, arr)
+        arr = self.owned(family, arr)[0]
         self.validate_mean(family, arr.reshape(-1, family.flat_size))
         return arr
 
@@ -465,7 +485,7 @@ class _Gaussian(_Family):
     def natural(self, family: FamilyDescriptor, arr: np.ndarray):
         rows, d = arr.reshape(-1, family.flat_size), family.dim
         if rows[:, d:].tobytes() != rows[0, d:].reshape(d, d).T.tobytes() * len(rows):  # -0.0 is not +0.0
-            arr = self.owned(family, arr)
+            arr = self.owned(family, arr)[0]
             return arr, _require_spd(self.precision(family, arr.reshape(rows.shape)), "Gaussian precision S"), ()
         try:
             factor = _require_spd(self.precision(family, rows[:1]), "Gaussian precision S")
@@ -525,12 +545,17 @@ class _Gaussian(_Family):
 class _GaussianWishart(_Family):
     """Gaussian-Wishart, T = (log det Lambda, vec Lambda, Lambda x, x^T Lambda x); validation keeps the factor C of W^-1.
 
-    The special functions stay scalar: the sums of psi and log Gamma at
-    (t + j)/2, j = 0..D-1, call them once per row and j, with
-    t = nu - (D - 1) formed once from lam as 2 lam_0 + 1, so an argument
-    near 0 keeps its relative precision.  The mean carries A(lam).  The
-    entropy A(lam) + D (nu + 1) / 2 - lam_0 E[log det Lambda] cancels the
-    gamma m^T (nu W) m terms of lam . mu in closed form.  The KL is the
+    Rows are in Python floats from one ``tolist()``, like ``_Beta``'s: each
+    row's nu, gamma and t = nu - (D - 1) come from lam's first and last
+    columns, t as 2 lam_0 + 1 so that an argument near 0 keeps its relative
+    precision, and the mean pass forms each row's scalars in floats.  numpy
+    does the D x D and D-vector work, and takes log gamma, log det W^-1 and
+    y . y as arrays, since its log may differ from ``math.log`` in the last
+    bit.  The special functions stay scalar: ``_wishart_sums`` sums psi and
+    log Gamma at (t + j)/2, j = 0..D-1, once per row and j, and
+    ``_gw_log_partition`` is A(lam) of one row.  The mean carries A(lam).
+    The entropy A(lam) + D (nu + 1) / 2 - lam_0 E[log det Lambda] cancels
+    the gamma m^T (nu W) m terms of lam . mu in closed form.  The KL is the
     Gaussian KL given Lambda averaged over W(nu1, W1),
     (D (r - 1 - log r) + gamma2 nu1 dm^T W1 dm) / 2 with r = gamma2 / gamma1,
     plus the Wishart KL, so m enters only through dm.  ``mean_to_nat``
@@ -553,36 +578,21 @@ class _GaussianWishart(_Family):
         gamma = -2.0 * arr[..., -1]
         return 2.0 * arr[..., 0] + d, gamma, arr[..., 1 + d * d : 1 + d * d + d] / gamma[..., None], 2.0 * arr[..., 0] + 1.0
 
-    def wishart_sums(self, t, d: int, *fns):
-        """Per fn, the sum over j = 0..D-1 of fn((t + j) / 2), shaped like t: the Wishart terms fn((nu + 1 - k) / 2), k = 1..D."""
-        args = (0.5 * (t.reshape(-1, 1) + np.arange(d))).tolist()
-        return [np.array([sum(map(fn, row)) for row in args]).reshape(t.shape) for fn in fns]
-
-    def log_partition_from(self, d: int, nu, gamma, logdet_w_inv, lgamma_sum):
-        """The log normalizer per row, from nu, gamma, log det W^-1 and the sum of log Gamma (wishart_sums)."""
-        return (
-            -0.5 * d * np.log(gamma)
-            + 0.5 * d * math.log(2.0 * math.pi)
-            - 0.5 * nu * logdet_w_inv
-            + 0.5 * nu * d * math.log(2.0)
-            + 0.25 * d * (d - 1) * math.log(math.pi)
-            + lgamma_sum
-        )
-
     def natural(self, family: FamilyDescriptor, arr: np.ndarray):
-        arr = self.owned(family, arr)
-        rows = arr.reshape(-1, family.flat_size)
-        _check_rows(
-            rows[:, -1] < 0.0,  # gamma = -2 lam[-1]
-            lambda r: f"Gaussian-Wishart requires gamma > 0, got gamma={-2.0 * rows[r, -1]:g}",
-        )
         d = family.dim
-        nu, gamma, m, t = self.unpack(family, rows)
-        _check_rows(nu > d - 1, lambda r: f"Gaussian-Wishart requires nu > D-1, got nu={nu[r]:g}")
-        eta2 = rows[:, 1 : 1 + d * d].reshape(-1, d, d)
-        w_inv = -2.0 * eta2 - gamma[:, None, None] * (m[:, :, None] * m[:, None, :])
+        arr, sym = self.owned(family, arr)
+        rows = arr.reshape(-1, family.flat_size)
+        ends = rows[:, :: family.flat_size - 1].tolist()  # (lam_0, lam_last) per row
+        kept = [(2.0 * first + d, -2.0 * last, 2.0 * first + 1.0) for first, last in ends]  # (nu, gamma, t)
+        nus, gammas, _ = zip(*kept)
+        if not (min(gammas) > 0.0 and min(nus) > d - 1):  # the rows are located only on failure
+            _check_rows(np.array(gammas) > 0.0, lambda r: f"Gaussian-Wishart requires gamma > 0, got gamma={gammas[r]:g}")
+            _check_rows(np.array(nus) > d - 1, lambda r: f"Gaussian-Wishart requires nu > D-1, got nu={nus[r]:g}")
+        nu, gamma = np.array(nus), np.array(gammas)
+        m = rows[:, 1 + d * d : -1] / gamma[:, None]
+        w_inv = -2.0 * sym - gamma[:, None, None] * (m[:, :, None] * m[:, None, :])
         chol = _require_spd(w_inv, "Gaussian-Wishart W^-1")
-        return arr, chol, (nu, gamma, m, t, chol)
+        return arr, chol, (kept, nu, gamma, m, chol)
 
     def validate_mean(self, family: FamilyDescriptor, rows: np.ndarray) -> None:
         d = family.dim
@@ -597,23 +607,26 @@ class _GaussianWishart(_Family):
 
     def mean(self, lam: NaturalParam):
         """(expectations, A(lam)) per row, from the rows validation kept; psi and log Gamma take the same arguments."""
-        (nu, gamma, m, t, chol), d = lam._kept, lam.family.dim
-        logdet_w_inv = _logdet_from_factor(chol)
+        (kept, nu, gamma, m, chol), d, size = lam._kept, lam.family.dim, lam.family.flat_size
         cinv, w = _factor_inverse(chol)
         y = (cinv @ m[:, :, None])[:, :, 0]  # W m = C^-T y and m^T W m = y^T y
-        psi_sum, lgamma_sum = self.wishart_sums(t, d, digamma, gammaln)
-        mean = np.empty((len(nu), lam.family.flat_size))
-        mean[:, 0] = psi_sum + d * math.log(2.0) - logdet_w_inv
-        mean[:, 1 : 1 + d * d] = (nu[:, None, None] * w).reshape(-1, d * d)
-        mean[:, 1 + d * d : -1] = nu[:, None] * (cinv.swapaxes(-1, -2) @ y[:, :, None])[:, :, 0]
-        mean[:, -1] = nu * _dot(y, y) + d / gamma
-        log_z = self.log_partition_from(d, nu, gamma, logdet_w_inv, lgamma_sum)
-        return mean.reshape(lam.values.shape), log_z.reshape(lam.values.shape[:-1])
+        mean = np.empty((len(kept), size))
+        np.multiply(nu[:, None, None], w, out=mean[:, 1 : 1 + d * d].reshape(-1, d, d))
+        np.multiply(nu[:, None], (cinv.swapaxes(-1, -2) @ y[:, :, None])[:, :, 0], out=mean[:, 1 + d * d : -1])
+        ends, log_z, fns = [], [], (digamma, gammaln)
+        per_row = zip(kept, np.log(gamma).tolist(), _logdet_from_factor(chol).tolist(), _dot(y, y).tolist())
+        for (nu_r, gamma_r, t), log_gamma, logdet_w_inv, yy in per_row:
+            psi_sum, lgamma_sum = _wishart_sums(t, d, *fns)
+            ends.append((psi_sum + d * math.log(2.0) - logdet_w_inv, nu_r * yy + d / gamma_r))
+            log_z.append(_gw_log_partition(d, nu_r, log_gamma, logdet_w_inv, lgamma_sum))
+        mean[:, :: size - 1] = ends  # E[log det Lambda] and E[x^T Lambda x]
+        return mean.reshape(lam.values.shape), np.array(log_z).reshape(lam.values.shape[:-1])
 
     def log_partition(self, lam: NaturalParam):
-        (nu, gamma, _, t, chol), d = lam._kept, lam.family.dim
-        log_z = self.log_partition_from(d, nu, gamma, _logdet_from_factor(chol), self.wishart_sums(t, d, gammaln)[0])
-        return log_z.reshape(lam.values.shape[:-1])
+        (kept, _, gamma, _, chol), d = lam._kept, lam.family.dim
+        rows = zip(kept, np.log(gamma).tolist(), _logdet_from_factor(chol).tolist())
+        log_z = [_gw_log_partition(d, nu, lg, ld, *_wishart_sums(t, d, gammaln)) for (nu, _, t), lg, ld in rows]
+        return np.array(log_z).reshape(lam.values.shape[:-1])
 
     def entropy(self, lam: NaturalParam, mu):
         mu = nat_to_mean(lam) if mu is None else mu
@@ -628,8 +641,8 @@ class _GaussianWishart(_Family):
         a = np.linalg.solve(c1, np.c_[c2, m2 - m1])  # C1^-1 [C2, dm]: tr(W2^-1 W1) and dm^T W1 dm
         gauss = d * (g2 / g1 - 1.0 - np.log(g2 / g1)) + g2 * nu1 * (a[:, d] @ a[:, d])
         wishart = nu1 * (np.sum(a[:, :d] ** 2) - d) - nu2 * (_logdet_from_factor(c2) - _logdet_from_factor(c1))
-        psi1, lgamma1 = self.wishart_sums(t1, d, digamma, gammaln)
-        return float(0.5 * (gauss + wishart + (nu1 - nu2) * psi1) + self.wishart_sums(t2, d, gammaln)[0] - lgamma1)
+        psi1, lgamma1 = _wishart_sums(float(t1), d, digamma, gammaln)
+        return float(0.5 * (gauss + wishart + (nu1 - nu2) * psi1) + _wishart_sums(float(t2), d, gammaln)[0] - lgamma1)
 
     def mean_to_nat(self, mu: ExpectationParam) -> NaturalParam:
         d = mu.family.dim
@@ -652,10 +665,10 @@ class _GaussianWishart(_Family):
             )
 
         def residual(t):
-            return self.wishart_sums(t, d, digamma)[0] + d * math.log(2.0) - d * np.log(t + (d - 1)) + c
+            return _wishart_sums(t.item(), d, digamma)[0] + d * math.log(2.0) - d * np.log(t + (d - 1)) + c
 
         def jacobian(t):
-            return (t * (0.5 * self.wishart_sums(t, d, trigamma)[0] - d / (t + (d - 1))))[:, None]
+            return (t * (0.5 * _wishart_sums(t.item(), d, trigamma)[0] - d / (t + (d - 1))))[:, None]
 
         t0 = max(0.5 * d * (d + 1) / c - (d - 1), 1e-3)
         nu = float(_newton_in_log(residual, jacobian, [t0], 1e-12, "Gaussian-Wishart nu inversion")[0]) + (d - 1)

@@ -282,7 +282,7 @@ def _indicator_coefficient(mus, log_a, log_b) -> np.ndarray:
 def _weight_coefficient(a: float, b: float, mus) -> np.ndarray:
     """Coefficient of the weight plate pi when its prior has Beta exponents (a, b)."""
     r = mus["z"][:, 0]
-    s = float(r.sum())
+    s = float(np.add.reduce(r))
     return np.array([[a - 1.0 + s, r.size + b - 1.0 - s]])
 
 
@@ -434,7 +434,9 @@ class GMMProvider(CoefficientProvider):
             return _weight_coefficient(data.alpha0, data.beta0, mus)
         if plate == "comp":  # row 0 weighs each datum by r, row 1 by 1 - r
             r = mus["z"][:, 0]
-            w = np.stack([r, 1.0 - r])
+            w = np.empty((2, r.size))
+            w[0] = r
+            np.subtract(1.0, r, out=w[1])
             # the conjugate prior's term in a component's coefficient is its natural parameter
             prior = mus.read_off("comp prior", self, data, _gw_prior_terms, data)[0]
             # one vector-matrix product per row, so each row is bitwise that of a lone component
@@ -508,7 +510,9 @@ class MatrixFactorizationProvider(CoefficientProvider):
         else:
             other, weights, delta = mus["u"], data.y.T, data.delta_v
         m1, m2 = _split_gauss(other, k)
-        prec = delta * np.eye(k) + m2.sum(axis=0)
+        prec = np.zeros((k, k))
+        prec.flat[:: k + 1] = delta  # delta I, bitwise np.eye's, without its Python wrapper
+        prec += np.add.reduce(m2, axis=0)
         out = np.empty((weights.shape[0], k + k * k))
         out[:, :k] = weights @ m1
         out[:, k:] = (-0.5 * prec).reshape(-1)  # every row's one precision block
@@ -517,10 +521,10 @@ class MatrixFactorizationProvider(CoefficientProvider):
     def expected_log_joint(self, mus, data: MatrixFactorizationData):
         k = data.k
         v2 = _split_gauss(mus["v"], k)[1]
-        total = float(np.vdot(mus["u"], mus.coefficient(self, "u", data)))
+        total = float(mus["u"].ravel() @ mus.coefficient(self, "u", data).ravel())
         total -= 0.5 * mus.read_off("sum y^2", self, data, _sum_of_squares, data.y)
         total -= 0.5 * data.n * data.d * LOG_2PI
-        total -= 0.5 * data.delta_v * float(np.trace(v2.sum(axis=0)))
+        total -= 0.5 * data.delta_v * float(np.add.reduce(v2, axis=0).trace())
         total += 0.5 * data.n * k * (math.log(data.delta_u) - LOG_2PI)
         total += 0.5 * data.d * k * (math.log(data.delta_v) - LOG_2PI)
         return total

@@ -500,6 +500,25 @@ def test_a_bad_schedule_value_is_rejected_before_the_data_file_is_opened(tmp_pat
 
 
 @pytest.mark.parametrize(
+    "value, line",
+    [
+        ("inf", "tol must be positive and finite, got inf"),
+        ("1e400", "tol must be positive and finite, got inf"),
+        ("nan", "tol must be positive, got nan"),
+    ],
+    ids=["inf", "overflow", "nan"],
+)
+def test_a_tol_that_is_not_positive_and_finite_is_rejected_before_the_data_file_is_opened(
+    tmp_path, value, line, capsys
+):
+    """An infinite tol once wrote converged=true after 0 iterations; it is the engine's error line, read first."""
+    missing = tmp_path / "missing.csv"
+    cfg = _write(tmp_path / "run.cfg", f"model=two_level\ndata_path={missing}\noutput_path=t.txt\ntol={value}\n")
+    assert cli.main(["fit", "--config", cfg]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {line}\n"
+
+
+@pytest.mark.parametrize(
     "row, line",
     [("0.3,0,0.5", "pa must be positive, got 0"), ("0.3,0.5,-1", "pb must be positive, got -1")],
     ids=["pa", "pb"],

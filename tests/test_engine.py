@@ -118,6 +118,71 @@ def test_a_plate_step_stays_within_its_call_budget(plate, model, data):
     assert frames <= _STEP_FRAME_BUDGET[plate], frames
 
 
+# The numpy Python-level functions a fit's iteration may enter: np.linalg's
+# cholesky and inv (with their array-function dispatchers), errstate, which
+# silences the indicators' documented overflow, and where's dispatcher.
+# numpy 1.24 runs a public function as a Python wrapper named after it, from
+# "<__array_function__ internals>"; 2.x enters its dispatcher and body from C.
+_NUMPY_ENTRIES_ALLOWED = {
+    "cholesky", "_cholesky_dispatcher", "inv", "_unary_dispatcher", "__init__", "__enter__", "__exit__", "where",
+}
+
+
+def _numpy_entries(fn) -> set[str]:
+    """Names of the numpy Python functions that a frame in meanfield's own files calls directly while ``fn`` runs."""
+    own = os.path.join(os.path.dirname(engine.__file__), "")
+    numpy_dir = os.path.join(os.path.dirname(np.__file__), "")
+    names = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_back is not None and frame.f_back.f_code.co_filename.startswith(own):
+            filename = frame.f_code.co_filename
+            if filename.startswith(numpy_dir) or filename == "<__array_function__ internals>":
+                names.add(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return names
+
+
+def _iterations():
+    """One fit iteration each of gmm2, PPCA and two-level CAVI and of logitnormal SVI, with its model and data."""
+    gmm, _ = make_gmm(seed=0, n=20)
+    matfac = models.MatrixFactorizationData(np.random.default_rng(0).standard_normal((6, 4)), 2, 1.0, 1.0)
+    two_level = make_two_level(seed=0, n=12)
+    logitnormal = models.LogitNormalMixtureData(two_level.log_pa, two_level.log_pb, 0.3)
+    return [
+        pytest.param(models.build_gmm2(gmm, seed=0), gmm, engine.Schedule(), id="gmm2"),
+        pytest.param(models.build_matfac(matfac, "ppca", seed=0), matfac, engine.Schedule(), id="matfac_ppca"),
+        pytest.param(models.build_two_level(two_level, seed=0), two_level, engine.Schedule(), id="two_level"),
+        pytest.param(models.build_logitnormal(logitnormal, seed=0), logitnormal, engine.Schedule(engine.SVI), id="svi"),
+    ]
+
+
+@pytest.mark.parametrize("model, data, schedule", _iterations())
+def test_an_iteration_enters_no_numpy_python_wrapper_but_linalg_errstate_and_where(model, data, schedule):
+    """A step, the residual and the ELBO call numpy's C entry points: ufuncs, their reduces and ndarray methods.
+
+    The first iteration is run beforehand, so that what is read off the data
+    alone is memoised on the snapshot as in a fit.
+    """
+    snap = engine.mu_snapshot(model.plates)
+
+    def iteration():
+        if schedule.kind == engine.SVI:
+            engine.svi_step(model, snap, data, 3, schedule.global_rate(0))
+        else:
+            engine.cavi_sweep(model, snap, data)
+        engine.fixed_point_residual(model, snap, data)
+        engine.elbo(model, snap, data)
+
+    iteration()
+    assert _numpy_entries(iteration) - _NUMPY_ENTRIES_ALLOWED == set()
+
+
 def test_base_measure_correction_subtracted():
     """A reciprocal-base Beta global lands one above the coefficient in each coordinate."""
     data = make_two_level(seed=8, n=4)
@@ -385,6 +450,32 @@ def test_fit_rejects_nan_tol_instead_of_running_to_max_iter(two_level_data):
     model = models.build_two_level(two_level_data)
     with pytest.raises(engine.ConfigurationError, match="tol"):
         engine.fit(model, two_level_data, tol=float("nan"), max_iter=3)
+
+
+def test_a_nan_tol_keeps_its_message(two_level_data):
+    model = models.build_two_level(two_level_data)
+    with pytest.raises(engine.ConfigurationError, match="^tol must be positive, got nan$"):
+        engine.fit(model, two_level_data, tol=float("nan"), max_iter=3)
+
+
+@pytest.mark.parametrize("tol", [float("inf"), np.float64("inf")], ids=["float", "numpy"])
+def test_fit_rejects_an_infinite_tol_instead_of_converging_at_once(two_level_data, tol):
+    """An infinite tol would stop every fit after its first record, converged, at any residual."""
+    model = models.build_two_level(two_level_data)
+    with pytest.raises(engine.ConfigurationError, match="^tol must be positive and finite, got inf$"):
+        engine.fit(model, two_level_data, tol=tol)
+
+
+def test_fit_rejects_a_string_tol_by_name(two_level_data):
+    model = models.build_two_level(two_level_data)
+    with pytest.raises(engine.ConfigurationError, match="^tol must be a number, got '1e-3'$"):
+        engine.fit(model, two_level_data, tol="1e-3")
+
+
+def test_fit_rejects_a_bool_tol_by_name(two_level_data):
+    model = models.build_two_level(two_level_data)
+    with pytest.raises(engine.ConfigurationError, match="^tol must be a number, got True$"):
+        engine.fit(model, two_level_data, tol=True)
 
 
 @pytest.mark.parametrize("name, value", [("rho", "0.5"), ("kappa", "0.7"), ("tau", None)])
