@@ -10,8 +10,9 @@ are line-delimited records with a fixed field order and 17-significant-digit
 floats, so two runs with the same config and seed produce byte-identical files.
 
 Exit codes: 0 converged / all checks pass, 1 input error (non-finite data,
-or Gaussian observations whose squares overflow, included) or numerical
-failure, 2 hit max_iter without converging, 64 usage error.
+or Gaussian observations whose squares overflow, included), numerical
+failure or a model too large for memory, 2 hit max_iter without
+converging, 64 usage error.
 
 Config and data files are read as UTF-8; a leading byte-order mark is
 skipped.
@@ -220,6 +221,9 @@ def cmd_fit(args) -> int:
         write_trace(cfg.output_path, trace)
     except (InputError, ValueError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:  # numpy's names the allocation it could not make
+        print(f"error: out of memory{': ' if str(exc) else ''}{exc}", file=sys.stderr)
         return EXIT_INPUT
     log.info("finished: converged=%s iterations=%d", trace.converged, trace.records[-1].iteration)
     return EXIT_OK if trace.converged else EXIT_NO_CONVERGENCE

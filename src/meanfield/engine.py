@@ -29,8 +29,8 @@ directly, as in conjugate-computation VI, not off mu solved back to lambda.
 ELBO, which read and update it in place.  Given a plate dict, they build a
 snapshot of it and run the same code, and a sweep writes its steps back
 into the dict.  The snapshot's one memo, ``Snapshot.read_off``, records
-the entries a read-off touches and holds its value under their versions,
-bumped by each put: nothing is declared.  A plate's coefficient is such a
+the entries a read-off touches and holds its value until one of them is
+put, which drops it: nothing is declared.  A plate's coefficient is such a
 value, as are the read-offs it shares with the ELBO and the values read
 off the data alone.
 As in variational message passing, a coefficient is read off again only
@@ -193,25 +193,24 @@ class Snapshot:
     (G, flat) expectation array, delta-substituted where flagged.
     ``snap.lam(name)`` is the plate's row-stacked
     NaturalParam, and ``snap.plates`` a read-only view of the plates
-    themselves.  ``put`` is the only setter: it sets a plate, its lambda,
-    its expectations and its version together, so no expectation is paired
-    with a stale lambda.  ``read_off`` is the one memo: it holds a value
-    until an entry it read through ``snap[...]`` or ``snap.lam(...)`` is
-    put.  ``coefficient`` is a plate's coefficient memoised by it, and
-    ``reads`` the entries that read; a read through ``snap.plates`` is not
-    recorded.
+    themselves.  ``put`` is the only setter: it sets a plate, its lambda and
+    its expectations together, so no expectation is paired with a stale
+    lambda, and drops every memoised value that read the entry.
+    ``read_off`` is the one memo: it holds a value until an entry it read
+    through ``snap[...]`` or ``snap.lam(...)`` is put.  ``coefficient`` is a
+    plate's coefficient memoised by it, and ``reads`` the entries that
+    read; a read through ``snap.plates`` is not recorded.
     """
 
-    __slots__ = ("_plates", "plates", "_mus", "_versions", "_read", "_memo")
+    __slots__ = ("_plates", "plates", "_mus", "_read", "_memo", "_checked")
 
     def __init__(self):
         self._plates: dict[str, Plate | NodeState] = {}
         self.plates = MappingProxyType(self._plates)  # what the entries were set from, read-only
         self._mus: dict[str, np.ndarray] = {}
-        self._versions: dict[str, int] = {}  # puts per entry
         self._read: set[str] = set()  # entries read by the read-off under way
-        # slot -> (owner, data, entries read, their versions, value); see read_off
-        self._memo: dict = {}
+        self._memo: dict = {}  # slot -> (owner, data, entries read, value); see read_off
+        self._checked = None  # the model whose plates every entry was last found to hold (see _snapshot)
 
     def __getitem__(self, name: str) -> np.ndarray:
         mu = self._mus[name]
@@ -225,10 +224,12 @@ class Snapshot:
         return lam
 
     def put(self, name: str, factor) -> None:
-        """Set the entry of ``name`` from a plate or node: its lambda and the expectations others see."""
+        """Set the entry of ``name`` from a plate or node, and drop every memoised value that read it."""
         self._plates[name] = factor
         self._mus[name] = _moments(factor)
-        self._versions[name] = self._versions.get(name, 0) + 1
+        if factor.__class__ is not Plate:
+            self._checked = None
+        self._memo = {slot: held for slot, held in self._memo.items() if name not in held[2]}
 
     def read_off(self, slot, owner, data, fn, *args):
         """``fn(*args)``, held in ``slot`` until ``owner`` or ``data`` is another object or an entry it read is put.
@@ -239,17 +240,17 @@ class Snapshot:
         owner and data ask for it.  A provider names its own slots apart
         from its plates, whose slots hold the coefficients.
         """
-        hit = self._memo.get(slot)
-        if hit and hit[0] is owner and hit[1] is data and list(map(self._versions.__getitem__, hit[2])) == hit[3]:
-            self._read.update(hit[2])
-            return hit[4]
+        held = self._memo.get(slot)
+        if held is not None and held[0] is owner and held[1] is data:
+            self._read.update(held[2])
+            return held[3]
         outer, self._read = self._read, set()
         try:
             value = fn(*args)
         finally:
-            reads, self._read = tuple(self._read), outer
+            reads, self._read = self._read, outer
         outer.update(reads)
-        self._memo[slot] = (owner, data, reads, list(map(self._versions.__getitem__, reads)), value)
+        self._memo[slot] = (owner, data, reads, value)
         return value
 
     def coefficient(self, provider, plate: str, data) -> np.ndarray:
@@ -257,7 +258,11 @@ class Snapshot:
         return self.read_off(plate, provider, data, _read_only_coefficient, provider, plate, self, data)
 
     def reads(self, plate: str) -> frozenset[str]:
-        """The entries the memoised coefficient of ``plate`` read: its Markov blanket as observed."""
+        """The entries the memoised coefficient of ``plate`` read: its Markov blanket as observed.
+
+        Only a held coefficient has reads: once a put of an entry it read
+        drops it, this is a KeyError until the coefficient is read off again.
+        """
         return frozenset(self._memo[plate][2])
 
 
@@ -351,6 +356,17 @@ class ModelSpec:
     def nodes(self):
         """The initial state per id: one NodeState per row, in plate then row order."""
         return NodeView(self.plates).values()
+
+    @functools.cached_property
+    def _svi_plates(self) -> tuple[str, str]:
+        """The names of the one local plate and the one single-node global plate SVI steps, found once."""
+        local = [name for name, p in self.plates.items() if p.role == LOCAL]
+        global_ = [name for name, p in self.plates.items() if p.role == GLOBAL]
+        if len(local) != 1 or len(global_) != 1 or len(self.plates[global_[0]].ids) != 1:
+            raise ConfigurationError(
+                f"SVI requires one local plate and one single-node global plate, got {local} and {global_}"
+            )
+        return local[0], global_[0]
 
 
 def _require_count(name: str, value) -> None:
@@ -505,26 +521,28 @@ def _check_target(plate: Plate, goal: np.ndarray) -> None:
 def _step_with_backoff(plate: Plate, target: np.ndarray, rho: float, rows=None):
     """Damped step of the given rows of a plate (all rows by default).
 
-    A non-finite target is a NumericalError.  Every row steps at rate
-    ``rho``, passed as one scalar; a row whose step leaves the parameter
-    domain retries at half its rate, the other rows keep theirs.
+    A non-finite target is a NumericalError naming its first such row.  It
+    is caught where it makes the new lambda non-finite, which ``NaturalParam``
+    rejects with a DomainError: the handler checks the target before it
+    halves any rate, so a finite target costs no pass of its own.  Every
+    row steps at rate ``rho``, passed as one scalar; a row whose step leaves
+    the parameter domain retries at half its rate, the other rows keep theirs.
     """
     lam = plate.lam.values
     goal = np.asarray(target, dtype=float).reshape(lam.shape)
     rate = float(rho)
     if rows is not None:
         # a rate-1 step onto its own lambda leaves a row exactly as it is
-        step = np.zeros(len(plate.ids), dtype=bool)
-        step[rows] = True
-        goal = np.where(step[:, None], goal, lam)
+        goal, spliced = lam.copy(), goal
+        goal[rows] = spliced[rows]
         if rate != 1.0:
-            rate = np.where(step, rate, 1.0)
-    if not np.logical_and.reduce(np.isfinite(goal), axis=None):
-        _check_target(plate, goal)
+            rate = np.full(len(plate.ids), 1.0)
+            rate[rows] = float(rho)
     for _ in range(_MAX_RATE_HALVINGS):
         try:
             return blr_step(plate, goal, rate)
         except DomainError as exc:
+            _check_target(plate, goal)
             rate = np.full(len(plate.ids), rate) if np.ndim(rate) == 0 else rate
             failed = exc.rows
             rate[failed] *= 0.5
@@ -541,13 +559,24 @@ def _step_with_backoff(plate: Plate, target: np.ndarray, rho: float, rows=None):
 
 
 def _snapshot(model: ModelSpec, state) -> Snapshot:
-    """``state`` itself if it is a snapshot, else a new one of a plate dict; either must hold every plate."""
-    plates = state.plates if isinstance(state, Snapshot) else state
+    """``state`` itself if it is a snapshot, else a new one of a plate dict; either must hold every plate.
+
+    A snapshot found to hold every plate of this model is marked and not
+    checked again: a put of a plate keeps the mark, a put of anything else
+    drops it.
+    """
+    snap = state if isinstance(state, Snapshot) else None
+    if snap is not None and snap._checked is model:
+        return snap
+    plates = state if snap is None else snap.plates
     if set(map(type, map(plates.get, model.plates))) != {Plate}:  # the names are listed only on failure
         missing = [name for name in model.plates if not isinstance(plates.get(name), Plate)]
         if missing:
             raise ConfigurationError(f"state has no plate {missing[0]!r}: pass dict(model.plates) or trace.plates")
-    return state if isinstance(state, Snapshot) else mu_snapshot(state)
+    if snap is None:
+        return mu_snapshot(state)
+    snap._checked = model
+    return snap
 
 
 def _sweep(model: ModelSpec, state, data, steps, frozen: bool = False):
@@ -581,20 +610,9 @@ def cavi_sweep(model: ModelSpec, state, data, order=None):
     return _sweep(model, state, data, [(name, 1.0, None) for name in order])
 
 
-def _svi_plates(model: ModelSpec) -> tuple[str, str]:
-    """The names of the one local plate and the one single-node global plate SVI steps."""
-    local = [name for name, p in model.plates.items() if p.role == LOCAL]
-    global_ = [name for name, p in model.plates.items() if p.role == GLOBAL]
-    if len(local) != 1 or len(global_) != 1 or len(model.plates[global_[0]].ids) != 1:
-        raise ConfigurationError(
-            f"SVI requires one local plate and one single-node global plate, got {local} and {global_}"
-        )
-    return local[0], global_[0]
-
-
 def svi_step(model: ModelSpec, state, data, row: int, rho_t: float):
     """Full step on one row of the local plate, then a damped step on the global node."""
-    local, global_ = _svi_plates(model)
+    local, global_ = model._svi_plates
     if not 0 <= row < len(model.plates[local].ids):
         raise ConfigurationError(f"SVI row {row} is outside local plate {local!r}")
     return _sweep(model, state, data, [(local, 1.0, [row]), (global_, rho_t, None)])
@@ -661,7 +679,7 @@ def fit(
     start = time.perf_counter()
     trace = FitTrace()
     if schedule.kind == SVI:  # a model SVI cannot step fails before the first record
-        rows = len(model.plates[_svi_plates(model)[0]].ids)
+        rows = len(model.plates[model._svi_plates[0]].ids)
     snap = mu_snapshot(model.plates)
 
     def record(it: int) -> float:

@@ -251,7 +251,7 @@ def row_view(param, row: int):
     if isinstance(param, NaturalParam):
         factor = param.factor
         object.__setattr__(one, "factor", None if factor is None else factor[0 if len(factor) == 1 else row])
-        object.__setattr__(one, "_kept", tuple(k[row : row + 1] for k in param._kept))
+        object.__setattr__(one, "_kept", tuple([k[row : row + 1] for k in param._kept]))
     else:
         object.__setattr__(one, "log_partition", None if param.log_partition is None else param.log_partition[row])
     return one
@@ -755,9 +755,10 @@ def gw_natural(nu: float, gamma: float, m, w) -> NaturalParam:
 
 
 def beta_ab(lam: NaturalParam) -> tuple[float, float]:
+    """(alpha, beta) of one Beta parameter vector, as validation found them."""
     _expect_kind(lam, BETA)
     _require_vectors("beta_ab", lam)
-    return lam.family._ops.ab_rows(lam.family, lam.values)[0]
+    return lam._kept[0][0]
 
 
 def gaussian_mean_precision(lam: NaturalParam) -> tuple[np.ndarray, np.ndarray]:
@@ -779,11 +780,11 @@ def _expect_kind(param, kind: str) -> None:
 
 def _require_vectors(what: str, *params) -> None:
     """Reject a row-stacked parameter where ``what`` takes one vector each, naming ``what`` and the shapes."""
-    shapes = [p.values.shape for p in params]
-    if any(len(shape) != 1 for shape in shapes):
-        each, noun = (" each", "shapes") if len(params) > 1 else ("", "shape")
-        got = " and ".join(map(str, shapes))
-        raise DomainError(f"{what} takes one parameter vector{each}, not row-stacked ones: got {noun} {got}")
+    for param in params:
+        if param.values.ndim != 1:
+            each, noun = (" each", "shapes") if len(params) > 1 else ("", "shape")
+            got = " and ".join(str(p.values.shape) for p in params)
+            raise DomainError(f"{what} takes one parameter vector{each}, not row-stacked ones: got {noun} {got}")
 
 
 def _require_pair(lam: NaturalParam, other) -> None:

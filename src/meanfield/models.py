@@ -222,6 +222,10 @@ class MatrixFactorizationData:
         if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)) or self.k < 1:
             raise ValueError(f"k (the number of factors) must be an integer >= 1, got {self.k!r}")
         _require_positive(self, "delta_u", "delta_v")
+        for name in ("delta_u", "delta_v"):
+            delta = float(getattr(self, name))
+            if not math.isfinite(1.0 / delta):  # a factor's prior covariance is I / delta
+                raise ValueError(f"{name} is too small: the prior variance 1 / {name} overflows, got {delta!r}")
         object.__setattr__(self, "y", y)
 
     @property
@@ -640,7 +644,7 @@ def _log_sigmoid(t):
 
 
 def _read_off_ab(lam) -> tuple[float, float]:
-    """(a, b) of a Beta lambda; below 0.01 a DomainError, on which a step backs off."""
+    """(a, b) of a Beta lambda, as its validation kept them; below 0.01 a DomainError, on which a step backs off."""
     a, b = expfam.beta_ab(lam)
     if a < 1e-2 or b < 1e-2:
         raise expfam.DomainError(f"the weight read-off requires alpha, beta >= 0.01, got ({a:g}, {b:g})")
@@ -718,7 +722,8 @@ class LogitNormalProvider(CoefficientProvider):
     (``beta_natural_gradient``).
 
     The weight read-off (the natural gradient and E_q[f]) is taken at the
-    Beta natural parameters the snapshot carries for "pi" and memoised on
+    Beta natural parameters the snapshot carries for "pi", whose (a, b) come
+    off what their validation kept (``expfam.beta_ab``), and memoised on
     the snapshot for this provider and data until "pi" is put: the step,
     the fixed-point residual and the ELBO at one weight state share one
     read-off.  Besides its plates the provider holds only the model's

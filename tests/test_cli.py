@@ -482,6 +482,39 @@ def test_bad_config_value_names_its_key(tmp_path, extra, key):
 
 
 @pytest.mark.parametrize(
+    "model, extra, key",
+    [("matfac_vmp", "delta_u=1e-320", "delta_u"), ("matfac_ppca", "delta_v=5e-309", "delta_v")],
+)
+def test_a_delta_whose_prior_variance_overflows_is_named(tmp_path, model, extra, key):
+    """The prior variance 1/delta overflows at build: the data class names the key, not a Gaussian failure."""
+    cfg, _ = _fit_config(tmp_path, "0.5,-1.2\n1.1,0.4\n-0.2,0.9\n", extra=f"{extra}\n", model=model)
+    proc = _run_cli(cfg)
+    assert proc.returncode == cli.EXIT_INPUT
+    value = extra.partition("=")[2]
+    assert proc.stderr == f"error: {key} is too small: the prior variance 1 / {key} overflows, got {value}\n"
+
+
+def test_a_small_delta_whose_prior_variance_is_finite_still_fits(tmp_path):
+    cfg, out = _fit_config(tmp_path, "0.5,-1.2\n1.1,0.4\n-0.2,0.9\n", extra="delta_u=1e-300\n", model="matfac_vmp")
+    assert cli.main(["fit", "--config", cfg]) in (cli.EXIT_OK, cli.EXIT_NO_CONVERGENCE)
+    assert open(out).read().count("converged=") == 1
+
+
+def test_a_model_too_large_for_memory_is_one_error_line(tmp_path, monkeypatch, capsys):
+    """A MemoryError, as numpy raises for ``k=100000000000``, is reported like any input error; nothing is allocated here."""
+
+    def too_large(data, seed=0):
+        raise MemoryError("Unable to allocate 7.28 EiB for an array with shape (100000000000, 100000000000)")
+
+    monkeypatch.setitem(cli._TABLE, "matfac_vmp", cli._TABLE["matfac_vmp"][:2] + (too_large,) + cli._TABLE["matfac_vmp"][3:])
+    cfg, out = _fit_config(tmp_path, "0.5,-1.2\n1.1,0.4\n-0.2,0.9\n0.8,-0.3\n", extra="k=3\n", model="matfac_vmp")
+    assert cli.main(["fit", "--config", cfg]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 7.28 EiB for an array with shape (100000000000, 100000000000)\n"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
     "extra, line",
     [
         ("kappa=0.3\n", "kappa must lie in (0.5, 1], got 0.3"),

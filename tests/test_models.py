@@ -42,6 +42,10 @@ def test_data_classes_reject_bad_inputs():
     for gamma0 in (1e-308, 5e-324, np.float64(1e-308)):  # D / gamma0 overflows at D = 2
         with pytest.raises(ValueError, match="gamma0 is too small"):
             models.GMMData(np.zeros((5, 2)), 1.0, 1.0, gamma0, 3.0, np.eye(2))
+    for key, delta in (("delta_u", 1e-320), ("delta_v", 5e-309), ("delta_u", np.float64(5e-324))):
+        message = re.escape(f"{key} is too small: the prior variance 1 / {key} overflows, got {float(delta)!r}")
+        with pytest.raises(ValueError, match=message):
+            models.MatrixFactorizationData(np.ones((2, 2)), 1, **{key: delta})
     with pytest.raises(ValueError):
         models.MatrixFactorizationData(np.ones((2, 2)), 0, 1.0, 1.0)
     with pytest.raises(ValueError):
