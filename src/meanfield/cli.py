@@ -4,10 +4,12 @@ Usage:
     meanfield fit --config run.cfg
     meanfield check <suite>
 
-Config files are flat key=value text; unknown keys are errors.  Data files
-are plain CSV, one observation per row, every cell a finite number.  Traces
-are line-delimited records with a fixed field order and 17-significant-digit
-floats, so two runs with the same config and seed produce byte-identical files.
+Config files are flat key=value text; a line that starts with # is a
+comment (a # inside a value is part of it), and unknown keys are errors.
+Data files are plain CSV, one observation per row, every cell a finite
+number.  Traces are line-delimited records with a fixed field order and
+17-significant-digit floats, so two runs with the same config and seed
+produce byte-identical files.
 
 Exit codes: 0 converged / all checks pass, 1 input error (non-finite data,
 or Gaussian observations whose squares overflow, included), numerical
@@ -118,6 +120,8 @@ def parse_config(path: str) -> RunConfig:
 
     model = values.get("model")
     if model not in _MODELS:
+        if model is not None:
+            raise InputError(f"unknown model {model!r} (choose from: {', '.join(_MODELS)})")
         raise InputError(f"config must set model to one of {', '.join(_MODELS)}")
     keys = _TABLE[model][3]
     unknown = sorted(set(values) - _COMMON_KEYS.union(keys))
@@ -133,8 +137,8 @@ def parse_config(path: str) -> RunConfig:
     # engine.fit checks tol and max_iter only once the data is loaded, so they are checked here.
     if "tol" in stop:
         engine._require_tol(stop["tol"])
-    if stop.get("max_iter", 0) < 0:
-        raise InputError(f"max_iter must be nonnegative, got {stop['max_iter']}")
+    if "max_iter" in stop:
+        engine._require_count("max_iter", stop["max_iter"])
     kind = {"kind": values["schedule"]} if "schedule" in values else {}
     schedule = engine.Schedule(**kind, **numbers)  # and rho, kappa, tau and seed where set
     return RunConfig(model, values["data_path"], values["output_path"], schedule, stop, extras)

@@ -189,9 +189,10 @@ class NaturalParam:
     symmetric S bitwise; None for Bernoulli and Beta.  The conversions reuse
     it.  Validation also keeps, one row each, what else it found that
     ``nat_to_mean`` derives mu and A(lambda) from: the Beta's (a, b) and the
-    Gaussian-Wishart's (nu, gamma, t), in Python floats, with its nu, gamma,
-    m and C as arrays.  Nothing past validation is
-    computed until then, so a lambda whose mu overflows still constructs.
+    Gaussian-Wishart's (nu, gamma, t), in Python floats, with its nu, gamma
+    and m as read-only arrays, which ``kl_divergence`` and ``gw_params`` read
+    too.  Nothing past validation is computed until then, so a lambda whose
+    mu overflows still constructs.
     """
 
     family: FamilyDescriptor
@@ -391,16 +392,12 @@ class _Beta(_Family):
     def flat_size(self, d: int) -> int:
         return 2
 
-    def ab_rows(self, family: FamilyDescriptor, arr: np.ndarray) -> list[tuple[float, float]]:
-        """(alpha, beta) of each row, in Python floats from one ``tolist()``; a vector is one row."""
-        shift = 0.0 if family.base_measure == "reciprocal" else 1.0
-        return [(x + shift, y + shift) for x, y in arr.reshape(-1, 2).tolist()]
-
     def natural(self, family: FamilyDescriptor, arr: np.ndarray):
-        ab = self.ab_rows(family, arr)
-        ok = [a > 0.0 and b > 0.0 for a, b in ab]
-        if not all(ok):
-            _check_rows(np.array(ok), lambda r: "Beta requires alpha > 0 and beta > 0, got ({:g}, {:g})".format(*ab[r]))
+        shift = 0.0 if family.base_measure == "reciprocal" else 1.0
+        ab = [(x + shift, y + shift) for x, y in arr.reshape(-1, 2).tolist()]
+        if not min(map(min, ab)) > 0.0:  # the rows are located only on failure
+            ok = np.array([a > 0.0 and b > 0.0 for a, b in ab])
+            _check_rows(ok, lambda r: "Beta requires alpha > 0 and beta > 0, got ({:g}, {:g})".format(*ab[r]))
         return arr.copy(), None, (ab,)
 
     def validate_mean(self, family: FamilyDescriptor, rows: np.ndarray) -> None:
@@ -569,15 +566,6 @@ class _GaussianWishart(_Family):
     def block(self, d: int):
         return slice(1, 1 + d * d)
 
-    def unpack(self, family: FamilyDescriptor, arr: np.ndarray):
-        """Return (nu, gamma, m, t), per row of a (G, flat) array; gamma must be positive.
-
-        t = nu - (D - 1) is formed from lambda as 2 lam_0 + 1, so a t near 0 keeps its relative precision.
-        """
-        d = family.dim
-        gamma = -2.0 * arr[..., -1]
-        return 2.0 * arr[..., 0] + d, gamma, arr[..., 1 + d * d : 1 + d * d + d] / gamma[..., None], 2.0 * arr[..., 0] + 1.0
-
     def natural(self, family: FamilyDescriptor, arr: np.ndarray):
         d = family.dim
         arr, sym = self.owned(family, arr)
@@ -590,9 +578,9 @@ class _GaussianWishart(_Family):
             _check_rows(np.array(nus) > d - 1, lambda r: f"Gaussian-Wishart requires nu > D-1, got nu={nus[r]:g}")
         nu, gamma = np.array(nus), np.array(gammas)
         m = rows[:, 1 + d * d : -1] / gamma[:, None]
+        nu.flags.writeable = gamma.flags.writeable = m.flags.writeable = False  # gw_params hands them out
         w_inv = -2.0 * sym - gamma[:, None, None] * (m[:, :, None] * m[:, None, :])
-        chol = _require_spd(w_inv, "Gaussian-Wishart W^-1")
-        return arr, chol, (kept, nu, gamma, m, chol)
+        return arr, _require_spd(w_inv, "Gaussian-Wishart W^-1"), (kept, nu, gamma, m)
 
     def validate_mean(self, family: FamilyDescriptor, rows: np.ndarray) -> None:
         d = family.dim
@@ -607,7 +595,8 @@ class _GaussianWishart(_Family):
 
     def mean(self, lam: NaturalParam):
         """(expectations, A(lam)) per row, from the rows validation kept; psi and log Gamma take the same arguments."""
-        (kept, nu, gamma, m, chol), d, size = lam._kept, lam.family.dim, lam.family.flat_size
+        (kept, nu, gamma, m), d, size = lam._kept, lam.family.dim, lam.family.flat_size
+        chol = lam.factor.reshape(-1, d, d)
         cinv, w = _factor_inverse(chol)
         y = (cinv @ m[:, :, None])[:, :, 0]  # W m = C^-T y and m^T W m = y^T y
         mean = np.empty((len(kept), size))
@@ -622,12 +611,6 @@ class _GaussianWishart(_Family):
         mean[:, :: size - 1] = ends  # E[log det Lambda] and E[x^T Lambda x]
         return mean.reshape(lam.values.shape), np.array(log_z).reshape(lam.values.shape[:-1])
 
-    def log_partition(self, lam: NaturalParam):
-        (kept, _, gamma, _, chol), d = lam._kept, lam.family.dim
-        rows = zip(kept, np.log(gamma).tolist(), _logdet_from_factor(chol).tolist())
-        log_z = [_gw_log_partition(d, nu, lg, ld, *_wishart_sums(t, d, gammaln)) for (nu, _, t), lg, ld in rows]
-        return np.array(log_z).reshape(lam.values.shape[:-1])
-
     def entropy(self, lam: NaturalParam, mu):
         mu = nat_to_mean(lam) if mu is None else mu
         a = log_partition(lam) if mu.log_partition is None else mu.log_partition
@@ -635,14 +618,13 @@ class _GaussianWishart(_Family):
         return a + 0.5 * d * (2.0 * lam0 + d + 1.0) - lam0 * mu.values[..., 0]
 
     def kl(self, lam1: NaturalParam, lam2: NaturalParam) -> float:
-        fam = lam1.family
-        d, (nu1, g1, m1, t1), (nu2, g2, m2, t2) = fam.dim, self.unpack(fam, lam1.values), self.unpack(fam, lam2.values)
-        c1, c2 = lam1.factor, lam2.factor
+        d, ((nu1, g1, t1),), ((nu2, g2, t2),) = lam1.family.dim, lam1._kept[0], lam2._kept[0]
+        (m1,), (m2,), c1, c2 = lam1._kept[3], lam2._kept[3], lam1.factor, lam2.factor
         a = np.linalg.solve(c1, np.c_[c2, m2 - m1])  # C1^-1 [C2, dm]: tr(W2^-1 W1) and dm^T W1 dm
         gauss = d * (g2 / g1 - 1.0 - np.log(g2 / g1)) + g2 * nu1 * (a[:, d] @ a[:, d])
         wishart = nu1 * (np.sum(a[:, :d] ** 2) - d) - nu2 * (_logdet_from_factor(c2) - _logdet_from_factor(c1))
-        psi1, lgamma1 = _wishart_sums(float(t1), d, digamma, gammaln)
-        return float(0.5 * (gauss + wishart + (nu1 - nu2) * psi1) + _wishart_sums(float(t2), d, gammaln)[0] - lgamma1)
+        psi1, lgamma1 = _wishart_sums(t1, d, digamma, gammaln)
+        return float(0.5 * (gauss + wishart + (nu1 - nu2) * psi1) + _wishart_sums(t2, d, gammaln)[0] - lgamma1)
 
     def mean_to_nat(self, mu: ExpectationParam) -> NaturalParam:
         d = mu.family.dim
@@ -768,9 +750,10 @@ def gaussian_mean_precision(lam: NaturalParam) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gw_params(lam: NaturalParam) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """Return (nu, gamma, m, W), per row for a row-stacked parameter."""
+    """Return (nu, gamma, m, W), per row for a row-stacked parameter; nu, gamma and m as validation kept them."""
     _expect_kind(lam, GAUSSIAN_WISHART)
-    return (*lam.family._ops.unpack(lam.family, lam.values)[:3], _factor_inverse(lam.factor)[1])
+    nu_gamma_m = lam._kept[1:] if lam.values.ndim == 2 else [kept[0] for kept in lam._kept[1:]]  # a vector's one row
+    return (*nu_gamma_m, _factor_inverse(lam.factor)[1])
 
 
 def _expect_kind(param, kind: str) -> None:

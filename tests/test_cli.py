@@ -481,6 +481,31 @@ def test_bad_config_value_names_its_key(tmp_path, extra, key):
     assert "Traceback" not in proc.stderr
 
 
+_KNOWN_MODELS = "simple_mixture, two_level, gmm2, matfac_vmp, matfac_ppca, matfac_als, logitnormal"
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("model=gmm3\n", f"error: unknown model 'gmm3' (choose from: {_KNOWN_MODELS})\n"),
+        ("model=gmm2  # not a comment\n", f"error: unknown model 'gmm2  # not a comment' (choose from: {_KNOWN_MODELS})\n"),
+        ("# model=gmm2\n", f"error: config must set model to one of {_KNOWN_MODELS}\n"),
+    ],
+    ids=["unknown", "trailing-comment", "unset"],
+)
+def test_a_model_set_but_unknown_is_named_and_an_unset_one_is_asked_for(tmp_path, capsys, text, line):
+    cfg = _write(tmp_path / "run.cfg", f"{text}data_path=d.csv\noutput_path=t.txt\n")
+    assert cli.main(["fit", "--config", cfg]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == line
+
+
+def test_a_negative_max_iter_is_the_engine_s_count_error(tmp_path, capsys):
+    cfg, out = _fit_config(tmp_path, "0.1,0.4\n", extra="max_iter=-1\n")
+    assert cli.main(["fit", "--config", cfg]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == "error: max_iter must be a nonnegative integer, got -1\n"
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize(
     "model, extra, key",
     [("matfac_vmp", "delta_u=1e-320", "delta_u"), ("matfac_ppca", "delta_v=5e-309", "delta_v")],

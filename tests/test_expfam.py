@@ -1095,6 +1095,45 @@ def test_gw_params_of_a_row_view_gives_python_floats():
         np.testing.assert_allclose(w, want[3], rtol=1e-15)
 
 
+def _gw_flat_decode(values: np.ndarray, d: int):
+    """(nu, gamma, m, t) per row, read off the flat layout: nu = 2 lam_0 + D, gamma = -2 lam_last, t = 2 lam_0 + 1."""
+    gamma = -2.0 * values[..., -1]
+    return 2.0 * values[..., 0] + d, gamma, values[..., 1 + d * d : -1] / gamma[..., None], 2.0 * values[..., 0] + 1.0
+
+
+def _gw_flat_kl(lam1, lam2) -> float:
+    """The closed-form KL, each lambda decoded from its flat layout, summed in the order ``kl_divergence`` sums it."""
+    d = lam1.family.dim
+    (nu1, g1, m1, t1), (nu2, g2, m2, t2) = _gw_flat_decode(lam1.values, d), _gw_flat_decode(lam2.values, d)
+    c1, c2 = lam1.factor, lam2.factor
+    a = np.linalg.solve(c1, np.c_[c2, m2 - m1])
+    gauss = d * (g2 / g1 - 1.0 - np.log(g2 / g1)) + g2 * nu1 * (a[:, d] @ a[:, d])
+    logdets = expfam._logdet_from_factor(c2) - expfam._logdet_from_factor(c1)
+    wishart = nu1 * (np.sum(a[:, :d] ** 2) - d) - nu2 * logdets
+    psi1, lgamma1 = expfam._wishart_sums(float(t1), d, specfun.digamma, specfun.gammaln)
+    lgamma2 = expfam._wishart_sums(float(t2), d, specfun.gammaln)[0]
+    return float(0.5 * (gauss + wishart + (nu1 - nu2) * psi1) + lgamma2 - lgamma1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gw_params_and_kl_divergence_match_the_flat_layout_bitwise(d):
+    """Lone lambdas, a G = 4 stack and its row views: nu, gamma and m bitwise as the flat layout gives them, W to rounding."""
+    lams, stack = _gw_stack(40 + d, d, g=4)
+    views = [expfam.row_view(stack, r) for r in range(4)]
+    for lam in [*lams, stack, *views]:
+        nu, gamma, m, w = expfam.gw_params(lam)
+        want = _gw_flat_decode(lam.values, d)
+        for got, expected in zip((nu, gamma, m), want):
+            assert np.shape(got) == np.shape(expected) and _bits(got) == _bits(expected)
+        g, mm = want[1][..., None, None], want[2][..., :, None] * want[2][..., None, :]
+        w_inv = -2.0 * lam.values[..., 1 : 1 + d * d].reshape(w.shape) - g * mm
+        np.testing.assert_allclose(w @ w_inv, np.broadcast_to(np.eye(d), w.shape), atol=1e-9)
+    for one in (lams, views):
+        for i in range(4):
+            for j in range(4):
+                assert _bits(expfam.kl_divergence(one[i], one[j])) == _bits(_gw_flat_kl(one[i], one[j]))
+
+
 def test_gaussian_wishart_expected_log_det_near_its_smallest_nu_matches_mpmath():
     """At D=2 and nu - 1 = 1e-4, E[log det Lambda] = sum_j psi((t + j)/2) + D log 2 - log det W^-1 to 1e-14.
 
