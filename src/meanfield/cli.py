@@ -7,7 +7,10 @@ Usage:
 Config files are flat key=value text; a line that starts with # is a
 comment (a # inside a value is part of it), and unknown keys are errors.
 Data files are plain CSV, one observation per row, every cell a finite
-number.  Traces are line-delimited records with a fixed field order and
+number; blank lines and lines that start with # are skipped.  numpy's reader
+takes a well-formed data file in one pass; a file it rejects is read again
+by a strict line-by-line reader, whose error names the offending row.
+Traces are line-delimited records with a fixed field order and
 17-significant-digit floats, so two runs with the same config and seed
 produce byte-identical files.
 
@@ -31,6 +34,7 @@ import functools
 import logging
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,7 +158,26 @@ def _number(key: str, text: str):
 
 
 def load_csv(path: str, expected_cols: int | None = None) -> np.ndarray:
-    """Strict CSV reader; names the first offending row on malformed input."""
+    """The data rows of a CSV as a float array; on malformed input the error names the first offending row.
+
+    numpy's reader takes a well-formed file in one pass.  A file it does not
+    take, or takes with no rows, the wrong column count or a non-finite cell,
+    is read again by the strict reader, which names the row.
+    """
+    try:
+        # The handle is opened here, not by loadtxt, so that a path is never read as a URL or an archive.
+        with open(path, encoding="utf-8-sig") as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an empty file's "input contained no data"
+            arr = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+    except Exception:
+        arr = None
+    if arr is not None and arr.shape[0] and arr.shape[1] == (expected_cols or arr.shape[1]) and np.isfinite(arr).all():
+        return arr
+    return _load_csv_strictly(path, expected_cols)
+
+
+def _load_csv_strictly(path: str, expected_cols: int | None) -> np.ndarray:
+    """Strict CSV reader, line by line: blank and # lines are skipped, and the first offending row is named."""
     rows, linenos = [], []
     for lineno, line in enumerate(_read_lines(path, "data file"), start=1):
         if not line or line.startswith("#"):
@@ -198,21 +221,39 @@ def _build(cfg: RunConfig):
     return build(data, seed=cfg.schedule.seed), data
 
 
+# Rows of a plate formatted per write of the trace, so the trace is never held whole.
+_TRACE_CHUNK = 32768
+
+
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
 def write_trace(path: str, trace: engine.FitTrace) -> None:
-    lines = [f"iter={rec.iteration} elbo={_fmt(rec.elbo)} residual={_fmt(rec.residual)}\n" for rec in trace.records]
-    lines.append(f"converged={'true' if trace.converged else 'false'} iterations={trace.records[-1].iteration}\n")
-    for plate in trace.plates.values():
-        for nid, lam, mu in zip(plate.ids, plate.lam.values.tolist(), plate.mu.values.tolist()):
-            lines.append(f"param {nid} lambda {' '.join(map(_fmt, lam))}\nparam {nid} mu {' '.join(map(_fmt, mu))}\n")
+    head = [f"iter={rec.iteration} elbo={_fmt(rec.elbo)} residual={_fmt(rec.residual)}\n" for rec in trace.records]
+    head.append(f"converged={'true' if trace.converged else 'false'} iterations={trace.records[-1].iteration}\n")
     try:
         with open(path, "w") as fh:
-            fh.write("".join(lines))
+            fh.write("".join(head))
+            for plate in trace.plates.values():
+                for chunk in _plate_lines(plate):
+                    fh.write(chunk)
     except OSError as exc:
         raise InputError(f"cannot write trace {path}: {exc}") from exc
+
+
+def _plate_lines(plate: engine.Plate):
+    """A plate's ``param`` lines, in chunks of at most ``_TRACE_CHUNK`` rows, each chunk one % of a row template."""
+    lam, mu = plate.lam.values, plate.mu.values
+    k, j = lam.shape[1], mu.shape[1]
+    row = "param %s lambda" + " %.17g" * k + "\nparam %s mu" + " %.17g" * j + "\n"
+    for start in range(0, len(plate.ids), _TRACE_CHUNK):
+        ids = plate.ids[start : start + _TRACE_CHUNK]
+        cells = np.empty((len(ids), 2 + k + j), dtype=object)  # each row: id, lambda, id, mu, as Python objects
+        cells[:, 0] = cells[:, k + 1] = ids
+        cells[:, 1 : k + 1] = lam[start : start + len(ids)]
+        cells[:, k + 2 :] = mu[start : start + len(ids)]
+        yield row * len(ids) % tuple(cells.ravel().tolist())
 
 
 def cmd_fit(args) -> int:

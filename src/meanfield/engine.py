@@ -52,6 +52,7 @@ and validates nothing.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import time
 from abc import ABC, abstractmethod
@@ -298,8 +299,16 @@ def _group(layout: dict[str, tuple[str, ...]], factors) -> dict[str, Plate]:
     A plate factor holding exactly a layout plate's ids, in order, is taken
     as it is; any other layout plate stacks its rows' lambdas and derives its
     mu from them.  No factors at all give no plates; otherwise every plate of
-    the layout must be whole.
+    the layout must be whole.  Where the factors are the layout's plates, one
+    per entry and in its order, no id-to-row map is built: only the layout's
+    ids are checked for repeats.
     """
+    if len(factors) == len(layout) and all(
+        isinstance(f, Plate) and f.ids == ids for f, ids in zip(factors, layout.values())
+    ):
+        if len(set(itertools.chain.from_iterable(layout.values()))) != sum(map(len, layout.values())):
+            raise ConfigurationError("duplicate node ids in model")
+        return dict(zip(layout, factors))
     where = {nid: (f, r) for f in factors for r, nid in enumerate(f.ids)}
     if len(where) != sum(len(f.ids) for f in factors):
         raise ConfigurationError("duplicate node ids in model")

@@ -643,12 +643,10 @@ def _log_sigmoid(t):
     return -np.logaddexp(0.0, -t)
 
 
-def _read_off_ab(lam) -> tuple[float, float]:
-    """(a, b) of a Beta lambda, as its validation kept them; below 0.01 a DomainError, on which a step backs off."""
-    a, b = expfam.beta_ab(lam)
+def _require_read_off_ab(a: float, b: float) -> None:
+    """Below 0.01 a Beta exponent is a DomainError, on which a step backs off."""
     if a < 1e-2 or b < 1e-2:
         raise expfam.DomainError(f"the weight read-off requires alpha, beta >= 0.01, got ({a:g}, {b:g})")
-    return a, b
 
 
 def beta_natural_gradient(lam, f):
@@ -664,7 +662,8 @@ def beta_natural_gradient(lam, f):
     (gradient, E_q[f]); E_q[f] comes from the same pass as the gradient, at
     _QUAD_ORDER nodes per panel.
     """
-    a, b = _read_off_ab(lam)
+    a, b = expfam.beta_ab(lam)  # as its validation kept them
+    _require_read_off_ab(a, b)
     estimates = []
     for t, t_stats, wq in _beta_logit_rules(a, b, (_QUAD_ORDER, 2 * _QUAD_ORDER)):
         fx = np.asarray(f(t), dtype=float)
@@ -699,7 +698,12 @@ def logit_normal_natural_gradient(lam, m: float):
     are large.  Returns the pair (gradient, E_q[f]) and checks the domain as
     the quadrature path does, so either serves the same callers.
     """
-    a, b = _read_off_ab(lam)
+    return _logit_normal_gradient(*expfam.beta_ab(lam), m)
+
+
+def _logit_normal_gradient(a: float, b: float, m: float):
+    """``logit_normal_natural_gradient`` at the Beta exponents (a, b), Python floats."""
+    _require_read_off_ab(a, b)
     d = digamma(a) - digamma(b) - m
     p, q = trigamma(a), trigamma(b)
     k = trigamma_reciprocal_offset(a + b) - trigamma_reciprocal_offset(a) - trigamma_reciprocal_offset(b)
@@ -723,7 +727,7 @@ class LogitNormalProvider(CoefficientProvider):
 
     The weight read-off (the natural gradient and E_q[f]) is taken at the
     Beta natural parameters the snapshot carries for "pi", whose (a, b) come
-    off what their validation kept (``expfam.beta_ab``), and memoised on
+    off what validation of the stacked lambda kept, and memoised on
     the snapshot for this provider and data until "pi" is put: the step,
     the fixed-point residual and the ELBO at one weight state share one
     read-off.  Besides its plates the provider holds only the model's
@@ -742,7 +746,14 @@ class LogitNormalProvider(CoefficientProvider):
 
     def _weight_read_off(self, mus, data: LogitNormalMixtureData):
         """((alpha_hat, beta_hat), E_q[f]) at the lambda of "pi", memoised on the snapshot until "pi" is put."""
-        return mus.read_off("pi read-off", self, data, lambda: self._read_off(expfam.row_view(mus.lam("pi"), 0), data))
+
+        def read_off():
+            lam = mus.lam("pi")
+            if self.log_prior_core is None:  # the closed form, at the (a, b) that validation of "pi" kept
+                return _logit_normal_gradient(*lam._kept[0][0], data.m)
+            return self._read_off(expfam.row_view(lam, 0), data)
+
+        return mus.read_off("pi read-off", self, data, read_off)
 
     def pseudo_prior(self, lam: NaturalParam, data: LogitNormalMixtureData) -> np.ndarray:
         """(alpha_hat, beta_hat): natural gradient of the non-conjugate term at the weight's lambda."""

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import meanfield
@@ -764,3 +764,116 @@ def test_a_hostile_fit_exits_with_a_known_code(run):
     assert code in (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_NO_CONVERGENCE, cli.EXIT_USAGE)
     assert stdout == ""
     assert stderr == "" if code != cli.EXIT_INPUT else stderr.startswith("error: ") and stderr.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# the fast CSV reader against the strict one, and the chunked trace writer
+# ---------------------------------------------------------------------------
+
+
+_LOADER_CELL = st.one_of(_CELL.map(repr), _HOSTILE, st.sampled_from(["1_000", " 2.5 ", "+1", "-0", "\u0661"]))
+# lines that hold no data row: blank, white space, a comment, or a comment that is not UTF-8
+_NO_DATA = st.sampled_from(["", "   ", "\t", "#", "# a comment, 1.5", "#nan", "1.5,#2", "# caf\xe9".encode("latin-1")])
+
+
+@st.composite
+def _csv_files(draw):
+    """(file bytes, expected column count): rows of in-domain or hostile cells among lines that hold no data.
+
+    A file may have no lines at all, no data rows, or one; a row may have the wrong cell count; CRLF line
+    ends, a byte-order mark and no final line end are drawn too.
+    """
+    width = draw(st.integers(1, 3))
+    cells = draw(st.sampled_from([_CELL.map(repr), _LOADER_CELL]))
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        count = draw(st.sampled_from([width] * 6 + [width + 1, width - 1]))
+        lines.append(",".join(draw(st.lists(cells, min_size=count, max_size=count))))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_NO_DATA))
+    end = draw(st.sampled_from([b"\n", b"\r\n"]))
+    data = end.join(ln if isinstance(ln, bytes) else ln.encode() for ln in lines)
+    if lines and draw(st.booleans()):
+        data += end
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    return data, draw(st.sampled_from([None, width, width + 1]))
+
+
+def _load_or_error(load, path, cols):
+    """(array, None) or (None, the error line) of one reader, and whatever it wrote to stderr or warned."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = load(path, cols), None
+        except cli.InputError as exc:
+            got = None, str(exc)
+    return got, stderr.getvalue(), [str(w.message) for w in caught]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(csv=_csv_files())
+@example(csv=(b"", 2))  # an empty file
+@example(csv=(b"\xef\xbb\xbf", None))  # a byte-order mark alone
+@example(csv=(b"\n# only a comment\n\n", 2))  # no data rows
+@example(csv=(b"0.5,1e-320\r\n", 2))  # one row, CRLF
+@example(csv=(b"\xef\xbb\xbf0.5,-1\r\n2,3\r\n", 2))  # a byte-order mark and CRLF
+@example(csv=(b"1_000,2\n", 2))  # a number Python reads and numpy does not
+@example(csv=(b"0.5,1\n2,-inf\n", None))  # a non-finite cell numpy reads
+def test_load_csv_gives_the_strict_reader_s_array_bitwise_or_its_error_line(csv):
+    """The strict reader, kept as the reference, is what ``load_csv`` read before it tried numpy's reader first."""
+    data, cols = csv
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        (arr, error), stderr, warned = _load_or_error(cli.load_csv, path, cols)
+        (want, want_error), _, _ = _load_or_error(cli._load_csv_strictly, path, cols)
+    assert (stderr, warned) == ("", [])
+    assert error == want_error
+    if want is not None:
+        assert (arr.dtype, arr.shape, arr.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+def _write_trace_by_join(path, trace):
+    """The trace writer as it was before it wrote in chunks: every line built, joined and written at once."""
+    fmt = cli._fmt
+    lines = [f"iter={rec.iteration} elbo={fmt(rec.elbo)} residual={fmt(rec.residual)}\n" for rec in trace.records]
+    lines.append(f"converged={'true' if trace.converged else 'false'} iterations={trace.records[-1].iteration}\n")
+    for plate in trace.plates.values():
+        for nid, lam, mu in zip(plate.ids, plate.lam.values.tolist(), plate.mu.values.tolist()):
+            lines.append(f"param {nid} lambda {' '.join(map(fmt, lam))}\nparam {nid} mu {' '.join(map(fmt, mu))}\n")
+    with open(path, "w") as fh:
+        fh.write("".join(lines))
+
+
+_WRITER_DATA = {
+    "simple_mixture": np.array([[0.3, 0.8, 0.2]]),
+    "two_level": np.random.default_rng(11).normal(size=(7, 2)),
+    "gmm2": np.loadtxt(io.StringIO(_GMM_ROWS), delimiter=","),
+    "logitnormal": np.random.default_rng(12).normal(size=(7, 2)),
+    **{m: np.random.default_rng(13).normal(size=(6, 5)) for m in ("matfac_vmp", "matfac_ppca", "matfac_als")},
+}
+
+
+@pytest.mark.parametrize(
+    "model, kind",
+    [
+        (model, kind)
+        for model in cli._MODELS
+        for kind in (engine.CAVI, engine.SVI, engine.PARALLEL_BLR)
+        if kind != engine.SVI or model in ("two_level", "logitnormal")  # the models SVI can step
+    ],
+)
+def test_the_chunked_trace_writer_writes_the_joined_trace_s_bytes(tmp_path, monkeypatch, model, kind):
+    """With chunks of 3 rows, every plate of more than 3 rows crosses a chunk boundary."""
+    trace = engine.fit(*_by_hand(model, _WRITER_DATA[model]), engine.Schedule(kind, seed=3), max_iter=6)
+    assert any(len(p.ids) > 3 for p in trace.plates.values()) or model == "simple_mixture"
+    _write_trace_by_join(tmp_path / "joined.txt", trace)
+    want = (tmp_path / "joined.txt").read_bytes()
+    cli.write_trace(str(tmp_path / "default.txt"), trace)
+    monkeypatch.setattr(cli, "_TRACE_CHUNK", 3)
+    cli.write_trace(str(tmp_path / "chunked.txt"), trace)
+    assert (tmp_path / "default.txt").read_bytes() == want
+    assert (tmp_path / "chunked.txt").read_bytes() == want

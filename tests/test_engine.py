@@ -327,6 +327,32 @@ def test_model_spec_rejects_a_missing_provider_plate():
         engine.ModelSpec(only_pi, two_level.provider)
 
 
+def test_model_spec_rejects_a_node_in_no_provider_plate():
+    """A node beside the provider's plates is named, whether the others come as nodes or as whole plates."""
+    two_level = models.build_two_level(make_two_level(seed=2, n=3))
+    stray = _bern_node("stray")
+    for factors in (tuple(two_level.nodes), two_level.factors):
+        with pytest.raises(engine.ConfigurationError, match="^node 'stray' is in none of the provider's plates$"):
+            engine.ModelSpec((*factors, stray), two_level.provider)
+
+
+@pytest.mark.parametrize("z_ids", [("z0", "z1", "z0"), ("z0", "z1", "pi")], ids=["in_a_plate", "across_plates"])
+def test_model_spec_rejects_whole_plates_whose_layout_repeats_an_id(z_ids):
+    """Plates that match the layout as they are still fail where the layout itself repeats an id."""
+    two_level = models.build_two_level(make_two_level(seed=2, n=3))
+    provider = models.TwoLevelProvider(3)
+    provider.plates = {"z": z_ids, "pi": ("pi",)}
+    z, pi = two_level.factors
+    with pytest.raises(engine.ConfigurationError, match="^duplicate node ids in model$"):
+        engine.ModelSpec((engine.Plate.make(z_ids, z.lam), pi), provider)
+
+
+def test_whole_plates_that_match_the_layout_are_taken_as_they_are():
+    two_level = models.build_two_level(make_two_level(seed=2, n=3))
+    model = engine.ModelSpec(two_level.factors, two_level.provider)
+    assert all(model.plates[name] is f for name, f in zip(two_level.provider.plates, two_level.factors))
+
+
 # ---------------------------------------------------------------------------
 # svi_step
 # ---------------------------------------------------------------------------

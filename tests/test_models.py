@@ -787,9 +787,7 @@ def test_one_weight_read_off_per_iteration(monkeypatch, schedule):
 
         return run
 
-    monkeypatch.setattr(
-        models, "logit_normal_natural_gradient", counted("closed_form", models.logit_normal_natural_gradient)
-    )
+    monkeypatch.setattr(models, "_logit_normal_gradient", counted("closed_form", models._logit_normal_gradient))
     monkeypatch.setattr(models, "beta_natural_gradient", counted("quadrature", models.beta_natural_gradient))
     monkeypatch.setattr(expfam, "mean_to_nat", counted("mean_to_nat", expfam.mean_to_nat))
     data = _logitnormal_data(10)
