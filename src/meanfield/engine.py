@@ -135,9 +135,6 @@ class NodeState(_Factor):
     def make(node_id: str, lam: NaturalParam, role: str = LOCAL, delta_mode: bool = False):
         return NodeState(node_id, lam, nat_to_mean(lam), role, delta_mode)
 
-    def with_lambda(self, lam: NaturalParam) -> NodeState:
-        return NodeState(self.id, lam, nat_to_mean(lam), self.role, self.delta_mode)
-
     @property
     def ids(self) -> tuple[str]:
         return (self.id,)
@@ -465,14 +462,14 @@ class FitTrace:
 # --------------------------------------------------------------------------
 
 
-def delta_moment(node):
-    """Point-mass expectations (m, m m^T) of a delta-flagged Gaussian node or plate, per row."""
-    if node.family.kind != expfam.GAUSSIAN:
+def delta_moment(plate):
+    """Point-mass expectations (m, m m^T) of a delta-flagged Gaussian plate, per row."""
+    if plate.family.kind != expfam.GAUSSIAN:
         raise DomainError("delta_moment requires a Gaussian node")
-    if not node.delta_mode:
-        raise DomainError(f"node {node.ids[0]!r} is not delta-flagged")
-    m = node.mu.values[..., : node.family.dim]  # off the node's mu
-    return expfam._derived_mean(node.family, expfam._Gaussian.moments(node.family, m))
+    if not plate.delta_mode:
+        raise DomainError(f"node {plate.ids[0]!r} is not delta-flagged")
+    m = plate.mu.values[..., : plate.family.dim]  # off the plate's mu
+    return expfam._derived_mean(plate.family, expfam._Gaussian.moments(plate.family, m))
 
 
 def _moments(node) -> np.ndarray:
@@ -488,10 +485,10 @@ def mu_snapshot(state: Mapping) -> Snapshot:
     return snap
 
 
-def blr_step(node, target: np.ndarray, rho):
-    """One damped natural-parameter step of a node or plate toward its target.
+def blr_step(plate, target: np.ndarray, rho):
+    """One damped natural-parameter step of a plate toward its target.
 
-    ``rho`` is one rate, or one rate per row of a plate; the two give
+    ``rho`` is one rate, or one rate per row of the plate; the two give
     bitwise the same step where every row has the same rate.
     """
     if isinstance(rho, (int, float)):
@@ -504,8 +501,8 @@ def blr_step(node, target: np.ndarray, rho):
             rate = rate[:, None]
     if not valid:
         raise ConfigurationError(f"rho must lie in (0, 1], got {rho}")
-    new_values = (1.0 - rate) * node.lam.values + rate * np.asarray(target, dtype=float)
-    return node.with_lambda(NaturalParam(node.lam.family, new_values))
+    new_values = (1.0 - rate) * plate.lam.values + rate * np.asarray(target, dtype=float)
+    return plate.with_lambda(NaturalParam(plate.lam.family, new_values))
 
 
 def _target(model: ModelSpec, plate: str, snap: Snapshot, data) -> np.ndarray:

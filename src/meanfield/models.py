@@ -718,46 +718,28 @@ class LogitNormalProvider(CoefficientProvider):
 
     The prior factorizes as h(z) exp(f) with h(z) = 1/(z(1-z)) and
     f = -(t - m)^2 / 2 in the logit t = logit(z); the non-conjugate f enters
-    the weight node's coefficient through its natural gradient, acting as a
-    pseudo-conjugate Beta term.  For this default f the natural gradient
-    and E_q[f] are closed form (``logit_normal_natural_gradient``).
-    ``log_prior_core`` may override f (used by the conjugate cross-checks);
-    it maps an array of t to an array, and is read off by quadrature
-    (``beta_natural_gradient``).
+    the weight plate's coefficient through its natural gradient, acting as
+    a pseudo-conjugate Beta term.  For this f the natural gradient and
+    E_q[f] are closed form (``logit_normal_natural_gradient``).
 
     The weight read-off (the natural gradient and E_q[f]) is taken at the
-    Beta natural parameters the snapshot carries for "pi", whose (a, b) come
-    off what validation of the stacked lambda kept, and memoised on
-    the snapshot for this provider and data until "pi" is put: the step,
-    the fixed-point residual and the ELBO at one weight state share one
-    read-off.  Besides its plates the provider holds only the model's
-    ``log_prior_core``; a fit sets nothing on it.
+    (a, b) that validation of the weight plate's stacked lambda kept, and
+    memoised on the snapshot for this provider and data until "pi" is put:
+    the step, the fixed-point residual and the ELBO at one weight state
+    share one read-off.  The provider holds only its plates; a fit sets
+    nothing on it.
     """
 
-    def __init__(self, n: int, log_prior_core=None):
-        self.log_prior_core = log_prior_core
+    def __init__(self, n: int):
         self.plates = {"z": _z_ids(n), "pi": ("pi",)}
-
-    def _read_off(self, lam, data: LogitNormalMixtureData):
-        """(gradient, E_q[f]) at the weight's lambda: closed form for the default f, else quadrature."""
-        if self.log_prior_core is None:
-            return logit_normal_natural_gradient(lam, data.m)
-        return beta_natural_gradient(lam, self.log_prior_core)
 
     def _weight_read_off(self, mus, data: LogitNormalMixtureData):
         """((alpha_hat, beta_hat), E_q[f]) at the lambda of "pi", memoised on the snapshot until "pi" is put."""
 
         def read_off():
-            lam = mus.lam("pi")
-            if self.log_prior_core is None:  # the closed form, at the (a, b) that validation of "pi" kept
-                return _logit_normal_gradient(*lam._kept[0][0], data.m)
-            return self._read_off(expfam.row_view(lam, 0), data)
+            return _logit_normal_gradient(*mus.lam("pi")._kept[0][0], data.m)
 
         return mus.read_off("pi read-off", self, data, read_off)
-
-    def pseudo_prior(self, lam: NaturalParam, data: LogitNormalMixtureData) -> np.ndarray:
-        """(alpha_hat, beta_hat): natural gradient of the non-conjugate term at the weight's lambda."""
-        return self._read_off(lam, data)[0]
 
     def coefficient(self, plate, mus, data: LogitNormalMixtureData):
         if plate == "pi":

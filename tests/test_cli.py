@@ -836,6 +836,18 @@ def test_load_csv_gives_the_strict_reader_s_array_bitwise_or_its_error_line(csv)
         assert (arr.dtype, arr.shape, arr.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
+def test_load_csv_reads_a_file_with_a_comment_and_a_blank_line_without_the_strict_reader(tmp_path, monkeypatch):
+    """numpy's reader reads the lines the strict reader keeps: a # header and a white-space line cost no second parse."""
+    path = _write(tmp_path / "data.csv", "# log_pa,log_pb\n0.1,0.4\n  \t\n-0.3,0.2\n\n")
+
+    def strict(*args):
+        raise AssertionError("the strict reader was called")
+
+    monkeypatch.setattr(cli, "_load_csv_strictly", strict)
+    arr = cli.load_csv(path, 2)
+    assert (arr.dtype, arr.tolist()) == (np.float64, [[0.1, 0.4], [-0.3, 0.2]])
+
+
 def _write_trace_by_join(path, trace):
     """The trace writer as it was before it wrote in chunks: every line built, joined and written at once."""
     fmt = cli._fmt
@@ -855,6 +867,14 @@ _WRITER_DATA = {
     "logitnormal": np.random.default_rng(12).normal(size=(7, 2)),
     **{m: np.random.default_rng(13).normal(size=(6, 5)) for m in ("matfac_vmp", "matfac_ppca", "matfac_als")},
 }
+
+
+@pytest.mark.parametrize("model", cli._MODELS)
+def test_every_cli_model_s_provider_holds_only_its_plates(model):
+    """A provider states its model's coefficients: it holds its plate layout and nothing else."""
+    spec, _ = _by_hand(model, _WRITER_DATA[model])
+    assert set(vars(spec.provider)) <= {"plates"}
+    assert set(spec.provider.plates) == set(spec.plates)
 
 
 @pytest.mark.parametrize(

@@ -19,15 +19,19 @@ def _bern_node(node_id="z", log_odds=0.5, **kw):
     return engine.NodeState.make(node_id, expfam.bernoulli_natural(log_odds), **kw)
 
 
+def _bern_plate(node_id="z", log_odds=0.5):
+    return _one_row_plate(node_id, expfam.bernoulli_natural(log_odds))
+
+
 # ---------------------------------------------------------------------------
-# NodeState
+# Plate and NodeState
 # ---------------------------------------------------------------------------
 
 
 def test_mu_cache_coherent_after_update():
-    node = _bern_node(log_odds=2.0)
+    node = _bern_plate(log_odds=2.0)
     assert node.mu.values == pytest.approx(expfam.nat_to_mean(node.lam).values)
-    moved = node.with_lambda(expfam.bernoulli_natural(-1.0))
+    moved = node.with_lambda(expfam.NaturalParam(node.family, np.array([[-1.0]])))
     assert moved.mu.values == pytest.approx(expfam.nat_to_mean(moved.lam).values)
 
 
@@ -44,26 +48,26 @@ def test_delta_mode_requires_gaussian():
 
 
 def test_blr_step_convex_combination():
-    node = _bern_node(log_odds=2.0)
+    node = _bern_plate(log_odds=2.0)
     out = engine.blr_step(node, np.array([4.0]), 0.5)
     assert out.lam.values[0] == pytest.approx(3.0)
 
 
 def test_blr_step_full_rate_lands_on_target():
-    node = _bern_node(log_odds=-1.3)
+    node = _bern_plate(log_odds=-1.3)
     out = engine.blr_step(node, np.array([0.7]), 1.0)
     assert out.lam.values[0] == pytest.approx(0.7)
 
 
 def test_blr_step_fixed_point_is_stationary():
     for rho in (0.1, 0.5, 1.0):
-        node = _bern_node(log_odds=0.9)
+        node = _bern_plate(log_odds=0.9)
         out = engine.blr_step(node, np.array([0.9]), rho)
         assert out.lam.values[0] == pytest.approx(0.9)
 
 
 def test_blr_step_rejects_bad_rate():
-    node = _bern_node()
+    node = _bern_plate()
     with pytest.raises(engine.ConfigurationError):
         engine.blr_step(node, np.array([1.0]), 0.0)
     with pytest.raises(engine.ConfigurationError):
@@ -72,7 +76,7 @@ def test_blr_step_rejects_bad_rate():
 
 def test_blr_step_domain_exit_raises():
     # a damped step from Beta(2,2) toward a negative target can leave alpha > 0
-    node = engine.NodeState.make("pi", expfam.beta_natural(2.0, 2.0))
+    node = _one_row_plate("pi", expfam.beta_natural(2.0, 2.0))
     with pytest.raises(expfam.DomainError):
         engine.blr_step(node, np.array([-40.0, -40.0]), 1.0)
 

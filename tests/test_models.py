@@ -582,21 +582,19 @@ def test_pseudo_prior_conjugate_cross_check():
     """Feeding a Beta log-density through the quadrature natural-gradient
     path must read off that density's own natural parameters."""
     a0, b0 = 3.5, 1.25
-    provider = models.LogitNormalProvider(
-        2, log_prior_core=lambda t: (a0 - 1.0) * _log_z(t) + (b0 - 1.0) * _log_z(-t)
-    )
-    data = models.LogitNormalMixtureData([0.0, 0.0], [0.0, 0.0], 0.0)
+
+    def core(t):
+        return (a0 - 1.0) * _log_z(t) + (b0 - 1.0) * _log_z(-t)
+
     # a + b = 2000 and 1e5: the logit of a concentrated Beta spreads far less than one unit
     for ab in [(2.0, 3.0), (1.0, 1.0), (6.0, 4.0), (600.0, 1400.0), (2e4, 8e4)]:
-        got = provider.pseudo_prior(expfam.beta_natural(*ab), data)
+        got = models.beta_natural_gradient(expfam.beta_natural(*ab), core)[0]
         assert got == pytest.approx([a0 - 1.0, b0 - 1.0], abs=1e-8)
 
 
 def test_pseudo_prior_symmetric_when_m_zero():
-    provider = models.LogitNormalProvider(1)
-    data = models.LogitNormalMixtureData([0.0], [0.0], 0.0)
     for ab in (1.5, 4.0, 0.8, 500.0):
-        g = provider.pseudo_prior(expfam.beta_natural(ab, ab), data)
+        g = models.logit_normal_natural_gradient(expfam.beta_natural(ab, ab), 0.0)[0]
         assert g[0] == pytest.approx(g[1], abs=1e-9)
 
 
@@ -608,7 +606,11 @@ def test_logitnormal_beta_core_matches_two_level_coefficients(two_level_data):
     ln_data = models.LogitNormalMixtureData(
         two_level_data.log_pa, two_level_data.log_pb, 0.0
     )
-    provider = models.LogitNormalProvider(n, log_prior_core=lambda t: a0 * _log_z(t) + b0 * _log_z(-t))
+    provider = models.LogitNormalProvider(n)
+
+    def core(t):
+        return a0 * _log_z(t) + b0 * _log_z(-t)
+
     # the reciprocal base measure 1/(z(1-z)) folds (-1,-1) into the read-off,
     # so the core above carries exponents (a0, b0): h(z) exp(core) = Beta density
     tl = models.TwoLevelProvider(n)
@@ -621,7 +623,7 @@ def test_logitnormal_beta_core_matches_two_level_coefficients(two_level_data):
             "pi": engine.Plate.make(("pi",), expfam.NaturalParam(weight.family, weight.values[None, :])),
         }
     )
-    got = provider.coefficient("pi", snap, ln_data)[0]
+    got = models._weight_coefficient(*models.beta_natural_gradient(weight, core)[0], snap)[0]
     want = tl.coefficient("pi", snap, two_level_data)[0]
     assert got == pytest.approx(want, abs=1e-8)
     for i in range(n):
@@ -805,11 +807,12 @@ def test_weight_read_off_is_not_reused_under_another_m():
     snap = engine.mu_snapshot({**model.plates, "pi": models._global("pi", lam)})
     for m in (0.3, -1.2, 0.3):
         data = _logitnormal_data(2, m=m)
-        got = provider.pseudo_prior(lam, data)
+        got = models.logit_normal_natural_gradient(lam, data.m)[0]
         want, _ = models.beta_natural_gradient(expfam.beta_natural(3.0, 2.0), _logit_normal_core(m))
         assert got == pytest.approx(want, rel=1e-6)
         fresh = engine.mu_snapshot(snap.plates)
         assert provider.coefficient("pi", snap, data).tolist() == provider.coefficient("pi", fresh, data).tolist()
+        assert provider.coefficient("pi", snap, data).tolist() == models._weight_coefficient(*got, snap).tolist()
         assert engine.elbo(model, snap, data) == engine.elbo(model, fresh, data)
 
 
