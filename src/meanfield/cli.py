@@ -8,10 +8,8 @@ Config files are flat key=value text; a line that starts with # is a
 comment (a # inside a value is part of it), and unknown keys are errors.
 Data files are plain CSV, one observation per row, every cell a finite
 number; blank lines and lines that start with # are skipped.  numpy's reader
-takes a well-formed data file in one pass, and one with blank or # lines
-in a second pass over the lines that are left; a file it still rejects is
-read again by a strict line-by-line reader, whose error names the
-offending row.
+takes a well-formed data file in one pass; a file it rejects is read again
+by a strict line-by-line reader, whose error names the offending row.
 Traces are line-delimited records with a fixed field order and
 17-significant-digit floats, so two runs with the same config and seed
 produce byte-identical files.
@@ -163,30 +161,19 @@ def load_csv(path: str, expected_cols: int | None = None) -> np.ndarray:
     """The data rows of a CSV as a float array; on malformed input the error names the first offending row.
 
     numpy's reader takes a well-formed file in one pass.  A file it does not
-    take, such as one with a blank or # line, is read by numpy once more,
-    over the stripped lines that are neither blank nor # lines.  A file that
-    numpy's reader still does not take, or takes with no rows, the wrong
-    column count or a non-finite cell, is read again by the strict reader,
-    which names the row.
+    take, or takes with no rows, the wrong column count or a non-finite cell,
+    is read again by the strict reader, which names the row.
     """
-    arr = None
-    for lines in (lambda fh: fh, _data_lines):
-        try:
-            # The handle is opened here, not by loadtxt, so that a path is never read as a URL or an archive.
-            with open(path, encoding="utf-8-sig") as fh, warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # an empty file's "input contained no data"
-                arr = np.loadtxt(lines(fh), delimiter=",", ndmin=2, comments=None)
-            break
-        except Exception:
-            continue
+    try:
+        # The handle is opened here, not by loadtxt, so that a path is never read as a URL or an archive.
+        with open(path, encoding="utf-8-sig") as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an empty file's "input contained no data"
+            arr = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+    except Exception:
+        arr = None
     if arr is not None and arr.shape[0] and arr.shape[1] == (expected_cols or arr.shape[1]) and np.isfinite(arr).all():
         return arr
     return _load_csv_strictly(path, expected_cols)
-
-
-def _data_lines(fh):
-    """The stripped lines of a file that are neither blank nor # lines, as the strict reader keeps them."""
-    return (line for line in map(str.strip, fh) if line and not line.startswith("#"))
 
 
 def _load_csv_strictly(path: str, expected_cols: int | None) -> np.ndarray:
@@ -201,7 +188,8 @@ def _load_csv_strictly(path: str, expected_cols: int | None) -> np.ndarray:
             _require_finite_rows(path, rows, linenos)  # a non-finite row above is named first
             raise InputError(f"{path}: row {lineno} has {len(cells)} fields, expected {want}")
         try:
-            rows.append([float(c) for c in cells])
+            # str.strip, as numpy's reader, also strips the bytes \x1c-\x1f around a cell, which float keeps.
+            rows.append([float(c.strip()) for c in cells])
         except ValueError as exc:
             _require_finite_rows(path, rows, linenos)
             raise InputError(f"{path}: row {lineno}: {exc}") from exc
