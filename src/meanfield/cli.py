@@ -114,10 +114,10 @@ def parse_config(path: str) -> RunConfig:
     for lineno, line in enumerate(_read_lines(path, "config"), start=1):
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise InputError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, val = line.partition("=")
+        key, eq, val = line.partition("=")
         key, val = key.strip(), val.strip()
+        if not (eq and key):
+            raise InputError(f"{path}:{lineno}: expected key=value, got {line!r}")
         if key in values:
             raise InputError(f"{path}:{lineno}: duplicate key {key!r}")
         values[key] = val

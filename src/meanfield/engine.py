@@ -22,8 +22,12 @@ Python work per plate whatever the number of data.
 
 A fit's state is one ``Snapshot``, which a provider reads: per plate, the
 plate, its lambda and the expectations the others see, set together after
-each step.  A non-conjugate term reads its natural gradient off the lambda
-directly, as in conjugate-computation VI, not off mu solved back to lambda.
+each step.  A snapshot holds plates only: its one setter, ``Snapshot.put``,
+rejects anything else, so a sweep checks no more than that the model's
+plate names are there, and the ELBO and residual read the model's plates,
+not every entry.  A non-conjugate term reads its natural gradient off the
+lambda directly, as in conjugate-computation VI, not off mu solved back to
+lambda.
 
 ``fit`` passes its one snapshot to every sweep, fixed-point residual and
 ELBO, which read and update it in place.  Given a plate dict, they build a
@@ -46,7 +50,8 @@ plates to ``ModelSpec``, orders name plates, the SVI local step is one row
 of the local plate, and ``fit`` hands its final plates back as
 ``FitTrace.plates``.  Per-id access (``ModelSpec.nodes``, ``FitTrace.state``)
 is a ``NodeView``: a read-only lookup from id to (plate, row) that copies
-and validates nothing.
+and validates nothing.  It is no state for a snapshot, whose ``put``
+refuses its nodes; the diagnostics take it by reading its plates.
 """
 
 from __future__ import annotations
@@ -193,22 +198,22 @@ class Snapshot:
     NaturalParam, and ``snap.plates`` a read-only view of the plates
     themselves.  ``put`` is the only setter: it sets a plate, its lambda and
     its expectations together, so no expectation is paired with a stale
-    lambda, and drops every memoised value that read the entry.
+    lambda, and drops every memoised value that read the entry; it admits
+    nothing but a plate.
     ``read_off`` is the one memo: it holds a value until an entry it read
     through ``snap[...]`` or ``snap.lam(...)`` is put.  ``coefficient`` is a
     plate's coefficient memoised by it, and ``reads`` the entries that
     read; a read through ``snap.plates`` is not recorded.
     """
 
-    __slots__ = ("_plates", "plates", "_mus", "_read", "_memo", "_checked")
+    __slots__ = ("_plates", "plates", "_mus", "_read", "_memo")
 
     def __init__(self):
-        self._plates: dict[str, Plate | NodeState] = {}
+        self._plates: dict[str, Plate] = {}
         self.plates = MappingProxyType(self._plates)  # what the entries were set from, read-only
         self._mus: dict[str, np.ndarray] = {}
         self._read: set[str] = set()  # entries read by the read-off under way
         self._memo: dict = {}  # slot -> (owner, data, entries read, value); see read_off
-        self._checked = None  # the model whose plates every entry was last found to hold (see _snapshot)
 
     def __getitem__(self, name: str) -> np.ndarray:
         mu = self._mus[name]
@@ -221,12 +226,17 @@ class Snapshot:
         self._read.add(name)
         return lam
 
-    def put(self, name: str, factor) -> None:
-        """Set the entry of ``name`` from a plate or node, and drop every memoised value that read it."""
-        self._plates[name] = factor
-        self._mus[name] = _moments(factor)
-        if factor.__class__ is not Plate:
-            self._checked = None
+    def put(self, name: str, plate: Plate) -> None:
+        """Set the entry of ``name`` from a plate, and drop every memoised value that read it.
+
+        Anything but a ``Plate`` (a per-id ``NodeState``, say) is a
+        ConfigurationError naming ``name``.  The expectations set are
+        delta-substituted where the plate is flagged.
+        """
+        if not isinstance(plate, Plate):
+            raise ConfigurationError(f"state entry {name!r} is not a Plate: pass dict(model.plates) or trace.plates")
+        self._plates[name] = plate
+        self._mus[name] = (delta_moment(plate) if plate.delta_mode else plate.mu).values
         self._memo = {slot: held for slot, held in self._memo.items() if name not in held[2]}
 
     def read_off(self, slot, owner, data, fn, *args):
@@ -472,13 +482,11 @@ def delta_moment(plate):
     return expfam._derived_mean(plate.family, expfam._Gaussian.moments(plate.family, m))
 
 
-def _moments(node) -> np.ndarray:
-    """The expectations other nodes see: delta-substituted where flagged."""
-    return (delta_moment(node) if node.delta_mode else node.mu).values
-
-
 def mu_snapshot(state: Mapping) -> Snapshot:
-    """A new snapshot of the given plates: each one's expectations, delta-substituted where flagged, and lambda."""
+    """A new snapshot of the given plates: each one's expectations, delta-substituted where flagged, and lambda.
+
+    An entry that is not a ``Plate`` is a ConfigurationError naming its key (see ``Snapshot.put``).
+    """
     snap = Snapshot()
     for name, factor in state.items():
         snap.put(name, factor)
@@ -533,17 +541,16 @@ def _step_with_backoff(plate: Plate, target: np.ndarray, rho: float, rows=None):
     halves any rate, so a finite target costs no pass of its own.  Every
     row steps at rate ``rho``, passed as one scalar; a row whose step leaves
     the parameter domain retries at half its rate, the other rows keep theirs.
+    ``rows`` given, those rows alone step, at rate 1 whatever ``rho``, as
+    ``svi_step`` steps its row: the other rows step onto their own lambda,
+    which at rate 1 leaves them exactly as they are.
     """
     lam = plate.lam.values
     goal = np.asarray(target, dtype=float).reshape(lam.shape)
-    rate = float(rho)
+    rate = float(rho) if rows is None else 1.0
     if rows is not None:
-        # a rate-1 step onto its own lambda leaves a row exactly as it is
         goal, spliced = lam.copy(), goal
         goal[rows] = spliced[rows]
-        if rate != 1.0:
-            rate = np.full(len(plate.ids), 1.0)
-            rate[rows] = float(rho)
     for _ in range(_MAX_RATE_HALVINGS):
         try:
             return blr_step(plate, goal, rate)
@@ -565,24 +572,18 @@ def _step_with_backoff(plate: Plate, target: np.ndarray, rho: float, rows=None):
 
 
 def _snapshot(model: ModelSpec, state) -> Snapshot:
-    """``state`` itself if it is a snapshot, else a new one of a plate dict; either must hold every plate.
+    """``state`` itself if it is a snapshot, else a new one of a plate dict; either must name every plate.
 
-    A snapshot found to hold every plate of this model is marked and not
-    checked again: a put of a plate keeps the mark, a put of anything else
-    drops it.
+    Only the names are checked: ``Snapshot.put`` admits nothing but a plate,
+    so a snapshot holds plates only, and a new one of a dict that holds
+    anything else is refused as it is built.  Entries beyond the model's
+    plates may be there; the sweeps and diagnostics read only the model's.
     """
-    snap = state if isinstance(state, Snapshot) else None
-    if snap is not None and snap._checked is model:
-        return snap
-    plates = state if snap is None else snap.plates
-    if set(map(type, map(plates.get, model.plates))) != {Plate}:  # the names are listed only on failure
-        missing = [name for name in model.plates if not isinstance(plates.get(name), Plate)]
-        if missing:
-            raise ConfigurationError(f"state has no plate {missing[0]!r}: pass dict(model.plates) or trace.plates")
-    if snap is None:
-        return mu_snapshot(state)
-    snap._checked = model
-    return snap
+    plates = state.plates if isinstance(state, Snapshot) else state
+    if not model.plates.keys() <= plates.keys():
+        missing = next(name for name in model.plates if name not in plates)
+        raise ConfigurationError(f"state has no plate {missing!r}: pass dict(model.plates) or trace.plates")
+    return mu_snapshot(state) if plates is state else state
 
 
 def _sweep(model: ModelSpec, state, data, steps, frozen: bool = False):
@@ -609,7 +610,8 @@ def _sweep(model: ModelSpec, state, data, steps, frozen: bool = False):
 
 def cavi_sweep(model: ModelSpec, state, data, order=None):
     """One rho = 1 sweep over the named plates (default: the model's order), each seeing the freshest expectations."""
-    order = order or model.sweep_order or tuple(sorted(model.plates, key=lambda n: model.plates[n].role != LOCAL))
+    if order is None:
+        order = model.sweep_order or tuple(sorted(model.plates, key=lambda n: model.plates[n].role != LOCAL))
     unknown = [name for name in order if name not in model.plates]
     if unknown:
         raise ConfigurationError(f"sweep order names {unknown[0]!r}, which is not a plate of the model")
@@ -617,7 +619,7 @@ def cavi_sweep(model: ModelSpec, state, data, order=None):
 
 
 def svi_step(model: ModelSpec, state, data, row: int, rho_t: float):
-    """Full step on one row of the local plate, then a damped step on the global node."""
+    """Full (rate 1) step on one row of the local plate, then a damped step on the global node."""
     local, global_ = model._svi_plates
     if not 0 <= row < len(model.plates[local].ids):
         raise ConfigurationError(f"SVI row {row} is outside local plate {local!r}")
@@ -637,11 +639,12 @@ def _parallel_step(model: ModelSpec, state, data, rho: float):
 def elbo(model: ModelSpec, state, data) -> float:
     """Expected log-joint plus entropies; delta-flagged nodes contribute no entropy.
 
-    ``state`` is a plate dict, its NodeView or a snapshot.
+    ``state`` is a plate dict, its NodeView or a snapshot.  The entropies are
+    of the model's plates; any other entry of the state adds none.
     """
     snap = _snapshot(model, state.plates if isinstance(state, NodeView) else state)
     total = model.provider.expected_log_joint(snap, data)
-    for plate in snap.plates.values():
+    for plate in (snap.plates[name] for name in model.plates):
         if not plate.delta_mode:
             total += float(np.add.reduce(expfam.entropy(plate.lam, plate.mu), axis=None))
     return total
@@ -650,12 +653,14 @@ def elbo(model: ModelSpec, state, data) -> float:
 def fixed_point_residual(model: ModelSpec, state, data) -> float:
     """Max over nodes of the infinity-norm gap between lambda and its coefficient.
 
-    ``state`` is a plate dict, its NodeView or a snapshot.  A non-finite
-    coefficient is a NumericalError naming its node, as in a step.
+    ``state`` is a plate dict, its NodeView or a snapshot, of which only the
+    model's plates are read.  A non-finite coefficient is a NumericalError
+    naming its node, as in a step.
     """
     snap = _snapshot(model, state.plates if isinstance(state, NodeView) else state)
     worst = 0.0
-    for name, plate in snap.plates.items():
+    for name in model.plates:
+        plate = snap.plates[name]
         target = _target(model, name, snap, data)
         gap = float(np.maximum.reduce(np.abs(plate.lam.values - target), axis=None))
         if not math.isfinite(gap):  # a finite lambda: the target is the cause, unless the gap overflowed

@@ -190,8 +190,16 @@ class GMMData:
         if self.nu0 <= d - 1:
             raise ValueError(f"nu0 must exceed D-1 = {d - 1}, got {self.nu0:g}")
         w0 = 0.5 * (w0 + w0.T)
-        if not np.all(np.linalg.eigvalsh(w0) > 0.0):
+        least = float(np.linalg.eigvalsh(w0)[0])
+        if not least > 0.0:
             raise ValueError(f"w0 must be positive definite, got {w0.tolist()}")
+        try:  # the prior's lambda, formed as build_gmm2 forms it: W0^-1 overflows, or w0 has no Cholesky factor
+            with np.errstate(over="raise"):
+                gw_natural(self.nu0, self.gamma0, np.zeros(d), w0)
+        except FloatingPointError:
+            raise ValueError(f"w0 is too small: its inverse overflows, smallest eigenvalue {least:g}") from None
+        except expfam.DomainError:
+            raise ValueError(f"w0 must be positive definite, got {w0.tolist()}") from None
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "w0", w0)
 

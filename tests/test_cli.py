@@ -272,6 +272,15 @@ def test_duplicate_config_key_rejected(tmp_path):
     assert cli.main(["fit", "--config", cfg]) == cli.EXIT_INPUT
 
 
+@pytest.mark.parametrize("line", ["=5", " = "])
+def test_a_config_line_with_an_empty_key_is_named(tmp_path, capsys, line):
+    """A line whose key is empty is no key=value line: the error names the file, the line and its text."""
+    cfg, out = _fit_config(tmp_path, "0.1,0.4\n", extra=f"{line}\n")
+    assert cli.main(["fit", "--config", cfg]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {cfg}:4: expected key=value, got {line.strip()!r}\n"
+    assert not os.path.exists(out)
+
+
 def test_missing_data_file_rejected(tmp_path):
     cfg = _write(
         tmp_path / "run.cfg",
@@ -517,6 +526,15 @@ def test_a_delta_whose_prior_variance_overflows_is_named(tmp_path, model, extra,
     assert proc.returncode == cli.EXIT_INPUT
     value = extra.partition("=")[2]
     assert proc.stderr == f"error: {key} is too small: the prior variance 1 / {key} overflows, got {value}\n"
+
+
+def test_a_w0_whose_inverse_overflows_is_named(tmp_path):
+    """The prior's W0^-1 overflows at build: the data class names w0, with no numpy warning before it."""
+    cfg, out = _fit_config(tmp_path, "0.1,0.2\n-1,0.5\n0.3,-0.2\n", extra="w0_scale=3e-309\n", model="gmm2")
+    proc = _run_cli(cfg)
+    assert proc.returncode == cli.EXIT_INPUT
+    assert proc.stderr == "error: w0 is too small: its inverse overflows, smallest eigenvalue 3e-309\n"
+    assert not os.path.exists(out)
 
 
 def test_a_small_delta_whose_prior_variance_is_finite_still_fits(tmp_path):

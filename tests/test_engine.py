@@ -416,9 +416,39 @@ def test_the_parallel_rate_is_defaulted_and_checked_by_schedule():
             engine.Schedule(engine.PARALLEL_BLR, rho=bad)
 
 
+@pytest.mark.parametrize("kind", ["dict", "snapshot"])
+def test_an_empty_sweep_order_steps_no_plate(two_level_data, kind):
+    """``order=()`` names no plate, so nothing steps; only ``order=None`` means the model's order."""
+    model = models.build_two_level(two_level_data, seed=2)
+    state = dict(model.plates) if kind == "dict" else engine.mu_snapshot(model.plates)
+    assert engine.cavi_sweep(model, state, two_level_data, order=()) is state
+    plates = state if kind == "dict" else state.plates
+    assert plates.keys() == model.plates.keys()
+    assert all(plates[name] is plate for name, plate in model.plates.items())
+
+
 # ---------------------------------------------------------------------------
 # fit / elbo / residual
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("make", [dict, engine.mu_snapshot], ids=["dict", "snapshot"])
+def test_the_diagnostics_read_the_model_s_plates_and_no_other_entry(two_level_data, make):
+    """A state entry that is not one of the model's plates adds no entropy and has no residual."""
+    model = models.build_two_level(two_level_data, seed=2)
+    gmm_data, _ = make_gmm(seed=0, n=8)
+    plain, extra = make(model.plates), make({**model.plates, "comp": models.build_gmm2(gmm_data).plates["comp"]})
+    assert engine.elbo(model, extra, two_level_data) == engine.elbo(model, plain, two_level_data)
+    residual = engine.fixed_point_residual(model, plain, two_level_data)
+    assert engine.fixed_point_residual(model, extra, two_level_data) == residual
+
+
+def test_a_snapshot_of_the_per_id_view_is_refused_naming_its_first_id(two_level_data):
+    """A NodeView's entries are per-id nodes, not plates, so no snapshot is made of them."""
+    model = models.build_two_level(two_level_data, seed=2)
+    trace = engine.fit(model, two_level_data, max_iter=2)
+    with pytest.raises(engine.ConfigurationError, match="state entry 'z0' is not a Plate"):
+        engine.mu_snapshot(trace.state)
 
 
 def test_simple_mixture_converges_in_one_iteration():
@@ -815,14 +845,15 @@ def test_the_reads_of_a_coefficient_dropped_by_a_put_are_a_key_error():
 
 
 def test_a_checked_snapshot_whose_plate_is_put_back_as_a_node_is_rejected(two_level_data):
-    """The check a snapshot passed holds until a put of anything but a plate."""
+    """A snapshot a fit has used admits nothing but a plate: the put of a node is refused and leaves the entry."""
     model = models.build_two_level(two_level_data, seed=3)
     snap = engine.mu_snapshot(model.plates)
     engine.cavi_sweep(model, snap, two_level_data)
-    engine.cavi_sweep(model, snap, two_level_data)  # checked once, then marked
-    snap.put("pi", engine.NodeView(dict(snap.plates))["pi"])
-    with pytest.raises(engine.ConfigurationError, match="state has no plate 'pi'"):
-        engine.elbo(model, snap, two_level_data)
+    engine.cavi_sweep(model, snap, two_level_data)
+    pi = snap.plates["pi"]
+    with pytest.raises(engine.ConfigurationError, match="state entry 'pi' is not a Plate"):
+        snap.put("pi", engine.NodeView(dict(snap.plates))["pi"])
+    assert snap.plates["pi"] is pi
 
 
 _INSTANCES = checks._model_instances(0)
@@ -937,8 +968,8 @@ def test_a_non_finite_target_row_is_named():
     with pytest.raises(expfam.NumericalError, match="update target of node 'z2' is not finite"):
         engine._step_with_backoff(plate, target, 1.0)
     # a row outside the stepped rows keeps its lambda, so its target is not read
-    out = engine._step_with_backoff(plate, target, 0.5, rows=[1])
-    assert out.lam.values[:, 0].tolist() == [0.0, 0.5, 0.0, 0.0]
+    out = engine._step_with_backoff(plate, target, 1.0, rows=[1])
+    assert out.lam.values[:, 0].tolist() == [0.0, 1.0, 0.0, 0.0]
 
 
 def _counted_blr_steps(monkeypatch) -> list:

@@ -46,6 +46,15 @@ def test_data_classes_reject_bad_inputs():
         message = re.escape(f"{key} is too small: the prior variance 1 / {key} overflows, got {float(delta)!r}")
         with pytest.raises(ValueError, match=message):
             models.MatrixFactorizationData(np.ones((2, 2)), 1, **{key: delta})
+    rotation = np.array([[0.6, -0.8], [0.8, 0.6]])
+    for w0 in (3e-309 * np.eye(2), 1e-320 * np.eye(3), rotation @ np.diag([3e-309, 1e-300]) @ rotation.T):
+        least = float(np.linalg.eigvalsh(0.5 * (w0 + w0.T))[0])  # the prior's W0^-1 overflows
+        message = f"w0 is too small: its inverse overflows, smallest eigenvalue {least:g}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            models.GMMData(np.zeros((5, len(w0))), 1.0, 1.0, 1.0, 3.0, w0)
+    # eigenvalues 5.6e-17 and 1 once symmetrised, but no Cholesky factor, so no prior can be formed
+    with pytest.raises(ValueError, match="w0 must be positive definite"):
+        models.GMMData(np.zeros((5, 2)), w0=rotation @ np.diag([5.5e-309, 1.0]) @ rotation.T)
     with pytest.raises(ValueError):
         models.MatrixFactorizationData(np.ones((2, 2)), 0, 1.0, 1.0)
     with pytest.raises(ValueError):
@@ -72,6 +81,15 @@ def test_data_classes_reject_bad_inputs():
             models.LogitNormalMixtureData([bad], [0.0], 0.0)
         with pytest.raises(ValueError, match="m must be finite"):
             models.LogitNormalMixtureData([0.0], [0.0], bad)
+
+
+def test_a_w0_whose_inverse_is_finite_is_taken_though_one_over_its_least_eigenvalue_overflows():
+    """Rotated, W0^-1 spreads 1 / 5.5e-309 (above the largest float) over finite entries, and the fit runs."""
+    rotation = np.array([[0.6, -0.8], [0.8, 0.6]])
+    w0 = rotation @ np.diag([5.5e-309, 1e-300]) @ rotation.T
+    data = models.GMMData(np.array([[0.1, 0.2], [-1.0, 0.5], [0.3, -0.2], [2.0, 1.0]]), w0=w0)
+    assert not math.isfinite(1.0 / float(np.linalg.eigvalsh(data.w0)[0]))
+    assert engine.fit(models.build_gmm2(data, seed=0), data, max_iter=20).converged
 
 
 def test_gmm_data_rejects_a_w0_of_the_wrong_shape():
