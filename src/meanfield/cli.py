@@ -23,19 +23,20 @@ Config and data files are read as UTF-8; a leading byte-order mark is
 skipped.
 
 The MEANFIELD_LOG env var controls verbosity: a logging level name such as
-"debug", "info" or "warning", in any case; unset or empty means "warning".
-Any other value is a usage error.
+"debug", "info" or "warning", in any case, configures the root logger at
+that level on every call of ``main``.  Unset or empty means "warning", at
+which meanfield logs nothing, so no logging is configured (or imported) and
+an in-process ``main`` leaves the root logger alone.  Any other value is a
+usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import logging
 import os
 import sys
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,8 +47,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NO_CONVERGENCE = 2
 EXIT_USAGE = 64
-
-log = logging.getLogger("meanfield")
 
 # One row per model: its CSV column count (None: any), data class, builder and
 # config keys.  A key left unset takes the data class's default.  The data
@@ -78,16 +77,14 @@ class InputError(Exception):
     pass
 
 
-@dataclass
 class RunConfig:
     """A parsed config; ``stop`` holds the ``tol`` and ``max_iter`` it sets, for ``engine.fit`` to default the rest."""
 
-    model: str
-    data_path: str
-    output_path: str
-    schedule: engine.Schedule
-    stop: dict
-    extras: dict
+    def __init__(
+        self, model: str, data_path: str, output_path: str, schedule: engine.Schedule, stop: dict, extras: dict
+    ):
+        self.model, self.data_path, self.output_path = model, data_path, output_path
+        self.schedule, self.stop, self.extras = schedule, stop, extras
 
 
 def _read_lines(path: str, what: str) -> list[str]:
@@ -257,7 +254,8 @@ def _plate_lines(plate: engine.Plate):
         yield row * len(ids) % tuple(cells.ravel().tolist())
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args, log=None) -> int:
+    """Run the fit the config names; ``log``, where MEANFIELD_LOG sets one, gets one INFO line at the end."""
     try:
         cfg = parse_config(args.config)
         # Overflow to a non-finite value is reported by the engine's checks, on the one error line.
@@ -271,7 +269,8 @@ def cmd_fit(args) -> int:
     except MemoryError as exc:  # numpy's names the allocation it could not make
         print(f"error: out of memory{': ' if str(exc) else ''}{exc}", file=sys.stderr)
         return EXIT_INPUT
-    log.info("finished: converged=%s iterations=%d", trace.converged, trace.records[-1].iteration)
+    if log is not None:
+        log.info("finished: converged=%s iterations=%d", trace.converged, trace.records[-1].iteration)
     return EXIT_OK if trace.converged else EXIT_NO_CONVERGENCE
 
 
@@ -293,18 +292,36 @@ def cmd_check(args) -> int:
     return EXIT_OK if total_failed == 0 else EXIT_INPUT
 
 
-def main(argv=None) -> int:
-    name = os.environ.get("MEANFIELD_LOG") or "warning"
+def _logger(name: str):
+    """Set the root logger to level ``name`` and return the "meanfield" logger; None where no level has that name.
+
+    ``basicConfig`` adds the root's stderr handler, and sets its level, only
+    where the root has no handler yet, so the level is set here on every call.
+    """
+    import logging  # only a run that sets MEANFIELD_LOG pays for it
+
     level = logging.getLevelName(name.upper())  # the level number of a known name, else a string
     if not isinstance(level, int):
-        print(f"error: MEANFIELD_LOG must be a logging level name such as debug or info, got {name!r}", file=sys.stderr)
-        return EXIT_USAGE
+        return None
     logging.basicConfig(level=level)
+    logging.getLogger().setLevel(level)  # which basicConfig leaves as it is once the root has a handler
+    return logging.getLogger("meanfield")
+
+
+def main(argv=None) -> int:
+    name = os.environ.get("MEANFIELD_LOG")
+    log = None  # unset or empty: "warning", at which meanfield logs nothing
+    if name:
+        log = _logger(name)
+        if log is None:
+            message = f"error: MEANFIELD_LOG must be a logging level name such as debug or info, got {name!r}"
+            print(message, file=sys.stderr)
+            return EXIT_USAGE
     parser = argparse.ArgumentParser(prog="meanfield", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     p_fit = sub.add_parser("fit", help="run a model fit from a config file")
     p_fit.add_argument("--config", required=True)
-    p_fit.set_defaults(func=cmd_fit)
+    p_fit.set_defaults(func=functools.partial(cmd_fit, log=log))
     p_check = sub.add_parser("check", help="run an invariant suite")
     p_check.add_argument("suite")
     p_check.set_defaults(func=cmd_check)

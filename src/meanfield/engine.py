@@ -62,7 +62,6 @@ import math
 import time
 from abc import ABC, abstractmethod
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
@@ -110,31 +109,27 @@ class ConfigurationError(ValueError):
     """The model/schedule combination is not runnable."""
 
 
-class _Factor:
-    """What a node and a plate share: a (lam, mu) pair, a role and a delta mode."""
+class _Factor(expfam._Frozen):
+    """What a node and a plate share: a (lam, mu) pair, a role and a delta mode.
 
-    __slots__ = ()
-
-    def __post_init__(self):
-        if self.role not in (LOCAL, GLOBAL):
-            raise ConfigurationError(f"node role must be 'local' or 'global', got {self.role!r}")
-        if self.delta_mode and self.lam.family.kind != expfam.GAUSSIAN:
-            raise ConfigurationError("delta_mode is only supported on Gaussian nodes")
+    Each checks its role and delta mode in its own constructor, so that the
+    plate a damped step builds costs no call beyond that constructor.
+    """
 
     @property
     def family(self):
         return self.lam.family
 
 
-@dataclass(frozen=True, slots=True)
 class NodeState(_Factor):
     """One latent node: family, current lambda, cached mu."""
 
-    id: str
-    lam: NaturalParam
-    mu: ExpectationParam
-    role: str = LOCAL
-    delta_mode: bool = False
+    def __init__(self, id: str, lam: NaturalParam, mu: ExpectationParam, role: str = LOCAL, delta_mode: bool = False):
+        if role not in (LOCAL, GLOBAL):
+            raise ConfigurationError(f"node role must be 'local' or 'global', got {role!r}")
+        if delta_mode and lam.family.kind != expfam.GAUSSIAN:
+            raise ConfigurationError("delta_mode is only supported on Gaussian nodes")
+        vars(self).update(id=id, lam=lam, mu=mu, role=role, delta_mode=delta_mode)
 
     @staticmethod
     def make(node_id: str, lam: NaturalParam, role: str = LOCAL, delta_mode: bool = False):
@@ -145,15 +140,17 @@ class NodeState(_Factor):
         return (self.id,)
 
 
-@dataclass(frozen=True, slots=True)
 class Plate(_Factor):
     """Nodes of one family, role and delta mode, held as (G, flat) lam and mu rows."""
 
-    ids: tuple[str, ...]
-    lam: NaturalParam
-    mu: ExpectationParam
-    role: str = LOCAL
-    delta_mode: bool = False
+    def __init__(
+        self, ids: tuple[str, ...], lam: NaturalParam, mu: ExpectationParam, role: str = LOCAL, delta_mode: bool = False
+    ):
+        if role not in (LOCAL, GLOBAL):
+            raise ConfigurationError(f"node role must be 'local' or 'global', got {role!r}")
+        if delta_mode and lam.family.kind != expfam.GAUSSIAN:
+            raise ConfigurationError("delta_mode is only supported on Gaussian nodes")
+        vars(self).update(ids=ids, lam=lam, mu=mu, role=role, delta_mode=delta_mode)
 
     @staticmethod
     def make(ids, lam: NaturalParam, role: str = LOCAL, delta_mode: bool = False):
@@ -343,8 +340,7 @@ def _group(layout: dict[str, tuple[str, ...]], factors) -> dict[str, Plate]:
     return plates
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(expfam._Frozen):
     """Initial factors plus the coefficient provider driving them.
 
     A factor is a whole ``Plate`` (what the builders pass) or a one-row
@@ -354,19 +350,14 @@ class ModelSpec:
     order of the CAVI sweep; it must name every plate exactly once.
     """
 
-    factors: tuple[Plate | NodeState, ...]
-    provider: CoefficientProvider
-    sweep_order: tuple[str, ...] | None = None
-    plates: dict[str, Plate] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
-        plates = _group(self.provider.plates, self.factors)
-        if self.sweep_order is not None and sorted(self.sweep_order) != sorted(plates):
+    def __init__(self, factors, provider: CoefficientProvider, sweep_order: tuple[str, ...] | None = None):
+        factors = tuple(factors)
+        plates = _group(provider.plates, factors)
+        if sweep_order is not None and sorted(sweep_order) != sorted(plates):
             raise ConfigurationError(
-                f"sweep_order must name every plate once ({', '.join(plates)}), got {self.sweep_order}"
+                f"sweep_order must name every plate once ({', '.join(plates)}), got {sweep_order}"
             )
-        object.__setattr__(self, "plates", plates)
+        vars(self).update(factors=factors, provider=provider, sweep_order=sweep_order, plates=plates)
 
     @property
     def nodes(self):
@@ -404,8 +395,7 @@ def _require_tol(tol) -> None:
         raise ConfigurationError(f"tol must be positive{' and finite' if tol > 0.0 else ''}, got {tol}")
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(expfam._Frozen):
     """Update schedule: CAVI, SVI, or parallel damped steps.
 
     Only the parallel schedule reads ``rho``, the damping of its steps.  The
@@ -413,45 +403,41 @@ class Schedule:
     zero, so SVI needs tau >= 1.
     """
 
-    kind: str = CAVI
-    rho: float = 0.5
-    kappa: float = 0.7
-    tau: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in (CAVI, SVI, PARALLEL_BLR):
-            raise ConfigurationError(f"unknown schedule kind {self.kind!r}")
-        for name in ("rho", "kappa", "tau"):
-            _require_number(name, getattr(self, name))
-        if not 0.0 < self.rho <= 1.0:
-            raise ConfigurationError(f"rho must lie in (0, 1], got {self.rho:g}")
-        if not 0.5 < self.kappa <= 1.0:
-            raise ConfigurationError(f"kappa must lie in (0.5, 1], got {self.kappa}")
-        least = 1.0 if self.kind == SVI else 0.0  # the first SVI rate, tau^-kappa, must not exceed 1
-        if not least <= self.tau < float("inf"):
-            raise ConfigurationError(f"tau must be finite and at least {least:g}, got {self.tau:g}")
-        _require_count("seed", self.seed)
+    def __init__(self, kind: str = CAVI, rho: float = 0.5, kappa: float = 0.7, tau: float = 1.0, seed: int = 0):
+        if kind not in (CAVI, SVI, PARALLEL_BLR):
+            raise ConfigurationError(f"unknown schedule kind {kind!r}")
+        for name, value in (("rho", rho), ("kappa", kappa), ("tau", tau)):
+            _require_number(name, value)
+        if not 0.0 < rho <= 1.0:
+            raise ConfigurationError(f"rho must lie in (0, 1], got {rho:g}")
+        if not 0.5 < kappa <= 1.0:
+            raise ConfigurationError(f"kappa must lie in (0.5, 1], got {kappa}")
+        least = 1.0 if kind == SVI else 0.0  # the first SVI rate, tau^-kappa, must not exceed 1
+        if not least <= tau < float("inf"):
+            raise ConfigurationError(f"tau must be finite and at least {least:g}, got {tau:g}")
+        _require_count("seed", seed)
+        vars(self).update(kind=kind, rho=rho, kappa=kappa, tau=tau, seed=seed)
 
     def global_rate(self, t: int) -> float:
         return float((t + self.tau) ** (-self.kappa))
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    iteration: int
-    elbo: float
-    residual: float
-    wall_time: float
+class TraceRecord(expfam._Frozen):
+    """One iteration of a fit: its ELBO and fixed-point residual, and the wall time since the fit began."""
+
+    def __init__(self, iteration: int, elbo: float, residual: float, wall_time: float):
+        vars(self).update(iteration=iteration, elbo=elbo, residual=residual, wall_time=wall_time)
 
 
-@dataclass
 class FitTrace:
     """The per-iteration records and the final plate state of a fit."""
 
-    records: list[TraceRecord] = field(default_factory=list)
-    converged: bool = False
-    plates: dict[str, Plate] = field(default_factory=dict)
+    def __init__(
+        self, records: list[TraceRecord] | None = None, converged: bool = False, plates: dict[str, Plate] | None = None
+    ):
+        self.records = [] if records is None else records
+        self.converged = converged
+        self.plates = {} if plates is None else plates
 
     @functools.cached_property
     def state(self) -> NodeView:

@@ -90,8 +90,23 @@ class NumericalError(RuntimeError):
     """An iterative numerical routine failed to converge."""
 
 
-@dataclass(frozen=True)
-class FamilyDescriptor:
+class _Frozen:
+    """A value whose constructor sets its attributes once: assigning or deleting one is an AttributeError.
+
+    A constructor sets them with ``vars(self).update(...)``; ``functools.cached_property``
+    writes the instance dict directly too, so it caches on a frozen value.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FamilyDescriptor(_Frozen):
     """Identifies one of the four families plus its dimensionality.
 
     ``base_measure`` selects the representation of the Beta family:
@@ -99,27 +114,36 @@ class FamilyDescriptor:
     parameters (a-1, b-1); "reciprocal" uses h(z) = 1/(z(1-z)) so the
     natural parameters become (a, b).  Other families only admit
     "constant".  ``flat_size``, the length of one flat parameter vector, is
-    set at construction.
+    set at construction.  Two descriptors are equal, and hash alike, where
+    kind, dim and base measure are.
     """
 
-    kind: str
-    dim: int = 1
-    base_measure: str = "constant"
-
-    def __post_init__(self):
-        ops = _FAMILIES.get(self.kind) if isinstance(self.kind, str) else None
+    def __init__(self, kind: str, dim: int = 1, base_measure: str = "constant"):
+        ops = _FAMILIES.get(kind) if isinstance(kind, str) else None
         if ops is None:
-            raise ValueError(f"unknown family kind {self.kind!r}")
-        if isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
-        if self.kind in (BERNOULLI, BETA) and self.dim != 1:
-            raise ValueError(f"{self.kind} requires dim=1, got {self.dim}")
-        if self.base_measure not in ("constant", "reciprocal"):
-            raise ValueError(f"unknown base_measure {self.base_measure!r}")
-        if self.base_measure == "reciprocal" and self.kind != BETA:
+            raise ValueError(f"unknown family kind {kind!r}")
+        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+            raise ValueError(f"dim must be a positive integer, got {dim!r}")
+        if kind in (BERNOULLI, BETA) and dim != 1:
+            raise ValueError(f"{kind} requires dim=1, got {dim}")
+        if base_measure not in ("constant", "reciprocal"):
+            raise ValueError(f"unknown base_measure {base_measure!r}")
+        if base_measure == "reciprocal" and kind != BETA:
             raise ValueError("base_measure='reciprocal' applies to the Beta family only")
-        object.__setattr__(self, "_ops", ops)  # the family's class instance, which the module functions dispatch to
-        object.__setattr__(self, "flat_size", ops.flat_size(self.dim))
+        vars(self).update(
+            kind=kind, dim=dim, base_measure=base_measure, flat_size=ops.flat_size(dim),
+            _ops=ops,  # the family's class instance, which the module functions dispatch to
+            _key=(kind, dim, base_measure),  # what == and hash compare
+        )
+
+    def __eq__(self, other):
+        return self._key == other._key if type(other) is FamilyDescriptor else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        return f"FamilyDescriptor(kind={self.kind!r}, dim={self.dim!r}, base_measure={self.base_measure!r})"
 
 
 _RECIPROCAL_BETA_GRAD = np.array([-1.0, -1.0])  # log h = -log z - log(1-z)

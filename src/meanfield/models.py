@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -60,34 +59,33 @@ _QUAD_ORDER = 40
 _QUAD_CHECK_TOL = 1e-6
 
 
-def _require_finite(data) -> None:
-    """Reject NaN and infinite values in a data container, naming the field."""
-    for f in fields(data):
-        if not np.all(np.isfinite(np.asarray(getattr(data, f.name), dtype=float))):
-            raise ValueError(f"{f.name} must be finite")
+def _require_finite(**values) -> None:
+    """Reject NaN and infinite values in a data container's fields, given by name, naming the first that holds one."""
+    for name, value in values.items():
+        if not np.all(np.isfinite(np.asarray(value, dtype=float))):
+            raise ValueError(f"{name} must be finite")
 
 
-def _require_positive(data, *names: str) -> None:
+def _require_positive(**values) -> None:
     """Reject a parameter that is not positive, naming it."""
-    for name in names:
-        value = getattr(data, name)
+    for name, value in values.items():
         if not value > 0.0:
             raise ValueError(f"{name} must be positive, got {value:g}")
 
 
-def _require_beta_exponents(data, a_name: str, b_name: str) -> None:
+def _require_beta_exponents(**exponents) -> None:
     """Reject Beta prior exponents a, b that are not positive, so small that a - 1 is -1, or whose sum overflows.
 
     The prior's mean reads psi(a + b), and psi(inf) is not finite.
     """
-    _require_positive(data, a_name, b_name)
-    for name in (a_name, b_name):
-        value = getattr(data, name)
+    _require_positive(**exponents)
+    for name, value in exponents.items():
         if not (value - 1.0) + 1.0 > 0.0:
             raise ValueError(
                 f"{name} must exceed 2^-54 (about 5.6e-17), at or below which {name} - 1 rounds to -1, got {value:g}"
             )
-    a, b = float(getattr(data, a_name)), float(getattr(data, b_name))
+    (a_name, a), (b_name, b) = exponents.items()
+    a, b = float(a), float(b)
     if not math.isfinite(a + b):
         raise ValueError(f"{a_name} + {b_name} must be finite, got {a:g} + {b:g}")
 
@@ -105,103 +103,87 @@ def _require_square_summable(name: str, y) -> None:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SimpleMixtureData:
+class SimpleMixtureData(expfam._Frozen):
     """One observation under a two-component mixture with known prior weight."""
 
-    pi0: float
-    pa: float
-    pb: float
-
-    def __post_init__(self):
-        _require_finite(self)
-        if not 0.0 < self.pi0 < 1.0:
-            raise ValueError(f"pi0 must lie in (0,1), got {self.pi0}")
-        _require_positive(self, "pa", "pb")
+    def __init__(self, pi0: float, pa: float, pb: float):
+        _require_finite(pi0=pi0, pa=pa, pb=pb)
+        if not 0.0 < pi0 < 1.0:
+            raise ValueError(f"pi0 must lie in (0,1), got {pi0}")
+        _require_positive(pa=pa, pb=pb)
+        vars(self).update(pi0=pi0, pa=pa, pb=pb)
 
 
-@dataclass(frozen=True)
-class _MixtureLogLiks:
-    """Per-observation log-likelihoods under components a and b."""
+class _MixtureLogLiks(expfam._Frozen):
+    """Per-observation log-likelihoods under components a and b, plus a subclass's prior parameters."""
 
-    log_pa: np.ndarray
-    log_pb: np.ndarray
-
-    def __post_init__(self):
-        _require_finite(self)
-        la, lb = np.asarray(self.log_pa, dtype=float), np.asarray(self.log_pb, dtype=float)
+    def __init__(self, log_pa: np.ndarray, log_pb: np.ndarray, **prior):
+        _require_finite(log_pa=log_pa, log_pb=log_pb, **prior)
+        la, lb = np.asarray(log_pa, dtype=float), np.asarray(log_pb, dtype=float)
         if max(la.ndim, lb.ndim) > 1 or la.size != lb.size or la.size < 1:  # a scalar is one observation
             raise ValueError(
                 f"log_pa and log_pb must be equal-length, nonempty vectors, got shapes {la.shape} and {lb.shape}"
             )
-        object.__setattr__(self, "log_pa", la.reshape(-1))
-        object.__setattr__(self, "log_pb", lb.reshape(-1))
+        vars(self).update(log_pa=la.reshape(-1), log_pb=lb.reshape(-1), **prior)
 
     @property
     def n(self) -> int:
         return self.log_pa.size
 
 
-@dataclass(frozen=True)
 class TwoLevelMixtureData(_MixtureLogLiks):
     """Per-observation component log-likelihoods plus a Beta(alpha0, beta0) prior on the weight."""
 
-    alpha0: float = 1.0
-    beta0: float = 1.0
-
-    def __post_init__(self):
-        super().__post_init__()
-        _require_beta_exponents(self, "alpha0", "beta0")
+    def __init__(self, log_pa: np.ndarray, log_pb: np.ndarray, alpha0: float = 1.0, beta0: float = 1.0):
+        super().__init__(log_pa, log_pb, alpha0=alpha0, beta0=beta0)
+        _require_beta_exponents(alpha0=alpha0, beta0=beta0)
 
 
-@dataclass(frozen=True)
-class GMMData:
+class GMMData(expfam._Frozen):
     """Observations for the two-component Gaussian mixture with GW priors.
 
     ``nu0`` defaults to the dimension D of the observations and ``w0`` to
     the D x D identity.
     """
 
-    y: np.ndarray
-    alpha0: float = 1.0
-    beta0: float = 1.0
-    gamma0: float = 1.0
-    nu0: float | None = None
-    w0: np.ndarray | None = None
-
-    def __post_init__(self):
-        y = np.atleast_2d(np.asarray(self.y, dtype=float))
+    def __init__(
+        self,
+        y: np.ndarray,
+        alpha0: float = 1.0,
+        beta0: float = 1.0,
+        gamma0: float = 1.0,
+        nu0: float | None = None,
+        w0: np.ndarray | None = None,
+    ):
+        y = np.atleast_2d(np.asarray(y, dtype=float))
         d = y.shape[1]
-        if self.nu0 is None:
-            object.__setattr__(self, "nu0", float(d))
-        if self.w0 is None:
-            object.__setattr__(self, "w0", np.eye(d))
-        _require_finite(self)
+        nu0 = float(d) if nu0 is None else nu0
+        w0 = np.eye(d) if w0 is None else w0
+        _require_finite(y=y, alpha0=alpha0, beta0=beta0, gamma0=gamma0, nu0=nu0, w0=w0)
         _require_square_summable("y", y)
         if y.shape[0] < 2:
             raise ValueError("GMM needs at least two observations")
-        w0 = np.atleast_2d(np.asarray(self.w0, dtype=float))
+        w0 = np.atleast_2d(np.asarray(w0, dtype=float))
         if w0.shape != (d, d):
             raise ValueError(f"W0 must be {d}x{d}")
-        _require_beta_exponents(self, "alpha0", "beta0")
-        _require_positive(self, "gamma0")
-        if not math.isfinite(d / float(self.gamma0)):  # the prior's E[quad] holds D / gamma0
-            raise ValueError(f"gamma0 is too small: D / gamma0 overflows at D = {d}, got {self.gamma0:g}")
-        if self.nu0 <= d - 1:
-            raise ValueError(f"nu0 must exceed D-1 = {d - 1}, got {self.nu0:g}")
+        _require_beta_exponents(alpha0=alpha0, beta0=beta0)
+        _require_positive(gamma0=gamma0)
+        if not math.isfinite(d / float(gamma0)):  # the prior's E[quad] holds D / gamma0
+            raise ValueError(f"gamma0 is too small: D / gamma0 overflows at D = {d}, got {gamma0:g}")
+        if nu0 <= d - 1:
+            raise ValueError(f"nu0 must exceed D-1 = {d - 1}, got {nu0:g}")
         w0 = 0.5 * (w0 + w0.T)
         least = float(np.linalg.eigvalsh(w0)[0])
         if not least > 0.0:
             raise ValueError(f"w0 must be positive definite, got {w0.tolist()}")
         try:  # the prior's lambda, formed as build_gmm2 forms it: W0^-1 overflows, or w0 has no Cholesky factor
             with np.errstate(over="raise"):
-                gw_natural(self.nu0, self.gamma0, np.zeros(d), w0)
+                gw_natural(nu0, gamma0, np.zeros(d), w0)
         except FloatingPointError:
             raise ValueError(f"w0 is too small: its inverse overflows, smallest eigenvalue {least:g}") from None
         except expfam.DomainError:
             raise ValueError(f"w0 must be positive definite, got {w0.tolist()}") from None
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "w0", w0)
+        vars(self).update(y=y, alpha0=alpha0, beta0=beta0, gamma0=gamma0, nu0=nu0, w0=w0)
 
     @property
     def n(self) -> int:
@@ -212,29 +194,22 @@ class GMMData:
         return self.y.shape[1]
 
 
-@dataclass(frozen=True)
-class MatrixFactorizationData:
+class MatrixFactorizationData(expfam._Frozen):
     """Full data matrix Y fit by K-factor row/column embeddings."""
 
-    y: np.ndarray
-    k: int = 1
-    delta_u: float = 1.0
-    delta_v: float = 1.0
-
-    def __post_init__(self):
-        _require_finite(self)
-        y = np.atleast_2d(np.asarray(self.y, dtype=float))
+    def __init__(self, y: np.ndarray, k: int = 1, delta_u: float = 1.0, delta_v: float = 1.0):
+        _require_finite(y=y, k=k, delta_u=delta_u, delta_v=delta_v)
+        y = np.atleast_2d(np.asarray(y, dtype=float))
         _require_square_summable("y", y)
         if 0 in y.shape:
             raise ValueError(f"y must have at least one row and one column, got shape {y.shape}")
-        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)) or self.k < 1:
-            raise ValueError(f"k (the number of factors) must be an integer >= 1, got {self.k!r}")
-        _require_positive(self, "delta_u", "delta_v")
-        for name in ("delta_u", "delta_v"):
-            delta = float(getattr(self, name))
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+            raise ValueError(f"k (the number of factors) must be an integer >= 1, got {k!r}")
+        _require_positive(delta_u=delta_u, delta_v=delta_v)
+        for name, delta in (("delta_u", float(delta_u)), ("delta_v", float(delta_v))):
             if not math.isfinite(1.0 / delta):  # a factor's prior covariance is I / delta
                 raise ValueError(f"{name} is too small: the prior variance 1 / {name} overflows, got {delta!r}")
-        object.__setattr__(self, "y", y)
+        vars(self).update(y=y, k=k, delta_u=delta_u, delta_v=delta_v)
 
     @property
     def n(self) -> int:
@@ -245,15 +220,12 @@ class MatrixFactorizationData:
         return self.y.shape[1]
 
 
-@dataclass(frozen=True)
 class LogitNormalMixtureData(_MixtureLogLiks):
     """Two-level mixture data with a logit-normal prior, mean m, on the weight."""
 
-    m: float = 0.0
-
-    def __post_init__(self):
-        super().__post_init__()
-        _require_square_summable("m", float(self.m))  # the prior's f squares logit(z) - m
+    def __init__(self, log_pa: np.ndarray, log_pb: np.ndarray, m: float = 0.0):
+        super().__init__(log_pa, log_pb, m=m)
+        _require_square_summable("m", float(m))  # the prior's f squares logit(z) - m
 
 
 # --------------------------------------------------------------------------

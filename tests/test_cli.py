@@ -1,9 +1,12 @@
 """The batch front end: config parsing, CSV loading, trace output, exit codes."""
 
 import contextlib
+import dataclasses
+import importlib
 import io
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -159,29 +162,121 @@ def test_check_all_and_a_fit_run_without_scipy(tmp_path):
     assert "converged=true" in open(out).read()
 
 
+_LOG_ERROR = "error: MEANFIELD_LOG must be a logging level name such as debug or info, got {value!r}\n"
+_FINISHED = "INFO:meanfield:finished: converged=True iterations={iterations}\n"
+
+
+def _iterations(out: str) -> int:
+    """The iteration count of the converged fit that wrote trace ``out``."""
+    return int(re.search(r"^converged=true iterations=(\d+)$", open(out).read(), re.M).group(1))
+
+
 @pytest.mark.parametrize(
-    "value, code",
-    [("bogus", cli.EXIT_USAGE), ("5", cli.EXIT_USAGE), ("", cli.EXIT_OK), ("Debug", cli.EXIT_OK)],
-    ids=["bogus", "number", "empty", "mixed-case"],
+    "value, code, stderr",
+    [
+        ("bogus", cli.EXIT_USAGE, _LOG_ERROR),
+        ("5", cli.EXIT_USAGE, _LOG_ERROR),
+        ("", cli.EXIT_OK, ""),
+        ("Debug", cli.EXIT_OK, _FINISHED),
+        ("info", cli.EXIT_OK, _FINISHED),
+        ("warning", cli.EXIT_OK, ""),
+        (None, cli.EXIT_OK, ""),
+    ],
+    ids=["bogus", "number", "empty", "mixed-case", "info", "warning", "unset"],
 )
-def test_meanfield_log_is_a_level_name_or_a_usage_error(tmp_path, value, code):
-    """An empty MEANFIELD_LOG is unset; a name logging does not know is one error line naming it."""
+def test_meanfield_log_is_a_level_name_or_a_usage_error(tmp_path, monkeypatch, value, code, stderr):
+    """Unset, empty and "warning" log nothing, a level that shows INFO the finished line; any other name is a usage error."""
+    monkeypatch.delenv("MEANFIELD_LOG", raising=False)
     cfg, out = _fit_config(tmp_path, "0.1,0.4\n-0.3,0.2\n")
-    proc = _run_python("-m", "meanfield.cli", "fit", "--config", cfg, MEANFIELD_LOG=value)
+    env = {} if value is None else {"MEANFIELD_LOG": value}
+    proc = _run_python("-m", "meanfield.cli", "fit", "--config", cfg, **env)
     assert proc.returncode == code, proc.stderr
-    assert "Traceback" not in proc.stderr
-    if code == cli.EXIT_USAGE:
-        assert proc.stderr.splitlines() == [
-            f"error: MEANFIELD_LOG must be a logging level name such as debug or info, got {value!r}"
-        ]
-        assert not os.path.exists(out)
+    assert os.path.exists(out) == (code == cli.EXIT_OK)
+    assert proc.stderr == stderr.format(value=value, iterations=_iterations(out) if code == cli.EXIT_OK else None)
 
 
-def test_cli_import_loads_no_check_suites():
-    """Only ``meanfield check`` runs the invariant suites, so ``meanfield fit`` does not import them."""
-    proc = _run_python("-c", "import sys, meanfield.cli; print('meanfield.checks' in sys.modules)")
+# Two fits in one interpreter, MEANFIELD_LOG set before each as named ("unset": removed);
+# a marker line on stderr before each fit shows which fit logged what.
+_TWO_FITS = """
+import os, sys
+from meanfield import cli
+for value in sys.argv[2:]:
+    if value == "unset":
+        os.environ.pop("MEANFIELD_LOG", None)
+    else:
+        os.environ["MEANFIELD_LOG"] = value
+    print(f"-- {value}", file=sys.stderr, flush=True)
+    assert cli.main(["fit", "--config", sys.argv[1]]) == cli.EXIT_OK
+"""
+
+
+@pytest.mark.parametrize(
+    "first, second, logged",
+    [
+        ("unset", "info", "second"),
+        ("info", "unset", "first"),
+        ("info", "warning", "first"),
+        ("warning", "debug", "second"),
+    ],
+)
+def test_meanfield_log_applies_on_every_call_in_one_process(tmp_path, monkeypatch, first, second, logged):
+    """Each ``main`` applies the MEANFIELD_LOG it finds: the finished line follows the marker of the call showing INFO."""
+    monkeypatch.delenv("MEANFIELD_LOG", raising=False)
+    cfg, out = _fit_config(tmp_path, "0.1,0.4\n-0.3,0.2\n")
+    proc = _run_python("-c", _TWO_FITS, cfg, first, second)
+    assert proc.returncode == 0, proc.stderr
+    want = [f"-- {first}\n", f"-- {second}\n"]
+    want.insert(1 if logged == "first" else 2, _FINISHED.format(iterations=_iterations(out)))
+    assert proc.stderr == "".join(want)
+
+
+def test_an_in_process_run_with_meanfield_log_unset_leaves_the_root_logger_alone(tmp_path, monkeypatch):
+    """A caller that uses logging itself finds its root logger as it was: no handler added, its level kept."""
+    monkeypatch.delenv("MEANFIELD_LOG", raising=False)
+    cfg, _ = _fit_config(tmp_path, "0.1,0.4\n-0.3,0.2\n")
+    script = (
+        "import logging, sys\nfrom meanfield import cli\nroot = logging.getLogger()\n"
+        "before = (root.level, list(root.handlers))\ncode = cli.main(sys.argv[1:])\n"
+        "print(code, (root.level, root.handlers) == before)"
+    )
+    proc = _run_python("-c", script, "fit", "--config", cfg)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{cli.EXIT_OK} True\n", "")
+
+
+@pytest.mark.parametrize("module", ["meanfield.checks", "logging"])
+def test_cli_import_does_not_load(module):
+    """Only ``meanfield check`` runs the invariant suites, and only a set MEANFIELD_LOG needs logging."""
+    proc = _run_python("-c", f"import sys, meanfield.cli; print({module!r} in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_a_fit_with_meanfield_log_unset_does_not_import_logging(tmp_path, monkeypatch):
+    monkeypatch.delenv("MEANFIELD_LOG", raising=False)
+    cfg, _ = _fit_config(tmp_path, "0.1,0.4\n-0.3,0.2\n")
+    script = "import sys\nfrom meanfield import cli\nprint(cli.main(sys.argv[1:]), 'logging' in sys.modules)"
+    proc = _run_python("-c", script, "fit", "--config", cfg)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{cli.EXIT_OK} False\n", "")
+
+
+def test_the_only_dataclasses_are_the_two_parameter_classes():
+    """Every other class of the package has a hand-written constructor, so that importing it generates no code.
+
+    NaturalParam and ExpectationParam stay dataclasses: the benchmark's
+    ``expfam.param_init`` metric wraps their ``__post_init__`` by name, and
+    their generated ``__init__`` runs from "<string>", which the step frame
+    budget of test_engine.py does not count, where a hand-written one would
+    add a counted frame to every step.
+    """
+    found = set()
+    for info in pkgutil.iter_modules(meanfield.__path__):
+        module = importlib.import_module(f"meanfield.{info.name}")
+        found.update(
+            f"{module.__name__}.{name}"
+            for name, obj in vars(module).items()
+            if isinstance(obj, type) and obj.__module__ == module.__name__ and dataclasses.is_dataclass(obj)
+        )
+    assert found == {"meanfield.expfam.NaturalParam", "meanfield.expfam.ExpectationParam"}
 
 
 def test_extreme_prior_mean_exits_without_traceback(tmp_path):

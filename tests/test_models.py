@@ -100,7 +100,8 @@ def test_gmm_data_rejects_a_w0_of_the_wrong_shape():
 
 def test_the_data_classes_own_the_model_defaults():
     y = np.zeros((3, 2))
-    assert models.TwoLevelMixtureData([0.0], [0.0]) == models.TwoLevelMixtureData([0.0], [0.0], 1.0, 1.0)
+    two_level = models.TwoLevelMixtureData([0.0], [0.0])
+    assert (two_level.alpha0, two_level.beta0) == (1.0, 1.0)
     gmm = models.GMMData(y)
     assert (gmm.alpha0, gmm.beta0, gmm.gamma0, gmm.nu0) == (1.0, 1.0, 1.0, 2.0)
     assert np.array_equal(gmm.w0, np.eye(2))

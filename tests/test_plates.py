@@ -6,7 +6,6 @@ sizes; with plates the counts depend on the number of plates only, so a
 return to one object per datum fails here.
 """
 
-import dataclasses
 
 import numpy as np
 import pytest
@@ -32,15 +31,15 @@ def _matfac_ppca(n):
 
 
 def _count_inits(monkeypatch, calls, classes) -> None:
-    """Count the __post_init__ calls, that is the constructions, of each (class, key) in calls[key]."""
+    """Count the __init__ calls, that is the constructions, of each (class, key) in calls[key]."""
     for cls, key in classes:
-        post_init = cls.__post_init__
+        init = cls.__init__
 
-        def counted_init(self, post_init=post_init, key=key):
+        def counted_init(self, *args, init=init, key=key, **kwargs):
             calls[key] += 1
-            post_init(self)
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "__post_init__", counted_init)
+        monkeypatch.setattr(cls, "__init__", counted_init)
 
 
 _PARAMS = ((expfam.NaturalParam, "natural"), (expfam.ExpectationParam, "expectation"))
@@ -243,7 +242,7 @@ def test_sweeps_take_the_plate_state_and_name_a_missing_plate():
 def test_replacing_the_nodes_regroups_the_plates():
     model, _ = _two_level(3)
     moved = engine.NodeState.make("z1", expfam.bernoulli_natural(2.0))
-    new = dataclasses.replace(model, factors=tuple(moved if n.id == "z1" else n for n in model.nodes))
+    new = engine.ModelSpec(tuple(moved if n.id == "z1" else n for n in model.nodes), model.provider, model.sweep_order)
     assert new.plates["z"].lam.values[1, 0] == 2.0
     assert np.array_equal(np.delete(new.plates["z"].lam.values, 1), np.delete(model.plates["z"].lam.values, 1))
 
