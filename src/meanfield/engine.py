@@ -672,11 +672,11 @@ def fit(
     schedule = schedule or Schedule()
     _require_tol(tol)
     _require_count("max_iter", max_iter)
-    rng = np.random.default_rng(schedule.seed)
-    start = time.perf_counter()
-    trace = FitTrace()
     if schedule.kind == SVI:  # a model SVI cannot step fails before the first record
         rows = len(model.plates[model._svi_plates[0]].ids)
+        rng = np.random.default_rng(schedule.seed)  # only SVI draws; CAVI and parallel steps are deterministic
+    start = time.perf_counter()
+    trace = FitTrace()
     snap = mu_snapshot(model.plates)
 
     def record(it: int) -> float:

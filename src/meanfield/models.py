@@ -50,7 +50,7 @@ __all__ = [
 
 LOG_2PI = math.log(2.0 * math.pi)
 
-# Symmetry-breaking perturbation applied to Bernoulli initial means.
+# Half-width of the uniform jitter on gmm2's initial responsibilities, which breaks its label swap.
 _INIT_JITTER = 0.05
 
 # Gauss-Legendre nodes per panel of the Beta quadrature; doubling them must
@@ -240,11 +240,9 @@ def _z_ids(n: int) -> tuple[str, ...]:
     return tuple(f"z{i}" for i in range(n))
 
 
-def _indicator_plate(ids, rng) -> Plate:
-    """Local Bernoulli plate whose initial means are jittered around 1/2."""
-    p = 0.5 + rng.uniform(-_INIT_JITTER, _INIT_JITTER, size=len(ids))
-    lam = NaturalParam(expfam.FamilyDescriptor(expfam.BERNOULLI), np.log(p / (1 - p))[:, None])
-    return Plate.make(ids, lam, role=LOCAL)
+def _indicator_plate(ids, lam: np.ndarray) -> Plate:
+    """Local Bernoulli plate starting at the log odds ``lam``, one per id; zeros start every q(z_i) at 1/2."""
+    return Plate.make(ids, NaturalParam(expfam.FamilyDescriptor(expfam.BERNOULLI), lam[:, None]), role=LOCAL)
 
 
 def _global(node_id: str, lam) -> Plate:
@@ -310,9 +308,9 @@ class SimpleMixtureProvider(CoefficientProvider):
         return float(mus["z"][0, 0]) * (log_a - log_b) + log_b
 
 
-
 def build_simple_mixture(data: SimpleMixtureData, seed: int = 0) -> ModelSpec:
-    return ModelSpec((_indicator_plate(("z",), np.random.default_rng(seed)),), SimpleMixtureProvider())
+    """q(z) starts at 1/2 and nothing is drawn: no symmetry needs breaking, so ``seed`` is unused."""
+    return ModelSpec((_indicator_plate(("z",), np.zeros(1)),), SimpleMixtureProvider())
 
 
 # --------------------------------------------------------------------------
@@ -340,15 +338,14 @@ class TwoLevelProvider(CoefficientProvider):
         return float(total + _indicator_log_joint(mus, data.log_pa, data.log_pb))
 
 
-
 def build_two_level(
     data: TwoLevelMixtureData, seed: int = 0, shifted_beta: bool = False
 ) -> ModelSpec:
-    """``shifted_beta`` picks the weight plate's Beta family, h(z) = 1/(z(1-z)), and nothing else."""
+    """Every q(z_i) starts at 1/2, nothing is drawn and ``seed`` is unused; ``shifted_beta`` picks h(z) = 1/(z(1-z))."""
     provider = TwoLevelProvider(data.n)
     base = "reciprocal" if shifted_beta else "constant"
     plates = (
-        _indicator_plate(provider.plates["z"], np.random.default_rng(seed)),
+        _indicator_plate(provider.plates["z"], np.zeros(data.n)),
         _global("pi", beta_natural(data.alpha0, data.beta0, base_measure=base)),
     )
     return ModelSpec(plates, provider)
@@ -440,8 +437,9 @@ class GMMProvider(CoefficientProvider):
 def build_gmm2(data: GMMData, seed: int = 0) -> ModelSpec:
     provider = GMMProvider(data)
     prior = _gw_prior(data)
+    p = 0.5 + np.random.default_rng(seed).uniform(-_INIT_JITTER, _INIT_JITTER, size=data.n)
     plates = (
-        _indicator_plate(provider.plates["z"], np.random.default_rng(seed)),
+        _indicator_plate(provider.plates["z"], np.log(p / (1 - p))),
         _global("pi", beta_natural(data.alpha0, data.beta0)),
         Plate.make(provider.plates["comp"], NaturalParam(prior.family, np.tile(prior.values, (2, 1))), role=GLOBAL),
     )
@@ -737,11 +735,11 @@ class LogitNormalProvider(CoefficientProvider):
         return float(total + _indicator_log_joint(mus, data.log_pa, data.log_pb))
 
 
-
 def build_logitnormal(data: LogitNormalMixtureData, seed: int = 0) -> ModelSpec:
+    """Every q(z_i) starts at 1/2 and nothing is drawn: no symmetry needs breaking, so ``seed`` is unused."""
     provider = LogitNormalProvider(data.n)
     plates = (
-        _indicator_plate(provider.plates["z"], np.random.default_rng(seed)),
+        _indicator_plate(provider.plates["z"], np.zeros(data.n)),
         _global("pi", beta_natural(1.0, 1.0)),
     )
     return ModelSpec(plates, provider)

@@ -243,9 +243,9 @@ def test_an_in_process_run_with_meanfield_log_unset_leaves_the_root_logger_alone
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{cli.EXIT_OK} True\n", "")
 
 
-@pytest.mark.parametrize("module", ["meanfield.checks", "logging"])
+@pytest.mark.parametrize("module", ["meanfield.checks", "logging", "numpy.random"])
 def test_cli_import_does_not_load(module):
-    """Only ``meanfield check`` runs the invariant suites, and only a set MEANFIELD_LOG needs logging."""
+    """Only ``meanfield check`` runs the invariant suites, a set MEANFIELD_LOG logging, and a draw numpy.random."""
     proc = _run_python("-c", f"import sys, meanfield.cli; print({module!r} in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
@@ -257,6 +257,23 @@ def test_a_fit_with_meanfield_log_unset_does_not_import_logging(tmp_path, monkey
     script = "import sys\nfrom meanfield import cli\nprint(cli.main(sys.argv[1:]), 'logging' in sys.modules)"
     proc = _run_python("-c", script, "fit", "--config", cfg)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{cli.EXIT_OK} False\n", "")
+
+
+@pytest.mark.parametrize(
+    "extra, code, imported",
+    [
+        ("schedule=cavi\n", cli.EXIT_OK, False),
+        ("schedule=parallel\n", cli.EXIT_OK, False),
+        ("schedule=svi\nmax_iter=5\n", cli.EXIT_NO_CONVERGENCE, True),
+    ],
+    ids=["cavi", "parallel", "svi"],
+)
+def test_only_an_svi_fit_of_two_level_imports_numpy_random(tmp_path, extra, code, imported):
+    """The two-level builder draws nothing, and ``fit`` makes its Generator only for SVI's row draws."""
+    cfg, _ = _fit_config(tmp_path, "0.1,0.4\n-0.3,0.2\n", extra=extra)
+    script = "import sys\nfrom meanfield import cli\nprint(cli.main(sys.argv[1:]), 'numpy.random' in sys.modules)"
+    proc = _run_python("-c", script, "fit", "--config", cfg)
+    assert (proc.returncode, proc.stdout) == (0, f"{code} {imported}\n"), proc.stderr
 
 
 def test_the_only_dataclasses_are_the_two_parameter_classes():

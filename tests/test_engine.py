@@ -1135,6 +1135,18 @@ def _fit_or_domain_error(model, data, schedule, tol, max_iter):
         return None
 
 
+@pytest.mark.parametrize("kind", [engine.CAVI, engine.PARALLEL_BLR])
+@pytest.mark.parametrize("name", ["two_level", "logitnormal", "gmm2"])
+def test_a_cavi_or_parallel_fit_does_not_read_the_schedule_seed(name, kind):
+    """Only SVI draws (its rows); the other schedules give the same fit at any seed."""
+    _, model, data, _ = next(m for m in _mixture_models() if m[0] == name)
+    a, b = (engine.fit(model, data, engine.Schedule(kind, seed=seed), max_iter=30) for seed in (0, 7))
+    assert a.elbos.tobytes() == b.elbos.tobytes() and a.residuals.tobytes() == b.residuals.tobytes()
+    assert a.plates.keys() == b.plates.keys()
+    for plate, other in zip(a.plates.values(), b.plates.values()):
+        assert plate.lam.values.tobytes() == other.lam.values.tobytes()
+
+
 @settings(max_examples=50, deadline=None)
 @given(built=_small_models(_CONJUGATE), max_iter=st.integers(0, 60))
 def test_the_cavi_elbo_never_drops(built, max_iter):

@@ -15,6 +15,13 @@ by the engine as it stood before nodes were grouped into plates.
 Regenerate it only for a change that is meant to alter results:
 
     PYTHONPATH=src python tests/test_golden.py
+
+The simple, two-level and logit-normal builders start every q(z_i) at 1/2
+and draw nothing, while the fixture was recorded from a jittered start.  A
+case of those models is fitted from that recorded start, rebuilt from its
+builder's seed (``_recorded_start``), so the fixture stays a fixed check of
+the engine; ``test_the_half_start_reaches_the_recorded_final_elbo`` checks
+the builders' own start against it.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from meanfield import engine, models
+from meanfield import engine, expfam, models
 
 FIXTURE = Path(__file__).resolve().parent / "golden" / "engine_fits.json"
 MAX_ITER = 60
@@ -103,10 +110,36 @@ BUILDERS = {
 }
 CASES = [f"{model}/{sched}" for model, (_, scheds) in BUILDERS.items() for sched in scheds]
 
+# The seed each of these cases' builders was given, from which its "z" plate
+# was drawn when the fixture was recorded.
+RECORDED_START_SEED = {
+    "simple": 1,
+    "two_level_constant": 2,
+    "two_level_reciprocal": 2,
+    "logitnormal": 5,
+    "two_level_n50": 2,
+}
+
+
+def _recorded_start(model: engine.ModelSpec, seed: int) -> engine.ModelSpec:
+    """``model`` with q(z_i) = 1/2 + U(-0.05, 0.05), drawn from ``seed`` as the builders drew it for the fixture."""
+    z = model.plates["z"]
+    p = 0.5 + np.random.default_rng(seed).uniform(-0.05, 0.05, size=len(z.ids))
+    plates = dict(model.plates, z=z.with_lambda(expfam.NaturalParam(z.family, np.log(p / (1 - p))[:, None])))
+    return engine.ModelSpec(plates.values(), model.provider, model.sweep_order)
+
+
+def build_case(model_name: str):
+    """The case's model and data, from the start its fixture entry was recorded from."""
+    model, data = BUILDERS[model_name][0]()
+    if model_name in RECORDED_START_SEED:
+        model = _recorded_start(model, RECORDED_START_SEED[model_name])
+    return model, data
+
 
 def run_case(case: str) -> dict:
     model_name, sched = case.split("/")
-    model, data = BUILDERS[model_name][0]()
+    model, data = build_case(model_name)
     trace = engine.fit(model, data, SCHEDULES[sched], tol=TOL, max_iter=MAX_ITER)
     return {
         "converged": trace.converged,
@@ -150,11 +183,34 @@ def test_live_snapshot_records_match_a_fresh_snapshot(case):
     """A record's residual and ELBO, read off the fit's one live snapshot, equal those of a fresh snapshot."""
     model_name, sched = case.split("/")
     for max_iter in (0, 1, 2, 5):
-        model, data = BUILDERS[model_name][0]()
+        model, data = build_case(model_name)
         trace = engine.fit(model, data, SCHEDULES[sched], tol=TOL, max_iter=max_iter)
         last = trace.records[-1]
         assert last.residual == engine.fixed_point_residual(model, trace.plates, data)
         assert last.elbo == engine.elbo(model, trace.plates, data)
+
+
+def _converged_half_start_cases() -> list[str]:
+    """The CAVI and parallel cases of the models built at q(z_i) = 1/2 whose recorded run converged."""
+    recorded = json.loads(FIXTURE.read_text())
+    return [
+        case
+        for case in (f"{m}/{s}" for m in RECORDED_START_SEED for s in ("cavi", "parallel"))
+        if case in recorded and recorded[case]["converged"]
+    ]
+
+
+@pytest.mark.parametrize("case", _converged_half_start_cases())
+def test_the_half_start_reaches_the_recorded_final_elbo(case, golden):
+    """Started at q(z_i) = 1/2, as built, a case ends at its recorded final ELBO to 10 digits."""
+    want = golden[case]
+    model_name, sched = case.split("/")
+    model, data = BUILDERS[model_name][0]()
+    assert np.all(model.plates["z"].lam.values == 0.0)
+    trace = engine.fit(model, data, SCHEDULES[sched], tol=TOL, max_iter=MAX_ITER)
+    assert trace.converged
+    got, final = trace.records[-1].elbo, want["elbo"][-1]
+    assert abs(got - final) <= 1e-10 * max(abs(final), 1.0), (got, final)
 
 
 if __name__ == "__main__":

@@ -143,6 +143,41 @@ def test_build_matfac_rejects_an_unknown_mode():
         models.build_matfac(data, "pca")
 
 
+def _plate_bytes(model):
+    """Every plate's ids, lambda and mu, as bytes."""
+    return {n: (p.ids, p.lam.values.tobytes(), p.mu.values.tobytes()) for n, p in model.plates.items()}
+
+
+_TWO_LEVEL = make_two_level(seed=1, n=6)
+_UNSEEDED_BUILDS = {
+    "simple": lambda seed: models.build_simple_mixture(models.SimpleMixtureData(0.3, 0.8, 0.2), seed=seed),
+    "two_level": lambda seed: models.build_two_level(_TWO_LEVEL, seed=seed),
+    "shifted_beta": lambda seed: models.build_two_level(_TWO_LEVEL, seed=seed, shifted_beta=True),
+    "logitnormal": lambda seed: models.build_logitnormal(
+        models.LogitNormalMixtureData(_TWO_LEVEL.log_pa, _TWO_LEVEL.log_pb, 0.3), seed=seed
+    ),
+}
+_SEEDED_BUILDS = {
+    "gmm2": lambda seed: models.build_gmm2(make_gmm(seed=1, n=6)[0], seed=seed),
+    "matfac": lambda seed: models.build_matfac(models.MatrixFactorizationData(np.ones((3, 2)), 2), "vmp", seed=seed),
+}
+
+
+@pytest.mark.parametrize("build", _UNSEEDED_BUILDS.values(), ids=_UNSEEDED_BUILDS)
+def test_a_model_with_no_symmetry_to_break_starts_every_indicator_at_one_half_whatever_the_seed(build):
+    model = build(0)
+    assert _plate_bytes(model) == _plate_bytes(build(7))
+    z = model.plates["z"]
+    assert np.all(z.lam.values == 0.0) and np.all(z.mu.values == 0.5)
+
+
+@pytest.mark.parametrize("build", _SEEDED_BUILDS.values(), ids=_SEEDED_BUILDS)
+def test_gmm2_and_matfac_starts_are_drawn_from_the_seed(build):
+    """The label swap of gmm2 and the rotation of matfac are broken by a seeded draw."""
+    assert _plate_bytes(build(0)) == _plate_bytes(build(0))
+    assert _plate_bytes(build(0)) != _plate_bytes(build(7))
+
+
 # ---------------------------------------------------------------------------
 # simple mixture
 # ---------------------------------------------------------------------------
