@@ -147,10 +147,11 @@ def suite_multilinearity(seed: int = 0, pairs: int = 10):
 
 def _with_rows(plates: dict, plate: str, rows, lams) -> engine.Snapshot:
     """The snapshot of the plates with the given rows of a plate set to lams, and their expectations to match."""
-    values = plates[plate].lam.values.copy()
+    old = plates[plate]
+    values = old.lam.values.copy()
     for row, lam in zip(rows, lams):
         values[row] = lam.values
-    moved = plates[plate].with_lambda(expfam.NaturalParam(plates[plate].family, values))
+    moved = engine.Plate(old.ids, expfam.NaturalParam(old.family, values), old.role, old.delta_mode)
     return engine.mu_snapshot({**plates, plate: moved})
 
 

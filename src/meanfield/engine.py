@@ -113,7 +113,8 @@ class _Factor(expfam._Frozen):
     """What a node and a plate share: a (lam, mu) pair, a role and a delta mode.
 
     Each checks its role and delta mode in its own constructor, so that the
-    plate a damped step builds costs no call beyond that constructor.
+    plate a damped step builds costs no call beyond that constructor and the
+    ``nat_to_mean`` it derives mu with.
     """
 
     @property
@@ -141,24 +142,25 @@ class NodeState(_Factor):
 
 
 class Plate(_Factor):
-    """Nodes of one family, role and delta mode, held as (G, flat) lam and mu rows."""
+    """Nodes of one family, role and delta mode, held as (G, flat) lam and mu rows.
 
-    def __init__(
-        self, ids: tuple[str, ...], lam: NaturalParam, mu: ExpectationParam, role: str = LOCAL, delta_mode: bool = False
-    ):
+    ``lam`` holds one row per id, and ``mu`` is derived from it, so a plate's
+    expectations are always its own lambda's.  A lambda that is not 2-D, or
+    whose row count is not the number of ids, is a ConfigurationError.
+    """
+
+    def __init__(self, ids, lam: NaturalParam, role: str = LOCAL, delta_mode: bool = False):
+        ids = tuple(ids)
         if role not in (LOCAL, GLOBAL):
             raise ConfigurationError(f"node role must be 'local' or 'global', got {role!r}")
         if delta_mode and lam.family.kind != expfam.GAUSSIAN:
             raise ConfigurationError("delta_mode is only supported on Gaussian nodes")
-        vars(self).update(ids=ids, lam=lam, mu=mu, role=role, delta_mode=delta_mode)
-
-    @staticmethod
-    def make(ids, lam: NaturalParam, role: str = LOCAL, delta_mode: bool = False):
-        """A plate from row-stacked natural parameters, one row per id."""
-        return Plate(tuple(ids), lam, nat_to_mean(lam), role, delta_mode)
-
-    def with_lambda(self, lam: NaturalParam) -> Plate:
-        return Plate(self.ids, lam, nat_to_mean(lam), self.role, self.delta_mode)
+        if lam.values.ndim != 2 or len(lam.values) != len(ids):
+            raise ConfigurationError(
+                f"a plate needs a 2-D lambda with one row per id: "
+                f"{len(ids)} ids, {len(lam.values)} rows, shape {lam.values.shape}"
+            )
+        vars(self).update(ids=ids, lam=lam, mu=nat_to_mean(lam), role=role, delta_mode=delta_mode)
 
 
 class NodeView(Mapping):
@@ -272,8 +274,14 @@ class Snapshot:
 
 
 def _read_only_coefficient(provider, plate: str, snap: Snapshot, data) -> np.ndarray:
-    """A view of the provider's coefficient as floats that cannot be written through."""
+    """A view of the provider's coefficient as floats that cannot be written through.
+
+    A coefficient whose shape is not its plate's lambda's is a ConfigurationError naming the plate.
+    """
     value = np.asarray(provider.coefficient(plate, snap, data), dtype=float).view()
+    shape = snap._plates[plate].lam.values.shape
+    if value.shape != shape:
+        raise ConfigurationError(f"coefficient of plate {plate!r} has shape {value.shape}, not its lambda's {shape}")
     value.flags.writeable = False
     return value
 
@@ -301,11 +309,11 @@ def _group(layout: dict[str, tuple[str, ...]], factors) -> dict[str, Plate]:
     """Stack factors, whole plates or one-row nodes, into the plates of a layout.
 
     A plate factor holding exactly a layout plate's ids, in order, is taken
-    as it is; any other layout plate stacks its rows' lambdas and derives its
-    mu from them.  No factors at all give no plates; otherwise every plate of
-    the layout must be whole.  Where the factors are the layout's plates, one
-    per entry and in its order, no id-to-row map is built: only the layout's
-    ids are checked for repeats.
+    as it is; any other layout plate stacks its rows' lambdas into a new
+    plate.  Every plate of the layout must be whole, and every factor's ids
+    must lie in it.  Where the factors are the layout's plates, one per entry
+    and in its order, no id-to-row map is built: only the layout's ids are
+    checked for repeats.
     """
     if len(factors) == len(layout) and all(
         isinstance(f, Plate) and f.ids == ids for f, ids in zip(factors, layout.values())
@@ -316,8 +324,6 @@ def _group(layout: dict[str, tuple[str, ...]], factors) -> dict[str, Plate]:
     where = {nid: (f, r) for f in factors for r, nid in enumerate(f.ids)}
     if len(where) != sum(len(f.ids) for f in factors):
         raise ConfigurationError("duplicate node ids in model")
-    if not where:
-        return {}
     plates = {}
     for name, ids in layout.items():
         rows = [where[nid] for nid in ids if nid in where]
@@ -332,7 +338,7 @@ def _group(layout: dict[str, tuple[str, ...]], factors) -> dict[str, Plate]:
             if (f.family, f.role, f.delta_mode) != (first.family, first.role, first.delta_mode):
                 raise ConfigurationError(f"node {nid!r} differs from {ids[0]!r} in family, role or delta mode")
         lam = NaturalParam(first.family, np.stack([f.lam.values.reshape(len(f.ids), -1)[r] for f, r in rows]))
-        plates[name] = Plate.make(ids, lam, first.role, first.delta_mode)
+        plates[name] = Plate(ids, lam, first.role, first.delta_mode)
     if sum(len(p.ids) for p in plates.values()) != len(where):
         placed = {nid for ids in layout.values() for nid in ids}
         stray = next(nid for nid in where if nid not in placed)
@@ -341,23 +347,22 @@ def _group(layout: dict[str, tuple[str, ...]], factors) -> dict[str, Plate]:
 
 
 class ModelSpec(expfam._Frozen):
-    """Initial factors plus the coefficient provider driving them.
+    """The provider's plates, grouped once from the initial factors, plus the provider driving them.
 
     A factor is a whole ``Plate`` (what the builders pass) or a one-row
-    ``NodeState``.  The factors are grouped once into the provider's plates,
-    which are the model's working state; ``nodes`` is a read-only per-id
+    ``NodeState``.  The factors are not kept: the plates they are grouped
+    into are the model's working state, and ``nodes`` is a read-only per-id
     view of them.  ``sweep_order`` overrides the default locals-then-globals
     order of the CAVI sweep; it must name every plate exactly once.
     """
 
     def __init__(self, factors, provider: CoefficientProvider, sweep_order: tuple[str, ...] | None = None):
-        factors = tuple(factors)
-        plates = _group(provider.plates, factors)
+        plates = _group(provider.plates, tuple(factors))
         if sweep_order is not None and sorted(sweep_order) != sorted(plates):
             raise ConfigurationError(
                 f"sweep_order must name every plate once ({', '.join(plates)}), got {sweep_order}"
             )
-        vars(self).update(factors=factors, provider=provider, sweep_order=sweep_order, plates=plates)
+        vars(self).update(provider=provider, sweep_order=sweep_order, plates=plates)
 
     @property
     def nodes(self):
@@ -496,7 +501,7 @@ def blr_step(plate, target: np.ndarray, rho):
     if not valid:
         raise ConfigurationError(f"rho must lie in (0, 1], got {rho}")
     new_values = (1.0 - rate) * plate.lam.values + rate * np.asarray(target, dtype=float)
-    return plate.with_lambda(NaturalParam(plate.lam.family, new_values))
+    return Plate(plate.ids, NaturalParam(plate.lam.family, new_values), plate.role, plate.delta_mode)
 
 
 def _target(model: ModelSpec, plate: str, snap: Snapshot, data) -> np.ndarray:
@@ -513,9 +518,8 @@ def _target(model: ModelSpec, plate: str, snap: Snapshot, data) -> np.ndarray:
 def _check_target(plate: Plate, goal: np.ndarray) -> None:
     """Raise NumericalError naming the first row of a plate's target that is not finite."""
     if not np.logical_and.reduce(np.isfinite(goal), axis=None):  # one pass; the row is located only on failure
-        rows = goal.reshape(len(plate.ids), -1)
-        r = int(np.argmin(np.isfinite(rows).all(axis=1)))
-        raise NumericalError(f"update target of node {plate.ids[r]!r} is not finite: {rows[r]}")
+        r = int(np.argmin(np.isfinite(goal).all(axis=1)))
+        raise NumericalError(f"update target of node {plate.ids[r]!r} is not finite: {goal[r]}")
 
 
 def _step_with_backoff(plate: Plate, target: np.ndarray, rho: float, rows=None):
@@ -532,7 +536,7 @@ def _step_with_backoff(plate: Plate, target: np.ndarray, rho: float, rows=None):
     which at rate 1 leaves them exactly as they are.
     """
     lam = plate.lam.values
-    goal = np.asarray(target, dtype=float).reshape(lam.shape)
+    goal = np.asarray(target, dtype=float)
     rate = float(rho) if rows is None else 1.0
     if rows is not None:
         goal, spliced = lam.copy(), goal

@@ -242,12 +242,12 @@ def _z_ids(n: int) -> tuple[str, ...]:
 
 def _indicator_plate(ids, lam: np.ndarray) -> Plate:
     """Local Bernoulli plate starting at the log odds ``lam``, one per id; zeros start every q(z_i) at 1/2."""
-    return Plate.make(ids, NaturalParam(expfam.FamilyDescriptor(expfam.BERNOULLI), lam[:, None]), role=LOCAL)
+    return Plate(ids, NaturalParam(expfam.FamilyDescriptor(expfam.BERNOULLI), lam[:, None]), role=LOCAL)
 
 
 def _global(node_id: str, lam) -> Plate:
     """A plate of one global node."""
-    return Plate.make((node_id,), NaturalParam(lam.family, lam.values[None, :]), role=GLOBAL)
+    return Plate((node_id,), NaturalParam(lam.family, lam.values[None, :]), role=GLOBAL)
 
 
 def _indicator_coefficient(mus, log_a, log_b) -> np.ndarray:
@@ -441,7 +441,7 @@ def build_gmm2(data: GMMData, seed: int = 0) -> ModelSpec:
     plates = (
         _indicator_plate(provider.plates["z"], np.log(p / (1 - p))),
         _global("pi", beta_natural(data.alpha0, data.beta0)),
-        Plate.make(provider.plates["comp"], NaturalParam(prior.family, np.tile(prior.values, (2, 1))), role=GLOBAL),
+        Plate(provider.plates["comp"], NaturalParam(prior.family, np.tile(prior.values, (2, 1))), role=GLOBAL),
     )
     # Globals first: a locals-first sweep would overwrite the perturbed
     # responsibilities while the components are still identical, freezing the
@@ -530,7 +530,7 @@ def build_matfac(
         prec = delta * np.eye(data.k)
         quad = np.broadcast_to((-0.5 * prec).reshape(-1), (m.shape[0], data.k * data.k))
         lam = NaturalParam(fam, np.concatenate([m @ prec.T, quad], axis=1))
-        return Plate.make(provider.plates[name], lam, role=LOCAL, delta_mode=delta_mode)
+        return Plate(provider.plates[name], lam, role=LOCAL, delta_mode=delta_mode)
 
     plates = (
         factors("u", data.delta_u, mode == "als"),

@@ -23,10 +23,13 @@ def _cases():
             {"role": engine.LOCAL, "delta_mode": False},
         ),
         "Plate": (
-            lambda: engine.Plate(ids=("z0",), lam=rows, mu=expfam.nat_to_mean(rows)),
+            lambda: engine.Plate(ids=("z0",), lam=rows),
             {"role": engine.LOCAL, "delta_mode": False},
         ),
-        "ModelSpec": (lambda: engine.ModelSpec(factors=model.factors, provider=model.provider), {"sweep_order": None}),
+        "ModelSpec": (
+            lambda: engine.ModelSpec(factors=tuple(model.plates.values()), provider=model.provider),
+            {"sweep_order": None},
+        ),
         "Schedule": (
             lambda: engine.Schedule(),
             {"kind": engine.CAVI, "rho": 0.5, "kappa": 0.7, "tau": 1.0, "seed": 0},

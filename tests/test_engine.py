@@ -31,8 +31,33 @@ def _bern_plate(node_id="z", log_odds=0.5):
 def test_mu_cache_coherent_after_update():
     node = _bern_plate(log_odds=2.0)
     assert node.mu.values == pytest.approx(expfam.nat_to_mean(node.lam).values)
-    moved = node.with_lambda(expfam.NaturalParam(node.family, np.array([[-1.0]])))
+    moved = engine.Plate(node.ids, expfam.NaturalParam(node.family, np.array([[-1.0]])), node.role, node.delta_mode)
     assert moved.mu.values == pytest.approx(expfam.nat_to_mean(moved.lam).values)
+
+
+def test_a_plate_derives_its_mu_from_its_lambda():
+    lam = expfam.NaturalParam(expfam.FamilyDescriptor(expfam.BETA), np.array([[2.0, 3.0], [0.5, 4.0]]))
+    plate = engine.Plate(["a", "b"], lam)
+    assert plate.ids == ("a", "b") and plate.lam is lam
+    assert plate.mu.values.tobytes() == expfam.nat_to_mean(lam).values.tobytes()
+    with pytest.raises(TypeError):
+        engine.Plate(("a", "b"), lam, mu=expfam.nat_to_mean(lam))
+
+
+@pytest.mark.parametrize(
+    "ids, values, message",
+    [
+        (("a", "b"), np.zeros((3, 1)), "2 ids, 3 rows, shape (3, 1)"),
+        (("a",), np.zeros(1), "1 ids, 1 rows, shape (1,)"),
+    ],
+    ids=["extra_row", "vector"],
+)
+def test_a_plate_needs_one_lambda_row_per_id(ids, values, message):
+    """A lambda of more rows than ids, or a vector lambda, fails where the plate is made, not inside a fit."""
+    lam = expfam.NaturalParam(expfam.FamilyDescriptor(expfam.BERNOULLI), values)
+    want = f"a plate needs a 2-D lambda with one row per id: {message}"
+    with pytest.raises(engine.ConfigurationError, match=f"^{re.escape(want)}$"):
+        engine.Plate(ids, lam)
 
 
 def test_delta_mode_requires_gaussian():
@@ -119,7 +144,7 @@ def _rate_one_steps():
 # Python frames of one rate-1 plate step, specfun's included: a Gaussian-Wishart
 # step calls digamma and gammaln 4 times each.  With a separate validation and
 # mean pass these steps took 23, 35, 61 and 24 (comprehension frames counted).
-_STEP_FRAME_BUDGET = {"z": 10, "pi": 18, "comp": 28, "u": 15}
+_STEP_FRAME_BUDGET = {"z": 9, "pi": 17, "comp": 27, "u": 14}
 
 
 @pytest.mark.parametrize("plate, model, data", _rate_one_steps())
@@ -313,11 +338,10 @@ def test_sweep_at_fixed_point_is_identity(two_level_data):
         assert np.max(np.abs(after[nid].lam.values - node.lam.values)) < 1e-12
 
 
-def test_empty_model_sweep_is_noop():
-    model = engine.ModelSpec((), models.SimpleMixtureProvider())
-    state = {}
-    engine.cavi_sweep(model, state, models.SimpleMixtureData(0.5, 1.0, 1.0))
-    assert state == {}
+def test_a_model_with_no_factors_is_refused_as_incomplete():
+    """No factors at all leave every provider plate incomplete, so the build fails rather than the fit."""
+    with pytest.raises(engine.ConfigurationError, match="^plate 'z' is missing node 'z'$"):
+        engine.ModelSpec((), models.SimpleMixtureProvider())
 
 
 def test_model_spec_rejects_a_missing_provider_plate():
@@ -335,7 +359,7 @@ def test_model_spec_rejects_a_node_in_no_provider_plate():
     """A node beside the provider's plates is named, whether the others come as nodes or as whole plates."""
     two_level = models.build_two_level(make_two_level(seed=2, n=3))
     stray = _bern_node("stray")
-    for factors in (tuple(two_level.nodes), two_level.factors):
+    for factors in (tuple(two_level.nodes), tuple(two_level.plates.values())):
         with pytest.raises(engine.ConfigurationError, match="^node 'stray' is in none of the provider's plates$"):
             engine.ModelSpec((*factors, stray), two_level.provider)
 
@@ -346,15 +370,16 @@ def test_model_spec_rejects_whole_plates_whose_layout_repeats_an_id(z_ids):
     two_level = models.build_two_level(make_two_level(seed=2, n=3))
     provider = models.TwoLevelProvider(3)
     provider.plates = {"z": z_ids, "pi": ("pi",)}
-    z, pi = two_level.factors
+    z, pi = two_level.plates.values()
     with pytest.raises(engine.ConfigurationError, match="^duplicate node ids in model$"):
-        engine.ModelSpec((engine.Plate.make(z_ids, z.lam), pi), provider)
+        engine.ModelSpec((engine.Plate(z_ids, z.lam), pi), provider)
 
 
 def test_whole_plates_that_match_the_layout_are_taken_as_they_are():
     two_level = models.build_two_level(make_two_level(seed=2, n=3))
-    model = engine.ModelSpec(two_level.factors, two_level.provider)
-    assert all(model.plates[name] is f for name, f in zip(two_level.provider.plates, two_level.factors))
+    plates = tuple(two_level.plates.values())
+    model = engine.ModelSpec(plates, two_level.provider)
+    assert all(model.plates[name] is f for name, f in zip(two_level.provider.plates, plates))
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +655,7 @@ def test_sweep_refreshes_a_plates_lambda_with_its_expectations(two_level_data):
                 seen.append((mus.lam("z"), mus["z"]))
             return super().coefficient(plate, mus, data)
 
-    spy = engine.ModelSpec(model.factors, Spy(two_level_data.n))
+    spy = engine.ModelSpec(tuple(model.plates.values()), Spy(two_level_data.n))
     state = engine.cavi_sweep(spy, dict(spy.plates), two_level_data, order=("z", "pi"))
     (lam, mu), = seen
     assert lam is state["z"].lam and lam is not spy.plates["z"].lam
@@ -763,7 +788,7 @@ def test_a_comp_put_makes_the_indicators_read_the_data_again(monkeypatch):
 def _bernoulli_snapshot(names="abc"):
     """A snapshot of one-node Bernoulli plates, one per name."""
     bern = expfam.FamilyDescriptor(expfam.BERNOULLI)
-    return engine.mu_snapshot({n: engine.Plate.make((n,), expfam.NaturalParam(bern, np.zeros((1, 1)))) for n in names})
+    return engine.mu_snapshot({n: engine.Plate((n,), expfam.NaturalParam(bern, np.zeros((1, 1)))) for n in names})
 
 
 class _Slots:
@@ -888,7 +913,8 @@ def test_a_live_snapshot_reads_as_a_fresh_one_after_any_puts(case, puts):
         name = names[pick % len(names)]
         fam, rng = snap.plates[name].family, np.random.default_rng(seed)
         rows = [checks._random_natural(rng, fam.kind, fam.dim).values for _ in snap.plates[name].ids]
-        snap.put(name, snap.plates[name].with_lambda(expfam.NaturalParam(fam, np.stack(rows))))
+        old = snap.plates[name]
+        snap.put(name, engine.Plate(old.ids, expfam.NaturalParam(fam, np.stack(rows)), old.role, old.delta_mode))
         assert_fresh(elbo_first)
 
 
@@ -952,7 +978,7 @@ def test_a_scalar_rate_steps_bitwise_as_the_same_rate_per_row(kind, dim, rho):
     rng = np.random.default_rng(4)
     start, goal = ([checks._random_natural(rng, kind, dim) for _ in range(3)] for _ in range(2))
     family = start[0].family
-    plate = engine.Plate.make(("a", "b", "c"), expfam.NaturalParam(family, np.stack([s.values for s in start])))
+    plate = engine.Plate(("a", "b", "c"), expfam.NaturalParam(family, np.stack([s.values for s in start])))
     target = np.stack([g.values for g in goal])
     scalar = engine.blr_step(plate, target, rho)
     per_row = engine.blr_step(plate, target, np.full(3, rho))
@@ -962,7 +988,7 @@ def test_a_scalar_rate_steps_bitwise_as_the_same_rate_per_row(kind, dim, rho):
 
 def test_a_non_finite_target_row_is_named():
     bern = expfam.FamilyDescriptor(expfam.BERNOULLI)
-    plate = engine.Plate.make([f"z{i}" for i in range(4)], expfam.NaturalParam(bern, np.zeros((4, 1))))
+    plate = engine.Plate([f"z{i}" for i in range(4)], expfam.NaturalParam(bern, np.zeros((4, 1))))
     target = np.ones((4, 1))
     target[2, 0] = np.nan
     with pytest.raises(expfam.NumericalError, match="update target of node 'z2' is not finite"):
@@ -999,7 +1025,7 @@ def test_a_non_finite_target_fails_before_any_rate_halving(monkeypatch, kind, di
     """The non-finite lambda it makes is caught at the first try, and named as the target's fault."""
     rng = np.random.default_rng(11)
     start, goal = ([checks._random_natural(rng, kind, dim) for _ in range(4)] for _ in range(2))
-    plate = engine.Plate.make(
+    plate = engine.Plate(
         [f"n{i}" for i in range(4)], expfam.NaturalParam(start[0].family, np.stack([s.values for s in start]))
     )
     target = np.stack([g.values for g in goal])
@@ -1033,14 +1059,14 @@ class _NanProvider(engine.CoefficientProvider):
 @pytest.mark.parametrize("max_iter", [0, 100])
 def test_a_non_finite_coefficient_fails_the_fit_instead_of_converging(max_iter):
     lam = expfam.NaturalParam(expfam.FamilyDescriptor(expfam.BERNOULLI), np.zeros((1, 1)))
-    model = engine.ModelSpec((engine.Plate.make(("z",), lam),), _NanProvider())
+    model = engine.ModelSpec((engine.Plate(("z",), lam),), _NanProvider())
     with pytest.raises(expfam.NumericalError, match="update target of node 'z' is not finite"):
         engine.fit(model, None, max_iter=max_iter)
 
 
 def _one_row_plate(node_id, lam, delta_mode=False):
     """A plate holding one node, as ``_step_with_backoff`` takes it."""
-    return engine.Plate.make((node_id,), expfam.NaturalParam(lam.family, lam.values[None, :]), delta_mode=delta_mode)
+    return engine.Plate((node_id,), expfam.NaturalParam(lam.family, lam.values[None, :]), delta_mode=delta_mode)
 
 
 def test_backoff_halves_rate_until_feasible():
@@ -1074,7 +1100,7 @@ def test_backoff_halves_only_the_gaussian_wishart_row_that_leaves_the_domain(mon
     eye = np.eye(2)
     start = [expfam.gw_natural(4.0, 3.0, [0.1, -0.2], eye), expfam.gw_natural(5.0, 3.0, [0.3, 0.1], 2.0 * eye)]
     lam = expfam.NaturalParam(start[0].family, np.stack([s.values for s in start]))
-    plate = engine.Plate.make(("comp_a", "comp_b"), lam, role=engine.GLOBAL)
+    plate = engine.Plate(("comp_a", "comp_b"), lam, role=engine.GLOBAL)
     goal0 = expfam.gw_natural(6.0, 2.0, [0.5, 0.5], eye).values
     mid = expfam.gw_natural(4.5, 1.0, [0.2, 0.0], eye).values
     goal1 = 2.0 * mid - start[1].values  # half way is mid; the full step has gamma = 2 - 3 = -1

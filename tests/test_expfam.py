@@ -989,7 +989,7 @@ def _backoff_rates(monkeypatch, rows: np.ndarray, target: np.ndarray):
 
     monkeypatch.setattr(engine, "blr_step", recorded)
     lam = expfam.NaturalParam(expfam.FamilyDescriptor(expfam.GAUSSIAN, dim=2), rows)
-    plate = engine.Plate.make([f"u{i}" for i in range(len(rows))], lam)
+    plate = engine.Plate([f"u{i}" for i in range(len(rows))], lam)
     out = engine._step_with_backoff(plate, target, 1.0)
     monkeypatch.undo()
     return rates, out

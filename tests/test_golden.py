@@ -125,7 +125,8 @@ def _recorded_start(model: engine.ModelSpec, seed: int) -> engine.ModelSpec:
     """``model`` with q(z_i) = 1/2 + U(-0.05, 0.05), drawn from ``seed`` as the builders drew it for the fixture."""
     z = model.plates["z"]
     p = 0.5 + np.random.default_rng(seed).uniform(-0.05, 0.05, size=len(z.ids))
-    plates = dict(model.plates, z=z.with_lambda(expfam.NaturalParam(z.family, np.log(p / (1 - p))[:, None])))
+    lam = expfam.NaturalParam(z.family, np.log(p / (1 - p))[:, None])
+    plates = dict(model.plates, z=engine.Plate(z.ids, lam, z.role, z.delta_mode))
     return engine.ModelSpec(plates.values(), model.provider, model.sweep_order)
 
 

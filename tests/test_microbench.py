@@ -115,7 +115,7 @@ def test_beta_plate_step_and_entropy(benchmark, base):
     """A rate-1 step of a one-row Beta weight plate and its entropy: (a, b) in floats, A off the mean pass."""
     fam = expfam.FamilyDescriptor(expfam.BETA, base_measure=base)
     shift = 0.0 if base == "reciprocal" else 1.0
-    plate = engine.Plate.make(("pi",), expfam.NaturalParam(fam, np.array([[25.0, 17.0]]) - shift))
+    plate = engine.Plate(("pi",), expfam.NaturalParam(fam, np.array([[25.0, 17.0]]) - shift))
     target = np.array([[31.0, 13.0]]) - shift
 
     def step():
@@ -153,8 +153,8 @@ def test_logitnormal_weight_coefficient(benchmark):
     weight = expfam.beta_natural(25.0, 17.0)
     ids = [f"z{i}" for i in range(n)]
     plates = {
-        "z": engine.Plate.make(ids, expfam.NaturalParam(bernoulli, np.log(p / (1.0 - p)))),
-        "pi": engine.Plate.make(("pi",), expfam.NaturalParam(weight.family, weight.values[None, :])),
+        "z": engine.Plate(ids, expfam.NaturalParam(bernoulli, np.log(p / (1.0 - p)))),
+        "pi": engine.Plate(("pi",), expfam.NaturalParam(weight.family, weight.values[None, :])),
     }
     provider = models.LogitNormalProvider(n)
     g = benchmark(lambda: provider.coefficient("pi", engine.mu_snapshot(plates), data))
@@ -206,7 +206,7 @@ def _check_plate_mean(benchmark, lam: expfam.NaturalParam) -> None:
 
 
 def _check_plate_step(benchmark, shared: bool) -> None:
-    plate = engine.Plate.make([f"u{i}" for i in range(40)], _gaussian_plate(shared=shared))
+    plate = engine.Plate([f"u{i}" for i in range(40)], _gaussian_plate(shared=shared))
     target = _gaussian_plate(shared=shared).values[::-1].copy()
     out = benchmark(engine.blr_step, plate, target, 1.0)
     assert np.array_equal(out.lam.values, target)

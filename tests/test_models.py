@@ -313,9 +313,9 @@ def _gmm_snapshot(provider, log_odds: float, weight, gw):
     rows = np.stack([gw.values, gw.values])
     return engine.mu_snapshot(
         {
-            "z": engine.Plate.make(provider.plates["z"], expfam.NaturalParam(bernoulli, z)),
-            "pi": engine.Plate.make(("pi",), expfam.NaturalParam(weight.family, weight.values[None, :])),
-            "comp": engine.Plate.make(provider.plates["comp"], expfam.NaturalParam(gw.family, rows)),
+            "z": engine.Plate(provider.plates["z"], expfam.NaturalParam(bernoulli, z)),
+            "pi": engine.Plate(("pi",), expfam.NaturalParam(weight.family, weight.values[None, :])),
+            "comp": engine.Plate(provider.plates["comp"], expfam.NaturalParam(gw.family, rows)),
         }
     )
 
@@ -375,7 +375,7 @@ def test_a_gmm2_provider_reads_the_data_it_is_given():
     a = models.GMMData(y, 1.0, 1.0, 1.0, 3.0, np.eye(2))
     b = models.GMMData(y + 3.0, 2.0, 1.5, 0.5, 4.0, 2.0 * np.eye(2))
     own = models.build_gmm2(b, seed=1)
-    borrowed = engine.ModelSpec(own.factors, models.build_gmm2(a, seed=1).provider, own.sweep_order)
+    borrowed = engine.ModelSpec(tuple(own.plates.values()), models.build_gmm2(a, seed=1).provider, own.sweep_order)
     comp = engine.mu_snapshot(own.plates).coefficient(own.provider, "comp", b)
     assert np.array_equal(engine.mu_snapshot(own.plates).coefficient(borrowed.provider, "comp", b), comp)
     want = engine.fit(own, b, tol=1e-10, max_iter=300)
@@ -673,8 +673,8 @@ def test_logitnormal_beta_core_matches_two_level_coefficients(two_level_data):
     weight = expfam.beta_natural(2.0, 3.0)
     snap = engine.mu_snapshot(
         {
-            "z": engine.Plate.make(tl.plates["z"], expfam.NaturalParam(bernoulli, np.log(p / (1.0 - p)))),
-            "pi": engine.Plate.make(("pi",), expfam.NaturalParam(weight.family, weight.values[None, :])),
+            "z": engine.Plate(tl.plates["z"], expfam.NaturalParam(bernoulli, np.log(p / (1.0 - p)))),
+            "pi": engine.Plate(("pi",), expfam.NaturalParam(weight.family, weight.values[None, :])),
         }
     )
     got = models._weight_coefficient(*models.beta_natural_gradient(weight, core)[0], snap)[0]
@@ -936,7 +936,8 @@ def test_the_weight_plate_family_not_the_provider_sets_the_base_measure(kind):
     plain, shifted = (models.build_two_level(data, seed=8, shifted_beta=s) for s in (False, True))
     schedule = engine.Schedule(kind=kind, rho=0.5, seed=4)
     for plates_of, provider_of in ((shifted, plain), (plain, shifted)):
-        crossed = engine.fit(engine.ModelSpec(plates_of.factors, provider_of.provider), data, schedule, max_iter=300)
+        crossed_model = engine.ModelSpec(tuple(plates_of.plates.values()), provider_of.provider)
+        crossed = engine.fit(crossed_model, data, schedule, max_iter=300)
         own = engine.fit(plates_of, data, schedule, max_iter=300)
         assert crossed.converged == own.converged
         assert np.array_equal(crossed.elbos, own.elbos)
@@ -996,7 +997,7 @@ def test_a_provider_reading_around_the_snapshot_fails_the_multilinearity_check(m
         out = []
         for name, model, data in instances(seed):
             if name == "two_level":
-                model = engine.ModelSpec(model.factors, provider(data.n))
+                model = engine.ModelSpec(tuple(model.plates.values()), provider(data.n))
             out.append((name, model, data))
         return out
 

@@ -116,9 +116,16 @@ def test_build_and_result_work_does_not_grow_with_data(monkeypatch):
     assert small["node"] == 0 and small["natural"] > 0
 
 
-def test_builders_hand_their_plates_to_the_model():
+def test_builders_hand_their_plates_to_the_model(monkeypatch):
+    handed = []
+
+    def spec(factors, *rest, **kw):
+        handed.extend(factors)
+        return engine.ModelSpec(factors, *rest, **kw)
+
+    monkeypatch.setattr(models, "ModelSpec", spec)
     model, data = _two_level(5)
-    assert model.plates["z"] is model.factors[0] and model.plates["pi"] is model.factors[1]
+    assert model.plates["z"] is handed[0] and model.plates["pi"] is handed[1]
     trace = engine.fit(model, data, max_iter=2)
     assert trace.state.plates is trace.plates
     for diagnostic in (engine.elbo, engine.fixed_point_residual):
@@ -149,7 +156,7 @@ def test_model_spec_stacks_mixed_plates_and_nodes():
     assert mixed.plates["pi"].lam.values.tolist() == [[2.0, 3.0]]
     with pytest.raises(engine.ConfigurationError, match="duplicate"):
         engine.ModelSpec((z, moved, moved), model.provider)
-    partial = engine.Plate.make(z.ids[:2], expfam.NaturalParam(z.family, z.lam.values[:2]))
+    partial = engine.Plate(z.ids[:2], expfam.NaturalParam(z.family, z.lam.values[:2]))
     regrouped = engine.ModelSpec((partial, engine.NodeView(model.plates)["z2"], moved), model.provider)
     assert np.array_equal(regrouped.plates["z"].lam.values, z.lam.values)
 
@@ -191,7 +198,7 @@ def test_model_spec_rejects_a_node_outside_every_plate():
 
 def _beta_plate(*rows):
     lam = expfam.NaturalParam(expfam.FamilyDescriptor(expfam.BETA), np.array(rows, dtype=float))
-    return engine.Plate.make(("a", "b"), lam)
+    return engine.Plate(("a", "b"), lam)
 
 
 def test_backoff_halves_only_the_rows_that_leave_the_domain():

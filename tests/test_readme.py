@@ -24,6 +24,20 @@ def test_a_readme_python_example_runs_and_converges(index, capsys):
     assert capsys.readouterr().out.startswith("True ")
 
 
+def test_the_readme_provider_with_a_flat_coefficient_fails_at_its_first_read_off(monkeypatch):
+    """Dropping the provider's ``[:, None]`` gives a (G,) coefficient: refused by name, not fitted to no fixed point."""
+    (block,) = (b for b in BLOCKS if "class KnownWeightMixture" in b)
+    flat = block.replace("[:, None]  # (N, 1)", "  # (N,)")
+    assert flat != block
+    reads = []
+    read = engine._read_only_coefficient
+    monkeypatch.setattr(engine, "_read_only_coefficient", lambda *args: (reads.append(args[1]), read(*args))[1])
+    want = "coefficient of plate 'z' has shape (5,), not its lambda's (5, 1)"
+    with pytest.raises(engine.ConfigurationError, match=f"^{re.escape(want)}$"):
+        exec(compile(flat, "README.md provider with a flat coefficient", "exec"), {"__name__": "readme_example"})
+    assert reads == ["z"]
+
+
 def test_the_readme_config_example_parses_as_written(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(CONFIG, encoding="utf-8")
