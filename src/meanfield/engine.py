@@ -109,44 +109,30 @@ class ConfigurationError(ValueError):
     """The model/schedule combination is not runnable."""
 
 
-class _Factor(expfam._Frozen):
-    """What a node and a plate share: a (lam, mu) pair, a role and a delta mode.
-
-    Each checks its role and delta mode in its own constructor, so that the
-    plate a damped step builds costs no call beyond that constructor and the
-    ``nat_to_mean`` it derives mu with.
-    """
-
-    @property
-    def family(self):
-        return self.lam.family
-
-
-class NodeState(_Factor):
-    """One latent node: family, current lambda, cached mu."""
+class NodeState(expfam._Frozen):
+    """One latent node: its id, as ``id`` and as the one-id tuple ``ids``, family, current lambda and cached mu."""
 
     def __init__(self, id: str, lam: NaturalParam, mu: ExpectationParam, role: str = LOCAL, delta_mode: bool = False):
         if role not in (LOCAL, GLOBAL):
             raise ConfigurationError(f"node role must be 'local' or 'global', got {role!r}")
         if delta_mode and lam.family.kind != expfam.GAUSSIAN:
             raise ConfigurationError("delta_mode is only supported on Gaussian nodes")
-        vars(self).update(id=id, lam=lam, mu=mu, role=role, delta_mode=delta_mode)
+        vars(self).update(id=id, ids=(id,), lam=lam, mu=mu, family=lam.family, role=role, delta_mode=delta_mode)
 
     @staticmethod
     def make(node_id: str, lam: NaturalParam, role: str = LOCAL, delta_mode: bool = False):
         return NodeState(node_id, lam, nat_to_mean(lam), role, delta_mode)
 
-    @property
-    def ids(self) -> tuple[str]:
-        return (self.id,)
 
-
-class Plate(_Factor):
+class Plate(expfam._Frozen):
     """Nodes of one family, role and delta mode, held as (G, flat) lam and mu rows.
 
     ``lam`` holds one row per id, and ``mu`` is derived from it, so a plate's
-    expectations are always its own lambda's.  A lambda that is not 2-D, or
-    whose row count is not the number of ids, is a ConfigurationError.
+    expectations are always its own lambda's; ``family`` is the lambda's.
+    A lambda that is not 2-D, or whose row count is not the number of ids,
+    is a ConfigurationError.  The role and delta mode are checked here, so
+    the plate a damped step builds costs no call beyond this constructor and
+    the ``nat_to_mean`` it derives mu with.
     """
 
     def __init__(self, ids, lam: NaturalParam, role: str = LOCAL, delta_mode: bool = False):
@@ -160,7 +146,7 @@ class Plate(_Factor):
                 f"a plate needs a 2-D lambda with one row per id: "
                 f"{len(ids)} ids, {len(lam.values)} rows, shape {lam.values.shape}"
             )
-        vars(self).update(ids=ids, lam=lam, mu=nat_to_mean(lam), role=role, delta_mode=delta_mode)
+        vars(self).update(ids=ids, lam=lam, mu=nat_to_mean(lam), family=lam.family, role=role, delta_mode=delta_mode)
 
 
 class NodeView(Mapping):
@@ -308,18 +294,22 @@ class CoefficientProvider(ABC):
 def _group(layout: dict[str, tuple[str, ...]], factors) -> dict[str, Plate]:
     """Stack factors, whole plates or one-row nodes, into the plates of a layout.
 
-    A plate factor holding exactly a layout plate's ids, in order, is taken
-    as it is; any other layout plate stacks its rows' lambdas into a new
-    plate.  Every plate of the layout must be whole, and every factor's ids
-    must lie in it.  Where the factors are the layout's plates, one per entry
-    and in its order, no id-to-row map is built: only the layout's ids are
-    checked for repeats.
+    The layout's ids are checked once, first: an id in it twice is a
+    ConfigurationError naming that id, whatever the factors.  A plate factor
+    holding exactly a layout plate's ids, in order, is taken as it is; any
+    other layout plate stacks its rows' lambdas into a new plate.  Every
+    plate of the layout must be whole, and every factor's ids must lie in
+    it.  Where the factors are the layout's plates, one per entry and in its
+    order, no id-to-row map is built.
     """
+    placed = set(itertools.chain.from_iterable(layout.values()))
+    if len(placed) != sum(map(len, layout.values())):
+        seen = set()
+        repeated = next(nid for nid in itertools.chain.from_iterable(layout.values()) if nid in seen or seen.add(nid))
+        raise ConfigurationError(f"node {repeated!r} is in the provider's plates more than once")
     if len(factors) == len(layout) and all(
         isinstance(f, Plate) and f.ids == ids for f, ids in zip(factors, layout.values())
     ):
-        if len(set(itertools.chain.from_iterable(layout.values()))) != sum(map(len, layout.values())):
-            raise ConfigurationError("duplicate node ids in model")
         return dict(zip(layout, factors))
     where = {nid: (f, r) for f in factors for r, nid in enumerate(f.ids)}
     if len(where) != sum(len(f.ids) for f in factors):
@@ -339,8 +329,7 @@ def _group(layout: dict[str, tuple[str, ...]], factors) -> dict[str, Plate]:
                 raise ConfigurationError(f"node {nid!r} differs from {ids[0]!r} in family, role or delta mode")
         lam = NaturalParam(first.family, np.stack([f.lam.values.reshape(len(f.ids), -1)[r] for f, r in rows]))
         plates[name] = Plate(ids, lam, first.role, first.delta_mode)
-    if sum(len(p.ids) for p in plates.values()) != len(where):
-        placed = {nid for ids in layout.values() for nid in ids}
+    if len(where) != len(placed):
         stray = next(nid for nid in where if nid not in placed)
         raise ConfigurationError(f"node {stray!r} is in none of the provider's plates")
     return plates
@@ -350,10 +339,12 @@ class ModelSpec(expfam._Frozen):
     """The provider's plates, grouped once from the initial factors, plus the provider driving them.
 
     A factor is a whole ``Plate`` (what the builders pass) or a one-row
-    ``NodeState``.  The factors are not kept: the plates they are grouped
-    into are the model's working state, and ``nodes`` is a read-only per-id
-    view of them.  ``sweep_order`` overrides the default locals-then-globals
-    order of the CAVI sweep; it must name every plate exactly once.
+    ``NodeState``.  The provider's layout is checked for a repeated id once,
+    as the factors are grouped (see ``_group``).  The factors are not kept:
+    the plates they are grouped into are the model's working state, and
+    ``nodes`` is a read-only per-id view of them.  ``sweep_order`` overrides
+    the default locals-then-globals order of the CAVI sweep; it must name
+    every plate exactly once.
     """
 
     def __init__(self, factors, provider: CoefficientProvider, sweep_order: tuple[str, ...] | None = None):

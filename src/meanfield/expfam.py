@@ -19,6 +19,15 @@ and reject rows with a DomainError that names the function and the
 shapes.  The mu ``nat_to_mean`` derives carries A(lambda)
 (``ExpectationParam.log_partition``, per row), which ``entropy`` reads.
 
+A bad value is a ``DomainError``, whose ``rows`` lists the offending rows
+where there are rows: a value outside its family's domain, not finite, of
+the wrong length, or an empty stack; a mu that ``mean_to_nat`` cannot
+realise, with the values at fault; a row-stacked parameter where one vector
+is taken; a mu or a second lambda of another family or shape (``family
+mismatch: ...``, ``shape mismatch: ...``).  A malformed ``FamilyDescriptor``
+is a ValueError, and a Newton solve that does not converge a
+``NumericalError``.
+
 Flat layouts
 ------------
 Bernoulli           (lam,)                                length 1

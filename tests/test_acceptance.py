@@ -94,17 +94,18 @@ def test_criterion_05_fixed_point_log_odds_identity():
     data = make_two_level(seed=505, n=10)
     model = models.build_two_level(data, seed=3)
     trace = engine.fit(model, data, tol=1e-12, max_iter=400)
-    a, b = expfam.beta_ab(trace.state["pi"].lam)
+    a, b = expfam.beta_ab(expfam.row_view(trace.plates["pi"].lam, 0))
     from meanfield.specfun import digamma
 
     e_log_pi = digamma(a) - digamma(a + b)
     e_log_1mpi = digamma(b) - digamma(a + b)
+    z = trace.plates["z"]
     worst = 0.0
     for i in range(data.n):
-        lam_i = trace.state[f"z{i}"].lam.values[0]  # log q(z=1) - log q(z=0)
+        lam_i = z.lam.values[z.ids.index(f"z{i}"), 0]  # log q(z=1) - log q(z=0)
         joint_diff = (e_log_pi + data.log_pa[i]) - (e_log_1mpi + data.log_pb[i])
         worst = max(worst, abs(lam_i - joint_diff))
-    worst = max(worst, engine.fixed_point_residual(model, trace.state, data))
+    worst = max(worst, engine.fixed_point_residual(model, trace.plates, data))
     ok = worst < 1e-8
     _report(5, ok, f"max log-odds identity gap = {worst:.3g} over all nodes (tol 1e-8)")
     assert ok
@@ -120,10 +121,9 @@ def test_criterion_06_svi_consistency():
     rng = np.random.default_rng(606)
     for t in range(2000):
         engine.svi_step(model, state, data, int(rng.integers(data.n)), sched.global_rate(t))
-    svi = engine.NodeView(state)
     worst = max(
-        float(np.max(np.abs(svi[nid].lam.values - cavi.state[nid].lam.values)))
-        for nid in svi
+        float(np.max(np.abs(state[name].lam.values - cavi.plates[name].lam.values)))
+        for name in state
     )
     ok = worst < 1e-4
     _report(6, ok, f"max |lambda_svi - lambda_cavi| = {worst:.3g} after 2000 steps (tol 1e-4)")
@@ -213,8 +213,8 @@ def test_criterion_09_base_measure_extension():
     rep = engine.fit(
         models.build_two_level(data, seed=8, shifted_beta=True), data, tol=1e-12, max_iter=400
     )
-    a1, b1 = expfam.beta_ab(std.state["pi"].lam)
-    a2, b2 = expfam.beta_ab(rep.state["pi"].lam)
+    a1, b1 = expfam.beta_ab(expfam.row_view(std.plates["pi"].lam, 0))
+    a2, b2 = expfam.beta_ab(expfam.row_view(rep.plates["pi"].lam, 0))
     kl = expfam.kl_divergence(expfam.beta_natural(a1, b1), expfam.beta_natural(a2, b2))
     ok = std.converged and rep.converged and kl <= 1e-10
     _report(9, ok, f"KL(standard || reparameterized) = {kl:.3g} (tol 1e-10)")
@@ -225,7 +225,8 @@ def test_criterion_10_gmm_classification():
     """Responsibilities classify >= 98% of well-separated points correctly."""
     data, labels = make_gmm(seed=1010, n=100, d=2, sep=6.0, sd=1.0)
     trace = engine.fit(models.build_gmm2(data, seed=9), data, tol=1e-9, max_iter=500)
-    resp = np.array([trace.state[f"z{i}"].mu.values[0] for i in range(100)])
+    z = trace.plates["z"]
+    resp = np.array([z.mu.values[z.ids.index(f"z{i}"), 0] for i in range(100)])
     pred = (resp > 0.5).astype(int)
     acc = max(float(np.mean(pred == labels)), float(np.mean(pred != labels)))
     ok = trace.converged and acc >= 0.98

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import meanfield
-from meanfield import cli, engine, expfam, models
+from meanfield import checks, cli, engine, expfam, models
 
 
 def _write(path, text):
@@ -520,6 +520,19 @@ def test_check_all_aggregates(capsys):
 def test_check_unknown_suite_is_usage_error(capsys):
     assert cli.main(["check", "spectral"]) == cli.EXIT_USAGE
     assert "unknown suite" in capsys.readouterr().err
+
+
+def test_a_suites_own_key_error_is_not_reported_as_an_unknown_suite(monkeypatch, capsys):
+    """The suite name is looked up before the suite runs, so a KeyError raised inside it propagates as it is."""
+
+    def failing():
+        raise KeyError("z")
+
+    monkeypatch.setitem(checks.SUITES, "roundtrip", failing)
+    with pytest.raises(KeyError, match="'z'"):
+        cli.main(["check", "roundtrip"])
+    assert "unknown suite" not in capsys.readouterr().err
+    assert cli.main(["check", "spectral"]) == cli.EXIT_USAGE
 
 
 def test_a_failed_round_trip_is_counted_and_named_by_check(monkeypatch, capsys):

@@ -333,9 +333,10 @@ def test_sweep_at_fixed_point_is_identity(two_level_data):
     model = models.build_two_level(two_level_data, seed=1)
     trace = engine.fit(model, two_level_data, tol=1e-13, max_iter=300)
     assert trace.converged
-    after = engine.NodeView(engine.cavi_sweep(model, dict(trace.plates), two_level_data))
-    for nid, node in trace.state.items():
-        assert np.max(np.abs(after[nid].lam.values - node.lam.values)) < 1e-12
+    after = engine.cavi_sweep(model, dict(trace.plates), two_level_data)
+    for name, plate in trace.plates.items():
+        assert after[name].ids == plate.ids
+        assert np.max(np.abs(after[name].lam.values - plate.lam.values)) < 1e-12
 
 
 def test_a_model_with_no_factors_is_refused_as_incomplete():
@@ -364,15 +365,27 @@ def test_model_spec_rejects_a_node_in_no_provider_plate():
             engine.ModelSpec((*factors, stray), two_level.provider)
 
 
-@pytest.mark.parametrize("z_ids", [("z0", "z1", "z0"), ("z0", "z1", "pi")], ids=["in_a_plate", "across_plates"])
-def test_model_spec_rejects_whole_plates_whose_layout_repeats_an_id(z_ids):
-    """Plates that match the layout as they are still fail where the layout itself repeats an id."""
+@pytest.mark.parametrize(
+    "z_ids, repeated", [(("z0", "z1", "z0"), "z0"), (("z0", "z1", "pi"), "pi")], ids=["in_a_plate", "across_plates"]
+)
+def test_model_spec_rejects_whole_plates_whose_layout_repeats_an_id(z_ids, repeated):
+    """Plates that match the layout as they are still fail where the layout itself repeats an id, which is named."""
     two_level = models.build_two_level(make_two_level(seed=2, n=3))
     provider = models.TwoLevelProvider(3)
     provider.plates = {"z": z_ids, "pi": ("pi",)}
     z, pi = two_level.plates.values()
-    with pytest.raises(engine.ConfigurationError, match="^duplicate node ids in model$"):
+    message = f"^node '{repeated}' is in the provider's plates more than once$"
+    with pytest.raises(engine.ConfigurationError, match=message):
         engine.ModelSpec((engine.Plate(z_ids, z.lam), pi), provider)
+
+
+@pytest.mark.parametrize("layout", [{"z": ("a", "a")}, {"z": ("a",), "w": ("a",)}], ids=["in_a_plate", "across_plates"])
+def test_model_spec_rejects_nodes_whose_layout_repeats_an_id(layout):
+    """Grouped from nodes, a layout that repeats an id fails as whole plates do, with a ConfigurationError naming it."""
+    provider = models.SimpleMixtureProvider()
+    provider.plates = layout
+    with pytest.raises(engine.ConfigurationError, match="^node 'a' is in the provider's plates more than once$"):
+        engine.ModelSpec((_bern_node("a", 0.0),), provider)
 
 
 def test_whole_plates_that_match_the_layout_are_taken_as_they_are():
@@ -629,8 +642,9 @@ def test_parallel_damped_matches_cavi_fixed_point(two_level_data):
         max_iter=800,
     )
     assert par.converged
-    for nid in cavi.state:
-        assert np.max(np.abs(par.state[nid].lam.values - cavi.state[nid].lam.values)) < 1e-6
+    for name, plate in cavi.plates.items():
+        assert par.plates[name].ids == plate.ids
+        assert np.max(np.abs(par.plates[name].lam.values - plate.lam.values)) < 1e-6
 
 
 def test_parallel_step_reads_frozen_snapshot(two_level_data):

@@ -146,7 +146,7 @@ def run_case(case: str) -> dict:
         "converged": trace.converged,
         "elbo": [r.elbo for r in trace.records],
         "residual": [r.residual for r in trace.records],
-        "lambda": {nid: node.lam.values.tolist() for nid, node in trace.state.items()},
+        "lambda": {nid: p.lam.values[r].tolist() for p in trace.plates.values() for r, nid in enumerate(p.ids)},
     }
 
 

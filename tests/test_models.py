@@ -242,7 +242,8 @@ def test_two_level_marginals_approach_enumeration(two_level_data):
     model = models.build_two_level(two_level_data, seed=0)
     trace = engine.fit(model, two_level_data, tol=1e-11, max_iter=300)
     exact = oracle.enumerate_two_level(two_level_data)
-    got = np.array([trace.state[f"z{i}"].mu.values[0] for i in range(two_level_data.n)])
+    z = trace.plates["z"]
+    got = np.array([z.mu.values[z.ids.index(f"z{i}"), 0] for i in range(two_level_data.n)])
     # mean-field marginals are close (not exact) on well-separated data
     assert np.max(np.abs(got - exact.marginal_means)) < 0.05
 
@@ -496,16 +497,16 @@ def test_ppca_vs_vmp_second_moment_substitution():
     data = _matfac_data(seed=5)
     vmp = models.build_matfac(data, "vmp", seed=5)
     ppca = models.build_matfac(data, "ppca", seed=5)
-    vmp_state = {n.id: n for n in vmp.nodes}
-    ppca_state = {n.id: n for n in ppca.nodes}
-    for nid in vmp_state:  # identical lambdas by construction (same seed)
-        assert np.allclose(vmp_state[nid].lam.values, ppca_state[nid].lam.values)
+    for name, plate in vmp.plates.items():  # identical lambdas by construction (same seed)
+        assert plate.ids == ppca.plates[name].ids
+        assert np.allclose(plate.lam.values, ppca.plates[name].lam.values)
     snap_vmp = engine.mu_snapshot(vmp.plates)
     snap_ppca = engine.mu_snapshot(ppca.plates)
     k = data.k
     cov_sum = np.zeros((k, k))
+    v = vmp.plates["v"]
     for j in range(data.d):
-        _, prec = expfam.gaussian_mean_precision(vmp_state[f"v{j}"].lam)
+        _, prec = expfam.gaussian_mean_precision(expfam.row_view(v.lam, v.ids.index(f"v{j}")))
         cov_sum += np.linalg.inv(prec)
     for i in range(data.n):
         g_vmp = vmp.provider.coefficient("u", snap_vmp, data)[i]
@@ -884,7 +885,7 @@ def test_logitnormal_cavi_fit_of_a_concentrated_weight():
     data = _logitnormal_data(2000)
     trace = engine.fit(models.build_logitnormal(data, seed=1), data, tol=1e-8, max_iter=200)
     assert trace.converged
-    assert sum(expfam.beta_ab(trace.state["pi"].lam)) > 2000.0
+    assert sum(expfam.beta_ab(expfam.row_view(trace.plates["pi"].lam, 0))) > 2000.0
 
 
 def test_reused_provider_fits_like_a_fresh_one():
@@ -897,7 +898,7 @@ def test_reused_provider_fits_like_a_fresh_one():
     for trace in (first, again):
         assert trace.elbos.tolist() == fresh.elbos.tolist()
         assert trace.residuals.tolist() == fresh.residuals.tolist()
-        assert trace.state["pi"].lam.values.tolist() == fresh.state["pi"].lam.values.tolist()
+        assert trace.plates["pi"].lam.values.tolist() == fresh.plates["pi"].lam.values.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -917,11 +918,11 @@ def test_shifted_beta_converges_to_same_posterior(two_level_data):
     )
     assert std.converged and rep.converged
     # natural parameters differ by exactly the base-measure shift (1, 1)
-    assert rep.state["pi"].lam.values - std.state["pi"].lam.values == pytest.approx(
+    assert rep.plates["pi"].lam.values[0] - std.plates["pi"].lam.values[0] == pytest.approx(
         [1.0, 1.0], abs=1e-10
     )
-    a1, b1 = expfam.beta_ab(std.state["pi"].lam)
-    a2, b2 = expfam.beta_ab(rep.state["pi"].lam)
+    a1, b1 = expfam.beta_ab(expfam.row_view(std.plates["pi"].lam, 0))
+    a2, b2 = expfam.beta_ab(expfam.row_view(rep.plates["pi"].lam, 0))
     kl = expfam.kl_divergence(
         expfam.beta_natural(a1, b1), expfam.beta_natural(a2, b2)
     )
