@@ -291,11 +291,19 @@ class CoefficientProvider(ABC):
         """E_q[log p(y, z)] including all additive constants."""
 
 
+def _repeated(ids, where: str) -> ConfigurationError:
+    """The error naming the first id that repeats in ``ids``, which must hold one, and ``where`` it repeats."""
+    seen = set()
+    repeated = next(nid for nid in ids if nid in seen or seen.add(nid))
+    return ConfigurationError(f"node {repeated!r} is in {where} more than once")
+
+
 def _group(layout: dict[str, tuple[str, ...]], factors) -> dict[str, Plate]:
     """Stack factors, whole plates or one-row nodes, into the plates of a layout.
 
     The layout's ids are checked once, first: an id in it twice is a
-    ConfigurationError naming that id, whatever the factors.  A plate factor
+    ConfigurationError naming that id, whatever the factors; so is an id
+    that the factors repeat among themselves.  A plate factor
     holding exactly a layout plate's ids, in order, is taken as it is; any
     other layout plate stacks its rows' lambdas into a new plate.  Every
     plate of the layout must be whole, and every factor's ids must lie in
@@ -304,16 +312,14 @@ def _group(layout: dict[str, tuple[str, ...]], factors) -> dict[str, Plate]:
     """
     placed = set(itertools.chain.from_iterable(layout.values()))
     if len(placed) != sum(map(len, layout.values())):
-        seen = set()
-        repeated = next(nid for nid in itertools.chain.from_iterable(layout.values()) if nid in seen or seen.add(nid))
-        raise ConfigurationError(f"node {repeated!r} is in the provider's plates more than once")
+        raise _repeated(itertools.chain.from_iterable(layout.values()), "the provider's plates")
     if len(factors) == len(layout) and all(
         isinstance(f, Plate) and f.ids == ids for f, ids in zip(factors, layout.values())
     ):
         return dict(zip(layout, factors))
     where = {nid: (f, r) for f in factors for r, nid in enumerate(f.ids)}
     if len(where) != sum(len(f.ids) for f in factors):
-        raise ConfigurationError("duplicate node ids in model")
+        raise _repeated((nid for f in factors for nid in f.ids), "the model's factors")
     plates = {}
     for name, ids in layout.items():
         rows = [where[nid] for nid in ids if nid in where]

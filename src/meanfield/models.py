@@ -12,6 +12,13 @@ components comp_a and comp_b, which read only "z", plate "comp"; every
 other global is a plate of its own.  Snapshots hold one (G, flat)
 expectation array per plate, plus each plate's lambda, and every
 coefficient is returned for a whole plate as a (G, flat) array.
+
+A weight's prior term is read off the data class that holds that prior's
+parameters: ``weight_exponents`` gives its Beta exponents in the weight's
+coefficient and ``weight_log_prior`` its share of the expected log-joint.
+A Beta prior is conjugate (``_BetaWeight``); a logit-normal one is read off
+as a pseudo-conjugate Beta term (``LogitNormalMixtureData``), so one
+``TwoLevelProvider`` serves the two-level mixture under either prior.
 """
 
 from __future__ import annotations
@@ -37,7 +44,6 @@ __all__ = [
     "TwoLevelProvider",
     "GMMProvider",
     "MatrixFactorizationProvider",
-    "LogitNormalProvider",
     "beta_natural_gradient",
     "logit_normal_natural_gradient",
     "build_simple_mixture",
@@ -131,7 +137,29 @@ class _MixtureLogLiks(expfam._Frozen):
         return self.log_pa.size
 
 
-class TwoLevelMixtureData(_MixtureLogLiks):
+class _BetaWeight:
+    """The weight's prior term where that prior is Beta(alpha0, beta0), for data that holds alpha0 and beta0.
+
+    Not a provider: the providers of the indicator mixtures ask their data
+    for ``weight_exponents``, the Beta exponents of the prior's term in the
+    weight's coefficient, and ``weight_log_prior``, that term's share of the
+    expected log-joint.  log B(alpha0, beta0) reads no entry and is memoised
+    on the snapshot for the data.
+    """
+
+    def weight_exponents(self, mus):
+        """(alpha0, beta0): a conjugate prior's exponents read no entry."""
+        return self.alpha0, self.beta0
+
+    def weight_log_prior(self, mus) -> float:
+        """E_q[log Beta(pi | a, b)] = (a - 1) E[log pi] + (b - 1) E[log(1 - pi)] - log B(a, b) at (alpha0, beta0)."""
+        a, b = self.alpha0, self.beta0
+        mu0 = mus["pi"][0]
+        log_norm = mus.read_off("log B(alpha0, beta0)", None, self, betaln, a, b)
+        return float((a - 1.0) * mu0[0] + (b - 1.0) * mu0[1] - log_norm)
+
+
+class TwoLevelMixtureData(_BetaWeight, _MixtureLogLiks):
     """Per-observation component log-likelihoods plus a Beta(alpha0, beta0) prior on the weight."""
 
     def __init__(self, log_pa: np.ndarray, log_pb: np.ndarray, alpha0: float = 1.0, beta0: float = 1.0):
@@ -139,7 +167,7 @@ class TwoLevelMixtureData(_MixtureLogLiks):
         _require_beta_exponents(alpha0=alpha0, beta0=beta0)
 
 
-class GMMData(expfam._Frozen):
+class GMMData(_BetaWeight, expfam._Frozen):
     """Observations for the two-component Gaussian mixture with GW priors.
 
     ``nu0`` defaults to the dimension D of the observations and ``w0`` to
@@ -221,11 +249,40 @@ class MatrixFactorizationData(expfam._Frozen):
 
 
 class LogitNormalMixtureData(_MixtureLogLiks):
-    """Two-level mixture data with a logit-normal prior, mean m, on the weight."""
+    """Two-level mixture data with a logit-normal prior, mean m, on the weight.
+
+    The prior factorizes as h(z) exp(f) with h(z) = 1/(z(1-z)) and
+    f = -(t - m)^2 / 2 in the logit t = logit(z); the non-conjugate f enters
+    the weight plate's coefficient through its natural gradient, acting as
+    a pseudo-conjugate Beta term, so ``TwoLevelProvider`` serves this data
+    as it serves a Beta prior's.  For this f the natural gradient and
+    E_q[f] are closed form (``logit_normal_natural_gradient``).
+
+    The weight read-off (the natural gradient and E_q[f]) is taken at the
+    (a, b) that validation of the weight plate's stacked lambda kept, and
+    memoised on the snapshot for this data until "pi" is put: the step, the
+    fixed-point residual and the ELBO at one weight state share one
+    read-off.  It lives on the snapshot, so a fit sets nothing on the
+    provider.
+    """
 
     def __init__(self, log_pa: np.ndarray, log_pb: np.ndarray, m: float = 0.0):
         super().__init__(log_pa, log_pb, m=m)
         _require_square_summable("m", float(m))  # the prior's f squares logit(z) - m
+
+    def _weight_read_off(self, mus):
+        """((alpha_hat, beta_hat), E_q[f]) at the lambda of "pi", memoised on the snapshot until "pi" is put."""
+        read_off = lambda: _logit_normal_gradient(*mus.lam("pi")._kept[0][0], self.m)  # noqa: E731
+        return mus.read_off("pi read-off", self, self, read_off)
+
+    def weight_exponents(self, mus):
+        """The pseudo prior's Beta exponents (alpha_hat, beta_hat); h(z) adds (-1, -1), as for a Beta prior."""
+        return self._weight_read_off(mus)[0].tolist()  # floats unpack faster than an array
+
+    def weight_log_prior(self, mus) -> float:
+        """E_q[log p(pi)] = -E[log pi] - E[log(1 - pi)] - log(2 pi) / 2 + E_q[f]: h(z), the sigma = 1 normalizer, f."""
+        mu0 = mus["pi"][0]
+        return -float(mu0[0]) - float(mu0[1]) - 0.5 * LOG_2PI + self._weight_read_off(mus)[1]
 
 
 # --------------------------------------------------------------------------
@@ -266,14 +323,6 @@ def _weight_coefficient(a: float, b: float, mus) -> np.ndarray:
     r = mus["z"][:, 0]
     s = float(np.add.reduce(r))
     return np.array([[a - 1.0 + s, r.size + b - 1.0 - s]])
-
-
-def _weight_log_prior(mus, data) -> float:
-    """E_q[log Beta(pi | a, b)] = (a - 1) E[log pi] + (b - 1) E[log(1 - pi)] - log B(a, b), (a, b) = (alpha0, beta0)."""
-    a, b = data.alpha0, data.beta0
-    mu0 = mus["pi"][0]
-    log_norm = mus.read_off("log B(alpha0, beta0)", None, data, betaln, a, b)
-    return float((a - 1.0) * mu0[0] + (b - 1.0) * mu0[1] - log_norm)
 
 
 def _indicator_log_joint(mus, log_a, log_b) -> float:
@@ -319,23 +368,25 @@ def build_simple_mixture(data: SimpleMixtureData, seed: int = 0) -> ModelSpec:
 
 
 class TwoLevelProvider(CoefficientProvider):
-    """Bernoulli locals plus one Beta global.
+    """Bernoulli locals plus one Beta global, under a Beta or a logit-normal weight prior.
 
-    The coefficient does not depend on the weight plate's base measure,
-    which the engine takes from the plate's Beta family.
+    The weight's prior term comes from the data: ``TwoLevelMixtureData``
+    gives its Beta exponents and log-prior, ``LogitNormalMixtureData`` the
+    pseudo-conjugate ones it reads off.  The coefficient does not depend on
+    the weight plate's base measure, which the engine takes from the
+    plate's Beta family.
     """
 
     def __init__(self, n: int):
         self.plates = {"z": _z_ids(n), "pi": ("pi",)}
 
-    def coefficient(self, plate, mus, data: TwoLevelMixtureData):
+    def coefficient(self, plate, mus, data: TwoLevelMixtureData | LogitNormalMixtureData):
         if plate == "pi":
-            return _weight_coefficient(data.alpha0, data.beta0, mus)
+            return _weight_coefficient(*data.weight_exponents(mus), mus)
         return _indicator_coefficient(mus, data.log_pa, data.log_pb)
 
-    def expected_log_joint(self, mus, data: TwoLevelMixtureData):
-        total = _weight_log_prior(mus, data)
-        return float(total + _indicator_log_joint(mus, data.log_pa, data.log_pb))
+    def expected_log_joint(self, mus, data: TwoLevelMixtureData | LogitNormalMixtureData):
+        return float(data.weight_log_prior(mus) + _indicator_log_joint(mus, data.log_pa, data.log_pb))
 
 
 def build_two_level(
@@ -386,6 +437,9 @@ def _gw_prior_terms(data: GMMData):
 class GMMProvider(CoefficientProvider):
     """Bernoulli responsibilities, a Beta weight, and a plate of two Gaussian-Wishart components.
 
+    The weight's Beta prior term is read off the data (``_BetaWeight``), as
+    ``TwoLevelProvider`` reads it.
+
     A component meets the data only through each datum's sufficient
     statistics T(y): its expected log-likelihood is T(y) . mu, and its
     coefficient is the prior plus the weighted sum of T(y).  What is read
@@ -412,7 +466,7 @@ class GMMProvider(CoefficientProvider):
 
     def coefficient(self, plate, mus, data: GMMData):
         if plate == "pi":
-            return _weight_coefficient(data.alpha0, data.beta0, mus)
+            return _weight_coefficient(*data.weight_exponents(mus), mus)
         if plate == "comp":  # row 0 weighs each datum by r, row 1 by 1 - r
             r = mus["z"][:, 0]
             w = np.empty((2, r.size))
@@ -425,7 +479,7 @@ class GMMProvider(CoefficientProvider):
         return _indicator_coefficient(mus, *self._log_liks(mus, data))
 
     def expected_log_joint(self, mus, data: GMMData):
-        total = _weight_log_prior(mus, data)
+        total = data.weight_log_prior(mus)
         total += _indicator_log_joint(mus, *self._log_liks(mus, data))
         prior, prior_const = mus.read_off("comp prior", self, data, _gw_prior_terms, data)
         for mu in mus["comp"]:
@@ -691,53 +745,9 @@ def _logit_normal_gradient(a: float, b: float, m: float):
     return gradient, -0.5 * (d * d + p + q)
 
 
-class LogitNormalProvider(CoefficientProvider):
-    """Two-level mixture whose weight prior is logit-normal.
-
-    The prior factorizes as h(z) exp(f) with h(z) = 1/(z(1-z)) and
-    f = -(t - m)^2 / 2 in the logit t = logit(z); the non-conjugate f enters
-    the weight plate's coefficient through its natural gradient, acting as
-    a pseudo-conjugate Beta term.  For this f the natural gradient and
-    E_q[f] are closed form (``logit_normal_natural_gradient``).
-
-    The weight read-off (the natural gradient and E_q[f]) is taken at the
-    (a, b) that validation of the weight plate's stacked lambda kept, and
-    memoised on the snapshot for this provider and data until "pi" is put:
-    the step, the fixed-point residual and the ELBO at one weight state
-    share one read-off.  The provider holds only its plates; a fit sets
-    nothing on it.
-    """
-
-    def __init__(self, n: int):
-        self.plates = {"z": _z_ids(n), "pi": ("pi",)}
-
-    def _weight_read_off(self, mus, data: LogitNormalMixtureData):
-        """((alpha_hat, beta_hat), E_q[f]) at the lambda of "pi", memoised on the snapshot until "pi" is put."""
-
-        def read_off():
-            return _logit_normal_gradient(*mus.lam("pi")._kept[0][0], data.m)
-
-        return mus.read_off("pi read-off", self, data, read_off)
-
-    def coefficient(self, plate, mus, data: LogitNormalMixtureData):
-        if plate == "pi":
-            # the prior's base measure contributes (-1, -1) and the pseudo
-            # prior (alpha_hat, beta_hat): Beta exponents of a conjugate term
-            ab_hat = self._weight_read_off(mus, data)[0]
-            return _weight_coefficient(ab_hat[0], ab_hat[1], mus)
-        return _indicator_coefficient(mus, data.log_pa, data.log_pb)
-
-    def expected_log_joint(self, mus, data: LogitNormalMixtureData):
-        mu0 = mus["pi"][0]
-        total = -float(mu0[0]) - float(mu0[1])  # prior base measure 1/(z(1-z))
-        total -= 0.5 * LOG_2PI  # logit-normal (sigma = 1) normalizer
-        total += self._weight_read_off(mus, data)[1]
-        return float(total + _indicator_log_joint(mus, data.log_pa, data.log_pb))
-
-
 def build_logitnormal(data: LogitNormalMixtureData, seed: int = 0) -> ModelSpec:
     """Every q(z_i) starts at 1/2 and nothing is drawn: no symmetry needs breaking, so ``seed`` is unused."""
-    provider = LogitNormalProvider(data.n)
+    provider = TwoLevelProvider(data.n)
     plates = (
         _indicator_plate(provider.plates["z"], np.zeros(data.n)),
         _global("pi", beta_natural(1.0, 1.0)),

@@ -388,6 +388,18 @@ def test_model_spec_rejects_nodes_whose_layout_repeats_an_id(layout):
         engine.ModelSpec((_bern_node("a", 0.0),), provider)
 
 
+@pytest.mark.parametrize("shape", ["two_nodes", "a_plate_and_a_node"])
+def test_model_spec_names_an_id_its_factors_repeat(shape):
+    """Factors that repeat an id among themselves are refused with a ConfigurationError naming it."""
+    if shape == "two_nodes":
+        factors, provider, repeated = (_bern_node("z", 0.0), _bern_node("z", 0.0)), models.SimpleMixtureProvider(), "z"
+    else:
+        two_level = models.build_two_level(make_two_level(seed=2, n=3))
+        factors, provider, repeated = (*two_level.plates.values(), _bern_node("z1")), two_level.provider, "z1"
+    with pytest.raises(engine.ConfigurationError, match=f"^node '{repeated}' is in the model's factors more than once$"):
+        engine.ModelSpec(factors, provider)
+
+
 def test_whole_plates_that_match_the_layout_are_taken_as_they_are():
     two_level = models.build_two_level(make_two_level(seed=2, n=3))
     plates = tuple(two_level.plates.values())
@@ -1203,7 +1215,7 @@ def test_the_cavi_elbo_never_drops(built, max_iter):
 def _small_fits(draw):
     """A small model with a schedule it supports, a tol and a max_iter <= 60."""
     model, data = draw(_small_models(_CONJUGATE + ("logitnormal",)))
-    svi = isinstance(model.provider, (models.TwoLevelProvider, models.LogitNormalProvider))
+    svi = isinstance(model.provider, models.TwoLevelProvider)
     schedule = engine.Schedule(
         draw(st.sampled_from([engine.CAVI, engine.PARALLEL_BLR] + ([engine.SVI] if svi else []))),
         rho=draw(st.floats(0.05, 1.0)),

@@ -156,7 +156,7 @@ def test_logitnormal_weight_coefficient(benchmark):
         "z": engine.Plate(ids, expfam.NaturalParam(bernoulli, np.log(p / (1.0 - p)))),
         "pi": engine.Plate(("pi",), expfam.NaturalParam(weight.family, weight.values[None, :])),
     }
-    provider = models.LogitNormalProvider(n)
+    provider = models.TwoLevelProvider(n)
     g = benchmark(lambda: provider.coefficient("pi", engine.mu_snapshot(plates), data))
     assert g.shape == (1, 2) and np.all(np.isfinite(g))
 

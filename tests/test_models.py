@@ -661,7 +661,7 @@ def test_logitnormal_beta_core_matches_two_level_coefficients(two_level_data):
     ln_data = models.LogitNormalMixtureData(
         two_level_data.log_pa, two_level_data.log_pb, 0.0
     )
-    provider = models.LogitNormalProvider(n)
+    provider = models.TwoLevelProvider(n)
 
     def core(t):
         return a0 * _log_z(t) + b0 * _log_z(-t)
@@ -857,7 +857,7 @@ def test_one_weight_read_off_per_iteration(monkeypatch, schedule):
 def test_weight_read_off_is_not_reused_under_another_m():
     """One snapshot asked under each m reads the weight off at that m, as a fresh snapshot does."""
     lam = expfam.beta_natural(3.0, 2.0)
-    provider = models.LogitNormalProvider(2)
+    provider = models.TwoLevelProvider(2)
     model = models.build_logitnormal(_logitnormal_data(2), seed=1)
     snap = engine.mu_snapshot({**model.plates, "pi": models._global("pi", lam)})
     for m in (0.3, -1.2, 0.3):
@@ -869,6 +869,22 @@ def test_weight_read_off_is_not_reused_under_another_m():
         assert provider.coefficient("pi", snap, data).tolist() == provider.coefficient("pi", fresh, data).tolist()
         assert provider.coefficient("pi", snap, data).tolist() == models._weight_coefficient(*got, snap).tolist()
         assert engine.elbo(model, snap, data) == engine.elbo(model, fresh, data)
+
+
+def test_each_provider_class_has_one_name_and_subclasses_no_other_provider():
+    """The benchmark's layer trace wraps coefficient and expected_log_joint on each provider class in vars(models).
+
+    A second name for one class, or a provider that inherits another's
+    methods, would be wrapped twice and count each call twice.
+    """
+    named = [
+        obj
+        for obj in vars(models).values()
+        if isinstance(obj, type) and issubclass(obj, engine.CoefficientProvider) and obj is not engine.CoefficientProvider
+    ]
+    assert len(named) == len(set(named)), sorted(cls.__name__ for cls in named)
+    for cls in named:
+        assert not [base for base in cls.__mro__[1:] if base in named], cls.__name__
 
 
 def test_a_logitnormal_fit_leaves_its_provider_as_built():

@@ -154,7 +154,7 @@ def test_model_spec_stacks_mixed_plates_and_nodes():
     mixed = engine.ModelSpec((z, moved), model.provider)
     assert mixed.plates["z"] is z
     assert mixed.plates["pi"].lam.values.tolist() == [[2.0, 3.0]]
-    with pytest.raises(engine.ConfigurationError, match="duplicate"):
+    with pytest.raises(engine.ConfigurationError, match="^node 'pi' is in the model's factors more than once$"):
         engine.ModelSpec((z, moved, moved), model.provider)
     partial = engine.Plate(z.ids[:2], expfam.NaturalParam(z.family, z.lam.values[:2]))
     regrouped = engine.ModelSpec((partial, engine.NodeView(model.plates)["z2"], moved), model.provider)
