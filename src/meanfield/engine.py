@@ -35,8 +35,9 @@ snapshot of it and run the same code, and a sweep writes its steps back
 into the dict.  The snapshot's one memo, ``Snapshot.read_off``, records
 the entries a read-off touches and holds its value until one of them is
 put, which drops it: nothing is declared.  A plate's coefficient is such a
-value, as are the read-offs it shares with the ELBO and the values read
-off the data alone.
+value, as are the read-offs it shares with the ELBO.  A value that reads
+no plate is no read-off: what the data alone fixes, its class computes
+once and holds.
 As in variational message passing, a coefficient is read off again only
 once a plate in its Markov blanket has moved: the residual's target serves
 the first step of the next CAVI sweep and every step of a parallel one,

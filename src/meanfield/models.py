@@ -96,12 +96,21 @@ def _require_beta_exponents(**exponents) -> None:
         raise ValueError(f"{a_name} + {b_name} must be finite, got {a:g} + {b:g}")
 
 
-def _require_square_summable(name: str, y) -> None:
-    """Reject values whose sum of squares overflows where the log-joint squares them, naming the field."""
+def _require_real(**values) -> None:
+    """Reject a field that is not one real number, naming it."""
+    for name, value in values.items():
+        if np.ndim(value) != 0 or np.asarray(value).dtype.kind not in "biuf":
+            raise ValueError(f"{name} must be one real number, got {value!r}")
+
+
+def _require_square_summable(name: str, y) -> float:
+    """The sum of squares of ``y``, rejected where it overflows (the log-joint squares ``y``), naming the field."""
     with np.errstate(over="ignore"):
-        if not np.isfinite(np.sum(y * y)):
-            largest = float(np.max(np.abs(y)))
-            raise ValueError(f"{name} is too large: its sum of squares overflows (largest |{name}| is {largest:g})")
+        total = float(np.sum(y * y))
+    if not math.isfinite(total):
+        largest = float(np.max(np.abs(y)))
+        raise ValueError(f"{name} is too large: its sum of squares overflows (largest |{name}| is {largest:g})")
+    return total
 
 
 # --------------------------------------------------------------------------
@@ -110,14 +119,21 @@ def _require_square_summable(name: str, y) -> None:
 
 
 class SimpleMixtureData(expfam._Frozen):
-    """One observation under a two-component mixture with known prior weight."""
+    """One observation under a two-component mixture with known prior weight.
+
+    It holds the indicator's two log terms, ``log_a`` = log(pi0 pa) and
+    ``log_b`` = log((1 - pi0) pb), each a sum of logs, so a tiny likelihood
+    does not underflow to log 0.
+    """
 
     def __init__(self, pi0: float, pa: float, pb: float):
+        _require_real(pi0=pi0, pa=pa, pb=pb)
         _require_finite(pi0=pi0, pa=pa, pb=pb)
         if not 0.0 < pi0 < 1.0:
             raise ValueError(f"pi0 must lie in (0,1), got {pi0}")
         _require_positive(pa=pa, pb=pb)
-        vars(self).update(pi0=pi0, pa=pa, pb=pb)
+        log_a, log_b = math.log(pi0) + math.log(pa), math.log1p(-pi0) + math.log(pb)
+        vars(self).update(pi0=pi0, pa=pa, pb=pb, log_a=log_a, log_b=log_b)
 
 
 class _MixtureLogLiks(expfam._Frozen):
@@ -143,8 +159,8 @@ class _BetaWeight:
     Not a provider: the providers of the indicator mixtures ask their data
     for ``weight_exponents``, the Beta exponents of the prior's term in the
     weight's coefficient, and ``weight_log_prior``, that term's share of the
-    expected log-joint.  log B(alpha0, beta0) reads no entry and is memoised
-    on the snapshot for the data.
+    expected log-joint.  The data fixes log B(alpha0, beta0), so its class
+    computes it once and holds it as ``weight_log_norm``.
     """
 
     def weight_exponents(self, mus):
@@ -153,25 +169,31 @@ class _BetaWeight:
 
     def weight_log_prior(self, mus) -> float:
         """E_q[log Beta(pi | a, b)] = (a - 1) E[log pi] + (b - 1) E[log(1 - pi)] - log B(a, b) at (alpha0, beta0)."""
-        a, b = self.alpha0, self.beta0
         mu0 = mus["pi"][0]
-        log_norm = mus.read_off("log B(alpha0, beta0)", None, self, betaln, a, b)
-        return float((a - 1.0) * mu0[0] + (b - 1.0) * mu0[1] - log_norm)
+        return float((self.alpha0 - 1.0) * mu0[0] + (self.beta0 - 1.0) * mu0[1] - self.weight_log_norm)
 
 
 class TwoLevelMixtureData(_BetaWeight, _MixtureLogLiks):
-    """Per-observation component log-likelihoods plus a Beta(alpha0, beta0) prior on the weight."""
+    """Per-observation component log-likelihoods plus a Beta(alpha0, beta0) prior on the weight.
+
+    It holds ``weight_log_norm``, log B(alpha0, beta0).
+    """
 
     def __init__(self, log_pa: np.ndarray, log_pb: np.ndarray, alpha0: float = 1.0, beta0: float = 1.0):
         super().__init__(log_pa, log_pb, alpha0=alpha0, beta0=beta0)
         _require_beta_exponents(alpha0=alpha0, beta0=beta0)
+        vars(self).update(weight_log_norm=betaln(alpha0, beta0))
 
 
 class GMMData(_BetaWeight, expfam._Frozen):
     """Observations for the two-component Gaussian mixture with GW priors.
 
     ``nu0`` defaults to the dimension D of the observations and ``w0`` to
-    the D x D identity.
+    the D x D identity.  It holds what the data and the priors fix:
+    ``stats``, each datum's statistics T(y) (``_gw_statistics``); ``prior``,
+    the components' Gaussian-Wishart prior lambda_0 (zero mean, nu0, gamma0
+    and W0); ``prior_log_partition``, its A(lambda_0); and
+    ``weight_log_norm``, log B(alpha0, beta0).
     """
 
     def __init__(
@@ -184,6 +206,8 @@ class GMMData(_BetaWeight, expfam._Frozen):
         w0: np.ndarray | None = None,
     ):
         y = np.atleast_2d(np.asarray(y, dtype=float))
+        if y.ndim != 2 or y.shape[1] < 1:
+            raise ValueError(f"y must be a 2-D array with at least one column, got shape {y.shape}")
         d = y.shape[1]
         nu0 = float(d) if nu0 is None else nu0
         w0 = np.eye(d) if w0 is None else w0
@@ -204,14 +228,16 @@ class GMMData(_BetaWeight, expfam._Frozen):
         least = float(np.linalg.eigvalsh(w0)[0])
         if not least > 0.0:
             raise ValueError(f"w0 must be positive definite, got {w0.tolist()}")
-        try:  # the prior's lambda, formed as build_gmm2 forms it: W0^-1 overflows, or w0 has no Cholesky factor
+        try:  # the prior's lambda: W0^-1 overflows, or w0 has no Cholesky factor
             with np.errstate(over="raise"):
-                gw_natural(nu0, gamma0, np.zeros(d), w0)
+                prior = gw_natural(nu0, gamma0, np.zeros(d), w0)
         except FloatingPointError:
             raise ValueError(f"w0 is too small: its inverse overflows, smallest eigenvalue {least:g}") from None
         except expfam.DomainError:
             raise ValueError(f"w0 must be positive definite, got {w0.tolist()}") from None
-        vars(self).update(y=y, alpha0=alpha0, beta0=beta0, gamma0=gamma0, nu0=nu0, w0=w0)
+        vars(self).update(y=y, alpha0=alpha0, beta0=beta0, gamma0=gamma0, nu0=nu0, w0=w0, stats=_gw_statistics(y))
+        vars(self).update(prior=prior, prior_log_partition=expfam.log_partition(prior))
+        vars(self).update(weight_log_norm=betaln(alpha0, beta0))
 
     @property
     def n(self) -> int:
@@ -223,21 +249,23 @@ class GMMData(_BetaWeight, expfam._Frozen):
 
 
 class MatrixFactorizationData(expfam._Frozen):
-    """Full data matrix Y fit by K-factor row/column embeddings."""
+    """Full data matrix Y fit by K-factor row/column embeddings; it holds ``sum_of_squares``, the sum of y^2."""
 
     def __init__(self, y: np.ndarray, k: int = 1, delta_u: float = 1.0, delta_v: float = 1.0):
         _require_finite(y=y, k=k, delta_u=delta_u, delta_v=delta_v)
         y = np.atleast_2d(np.asarray(y, dtype=float))
-        _require_square_summable("y", y)
+        if y.ndim > 2:
+            raise ValueError(f"y must be a matrix, got shape {y.shape}")
         if 0 in y.shape:
             raise ValueError(f"y must have at least one row and one column, got shape {y.shape}")
+        sum_of_squares = _require_square_summable("y", y)
         if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
             raise ValueError(f"k (the number of factors) must be an integer >= 1, got {k!r}")
         _require_positive(delta_u=delta_u, delta_v=delta_v)
         for name, delta in (("delta_u", float(delta_u)), ("delta_v", float(delta_v))):
             if not math.isfinite(1.0 / delta):  # a factor's prior covariance is I / delta
                 raise ValueError(f"{name} is too small: the prior variance 1 / {name} overflows, got {delta!r}")
-        vars(self).update(y=y, k=k, delta_u=delta_u, delta_v=delta_v)
+        vars(self).update(y=y, k=k, delta_u=delta_u, delta_v=delta_v, sum_of_squares=sum_of_squares)
 
     @property
     def n(self) -> int:
@@ -336,11 +364,6 @@ def _indicator_log_joint(mus, log_a, log_b) -> float:
 # --------------------------------------------------------------------------
 
 
-def _simple_log_terms(data: SimpleMixtureData):
-    """log(pi0 pa) and log((1 - pi0) pb), as sums of logs, so a tiny likelihood does not underflow to log 0."""
-    return math.log(data.pi0) + math.log(data.pa), math.log1p(-data.pi0) + math.log(data.pb)
-
-
 class SimpleMixtureProvider(CoefficientProvider):
     """Single Bernoulli indicator; its coefficient is the prior-weighted log odds."""
 
@@ -349,12 +372,10 @@ class SimpleMixtureProvider(CoefficientProvider):
     def coefficient(self, plate, mus, data: SimpleMixtureData):
         if plate != "z":
             raise KeyError(plate)
-        log_a, log_b = _simple_log_terms(data)
-        return np.array([[log_a - log_b]])
+        return np.array([[data.log_a - data.log_b]])
 
     def expected_log_joint(self, mus, data: SimpleMixtureData):
-        log_a, log_b = _simple_log_terms(data)
-        return float(mus["z"][0, 0]) * (log_a - log_b) + log_b
+        return float(mus["z"][0, 0]) * (data.log_a - data.log_b) + data.log_b
 
 
 def build_simple_mixture(data: SimpleMixtureData, seed: int = 0) -> ModelSpec:
@@ -423,17 +444,6 @@ def expected_log_component(mu_gw: np.ndarray, stats: np.ndarray, d: int):
     return stats @ mu_gw.T - 0.5 * d * LOG_2PI
 
 
-def _gw_prior(data: GMMData) -> NaturalParam:
-    """The components' Gaussian-Wishart prior: zero mean, nu0, gamma0 and W0."""
-    return gw_natural(data.nu0, data.gamma0, np.zeros(data.dim), data.w0)
-
-
-def _gw_prior_terms(data: GMMData):
-    """The prior's natural parameter and -A(prior): a component's prior term is prior . mu - A(prior)."""
-    prior = _gw_prior(data)
-    return prior.values, -expfam.log_partition(prior)
-
-
 class GMMProvider(CoefficientProvider):
     """Bernoulli responsibilities, a Beta weight, and a plate of two Gaussian-Wishart components.
 
@@ -442,18 +452,14 @@ class GMMProvider(CoefficientProvider):
 
     A component meets the data only through each datum's sufficient
     statistics T(y): its expected log-likelihood is T(y) . mu, and its
-    coefficient is the prior plus the weighted sum of T(y).  What is read
-    off the data alone, T(y) and the prior, is memoised on the snapshot for
-    the data object it is read for; the provider holds only its plates, so
-    it serves any data of their size.
+    coefficient is the prior plus the weighted sum of T(y).  What the data
+    alone fixes, T(y), the prior lambda_0 and A(lambda_0), is held on
+    ``GMMData``; the provider holds only its plates, so it serves any data
+    of their size.
     """
 
     def __init__(self, data: GMMData):
         self.plates = {"z": _z_ids(data.n), "pi": ("pi",), "comp": ("comp_a", "comp_b")}
-
-    def _stats(self, mus, data: GMMData) -> np.ndarray:
-        """T(y) per datum, memoised on the snapshot for this provider and data: it reads no entry."""
-        return mus.read_off("T(y)", self, data, _gw_statistics, data.y)
 
     def _log_liks(self, mus, data: GMMData):
         """Each datum's expected log-likelihood under comp_a and comp_b, one row each, by one product with T(y).
@@ -461,7 +467,7 @@ class GMMProvider(CoefficientProvider):
         Memoised on the snapshot until "comp" is put: the indicators' read-off
         and the ELBO at one component state share one pass over the data.
         """
-        log_liks = lambda: expected_log_component(mus["comp"], self._stats(mus, data), data.dim).T  # noqa: E731
+        log_liks = lambda: expected_log_component(mus["comp"], data.stats, data.dim).T  # noqa: E731
         return mus.read_off("comp log-likelihoods", self, data, log_liks)
 
     def coefficient(self, plate, mus, data: GMMData):
@@ -472,25 +478,22 @@ class GMMProvider(CoefficientProvider):
             w = np.empty((2, r.size))
             w[0] = r
             np.subtract(1.0, r, out=w[1])
-            # the conjugate prior's term in a component's coefficient is its natural parameter
-            prior = mus.read_off("comp prior", self, data, _gw_prior_terms, data)[0]
+            # the conjugate prior's term in a component's coefficient is its natural parameter;
             # one vector-matrix product per row, so each row is bitwise that of a lone component
-            return prior + (w[:, None, :] @ self._stats(mus, data))[:, 0]
+            return data.prior.values + (w[:, None, :] @ data.stats)[:, 0]
         return _indicator_coefficient(mus, *self._log_liks(mus, data))
 
     def expected_log_joint(self, mus, data: GMMData):
         total = data.weight_log_prior(mus)
         total += _indicator_log_joint(mus, *self._log_liks(mus, data))
-        prior, prior_const = mus.read_off("comp prior", self, data, _gw_prior_terms, data)
-        for mu in mus["comp"]:
-            total += float(prior @ mu) + prior_const
+        for mu in mus["comp"]:  # a component's prior term is lambda_0 . mu - A(lambda_0)
+            total += float(data.prior.values @ mu) - data.prior_log_partition
         return float(total)
 
 
 
 def build_gmm2(data: GMMData, seed: int = 0) -> ModelSpec:
-    provider = GMMProvider(data)
-    prior = _gw_prior(data)
+    provider, prior = GMMProvider(data), data.prior
     p = 0.5 + np.random.default_rng(seed).uniform(-_INIT_JITTER, _INIT_JITTER, size=data.n)
     plates = (
         _indicator_plate(provider.plates["z"], np.log(p / (1 - p))),
@@ -514,11 +517,6 @@ def _split_gauss(mu: np.ndarray, k: int):
     return mu[:, :k], mu[:, k:].reshape(-1, k, k)
 
 
-def _sum_of_squares(y: np.ndarray) -> float:
-    """The sum of y^2 over every entry of the data matrix."""
-    return float(np.sum(y * y))
-
-
 class MatrixFactorizationProvider(CoefficientProvider):
     """Gaussian row/column factors under an i.i.d. unit-noise likelihood.
 
@@ -529,8 +527,7 @@ class MatrixFactorizationProvider(CoefficientProvider):
     y . (U V^T), the E[u u^T] . E[v v^T] sums and delta_u's trace, plus
     the terms that do not read u: -sum y^2 / 2, delta_v's trace and the
     constants.  In a fit the residual has just memoised that coefficient
-    on the snapshot; the sum of y^2 is read off the data alone, memoised
-    too.
+    on the snapshot; the sum of y^2 is held on the data.
     """
 
     def __init__(self, data: MatrixFactorizationData):
@@ -558,7 +555,7 @@ class MatrixFactorizationProvider(CoefficientProvider):
         k = data.k
         v2 = _split_gauss(mus["v"], k)[1]
         total = float(mus["u"].ravel() @ mus.coefficient(self, "u", data).ravel())
-        total -= 0.5 * mus.read_off("sum y^2", self, data, _sum_of_squares, data.y)
+        total -= 0.5 * data.sum_of_squares
         total -= 0.5 * data.n * data.d * LOG_2PI
         total -= 0.5 * data.delta_v * float(np.add.reduce(v2, axis=0).trace())
         total += 0.5 * data.n * k * (math.log(data.delta_u) - LOG_2PI)

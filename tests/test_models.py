@@ -110,6 +110,45 @@ def test_the_data_classes_own_the_model_defaults():
     assert models.LogitNormalMixtureData([0.0], [0.0]).m == 0.0
 
 
+@pytest.mark.parametrize("shape", [(5, 0), (4, 2, 2)])
+def test_gmm_data_names_y_when_it_is_not_a_matrix_with_a_column(shape):
+    message = f"y must be a 2-D array with at least one column, got shape {shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        models.GMMData(np.zeros(shape))
+
+
+def test_matrix_factorization_data_names_y_when_it_has_more_than_two_dimensions():
+    with pytest.raises(ValueError, match=re.escape("y must be a matrix, got shape (3, 2, 2)")):
+        models.MatrixFactorizationData(np.ones((3, 2, 2)))
+
+
+@pytest.mark.parametrize("field", ["pi0", "pa", "pb"])
+@pytest.mark.parametrize("bad", [np.array([0.5, 0.2]), 0.3 + 0.1j, "0.3"], ids=["array", "complex", "text"])
+def test_simple_mixture_data_names_a_field_that_is_not_one_real_number(field, bad):
+    values = {"pi0": 0.3, "pa": 0.8, "pb": 0.2, field: bad}
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be one real number, got {bad!r}")):
+        models.SimpleMixtureData(**values)
+
+
+def test_the_data_classes_hold_what_their_data_fixes_bitwise():
+    """Each held value is bitwise the computation the fit made before the data class held it."""
+    y = np.array([[0.1, 0.2], [-1.0, 0.5], [0.3, -0.2], [2.0, 1.0]])
+    gmm = models.GMMData(y, 2.0, 1.5, 0.5, 4.0, 2.0 * np.eye(2))
+    prior = expfam.gw_natural(gmm.nu0, gmm.gamma0, np.zeros(gmm.dim), gmm.w0)
+    assert gmm.prior.family == prior.family
+    assert gmm.prior.values.tobytes() == prior.values.tobytes()
+    assert gmm.prior_log_partition == expfam.log_partition(prior)
+    assert gmm.stats.tobytes() == models._gw_statistics(y).tobytes()
+    assert gmm.weight_log_norm == betaln(2.0, 1.5)
+    comp = models.build_gmm2(gmm, seed=1).plates["comp"].lam.values
+    assert comp.tobytes() == np.tile(gmm.prior.values, (2, 1)).tobytes()
+    two_level = models.TwoLevelMixtureData([0.1, -0.3], [0.4, 0.2], 2.0, 3.0)
+    assert two_level.weight_log_norm == betaln(2.0, 3.0)
+    simple = models.SimpleMixtureData(0.3, 0.8, 1e-300)
+    assert simple.log_a == math.log(0.3) + math.log(0.8)
+    assert simple.log_b == math.log1p(-0.3) + math.log(1e-300)
+
+
 @pytest.mark.parametrize("k", [2.5, True, np.float64(2.0), 0])
 def test_matrix_factorization_data_rejects_a_k_that_is_not_a_positive_integer(k):
     message = f"k (the number of factors) must be an integer >= 1, got {k!r}"
@@ -556,19 +595,22 @@ def test_matfac_plates_keep_one_shared_factor_through_a_fit(mode, kind):
 
 
 def test_matfac_fit_sums_the_squared_data_once(monkeypatch):
-    """The ELBO's sum of y^2 reads no entry: one fit computes it once, whatever its sweep count."""
-    calls = []
-    sum_of_squares = models._sum_of_squares
-
-    def counted(y):
-        calls.append(1)
-        return sum_of_squares(y)
-
-    monkeypatch.setattr(models, "_sum_of_squares", counted)
+    """The data sums y^2 once, as its overflow check does, and holds it: a 12-sweep fit sums no squares."""
     data = _matfac_data(seed=8)
+    y = data.y
+    assert data.sum_of_squares == float(np.sum(y * y))
+    squares = []
+    real_sum = np.sum
+
+    def counted(a, *args, **kwargs):
+        if np.shape(a) == y.shape and np.array_equal(a, y * y):
+            squares.append(1)
+        return real_sum(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sum", counted)
     trace = engine.fit(models.build_matfac(data, "ppca", seed=8), data, tol=1e-300, max_iter=12)
     assert trace.records[-1].iteration == 12
-    assert len(calls) == 1
+    assert squares == []
 
 
 @pytest.mark.parametrize("mode", ["vmp", "ppca", "als"])
