@@ -140,6 +140,7 @@ class _MixtureLogLiks(expfam._Frozen):
     """Per-observation log-likelihoods under components a and b, plus a subclass's prior parameters."""
 
     def __init__(self, log_pa: np.ndarray, log_pb: np.ndarray, **prior):
+        _require_real(**prior)
         _require_finite(log_pa=log_pa, log_pb=log_pb, **prior)
         la, lb = np.asarray(log_pa, dtype=float), np.asarray(log_pb, dtype=float)
         if max(la.ndim, lb.ndim) > 1 or la.size != lb.size or la.size < 1:  # a scalar is one observation
@@ -211,6 +212,7 @@ class GMMData(_BetaWeight, expfam._Frozen):
         d = y.shape[1]
         nu0 = float(d) if nu0 is None else nu0
         w0 = np.eye(d) if w0 is None else w0
+        _require_real(alpha0=alpha0, beta0=beta0, gamma0=gamma0, nu0=nu0)
         _require_finite(y=y, alpha0=alpha0, beta0=beta0, gamma0=gamma0, nu0=nu0, w0=w0)
         _require_square_summable("y", y)
         if y.shape[0] < 2:
@@ -252,12 +254,11 @@ class MatrixFactorizationData(expfam._Frozen):
     """Full data matrix Y fit by K-factor row/column embeddings; it holds ``sum_of_squares``, the sum of y^2."""
 
     def __init__(self, y: np.ndarray, k: int = 1, delta_u: float = 1.0, delta_v: float = 1.0):
+        _require_real(delta_u=delta_u, delta_v=delta_v)
         _require_finite(y=y, k=k, delta_u=delta_u, delta_v=delta_v)
         y = np.atleast_2d(np.asarray(y, dtype=float))
-        if y.ndim > 2:
-            raise ValueError(f"y must be a matrix, got shape {y.shape}")
-        if 0 in y.shape:
-            raise ValueError(f"y must have at least one row and one column, got shape {y.shape}")
+        if y.ndim > 2 or 0 in y.shape:
+            raise ValueError(f"y must be 2-D, and y must have at least one row and one column, got shape {y.shape}")
         sum_of_squares = _require_square_summable("y", y)
         if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
             raise ValueError(f"k (the number of factors) must be an integer >= 1, got {k!r}")

@@ -118,7 +118,8 @@ def test_gmm_data_names_y_when_it_is_not_a_matrix_with_a_column(shape):
 
 
 def test_matrix_factorization_data_names_y_when_it_has_more_than_two_dimensions():
-    with pytest.raises(ValueError, match=re.escape("y must be a matrix, got shape (3, 2, 2)")):
+    message = "y must be 2-D, and y must have at least one row and one column, got shape (3, 2, 2)"
+    with pytest.raises(ValueError, match=re.escape(message)):
         models.MatrixFactorizationData(np.ones((3, 2, 2)))
 
 
@@ -128,6 +129,23 @@ def test_simple_mixture_data_names_a_field_that_is_not_one_real_number(field, ba
     values = {"pi0": 0.3, "pa": 0.8, "pb": 0.2, field: bad}
     with pytest.raises(ValueError, match=re.escape(f"{field} must be one real number, got {bad!r}")):
         models.SimpleMixtureData(**values)
+
+
+_PRIOR_FIELDS = {
+    "two_level": (lambda **kw: models.TwoLevelMixtureData([0.0], [0.0], **kw), ("alpha0", "beta0")),
+    "logitnormal": (lambda **kw: models.LogitNormalMixtureData([0.0], [0.0], **kw), ("m",)),
+    "gmm2": (lambda **kw: models.GMMData(np.zeros((3, 2)), **kw), ("alpha0", "beta0", "gamma0", "nu0")),
+    "matfac": (lambda **kw: models.MatrixFactorizationData(np.ones((2, 2)), **kw), ("delta_u", "delta_v")),
+}
+
+
+@pytest.mark.parametrize(
+    "model, field", [pytest.param(m, f, id=f"{m}-{f}") for m, (_, fields) in _PRIOR_FIELDS.items() for f in fields]
+)
+@pytest.mark.parametrize("bad", [np.array([2.0, 3.0]), "2"], ids=["array", "text"])
+def test_a_prior_parameter_that_is_not_one_real_number_is_named(model, field, bad):
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be one real number, got {bad!r}")):
+        _PRIOR_FIELDS[model][0](**{field: bad})
 
 
 def test_the_data_classes_hold_what_their_data_fixes_bitwise():
