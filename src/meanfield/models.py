@@ -17,8 +17,10 @@ A weight's prior term is read off the data class that holds that prior's
 parameters: ``weight_exponents`` gives its Beta exponents in the weight's
 coefficient and ``weight_log_prior`` its share of the expected log-joint.
 A Beta prior is conjugate (``_BetaWeight``); a logit-normal one is read off
-as a pseudo-conjugate Beta term (``LogitNormalMixtureData``), so one
-``TwoLevelProvider`` serves the two-level mixture under either prior.
+as a pseudo-conjugate Beta term (``LogitNormalMixtureData``).  The
+component log-likelihoods are read off the data too (``log_liks``), and
+gmm2's data gives its components' terms, so one ``TwoLevelProvider``
+serves the two-level mixture under either prior and gmm2.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ __all__ = [
     "LogitNormalMixtureData",
     "SimpleMixtureProvider",
     "TwoLevelProvider",
-    "GMMProvider",
     "MatrixFactorizationProvider",
     "beta_natural_gradient",
     "logit_normal_natural_gradient",
@@ -153,12 +154,20 @@ class _MixtureLogLiks(expfam._Frozen):
     def n(self) -> int:
         return self.log_pa.size
 
+    def log_liks(self, mus):
+        """(log_pa, log_pb), which read no entry."""
+        return self.log_pa, self.log_pb
+
+    def component_log_priors(self, mus) -> tuple:
+        """No component plate: no component prior terms."""
+        return ()
+
 
 class _BetaWeight:
     """The weight's prior term where that prior is Beta(alpha0, beta0), for data that holds alpha0 and beta0.
 
-    Not a provider: the providers of the indicator mixtures ask their data
-    for ``weight_exponents``, the Beta exponents of the prior's term in the
+    Not a provider: ``TwoLevelProvider`` asks its data for
+    ``weight_exponents``, the Beta exponents of the prior's term in the
     weight's coefficient, and ``weight_log_prior``, that term's share of the
     expected log-joint.  The data fixes log B(alpha0, beta0), so its class
     computes it once and holds it as ``weight_log_norm``.
@@ -187,14 +196,15 @@ class TwoLevelMixtureData(_BetaWeight, _MixtureLogLiks):
 
 
 class GMMData(_BetaWeight, expfam._Frozen):
-    """Observations for the two-component Gaussian mixture with GW priors.
+    """Observations y, (N, D) or 1-D as N rows of one column, for the two-component Gaussian mixture with GW priors.
 
-    ``nu0`` defaults to the dimension D of the observations and ``w0`` to
-    the D x D identity.  It holds what the data and the priors fix:
-    ``stats``, each datum's statistics T(y) (``_gw_statistics``); ``prior``,
-    the components' Gaussian-Wishart prior lambda_0 (zero mean, nu0, gamma0
-    and W0); ``prior_log_partition``, its A(lambda_0); and
-    ``weight_log_norm``, log B(alpha0, beta0).
+    ``nu0`` defaults to D and ``w0`` to the D x D identity.  It holds what
+    the data and the priors fix: ``stats``, each datum's statistics T(y)
+    (``_gw_statistics``); ``prior``, the components' Gaussian-Wishart prior
+    lambda_0 (zero mean, nu0, gamma0 and W0); ``prior_log_partition``, its
+    A(lambda_0); and ``weight_log_norm``, log B(alpha0, beta0).  It gives
+    the terms of plate "comp" (comp_a, comp_b), which meet the data only
+    through T(y), to ``TwoLevelProvider``.
     """
 
     def __init__(
@@ -206,7 +216,9 @@ class GMMData(_BetaWeight, expfam._Frozen):
         nu0: float | None = None,
         w0: np.ndarray | None = None,
     ):
-        y = np.atleast_2d(np.asarray(y, dtype=float))
+        y = np.asarray(y, dtype=float)
+        if y.ndim < 2:  # one column, as the CLI reads a one-column CSV
+            y = y.reshape(-1, 1)
         if y.ndim != 2 or y.shape[1] < 1:
             raise ValueError(f"y must be a 2-D array with at least one column, got shape {y.shape}")
         d = y.shape[1]
@@ -248,6 +260,25 @@ class GMMData(_BetaWeight, expfam._Frozen):
     @property
     def dim(self) -> int:
         return self.y.shape[1]
+
+    def log_liks(self, mus):
+        """Each datum's T(y) . mu - D log(2 pi) / 2 under comp_a and comp_b, one row each, memoised until "comp" is put."""
+        log_liks = lambda: expected_log_component(mus["comp"], self.stats, self.dim).T  # noqa: E731
+        return mus.read_off("comp log-likelihoods", self, self, log_liks)
+
+    def component_coefficient(self, mus) -> np.ndarray:
+        """Plate "comp"'s coefficient: row 0 weighs each datum's T(y) by r, row 1 by 1 - r."""
+        r = mus["z"][:, 0]
+        w = np.empty((2, r.size))
+        w[0] = r
+        np.subtract(1.0, r, out=w[1])
+        # the conjugate prior's term in a component's coefficient is its natural parameter;
+        # one vector-matrix product per row, so each row is bitwise that of a lone component
+        return self.prior.values + (w[:, None, :] @ self.stats)[:, 0]
+
+    def component_log_priors(self, mus) -> list[float]:
+        """E_q[log p(comp)] per component: lambda_0 . mu - A(lambda_0)."""
+        return [float(self.prior.values @ mu) - self.prior_log_partition for mu in mus["comp"]]
 
 
 class MatrixFactorizationData(expfam._Frozen):
@@ -315,10 +346,9 @@ class LogitNormalMixtureData(_MixtureLogLiks):
 
 
 # --------------------------------------------------------------------------
-# Bernoulli indicators shared by the two-level, GMM and logit-normal models:
-# z_i ~ Bernoulli(pi) picks component a (z_i = 1) or b for observation i,
-# and log_a, log_b are the (expected) component log-likelihoods.  The
-# indicators form plate "z" and the weight is plate "pi".
+# Bernoulli indicators of the two-level, GMM and logit-normal models:
+# z_i ~ Bernoulli(pi) picks component a (z_i = 1) or b for observation i.
+# The indicators form plate "z" and the weight is plate "pi".
 # --------------------------------------------------------------------------
 
 
@@ -334,30 +364,6 @@ def _indicator_plate(ids, lam: np.ndarray) -> Plate:
 def _global(node_id: str, lam) -> Plate:
     """A plate of one global node."""
     return Plate((node_id,), NaturalParam(lam.family, lam.values[None, :]), role=GLOBAL)
-
-
-def _indicator_coefficient(mus, log_a, log_b) -> np.ndarray:
-    """Log odds of every indicator, with E[log pi] and E[log(1 - pi)] read off plate "pi".
-
-    Log-likelihoods near the float limit overflow to an infinite target,
-    which the engine reports; the overflow itself is not a warning.
-    """
-    mu0 = mus["pi"][0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        return ((mu0[0] + log_a) - (mu0[1] + log_b))[:, None]
-
-
-def _weight_coefficient(a: float, b: float, mus) -> np.ndarray:
-    """Coefficient of the weight plate pi when its prior has Beta exponents (a, b)."""
-    r = mus["z"][:, 0]
-    s = float(np.add.reduce(r))
-    return np.array([[a - 1.0 + s, r.size + b - 1.0 - s]])
-
-
-def _indicator_log_joint(mus, log_a, log_b) -> float:
-    """Sum over i of E_q[log p(z_i | pi) + log p(y_i | z_i)]."""
-    r, mu0 = mus["z"][:, 0], mus["pi"][0]
-    return float(r @ (log_a + mu0[0]) + (1.0 - r) @ (log_b + mu0[1]))
 
 
 # --------------------------------------------------------------------------
@@ -390,25 +396,43 @@ def build_simple_mixture(data: SimpleMixtureData, seed: int = 0) -> ModelSpec:
 
 
 class TwoLevelProvider(CoefficientProvider):
-    """Bernoulli locals plus one Beta global, under a Beta or a logit-normal weight prior.
+    """Bernoulli locals, one Beta global and, given components, their plate "comp": two-level, logit-normal and gmm2.
 
-    The weight's prior term comes from the data: ``TwoLevelMixtureData``
-    gives its Beta exponents and log-prior, ``LogitNormalMixtureData`` the
-    pseudo-conjugate ones it reads off.  The coefficient does not depend on
-    the weight plate's base measure, which the engine takes from the
-    plate's Beta family.
+    What is model-specific is read off the data: ``log_liks``, each datum's
+    (expected) component log-likelihoods; ``weight_exponents`` and
+    ``weight_log_prior``, the weight prior's Beta exponents and log-prior
+    (pseudo-conjugate ones for ``LogitNormalMixtureData``); and
+    ``component_coefficient`` and ``component_log_priors``, the components'
+    terms.  The coefficient does not depend on the weight plate's base
+    measure, which the engine takes from the plate's Beta family.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, components: tuple[str, ...] = ()):
         self.plates = {"z": _z_ids(n), "pi": ("pi",)}
+        if components:
+            self.plates["comp"] = tuple(components)
 
-    def coefficient(self, plate, mus, data: TwoLevelMixtureData | LogitNormalMixtureData):
-        if plate == "pi":
-            return _weight_coefficient(*data.weight_exponents(mus), mus)
-        return _indicator_coefficient(mus, data.log_pa, data.log_pb)
+    def coefficient(self, plate, mus, data: TwoLevelMixtureData | LogitNormalMixtureData | GMMData):
+        if plate == "pi":  # the weight's: its prior's Beta exponents plus the indicators' counts
+            a, b = data.weight_exponents(mus)
+            r = mus["z"][:, 0]
+            s = float(np.add.reduce(r))
+            return np.array([[a - 1.0 + s, r.size + b - 1.0 - s]])
+        if plate == "z":  # log odds; an overflow near the float limit is an infinite target the engine reports
+            log_a, log_b = data.log_liks(mus)
+            mu0 = mus["pi"][0]
+            with np.errstate(over="ignore", invalid="ignore"):
+                return ((mu0[0] + log_a) - (mu0[1] + log_b))[:, None]
+        return data.component_coefficient(mus)
 
-    def expected_log_joint(self, mus, data: TwoLevelMixtureData | LogitNormalMixtureData):
-        return float(data.weight_log_prior(mus) + _indicator_log_joint(mus, data.log_pa, data.log_pb))
+    def expected_log_joint(self, mus, data: TwoLevelMixtureData | LogitNormalMixtureData | GMMData):
+        total = data.weight_log_prior(mus)
+        log_a, log_b = data.log_liks(mus)
+        r, mu0 = mus["z"][:, 0], mus["pi"][0]
+        total += float(r @ (log_a + mu0[0]) + (1.0 - r) @ (log_b + mu0[1]))  # E_q[log p(z | pi) + log p(y | z)]
+        for term in data.component_log_priors(mus):
+            total += term
+        return float(total)
 
 
 def build_two_level(
@@ -445,56 +469,8 @@ def expected_log_component(mu_gw: np.ndarray, stats: np.ndarray, d: int):
     return stats @ mu_gw.T - 0.5 * d * LOG_2PI
 
 
-class GMMProvider(CoefficientProvider):
-    """Bernoulli responsibilities, a Beta weight, and a plate of two Gaussian-Wishart components.
-
-    The weight's Beta prior term is read off the data (``_BetaWeight``), as
-    ``TwoLevelProvider`` reads it.
-
-    A component meets the data only through each datum's sufficient
-    statistics T(y): its expected log-likelihood is T(y) . mu, and its
-    coefficient is the prior plus the weighted sum of T(y).  What the data
-    alone fixes, T(y), the prior lambda_0 and A(lambda_0), is held on
-    ``GMMData``; the provider holds only its plates, so it serves any data
-    of their size.
-    """
-
-    def __init__(self, data: GMMData):
-        self.plates = {"z": _z_ids(data.n), "pi": ("pi",), "comp": ("comp_a", "comp_b")}
-
-    def _log_liks(self, mus, data: GMMData):
-        """Each datum's expected log-likelihood under comp_a and comp_b, one row each, by one product with T(y).
-
-        Memoised on the snapshot until "comp" is put: the indicators' read-off
-        and the ELBO at one component state share one pass over the data.
-        """
-        log_liks = lambda: expected_log_component(mus["comp"], data.stats, data.dim).T  # noqa: E731
-        return mus.read_off("comp log-likelihoods", self, data, log_liks)
-
-    def coefficient(self, plate, mus, data: GMMData):
-        if plate == "pi":
-            return _weight_coefficient(*data.weight_exponents(mus), mus)
-        if plate == "comp":  # row 0 weighs each datum by r, row 1 by 1 - r
-            r = mus["z"][:, 0]
-            w = np.empty((2, r.size))
-            w[0] = r
-            np.subtract(1.0, r, out=w[1])
-            # the conjugate prior's term in a component's coefficient is its natural parameter;
-            # one vector-matrix product per row, so each row is bitwise that of a lone component
-            return data.prior.values + (w[:, None, :] @ data.stats)[:, 0]
-        return _indicator_coefficient(mus, *self._log_liks(mus, data))
-
-    def expected_log_joint(self, mus, data: GMMData):
-        total = data.weight_log_prior(mus)
-        total += _indicator_log_joint(mus, *self._log_liks(mus, data))
-        for mu in mus["comp"]:  # a component's prior term is lambda_0 . mu - A(lambda_0)
-            total += float(data.prior.values @ mu) - data.prior_log_partition
-        return float(total)
-
-
-
 def build_gmm2(data: GMMData, seed: int = 0) -> ModelSpec:
-    provider, prior = GMMProvider(data), data.prior
+    provider, prior = TwoLevelProvider(data.n, ("comp_a", "comp_b")), data.prior
     p = 0.5 + np.random.default_rng(seed).uniform(-_INIT_JITTER, _INIT_JITTER, size=data.n)
     plates = (
         _indicator_plate(provider.plates["z"], np.log(p / (1 - p))),

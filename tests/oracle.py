@@ -2,8 +2,8 @@
 
 Everything here is deliberately implemented without the conversion or
 coefficient code in the rest of the package: exact Bayes posteriors,
-brute-force enumeration, quadrature, Monte-Carlo moments, and closed-form
-ridge solves.  scipy supplies the special functions and samplers so the
+brute-force enumeration, quadrature, Monte-Carlo moments, closed-form
+ridge solves, and a textbook variational Gaussian mixture.  scipy supplies the special functions and samplers so the
 hand-rolled numerics elsewhere are checked against an unrelated path.
 """
 
@@ -15,7 +15,8 @@ import numpy as np
 from scipy import integrate as sint
 from scipy import linalg as sla
 from scipy.special import betaln as sp_betaln
-from scipy.special import logsumexp
+from scipy.special import digamma as sp_digamma
+from scipy.special import expit, logsumexp
 from scipy.stats import wishart
 
 __all__ = [
@@ -25,6 +26,7 @@ __all__ = [
     "quadrature_expect",
     "ridge_solve",
     "mc_gw_expectations",
+    "vb_gmm2",
 ]
 
 _ENUMERATION_LIMIT = 20
@@ -150,3 +152,46 @@ def mc_gw_expectations(nu: float, gamma: float, m, w, n_samples: int = 10**6, se
     est = stats.mean(axis=0)
     se = stats.std(axis=0, ddof=1) / np.sqrt(n_samples)
     return est, se
+
+
+def vb_gmm2(y, r, alpha0, beta0, gamma0, nu0, w0, tol: float = 1e-14, max_iter: int = 10**4) -> dict:
+    """Variational Bayes for a two-component Gaussian mixture, as in Bishop (2006), PRML section 10.2.
+
+    K = 2, so the Dirichlet on the weights is Beta(alpha0, beta0), alpha0 for
+    component a; each component has the Gaussian-Wishart prior with
+    m0 = 0, beta0 = gamma0, W0 = w0 and nu0.  ``r`` holds each observation's
+    starting responsibility of component a (b takes 1 - r).  Each pass is an
+    M step (PRML 10.58 and 10.60-10.63) and then an E step (10.46, 10.64-10.66),
+    until no responsibility moves by more than ``tol``.  Returns a dict with
+    ``r``, ``alpha`` (the two Beta exponents), and per component, stacked,
+    ``beta``, ``m``, ``w`` and ``nu``.
+    """
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    n, d = y.shape
+    w0_inv = np.linalg.inv(np.asarray(w0, dtype=float))
+    r = np.asarray(r, dtype=float)
+    for _ in range(max_iter):
+        resp = np.stack([r, 1.0 - r], axis=1)
+        nk = resp.sum(axis=0)
+        alpha = np.array([alpha0, beta0]) + nk
+        beta = gamma0 + nk
+        nu = nu0 + nk
+        m, w, log_rho = [], [], []
+        for k in range(2):
+            xbar = resp[:, k] @ y / nk[k]
+            diff = y - xbar
+            s = (resp[:, k, None] * diff).T @ diff / nk[k]
+            m.append(nk[k] * xbar / beta[k])
+            w_inv = w0_inv + nk[k] * s + gamma0 * nk[k] / beta[k] * np.outer(xbar, xbar)
+            w.append(np.linalg.inv(w_inv))
+            e_log_det = sp_digamma(0.5 * (nu[k] - np.arange(d))).sum() + d * np.log(2.0) + np.linalg.slogdet(w[k])[1]
+            e_log_pi = sp_digamma(alpha[k]) - sp_digamma(alpha.sum())
+            dev = y - m[k]
+            e_quad = d / beta[k] + nu[k] * np.einsum("ni,ij,nj->n", dev, w[k], dev)
+            log_rho.append(e_log_pi + 0.5 * e_log_det - 0.5 * d * np.log(2.0 * np.pi) - 0.5 * e_quad)
+        r_new = expit(log_rho[0] - log_rho[1])
+        moved = float(np.max(np.abs(r_new - r)))
+        r = r_new
+        if moved <= tol:
+            return {"r": r, "alpha": alpha, "beta": beta, "m": np.array(m), "w": np.array(w), "nu": nu}
+    raise RuntimeError(f"VB-GMM did not converge in {max_iter} passes: responsibilities still move by {moved:g}")

@@ -117,6 +117,22 @@ def test_gmm_data_names_y_when_it_is_not_a_matrix_with_a_column(shape):
         models.GMMData(np.zeros(shape))
 
 
+def test_a_one_dimensional_y_is_one_column_and_fits_bitwise_as_the_column():
+    """A 1-D y of N values is N rows of one column, as ``load_csv`` gives a one-column CSV."""
+    y = np.array([0.1, -0.3, 0.5, 2.0, 2.2])
+    flat, column = models.GMMData(y), models.GMMData(y.reshape(5, 1))
+    assert flat.y.shape == (5, 1) and (flat.n, flat.dim) == (5, 1)
+    assert np.array_equal(flat.stats, column.stats)
+    want = engine.fit(models.build_gmm2(column, seed=3), column, tol=1e-10, max_iter=500)
+    got = engine.fit(models.build_gmm2(flat, seed=3), flat, tol=1e-10, max_iter=500)
+    assert want.converged
+    assert got.elbos.tolist() == want.elbos.tolist() and got.residuals.tolist() == want.residuals.tolist()
+    for name, plate in want.plates.items():
+        assert np.array_equal(got.plates[name].lam.values, plate.lam.values)
+    with pytest.raises(ValueError, match="GMM needs at least two observations"):
+        models.GMMData(np.array([0.4]))
+
+
 def test_matrix_factorization_data_names_y_when_it_has_more_than_two_dimensions():
     message = "y must be 2-D, and y must have at least one row and one column, got shape (3, 2, 2)"
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -340,7 +356,7 @@ def test_gmm_component_coefficient_hand_arithmetic():
     gamma=3, m=4/3, nu=3, W^-1=17/3."""
     y = np.array([[1.0], [3.0]])
     data = models.GMMData(y, 1.0, 1.0, 1.0, 1.0, np.eye(1))
-    provider = models.GMMProvider(data)
+    provider = models.TwoLevelProvider(data.n, ("comp_a", "comp_b"))
     gw = expfam.gw_natural(1.0, 1.0, np.zeros(1), np.eye(1))
     snap = _gmm_snapshot(provider, 40.0, expfam.beta_natural(1.0, 1.0), gw)
     assert snap["z"][:, 0] == pytest.approx([1.0, 1.0], abs=1e-15)
@@ -356,7 +372,7 @@ def test_gmm_component_coefficient_hand_arithmetic():
 def test_gmm_component_with_zero_responsibility_returns_prior():
     y = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
     data = models.GMMData(y, 1.0, 1.0, 0.7, 3.5, 2.0 * np.eye(2))
-    provider = models.GMMProvider(data)
+    provider = models.TwoLevelProvider(data.n, ("comp_a", "comp_b"))
     prior = expfam.gw_natural(data.nu0, data.gamma0, np.zeros(2), data.w0)
     snap = _gmm_snapshot(provider, -700.0, expfam.beta_natural(1.0, 1.0), prior)
     assert snap["z"].tolist() == [[0.0 + 1e-300]] * 3
@@ -380,7 +396,7 @@ def _gmm_snapshot(provider, log_odds: float, weight, gw):
 
 def test_gmm_identical_components_reduce_to_two_level():
     data, _ = make_gmm(seed=9, n=6, d=2)
-    provider = models.GMMProvider(data)
+    provider = models.TwoLevelProvider(data.n, ("comp_a", "comp_b"))
     gw = expfam.gw_natural(4.0, 2.0, np.array([0.3, -0.2]), np.eye(2))
     snap = _gmm_snapshot(provider, math.log(0.4 / (1.0 - 0.4)), expfam.beta_natural(1.5, 1.2), gw)
     _assert_comp_rows_are_lone_components(provider, snap, data)
@@ -394,6 +410,41 @@ def test_gmm_identical_components_reduce_to_two_level():
         assert provider.coefficient("z", snap, data)[i] == pytest.approx(
             tl.coefficient("z", snap, tl_data)[i], rel=1e-12
         )
+
+
+def _assert_close(got, want, what: str, tol: float = 1e-10) -> None:
+    """Every entry within tol of the reference, relative to the largest |entry| where that exceeds 1."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    gap, scale = float(np.max(np.abs(got - want))), max(1.0, float(np.max(np.abs(want))))
+    assert gap <= tol * scale, f"{what}: off by {gap:g} at scale {scale:g}"
+
+
+@pytest.mark.parametrize("n, d", [(300, 2), (200, 3)])
+@pytest.mark.parametrize("seed", [101, 9001])
+def test_a_gmm2_fit_reaches_the_fixed_point_of_textbook_vb(seed, n, d):
+    """The CAVI fit and Bishop's VB-GMM (``oracle.vb_gmm2``), from one start, agree on every variational parameter.
+
+    The reference iterates M then E, as gmm2's globals-first sweep does, and
+    is written without the package's conversion or coefficient code.
+    """
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal((n, d))
+    y[:, 0] += np.where(rng.integers(0, 2, size=n) == 1, 3.0, -3.0)
+    prior = dict(alpha0=1.5, beta0=2.0, gamma0=0.5, nu0=d + 1.0, w0=2.0 * np.eye(d))
+    data = models.GMMData(y, **prior)
+    model = models.build_gmm2(data, seed=seed)
+    want = oracle.vb_gmm2(y, sp.expit(model.plates["z"].lam.values[:, 0]), **prior)
+    trace = engine.fit(model, data, tol=1e-12, max_iter=2000)
+    assert trace.converged
+    nu, gamma, m, w = expfam.gw_params(trace.plates["comp"].lam)
+    weight = trace.plates["pi"].lam
+    _assert_close(sp.expit(trace.plates["z"].lam.values[:, 0]), want["r"], "responsibilities")
+    _assert_close(expfam.beta_ab(expfam.NaturalParam(weight.family, weight.values[0])), want["alpha"], "weight")
+    _assert_close(nu, want["nu"], "nu")
+    _assert_close(gamma, want["beta"], "gamma")
+    _assert_close(m, want["m"], "m")
+    _assert_close(w, want["w"], "W")
+    assert min(want["nu"]) > n / 4  # each component holds a cluster: not a degenerate fixed point
 
 
 def test_gmm2_fit_reads_each_component_state_off_the_data_once(monkeypatch):
@@ -417,7 +468,7 @@ def test_gmm_log_likelihoods_are_kept_per_data_object():
     """Two data sets read through one snapshot each get their own log-likelihoods; no key compares arrays."""
     first, _ = make_gmm(seed=3, n=8)
     second, _ = make_gmm(seed=4, n=8)
-    provider = models.GMMProvider(first)
+    provider = models.TwoLevelProvider(first.n, ("comp_a", "comp_b"))
     gw = expfam.gw_natural(4.0, 2.0, np.array([0.3, -0.2]), np.eye(2))
     snap = _gmm_snapshot(provider, math.log(0.3 / (1.0 - 0.3)), expfam.beta_natural(2.0, 3.0), gw)
     for data in (first, second, first, second):
@@ -684,6 +735,13 @@ def test_matfac_elbo_reads_the_residuals_coefficient(monkeypatch, mode, kind):
 # ---------------------------------------------------------------------------
 
 
+def _weight_coefficient(a: float, b: float, snap) -> np.ndarray:
+    """The weight plate's coefficient under Beta exponents (a, b): (a - 1 + sum r, N + b - 1 - sum r), in that order."""
+    r = snap["z"][:, 0]
+    s = float(np.add.reduce(r))
+    return np.array([[a - 1.0 + s, r.size + b - 1.0 - s]])
+
+
 def _log_z(t):
     """log z at the logit t = log z - log(1 - z); log(1 - z) is _log_z(-t)."""
     return -np.logaddexp(0.0, -t)
@@ -738,7 +796,7 @@ def test_logitnormal_beta_core_matches_two_level_coefficients(two_level_data):
             "pi": engine.Plate(("pi",), expfam.NaturalParam(weight.family, weight.values[None, :])),
         }
     )
-    got = models._weight_coefficient(*models.beta_natural_gradient(weight, core)[0], snap)[0]
+    got = _weight_coefficient(*models.beta_natural_gradient(weight, core)[0], snap)[0]
     want = tl.coefficient("pi", snap, two_level_data)[0]
     assert got == pytest.approx(want, abs=1e-8)
     for i in range(n):
@@ -927,8 +985,22 @@ def test_weight_read_off_is_not_reused_under_another_m():
         assert got == pytest.approx(want, rel=1e-6)
         fresh = engine.mu_snapshot(snap.plates)
         assert provider.coefficient("pi", snap, data).tolist() == provider.coefficient("pi", fresh, data).tolist()
-        assert provider.coefficient("pi", snap, data).tolist() == models._weight_coefficient(*got, snap).tolist()
+        assert provider.coefficient("pi", snap, data).tolist() == _weight_coefficient(*got, snap).tolist()
         assert engine.elbo(model, snap, data) == engine.elbo(model, fresh, data)
+
+
+def test_one_provider_class_serves_the_two_level_logitnormal_and_gmm2_models():
+    """Only gmm2's provider has plate "comp"; the two-level and logit-normal ones have "z" and "pi" alone."""
+    gmm, _ = make_gmm(seed=1, n=6)
+    two_level = models.build_two_level(make_two_level(seed=1, n=6)).provider
+    logitnormal = models.build_logitnormal(_logitnormal_data(6)).provider
+    gmm2 = models.build_gmm2(gmm).provider
+    for provider in (two_level, logitnormal, gmm2):
+        assert type(provider) is models.TwoLevelProvider
+    assert list(two_level.plates) == list(logitnormal.plates) == ["z", "pi"]
+    assert list(gmm2.plates) == ["z", "pi", "comp"]
+    assert gmm2.plates["comp"] == ("comp_a", "comp_b")
+    assert gmm2.plates["z"] == two_level.plates["z"] == tuple(f"z{i}" for i in range(6))
 
 
 def test_each_provider_class_has_one_name_and_subclasses_no_other_provider():
