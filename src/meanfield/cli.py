@@ -8,8 +8,10 @@ Config files are flat key=value text; a line that starts with # is a
 comment (a # inside a value is part of it), and unknown keys are errors.
 Data files are plain CSV, one observation per row, every cell a finite
 number; blank lines and lines that start with # are skipped.  numpy's reader
-takes a well-formed data file in one pass; a file it rejects is read again
-by a strict line-by-line reader, whose error names the offending row.
+takes a well-formed data file in one pass, after its leading blank and #
+lines (a header, say); a file it rejects, one with a # line after the first
+data row among them, is read again by a strict line-by-line reader, whose
+error names the offending row.
 Traces are line-delimited records with a fixed field order and
 17-significant-digit floats, so two runs with the same config and seed
 produce byte-identical files.
@@ -157,13 +159,21 @@ def _number(key: str, text: str):
 def load_csv(path: str, expected_cols: int | None = None) -> np.ndarray:
     """The data rows of a CSV as a float array; on malformed input the error names the first offending row.
 
-    numpy's reader takes a well-formed file in one pass.  A file it does not
-    take, or takes with no rows, the wrong column count or a non-finite cell,
-    is read again by the strict reader, which names the row.
+    numpy's reader takes a well-formed file in one pass, after the leading
+    blank and # lines, which are skipped here as the strict reader skips
+    them.  A file it does not take, or takes with no rows, the wrong column
+    count or a non-finite cell, is read again by the strict reader, which
+    names the row.
     """
     try:
         # The handle is opened here, not by loadtxt, so that a path is never read as a URL or an archive.
         with open(path, encoding="utf-8-sig") as fh, warnings.catch_warnings():
+            start = fh.tell()
+            for line in iter(fh.readline, ""):
+                if line.strip()[:1] not in ("", "#"):
+                    break
+                start = fh.tell()
+            fh.seek(start)
             warnings.simplefilter("ignore")  # an empty file's "input contained no data"
             arr = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
     except Exception:

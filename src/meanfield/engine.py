@@ -53,6 +53,9 @@ of the local plate, and ``fit`` hands its final plates back as
 is a ``NodeView``: a read-only lookup from id to (plate, row) that copies
 and validates nothing.  It is no state for a snapshot, whose ``put``
 refuses its nodes; the diagnostics take it by reading its plates.
+``NodeState.make`` gives the one row of a one-node ``Plate``, read through
+a ``NodeView``, so ``Plate`` is the one place that checks a role and a
+delta mode.
 """
 
 from __future__ import annotations
@@ -111,18 +114,20 @@ class ConfigurationError(ValueError):
 
 
 class NodeState(expfam._Frozen):
-    """One latent node: its id, as ``id`` and as the one-id tuple ``ids``, family, current lambda and cached mu."""
+    """One latent node: its id, as ``id`` and as the one-id tuple ``ids``, family, current lambda and cached mu.
+
+    It only holds its fields.  ``make`` gives the one row of a one-node
+    ``Plate``, read through ``NodeView``, so ``Plate`` is the one place that
+    checks a node's role and delta mode.
+    """
 
     def __init__(self, id: str, lam: NaturalParam, mu: ExpectationParam, role: str = LOCAL, delta_mode: bool = False):
-        if role not in (LOCAL, GLOBAL):
-            raise ConfigurationError(f"node role must be 'local' or 'global', got {role!r}")
-        if delta_mode and lam.family.kind != expfam.GAUSSIAN:
-            raise ConfigurationError("delta_mode is only supported on Gaussian nodes")
         vars(self).update(id=id, ids=(id,), lam=lam, mu=mu, family=lam.family, role=role, delta_mode=delta_mode)
 
     @staticmethod
     def make(node_id: str, lam: NaturalParam, role: str = LOCAL, delta_mode: bool = False):
-        return NodeState(node_id, lam, nat_to_mean(lam), role, delta_mode)
+        plate = Plate((node_id,), NaturalParam(lam.family, lam.values.reshape(1, -1)), role, delta_mode)
+        return NodeView({node_id: plate})[node_id]
 
 
 class Plate(expfam._Frozen):

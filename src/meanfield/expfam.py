@@ -477,7 +477,11 @@ class _Gaussian(_Family):
     plate's are, are found by one compare of their bytes, kept as given, and
     share one (1, D, D) factor, which every conversion broadcasts with each
     row's arithmetic that of its own factor; rows that tie only once
-    symmetrized (-0.0 facing +0.0, say) keep a factor each.  The mean's
+    symmetrized (-0.0 facing +0.0, say) keep a factor each.  The shared path
+    stays for speed: with every plate forced through per-row factors, an
+    in-process matfac_ppca CAVI iteration (40 x 25, K = 3, seed 101) took
+    0.252-0.266 ms against 0.187-0.197 ms, about a third longer (medians of
+    15 fits, 6 alternating runs, a 2-vCPU Xeon).  The mean's
     covariance L^-T L^-1 is a Gram matrix, so the mean is checked for
     finiteness only; it carries no A(lam).  The entropy
     (D (1 + log 2 pi) - log det S) / 2 and the KL

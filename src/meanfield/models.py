@@ -20,7 +20,9 @@ A Beta prior is conjugate (``_BetaWeight``); a logit-normal one is read off
 as a pseudo-conjugate Beta term (``LogitNormalMixtureData``).  The
 component log-likelihoods are read off the data too (``log_liks``), and
 gmm2's data gives its components' terms, so one ``TwoLevelProvider``
-serves the two-level mixture under either prior and gmm2.
+serves the two-level mixture under either prior and gmm2.  Their builders
+share one assembly, ``_indicator_mixture``: plate "z", the one-row weight
+plate "pi", then any component plates; each builder states only its start.
 """
 
 from __future__ import annotations
@@ -361,9 +363,14 @@ def _indicator_plate(ids, lam: np.ndarray) -> Plate:
     return Plate(ids, NaturalParam(expfam.FamilyDescriptor(expfam.BERNOULLI), lam[:, None]), role=LOCAL)
 
 
-def _global(node_id: str, lam) -> Plate:
-    """A plate of one global node."""
-    return Plate((node_id,), NaturalParam(lam.family, lam.values[None, :]), role=GLOBAL)
+def _indicator_mixture(provider, log_odds: np.ndarray, weight: NaturalParam, *components, order=None) -> ModelSpec:
+    """Plate "z" at ``log_odds``, the one-row global plate "pi" at the weight's Beta lambda, then any ``components``.
+
+    The one assembly of the two-level, logit-normal and gmm2 models: each
+    builder states only its start; ``order`` is the CAVI sweep order.
+    """
+    pi = Plate(("pi",), NaturalParam(weight.family, weight.values[None, :]), role=GLOBAL)
+    return ModelSpec((_indicator_plate(provider.plates["z"], log_odds), pi, *components), provider, sweep_order=order)
 
 
 # --------------------------------------------------------------------------
@@ -439,13 +446,8 @@ def build_two_level(
     data: TwoLevelMixtureData, seed: int = 0, shifted_beta: bool = False
 ) -> ModelSpec:
     """Every q(z_i) starts at 1/2, nothing is drawn and ``seed`` is unused; ``shifted_beta`` picks h(z) = 1/(z(1-z))."""
-    provider = TwoLevelProvider(data.n)
-    base = "reciprocal" if shifted_beta else "constant"
-    plates = (
-        _indicator_plate(provider.plates["z"], np.zeros(data.n)),
-        _global("pi", beta_natural(data.alpha0, data.beta0, base_measure=base)),
-    )
-    return ModelSpec(plates, provider)
+    weight = beta_natural(data.alpha0, data.beta0, base_measure="reciprocal" if shifted_beta else "constant")
+    return _indicator_mixture(TwoLevelProvider(data.n), np.zeros(data.n), weight)
 
 
 # --------------------------------------------------------------------------
@@ -472,16 +474,12 @@ def expected_log_component(mu_gw: np.ndarray, stats: np.ndarray, d: int):
 def build_gmm2(data: GMMData, seed: int = 0) -> ModelSpec:
     provider, prior = TwoLevelProvider(data.n, ("comp_a", "comp_b")), data.prior
     p = 0.5 + np.random.default_rng(seed).uniform(-_INIT_JITTER, _INIT_JITTER, size=data.n)
-    plates = (
-        _indicator_plate(provider.plates["z"], np.log(p / (1 - p))),
-        _global("pi", beta_natural(data.alpha0, data.beta0)),
-        Plate(provider.plates["comp"], NaturalParam(prior.family, np.tile(prior.values, (2, 1))), role=GLOBAL),
-    )
+    comp = Plate(provider.plates["comp"], NaturalParam(prior.family, np.tile(prior.values, (2, 1))), role=GLOBAL)
     # Globals first: a locals-first sweep would overwrite the perturbed
     # responsibilities while the components are still identical, freezing the
     # model at the symmetric fixed point.
     order = ("pi", "comp", "z")
-    return ModelSpec(plates, provider, sweep_order=order)
+    return _indicator_mixture(provider, np.log(p / (1 - p)), beta_natural(data.alpha0, data.beta0), comp, order=order)
 
 
 # --------------------------------------------------------------------------
@@ -721,9 +719,4 @@ def _logit_normal_gradient(a: float, b: float, m: float):
 
 def build_logitnormal(data: LogitNormalMixtureData, seed: int = 0) -> ModelSpec:
     """Every q(z_i) starts at 1/2 and nothing is drawn: no symmetry needs breaking, so ``seed`` is unused."""
-    provider = TwoLevelProvider(data.n)
-    plates = (
-        _indicator_plate(provider.plates["z"], np.zeros(data.n)),
-        _global("pi", beta_natural(1.0, 1.0)),
-    )
-    return ModelSpec(plates, provider)
+    return _indicator_mixture(TwoLevelProvider(data.n), np.zeros(data.n), beta_natural(1.0, 1.0))

@@ -3,7 +3,8 @@
 Everything here is deliberately implemented without the conversion or
 coefficient code in the rest of the package: exact Bayes posteriors,
 brute-force enumeration, quadrature, Monte-Carlo moments, closed-form
-ridge solves, and a textbook variational Gaussian mixture.  scipy supplies the special functions and samplers so the
+ridge solves, a textbook variational Gaussian mixture and textbook VB
+matrix factorisation.  scipy supplies the special functions and samplers so the
 hand-rolled numerics elsewhere are checked against an unrelated path.
 """
 
@@ -27,6 +28,7 @@ __all__ = [
     "ridge_solve",
     "mc_gw_expectations",
     "vb_gmm2",
+    "vb_matfac",
 ]
 
 _ENUMERATION_LIMIT = 20
@@ -195,3 +197,33 @@ def vb_gmm2(y, r, alpha0, beta0, gamma0, nu0, w0, tol: float = 1e-14, max_iter: 
         if moved <= tol:
             return {"r": r, "alpha": alpha, "beta": beta, "m": np.array(m), "w": np.array(w), "nu": nu}
     raise RuntimeError(f"VB-GMM did not converge in {max_iter} passes: responsibilities still move by {moved:g}")
+
+
+def vb_matfac(y, delta_u, delta_v, v_mean, v_cov, point_v: bool = False, tol: float = 1e-14, max_iter: int = 10**4):
+    """Variational Bayes for y_ij ~ N(u_i . v_j, 1) with u_i ~ N(0, I / delta_u) and v_j ~ N(0, I / delta_v).
+
+    Each pass updates every row factor, then every column factor, as CAVI
+    sweeps plate "u" and then plate "v":
+    Sigma_u = (delta_u I + sum_j E[v_j v_j^T])^-1 and m_i = Sigma_u sum_j y_ij E[v_j],
+    then the same for v with rows and columns swapped.  With ``point_v``
+    (PPCA, Bishop 1999) v is a point mass at its mean, so E[v_j v_j^T] is
+    m_j m_j^T; its covariance is still the one its update gives.  The start
+    is v's means ``v_mean`` (D, K) and their shared covariance ``v_cov``.
+    Passes stop once no mean or covariance entry moves by more than ``tol``.
+    Returns a dict of the means ``u_mean`` (N, K) and ``v_mean`` (D, K), the
+    covariances ``u_cov`` and ``v_cov`` (K, K), each shared by all rows, and
+    the count of ``passes``.
+    """
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    v_m, v_s = np.asarray(v_mean, dtype=float), np.asarray(v_cov, dtype=float)
+    eye = np.eye(v_m.shape[1])
+    for passes in range(1, max_iter + 1):
+        u_s = np.linalg.inv(delta_u * eye + v_m.T @ v_m + (0.0 if point_v else len(v_m) * v_s))
+        u_m = y @ v_m @ u_s  # row i is (Sigma_u sum_j y_ij m_j)^T; Sigma_u is symmetric
+        new_s = np.linalg.inv(delta_v * eye + u_m.T @ u_m + len(u_m) * u_s)
+        new_m = y.T @ u_m @ new_s
+        moved = max(float(np.max(np.abs(new_m - v_m))), float(np.max(np.abs(new_s - v_s))))
+        v_m, v_s = new_m, new_s
+        if moved <= tol:
+            return {"u_mean": u_m, "u_cov": u_s, "v_mean": v_m, "v_cov": v_s, "passes": passes}
+    raise RuntimeError(f"VB matrix factorisation did not converge in {max_iter} passes: v still moves by {moved:g}")

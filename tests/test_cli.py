@@ -983,6 +983,23 @@ def test_load_csv_gives_the_strict_reader_s_array_bitwise_or_its_error_line(csv)
         assert (arr.dtype, arr.shape, arr.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
+def test_load_csv_reads_a_file_with_a_header_in_one_pass(tmp_path, monkeypatch):
+    """Leading # and blank lines are skipped before numpy's reader, so a header sends no file to the strict reader."""
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"\xef\xbb\xbf# log_pa,log_pb\r\n\r\n  \r\n0.1,0.4\r\n-0.3,1e-320\r\n0.5,-0.1\r\n")
+    want = cli._load_csv_strictly(str(path), 2)
+
+    def refuse(*args):
+        raise AssertionError("the strict reader was called")
+
+    monkeypatch.setattr(cli, "_load_csv_strictly", refuse)
+    arr = cli.load_csv(str(path), 2)
+    assert (arr.dtype, arr.shape, arr.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    path.write_bytes(b"0.1,0.4\n# a comment after the first data row\n-0.3,0.2\n")
+    with pytest.raises(AssertionError, match="the strict reader was called"):
+        cli.load_csv(str(path), 2)
+
+
 def _write_trace_by_join(path, trace):
     """The trace writer as it was before it wrote in chunks: every line built, joined and written at once."""
     fmt = cli._fmt

@@ -60,11 +60,27 @@ def test_a_plate_needs_one_lambda_row_per_id(ids, values, message):
         engine.Plate(ids, lam)
 
 
+_REFUSED_ROLE = "node role must be 'local' or 'global', got 'sideways'"
+_REFUSED_DELTA_MODE = "delta_mode is only supported on Gaussian nodes"
+
+
 def test_delta_mode_requires_gaussian():
-    with pytest.raises(engine.ConfigurationError):
+    with pytest.raises(engine.ConfigurationError, match=f"^{re.escape(_REFUSED_DELTA_MODE)}$"):
         engine.NodeState.make("z", expfam.bernoulli_natural(0.0), delta_mode=True)
-    with pytest.raises(engine.ConfigurationError):
+    with pytest.raises(engine.ConfigurationError, match=f"^{re.escape(_REFUSED_ROLE)}$"):
         engine.NodeState.make("z", expfam.bernoulli_natural(0.0), role="sideways")
+
+
+@pytest.mark.parametrize(
+    "kw, message",
+    [({"role": "sideways"}, _REFUSED_ROLE), ({"delta_mode": True}, _REFUSED_DELTA_MODE)],
+    ids=["role", "delta_mode"],
+)
+def test_a_plate_refuses_an_unknown_role_and_delta_mode_off_a_gaussian(kw, message):
+    """``Plate`` itself refuses what ``NodeState.make`` refuses, with the same messages."""
+    lam = expfam.NaturalParam(expfam.FamilyDescriptor(expfam.BETA), np.array([[2.0, 3.0], [0.5, 4.0]]))
+    with pytest.raises(engine.ConfigurationError, match=f"^{re.escape(message)}$"):
+        engine.Plate(("a", "b"), lam, **kw)
 
 
 # ---------------------------------------------------------------------------

@@ -447,6 +447,32 @@ def test_a_gmm2_fit_reaches_the_fixed_point_of_textbook_vb(seed, n, d):
     assert min(want["nu"]) > n / 4  # each component holds a cluster: not a degenerate fixed point
 
 
+@pytest.mark.parametrize("mode, n, d", [("ppca", 40, 25), ("vmp", 30, 12)])
+@pytest.mark.parametrize("seed", [101, 9001])
+def test_a_matfac_fit_reaches_the_fixed_point_of_textbook_vb(seed, mode, n, d):
+    """The CAVI fit and textbook VB matrix factorisation (``oracle.vb_matfac``), from one start, agree on every factor.
+
+    The reference updates u then v, as the CAVI sweep does, from the model's
+    initial v plate; under PPCA its v is a point mass.  delta_u and delta_v
+    differ, so a prior strength applied to the other plate shows.
+    """
+    k, delta_u, delta_v = 3, 2.0, 0.5
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal((n, k)) @ rng.standard_normal((k, d)) + 0.3 * rng.standard_normal((n, d))
+    data = models.MatrixFactorizationData(y, k, delta_u, delta_v)
+    model = models.build_matfac(data, mode, seed=seed)
+    start = model.plates["v"].lam.values  # every row starts at precision delta_v I
+    precision = -2.0 * start[0, k:].reshape(k, k)
+    v_mean = np.linalg.solve(precision, start[:, :k].T).T
+    want = oracle.vb_matfac(y, delta_u, delta_v, v_mean, np.linalg.inv(precision), point_v=mode == "ppca")
+    trace = engine.fit(model, data, tol=1e-12, max_iter=2000)
+    assert trace.converged
+    for name in ("u", "v"):
+        mean, precisions = expfam.gaussian_mean_precision(trace.plates[name].lam)
+        _assert_close(mean, want[f"{name}_mean"], f"{name} means")
+        _assert_close(np.linalg.inv(precisions), np.broadcast_to(want[f"{name}_cov"], precisions.shape), f"{name} cov")
+
+
 def test_gmm2_fit_reads_each_component_state_off_the_data_once(monkeypatch):
     """The indicators' read-off and the ELBO share one pass per component state, and one T(y) product serves both
     components: 1 pass per sweep, 1 at the start."""
@@ -977,7 +1003,8 @@ def test_weight_read_off_is_not_reused_under_another_m():
     lam = expfam.beta_natural(3.0, 2.0)
     provider = models.TwoLevelProvider(2)
     model = models.build_logitnormal(_logitnormal_data(2), seed=1)
-    snap = engine.mu_snapshot({**model.plates, "pi": models._global("pi", lam)})
+    pi = engine.Plate(("pi",), expfam.NaturalParam(lam.family, lam.values[None, :]), engine.GLOBAL)
+    snap = engine.mu_snapshot({**model.plates, "pi": pi})
     for m in (0.3, -1.2, 0.3):
         data = _logitnormal_data(2, m=m)
         got = models.logit_normal_natural_gradient(lam, data.m)[0]
