@@ -19,7 +19,10 @@ produce byte-identical files.
 Exit codes: 0 converged / all checks pass, 1 input error (non-finite data,
 or Gaussian observations whose squares overflow, included), numerical
 failure or a model too large for memory, 2 hit max_iter without
-converging, 64 usage error.
+converging, 64 usage error.  Every input error is a ``ValueError``: the
+CLI's own (a config or data file it cannot read or parse), the engine's
+and the data classes' (a value out of its domain); ``fit`` prints it as one
+``error:`` line that names the key, row or file at fault.
 
 Config and data files are read as UTF-8; a leading byte-order mark is
 skipped.
@@ -75,10 +78,6 @@ _INT_KEYS = {"max_iter", "seed", "k"}
 _COMMON_KEYS = _TEXT_KEYS | {"rho", "kappa", "tau", "tol", "max_iter", "seed"}
 
 
-class InputError(Exception):
-    pass
-
-
 class RunConfig:
     """A parsed config; ``stop`` holds the ``tol`` and ``max_iter`` it sets, for ``engine.fit`` to default the rest."""
 
@@ -95,7 +94,7 @@ def _read_lines(path: str, what: str) -> list[str]:
         with open(path, encoding="utf-8-sig") as fh:
             return [ln.strip() for ln in fh]
     except OSError as exc:
-        raise InputError(f"cannot read {what} {path}: {exc}") from exc
+        raise ValueError(f"cannot read {what} {path}: {exc}") from exc
     except UnicodeDecodeError:
         # Name the first line that does not decode.  Lines split at \n, \r and \r\n,
         # as the text read splits them, and no such byte falls inside a UTF-8 character.
@@ -105,7 +104,7 @@ def _read_lines(path: str, what: str) -> list[str]:
                     raw.decode("utf-8")
                 except UnicodeDecodeError as exc:
                     byte = f"0x{raw[exc.start]:02x}"
-                    raise InputError(f"{path}: line {lineno} is not UTF-8 text (byte {byte}: {exc.reason})") from None
+                    raise ValueError(f"{path}: line {lineno} is not UTF-8 text (byte {byte}: {exc.reason})") from None
 
 
 def parse_config(path: str) -> RunConfig:
@@ -116,23 +115,23 @@ def parse_config(path: str) -> RunConfig:
         key, eq, val = line.partition("=")
         key, val = key.strip(), val.strip()
         if not (eq and key):
-            raise InputError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         if key in values:
-            raise InputError(f"{path}:{lineno}: duplicate key {key!r}")
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
         values[key] = val
 
     model = values.get("model")
     if model not in _MODELS:
         if model is not None:
-            raise InputError(f"unknown model {model!r} (choose from: {', '.join(_MODELS)})")
-        raise InputError(f"config must set model to one of {', '.join(_MODELS)}")
+            raise ValueError(f"unknown model {model!r} (choose from: {', '.join(_MODELS)})")
+        raise ValueError(f"config must set model to one of {', '.join(_MODELS)}")
     keys = _TABLE[model][3]
     unknown = sorted(set(values) - _COMMON_KEYS.union(keys))
     if unknown:
-        raise InputError(f"unknown config keys for model {model}: {', '.join(unknown)}")
+        raise ValueError(f"unknown config keys for model {model}: {', '.join(unknown)}")
     for required in ("data_path", "output_path"):
         if required not in values:
-            raise InputError(f"config must set {required}")
+            raise ValueError(f"config must set {required}")
 
     numbers = {k: _number(k, v) for k, v in values.items() if k not in _TEXT_KEYS}
     extras = {k: numbers.pop(k) for k in keys if k in numbers}
@@ -153,7 +152,7 @@ def _number(key: str, text: str):
         return int(text) if key in _INT_KEYS else float(text)
     except ValueError:
         kind = "an integer" if key in _INT_KEYS else "a number"
-        raise InputError(f"{key} must be {kind}, got {text!r}") from None
+        raise ValueError(f"{key} must be {kind}, got {text!r}") from None
 
 
 def load_csv(path: str, expected_cols: int | None = None) -> np.ndarray:
@@ -193,16 +192,16 @@ def _load_csv_strictly(path: str, expected_cols: int | None) -> np.ndarray:
         want = expected_cols or (len(rows[0]) if rows else len(cells))
         if len(cells) != want:
             _require_finite_rows(path, rows, linenos)  # a non-finite row above is named first
-            raise InputError(f"{path}: row {lineno} has {len(cells)} fields, expected {want}")
+            raise ValueError(f"{path}: row {lineno} has {len(cells)} fields, expected {want}")
         try:
             # str.strip, as numpy's reader, also strips the bytes \x1c-\x1f around a cell, which float keeps.
             rows.append([float(c.strip()) for c in cells])
         except ValueError as exc:
             _require_finite_rows(path, rows, linenos)
-            raise InputError(f"{path}: row {lineno}: {exc}") from exc
+            raise ValueError(f"{path}: row {lineno}: {exc}") from exc
         linenos.append(lineno)
     if not rows:
-        raise InputError(f"{path}: no data rows")
+        raise ValueError(f"{path}: no data rows")
     return _require_finite_rows(path, rows, linenos)
 
 
@@ -211,7 +210,7 @@ def _require_finite_rows(path: str, rows: list, linenos: list) -> np.ndarray:
     arr = np.array(rows)
     if not np.isfinite(arr).all():
         bad = int(np.flatnonzero(~np.isfinite(arr).all(axis=1))[0])
-        raise InputError(f"{path}: row {linenos[bad]}: every cell must be a finite number")
+        raise ValueError(f"{path}: row {linenos[bad]}: every cell must be a finite number")
     return arr
 
 
@@ -220,11 +219,15 @@ def _build(cfg: RunConfig):
     arr = load_csv(cfg.data_path, expected_cols=columns)
     if cfg.model == "simple_mixture":
         if arr.shape[0] != 1:
-            raise InputError("simple_mixture expects a single data row: pi0,pa,pb")
+            raise ValueError("simple_mixture expects a single data row: pi0,pa,pb")
         arr = arr[0]
     extras = dict(cfg.extras)
     if "w0_scale" in extras:  # the config's form of w0 = w0_scale * I
-        extras["w0"] = extras.pop("w0_scale") * np.eye(arr.shape[1])
+        scale = extras.pop("w0_scale")
+        # named here: the data class checks w0 and would name w0, which no config sets
+        if not (0.0 < scale and 0.0 < 1.0 / scale < np.inf):
+            raise ValueError(f"w0_scale must be positive and finite, and so must 1 / w0_scale, got {scale!r}")
+        extras["w0"] = scale * np.eye(arr.shape[1])
     data = data_class(*(arr.T if columns else [arr]), **extras)
     return build(data, seed=cfg.schedule.seed), data
 
@@ -247,7 +250,7 @@ def write_trace(path: str, trace: engine.FitTrace) -> None:
                 for chunk in _plate_lines(plate):
                     fh.write(chunk)
     except OSError as exc:
-        raise InputError(f"cannot write trace {path}: {exc}") from exc
+        raise ValueError(f"cannot write trace {path}: {exc}") from exc
 
 
 def _plate_lines(plate: engine.Plate):
@@ -273,7 +276,7 @@ def cmd_fit(args, log=None) -> int:
             model, data = _build(cfg)
             trace = engine.fit(model, data, cfg.schedule, **cfg.stop)
         write_trace(cfg.output_path, trace)
-    except (InputError, ValueError, NumericalError) as exc:
+    except (ValueError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MemoryError as exc:  # numpy's names the allocation it could not make

@@ -56,6 +56,13 @@ refuses its nodes; the diagnostics take it by reading its plates.
 ``NodeState.make`` gives the one row of a one-node ``Plate``, read through
 a ``NodeView``, so ``Plate`` is the one place that checks a role and a
 delta mode.
+
+Every number that enters, ``Schedule``'s rates, ``fit``'s ``tol`` and each
+scalar field of a data class in ``models``, passes one check,
+``_require_number``.  One real number is a Python or numpy int or float, or
+a 0-d array of one; a bool (Python or numpy), a string, a complex value or
+an array with an axis is not, and is a ``ConfigurationError`` (a
+``ValueError``) naming the field.
 """
 
 from __future__ import annotations
@@ -390,15 +397,19 @@ def _require_count(name: str, value) -> None:
         raise ConfigurationError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
-def _require_number(name: str, value) -> None:
-    """Reject a value that is not a Python or numpy real number (a bool is not one); NaN passes."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ConfigurationError(f"{name} must be a number, got {value!r}")
+def _require_number(**values) -> None:
+    """Reject a field, given by name, that is not one real number (see the module docstring), naming the first.
+
+    NaN passes, so each range check names it.
+    """
+    for name, value in values.items():
+        if np.ndim(value) != 0 or np.asarray(value).dtype.kind not in "iuf":
+            raise ConfigurationError(f"{name} must be one real number, got {value!r}")
 
 
 def _require_tol(tol) -> None:
     """Reject a tol that is not a finite positive number; a NaN is named as not positive, as one not above 0 is."""
-    _require_number("tol", tol)
+    _require_number(tol=tol)
     if not 0.0 < tol < math.inf:
         raise ConfigurationError(f"tol must be positive{' and finite' if tol > 0.0 else ''}, got {tol}")
 
@@ -414,8 +425,7 @@ class Schedule(expfam._Frozen):
     def __init__(self, kind: str = CAVI, rho: float = 0.5, kappa: float = 0.7, tau: float = 1.0, seed: int = 0):
         if kind not in (CAVI, SVI, PARALLEL_BLR):
             raise ConfigurationError(f"unknown schedule kind {kind!r}")
-        for name, value in (("rho", rho), ("kappa", kappa), ("tau", tau)):
-            _require_number(name, value)
+        _require_number(rho=rho, kappa=kappa, tau=tau)
         if not 0.0 < rho <= 1.0:
             raise ConfigurationError(f"rho must lie in (0, 1], got {rho:g}")
         if not 0.5 < kappa <= 1.0:
@@ -424,7 +434,8 @@ class Schedule(expfam._Frozen):
         if not least <= tau < float("inf"):
             raise ConfigurationError(f"tau must be finite and at least {least:g}, got {tau:g}")
         _require_count("seed", seed)
-        vars(self).update(kind=kind, rho=rho, kappa=kappa, tau=tau, seed=seed)
+        # held as Python floats: a numpy integer kappa would make the SVI rate an integer power
+        vars(self).update(kind=kind, rho=float(rho), kappa=float(kappa), tau=float(tau), seed=seed)
 
     def global_rate(self, t: int) -> float:
         return float((t + self.tau) ** (-self.kappa))

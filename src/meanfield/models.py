@@ -23,6 +23,13 @@ gmm2's data gives its components' terms, so one ``TwoLevelProvider``
 serves the two-level mixture under either prior and gmm2.  Their builders
 share one assembly, ``_indicator_mixture``: plate "z", the one-row weight
 plate "pi", then any component plates; each builder states only its start.
+
+Each data class checks its fields where they enter.  Every scalar field
+passes the engine's one scalar check, ``engine._require_number``, as
+``Schedule``'s rates and ``fit``'s ``tol`` do: a Python or numpy int or
+float, or a 0-d array of one, is admitted, and a bool, a string, a complex
+value or an array with an axis is a ``ConfigurationError`` (a
+``ValueError``) naming the field.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ import math
 import numpy as np
 
 from . import expfam
-from .engine import GLOBAL, LOCAL, CoefficientProvider, ModelSpec, Plate
+from .engine import GLOBAL, LOCAL, CoefficientProvider, ModelSpec, Plate, _require_number
 from .expfam import NaturalParam, NumericalError, beta_natural, gw_natural
 from .specfun import betaln, digamma, tetragamma, trigamma, trigamma_reciprocal_offset
 from .specfun import gammaln  # noqa: F401 -- unused here; the bench's layer trace wraps models.gammaln by name
@@ -99,13 +106,6 @@ def _require_beta_exponents(**exponents) -> None:
         raise ValueError(f"{a_name} + {b_name} must be finite, got {a:g} + {b:g}")
 
 
-def _require_real(**values) -> None:
-    """Reject a field that is not one real number, naming it."""
-    for name, value in values.items():
-        if np.ndim(value) != 0 or np.asarray(value).dtype.kind not in "biuf":
-            raise ValueError(f"{name} must be one real number, got {value!r}")
-
-
 def _require_square_summable(name: str, y) -> float:
     """The sum of squares of ``y``, rejected where it overflows (the log-joint squares ``y``), naming the field."""
     with np.errstate(over="ignore"):
@@ -130,7 +130,7 @@ class SimpleMixtureData(expfam._Frozen):
     """
 
     def __init__(self, pi0: float, pa: float, pb: float):
-        _require_real(pi0=pi0, pa=pa, pb=pb)
+        _require_number(pi0=pi0, pa=pa, pb=pb)
         _require_finite(pi0=pi0, pa=pa, pb=pb)
         if not 0.0 < pi0 < 1.0:
             raise ValueError(f"pi0 must lie in (0,1), got {pi0}")
@@ -143,7 +143,7 @@ class _MixtureLogLiks(expfam._Frozen):
     """Per-observation log-likelihoods under components a and b, plus a subclass's prior parameters."""
 
     def __init__(self, log_pa: np.ndarray, log_pb: np.ndarray, **prior):
-        _require_real(**prior)
+        _require_number(**prior)
         _require_finite(log_pa=log_pa, log_pb=log_pb, **prior)
         la, lb = np.asarray(log_pa, dtype=float), np.asarray(log_pb, dtype=float)
         if max(la.ndim, lb.ndim) > 1 or la.size != lb.size or la.size < 1:  # a scalar is one observation
@@ -226,7 +226,7 @@ class GMMData(_BetaWeight, expfam._Frozen):
         d = y.shape[1]
         nu0 = float(d) if nu0 is None else nu0
         w0 = np.eye(d) if w0 is None else w0
-        _require_real(alpha0=alpha0, beta0=beta0, gamma0=gamma0, nu0=nu0)
+        _require_number(alpha0=alpha0, beta0=beta0, gamma0=gamma0, nu0=nu0)
         _require_finite(y=y, alpha0=alpha0, beta0=beta0, gamma0=gamma0, nu0=nu0, w0=w0)
         _require_square_summable("y", y)
         if y.shape[0] < 2:
@@ -287,7 +287,7 @@ class MatrixFactorizationData(expfam._Frozen):
     """Full data matrix Y fit by K-factor row/column embeddings; it holds ``sum_of_squares``, the sum of y^2."""
 
     def __init__(self, y: np.ndarray, k: int = 1, delta_u: float = 1.0, delta_v: float = 1.0):
-        _require_real(delta_u=delta_u, delta_v=delta_v)
+        _require_number(delta_u=delta_u, delta_v=delta_v)
         _require_finite(y=y, k=k, delta_u=delta_u, delta_v=delta_v)
         y = np.atleast_2d(np.asarray(y, dtype=float))
         if y.ndim > 2 or 0 in y.shape:

@@ -2,7 +2,9 @@
 
 Implemented with the usual recurrence-plus-asymptotic-series scheme so the
 conversion code carries no external special-function dependency.  The test
-suite cross-checks every function against scipy.special.
+suite cross-checks every function against scipy.special.  The recurrences
+rebind their argument, never add to it in place, so a 0-d array argument,
+which a data class admits as one real number, is left as the caller gave it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ def gammaln(x: float) -> float:
     shift = 0.0
     while x < _ASYMPTOTIC_CUTOFF:
         shift -= math.log(x)
-        x += 1.0
+        x = x + 1.0
     inv = 1.0 / x
     inv2 = inv * inv
     # Stirling series: sum B_{2n} / (2n(2n-1) x^{2n-1}), through B_14
@@ -41,7 +43,7 @@ def digamma(x: float) -> float:
     shift = 0.0
     while x < _ASYMPTOTIC_CUTOFF:
         shift -= 1.0 / x
-        x += 1.0
+        x = x + 1.0
     inv = 1.0 / x
     inv2 = inv * inv
     # sum B_{2n} / (2n x^{2n}), through B_14
@@ -67,7 +69,7 @@ def trigamma(x: float) -> float:
     shift = 0.0
     while x < _ASYMPTOTIC_CUTOFF:
         shift += 1.0 / (x * x)
-        x += 1.0
+        x = x + 1.0
     return shift + (1.0 / x) * (1.0 + _trigamma_excess(x))
 
 
@@ -92,7 +94,7 @@ def tetragamma(x: float) -> float:
     shift = 0.0
     while x < _ASYMPTOTIC_CUTOFF:
         shift -= 2.0 / (x * x * x)
-        x += 1.0
+        x = x + 1.0
     inv = 1.0 / x
     inv2 = inv * inv
     # -1/x^2 - 1/x^3 - sum (2n+1) B_{2n} / x^{2n+2}, through B_18 (x^-20)

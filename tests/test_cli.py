@@ -633,6 +633,22 @@ def test_a_model_set_but_unknown_is_named_and_an_unset_one_is_asked_for(tmp_path
     assert capsys.readouterr().err == line
 
 
+@pytest.mark.parametrize("key", ["data_path", "output_path"])
+def test_a_config_without_a_path_asks_for_it(tmp_path, capsys, key):
+    paths = {"data_path": "d.csv", "output_path": "t.txt"}
+    del paths[key]
+    cfg = _write(tmp_path / "run.cfg", "model=two_level\n" + "".join(f"{k}={v}\n" for k, v in paths.items()))
+    assert cli.main(["fit", "--config", cfg]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == f"error: config must set {key}\n"
+
+
+def test_a_simple_mixture_csv_of_two_rows_is_refused(tmp_path, capsys):
+    cfg, out = _fit_config(tmp_path, "0.3,0.8,0.2\n0.4,0.5,0.5\n", model="simple_mixture")
+    assert cli.main(["fit", "--config", cfg]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == "error: simple_mixture expects a single data row: pi0,pa,pb\n"
+    assert not os.path.exists(out)
+
+
 def test_a_negative_max_iter_is_the_engine_s_count_error(tmp_path, capsys):
     cfg, out = _fit_config(tmp_path, "0.1,0.4\n", extra="max_iter=-1\n")
     assert cli.main(["fit", "--config", cfg]) == cli.EXIT_INPUT
@@ -651,15 +667,6 @@ def test_a_delta_whose_prior_variance_overflows_is_named(tmp_path, model, extra,
     assert proc.returncode == cli.EXIT_INPUT
     value = extra.partition("=")[2]
     assert proc.stderr == f"error: {key} is too small: the prior variance 1 / {key} overflows, got {value}\n"
-
-
-def test_a_w0_whose_inverse_overflows_is_named(tmp_path):
-    """The prior's W0^-1 overflows at build: the data class names w0, with no numpy warning before it."""
-    cfg, out = _fit_config(tmp_path, "0.1,0.2\n-1,0.5\n0.3,-0.2\n", extra="w0_scale=3e-309\n", model="gmm2")
-    proc = _run_cli(cfg)
-    assert proc.returncode == cli.EXIT_INPUT
-    assert proc.stderr == "error: w0 is too small: its inverse overflows, smallest eigenvalue 3e-309\n"
-    assert not os.path.exists(out)
 
 
 def test_a_small_delta_whose_prior_variance_is_finite_still_fits(tmp_path):
@@ -746,12 +753,36 @@ def test_non_integer_k_is_rejected_not_truncated(tmp_path, capsys):
     assert capsys.readouterr().err == "error: k must be an integer, got '2.5'\n"
 
 
-@pytest.mark.parametrize("scale", ["0", "-1"])
-def test_gmm2_w0_that_is_not_positive_definite_is_named(tmp_path, scale, capsys):
-    rows = "0.5,0.2\n-0.3,0.1\n1.0,-0.5\n"
-    cfg, _ = _fit_config(tmp_path, rows, extra=f"w0_scale={scale}\n", model="gmm2")
-    assert cli.main(["fit", "--config", cfg]) == cli.EXIT_INPUT
-    assert capsys.readouterr().err.startswith("error: w0 must be positive definite")
+_GMM_SIX_ROWS = "0.1,0.2\n-1,0.5\n0.3,-0.2\n2,1\n1,1\n0,0.5\n"
+
+
+@pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf", "1e-320", "3e-309"])
+def test_a_bad_w0_scale_is_named_by_its_key(tmp_path, scale, capsys):
+    """w0 = w0_scale * I is not positive definite, or it or its inverse is not finite: the line names the config's key.
+
+    The data class checks w0 itself, and would name w0, which no config sets.
+    """
+    cfg, out = _fit_config(tmp_path, _GMM_SIX_ROWS, extra=f"w0_scale={scale}\n", model="gmm2")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning before the line
+        assert cli.main(["fit", "--config", cfg]) == cli.EXIT_INPUT
+    line = f"error: w0_scale must be positive and finite, and so must 1 / w0_scale, got {float(scale)!r}\n"
+    assert capsys.readouterr().err == line
+    assert not os.path.exists(out)
+
+
+def test_the_w0_scale_check_refuses_no_w0_scale_that_gmm_data_takes(tmp_path):
+    """At the least w0_scale whose inverse is finite the fit is built; one float below, GMMData and the CLI refuse it."""
+    least = float(np.nextafter(1.0 / np.finfo(float).max, 1.0))
+    below = float(np.nextafter(least, 0.0))
+    assert math.isfinite(1.0 / least) and math.isinf(1.0 / below)
+    with pytest.raises(ValueError, match="^w0 is too small: its inverse overflows"):
+        models.GMMData(np.zeros((3, 2)), w0=below * np.eye(2))
+    cfg, _ = _fit_config(tmp_path, _GMM_SIX_ROWS, extra=f"w0_scale={least!r}\n", model="gmm2")
+    assert np.array_equal(cli._build(cli.parse_config(cfg))[1].w0, least * np.eye(2))
+    cfg, _ = _fit_config(tmp_path, _GMM_SIX_ROWS, extra=f"w0_scale={below!r}\n", model="gmm2")
+    with pytest.raises(ValueError, match="^w0_scale must be positive and finite"):
+        cli._build(cli.parse_config(cfg))
 
 
 def test_logitnormal_huge_m_rejected_without_warning(tmp_path):
@@ -953,7 +984,7 @@ def _load_or_error(load, path, cols):
         warnings.simplefilter("always")
         try:
             got = load(path, cols), None
-        except cli.InputError as exc:
+        except ValueError as exc:
             got = None, str(exc)
     return got, stderr.getvalue(), [str(w.message) for w in caught]
 

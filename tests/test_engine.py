@@ -538,6 +538,67 @@ def test_two_level_elbo_monotone_and_bounded(two_level_data):
     assert elbos[-1] <= exact.log_evidence + 1e-12
 
 
+def _random_state(rng, plates):
+    """Each plate with every row's lambda drawn as ``checks._random_natural`` draws it, in the plate's own family."""
+    state = {}
+    for name, plate in plates.items():
+        fam, rows = plate.family, []
+        for _ in plate.ids:
+            lam = checks._random_natural(rng, fam.kind, fam.dim)
+            if fam.kind == expfam.BETA:  # the plate's base measure: reciprocal lambdas are (a, b), not (a - 1, b - 1)
+                lam = expfam.beta_natural(*expfam.beta_ab(lam), fam.base_measure)
+            rows.append(lam.values)
+        state[name] = engine.Plate(plate.ids, expfam.NaturalParam(fam, np.array(rows)), plate.role, plate.delta_mode)
+    return state
+
+
+def _symmetric_direction(rng, family, shape) -> np.ndarray:
+    """A standard normal direction in a plate's lambda, symmetric in its matrix block where it has one."""
+    v = rng.standard_normal(shape)
+    start = {expfam.GAUSSIAN: family.dim, expfam.GAUSSIAN_WISHART: 1}.get(family.kind)
+    if start is not None:
+        d = family.dim
+        block = v[:, start : start + d * d].reshape(-1, d, d)
+        v[:, start : start + d * d] = (0.5 * (block + block.swapaxes(1, 2))).reshape(len(v), d * d)
+    return v
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_elbo_s_slope_in_mu_is_target_minus_lambda_at_random_states(seed):
+    """dELBO/dmu = target - lambda at every state, not only at the fixed point (Hoffman et al. 2013).
+
+    The target is the coefficient minus the base measure's gradient, with a
+    non-conjugate term's natural gradient in the coefficient's place (Khan &
+    Lin 2017); the ELBO is the expected log-joint plus the entropies.  A
+    central difference along a random direction v of one plate's lambda must
+    match (target - lambda) . (mu(lambda + h v) - mu(lambda - h v)), on every
+    plate that is not a point mass, at a state drawn away from the fixed
+    point.  A wrong entropy, base measure or coefficient breaks it.
+    """
+    rng = np.random.default_rng(seed)
+    instances = checks._model_instances(seed)
+    two_level = next(data for name, _, data in instances if name == "two_level")
+    instances.append(("two_level_reciprocal", models.build_two_level(two_level, shifted_beta=True), two_level))
+    for name, model, data in instances:
+        state = _random_state(rng, model.plates)
+        snap = engine.mu_snapshot(state)
+        for plate_name, plate in state.items():
+            if plate.delta_mode:
+                continue
+            lam = plate.lam.values
+            slope = engine._target(model, plate_name, snap, data) - lam
+            h = 1e-6 * max(1.0, float(np.max(np.abs(lam))))
+            for _ in range(5):
+                step = h * _symmetric_direction(rng, plate.family, lam.shape)
+                ends = [engine.Plate(plate.ids, expfam.NaturalParam(plate.family, lam + sign * step), plate.role)
+                        for sign in (1.0, -1.0)]
+                lhs = engine.elbo(model, {**state, plate_name: ends[0]}, data)
+                lhs -= engine.elbo(model, {**state, plate_name: ends[1]}, data)
+                rhs = float(np.sum(slope * (ends[0].mu.values - ends[1].mu.values)))
+                gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
+                assert gap < 1e-5, f"{name}/{plate_name}: relative gap {gap:.3g} ({lhs!r} against {rhs!r})"
+
+
 def test_fit_max_iter_zero_records_initial_state(two_level_data):
     model = models.build_two_level(two_level_data)
     trace = engine.fit(model, two_level_data, max_iter=0)
@@ -601,30 +662,62 @@ def test_fit_rejects_an_infinite_tol_instead_of_converging_at_once(two_level_dat
         engine.fit(model, two_level_data, tol=tol)
 
 
+_NOT_ONE_REAL_NUMBER = {"numpy-bool": np.True_, "complex": 0.3 + 0.1j, "array": np.array([0.5, 0.5])}
+
+
 def test_fit_rejects_a_string_tol_by_name(two_level_data):
     model = models.build_two_level(two_level_data)
-    with pytest.raises(engine.ConfigurationError, match="^tol must be a number, got '1e-3'$"):
+    with pytest.raises(engine.ConfigurationError, match="^tol must be one real number, got '1e-3'$"):
         engine.fit(model, two_level_data, tol="1e-3")
 
 
 def test_fit_rejects_a_bool_tol_by_name(two_level_data):
     model = models.build_two_level(two_level_data)
-    with pytest.raises(engine.ConfigurationError, match="^tol must be a number, got True$"):
+    with pytest.raises(engine.ConfigurationError, match="^tol must be one real number, got True$"):
         engine.fit(model, two_level_data, tol=True)
 
 
-@pytest.mark.parametrize("name, value", [("rho", "0.5"), ("kappa", "0.7"), ("tau", None)])
+@pytest.mark.parametrize("kind", ["numpy-bool", "complex", "array"])
+def test_fit_rejects_a_tol_that_is_not_one_real_number_by_name(two_level_data, kind):
+    model, bad = models.build_two_level(two_level_data), _NOT_ONE_REAL_NUMBER[kind]
+    with pytest.raises(engine.ConfigurationError, match=f"^{re.escape(f'tol must be one real number, got {bad!r}')}$"):
+        engine.fit(model, two_level_data, tol=bad)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("rho", "0.5"),
+        ("kappa", "0.7"),
+        ("tau", None),
+        pytest.param("tau", "2", id="tau-text"),
+        *(pytest.param(name, bad, id=f"{name}-{kind}") for name in ("rho", "kappa", "tau")
+          for kind, bad in _NOT_ONE_REAL_NUMBER.items()),
+    ],
+)
 def test_schedule_rejects_a_rate_that_is_not_a_number_by_name(name, value):
-    """A string or None is named where it is given, not left to fail a comparison with TypeError."""
-    with pytest.raises(engine.ConfigurationError, match=re.escape(f"{name} must be a number, got {value!r}")):
+    """A string, None, a numpy bool, a complex value or an array is named where it is given, not compared."""
+    with pytest.raises(engine.ConfigurationError, match=re.escape(f"{name} must be one real number, got {value!r}")):
         engine.Schedule(**{name: value})
 
 
 @pytest.mark.parametrize("kind, name", [(engine.PARALLEL_BLR, "rho"), (engine.CAVI, "kappa"), (engine.SVI, "tau")])
 def test_schedule_rejects_a_bool_rate_by_name(kind, name):
     """True would pass every range check as 1; like a bool seed, it is not taken for a number."""
-    with pytest.raises(engine.ConfigurationError, match=re.escape(f"{name} must be a number, got True")):
+    with pytest.raises(engine.ConfigurationError, match=re.escape(f"{name} must be one real number, got True")):
         engine.Schedule(kind, **{name: True})
+
+
+@pytest.mark.parametrize("convert", [np.float64, np.int64, np.array], ids=["float64", "int64", "0-d"])
+def test_schedule_and_fit_take_a_numpy_number_or_a_0_d_array_as_their_float(two_level_data, convert):
+    """An SVI fit whose rates and tol are numpy numbers or 0-d arrays is bitwise the fit at Python floats."""
+    model = models.build_two_level(two_level_data)
+    want = engine.fit(model, two_level_data, engine.Schedule(engine.SVI, kappa=1.0, tau=2.0), tol=1.0, max_iter=20)
+    schedule = engine.Schedule(engine.SVI, rho=convert(1.0), kappa=convert(1.0), tau=convert(2.0))
+    got = engine.fit(model, two_level_data, schedule, tol=convert(1.0), max_iter=20)
+    assert (schedule.rho, schedule.kappa, schedule.tau) == (1.0, 1.0, 2.0)
+    assert got.elbos.tobytes() == want.elbos.tobytes() and got.residuals.tobytes() == want.residuals.tobytes()
+    assert got.converged == want.converged
 
 
 @pytest.mark.parametrize("name", ["rho", "kappa", "tau"])

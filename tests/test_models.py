@@ -139,8 +139,13 @@ def test_matrix_factorization_data_names_y_when_it_has_more_than_two_dimensions(
         models.MatrixFactorizationData(np.ones((3, 2, 2)))
 
 
+_NOT_ONE_REAL_NUMBER = {"bool": True, "numpy-bool": np.True_, "complex": 0.3 + 0.1j}
+
+
 @pytest.mark.parametrize("field", ["pi0", "pa", "pb"])
-@pytest.mark.parametrize("bad", [np.array([0.5, 0.2]), 0.3 + 0.1j, "0.3"], ids=["array", "complex", "text"])
+@pytest.mark.parametrize(
+    "bad", [np.array([0.5, 0.2]), "0.3", *_NOT_ONE_REAL_NUMBER.values()], ids=["array", "text", *_NOT_ONE_REAL_NUMBER]
+)
 def test_simple_mixture_data_names_a_field_that_is_not_one_real_number(field, bad):
     values = {"pi0": 0.3, "pa": 0.8, "pb": 0.2, field: bad}
     with pytest.raises(ValueError, match=re.escape(f"{field} must be one real number, got {bad!r}")):
@@ -158,10 +163,54 @@ _PRIOR_FIELDS = {
 @pytest.mark.parametrize(
     "model, field", [pytest.param(m, f, id=f"{m}-{f}") for m, (_, fields) in _PRIOR_FIELDS.items() for f in fields]
 )
-@pytest.mark.parametrize("bad", [np.array([2.0, 3.0]), "2"], ids=["array", "text"])
+@pytest.mark.parametrize(
+    "bad", [np.array([2.0, 3.0]), "2", *_NOT_ONE_REAL_NUMBER.values()], ids=["array", "text", *_NOT_ONE_REAL_NUMBER]
+)
 def test_a_prior_parameter_that_is_not_one_real_number_is_named(model, field, bad):
     with pytest.raises(ValueError, match=re.escape(f"{field} must be one real number, got {bad!r}")):
         _PRIOR_FIELDS[model][0](**{field: bad})
+
+
+_SCALAR_FIELDS = {
+    "simple_mixture": (lambda **kw: models.SimpleMixtureData(**{"pi0": 0.3, "pa": 0.8, "pb": 0.2, **kw}),
+                       {"pi0": 0.25, "pa": 2.0, "pb": 3.0}),
+    "two_level": (_PRIOR_FIELDS["two_level"][0], {"alpha0": 2.0, "beta0": 3.0}),
+    "logitnormal": (_PRIOR_FIELDS["logitnormal"][0], {"m": 1.0}),
+    "gmm2": (_PRIOR_FIELDS["gmm2"][0], {"alpha0": 2.0, "beta0": 3.0, "gamma0": 2.0, "nu0": 4.0}),
+    "matfac": (_PRIOR_FIELDS["matfac"][0], {"delta_u": 2.0, "delta_v": 3.0}),
+}
+
+
+@pytest.mark.parametrize(
+    "model, field, value, convert",
+    [
+        pytest.param(m, f, v, c, id=f"{m}-{f}-{cid}")
+        for m, (_, values) in _SCALAR_FIELDS.items()
+        for f, v in values.items()
+        for cid, c in (("float64", np.float64), ("int64", np.int64), ("0-d", np.array))
+        if cid != "int64" or v == int(v)
+    ],
+)
+def test_a_scalar_field_takes_a_numpy_number_or_a_0_d_array_as_its_float(model, field, value, convert):
+    """The model built on the field as a numpy number or a 0-d array has bitwise the ELBO and residual at a float."""
+    make, build = _SCALAR_FIELDS[model][0], getattr(models, f"build_{model}")
+
+    def read_off(given):
+        data = make(**{field: given})
+        spec = build(data)
+        return engine.elbo(spec, dict(spec.plates), data), engine.fixed_point_residual(spec, dict(spec.plates), data)
+
+    assert read_off(convert(value)) == read_off(value)
+
+
+@pytest.mark.parametrize(
+    "model, field, value", [("two_level", "alpha0", 1e-17), ("gmm2", "beta0", 5e-17)], ids=["two_level", "gmm2"]
+)
+def test_a_beta_exponent_at_which_its_natural_parameter_rounds_to_minus_one_is_named(model, field, value):
+    """At or below 2^-54 the prior's a - 1 is -1, the natural parameter of a Beta exponent 0."""
+    line = f"{field} must exceed 2^-54 (about 5.6e-17), at or below which {field} - 1 rounds to -1, got {value:g}"
+    with pytest.raises(ValueError, match=f"^{re.escape(line)}$"):
+        _PRIOR_FIELDS[model][0](**{field: value})
 
 
 def test_the_data_classes_hold_what_their_data_fixes_bitwise():
