@@ -222,13 +222,16 @@ def _build(cfg: RunConfig):
             raise ValueError("simple_mixture expects a single data row: pi0,pa,pb")
         arr = arr[0]
     extras = dict(cfg.extras)
-    if "w0_scale" in extras:  # the config's form of w0 = w0_scale * I
-        scale = extras.pop("w0_scale")
-        # named here: the data class checks w0 and would name w0, which no config sets
+    scale = extras.pop("w0_scale", None)
+    if scale is not None:  # the config's form of w0 = w0_scale * I
+        # named here and below: the data class checks w0 and would name w0, which no config sets
         if not (0.0 < scale and 0.0 < 1.0 / scale < np.inf):
             raise ValueError(f"w0_scale must be positive and finite, and so must 1 / w0_scale, got {scale!r}")
         extras["w0"] = scale * np.eye(arr.shape[1])
-    data = data_class(*(arr.T if columns else [arr]), **extras)
+    try:
+        data = data_class(*(arr.T if columns else [arr]), **extras)
+    except ValueError as exc:  # an error on w0, which only w0_scale sets, is named by w0_scale
+        raise ValueError(f"w0_scale={scale!r} sets w0 = w0_scale * I, and {exc}") if str(exc).startswith("w0 ") else exc
     return build(data, seed=cfg.schedule.seed), data
 
 

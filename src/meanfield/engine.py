@@ -62,7 +62,10 @@ scalar field of a data class in ``models``, passes one check,
 ``_require_number``.  One real number is a Python or numpy int or float, or
 a 0-d array of one; a bool (Python or numpy), a string, a complex value or
 an array with an axis is not, and is a ``ConfigurationError`` (a
-``ValueError``) naming the field.
+``ValueError``) naming the field.  Every integer that enters, ``fit``'s
+``max_iter``, ``Schedule``'s ``seed`` and ``MatrixFactorizationData``'s
+``k``, passes one check too, ``_require_count``: a Python or numpy int, not
+a bool, of at least its least value (0, or 1 for ``k``).
 """
 
 from __future__ import annotations
@@ -391,10 +394,11 @@ class ModelSpec(expfam._Frozen):
         return local[0], global_[0]
 
 
-def _require_count(name: str, value) -> None:
-    """Reject a value that is not a nonnegative Python or numpy integer (a bool is not one)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-        raise ConfigurationError(f"{name} must be a nonnegative integer, got {value!r}")
+def _require_count(name: str, value, least: int = 0) -> None:
+    """Reject a value that is not a Python or numpy integer (a bool is not one) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        kind = f"an integer >= {least}" if least else "a nonnegative integer"
+        raise ConfigurationError(f"{name} must be {kind}, got {value!r}")
 
 
 def _require_number(**values) -> None:

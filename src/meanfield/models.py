@@ -29,7 +29,13 @@ passes the engine's one scalar check, ``engine._require_number``, as
 ``Schedule``'s rates and ``fit``'s ``tol`` do: a Python or numpy int or
 float, or a 0-d array of one, is admitted, and a bool, a string, a complex
 value or an array with an axis is a ``ConfigurationError`` (a
-``ValueError``) naming the field.
+``ValueError``) naming the field.  Every array field (``log_pa``, ``log_pb``,
+``y``, ``w0``) passes one rule, ``_owned_array``: the class holds a float
+copy of it, read-only, so a later write to the caller's array moves neither
+the field nor what the class derived from it, and a non-finite entry is a
+``ValueError`` naming the field and its first row that holds one
+(``y must be finite: row 3 holds [inf, 0.0]``, row 3 being ``y[3]``).
+Each class then states only its own shape rule.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ import math
 import numpy as np
 
 from . import expfam
-from .engine import GLOBAL, LOCAL, CoefficientProvider, ModelSpec, Plate, _require_number
+from .engine import GLOBAL, LOCAL, CoefficientProvider, ModelSpec, Plate, _require_count, _require_number
 from .expfam import NaturalParam, NumericalError, beta_natural, gw_natural
 from .specfun import betaln, digamma, tetragamma, trigamma, trigamma_reciprocal_offset
 from .specfun import gammaln  # noqa: F401 -- unused here; the bench's layer trace wraps models.gammaln by name
@@ -76,10 +82,22 @@ _QUAD_CHECK_TOL = 1e-6
 
 
 def _require_finite(**values) -> None:
-    """Reject NaN and infinite values in a data container's fields, given by name, naming the first that holds one."""
+    """Reject a scalar field, given by name, that is not one real number (``_require_number``) or is not finite."""
+    _require_number(**values)
     for name, value in values.items():
-        if not np.all(np.isfinite(np.asarray(value, dtype=float))):
+        if not math.isfinite(value):
             raise ValueError(f"{name} must be finite")
+
+
+def _owned_array(name: str, value) -> np.ndarray:
+    """An owned, read-only float copy of an array field; a non-finite entry is refused, naming its first row."""
+    arr = np.array(value, dtype=float)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        row = int(np.argmin(finite.reshape(len(np.atleast_1d(arr)), -1).all(axis=1)))
+        raise ValueError(f"{name} must be finite: row {row} holds {np.atleast_1d(arr)[row].tolist()}")
+    arr.flags.writeable = False
+    return arr
 
 
 def _require_positive(**values) -> None:
@@ -130,7 +148,6 @@ class SimpleMixtureData(expfam._Frozen):
     """
 
     def __init__(self, pi0: float, pa: float, pb: float):
-        _require_number(pi0=pi0, pa=pa, pb=pb)
         _require_finite(pi0=pi0, pa=pa, pb=pb)
         if not 0.0 < pi0 < 1.0:
             raise ValueError(f"pi0 must lie in (0,1), got {pi0}")
@@ -143,9 +160,8 @@ class _MixtureLogLiks(expfam._Frozen):
     """Per-observation log-likelihoods under components a and b, plus a subclass's prior parameters."""
 
     def __init__(self, log_pa: np.ndarray, log_pb: np.ndarray, **prior):
-        _require_number(**prior)
-        _require_finite(log_pa=log_pa, log_pb=log_pb, **prior)
-        la, lb = np.asarray(log_pa, dtype=float), np.asarray(log_pb, dtype=float)
+        la, lb = _owned_array("log_pa", log_pa), _owned_array("log_pb", log_pb)
+        _require_finite(**prior)
         if max(la.ndim, lb.ndim) > 1 or la.size != lb.size or la.size < 1:  # a scalar is one observation
             raise ValueError(
                 f"log_pa and log_pb must be equal-length, nonempty vectors, got shapes {la.shape} and {lb.shape}"
@@ -218,20 +234,18 @@ class GMMData(_BetaWeight, expfam._Frozen):
         nu0: float | None = None,
         w0: np.ndarray | None = None,
     ):
-        y = np.asarray(y, dtype=float)
+        y = _owned_array("y", y)
         if y.ndim < 2:  # one column, as the CLI reads a one-column CSV
             y = y.reshape(-1, 1)
         if y.ndim != 2 or y.shape[1] < 1:
             raise ValueError(f"y must be a 2-D array with at least one column, got shape {y.shape}")
         d = y.shape[1]
         nu0 = float(d) if nu0 is None else nu0
-        w0 = np.eye(d) if w0 is None else w0
-        _require_number(alpha0=alpha0, beta0=beta0, gamma0=gamma0, nu0=nu0)
-        _require_finite(y=y, alpha0=alpha0, beta0=beta0, gamma0=gamma0, nu0=nu0, w0=w0)
+        _require_finite(alpha0=alpha0, beta0=beta0, gamma0=gamma0, nu0=nu0)
+        w0 = _owned_array("w0", np.eye(d) if w0 is None else w0)
         _require_square_summable("y", y)
         if y.shape[0] < 2:
             raise ValueError("GMM needs at least two observations")
-        w0 = np.atleast_2d(np.asarray(w0, dtype=float))
         if w0.shape != (d, d):
             raise ValueError(f"W0 must be {d}x{d}")
         _require_beta_exponents(alpha0=alpha0, beta0=beta0)
@@ -240,10 +254,13 @@ class GMMData(_BetaWeight, expfam._Frozen):
             raise ValueError(f"gamma0 is too small: D / gamma0 overflows at D = {d}, got {gamma0:g}")
         if nu0 <= d - 1:
             raise ValueError(f"nu0 must exceed D-1 = {d - 1}, got {nu0:g}")
-        w0 = 0.5 * (w0 + w0.T)
-        least = float(np.linalg.eigvalsh(w0)[0])
+        # an asymmetric w0 is read as the mean of w0 and w0^T, summed from halves, which cannot overflow
+        w0 = w0 if np.array_equal(w0, w0.T) else _owned_array("w0", 0.5 * w0 + 0.5 * w0.T)
+        least, largest = np.linalg.eigvalsh(w0)[[0, -1]].tolist()
         if not least > 0.0:
             raise ValueError(f"w0 must be positive definite, got {w0.tolist()}")
+        if not math.isfinite(float(nu0) * largest):  # the prior's E[Lambda] is nu0 W0
+            raise ValueError(f"w0 is too large: nu0 * w0 overflows at nu0 = {nu0:g}, largest eigenvalue {largest:g}")
         try:  # the prior's lambda: W0^-1 overflows, or w0 has no Cholesky factor
             with np.errstate(over="raise"):
                 prior = gw_natural(nu0, gamma0, np.zeros(d), w0)
@@ -251,7 +268,9 @@ class GMMData(_BetaWeight, expfam._Frozen):
             raise ValueError(f"w0 is too small: its inverse overflows, smallest eigenvalue {least:g}") from None
         except expfam.DomainError:
             raise ValueError(f"w0 must be positive definite, got {w0.tolist()}") from None
-        vars(self).update(y=y, alpha0=alpha0, beta0=beta0, gamma0=gamma0, nu0=nu0, w0=w0, stats=_gw_statistics(y))
+        stats = _gw_statistics(y)
+        stats.flags.writeable = False  # held read-only, as y is
+        vars(self).update(y=y, alpha0=alpha0, beta0=beta0, gamma0=gamma0, nu0=nu0, w0=w0, stats=stats)
         vars(self).update(prior=prior, prior_log_partition=expfam.log_partition(prior))
         vars(self).update(weight_log_norm=betaln(alpha0, beta0))
 
@@ -287,14 +306,14 @@ class MatrixFactorizationData(expfam._Frozen):
     """Full data matrix Y fit by K-factor row/column embeddings; it holds ``sum_of_squares``, the sum of y^2."""
 
     def __init__(self, y: np.ndarray, k: int = 1, delta_u: float = 1.0, delta_v: float = 1.0):
-        _require_number(delta_u=delta_u, delta_v=delta_v)
-        _require_finite(y=y, k=k, delta_u=delta_u, delta_v=delta_v)
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        if y.ndim > 2 or 0 in y.shape:
+        y = _owned_array("y", y)
+        _require_finite(delta_u=delta_u, delta_v=delta_v)
+        if y.ndim != 2 or 0 in y.shape:
             raise ValueError(f"y must be 2-D, and y must have at least one row and one column, got shape {y.shape}")
         sum_of_squares = _require_square_summable("y", y)
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-            raise ValueError(f"k (the number of factors) must be an integer >= 1, got {k!r}")
+        _require_count("k (the number of factors)", k, least=1)
+        if max(y.shape) * (int(k) + int(k) ** 2) > np.iinfo(np.intp).max // 8:  # the larger plate, in 8-byte floats
+            raise ValueError(f"k is too large: {max(y.shape)} rows of k + k^2 floats are more than a numpy array holds")
         _require_positive(delta_u=delta_u, delta_v=delta_v)
         for name, delta in (("delta_u", float(delta_u)), ("delta_v", float(delta_v))):
             if not math.isfinite(1.0 / delta):  # a factor's prior covariance is I / delta

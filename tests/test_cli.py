@@ -756,6 +756,28 @@ def test_non_integer_k_is_rejected_not_truncated(tmp_path, capsys):
 _GMM_SIX_ROWS = "0.1,0.2\n-1,0.5\n0.3,-0.2\n2,1\n1,1\n0,0.5\n"
 
 
+@pytest.mark.parametrize("scale", ["1e308", "8.98846567431158e+307", "1.7976931348623157e+308"])
+def test_a_w0_scale_whose_prior_precision_overflows_is_named_by_its_key(tmp_path, scale, capsys):
+    """nu0 * w0_scale overflows the prior's E[Lambda] = nu0 W0: one line names w0_scale and that cause; none warns."""
+    cfg, out = _fit_config(tmp_path, _GMM_SIX_ROWS, extra=f"w0_scale={scale}\n", model="gmm2")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["fit", "--config", cfg]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    line = f"error: w0_scale={float(scale)!r} sets w0 = w0_scale * I, and w0 is too large: nu0 * w0 overflows"
+    assert err.startswith(line)
+    assert err.count("\n") == 1 and not os.path.exists(out)
+
+
+@pytest.mark.parametrize("k", ["1" + "0" * 400, "100000000000000000000"], ids=["401-digits", "1e20"])
+def test_a_k_too_large_for_numpy_is_one_error_line_naming_k(tmp_path, k):
+    cfg, out = _fit_config(tmp_path, _GMM_SIX_ROWS, extra=f"k={k}\n", model="matfac_ppca")
+    proc = _run_cli(cfg)
+    assert proc.returncode == cli.EXIT_INPUT
+    assert proc.stderr == "error: k is too large: 6 rows of k + k^2 floats are more than a numpy array holds\n"
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf", "1e-320", "3e-309"])
 def test_a_bad_w0_scale_is_named_by_its_key(tmp_path, scale, capsys):
     """w0 = w0_scale * I is not positive definite, or it or its inverse is not finite: the line names the config's key.

@@ -239,6 +239,82 @@ def test_matrix_factorization_data_rejects_a_k_that_is_not_a_positive_integer(k)
         models.MatrixFactorizationData(np.ones((2, 2)), k)
 
 
+@pytest.mark.parametrize("k", [10**400, 10**20, 2**30], ids=["401-digits", "1e20", "2^30"])
+def test_a_k_whose_factor_plates_no_numpy_array_holds_is_named(k):
+    """k is checked as an integer before any float conversion, and its plates' size before any array is made."""
+    with pytest.raises(ValueError, match=re.escape("k is too large: 3 rows of k + k^2 floats")):
+        models.MatrixFactorizationData(np.ones((3, 2)), k)
+
+
+_RNG = np.random.default_rng(7)
+_LOG_LIKS = {"log_pa": _RNG.normal(size=6), "log_pb": _RNG.normal(size=6)}
+_GMM_ARRAYS = {"y": _RNG.normal(size=(8, 2)), "w0": np.array([[2.0, 0.5], [0.5, 1.0]])}
+# Each data class, a builder of its model and the arrays it takes, by keyword.
+_ARRAY_FIELDS = {
+    "two_level": (models.TwoLevelMixtureData, models.build_two_level, _LOG_LIKS),
+    "logitnormal": (models.LogitNormalMixtureData, models.build_logitnormal, _LOG_LIKS),
+    "gmm2": (models.GMMData, models.build_gmm2, _GMM_ARRAYS),
+    "matfac": (models.MatrixFactorizationData, models.build_matfac, {"y": _RNG.normal(size=(5, 4))}),
+}
+
+
+@pytest.mark.parametrize("name", list(_ARRAY_FIELDS))
+def test_a_data_class_holds_read_only_copies_of_its_arrays(name):
+    """A later write to the caller's array moves no field, derived value or fit; a held array refuses a write."""
+    cls, build, arrays = _ARRAY_FIELDS[name]
+    given = {key: value.copy() for key, value in arrays.items()}
+    data, pristine = cls(**given), cls(**{key: value.copy() for key, value in arrays.items()})
+    held = {key: getattr(data, key).copy() for key in (*given, "stats") if hasattr(data, key)}  # stats: T(y)
+    sum_of_squares = getattr(data, "sum_of_squares", None)
+    for value in given.values():
+        value[...] = 5.0
+    for key, value in held.items():
+        assert np.array_equal(getattr(data, key), value), key
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(data, key).flat[0] = 1.0
+    assert getattr(data, "sum_of_squares", None) == sum_of_squares
+    got = engine.fit(build(data, seed=3), data, max_iter=50)
+    want = engine.fit(build(pristine, seed=3), pristine, max_iter=50)
+    assert got.elbos.tobytes() == want.elbos.tobytes() and got.residuals.tobytes() == want.residuals.tobytes()
+    for plate, value in want.plates.items():
+        assert got.plates[plate].lam.values.tobytes() == value.lam.values.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "make, field, row, holds",
+    [
+        (lambda b: models.TwoLevelMixtureData([0.0, 1.0, b], [0.0, 0.0, 0.0]), "log_pa", 2, "{b}"),
+        (lambda b: models.TwoLevelMixtureData([0.0, 1.0], [b, 0.0]), "log_pb", 0, "{b}"),
+        (lambda b: models.LogitNormalMixtureData([0.0, 1.0], [0.0, b]), "log_pb", 1, "{b}"),
+        (lambda b: models.GMMData([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0], [b, 0.0]]), "y", 3, "[{b}, 0.0]"),
+        (lambda b: models.GMMData([0.1, -0.3, b]), "y", 2, "{b}"),
+        (lambda b: models.GMMData(np.zeros((3, 2)), w0=[[1.0, 0.0], [b, 1.0]]), "w0", 1, "[{b}, 1.0]"),
+        (lambda b: models.MatrixFactorizationData([[1.0, 2.0], [3.0, 4.0], [5.0, b]]), "y", 2, "[5.0, {b}]"),
+    ],
+    ids=["two_level-log_pa", "two_level-log_pb", "logitnormal-log_pb", "gmm2-y", "gmm2-1-D-y", "gmm2-w0", "matfac-y"],
+)
+def test_a_non_finite_array_entry_is_named_by_field_and_row(make, field, row, holds, bad):
+    message = f"{field} must be finite: row {row} holds {holds.format(b=float(bad))}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make(bad)
+
+
+def test_w0_is_made_symmetric_without_overflow_and_a_symmetric_one_is_kept_bitwise():
+    y = np.array([[0.1, 0.2], [-1.0, 0.5], [0.3, -0.2], [2.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the halves of w0 and w0^T sum to 1e308 I; their sum before halving overflows
+        asymmetric = models.GMMData(y, nu0=1.5, w0=np.array([[1e308, 1.5e308], [-1.5e308, 1e308]]))
+        assert asymmetric.w0.tobytes() == (1e308 * np.eye(2)).tobytes()
+        for w0 in (np.array([[2.0, 5e-324], [5e-324, 3.0]]), np.finfo(float).max / 2 * np.eye(2)):
+            assert models.GMMData(y, w0=w0).w0.tobytes() == w0.tobytes()
+        for w0 in (1e308 * np.eye(2), np.finfo(float).max * np.eye(2)):  # nu0 = D = 2
+            message = f"w0 is too large: nu0 * w0 overflows at nu0 = 2, largest eigenvalue {w0[0, 0]:g}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                models.GMMData(y, w0=w0)
+
+
 @pytest.mark.parametrize("cls", [models.TwoLevelMixtureData, models.LogitNormalMixtureData])
 @pytest.mark.parametrize(
     "log_pa, log_pb",
