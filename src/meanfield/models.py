@@ -216,13 +216,19 @@ class TwoLevelMixtureData(_BetaWeight, _MixtureLogLiks):
 class GMMData(_BetaWeight, expfam._Frozen):
     """Observations y, (N, D) or 1-D as N rows of one column, for the two-component Gaussian mixture with GW priors.
 
-    ``nu0`` defaults to D and ``w0`` to the D x D identity.  It holds what
-    the data and the priors fix: ``stats``, each datum's statistics T(y)
-    (``_gw_statistics``); ``prior``, the components' Gaussian-Wishart prior
-    lambda_0 (zero mean, nu0, gamma0 and W0); ``prior_log_partition``, its
-    A(lambda_0); and ``weight_log_norm``, log B(alpha0, beta0).  It gives
-    the terms of plate "comp" (comp_a, comp_b), which meet the data only
-    through T(y), to ``TwoLevelProvider``.
+    ``nu0`` defaults to D and ``w0`` to the D x D identity.  ``w0`` is
+    positive definite when it has a Cholesky factor, the package's one such
+    test, and the factor is the one the prior's W0^-1 takes.  The prior's
+    E[Lambda] = nu0 W0 is finite when nu0 times w0's largest absolute row
+    sum, a bound on its eigenvalues, is finite.  Its eigenvalues are
+    computed only where that bound overflows and to name a refusal.
+
+    It holds what the data and the priors fix: ``stats``, each datum's
+    statistics T(y) (``_gw_statistics``); ``prior``, the components'
+    Gaussian-Wishart prior lambda_0 (zero mean, nu0, gamma0 and W0);
+    ``prior_log_partition``, its A(lambda_0); and ``weight_log_norm``,
+    log B(alpha0, beta0).  It gives the terms of plate "comp" (comp_a,
+    comp_b), which meet the data only through T(y), to ``TwoLevelProvider``.
     """
 
     def __init__(
@@ -256,15 +262,19 @@ class GMMData(_BetaWeight, expfam._Frozen):
             raise ValueError(f"nu0 must exceed D-1 = {d - 1}, got {nu0:g}")
         # an asymmetric w0 is read as the mean of w0 and w0^T, summed from halves, which cannot overflow
         w0 = w0 if np.array_equal(w0, w0.T) else _owned_array("w0", 0.5 * w0 + 0.5 * w0.T)
-        least, largest = np.linalg.eigvalsh(w0)[[0, -1]].tolist()
-        if not least > 0.0:
-            raise ValueError(f"w0 must be positive definite, got {w0.tolist()}")
-        if not math.isfinite(float(nu0) * largest):  # the prior's E[Lambda] is nu0 W0
-            raise ValueError(f"w0 is too large: nu0 * w0 overflows at nu0 = {nu0:g}, largest eigenvalue {largest:g}")
+        with np.errstate(over="ignore"):  # the largest absolute row sum bounds every eigenvalue of w0
+            bound = float(np.abs(w0).sum(axis=1).max())
+        if not math.isfinite(float(nu0) * bound):  # the prior's E[Lambda] is nu0 W0
+            least, largest = np.linalg.eigvalsh(w0)[[0, -1]].tolist()
+            if not least > 0.0:
+                raise ValueError(f"w0 must be positive definite, got {w0.tolist()}")
+            if not math.isfinite(float(nu0) * largest):
+                raise ValueError(f"w0 is too large: nu0 * w0 overflows at nu0 = {nu0:g}, largest eigenvalue {largest:g}")
         try:  # the prior's lambda: W0^-1 overflows, or w0 has no Cholesky factor
             with np.errstate(over="raise"):
                 prior = gw_natural(nu0, gamma0, np.zeros(d), w0)
         except FloatingPointError:
+            least = np.linalg.eigvalsh(w0)[0]
             raise ValueError(f"w0 is too small: its inverse overflows, smallest eigenvalue {least:g}") from None
         except expfam.DomainError:
             raise ValueError(f"w0 must be positive definite, got {w0.tolist()}") from None

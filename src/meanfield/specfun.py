@@ -5,6 +5,13 @@ conversion code carries no external special-function dependency.  The test
 suite cross-checks every function against scipy.special.  The recurrences
 rebind their argument, never add to it in place, so a 0-d array argument,
 which a data class admits as one real number, is left as the caller gave it.
+
+``betaln(a, b)``, with a >= b, is gammaln(a) + gammaln(b) - gammaln(a + b)
+while a is below the cutoff.  Past it, the first and last terms cancel as
+a/b grows (the three gammaln give log B(1e20, 1) = 0.0, not -46.05), so
+log Gamma(a) - log Gamma(a + b) is summed from Stirling's formula as
+-(a - 1/2) log1p(b/a) - b log(a + b) + b + S(a) - S(a + b), with S the
+series gammaln sums, and gammaln(b) is added.
 """
 
 from __future__ import annotations
@@ -30,10 +37,20 @@ def gammaln(x: float) -> float:
         x = x + 1.0
     inv = 1.0 / x
     inv2 = inv * inv
-    # Stirling series: sum B_{2n} / (2n(2n-1) x^{2n-1}), through B_14
+    # Stirling series: sum B_{2n} / (2n(2n-1) x^{2n-1}), through B_14; _stirling's sum, inline, as a call would
+    # add a frame to every Gaussian-Wishart step
     tail = 1.0 / 1680.0 - inv2 * (1.0 / 1188.0 - inv2 * (691.0 / 360360.0 - inv2 / 156.0))
     series = inv * (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 * (1.0 / 1260.0 - inv2 * tail)))
     return shift + (x - 0.5) * math.log(x) - x + 0.5 * math.log(2.0 * math.pi) + series
+
+
+def _stirling(x: float) -> float:
+    """log Gamma(x) - (x - 1/2) log x + x - log(2 pi) / 2 by the asymptotic series, for x >= _ASYMPTOTIC_CUTOFF."""
+    inv = 1.0 / x
+    inv2 = inv * inv
+    # Stirling series: sum B_{2n} / (2n(2n-1) x^{2n-1}), through B_14
+    tail = 1.0 / 1680.0 - inv2 * (1.0 / 1188.0 - inv2 * (691.0 / 360360.0 - inv2 / 156.0))
+    return inv * (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 * (1.0 / 1260.0 - inv2 * tail)))
 
 
 def digamma(x: float) -> float:
@@ -105,5 +122,9 @@ def tetragamma(x: float) -> float:
 
 
 def betaln(a: float, b: float) -> float:
-    """log Beta(a, b) for a, b > 0."""
-    return gammaln(a) + gammaln(b) - gammaln(a + b)
+    """log Beta(a, b) for a, b > 0; past the cutoff, log Gamma(a) - log Gamma(a + b) is summed with no cancelling pair."""
+    if a < b:
+        a, b = b, a
+    if not a >= _ASYMPTOTIC_CUTOFF:
+        return gammaln(a) + gammaln(b) - gammaln(a + b)
+    return gammaln(b) - (a - 0.5) * math.log1p(b / a) - b * math.log(a + b) + b + _stirling(a) - _stirling(a + b)

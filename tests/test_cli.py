@@ -747,6 +747,18 @@ def test_beta_prior_exponents_whose_sum_overflows_are_one_error_naming_alpha0(tm
     assert proc.stderr == f"error: alpha0 + beta0 must be finite, got {float(value):g} + {float(value):g}\n"
 
 
+def test_a_beta_prior_of_1e15_reports_the_elbo_of_one_of_1e17(tmp_path, capsys):
+    """log B(alpha0, 1) at alpha0 = 1e15 is summed without cancelling: the final elbo= is that of the flatter limit."""
+    final = []
+    for alpha0 in ("1e15", "1e17"):
+        cfg, out = _fit_config(tmp_path, "0.1,0.4\n-0.3,0.2\n0.5,-0.1\n", extra=f"alpha0={alpha0}\n")
+        assert cli.main(["fit", "--config", cfg]) == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
+        records = [ln for ln in open(out) if ln.startswith("iter=")]
+        final.append(float(re.search(r"\belbo=(\S+)", records[-1]).group(1)))
+    assert abs(final[0] - final[1]) <= 1e-9, final
+
+
 def test_non_integer_k_is_rejected_not_truncated(tmp_path, capsys):
     cfg, _ = _fit_config(tmp_path, "0.5,0.2,0.1\n0.3,0.3,0.2\n", extra="k=2.5\n", model="matfac_vmp")
     assert cli.main(["fit", "--config", cfg]) == cli.EXIT_INPUT

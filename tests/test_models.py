@@ -92,6 +92,18 @@ def test_a_w0_whose_inverse_is_finite_is_taken_though_one_over_its_least_eigenva
     assert engine.fit(models.build_gmm2(data, seed=0), data, max_iter=20).converged
 
 
+def test_a_w0_with_a_cholesky_factor_is_taken_though_its_least_eigenvalue_reads_zero():
+    """The double 0.2 exceeds 1/5, so det w0 = 5.6e-17 > 0: Cholesky finds the factor, eigvalsh rounds the eigenvalue to 0."""
+    w0 = np.array([[5.0, 1.0], [1.0, 0.2]])
+    assert np.linalg.eigvalsh(w0)[0] <= 0.0
+    y = np.array([[-2.0, 0.1], [-2.3, -0.2], [-1.8, 0.3], [-2.1, 0.0], [2.0, 0.2], [2.2, -0.1], [1.9, 0.1], [2.1, -0.3]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        data = models.GMMData(y, w0=w0)
+        assert data.w0.tobytes() == w0.tobytes()
+        assert engine.fit(models.build_gmm2(data, seed=1), data).converged
+
+
 def test_gmm_data_rejects_a_w0_of_the_wrong_shape():
     for w0 in (np.eye(3), np.ones((2, 3)), 1.0):
         with pytest.raises(ValueError, match="W0 must be 2x2"):

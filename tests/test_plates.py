@@ -6,6 +6,7 @@ sizes; with plates the counts depend on the number of plates only, so a
 return to one object per datum fails here.
 """
 
+import contextlib
 
 import numpy as np
 import pytest
@@ -57,10 +58,7 @@ def _sweep_counts(monkeypatch, model, data) -> dict[str, int]:
 
     monkeypatch.setattr(provider_cls, "coefficient", counted_coefficient)
     _count_inits(monkeypatch, calls, _PARAMS)
-    state = dict(model.plates)
-    engine.cavi_sweep(model, state, data)
-    engine.fixed_point_residual(model, state, data)
-    engine.elbo(model, state, data)
+    _sweep_residual_elbo(model, data)
     monkeypatch.undo()
     return calls
 
@@ -73,8 +71,9 @@ def test_sweep_work_does_not_grow_with_data(monkeypatch, build):
     assert small["coefficient"] > 0 and small["natural"] > 0
 
 
-def _linalg_counts(monkeypatch, model, data) -> dict[str, int]:
-    """np.linalg.cholesky and eigvalsh calls over one CAVI sweep, its residual and its ELBO."""
+@contextlib.contextmanager
+def _counted_linalg(monkeypatch):
+    """Counts of the np.linalg.cholesky and eigvalsh calls made inside the block."""
     calls = {"cholesky": 0, "eigvalsh": 0}
     for name in calls:
         real = getattr(np.linalg, name)
@@ -84,11 +83,21 @@ def _linalg_counts(monkeypatch, model, data) -> dict[str, int]:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+    yield calls
+    monkeypatch.undo()
+
+
+def _sweep_residual_elbo(model, data) -> None:
     state = dict(model.plates)
     engine.cavi_sweep(model, state, data)
     engine.fixed_point_residual(model, state, data)
     engine.elbo(model, state, data)
-    monkeypatch.undo()
+
+
+def _linalg_counts(monkeypatch, model, data) -> dict[str, int]:
+    """np.linalg.cholesky and eigvalsh calls over one CAVI sweep, its residual and its ELBO."""
+    with _counted_linalg(monkeypatch) as calls:
+        _sweep_residual_elbo(model, data)
     return calls
 
 
@@ -97,6 +106,15 @@ def test_one_factorisation_per_gaussian_plate_step(monkeypatch):
     small = _linalg_counts(monkeypatch, *_matfac_ppca(10))
     assert small == {"cholesky": 2, "eigvalsh": 0}  # plates u and v, one step each
     assert small == _linalg_counts(monkeypatch, *_matfac_ppca(200))
+
+
+def test_a_gmm2_build_and_fit_call_no_eigensolver(monkeypatch):
+    """w0 is positive definite when it has the Cholesky factor its prior takes; only a refusal computes eigenvalues."""
+    y = make_gmm(seed=1, n=10)[0].y
+    with _counted_linalg(monkeypatch) as calls:
+        data = models.GMMData(y)
+        _sweep_residual_elbo(models.build_gmm2(data, seed=1), data)
+    assert calls["eigvalsh"] == 0
 
 
 def _end_counts(monkeypatch, n) -> dict[str, int]:

@@ -96,6 +96,22 @@ def test_betaln_symmetry_and_value():
     assert specfun.betaln(0.7, 4.2) == pytest.approx(specfun.betaln(4.2, 0.7), rel=1e-14)
 
 
+@pytest.mark.parametrize("top, bound", [(1e8, 1e-13), (1e300, 1e-12)])
+def test_betaln_matches_a_420_digit_evaluation_on_a_log_uniform_grid(top, bound):
+    """No cancellation as a/b grows: log Gamma(a) - log Gamma(a + b) keeps its digits up to 1e300.
+
+    a + b is exact in mpmath only with about log10(a/b) + 17 digits, hence 420.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(23)
+    pairs = np.exp(rng.uniform(np.log(1e-3), np.log(top), size=(100, 2)))
+    with mpmath.workdps(420):
+        for a, b in pairs.tolist():
+            x, y = mpmath.mpf(a), mpmath.mpf(b)
+            ref = float(mpmath.loggamma(x) + mpmath.loggamma(y) - mpmath.loggamma(x + y))
+            assert abs(specfun.betaln(a, b) - ref) <= bound * max(1.0, abs(ref)), (a, b)
+
+
 @pytest.mark.parametrize("x", [0.0, -1.0, float("nan")], ids=["zero", "negative", "nan"])
 @pytest.mark.parametrize("name", ["gammaln", "digamma", "trigamma", "tetragamma", "trigamma_reciprocal_offset"])
 def test_a_nonpositive_or_nan_argument_is_rejected(name, x):
