@@ -17,12 +17,16 @@ Traces are line-delimited records with a fixed field order and
 produce byte-identical files.
 
 Exit codes: 0 converged / all checks pass, 1 input error (non-finite data,
-or Gaussian observations whose squares overflow, included), numerical
-failure or a model too large for memory, 2 hit max_iter without
-converging, 64 usage error.  Every input error is a ``ValueError``: the
-CLI's own (a config or data file it cannot read or parse), the engine's
-and the data classes' (a value out of its domain); ``fit`` prints it as one
-``error:`` line that names the key, row or file at fault.
+Gaussian observations whose squares overflow, or a prior whose normaliser is
+not finite, as gmm2's at nu0=1e308, included), numerical failure (a record
+whose ELBO or residual is not finite among them) or a model too large for
+memory, 2 hit max_iter without converging, 64 usage error.  Every input
+error is a ``ValueError``: the CLI's own (a config or data file it cannot
+read or parse), the engine's and the data classes' (a value out of its
+domain); ``fit`` prints it as one ``error:`` line that names the key, row or
+file at fault.  A numerical failure is one ``error:`` line too, naming the
+node or term, and no trace is written.  numpy's floating-point state is the
+engine's to set: ``engine.fit`` sets it for the fit, and the CLI sets none.
 
 Config and data files are read as UTF-8; a leading byte-order mark is
 skipped.
@@ -274,10 +278,8 @@ def cmd_fit(args, log=None) -> int:
     """Run the fit the config names; ``log``, where MEANFIELD_LOG sets one, gets one INFO line at the end."""
     try:
         cfg = parse_config(args.config)
-        # Overflow to a non-finite value is reported by the engine's checks, on the one error line.
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            model, data = _build(cfg)
-            trace = engine.fit(model, data, cfg.schedule, **cfg.stop)
+        model, data = _build(cfg)
+        trace = engine.fit(model, data, cfg.schedule, **cfg.stop)
         write_trace(cfg.output_path, trace)
     except (ValueError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)

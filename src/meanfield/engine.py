@@ -66,6 +66,20 @@ an array with an axis is not, and is a ``ConfigurationError`` (a
 ``max_iter``, ``Schedule``'s ``seed`` and ``MatrixFactorizationData``'s
 ``k``, passes one check too, ``_require_count``: a Python or numpy int, not
 a bool, of at least its least value (0, or 1 for ``k``).
+
+One floating-point policy holds, and ``fit`` owns it: it enters
+``np.errstate(over="ignore", invalid="ignore", divide="ignore")`` once,
+before its clock starts, so nothing a fit runs sets numpy's state or warns,
+and it names every non-finite number it meets.  A step's non-finite target
+is a ``NumericalError`` naming its node (``_check_target``); a lambda whose
+Cholesky factor or expectations are not finite is a ``DomainError`` naming
+its rows, on which a step backs off; a residual that overflows from a finite
+lambda and target, and an ELBO that is not finite, are ``NumericalError``s
+naming the term: the residual of plate X, the expected log-joint or the
+entropy of plate X.  So every outcome of a fit is a finite trace, a
+``ValueError`` or a ``NumericalError``.  Outside a fit, numpy's state is the
+caller's.  The data classes check what enters at intake, so building a model
+needs no policy of its own.
 """
 
 from __future__ import annotations
@@ -644,17 +658,31 @@ def _parallel_step(model: ModelSpec, state, data, rho: float):
 # --------------------------------------------------------------------------
 
 
+def _elbo_terms(model: ModelSpec, snap: Snapshot, data):
+    """The ELBO's terms, each named: the expected log-joint, then the entropy of each plate not delta-flagged."""
+    yield "the expected log-joint", model.provider.expected_log_joint(snap, data)
+    for name in model.plates:
+        plate = snap.plates[name]
+        if not plate.delta_mode:
+            yield f"the entropy of plate {name!r}", float(np.add.reduce(expfam.entropy(plate.lam, plate.mu), axis=None))
+
+
 def elbo(model: ModelSpec, state, data) -> float:
     """Expected log-joint plus entropies; delta-flagged nodes contribute no entropy.
 
     ``state`` is a plate dict, its NodeView or a snapshot.  The entropies are
-    of the model's plates; any other entry of the state adds none.
+    of the model's plates; any other entry of the state adds none.  An ELBO
+    that is not finite is a NumericalError naming the first term that is
+    not, with its value; the terms are looked at only then.
     """
     snap = _snapshot(model, state.plates if isinstance(state, NodeView) else state)
     total = model.provider.expected_log_joint(snap, data)
     for plate in (snap.plates[name] for name in model.plates):
         if not plate.delta_mode:
             total += float(np.add.reduce(expfam.entropy(plate.lam, plate.mu), axis=None))
+    if not math.isfinite(total):
+        bad = [f"{term} is not finite: {v}" for term, v in _elbo_terms(model, snap, data) if not math.isfinite(v)]
+        raise NumericalError(bad[0] if bad else f"the ELBO's terms are finite, but their sum is not: {total}")
     return total
 
 
@@ -663,7 +691,8 @@ def fixed_point_residual(model: ModelSpec, state, data) -> float:
 
     ``state`` is a plate dict, its NodeView or a snapshot, of which only the
     model's plates are read.  A non-finite coefficient is a NumericalError
-    naming its node, as in a step.
+    naming its node, as in a step; so is a gap that overflows from a finite
+    lambda and target, naming its plate.
     """
     snap = _snapshot(model, state.plates if isinstance(state, NodeView) else state)
     worst = 0.0
@@ -673,6 +702,7 @@ def fixed_point_residual(model: ModelSpec, state, data) -> float:
         gap = float(np.maximum.reduce(np.abs(plate.lam.values - target), axis=None))
         if not math.isfinite(gap):  # a finite lambda: the target is the cause, unless the gap overflowed
             _check_target(plate, target)
+            raise NumericalError(f"the residual of plate {name!r} is not finite: {gap}")
         worst = max(worst, gap)
     return worst
 
@@ -689,7 +719,9 @@ def fit(
     Non-convergence at max_iter is reported through FitTrace.converged, not
     raised.  The fit's state is one snapshot of the model's plates, which
     every sweep, residual and ELBO reads and updates; its final plates are
-    ``FitTrace.plates``.
+    ``FitTrace.plates``.  It runs under the one floating-point policy (see
+    the module docstring): a record whose residual or ELBO is not finite is
+    a NumericalError naming the term.
     """
     schedule = schedule or Schedule()
     _require_tol(tol)
@@ -697,26 +729,27 @@ def fit(
     if schedule.kind == SVI:  # a model SVI cannot step fails before the first record
         rows = len(model.plates[model._svi_plates[0]].ids)
         rng = np.random.default_rng(schedule.seed)  # only SVI draws; CAVI and parallel steps are deterministic
-    start = time.perf_counter()
-    trace = FitTrace()
-    snap = mu_snapshot(model.plates)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # the package's one floating-point policy
+        start = time.perf_counter()
+        trace = FitTrace()
+        snap = mu_snapshot(model.plates)
 
-    def record(it: int) -> float:
-        res = fixed_point_residual(model, snap, data)
-        trace.records.append(TraceRecord(it, elbo(model, snap, data), res, time.perf_counter() - start))
-        return res
+        def record(it: int) -> float:
+            res = fixed_point_residual(model, snap, data)
+            trace.records.append(TraceRecord(it, elbo(model, snap, data), res, time.perf_counter() - start))
+            return res
 
-    residual = record(0)
-    for t in range(1, max_iter + 1):
-        if residual < tol:
-            break
-        if schedule.kind == CAVI:
-            cavi_sweep(model, snap, data)
-        elif schedule.kind == SVI:
-            svi_step(model, snap, data, int(rng.integers(rows)), schedule.global_rate(t - 1))
-        else:
-            _parallel_step(model, snap, data, schedule.rho)
-        residual = record(t)
+        residual = record(0)
+        for t in range(1, max_iter + 1):
+            if residual < tol:
+                break
+            if schedule.kind == CAVI:
+                cavi_sweep(model, snap, data)
+            elif schedule.kind == SVI:
+                svi_step(model, snap, data, int(rng.integers(rows)), schedule.global_rate(t - 1))
+            else:
+                _parallel_step(model, snap, data, schedule.rho)
+            residual = record(t)
     trace.converged = residual < tol
     trace.plates = dict(snap.plates)
     return trace

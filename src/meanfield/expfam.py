@@ -202,14 +202,22 @@ def _chol_or_none(mat: np.ndarray):
 
 
 def _require_spd(mat: np.ndarray, what: str) -> np.ndarray:
-    """Cholesky factor of a matrix, or of each matrix of a (G, D, D) stack; the error names the first bad one."""
+    """Cholesky factor of a matrix, or of each matrix of a (G, D, D) stack; the error names the first bad one.
+
+    A factor that is not finite, as that of a matrix holding an infinity is,
+    is refused as one that does not exist; telling a finite one costs one
+    pass, and the rows are located only on failure.
+    """
     try:
-        return np.linalg.cholesky(mat)
+        factor = np.linalg.cholesky(mat)
+        if np.logical_and.reduce(np.isfinite(factor), axis=None):
+            return factor
     except np.linalg.LinAlgError:
-        stack = mat.reshape((-1,) + mat.shape[-2:])
-        bad = np.flatnonzero([_chol_or_none(m) is None for m in stack])
-        message = f"{what} must be symmetric positive-definite, got {stack[bad[0]].tolist()}"
-        raise DomainError(message, rows=bad) from None
+        pass
+    stack = mat.reshape((-1,) + mat.shape[-2:])
+    bad = np.flatnonzero([(f := _chol_or_none(m)) is None or not np.isfinite(f).all() for m in stack])
+    message = f"{what} must be symmetric positive-definite, got {stack[bad[0]].tolist()}"
+    raise DomainError(message, rows=bad)
 
 
 @dataclass(frozen=True, slots=True)

@@ -35,7 +35,12 @@ copy of it, read-only, so a later write to the caller's array moves neither
 the field nor what the class derived from it, and a non-finite entry is a
 ``ValueError`` naming the field and its first row that holds one
 (``y must be finite: row 3 holds [inf, 0.0]``, row 3 being ``y[3]``).
-Each class then states only its own shape rule.
+Each class then states only its own shape rule.  A prior's normaliser that
+the data fixes is refused where it is not finite, naming its keys: log B of
+a Beta weight, taken once in ``_BetaWeight``, and gmm2's A(lambda_0).  Three
+intake checks silence an overflow that they then test for
+(``_require_square_summable`` and two in ``GMMData``); nothing a fit runs
+sets numpy's floating-point state, which is ``engine.fit``'s (see ``engine``).
 """
 
 from __future__ import annotations
@@ -188,8 +193,17 @@ class _BetaWeight:
     ``weight_exponents``, the Beta exponents of the prior's term in the
     weight's coefficient, and ``weight_log_prior``, that term's share of the
     expected log-joint.  The data fixes log B(alpha0, beta0), so its class
-    computes it once and holds it as ``weight_log_norm``.
+    takes it once, through ``_take_weight_prior``, and holds it as
+    ``weight_log_norm``.
     """
+
+    def _take_weight_prior(self, alpha0, beta0) -> None:
+        """Check alpha0 and beta0, and hold log B(alpha0, beta0) as ``weight_log_norm``; one not finite is refused."""
+        _require_beta_exponents(alpha0=alpha0, beta0=beta0)
+        log_norm = betaln(alpha0, beta0)
+        if not math.isfinite(log_norm):
+            raise ValueError(f"log B(alpha0, beta0) is not finite at alpha0 = {alpha0:g}, beta0 = {beta0:g}: {log_norm}")
+        vars(self).update(weight_log_norm=log_norm)
 
     def weight_exponents(self, mus):
         """(alpha0, beta0): a conjugate prior's exponents read no entry."""
@@ -209,8 +223,7 @@ class TwoLevelMixtureData(_BetaWeight, _MixtureLogLiks):
 
     def __init__(self, log_pa: np.ndarray, log_pb: np.ndarray, alpha0: float = 1.0, beta0: float = 1.0):
         super().__init__(log_pa, log_pb, alpha0=alpha0, beta0=beta0)
-        _require_beta_exponents(alpha0=alpha0, beta0=beta0)
-        vars(self).update(weight_log_norm=betaln(alpha0, beta0))
+        self._take_weight_prior(alpha0, beta0)
 
 
 class GMMData(_BetaWeight, expfam._Frozen):
@@ -218,7 +231,9 @@ class GMMData(_BetaWeight, expfam._Frozen):
 
     ``nu0`` defaults to D and ``w0`` to the D x D identity.  ``w0`` is
     positive definite when it has a Cholesky factor, the package's one such
-    test, and the factor is the one the prior's W0^-1 takes.  The prior's
+    test, and the factor is the one the prior's W0^-1 takes.  A prior whose
+    normaliser A(lambda_0) is not finite, as at nu0 = 1e308, is refused,
+    naming nu0.  The prior's
     E[Lambda] = nu0 W0 is finite when nu0 times w0's largest absolute row
     sum, a bound on its eigenvalues, is finite.  Its eigenvalues are
     computed only where that bound overflows and to name a refusal.
@@ -254,7 +269,7 @@ class GMMData(_BetaWeight, expfam._Frozen):
             raise ValueError("GMM needs at least two observations")
         if w0.shape != (d, d):
             raise ValueError(f"W0 must be {d}x{d}")
-        _require_beta_exponents(alpha0=alpha0, beta0=beta0)
+        self._take_weight_prior(alpha0, beta0)
         _require_positive(gamma0=gamma0)
         if not math.isfinite(d / float(gamma0)):  # the prior's E[quad] holds D / gamma0
             raise ValueError(f"gamma0 is too small: D / gamma0 overflows at D = {d}, got {gamma0:g}")
@@ -280,9 +295,11 @@ class GMMData(_BetaWeight, expfam._Frozen):
             raise ValueError(f"w0 must be positive definite, got {w0.tolist()}") from None
         stats = _gw_statistics(y)
         stats.flags.writeable = False  # held read-only, as y is
+        log_z = expfam.log_partition(prior)
+        if not math.isfinite(log_z):  # the prior's log Gamma and log det terms grow with nu0
+            raise ValueError(f"nu0 is too large: the prior's normaliser is not finite at nu0 = {nu0:g}: {log_z}")
         vars(self).update(y=y, alpha0=alpha0, beta0=beta0, gamma0=gamma0, nu0=nu0, w0=w0, stats=stats)
-        vars(self).update(prior=prior, prior_log_partition=expfam.log_partition(prior))
-        vars(self).update(weight_log_norm=betaln(alpha0, beta0))
+        vars(self).update(prior=prior, prior_log_partition=log_z)
 
     @property
     def n(self) -> int:
@@ -457,8 +474,7 @@ class TwoLevelProvider(CoefficientProvider):
         if plate == "z":  # log odds; an overflow near the float limit is an infinite target the engine reports
             log_a, log_b = data.log_liks(mus)
             mu0 = mus["pi"][0]
-            with np.errstate(over="ignore", invalid="ignore"):
-                return ((mu0[0] + log_a) - (mu0[1] + log_b))[:, None]
+            return ((mu0[0] + log_a) - (mu0[1] + log_b))[:, None]
         return data.component_coefficient(mus)
 
     def expected_log_joint(self, mus, data: TwoLevelMixtureData | LogitNormalMixtureData | GMMData):

@@ -323,13 +323,26 @@ def test_non_finite_target_names_node_without_warning(tmp_path):
 
 
 def test_overflowing_prior_prints_one_error_line_and_no_warning(tmp_path):
-    """A huge nu0 overflows the expectations; the engine's non-finite check is the one line printed."""
-    cfg, _ = _fit_config(tmp_path, "0.1,0.2\n-1,0.5\n2,2\n0.3,-0.2\n", extra="nu0=1e308\n", model="gmm2")
+    """A huge nu0 overflows the prior's normaliser; the data class refuses it, naming nu0, and no trace is written."""
+    cfg, out = _fit_config(tmp_path, "0.1,0.2\n-1,0.5\n2,2\n0.3,-0.2\n", extra="nu0=1e308\n", model="gmm2")
     proc = _run_cli(cfg)
     assert proc.returncode == cli.EXIT_INPUT
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "is not finite" in proc.stderr
     assert "Warning" not in proc.stderr
+    assert proc.stderr == "error: nu0 is too large: the prior's normaliser is not finite at nu0 = 1e+308: inf\n"
+    assert not os.path.exists(out)
+
+
+def test_a_fit_whose_elbo_is_not_finite_is_one_error_line_and_no_trace(tmp_path):
+    """matfac_vmp in parallel on data near 1e150: E[log p] overflows on the first step, which the record names."""
+    y = np.random.default_rng(0).standard_normal((5, 3)) * 1e150
+    rows = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in y)
+    cfg, out = _fit_config(tmp_path, rows, extra="schedule=parallel\nk=2\nmax_iter=30\n", model="matfac_vmp")
+    proc = _run_cli(cfg)
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_INPUT, "")
+    assert proc.stderr == "error: the expected log-joint is not finite: nan\n"
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Update steps, schedules, the fit loop, ELBO and residual diagnostics."""
 
+import functools
 import math
 import os
 import re
@@ -7,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meanfield import checks, engine, expfam, models
@@ -173,13 +174,12 @@ def test_a_plate_step_stays_within_its_call_budget(plate, model, data):
 
 
 # The numpy Python-level functions a fit's iteration may enter: np.linalg's
-# cholesky and inv (with their array-function dispatchers), errstate, which
-# silences the indicators' documented overflow, and where's dispatcher.
-# numpy 1.24 runs a public function as a Python wrapper named after it, from
-# "<__array_function__ internals>"; 2.x enters its dispatcher and body from C.
-_NUMPY_ENTRIES_ALLOWED = {
-    "cholesky", "_cholesky_dispatcher", "inv", "_unary_dispatcher", "__init__", "__enter__", "__exit__", "where",
-}
+# cholesky and inv (with their array-function dispatchers) and where's
+# dispatcher.  No errstate: ``fit`` sets numpy's floating-point state once,
+# outside its iterations.  numpy 1.24 runs a public function as a Python
+# wrapper named after it, from "<__array_function__ internals>"; 2.x enters
+# its dispatcher and body from C.
+_NUMPY_ENTRIES_ALLOWED = {"cholesky", "_cholesky_dispatcher", "inv", "_unary_dispatcher", "where"}
 
 
 def _numpy_entries(fn) -> set[str]:
@@ -217,7 +217,7 @@ def _iterations():
 
 
 @pytest.mark.parametrize("model, data, schedule", _iterations())
-def test_an_iteration_enters_no_numpy_python_wrapper_but_linalg_errstate_and_where(model, data, schedule):
+def test_an_iteration_enters_no_numpy_python_wrapper_but_linalg_and_where(model, data, schedule):
     """A step, the residual and the ELBO call numpy's C entry points: ufuncs, their reduces and ndarray methods.
 
     The first iteration is run beforehand, so that what is read off the data
@@ -1288,10 +1288,9 @@ def _small_models(draw, names):
 
 
 def _fit_or_domain_error(model, data, schedule, tol, max_iter):
-    """The fit, or None when it stops on a DomainError or NumericalError; overflow is left to the engine's checks, as in the CLI."""
+    """The fit, or None when it stops on a DomainError or NumericalError; ``fit`` sets its own floating-point state."""
     try:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return engine.fit(model, data, schedule, tol=tol, max_iter=max_iter)
+        return engine.fit(model, data, schedule, tol=tol, max_iter=max_iter)
     except (expfam.DomainError, expfam.NumericalError):
         return None
 
@@ -1348,6 +1347,146 @@ def test_a_fit_converges_or_says_it_did_not_within_max_iter(run):
         assert not (trace.residuals[:-1] < tol).any()  # it stops at the first residual below tol
         assert trace.converged or k == max_iter
         assert k <= max_iter
+
+
+# ---------------------------------------------------------------------------
+# one floating-point policy: fit silences numpy and names every non-finite number it meets
+# ---------------------------------------------------------------------------
+
+
+class _FixedProvider(engine.CoefficientProvider):
+    """One Gaussian plate "x" whose coefficient and expected log-joint are fixed; it notes numpy's state when read."""
+
+    plates = {"x": ("x0",)}
+
+    def __init__(self, target, joint=0.0):
+        self.target, self.joint, self.states = np.array(target, dtype=float), joint, []
+
+    def coefficient(self, plate, mus, data):
+        return self.target
+
+    def expected_log_joint(self, mus, data):
+        self.states.append(np.geterr())
+        return self.joint
+
+
+def _fixed_model(lam, target, joint=0.0):
+    """A one-plate model of a 1-D Gaussian at ``lam`` whose coefficient is ``target``."""
+    plate = engine.Plate(("x0",), expfam.NaturalParam(expfam.FamilyDescriptor(expfam.GAUSSIAN, dim=1), [lam]))
+    return engine.ModelSpec((plate,), _FixedProvider([target], joint))
+
+
+def test_fit_sets_numpy_s_floating_point_state_for_its_own_run_and_restores_it():
+    """Inside a fit over, invalid and divide are ignored; after it, returned or raised, the caller's state is back."""
+    before = np.geterr()
+    model = _fixed_model([0.5, -0.5], [0.5, -0.5])
+    engine.fit(model, None, max_iter=3)
+    assert model.provider.states[0] == {**before, "over": "ignore", "invalid": "ignore", "divide": "ignore"}
+    assert np.geterr() == before
+    with pytest.raises(expfam.NumericalError):
+        engine.fit(_fixed_model([0.5, -0.5], [0.5, -0.5], joint=math.inf), None)
+    assert np.geterr() == before
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e130, 1e150])
+def test_a_parallel_matfac_fit_whose_elbo_overflows_names_the_expected_log_joint(scale):
+    """Data near 1e100-1e150 overflow E[log p] on the first parallel step: a NumericalError, and no warning."""
+    data = models.MatrixFactorizationData(np.random.default_rng(0).standard_normal((5, 3)) * scale, k=2)
+    model = models.build_matfac(data, "vmp")
+    with pytest.raises(expfam.NumericalError, match=r"^the expected log-joint is not finite: nan$"):
+        engine.fit(model, data, engine.Schedule(engine.PARALLEL_BLR), max_iter=30)
+
+
+def test_a_residual_that_overflows_from_a_finite_lambda_and_target_names_its_plate():
+    """lambda and its target, each finite, 2e308 apart: the residual is a NumericalError, not an infinite record."""
+    model = _fixed_model([1e308, -5e153], [-1e308, -5e153])  # a mean of 1e154, whose square is still finite
+    message = r"^the residual of plate 'x' is not finite: inf$"
+    with pytest.raises(expfam.NumericalError, match=message):
+        engine.fit(model, None, max_iter=3)
+    with np.errstate(over="ignore"), pytest.raises(expfam.NumericalError, match=message):  # outside a fit, the caller's
+        engine.fixed_point_residual(model, dict(model.plates), None)
+
+
+@pytest.mark.parametrize(
+    "joint, entropy, message",
+    [
+        (math.nan, None, r"^the expected log-joint is not finite: nan$"),
+        (0.0, math.inf, r"^the entropy of plate 'x' is not finite: inf$"),
+        (1.7e308, 1.7e308, r"^the ELBO's terms are finite, but their sum is not: inf$"),
+    ],
+)
+def test_an_elbo_that_is_not_finite_names_its_first_term_that_is_not(monkeypatch, joint, entropy, message):
+    """The expected log-joint, then each plate's entropy; where each is finite, the sum is named."""
+    model = _fixed_model([0.5, -0.5], [0.5, -0.5], joint)
+    if entropy is not None:
+        monkeypatch.setattr(expfam, "entropy", lambda lam, mu: np.full(len(lam.values), entropy))
+    for run in (lambda: engine.elbo(model, dict(model.plates), None), lambda: engine.fit(model, None)):
+        with pytest.raises(expfam.NumericalError, match=message):
+            run()
+
+
+_EDGE = st.sampled_from([5e-324, 1e-300, 1e-30, 1e-15, 1.0, 1e15, 1e100, 1e130, 1e150, 1e300, 1e308]) | st.builds(
+    lambda e: 10.0**e, st.floats(-323.0, 308.0)
+)
+
+
+# Each model's data class and builder, by the CLI's model name.
+_EDGE_MODELS = {
+    "simple_mixture": (models.SimpleMixtureData, models.build_simple_mixture),
+    "two_level": (models.TwoLevelMixtureData, models.build_two_level),
+    "two_level_reciprocal": (models.TwoLevelMixtureData, functools.partial(models.build_two_level, shifted_beta=True)),
+    "gmm2": (models.GMMData, models.build_gmm2),
+    "logitnormal": (models.LogitNormalMixtureData, models.build_logitnormal),
+    **{
+        f"matfac_{mode}": (models.MatrixFactorizationData, functools.partial(models.build_matfac, mode=mode))
+        for mode in ("vmp", "ppca", "als")
+    },
+}
+
+
+@st.composite
+def _edge_runs(draw):
+    """(model name, its data class's arguments, a schedule the model takes), at edge scales.
+
+    Prior parameters and data scales are drawn from 5e-324 to 1e308, a
+    delta from 1e-30 up; the data are a seeded uniform draw on (-1, 1) times a scale.
+    """
+    name = draw(st.sampled_from(sorted(_EDGE_MODELS)))
+    rng = np.random.default_rng(draw(st.integers(0, 1000)))
+    width = 2 if name.startswith(("two_level", "logitnormal")) else draw(st.integers(1, 3))
+    y = rng.uniform(-1.0, 1.0, (draw(st.integers(2, 6)), width)) * draw(_EDGE)
+    if name == "simple_mixture":
+        args = (draw(st.sampled_from([5e-324, 1e-15, 0.5, 1.0 - 1e-16])), draw(_EDGE), draw(_EDGE))
+    elif name.startswith("two_level"):
+        args = (y[:, 0], y[:, 1], draw(_EDGE), draw(_EDGE))
+    elif name == "logitnormal":
+        args = (y[:, 0], y[:, 1], draw(_EDGE) * draw(st.sampled_from([1.0, -1.0])))
+    elif name == "gmm2":
+        args = (y, draw(_EDGE), draw(_EDGE), draw(_EDGE), width - 1 + draw(_EDGE), draw(_EDGE) * np.eye(width))
+    else:
+        args = (y, draw(st.integers(1, 3)), *(draw(_EDGE.filter(lambda v: v >= 1e-30)) for _ in range(2)))
+    kinds = [engine.CAVI, engine.PARALLEL_BLR] + [engine.SVI] * name.startswith(("two_level", "logitnormal"))
+    return name, args, engine.Schedule(draw(st.sampled_from(kinds)), rho=draw(st.floats(0.05, 1.0)))
+
+
+_MATFAC_NEAR_1E150 = (np.random.default_rng(0).standard_normal((5, 3)) * 1e150, 2)  # E[log p] overflows in parallel
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(run=_edge_runs())
+@example(run=("matfac_vmp", _MATFAC_NEAR_1E150, engine.Schedule(engine.PARALLEL_BLR)))
+def test_finite_in_finite_out_a_fit_is_a_finite_trace_a_value_error_or_a_numerical_error(run):
+    """Whatever the data class, builder, schedule and scales, no warning leaves the library (tier-1 makes one an error)."""
+    name, args, schedule = run
+    data_class, build = _EDGE_MODELS[name]
+    try:
+        data = data_class(*args)
+        trace = engine.fit(build(data), data, schedule, max_iter=30)
+    except (ValueError, expfam.NumericalError):
+        return
+    assert np.isfinite(trace.elbos).all() and np.isfinite(trace.residuals).all()
+    for plate in trace.plates.values():
+        assert np.isfinite(plate.lam.values).all() and np.isfinite(plate.mu.values).all()
 
 
 def _mixture_models():

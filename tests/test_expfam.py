@@ -1229,6 +1229,27 @@ def test_a_non_finite_row_is_named(param, bad):
     assert list(rows.value.rows) == [1, 2]
 
 
+@pytest.mark.parametrize(
+    "family, values, what, rows",
+    [
+        ((expfam.GAUSSIAN, 1), [0.0, -1e308], "Gaussian precision S", [0]),
+        ((expfam.GAUSSIAN, 1), [[0.0, -0.5], [0.0, -1e308], [0.0, -1.0]], "Gaussian precision S", [1]),
+        ((expfam.GAUSSIAN_WISHART, 1), [[1, -0.5, 0, -0.5], [1, -1e308, 0, -0.5]], "Gaussian-Wishart W^-1", [1]),
+    ],
+    ids=["gaussian", "gaussian-rows", "gaussian-wishart"],
+)
+def test_a_lambda_whose_cholesky_factor_is_not_finite_is_a_domain_error_naming_its_rows(family, values, what, rows):
+    """-2 lam_2 = 2e308 overflows to an infinite matrix, whose infinite factor is refused as none.
+
+    Outside a fit numpy's floating-point state is the caller's; this one ignores the overflow, as a fit does.
+    """
+    message = f"^{re.escape(what)} must be symmetric positive-definite, got "
+    with np.errstate(over="ignore"), pytest.raises(expfam.DomainError, match=message) as err:
+        expfam.NaturalParam(expfam.FamilyDescriptor(*family), values)
+    assert "[[inf]]" in str(err.value)
+    assert list(err.value.rows) == rows
+
+
 def test_a_lambda_whose_mean_overflows_still_constructs():
     """Construction validates lambda alone; the overflow is the finiteness error of the mean nat_to_mean derives."""
     with warnings.catch_warnings():

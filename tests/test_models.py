@@ -225,6 +225,26 @@ def test_a_beta_exponent_at_which_its_natural_parameter_rounds_to_minus_one_is_n
         _PRIOR_FIELDS[model][0](**{field: value})
 
 
+@pytest.mark.parametrize("nu0", [1e308, np.finfo(float).max])
+def test_a_gmm2_prior_whose_normaliser_is_not_finite_is_named_by_nu0(nu0):
+    """The log Gamma terms of A(lambda_0) overflow at nu0 = 1e308: refused at intake, naming nu0, with no warning."""
+    line = f"nu0 is too large: the prior's normaliser is not finite at nu0 = {nu0:g}: inf"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(line)}$"):
+            models.GMMData(np.zeros((3, 2)), nu0=nu0)
+
+
+@pytest.mark.parametrize("model", ["two_level", "gmm2"])
+@pytest.mark.parametrize("log_norm", [math.nan, math.inf, -math.inf])
+def test_a_beta_prior_whose_log_b_is_not_finite_is_named_by_alpha0_and_beta0(monkeypatch, model, log_norm):
+    """Both Beta-weight data classes take log B(alpha0, beta0) through one check, which names the two keys."""
+    monkeypatch.setattr(models, "betaln", lambda a, b: log_norm)
+    line = f"log B(alpha0, beta0) is not finite at alpha0 = 2, beta0 = 3: {log_norm}"
+    with pytest.raises(ValueError, match=f"^{re.escape(line)}$"):
+        _PRIOR_FIELDS[model][0](alpha0=2.0, beta0=3.0)
+
+
 def test_the_data_classes_hold_what_their_data_fixes_bitwise():
     """Each held value is bitwise the computation the fit made before the data class held it."""
     y = np.array([[0.1, 0.2], [-1.0, 0.5], [0.3, -0.2], [2.0, 1.0]])
